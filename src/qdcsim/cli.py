@@ -62,6 +62,13 @@ def _get(doc: dict, section: str, field: str, required: bool = False, default=No
     return sec[field]
 
 
+def _get_int(doc: dict, section: str, field: str, default: int) -> int:
+    try:
+        return int(_get(doc, section, field, default=default))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{section}.{field}: {exc}") from exc
+
+
 def build_round_config(doc: dict, args: argparse.Namespace | None = None) -> RoundConfig:
     try:
         params = PhysicalParams(
@@ -277,8 +284,8 @@ def cmd_run(args) -> int:
 def cmd_batch(args) -> int:
     doc = load_config(args.config)
     config = build_round_config(doc, args)
-    n_rounds = args.rounds if args.rounds is not None else int(
-        _get(doc, "security", "rounds", default=20000)
+    n_rounds = args.rounds if args.rounds is not None else _get_int(
+        doc, "security", "rounds", default=20000
     )
     if n_rounds < 1:
         raise ConfigError("rounds: must be >= 1")
@@ -307,8 +314,8 @@ def cmd_sweep(args) -> int:
     doc = load_config(args.config)
     config = build_round_config(doc, args)
     grid = _get(doc, "sweep", "t_windows", default=DEFAULT_CONFIG["sweep"]["t_windows"])
-    n_rounds = args.rounds if args.rounds is not None else int(
-        _get(doc, "sweep", "rounds", default=5000)
+    n_rounds = args.rounds if args.rounds is not None else _get_int(
+        doc, "sweep", "rounds", default=5000
     )
     if not isinstance(grid, list) or not grid or not all(
         isinstance(x, (int, float)) and x > 0 for x in grid
@@ -328,8 +335,8 @@ def cmd_sweep(args) -> int:
 def cmd_security(args) -> int:
     doc = load_config(args.config)
     config = build_round_config(doc, args)
-    n_rounds = args.rounds if args.rounds is not None else int(
-        _get(doc, "security", "rounds", default=20000)
+    n_rounds = args.rounds if args.rounds is not None else _get_int(
+        doc, "security", "rounds", default=20000
     )
     if n_rounds < 1:
         raise ConfigError("security.rounds: must be >= 1")
@@ -433,9 +440,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal invariant violation

@@ -16,9 +16,11 @@ whose underdamped solution from ``|e,0>`` is
     alpha(t) = exp(-k t/2) (cos(W t/2) + (k/W) sin(W t/2))
     beta(t)  = -(2 delta / W) exp(-k t/2) sin(W t/2),
 
-with W = Omega_k = sqrt(4 delta^2 - k^2).  ``|g,0>`` is dark.  These
-closed forms are cross-checked against a fixed-step RK4 integration of
-the same generator (the oracle used in the test suite).
+with W = Omega_k = sqrt(4 delta^2 - k^2).  ``|g,0>`` is dark.  The
+protocol pipeline maps atoms to cavities with these closed forms
+(``protocol.map_to_cavities``).  ``evolve_conditional`` integrates the
+same generator on a full state by fixed-step RK4; it is the oracle the
+test suite checks the closed forms and the pipeline against.
 
 The first zero of alpha, at W t/2 = pi - arctan(W/k), is the transfer
 time t*: the atomic excitation has fully mapped onto the cavity and

@@ -19,6 +19,7 @@ the conditioning event.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Sequence
@@ -128,6 +129,14 @@ class SystemLayout:
     def mode_sites(self) -> tuple[int, ...]:
         return tuple(i for i, s in enumerate(self.sites) if s.kind is SiteKind.CAVITY_MODE)
 
+    @cached_property
+    def occupations(self) -> np.ndarray:
+        """Read-only (dim x sites) table; row ``index`` is ``occupations_of(index)``."""
+        index = np.arange(self.dim, dtype=np.int64)[:, None]
+        table = index // np.array(self.strides) % np.array(self.dims)
+        table.flags.writeable = False
+        return table
+
     def index_of(self, occupations: Sequence[int]) -> int:
         if len(occupations) != len(self.sites):
             raise DimensionMismatch(
@@ -198,10 +207,6 @@ def basis_state(layout: SystemLayout, occupations: Sequence[int]) -> StateVector
     return StateVector(layout, amps)
 
 
-def zero_state(layout: SystemLayout) -> StateVector:
-    return StateVector(layout, np.zeros(layout.dim, dtype=np.complex128))
-
-
 def norm_sq(state: StateVector) -> float:
     return float(np.real(np.vdot(state.amplitudes, state.amplitudes)))
 
@@ -213,20 +218,45 @@ def inner(a: StateVector, b: StateVector) -> complex:
     return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
+def site_view(state: StateVector, site: int) -> np.ndarray:
+    """The amplitudes as a (left, site dim, right) array, so that axis 1
+    runs over the occupations of ``site``."""
+    layout = state.layout
+    if not 0 <= site < len(layout.dims):
+        raise DimensionMismatch(f"site {site} out of range")
+    right = layout.strides[site]
+    d = layout.dims[site]
+    return state.amplitudes.reshape(layout.dim // (d * right), d, right)
+
+
 def apply_site_operator(state: StateVector, site: int, matrix: np.ndarray) -> StateVector:
     """Apply a single-site operator: ``(I x ... x M x ... x I)|state>``."""
-    dims = state.layout.dims
-    if not 0 <= site < len(dims):
-        raise DimensionMismatch(f"site {site} out of range")
+    a = site_view(state, site)
     m = np.asarray(matrix, dtype=np.complex128)
-    d = dims[site]
+    d = a.shape[1]
     if m.shape != (d, d):
         raise DimensionMismatch(f"matrix shape {m.shape} does not match site dim {d}")
-    left = int(np.prod(dims[:site], dtype=np.int64))
-    right = int(np.prod(dims[site + 1 :], dtype=np.int64))
-    a = state.amplitudes.reshape(left, d, right)
     out = np.einsum("ij,ljr->lir", m, a)
     return StateVector(state.layout, out.reshape(-1))
+
+
+def measure_site(
+    state: StateVector, site: int, rng: np.random.Generator
+) -> tuple[int, StateVector]:
+    """Projective measurement of one site in its computational basis; returns
+    (occupation outcome, collapsed renormalized state).
+
+    One uniform draw ``u`` selects the first outcome whose cumulative weight
+    exceeds ``u * total``, so a subnormalized state is measured as if
+    normalized.
+    """
+    a = site_view(state, site)
+    probs = np.sum(np.abs(a) ** 2, axis=(0, 2))
+    outcome = int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum(), side="right"))
+    outcome = min(outcome, len(probs) - 1)
+    collapsed = np.zeros_like(a)
+    collapsed[:, outcome, :] = a[:, outcome, :] / math.sqrt(probs[outcome])
+    return outcome, StateVector(state.layout, collapsed.reshape(-1))
 
 
 def annihilation_matrix(dim: int) -> np.ndarray:
@@ -260,11 +290,7 @@ def apply_creation(state: StateVector, site: int) -> StateVector:
 
 
 def _top_level_weight(state: StateVector, site: int) -> float:
-    dims = state.layout.dims
-    left = int(np.prod(dims[:site], dtype=np.int64))
-    right = int(np.prod(dims[site + 1 :], dtype=np.int64))
-    a = state.amplitudes.reshape(left, dims[site], right)
-    return float(np.sum(np.abs(a[:, -1, :]) ** 2))
+    return float(np.sum(np.abs(site_view(state, site)[:, -1, :]) ** 2))
 
 
 class Message(enum.Enum):

@@ -3,7 +3,7 @@
 One round: share an (N+1)-party GHZ state (plus two vacuum cavities),
 branch into a security-check round with probability ``p_check``, otherwise
 encode two classical bits on Alice's atom, map Alice's and Bob's atomic
-excitations onto their cavities by simultaneous conditional evolution,
+excitations onto their cavities by the closed-form conditional evolution,
 rotate the remaining receivers' atoms, and discriminate the two-mode
 photonic state at a 50/50 beam splitter via Monte-Carlo wavefunction
 trajectories (jump channels ``(a_A +- a_B)``, detectors D+/D-).
@@ -37,7 +37,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import hilbert
-from .dynamics import PhysicalParams, evolve_conditional, transfer_time
+from .dynamics import PhysicalParams, alpha_beta, transfer_time
 from .hilbert import (
     G,
     E,
@@ -48,9 +48,11 @@ from .hilbert import (
     SystemLayout,
     apply_site_operator,
     atom_site,
+    measure_site,
     mode_site,
     norm_sq,
     pauli_encode,
+    site_view,
 )
 
 CHANNEL_PLUS = "D+"
@@ -91,7 +93,8 @@ class DetectorModel:
 class RoundConfig:
     """Knobs for one protocol round / batch.
 
-    ``t_map=None`` resolves to the transfer time t* of ``params``.
+    ``t_map=None`` resolves to the transfer time t* of ``params``; an
+    explicit ``t_map`` must be a zero of alpha (see :func:`map_to_cavities`).
     ``success_convention`` selects which reading of the analytic success
     probability :func:`success_probability_formula` reports.
     """
@@ -114,8 +117,15 @@ class RoundConfig:
             raise ValueError("p_check must lie in [0, 1]")
         if not self.t_window > 0:
             raise ValueError("t_window must be positive")
-        if self.t_map is not None and not self.t_map > 0:
-            raise ValueError("t_map must be positive")
+        if self.t_map is not None:
+            if not self.t_map > 0:
+                raise ValueError("t_map must be positive")
+            alpha2 = alpha_beta(self.params, self.t_map)[0] ** 2
+            if alpha2 > _SUPPORT_TOL:
+                raise ValueError(
+                    f"t_map = {self.t_map!r} leaves weight {alpha2:.3e} on the mapped "
+                    "atoms; use null (the transfer time t*) or another zero of alpha"
+                )
         if self.success_convention not in ("survival", "integrated"):
             raise ValueError("success_convention must be 'survival' or 'integrated'")
         if self.cutoff < 1:
@@ -216,11 +226,13 @@ def _transfer_time_cached(params: PhysicalParams) -> float:
 
 def map_to_cavities(state: StateVector, config: RoundConfig) -> StateVector:
     """Simultaneous conditional evolution of (Alice atom, cavity A) and
-    (Bob atom, cavity B) for ``t_map``.
+    (Bob atom, cavity B) for ``t_map``, in closed form.
 
-    At the default ``t_map = t*`` this sends |e> -> beta|g>|1> and leaves
-    |g> dark on each pair, so both mapped atoms end in |g>, disentangled
-    from the (A, B, remaining receivers) subsystem.
+    With the cavity in vacuum each pair evolves as |g,0> -> |g,0> (dark)
+    and |e,0> -> alpha|e,0> + beta|g,1>, with (alpha, beta) from
+    :func:`alpha_beta`.  At ``t_map = t*`` alpha vanishes, so both mapped
+    atoms end in |g>, disentangled from the (A, B, remaining receivers)
+    subsystem.
     """
     layout = state.layout
     if abs(norm_sq(state) - 1.0) > 1e-9:
@@ -229,17 +241,19 @@ def map_to_cavities(state: StateVector, config: RoundConfig) -> StateVector:
     for m in (mode_a, mode_b):
         if _occupied_weight(state, m) > 1e-12:
             raise ValueError("cavities must start in vacuum")
-    t = resolve_t_map(config)
-    dt = min(0.005 / max(config.params.delta_eff, config.params.k, 1e-300), t / 400.0)
-    return evolve_conditional(state, [(0, mode_a), (1, mode_b)], config.params, t, dt)
+    alpha, beta = alpha_beta(config.params, resolve_t_map(config))
+    occ = layout.occupations
+    amps = state.amplitudes.copy()
+    for atom, mode in ((0, mode_a), (1, mode_b)):
+        excited = np.flatnonzero((occ[:, atom] == E) & (occ[:, mode] == 0))
+        emitted = excited - layout.strides[atom] + layout.strides[mode]
+        amps[emitted] += beta * amps[excited]
+        amps[excited] *= alpha
+    return StateVector(layout, amps)
 
 
 def _occupied_weight(state: StateVector, site: int) -> float:
-    dims = state.layout.dims
-    left = int(np.prod(dims[:site], dtype=np.int64))
-    right = int(np.prod(dims[site + 1 :], dtype=np.int64))
-    a = state.amplitudes.reshape(left, dims[site], right)
-    return float(np.sum(np.abs(a[:, 1:, :]) ** 2))
+    return float(np.sum(np.abs(site_view(state, site)[:, 1:, :]) ** 2))
 
 
 _ROTATION = np.array([[-1, 1], [1, 1]], dtype=np.complex128) / math.sqrt(2.0)
@@ -271,8 +285,6 @@ def pipeline_state(config: RoundConfig, message: Message) -> StateVector:
 
 
 def pipeline_beta(config: RoundConfig) -> float:
-    from .dynamics import alpha_beta
-
     return alpha_beta(config.params, resolve_t_map(config))[1]
 
 
@@ -294,19 +306,9 @@ class _LayoutInfo:
 
 
 def _annihilation_action(layout: SystemLayout, site: int):
-    src, dst, coef = [], [], []
-    stride = layout.strides[site]
-    for idx in range(layout.dim):
-        occ = layout.occupations_of(idx)[site]
-        if occ >= 1:
-            src.append(idx)
-            dst.append(idx - stride)
-            coef.append(math.sqrt(occ))
-    arrays = (
-        np.array(src, dtype=np.int64),
-        np.array(dst, dtype=np.int64),
-        np.array(coef, dtype=np.float64),
-    )
+    occ = layout.occupations[:, site]
+    src = np.flatnonzero(occ >= 1)
+    arrays = (src, src - layout.strides[site], np.sqrt(occ[src].astype(np.float64)))
     for a in arrays:
         a.flags.writeable = False
     return arrays
@@ -316,16 +318,11 @@ def _annihilation_action(layout: SystemLayout, site: int):
 def _layout_info(layout: SystemLayout) -> _LayoutInfo:
     receivers = rotated_receiver_sites(layout)
     mode_a, mode_b = layout.mode_sites[0], layout.mode_sites[1]
-    n = np.zeros(layout.dim, dtype=np.int64)
-    codes = np.zeros(layout.dim, dtype=np.int64)
-    for idx in range(layout.dim):
-        occ = layout.occupations_of(idx)
-        n[idx] = sum(occ[m] for m in layout.mode_sites)
-        code = 0
-        for site in receivers:
-            code = (code << 1) | occ[site]
-        codes[idx] = code
+    occ = layout.occupations
     m = len(receivers)
+    n = occ[:, list(layout.mode_sites)].sum(axis=1)
+    # receiver bits packed first-receiver-most-significant
+    codes = occ[:, list(receivers)] @ (1 << np.arange(m - 1, -1, -1, dtype=np.int64))
     strings = tuple(
         "".join("e" if (code >> (m - 1 - j)) & 1 else "g" for j in range(m))
         for code in range(2**m)
@@ -376,45 +373,49 @@ def jump_apply(state: StateVector, sign: int, k: float) -> StateVector:
 
 @dataclass(frozen=True)
 class _SectorData:
-    """Two-mode amplitudes grouped by rotated-receiver bit string.
+    """Two-mode amplitudes ``a{n_A}{n_B}`` indexed by rotated-receiver bit
+    code (position in ``_LayoutInfo.bit_strings``).
 
-    Requires every atom outside the rotated receivers to sit in |g| and the
+    Requires every atom outside the rotated receivers to sit in |g> and the
     photonic support inside {00,01,10,11}.
     """
 
-    a00: dict[str, complex]
-    a01: dict[str, complex]
-    a10: dict[str, complex]
-    a11: dict[str, complex]
+    a00: np.ndarray
+    a01: np.ndarray
+    a10: np.ndarray
+    a11: np.ndarray
+
+    @property
+    def psi(self) -> tuple[np.ndarray, np.ndarray]:
+        """psi+ and psi- expansion coefficients per bit code."""
+        return (self.a01 + self.a10) / math.sqrt(2.0), (self.a01 - self.a10) / math.sqrt(2.0)
 
 
 def _sector_split(state: StateVector) -> _SectorData:
     layout = state.layout
     info = _layout_info(layout)
-    fixed_atoms = tuple(i for i in layout.atom_sites if i not in info.receiver_sites)
-    a = {key: {} for key in ("a00", "a01", "a10", "a11")}
-    stray = 0.0
-    for idx in np.flatnonzero(np.abs(state.amplitudes) > 0):
-        amp = complex(state.amplitudes[idx])
-        occ = layout.occupations_of(int(idx))
-        na, nb = occ[info.mode_a], occ[info.mode_b]
-        if na > 1 or nb > 1:
-            stray += abs(amp) ** 2
-            continue
-        if any(occ[s] != G for s in fixed_atoms):
-            if abs(amp) ** 2 > _SUPPORT_TOL:
-                raise ValueError(
-                    "mapped atoms retain excitation; pipeline states require t_map = t*"
-                )
-            continue
-        bits = info.bit_strings[info.bit_codes[idx]]
-        key = f"a{na}{nb}"
-        a[key][bits] = a[key].get(bits, 0.0) + amp
-    if stray > _SUPPORT_TOL:
+    occ = layout.occupations
+    weights = np.abs(state.amplitudes) ** 2
+    na, nb = occ[:, info.mode_a], occ[:, info.mode_b]
+    stray = (na > 1) | (nb > 1)
+    fixed_atoms = [i for i in layout.atom_sites if i not in info.receiver_sites]
+    excited = ~stray & (occ[:, fixed_atoms] != G).any(axis=1)
+    if np.any(weights[excited] > _SUPPORT_TOL):
+        raise ValueError("mapped atoms retain excitation; pipeline states require t_map = t*")
+    stray_weight = float(weights[stray].sum())
+    if stray_weight > _SUPPORT_TOL:
         raise UnexpectedPhotonSupport(
-            f"weight {stray:.3e} outside the four two-mode basis states"
+            f"weight {stray_weight:.3e} outside the four two-mode basis states"
         )
-    return _SectorData(a["a00"], a["a01"], a["a10"], a["a11"])
+    kept = ~stray & ~excited
+    sectors = []
+    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        # each (bit code, n_A, n_B) names exactly one kept basis index
+        sel = kept & (na == a) & (nb == b)
+        amps = np.zeros(len(info.bit_strings), dtype=np.complex128)
+        amps[info.bit_codes[sel]] = state.amplitudes[sel]
+        sectors.append(amps)
+    return _SectorData(*sectors)
 
 
 def bell_weights(
@@ -432,21 +433,14 @@ def bell_weights(
     if beta2 < 1e-30:
         raise ValueError("beta(t_map) vanishes; phi basis is degenerate")
     norm_phi = math.sqrt(beta2 * beta2 + 1.0)
-    weights: dict[tuple[str, str], float] = {}
-    for bits in all_bit_strings(config):
-        a00 = sectors.a00.get(bits, 0.0)
-        a01 = sectors.a01.get(bits, 0.0)
-        a10 = sectors.a10.get(bits, 0.0)
-        a11 = sectors.a11.get(bits, 0.0)
-        psi_p = (a01 + a10) / math.sqrt(2.0)
-        psi_m = (a01 - a10) / math.sqrt(2.0)
-        phi_p = norm_phi * (a11 / beta2 + a00) / 2.0
-        phi_m = norm_phi * (a11 / beta2 - a00) / 2.0
-        weights[(PSI_PLUS, bits)] = abs(psi_p) ** 2
-        weights[(PSI_MINUS, bits)] = abs(psi_m) ** 2
-        weights[(PHI_PLUS, bits)] = abs(phi_p) ** 2
-        weights[(PHI_MINUS, bits)] = abs(phi_m) ** 2
-    return weights
+    phi_p = norm_phi * (sectors.a11 / beta2 + sectors.a00) / 2.0
+    phi_m = norm_phi * (sectors.a11 / beta2 - sectors.a00) / 2.0
+    per_label = [(np.abs(c) ** 2).tolist() for c in (*sectors.psi, phi_p, phi_m)]
+    return {
+        (label, bits): w[code]
+        for code, bits in enumerate(all_bit_strings(config))
+        for label, w in zip(BELL_LABELS, per_label)
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -625,8 +619,7 @@ def outcome_distribution(
     Sector bookkeeping (vacuum / psi+- / two-photon) is exact for pipeline
     states, whose photon sectors never superpose across a jump.
     """
-    state = pipeline_state(config, message)
-    sectors = _sector_split(state)
+    sectors = _sector_split(pipeline_state(config, message))
     eta = config.detector.efficiency
     p_dc = config.detector.dark_prob
     q = _window_q(config)
@@ -636,14 +629,10 @@ def outcome_distribution(
     bit_strings = all_bit_strings(config)
     m = len(bit_strings)
 
-    w0, wp, wm, w2 = {}, {}, {}, {}
-    for bits in bit_strings:
-        a01 = sectors.a01.get(bits, 0.0)
-        a10 = sectors.a10.get(bits, 0.0)
-        w0[bits] = abs(sectors.a00.get(bits, 0.0)) ** 2
-        wp[bits] = abs((a01 + a10) / math.sqrt(2.0)) ** 2
-        wm[bits] = abs((a01 - a10) / math.sqrt(2.0)) ** 2
-        w2[bits] = abs(sectors.a11.get(bits, 0.0)) ** 2
+    w0, wp, wm, w2 = (
+        dict(zip(bit_strings, (np.abs(amps) ** 2).tolist()))
+        for amps in (sectors.a00, *sectors.psi, sectors.a11)
+    )
 
     total_weight = sum(w0.values()) + sum(wp.values()) + sum(wm.values()) + sum(w2.values())
     deficit = max(0.0, 1.0 - total_weight)
@@ -779,22 +768,11 @@ def measure_atom(
     Pauli; the returned outcome 0 corresponds to eigenvalue +1."""
     if state.layout.site_kind(site) is not SiteKind.ATOM:
         raise hilbert.NotAnAtomSite(f"site {site} is not an atom")
-    work = state if basis == "z" else apply_site_operator(state, site, _BASIS_ROTATIONS[basis])
-    dims = work.layout.dims
-    left = int(np.prod(dims[:site], dtype=np.int64))
-    right = int(np.prod(dims[site + 1 :], dtype=np.int64))
-    shaped = work.amplitudes.reshape(left, 2, right)
-    p0 = float(np.sum(np.abs(shaped[:, 0, :]) ** 2))
-    total = float(np.sum(np.abs(shaped) ** 2))
-    outcome = 0 if rng.random() * total < p0 else 1
-    collapsed = np.zeros_like(shaped)
-    collapsed[:, outcome, :] = shaped[:, outcome, :]
-    norm = math.sqrt(p0 if outcome == 0 else total - p0)
-    collapsed = collapsed / norm
-    out = StateVector(work.layout, collapsed.reshape(-1))
-    if basis != "z":
-        out = apply_site_operator(out, site, _BASIS_ROTATIONS[basis].conj().T)
-    return outcome, out
+    if basis == "z":
+        return measure_site(state, site, rng)
+    rotation = _BASIS_ROTATIONS[basis]
+    outcome, collapsed = measure_site(apply_site_operator(state, site, rotation), site, rng)
+    return outcome, apply_site_operator(collapsed, site, rotation.conj().T)
 
 
 def ghz_expected_parity(n_y: int) -> int | None:

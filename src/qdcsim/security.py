@@ -25,7 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from . import protocol
-from .hilbert import HilbertError, Message, MESSAGES, StateVector
+from .hilbert import (
+    HilbertError, Message, MESSAGES, StateVector, apply_site_operator, measure_site,
+)
 from .protocol import RoundConfig
 
 
@@ -266,24 +268,6 @@ def _atom_tamper(eve: EveModel):
     return tamper
 
 
-def _measure_mode_fock(
-    state: StateVector, site: int, rng: np.random.Generator
-) -> StateVector:
-    """Projective photon-number measurement on one mode (collapse, renormalize)."""
-    dims = state.layout.dims
-    left = int(np.prod(dims[:site], dtype=np.int64))
-    right = int(np.prod(dims[site + 1 :], dtype=np.int64))
-    shaped = state.amplitudes.reshape(left, dims[site], right)
-    probs = np.array([float(np.sum(np.abs(shaped[:, n, :]) ** 2)) for n in range(dims[site])])
-    total = probs.sum()
-    u = rng.random() * total
-    outcome = int(np.searchsorted(np.cumsum(probs), u, side="right"))
-    outcome = min(outcome, dims[site] - 1)
-    collapsed = np.zeros_like(shaped)
-    collapsed[:, outcome, :] = shaped[:, outcome, :] / math.sqrt(probs[outcome])
-    return StateVector(state.layout, collapsed.reshape(-1))
-
-
 def eavesdrop_experiment(
     eve: EveModel, config: RoundConfig, n_check_rounds: int, seed: int
 ) -> EveResult:
@@ -306,7 +290,7 @@ def eavesdrop_experiment(
             rng = streams.rng(i)
             sent = psi_messages[int(rng.integers(0, 2))]
             state = protocol.pipeline_state(cfg, sent)
-            state = _measure_mode_fock(state, info_mode_a, rng)
+            _, state = measure_site(state, info_mode_a, rng)  # photon number
             window = protocol.simulate_window(state, cfg, rng)
             bits = protocol.sample_receiver_bits(window.state, rng)
             decoded = protocol.decode(cfg, window.record.counts(), bits)
@@ -334,61 +318,28 @@ def exact_eve_detection_rate(eve: EveModel, n_parties: int = 3) -> float:
     post-attack ensemble over all basis combinations."""
     if eve.strategy == "intercept_resend_photon":
         raise ValueError("photon attack detection is estimated by Monte Carlo only")
-    dim = 2**n_parties
-    ghz = np.zeros(dim, dtype=np.complex128)
-    ghz[0] = ghz[-1] = 1.0 / math.sqrt(2.0)
-
+    ctx = protocol._check_context(n_parties)
+    ghz = StateVector(ctx.layout, ctx.ghz)
     if eve.strategy == "none":
-        branches = [(1.0, ghz)]
+        branches = [ghz.amplitudes]
     else:
-        target = eve.target
-        if eve.basis == "z":
-            vecs = (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        else:
-            vecs = (
-                np.array([1.0, 1.0]) / math.sqrt(2.0),
-                np.array([1.0, -1.0]) / math.sqrt(2.0),
-            )
-        branches = []
-        for v in vecs:
-            proj = _single_site_projector(v, target, n_parties)
-            post = proj @ ghz
-            p = float(np.real(np.vdot(post, post)))
-            if p > 1e-15:
-                branches.append((p, post / math.sqrt(p)))
-
-    rot = {
-        "x": np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0),
-        "y": np.array([[1, -1j], [1, 1j]], dtype=np.complex128) / math.sqrt(2.0),
-    }
-    parity = np.array(
-        [1 - 2 * (bin(i).count("1") % 2) for i in range(dim)], dtype=np.int64
-    )
-    combo_prob = 0.5**n_parties
-
+        # Eve's outcome branches, unnormalized: their squared norms are the
+        # outcome probabilities.  Rows of a basis rotation are its bras.
+        bras = np.eye(2) if eve.basis == "z" else protocol._BASIS_ROTATIONS[eve.basis]
+        branches = [
+            apply_site_operator(ghz, eve.target, np.outer(bra.conj(), bra)).amplitudes
+            for bra in bras
+        ]
+    # Every basis combination is equally likely, so the rate is a plain
+    # ratio of sums over the conclusive combinations.
     viol = concl = 0.0
-    for combo in range(2**n_parties):
-        bases = ["y" if (combo >> j) & 1 else "x" for j in range(n_parties)]
-        expected = protocol.ghz_expected_parity(bases.count("y"))
+    for rotation, expected in zip(ctx.rotations, ctx.expected):
         if expected is None:
             continue
-        concl += combo_prob
-        u = np.array([[1.0]], dtype=np.complex128)
-        for b in bases:
-            u = np.kron(u, rot[b])
-        for p_branch, state in branches:
-            amps = u @ state
-            p_violation = float(np.sum(np.abs(amps[parity != expected]) ** 2))
-            viol += combo_prob * p_branch * p_violation
+        concl += 1.0
+        for amps in branches:
+            viol += float(np.sum(np.abs((rotation @ amps)[ctx.parity != expected]) ** 2))
     return viol / concl
-
-
-def _single_site_projector(vec: np.ndarray, site: int, n: int) -> np.ndarray:
-    proj = np.outer(vec, vec.conj())
-    op = np.array([[1.0]], dtype=np.complex128)
-    for j in range(n):
-        op = np.kron(op, proj if j == site else np.eye(2))
-    return op
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -50,6 +51,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="detector"):
             build_round_config(doc)
 
+    def test_t_map_off_a_zero_of_alpha_named(self):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["round"]["t_map"] = 1.0
+        with pytest.raises(ConfigError, match="t_map"):
+            build_round_config(doc)
+
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/config.json")
@@ -71,6 +78,24 @@ class TestRunCommand:
         )
         assert code == 0
         assert json.loads(out.strip())["mode"] == "check"
+
+    def test_bad_t_map_exit_code(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["round"]["t_map"] = 1.0
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, err = run_cli(["run", "--config", str(bad)], capsys)
+        assert code == 2
+        assert "t_map" in err
+
+    def test_internal_value_error_exits_3(self, config_path, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise ValueError("invariant broken")
+
+        monkeypatch.setattr(cli.protocol, "run_round", broken)
+        code, _, err = run_cli(["run", "--config", config_path], capsys)
+        assert code == 3
+        assert "internal error: ValueError" in err
 
     def test_missing_field_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
@@ -124,6 +149,34 @@ class TestBatchCommand:
         assert code == 2
 
 
+class TestGoldenDigest:
+    """Pins the per-round Philox stream contract: any change to how rounds
+    draw their randomness (a numpy upgrade included) changes these bytes."""
+
+    DOC = {
+        "params": {"g": 1.0, "Omega": 1.0, "Delta": 1.0, "k": 0.2, "gamma": 0.0},
+        "round": {"t_window": 6.0, "p_check": 0.25, "seed": 17},
+        "detector": {"efficiency": 0.9, "dark_prob": 0.05},
+    }
+    DIGESTS = {
+        "batch_summary.json": "5b9ef2c3da6c7ec98f6925b410354b3682744703b9158da5a6a7cc2f034ecd66",
+        "rounds.jsonl": "978011c9457b5cacdce874d19f10a425af4ba2aed0a6c40695d85f9e932f8928",
+    }
+
+    def test_batch_bytes(self, tmp_path, capsys):
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(self.DOC))
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(
+            ["batch", "--config", str(path), "--rounds", "300", "--round-log",
+             "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+        for name, digest in self.DIGESTS.items():
+            assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
+
+
 class TestSweepCommand:
     def test_csv_and_agreement(self, config_path, tmp_path, capsys):
         out_dir = tmp_path / "sw"
@@ -150,6 +203,15 @@ class TestSweepCommand:
             assert code == 0
             outs.append((dest / "sweep.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    def test_bad_rounds_named(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["sweep"]["rounds"] = "many"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(["sweep", "--config", str(path)], capsys)
+        assert code == 2
+        assert "sweep.rounds" in err
 
     def test_bad_grid(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_DOC))
@@ -183,6 +245,15 @@ class TestSecurityCommand:
         sec = json.loads(out.strip())["security"]
         assert sec["eve_strategy"] == "intercept_resend_atom_z"
         assert abs(sec["eve_detection_rate"] - 0.5) < 0.1
+
+    def test_bad_rounds_named(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["security"]["rounds"] = "many"
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(["security", "--config", str(path)], capsys)
+        assert code == 2
+        assert "security.rounds" in err
 
     def test_unknown_eve(self, config_path, capsys):
         code, _, _ = run_cli(

@@ -18,9 +18,11 @@ from qdcsim.hilbert import (
     basis_state,
     dimension,
     inner,
+    measure_site,
     mode_site,
     norm_sq,
     pauli_encode,
+    site_view,
 )
 
 
@@ -55,6 +57,14 @@ class TestLayout:
         ]:
             for idx in range(lay.dim):
                 assert lay.index_of(lay.occupations_of(idx)) == idx
+
+    def test_occupation_table_matches_occupations_of(self):
+        lay = layout_atoms_modes(2, 2, 2)
+        table = lay.occupations
+        assert table.shape == (lay.dim, 4)
+        assert not table.flags.writeable
+        for idx in range(lay.dim):
+            assert tuple(table[idx]) == lay.occupations_of(idx)
 
     def test_out_of_range(self):
         lay = layout_atoms_modes(1, 1, 1)
@@ -115,6 +125,16 @@ class TestSiteOperators:
             apply_site_operator(st, 0, np.eye(3))
         with pytest.raises(DimensionMismatch):
             apply_site_operator(st, 9, np.eye(2))
+
+    def test_site_view_axis_is_the_site(self):
+        lay = layout_atoms_modes(2, 1, 2)
+        st = basis_state(lay, (1, 0, 2))
+        for site, occ in enumerate((1, 0, 2)):
+            view = site_view(st, site)
+            assert view.shape[1] == lay.dims[site]
+            assert np.sum(np.abs(view[:, occ, :]) ** 2) == 1.0
+        with pytest.raises(DimensionMismatch):
+            site_view(st, 3)
 
     def test_unitary_preserves_norm(self):
         rng = np.random.default_rng(7)
@@ -224,3 +244,27 @@ class TestDump:
         text = H.dump_state(StateVector(lay, amps))
         lines = text.splitlines()
         assert lines == ["0\t0,0\t0.5\t0.0", "3\t1,1\t-0.0\t-0.5"]
+
+
+class TestMeasureSite:
+    class FixedDraw:
+        def __init__(self, u):
+            self.u = u
+
+        def random(self):
+            return self.u
+
+    def test_outcome_follows_cumulative_weight(self):
+        # subnormalized mode state with weights 0.1, 0.2, 0.1 on |0>, |1>, |2>
+        lay = layout_atoms_modes(0, 1, 2)
+        st = StateVector(lay, np.sqrt([0.1, 0.2, 0.1]).astype(complex))
+        for u, expected in ((0.0, 0), (0.24, 0), (0.26, 1), (0.74, 1), (0.76, 2), (0.999, 2)):
+            outcome, collapsed = measure_site(st, 0, self.FixedDraw(u))
+            assert outcome == expected
+            np.testing.assert_allclose(collapsed.amplitudes, np.eye(3)[expected], atol=1e-15)
+
+    def test_collapses_only_the_measured_site(self):
+        st = ghz3()
+        outcome, collapsed = measure_site(st, 1, np.random.default_rng(3))
+        assert abs(norm_sq(collapsed) - 1.0) < 1e-15
+        assert abs(collapsed.amplitudes[7 * outcome]) == 1.0

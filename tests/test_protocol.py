@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdcsim.dynamics import PhysicalParams, alpha_beta, transfer_time
+from qdcsim.dynamics import PhysicalParams, alpha_beta, evolve_conditional, transfer_time
 from qdcsim.hilbert import (
     Message,
     MESSAGES,
@@ -13,6 +13,7 @@ from qdcsim.hilbert import (
     basis_state,
     mode_site,
     norm_sq,
+    pauli_encode,
 )
 from qdcsim import protocol as P
 from qdcsim.protocol import (
@@ -77,9 +78,29 @@ class TestPrepareGhz:
             prepare_ghz(1)
 
 
+def rk4_map(state, cfg):
+    """The transfer by fixed-step RK4 of the full no-jump generator, at step
+    min(0.005 / max(delta, k), t / 400)."""
+    p = cfg.params
+    t = P.resolve_t_map(cfg)
+    dt = min(0.005 / max(p.delta_eff, p.k), t / 400.0)
+    mode_a, mode_b = state.layout.mode_sites
+    return evolve_conditional(state, [(0, mode_a), (1, mode_b)], p, t, dt)
+
+
 class TestMapToCavities:
     def amp(self, st, occ):
         return st.amplitudes[st.layout.index_of(occ)]
+
+    @pytest.mark.parametrize("k", [0.0, 0.2, 0.9])
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    @pytest.mark.parametrize("n_parties", [2, 3, 4])
+    @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: m.value)
+    def test_matches_rk4_oracle(self, message, n_parties, cutoff, k):
+        cfg = config(k=k, cutoff=cutoff)
+        st = pauli_encode(prepare_ghz(n_parties, cutoff), 0, message)
+        exact = map_to_cavities(st, cfg).amplitudes
+        assert float(np.max(np.abs(exact - rk4_map(st, cfg).amplitudes))) <= 1e-9
 
     def test_identity_branch_state(self):
         # plain GHZ input: beta^2|11>|e> + |00>|g> over sqrt(2), atoms 1,2 ground
@@ -104,6 +125,17 @@ class TestMapToCavities:
         cfg = config(k=0.0)
         st = map_to_cavities(prepare_ghz(3), cfg)
         assert abs(norm_sq(st) - 1.0) < 1e-9
+
+    def test_t_map_must_zero_alpha(self):
+        with pytest.raises(ValueError, match="t_map"):
+            config(t_map=1.0)
+
+    def test_explicit_transfer_time_matches_default(self):
+        explicit = config(t_map=transfer_time(PARAMS))
+        for m in MESSAGES:
+            np.testing.assert_array_equal(
+                P.pipeline_state(explicit, m).amplitudes, P.pipeline_state(config(), m).amplitudes
+            )
 
     def test_rejects_occupied_cavity(self):
         cfg = config()
@@ -161,6 +193,11 @@ class TestBellWeights:
             st = P.pipeline_state(cfg, m)
             w = bell_weights(st, cfg)
             assert abs(sum(w.values()) - norm_sq(st)) < 1e-10
+
+    def test_excited_mapped_atom_rejected(self):
+        cfg = config()
+        with pytest.raises(ValueError, match="retain excitation"):
+            bell_weights(basis_state(P.layout_for(3), (1, 0, 0, 0, 0)), cfg)
 
     def test_unexpected_photon_support(self):
         cfg = config(cutoff=2)

@@ -143,6 +143,14 @@ class TestEavesdropping:
         res = eavesdrop_experiment(eve, config(), 20000, seed=9)
         assert abs(res.detection_rate - 0.25) < 3 * res.stderr
 
+    @pytest.mark.parametrize("n_parties", [2, 3, 4])
+    def test_exact_rate_independent_of_target(self, n_parties):
+        for basis, rate in (("z", 0.5), ("x", 0.25)):
+            for target in range(n_parties):
+                eve = EveModel("intercept_resend_atom", basis=basis, target=target)
+                assert abs(exact_eve_detection_rate(eve, n_parties) - rate) < 1e-12
+        assert exact_eve_detection_rate(EveModel("none"), n_parties) == 0.0
+
     def test_all_attacks_detectable(self):
         for eve in (
             EveModel("intercept_resend_atom", basis="z", target=0),
