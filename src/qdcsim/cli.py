@@ -410,8 +410,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1)
-        p.add_argument("--rounds", type=int, default=None)
+        p.add_argument("--threads", type=int, default=1, help="worker threads (>= 1)")
+        p.add_argument(
+            "--rounds", type=int, default=None,
+            help="rounds to run; batch and security default to security.rounds, "
+            "sweep to sweep.rounds",
+        )
         p.add_argument("--message", default="random", choices=["I", "X", "iY", "Z", "random"])
         p.add_argument("--convention", default=None, choices=["survival", "integrated"])
         p.add_argument("--p-check", dest="p_check", type=float, default=None)
@@ -438,6 +442,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ConfigError("threads: must be >= 1")
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

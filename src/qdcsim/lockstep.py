@@ -1,0 +1,264 @@
+"""Lockstep batch engine: a block of protocol rounds as numpy arrays.
+
+Each row of a block is one round of a batch.  It reads the draws the scalar
+path (``protocol.run_check_round`` / ``protocol._encode_round``) reads from
+the round's own Philox stream, in the same order, and evaluates each
+floating-point expression of that path with the same operations in the
+same order, so every row reproduces the scalar round bit for bit:
+
+* element-wise arithmetic and ufuncs (``np.exp``, ``np.abs``, ``np.sqrt``,
+  complex multiply and divide) give the same bits per element whatever
+  the array's shape;
+* row reductions keep the scalar order: ``sum(axis=1)`` over a row equals
+  the row's own ``sum()``, and ``bincount``/``cumsum`` accumulate in index
+  order;
+* the per-row scalars the scalar path takes from libm (``math.exp``,
+  ``math.log``, float powers) are evaluated per row by the same Python
+  calls, never by numpy's SIMD versions.
+
+The engine takes pipeline states of at most two photons (every state the
+protocol prepares), for which the no-jump crossing is the quadratic of
+``_nojump_crossing``.  It reads the compiled per-config plan
+(``protocol._Plan``) and returns per-row arrays; ``protocol`` aggregates
+them and builds the ``RoundOutcome`` objects.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+
+import numpy as np
+
+from .streams import RowStreams, philox_words
+
+ABORT = 4  # decoded-message index of an aborted round
+BLOCK_AMPLITUDES = 1 << 13  # rows x state dimension per block: ~128 kB per state array
+_FIRST_WORDS = 4  # Philox blocks (4 words each) computed up front per round
+
+
+def _beamsplitter(info, psi: np.ndarray, sign: int) -> np.ndarray:
+    """Row-wise ``protocol._beamsplitter_raw``: (a_A + sign * a_B)/sqrt(2)."""
+    src_a, dst_a, coef_a = info.ann_a
+    src_b, dst_b, coef_b = info.ann_b
+    out = np.zeros_like(psi)
+    out[:, dst_a] += coef_a * psi[:, src_a]
+    out[:, dst_b] += sign * coef_b * psi[:, src_b]
+    out /= math.sqrt(2.0)
+    return out
+
+
+def _jump_rate(psi: np.ndarray) -> np.ndarray:
+    """Each row's squared norm, as ``_window_raw`` sums it: real and imaginary
+    parts squared, then numpy's pairwise sum over the row."""
+    return np.square(psi.view(np.float64)).sum(axis=1)
+
+
+def _binned(weights: np.ndarray, bins: np.ndarray, n_bins: int) -> np.ndarray:
+    """Row-wise ``np.bincount(bins, weights=row, minlength=n_bins)``."""
+    n = len(weights)
+    flat = (np.arange(n)[:, None] * n_bins + bins).ravel()
+    return np.bincount(flat, weights=weights.ravel(), minlength=n * n_bins).reshape(n, n_bins)
+
+
+@dataclass
+class Rounds:
+    """Per-row results of one block; encode fields are 0 on check rows."""
+
+    check: np.ndarray  # bool: security-check round
+    combo: np.ndarray  # check: x/y basis combination index
+    outcome: np.ndarray  # check: measured outcome index
+    sent: np.ndarray  # encode: message index
+    bits: np.ndarray  # encode: receiver bit code
+    decoded: np.ndarray  # encode: message index, ABORT = abort
+    label: np.ndarray  # ideal PNR: Bell label index, -1 = lost round
+    survived: np.ndarray  # bool: photon present at the end of a jump-free window
+    jump_t: np.ndarray  # (rows, jumps) jump times
+    jump_sign: np.ndarray  # (rows, jumps) +1 (D+) / -1 (D-), 0 = no jump
+    jump_seen: np.ndarray  # (rows, jumps) bool: the jump registered a click
+    dark_t: np.ndarray  # (rows, 2) D+ / D- dark-count times, NaN = none
+
+
+def run_blocks(plan, seed: int, start: int, stop: int, msg_ids: np.ndarray):
+    """Yield the :class:`Rounds` of rounds ``start .. stop-1`` of the batch
+    with ``seed``, one block of at most ``BLOCK_AMPLITUDES`` amplitudes at a
+    time; encode rounds send ``msg_ids[integers(0, len(msg_ids))]``."""
+    indices = np.arange(start, stop)
+    words = philox_words(seed, indices, 0, _FIRST_WORDS)
+    step = max(1, BLOCK_AMPLITUDES // plan.amps.shape[1])
+    for lo in range(0, len(indices), step):
+        block = slice(lo, lo + step)
+        yield _run_block(plan, RowStreams(seed, indices[block], words[block]), msg_ids)
+
+
+def _run_block(plan, streams: RowStreams, msg_ids: np.ndarray) -> Rounds:
+    cfg = plan.config
+    n = len(streams.pos)
+    rows = np.arange(n)
+
+    def zeros(dtype=np.int64):
+        return np.zeros(n, dtype=dtype)
+
+    res = Rounds(
+        check=streams.random(rows) < cfg.p_check,
+        combo=zeros(), outcome=zeros(), sent=zeros(), bits=zeros(), decoded=zeros(),
+        label=zeros(), survived=zeros(bool),
+        jump_t=np.zeros((n, 0)), jump_sign=np.zeros((n, 0), dtype=np.int8),
+        jump_seen=np.zeros((n, 0), dtype=bool), dark_t=np.full((n, 2), np.nan),
+    )
+    check_rows = rows[res.check]
+    if check_rows.size:
+        _check_rounds(plan, streams, check_rows, res)
+    encode_rows = rows[~res.check]
+    if encode_rows.size:
+        sent = msg_ids[streams.integers(encode_rows, len(msg_ids))]
+        res.sent[encode_rows] = sent
+        if cfg.ideal_pnr:
+            _ideal_pnr_rounds(plan, streams, encode_rows, sent, res)
+        else:
+            _window_rounds(plan, streams, encode_rows, sent, res)
+    return res
+
+
+def _check_rounds(plan, streams: RowStreams, rows: np.ndarray, res: Rounds) -> None:
+    combo = np.zeros(len(rows), dtype=np.int64)
+    for _ in range(plan.config.n_parties):
+        combo = (combo << 1) | streams.integers(rows, 2)
+    check = plan.check
+    x = streams.random(rows) * check.total[combo]
+    cum = check.cum[combo]
+    res.combo[rows] = combo
+    # searchsorted(cum, x, side="right") on each row's nondecreasing cum
+    res.outcome[rows] = np.minimum((cum <= x[:, None]).sum(axis=1), cum.shape[1] - 1)
+
+
+def _ideal_pnr_rounds(plan, streams, rows, sent, res: Rounds) -> None:
+    n_codes = len(plan.info.bit_strings)
+    cum = plan.pnr_cum[sent]
+    j = (cum <= streams.random(rows)[:, None]).sum(axis=1)
+    lost = j == cum.shape[1]
+    code = j % n_codes
+    code[lost] = streams.integers(rows[lost], n_codes)
+    res.bits[rows] = code
+    res.label[rows] = np.where(lost, -1, j // n_codes)
+    res.decoded[rows] = np.where(lost, ABORT, plan.pnr_decoded[np.where(lost, 0, j)])
+
+
+def _crossings(norms: np.ndarray, k: float, u: np.ndarray, t_max: np.ndarray):
+    """Row-wise ``_nojump_crossing`` on trimmed sector norms of at most two
+    photons: (dt, none) with ``none`` where the norm stays above u."""
+    if norms.shape[1] > 3 and norms[:, 3:].any():
+        raise ValueError("lockstep windows take states of at most two photons")
+    p0, p1, p2 = norms[:, 0], norms[:, 1], norms[:, 2]
+    x_end = [math.exp(v) for v in ((-2.0 * k) * t_max).tolist()]
+    # sum(p * x_end**n): absent trailing sectors add exact zeros
+    norm_end = (p0 + p1 * np.array([x**1 for x in x_end])) + p2 * np.array(
+        [x**2 for x in x_end]
+    )
+    x_end = np.array(x_end)
+    none = norm_end >= u
+    go = ~none
+    lin = go & (p2 < 1e-300)
+    quad = go & ~lin
+    x = np.ones_like(u)
+    x[lin] = (u[lin] - p0[lin]) / p1[lin]
+    q0, q1, q2, uq = p0[quad], p1[quad], p2[quad], u[quad]
+    disc = q1 * q1 - 4.0 * q2 * (q0 - uq)
+    x[quad] = (-q1 + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * q2)
+    x = np.minimum(np.maximum(x, x_end), 1.0)
+    dt = np.zeros_like(u)
+    dt[go] = np.array([-math.log(v) for v in x[go].tolist()]) / (2.0 * k)
+    return dt, none
+
+
+def _window_rounds(plan, streams: RowStreams, rows, sent, res: Rounds) -> None:
+    """``_window_raw``, ``_sample_bits_raw`` and ``decode`` for every row."""
+    cfg = plan.config
+    k, window = cfg.params.k, cfg.t_window
+    eta, p_dc = cfg.detector.efficiency, cfg.detector.dark_prob
+    info = plan.info
+    n_vec = info.photon_numbers
+    n_sectors = plan.sector_norms.shape[1]
+    decay_rate = -k * n_vec
+    n = len(rows)
+    psi = plan.amps[sent]
+    t = np.zeros(n)
+    jumped = np.zeros(n, dtype=bool)
+    survived = np.zeros(n, dtype=bool)
+    jumps = []  # per jump number: (local rows, times, signs, registered)
+    act = np.arange(n)
+    norms = plan.sector_norms[sent]
+    while act.size:
+        if jumps:
+            norms = _binned(np.abs(psi[act]) ** 2, n_vec, n_sectors)
+        total = norms.sum(axis=1)
+        keep = total > 1e-300
+        act, norms, total = act[keep], norms[keep], total[keep]
+        u = streams.random(rows[act])
+        keep = u < total
+        act, norms, total, u = act[keep], norms[keep], total[keep], u[keep]
+        if k == 0.0:
+            act = act[u < total - norms[:, 0]]
+            t_jump = t[act] + streams.random(rows[act]) * (window - t[act])
+        else:
+            dt, none = _crossings(norms, k, u, window - t[act])
+            first = none & ~jumped[act]
+            survived[act[first]] = total[first] - norms[first, 0] > 1e-12
+            act, dt = act[~none], dt[~none]
+            t_jump = t[act] + dt
+            psi[act] = psi[act] * np.exp(decay_rate * dt[:, None])
+        t[act] = t_jump
+        plus = _beamsplitter(info, psi[act], +1)
+        minus = _beamsplitter(info, psi[act], -1)
+        r_plus, r_minus = _jump_rate(plus), _jump_rate(minus)
+        keep = ~(r_plus + r_minus <= 0.0)
+        act, plus, minus, r_plus, r_minus = (
+            act[keep], plus[keep], minus[keep], r_plus[keep], r_minus[keep]
+        )
+        pick = streams.random(rows[act]) * (r_plus + r_minus) < r_plus
+        rate = np.where(pick, r_plus, r_minus)
+        psi[act] = np.where(pick[:, None], plus, minus) / np.sqrt(rate)[:, None]
+        jumped[act] = True
+        seen = streams.random(rows[act]) < eta
+        jumps.append((act, t[act], np.where(pick, 1, -1), seen))
+    if k > 0.0:
+        psi = psi * np.exp(decay_rate * (window - t)[:, None])
+
+    dark_t = np.full((n, 2), np.nan)
+    if p_dc > 0.0:
+        for col in range(2):
+            fired = np.flatnonzero(streams.random(rows) < p_dc)
+            dark_t[fired, col] = streams.random(rows[fired]) * window
+
+    shape = (len(res.check), len(jumps))
+    res.jump_t, res.jump_sign, res.jump_seen = (
+        np.zeros(shape), np.zeros(shape, np.int8), np.zeros(shape, bool)
+    )
+    for j, (a, times, signs, seen) in enumerate(jumps):
+        res.jump_t[rows[a], j], res.jump_sign[rows[a], j], res.jump_seen[rows[a], j] = (
+            times, signs, seen
+        )
+    seen, sign = res.jump_seen[rows], res.jump_sign[rows]
+    n_plus = (seen & (sign > 0)).sum(axis=1) + ~np.isnan(dark_t[:, 0])
+    n_minus = (seen & (sign < 0)).sum(axis=1) + ~np.isnan(dark_t[:, 1])
+    code = _sample_bits(plan, streams, rows, psi)
+
+    res.bits[rows] = code
+    res.decoded[rows] = plan.decoded[n_plus, n_minus, code]
+    res.survived[rows] = survived
+    res.dark_t[rows] = dark_t
+
+
+def _sample_bits(plan, streams: RowStreams, rows, psi: np.ndarray) -> np.ndarray:
+    """Row-wise ``_sample_bits_raw``."""
+    n_codes = len(plan.info.bit_strings)
+    weights = np.abs(psi) ** 2
+    total = weights.sum(axis=1)
+    code = np.zeros(len(rows), dtype=np.int64)
+    empty = total <= 1e-30
+    code[empty] = streams.integers(rows[empty], n_codes)
+    full = ~empty
+    cum = np.cumsum(_binned(weights[full], plan.info.bit_codes, n_codes), axis=1)
+    x = streams.random(rows[full]) * total[full]
+    code[full] = np.minimum((cum <= x[:, None]).sum(axis=1), n_codes - 1)
+    return code

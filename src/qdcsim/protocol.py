@@ -31,12 +31,12 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Callable, Sequence
 
 import numpy as np
 
-from . import hilbert
+from . import hilbert, lockstep
 from .dynamics import PhysicalParams, alpha_beta, transfer_time
 from .hilbert import (
     G,
@@ -65,9 +65,11 @@ PSI_MINUS = "psi-"
 PHI_PLUS = "phi+"
 PHI_MINUS = "phi-"
 BELL_LABELS = (PSI_PLUS, PSI_MINUS, PHI_PLUS, PHI_MINUS)
+_MSG_INDEX = {m: i for i, m in enumerate(MESSAGES)}
 
 _TIE_RTOL = 1e-9
 _SUPPORT_TOL = 1e-10
+_CACHE_SIZE = 64  # entries per compile cache
 
 
 class UnexpectedPhotonSupport(hilbert.HilbertError):
@@ -219,9 +221,32 @@ def resolve_t_map(config: RoundConfig) -> float:
     return config.t_map if config.t_map is not None else _transfer_time_cached(config.params)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _transfer_time_cached(params: PhysicalParams) -> float:
     return transfer_time(params)
+
+
+def _frozen(array: np.ndarray) -> np.ndarray:
+    """Mark a compiled table read-only: compiled tables are shared by threads."""
+    array.flags.writeable = False
+    return array
+
+
+def _unseeded(config: RoundConfig) -> RoundConfig:
+    return config if config.seed == 0 else dataclasses.replace(config, seed=0)
+
+
+def _seedless_cache(fn):
+    """Bounded cache of ``fn(config, *args)`` keyed on the config without its
+    seed: nothing compiled from a config depends on the seed."""
+    cached = lru_cache(maxsize=_CACHE_SIZE)(fn)
+
+    @wraps(fn)
+    def lookup(config: RoundConfig, *args):
+        return cached(_unseeded(config), *args)
+
+    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
+    return lookup
 
 
 def map_to_cavities(state: StateVector, config: RoundConfig) -> StateVector:
@@ -234,6 +259,10 @@ def map_to_cavities(state: StateVector, config: RoundConfig) -> StateVector:
     atoms end in |g>, disentangled from the (A, B, remaining receivers)
     subsystem.
     """
+    return _map_pairs(state, config.params, resolve_t_map(config))
+
+
+def _map_pairs(state: StateVector, params: PhysicalParams, t_map: float) -> StateVector:
     layout = state.layout
     if abs(norm_sq(state) - 1.0) > 1e-9:
         raise ValueError("map_to_cavities expects a normalized input state")
@@ -241,7 +270,7 @@ def map_to_cavities(state: StateVector, config: RoundConfig) -> StateVector:
     for m in (mode_a, mode_b):
         if _occupied_weight(state, m) > 1e-12:
             raise ValueError("cavities must start in vacuum")
-    alpha, beta = alpha_beta(config.params, resolve_t_map(config))
+    alpha, beta = alpha_beta(params, t_map)
     occ = layout.occupations
     amps = state.amplitudes.copy()
     for atom, mode in ((0, mode_a), (1, mode_b)):
@@ -272,12 +301,20 @@ def rotated_receiver_sites(layout: SystemLayout) -> tuple[int, ...]:
     return tuple(i for i in layout.atom_sites if i >= 2)
 
 
-@lru_cache(maxsize=None)
 def pipeline_state(config: RoundConfig, message: Message) -> StateVector:
     """Deterministic state entering the detection window for one message."""
-    state = prepare_ghz(config.n_parties, config.cutoff)
+    return _pipeline_state(
+        config.params, resolve_t_map(config), config.n_parties, config.cutoff, message
+    )
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _pipeline_state(
+    params: PhysicalParams, t_map: float, n_parties: int, cutoff: int, message: Message
+) -> StateVector:
+    state = prepare_ghz(n_parties, cutoff)
     state = pauli_encode(state, 0, message)
-    state = map_to_cavities(state, config)
+    state = _map_pairs(state, params, t_map)
     for site in rotated_receiver_sites(state.layout):
         state = receiver_rotation(state, site)
     state.amplitudes.flags.writeable = False
@@ -314,7 +351,7 @@ def _annihilation_action(layout: SystemLayout, site: int):
     return arrays
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _layout_info(layout: SystemLayout) -> _LayoutInfo:
     receivers = rotated_receiver_sites(layout)
     mode_a, mode_b = layout.mode_sites[0], layout.mode_sites[1]
@@ -536,7 +573,11 @@ def _window_raw(
                 break
             t_jump = t + rng.random() * (window - t)
         else:
-            dt_jump = _nojump_crossing(sector_norms, k, u, window - t)
+            # trailing empty sectors trimmed: states of <= 2 photons take the quadratic
+            top = n_max
+            while sector_norms[top] == 0.0:
+                top -= 1
+            dt_jump = _nojump_crossing(sector_norms[: top + 1], k, u, window - t)
             if dt_jump is None:
                 if not jumped:
                     photon_survived = bool(total - float(sector_norms[0]) > 1e-12)
@@ -546,8 +587,10 @@ def _window_raw(
         t = t_jump
         plus = _beamsplitter_raw(info, psi, +1)
         minus = _beamsplitter_raw(info, psi, -1)
-        r_plus = float(np.real(np.vdot(plus, plus)))
-        r_minus = float(np.real(np.vdot(minus, minus)))
+        # squared norms summed in numpy's fixed pairwise order (a BLAS dot
+        # product's order is the library's), which the lockstep engine repeats
+        r_plus = float(np.square(plus.view(np.float64)).sum())
+        r_minus = float(np.square(minus.view(np.float64)).sum())
         if r_plus + r_minus <= 0.0:
             break
         if rng.random() * (r_plus + r_minus) < r_plus:
@@ -609,7 +652,7 @@ def _window_q(config: RoundConfig) -> float:
     return 1.0 - math.exp(-2.0 * k * config.t_window)
 
 
-@lru_cache(maxsize=None)
+@_seedless_cache
 def outcome_distribution(
     config: RoundConfig, message: Message
 ) -> dict[tuple[tuple[int, int], str], float]:
@@ -696,7 +739,7 @@ def _argmax_message(likelihoods: dict[Message, float]) -> Message | None:
     return winners[0] if len(winners) == 1 else None
 
 
-@lru_cache(maxsize=None)
+@_seedless_cache
 def build_decode_table(config: RoundConfig) -> dict[tuple[str, str], Message | None]:
     """Maximum-likelihood decode table, generated mechanically from the
     deterministic pipeline.
@@ -724,7 +767,7 @@ def build_decode_table(config: RoundConfig) -> dict[tuple[str, str], Message | N
     return table
 
 
-@lru_cache(maxsize=None)
+@_seedless_cache
 def _ml_lookup(config: RoundConfig) -> dict[tuple[tuple[int, int], str], Message | None]:
     dists = {m: outcome_distribution(config, m) for m in MESSAGES}
     keys = set()
@@ -739,7 +782,11 @@ def decode(config: RoundConfig, counts: tuple[int, int], bits: str) -> Message |
     """Decode one window: single-click windows go through the decode table;
     multi-click windows fall back to exact maximum likelihood; irreducible
     ties abort."""
-    table = build_decode_table(config)
+    plan = _plan(config)
+    return _decode_rule(plan.table, plan.ml, counts, bits)
+
+
+def _decode_rule(table: dict, ml: dict, counts: tuple[int, int], bits: str) -> Message | None:
     n_plus, n_minus = counts
     if n_plus + n_minus == 0:
         return None
@@ -747,7 +794,7 @@ def decode(config: RoundConfig, counts: tuple[int, int], bits: str) -> Message |
         return table[(CHANNEL_PLUS, bits)]
     if (n_plus, n_minus) == (0, 1):
         return table[(CHANNEL_MINUS, bits)]
-    return _ml_lookup(config).get((counts, bits))
+    return ml.get((counts, bits))
 
 
 # ---------------------------------------------------------------------------
@@ -790,6 +837,12 @@ class _CheckContext:
     bases: tuple[str, ...]  # combo index -> "xyx..." string
     parity: np.ndarray  # outcome index -> product of +-1 outcomes
     expected: tuple[int | None, ...]  # combo index -> expected parity
+    # untampered rounds, per (combo, outcome): the cumulative outcome
+    # probabilities of the rotated GHZ state and their sums, and the verdicts
+    cum: np.ndarray
+    total: np.ndarray
+    conclusive: np.ndarray  # per combo
+    passed: np.ndarray  # True on inconclusive combos
 
 
 @lru_cache(maxsize=None)
@@ -814,7 +867,15 @@ def _check_context(n_parties: int) -> _CheckContext:
         [1 - 2 * (bin(i).count("1") % 2) for i in range(layout.dim)], dtype=np.int64
     )
     parity.flags.writeable = False
-    return _CheckContext(layout, ghz, tuple(rotations), tuple(bases), parity, tuple(expected))
+    probs = [np.abs(rotation @ ghz) ** 2 for rotation in rotations]
+    passed = [[e is None or int(parity[o]) == e for o in range(layout.dim)] for e in expected]
+    return _CheckContext(
+        layout, ghz, tuple(rotations), tuple(bases), parity, tuple(expected),
+        cum=_frozen(np.array([np.cumsum(p) for p in probs])),
+        total=_frozen(np.array([float(p.sum()) for p in probs])),
+        conclusive=_frozen(np.array([e is not None for e in expected])),
+        passed=_frozen(np.array(passed)),
+    )
 
 
 def run_check_round(
@@ -828,26 +889,100 @@ def run_check_round(
     Check rounds live on an atoms-only layout (the cavities stay in vacuum
     and never participate)."""
     ctx = _check_context(config.n_parties)
-    amps = ctx.ghz
+    amps = None
     if tamper is not None:
-        amps = tamper(StateVector(ctx.layout, amps.copy()), rng).amplitudes
+        amps = tamper(StateVector(ctx.layout, ctx.ghz.copy()), rng).amplitudes
     combo = 0
     for _ in range(config.n_parties):
         combo = (combo << 1) | int(rng.integers(0, 2))
-    rotated = ctx.rotations[combo] @ amps
-    probs = np.abs(rotated) ** 2
-    total = float(probs.sum())
-    outcome = int(np.searchsorted(np.cumsum(probs), rng.random() * total, side="right"))
+    if amps is None:
+        cum, total = ctx.cum[combo], ctx.total[combo]
+    else:
+        probs = np.abs(ctx.rotations[combo] @ amps) ** 2
+        cum, total = np.cumsum(probs), float(probs.sum())
+    outcome = int(np.searchsorted(cum, rng.random() * total, side="right"))
     outcome = min(outcome, ctx.layout.dim - 1)
-    product = int(ctx.parity[outcome])
-    expected = ctx.expected[combo]
-    conclusive = expected is not None
-    passed = bool(product == expected) if conclusive else True
     return RoundOutcome(
         mode="check",
-        check_conclusive=conclusive,
-        check_passed=passed,
+        check_conclusive=bool(ctx.conclusive[combo]),
+        check_passed=bool(ctx.passed[combo, outcome]),
         check_bases=ctx.bases[combo],
+    )
+
+
+# ---------------------------------------------------------------------------
+# compiled per-config plan
+
+
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """Everything a round of one config reads, compiled once per config with
+    the seed excluded.  Each table holds what the scalar path used to
+    compute per round, from the same expression, so it is bit-equal."""
+
+    config: RoundConfig
+    info: _LayoutInfo
+    amps: np.ndarray  # (4, dim) pipeline amplitudes in MESSAGES order
+    sector_norms: np.ndarray  # (4, photon sectors) photon-sector weights of amps
+    table: dict  # build_decode_table(config)
+    ml: dict  # _ml_lookup(config)
+    decoded: np.ndarray | None  # honest mode: (n+, n-, bit code) -> message index
+    pnr_cum: np.ndarray | None  # ideal PNR: (4, label x bit code) cumulative Bell weights
+    pnr_decoded: np.ndarray | None  # ideal PNR: (label x bit code) -> message index
+
+    @property
+    def check(self) -> _CheckContext:
+        """Check-round tables; they depend on the party count alone and are
+        built at the first check round."""
+        return _check_context(self.config.n_parties)
+
+
+def _message_index(message: Message | None) -> int:
+    return lockstep.ABORT if message is None else _MSG_INDEX[message]
+
+
+@lru_cache(maxsize=_CACHE_SIZE)
+def _plan(config: RoundConfig) -> _Plan:
+    """The compiled plan of a config, at the cost of one hash per lookup."""
+    return _compile_plan(config)
+
+
+@_seedless_cache
+def _compile_plan(config: RoundConfig) -> _Plan:
+    states = [pipeline_state(config, m) for m in MESSAGES]
+    info = _layout_info(states[0].layout)
+    n_sectors = int(info.photon_numbers.max()) + 1
+    amps = _frozen(np.array([s.amplitudes for s in states]))
+    sector_norms = _frozen(np.array(
+        [np.bincount(info.photon_numbers, weights=np.abs(a) ** 2, minlength=n_sectors) for a in amps]
+    ))
+    table = build_decode_table(config)
+    ml = _ml_lookup(config)
+    strings = info.bit_strings
+    decoded = pnr_cum = pnr_decoded = None
+    if config.ideal_pnr:
+        keys = [(label, bits) for label in BELL_LABELS for bits in strings]
+        pnr_decoded = _frozen(np.array([_message_index(table[key]) for key in keys]))
+        rows = []
+        for state in states:
+            weights = bell_weights(state, config)
+            acc, row = 0.0, []
+            for key in keys:
+                acc += weights[key]
+                row.append(acc)
+            rows.append(row)
+        pnr_cum = _frozen(np.array(rows))
+    else:
+        # click counts reach the photon number plus one dark count
+        counts = range(n_sectors + 1)
+        decoded = _frozen(np.array([
+            [[_message_index(_decode_rule(table, ml, (a, b), bits)) for bits in strings]
+             for b in counts]
+            for a in counts
+        ]))
+    return _Plan(
+        config=config, info=info, amps=amps, sector_norms=sector_norms, table=table, ml=ml,
+        decoded=decoded, pnr_cum=pnr_cum, pnr_decoded=pnr_decoded,
     )
 
 
@@ -887,34 +1022,31 @@ class _RoundStreams:
 
 
 def _sample_ideal_pnr(
-    config: RoundConfig, message: Message, rng: np.random.Generator
+    plan: _Plan, message: Message, rng: np.random.Generator
 ) -> tuple[str | None, str | None]:
     """Oracle four-state discrimination: sample (Bell label, bits) with the
     exact branch weights; remaining probability mass is a lost round."""
-    weights = bell_weights(pipeline_state(config, message), config)
     u = rng.random()
-    acc = 0.0
-    for label in BELL_LABELS:
-        for bits in all_bit_strings(config):
-            acc += weights[(label, bits)]
-            if u < acc:
-                return label, bits
+    strings = plan.info.bit_strings
+    for j, acc in enumerate(plan.pnr_cum[_MSG_INDEX[message]].tolist()):
+        if u < acc:
+            return BELL_LABELS[j // len(strings)], strings[j % len(strings)]
     return None, None
 
 
 def _encode_round(
     config: RoundConfig, sent: Message, rng: np.random.Generator
 ) -> RoundOutcome:
-    state = pipeline_state(config, sent)
+    plan = _plan(config)
+    info = plan.info
 
     if config.ideal_pnr:
-        label, bits = _sample_ideal_pnr(config, sent, rng)
+        label, bits = _sample_ideal_pnr(plan, sent, rng)
         if label is None:
-            info = _layout_info(state.layout)
             bits = info.bit_strings[int(rng.integers(0, len(info.bit_strings)))]
             decoded = None
         else:
-            decoded = build_decode_table(config)[(label, bits)]
+            decoded = plan.table[(label, bits)]
         record = DetectionRecord((), config.t_window)
         return RoundOutcome(
             mode="encode",
@@ -925,13 +1057,12 @@ def _encode_round(
             bell_label=label,
         )
 
-    info = _layout_info(state.layout)
     psi, events, jumped, photon_survived = _window_raw(
-        info, state.amplitudes.copy(), config, rng
+        info, plan.amps[_MSG_INDEX[sent]].copy(), config, rng
     )
     record = DetectionRecord(tuple(events), config.t_window)
     bits = _sample_bits_raw(info, psi, rng)
-    decoded = decode(config, record.counts(), bits)
+    decoded = _decode_rule(plan.table, plan.ml, record.counts(), bits)
     return RoundOutcome(
         mode="encode",
         sent=sent,
@@ -963,7 +1094,59 @@ def run_round(
     return _encode_round(config, sent, rng)
 
 
-_MSG_INDEX = {m: i for i, m in enumerate(MESSAGES)}
+def _round_outcomes(plan: _Plan, r: lockstep.Rounds) -> list[RoundOutcome]:
+    """The RoundOutcome of every row of a lockstep block, equal to the one
+    run_round builds.  Outcomes without detector events repeat, and being
+    immutable each is built once per block."""
+    window = plan.config.t_window
+    strings = plan.info.bit_strings
+    messages = MESSAGES + (None,)  # indexed by lockstep message index
+    events = [()] * len(r.check)
+    for i in np.flatnonzero(r.jump_seen.any(axis=1) | ~np.isnan(r.dark_t).all(axis=1)).tolist():
+        record = [
+            (t, CHANNEL_PLUS if sign > 0 else CHANNEL_MINUS)
+            for t, sign, seen in zip(
+                r.jump_t[i].tolist(), r.jump_sign[i].tolist(), r.jump_seen[i].tolist()
+            )
+            if seen
+        ]
+        record += [(t, ch) for t, ch in zip(r.dark_t[i].tolist(), (DARK_PLUS, DARK_MINUS)) if t == t]
+        record.sort(key=lambda ev: ev[0])
+        events[i] = tuple(record)
+
+    shared: dict[tuple, RoundOutcome] = {}
+    out = []
+    rows = zip(
+        r.check.tolist(), r.combo.tolist(), r.outcome.tolist(), r.sent.tolist(),
+        r.bits.tolist(), r.decoded.tolist(), r.label.tolist(), r.survived.tolist(), events,
+    )
+    for row in rows:
+        outcome = shared.get(row) if not row[-1] else None
+        if outcome is None:
+            check, combo, measured, sent, bits, decoded, label, survived, record = row
+            if check:
+                ctx = plan.check
+                outcome = RoundOutcome(
+                    mode="check",
+                    check_conclusive=bool(ctx.conclusive[combo]),
+                    check_passed=bool(ctx.passed[combo, measured]),
+                    check_bases=ctx.bases[combo],
+                )
+            else:
+                outcome = RoundOutcome(
+                    mode="encode",
+                    sent=messages[sent],
+                    receiver_bits=strings[bits],
+                    detection=DetectionRecord(record, window),
+                    decoded=messages[decoded],
+                    bell_label=BELL_LABELS[label] if plan.config.ideal_pnr and label >= 0 else None,
+                    real_click=any(ch in (CHANNEL_PLUS, CHANNEL_MINUS) for _, ch in record),
+                    photon_survived=survived,
+                )
+            if not record:
+                shared[row] = outcome
+        out.append(outcome)
+    return out
 
 
 def _run_chunk(
@@ -974,30 +1157,32 @@ def _run_chunk(
     messages: tuple[Message, ...],
     keep_outcomes: bool = False,
 ) -> dict:
+    """Rounds ``start .. stop-1``, run in lockstep blocks."""
+    plan = _plan(config)
+    msg_ids = np.array([_MSG_INDEX[m] for m in messages])
+    psi_ids = [_MSG_INDEX[Message.X], _MSG_INDEX[Message.IY]]
     confusion = np.zeros((4, 5), dtype=np.int64)
     n_check = check_pass = check_concl = 0
     psi_rounds = psi_clicks = psi_survived = 0
     outcomes = []
-    streams = _RoundStreams(seed)
-    for i in range(start, stop):
-        rng = streams.rng(i)
-        if rng.random() < config.p_check:
-            out = run_check_round(config, rng)
-            n_check += 1
-            if out.check_conclusive:
-                check_concl += 1
-                check_pass += int(out.check_passed)
-        else:
-            sent = messages[int(rng.integers(0, len(messages)))]
-            out = _encode_round(config, sent, rng)
-            col = 4 if out.decoded is None else _MSG_INDEX[out.decoded]
-            confusion[_MSG_INDEX[sent], col] += 1
-            if sent in (Message.X, Message.IY):
-                psi_rounds += 1
-                psi_clicks += int(out.real_click)
-                psi_survived += int(out.photon_survived)
+    for r in lockstep.run_blocks(plan, seed, start, stop, msg_ids):
+        encode = ~r.check
+        confusion += np.bincount(
+            5 * r.sent[encode] + r.decoded[encode], minlength=20
+        ).reshape(4, 5)
+        if r.check.any():
+            ctx = plan.check
+            combo, outcome = r.combo[r.check], r.outcome[r.check]
+            conclusive = ctx.conclusive[combo]
+            n_check += int(r.check.sum())
+            check_concl += int(conclusive.sum())
+            check_pass += int((conclusive & ctx.passed[combo, outcome]).sum())
+        psi = encode & np.isin(r.sent, psi_ids)
+        psi_rounds += int(psi.sum())
+        psi_clicks += int((psi & r.jump_seen.any(axis=1)).sum())
+        psi_survived += int((psi & r.survived).sum())
         if keep_outcomes:
-            outcomes.append(out)
+            outcomes.extend(_round_outcomes(plan, r))
     return {
         "confusion": confusion,
         "n_check": n_check,
@@ -1022,17 +1207,17 @@ def run_batch(
 
     Output is a pure function of (config, n_rounds, seed, messages): chunks
     may run on any number of threads, aggregation happens in fixed round
-    order.
+    order.  Rounds run in lockstep blocks (:mod:`qdcsim.lockstep`), each
+    row reproducing :func:`run_round` on its own stream bit for bit.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
+    if threads < 1:
+        raise ValueError("threads must be >= 1")
     if seed is None:
         seed = config.seed
     msgs = tuple(messages) if messages is not None else MESSAGES
-    # warm the per-config caches before branching into threads
-    for m in msgs:
-        outcome_distribution(config, m)
-    build_decode_table(config)
+    _plan(config)  # compile before branching into threads
 
     t0 = time.perf_counter()
     chunk = 2048

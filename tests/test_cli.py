@@ -148,6 +148,25 @@ class TestBatchCommand:
         code, _, _ = run_cli(["batch", "--config", config_path, "--rounds", "0"], capsys)
         assert code == 2
 
+    def test_rejects_fewer_than_one_thread(self, config_path, capsys):
+        for threads in ("0", "-3"):
+            code, _, err = run_cli(
+                ["batch", "--config", config_path, "--rounds", "10", "--threads", threads], capsys
+            )
+            assert code == 2
+            assert "threads: must be >= 1" in err
+
+    def test_default_rounds_are_security_rounds(self, tmp_path, capsys):
+        # batch has no round-count key of its own: without --rounds it runs
+        # security.rounds rounds
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["security"]["rounds"] = 37
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["batch", "--config", str(path)], capsys)
+        assert code == 0
+        assert json.loads(out.strip())["n_rounds"] == 37
+
 
 class TestGoldenDigest:
     """Pins the per-round Philox stream contract: any change to how rounds

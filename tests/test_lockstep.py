@@ -1,0 +1,298 @@
+"""The lockstep batch engine against the scalar per-round path.
+
+``run_batch`` runs rounds as numpy arrays (``qdcsim.lockstep``) on
+vectorized Philox streams (``qdcsim.streams``).  Each round must equal,
+field for field, the RoundOutcome the scalar path builds from the round's
+own ``Generator``.
+"""
+
+import dataclasses
+import itertools
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qdcsim import protocol as P
+from qdcsim.dynamics import PhysicalParams
+from qdcsim.hilbert import MESSAGES, Message
+from qdcsim.streams import RowStreams, philox_words
+
+MASK64 = 2**64 - 1
+ROW = np.zeros(1, dtype=np.int64)
+
+
+def reference_words(seed, index, n):
+    key = np.array([seed & MASK64, index & MASK64], dtype=np.uint64)
+    return np.random.Philox(key=key).random_raw(n)
+
+
+class TestPhiloxWords:
+    @pytest.mark.parametrize("seed", [0, 2**63 + 12345, -7, MASK64])
+    def test_known_answers(self, seed):
+        indices = [0, 1, 5, 2**63, MASK64]
+        words = philox_words(seed, np.array(indices, dtype=np.uint64), 0, 3)
+        for row, index in zip(words, indices):
+            np.testing.assert_array_equal(row, reference_words(seed, index, 12))
+
+    def test_index_wraps_modulo_2_64(self):
+        index = 2**64 + 9
+        words = philox_words(3, np.array([index & MASK64], dtype=np.uint64), 0, 1)
+        np.testing.assert_array_equal(words[0], reference_words(3, 9, 4))
+        assert P.round_rng(3, index).bit_generator.random_raw(4).tolist() == words[0].tolist()
+
+    def test_later_blocks(self):
+        words = philox_words(11, np.arange(4), 2, 2)
+        for i in range(4):
+            np.testing.assert_array_equal(words[i], reference_words(11, i, 16)[8:])
+
+
+def generator_reading(words):
+    """A Generator whose next four 64-bit draws are ``words``."""
+    bit_gen = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
+    state = bit_gen.state
+    state["buffer"][:] = np.array(words, dtype=np.uint64)
+    state["buffer_pos"] = 0
+    bit_gen.state = state
+    return np.random.Generator(bit_gen)
+
+
+class TestStreamRules:
+    """RowStreams against numpy's Generator on chosen words."""
+
+    WORDS = [0x1111111122222222, 0x3333333344444444, 0x5555555566666666, 0x7777777788888888]
+
+    def pair(self, words=WORDS):
+        streams = RowStreams(0, np.zeros(1, dtype=np.uint64), np.array([words], dtype=np.uint64))
+        return generator_reading(words), streams
+
+    def replay(self, ops, words=WORDS):
+        gen, streams = self.pair(words)
+        for op, n in ops:
+            if op == "random":
+                assert streams.random(ROW)[0] == gen.random()
+            else:
+                assert streams.integers(ROW, n)[0] == gen.integers(0, n)
+
+    def test_random_is_top_53_bits_of_a_word(self):
+        gen, streams = self.pair()
+        assert streams.random(ROW)[0] == (self.WORDS[0] >> 11) * 2.0**-53 == gen.random()
+
+    def test_uint32_halves_buffered_across_random(self):
+        # low half of word 0, random() on word 1, then word 0's high half,
+        # then the low half of word 2
+        self.replay([("int", 4), ("random", 0), ("int", 4), ("int", 4)])
+
+    def test_integers_of_one_draws_nothing(self):
+        self.replay([("int", 1), ("random", 0), ("int", 1), ("int", 3), ("int", 1), ("int", 3)])
+
+    def test_three_way_rejection(self):
+        # a zero low half leaves leftover 0 < 2**32 % 3: rejected
+        self.replay([("int", 3), ("random", 0)], [0xAAAAAAAA00000000, *self.WORDS[1:]])
+        # both halves of word 0 rejected: word 1 decides
+        self.replay([("int", 3), ("int", 3), ("random", 0)], [0, *self.WORDS[1:]])
+
+    @given(st.lists(st.sampled_from([0, 1, 2, 3, 4, 5, 8, 1 << 31]), min_size=1, max_size=40))
+    def test_real_streams(self, ops):
+        """Any mix of draws, past the first words computed, on real streams."""
+        seed, indices = 2**63 + 1, np.arange(6)
+        streams = RowStreams(seed, indices, philox_words(seed, indices, 0, 1))
+        gens = [P.round_rng(seed, int(i)) for i in indices]
+        rows = np.arange(len(indices))
+        for n in ops:
+            if n == 0:
+                got, want = streams.random(rows), [g.random() for g in gens]
+            else:
+                got, want = streams.integers(rows, n), [g.integers(0, n) for g in gens]
+            assert got.tolist() == want
+
+
+# ---------------------------------------------------------------------------
+# differential: engine rounds against the scalar oracle
+
+
+def oracle(config, n_rounds, seed, messages):
+    """Rounds one at a time on the scalar path, as run_batch specifies them."""
+    out = []
+    for i in range(n_rounds):
+        rng = P.round_rng(seed, i)
+        if rng.random() < config.p_check:
+            out.append(P.run_check_round(config, rng))
+        else:
+            sent = messages[int(rng.integers(0, len(messages)))]
+            out.append(P._encode_round(config, sent, rng))
+    return out
+
+
+def oracle_stats(outcomes):
+    encode = [o for o in outcomes if o.mode == "encode"]
+    checks = [o for o in outcomes if o.mode == "check" and o.check_conclusive]
+    psi = [o for o in encode if o.sent in (Message.X, Message.IY)]
+    confusion = [[0] * 5 for _ in range(4)]
+    for o in encode:
+        col = 4 if o.decoded is None else MESSAGES.index(o.decoded)
+        confusion[MESSAGES.index(o.sent)][col] += 1
+    return (
+        confusion,
+        len(outcomes) - len(encode),
+        sum(o.check_passed for o in checks) / len(checks) if checks else None,
+        sum(o.real_click for o in psi) / len(psi) if psi else None,
+        sum(o.photon_survived for o in psi) / len(psi) if psi else None,
+    )
+
+
+def assert_engine_matches(config, n_rounds, seed, messages, threads=1):
+    got = {}
+    stats = P.run_batch(
+        config, n_rounds, seed=seed, threads=threads, messages=messages, on_round=got.__setitem__
+    )
+    want = oracle(config, n_rounds, seed, messages)
+    assert len(got) == n_rounds
+    for i, expected in enumerate(want):
+        assert got[i] == expected, f"round {i}"
+    assert (
+        stats.confusion, stats.n_check, stats.check_pass_rate,
+        stats.psi_click_rate, stats.psi_survival_rate,
+    ) == oracle_stats(want)
+
+
+def make_config(n_parties=3, cutoff=1, k=0.2, ideal_pnr=False, detector=(1.0, 0.0),
+                p_check=0.0, t_window=0.5, params=None):
+    return P.RoundConfig(
+        params=params or PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, k=k),
+        t_window=t_window,
+        n_receivers=n_parties - 1,
+        p_check=p_check,
+        detector=P.DetectorModel(*detector),
+        ideal_pnr=ideal_pnr,
+        cutoff=cutoff,
+    )
+
+
+SUBSETS = (MESSAGES, (Message.X,), (Message.I, Message.X, Message.Z))
+DETECTORS = ((1.0, 0.0), (0.9, 0.05), (1.0, 0.05), (0.9, 0.0))
+P_CHECKS = (0.0, 0.25, 1.0)
+WINDOWS = (0.5, 6.0)
+STRUCTURE = list(itertools.product((3, 4, 5), (1, 2), (0.0, 0.2), (False, True)))
+# every structural combination twice, with the remaining knobs rotated so
+# that each of their values meets each structural value
+MATRIX = [
+    (n_parties, cutoff, k, pnr, DETECTORS[(j + j // 4) % 4], P_CHECKS[j % 3],
+     WINDOWS[j // 3 % 2], SUBSETS[j // 2 % 3])
+    for i, (n_parties, cutoff, k, pnr) in enumerate(STRUCTURE)
+    for j in (i, i + 13)
+]
+
+
+class TestEngineEqualsOracle:
+    @pytest.mark.parametrize(
+        "n_parties,cutoff,k,pnr,detector,p_check,t_window,messages", MATRIX,
+        ids=[
+            f"n{n}-cut{c}-k{k}-{'pnr' if pnr else 'clicks'}-eta{d[0]}-dc{d[1]}-pc{pc}-T{t}-m{len(ms)}"
+            for n, c, k, pnr, d, pc, t, ms in MATRIX
+        ],
+    )
+    def test_matrix(self, n_parties, cutoff, k, pnr, detector, p_check, t_window, messages):
+        config = make_config(n_parties, cutoff, k, pnr, detector, p_check, t_window)
+        assert_engine_matches(config, 400, 5, messages)
+
+    def test_matrix_pairs_every_value(self):
+        columns = list(zip(*MATRIX))
+        for structural, rotated in itertools.product(columns[:4], columns[4:]):
+            assert set(zip(structural, rotated)) == set(
+                itertools.product(set(structural), set(rotated))
+            )
+        for column, values in zip(columns[4:], (DETECTORS, P_CHECKS, WINDOWS, SUBSETS)):
+            assert set(column) == set(values)
+
+    def test_threads_and_chunks(self):
+        # 2048-round chunks on more threads than cores, switching often, all
+        # reading one compiled plan; the seed also wraps modulo 2**64
+        config = make_config(detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            assert_engine_matches(config, 5000, -3, MESSAGES, threads=3)
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_words_past_the_first_blocks(self, monkeypatch):
+        # with one Philox block up front most rounds draw past it
+        monkeypatch.setattr(P.lockstep, "_FIRST_WORDS", 1)
+        for k in (0.0, 0.2):
+            config = make_config(k=k, detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
+            assert_engine_matches(config, 600, 8, MESSAGES)
+
+    def test_never_enters_the_scalar_window(self, monkeypatch):
+        def scalar(*args):
+            raise AssertionError("run_batch ran a round on the scalar path")
+
+        for name in ("_window_raw", "_sample_bits_raw", "_encode_round", "run_check_round"):
+            monkeypatch.setattr(P, name, scalar)
+        P.run_batch(make_config(detector=(0.9, 0.05), p_check=0.25), 500, seed=2)
+
+    @settings(max_examples=30)
+    @given(
+        st.sampled_from([0.0]) | st.floats(0.01, 0.2),
+        st.tuples(*[st.floats(0.5, 2.0)] * 3),
+        st.floats(0.05, 10.0),
+        st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 0.3)),
+        st.floats(0.0, 1.0),
+        st.integers(3, 5),
+        st.integers(1, 2),
+        st.booleans(),
+        st.lists(st.sampled_from(MESSAGES), min_size=1, max_size=4, unique=True),
+        st.integers(-(2**63), MASK64),
+    )
+    def test_random_configs(self, k, couplings, t_window, detector, p_check, n_parties,
+                            cutoff, pnr, messages, seed):
+        params = PhysicalParams(*couplings, k=k)
+        config = make_config(n_parties, cutoff, k, pnr, detector, p_check, t_window, params)
+        assert_engine_matches(config, 150, seed, tuple(messages))
+
+
+# ---------------------------------------------------------------------------
+# compile caches
+
+
+def clear_compile_caches():
+    for cache in (P._pipeline_state, P.outcome_distribution, P.build_decode_table,
+                  P._ml_lookup, P._compile_plan, P._plan):
+        cache.cache_clear()
+
+
+class TestCompileCaches:
+    def test_seed_is_not_part_of_the_key(self):
+        clear_compile_caches()
+        base = make_config(detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
+        for seed in range(50):
+            P.run_batch(dataclasses.replace(base, seed=seed), 20)
+        assert P._pipeline_state.cache_info().currsize == 4
+        assert P.outcome_distribution.cache_info().currsize == 4
+        assert P.build_decode_table.cache_info().currsize == 1
+        assert P._compile_plan.cache_info().currsize == 1
+
+    def test_sweep_builds_four_pipeline_states(self):
+        clear_compile_caches()
+        P.run_sweep(make_config(), [0.1 * j for j in range(1, 11)], 50, seed=1)
+        assert P._pipeline_state.cache_info().misses == 4
+
+    def test_caches_are_bounded(self):
+        for cache in (P._pipeline_state, P.outcome_distribution, P.build_decode_table,
+                      P._ml_lookup, P._compile_plan, P._plan, P._layout_info,
+                      P._transfer_time_cached):
+            assert cache.cache_info().maxsize is not None
+
+    def test_seedless_results_equal_seeded(self):
+        base = make_config(detector=(0.9, 0.05))
+        seeded = dataclasses.replace(base, seed=12345)
+        assert P.build_decode_table(seeded) is P.build_decode_table(base)
+        for m in MESSAGES:
+            assert P.outcome_distribution(seeded, m) is P.outcome_distribution(base, m)
+
+
+def test_rejects_fewer_than_one_thread():
+    for threads in (0, -3):
+        with pytest.raises(ValueError, match="threads"):
+            P.run_batch(make_config(), 10, threads=threads)
