@@ -15,146 +15,118 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
+import typing
 from pathlib import Path
 
 from . import feasibility as feas
 from . import protocol, security
-from .dynamics import PhysicalParams
 from .hilbert import Message
-from .protocol import DetectorModel, RoundConfig
+from .protocol import RoundConfig
 
 
 class ConfigError(Exception):
     pass
 
 
+# Only what the dataclasses leave open: every other default is the field's
+# own default in PhysicalParams, RoundConfig or DetectorModel.
 DEFAULT_CONFIG: dict = {
-    "params": {"g": 1.0, "Omega": 1.0, "Delta": 1.0, "k": 0.2, "gamma": 0.0},
-    "round": {
-        "n_receivers": 2,
-        "p_check": 0.0,
-        "t_map": None,
-        "t_window": 0.5,
-        "success_convention": "survival",
-        "ideal_pnr": False,
-        "cutoff": 1,
-        "seed": 0,
-    },
-    "detector": {"efficiency": 1.0, "dark_prob": 0.0},
-    "security": {"rounds": 20000},
+    "params": {"g": 1.0, "Omega": 1.0, "Delta": 1.0, "k": 0.2},
+    "round": {"t_window": 0.5},
+    "security": {"rounds": 20000, "eve": "intercept-resend-atom-z"},
     "sweep": {"t_windows": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], "rounds": 5000},
-    "feasibility": {},
 }
 
 
-def _get(doc: dict, section: str, field: str, required: bool = False, default=None):
-    sec = doc.get(section)
-    if sec is None:
-        if required:
-            raise ConfigError(f"{section}.{field}: section '{section}' is missing")
-        return default
-    if field not in sec:
-        if required:
-            raise ConfigError(f"{section}.{field}: required field is missing")
-        return default
-    return sec[field]
+def _section(doc: dict, name: str) -> dict | None:
+    sec = doc.get(name)
+    if sec is not None and not isinstance(sec, dict):
+        raise ConfigError(f"{name}: expected an object, got {sec!r}")
+    return sec
 
 
-def _get_int(doc: dict, section: str, field: str, default: int) -> int:
+def _setting(doc: dict, section: str, field: str):
+    """A value outside the round config's sections, else its default."""
+    return (_section(doc, section) or {}).get(field, DEFAULT_CONFIG.get(section, {}).get(field))
+
+
+def _get_int(doc: dict, section: str, field: str) -> int:
+    return _coerce(f"{section}.{field}", int, _setting(doc, section, field))
+
+
+def _coerce(key: str, tp, value):
+    """``value`` as JSON type ``tp``: bool takes booleans only, int integral
+    numbers, float finite numbers (booleans are not numbers), ``X | None``
+    null or an X; anything else is a ConfigError naming ``key``."""
+    options = typing.get_args(tp) or (tp,)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if (value is None and type(None) in options) or (bool in options and isinstance(value, bool)):
+        return value
+    if int in options and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if float in options and number and abs(value) <= sys.float_info.max:
+        return float(value)
+    if str in options and isinstance(value, str):
+        return value
+    raise ConfigError(f"{key}: expected {getattr(tp, '__name__', tp)}, got {value!r}")
+
+
+@functools.cache  # one entry per config dataclass; type hints are slow to resolve
+def _field_types(cls) -> dict:
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _build(doc: dict, section: str, cls, overrides: dict | None = None):
+    """``cls`` from config section ``section``, ``overrides`` taking
+    precedence; a field whose type is a dataclass is built from the section
+    named after the field."""
+    sec = _section(doc, section)
+    types = _field_types(cls)
+    for name in sec or {}:
+        if name not in types or dataclasses.is_dataclass(types[name]):
+            raise ConfigError(f"{section}.{name}: unknown field")
+    kwargs = dict(overrides or {})
+    for f in dataclasses.fields(cls):
+        key, tp = f"{section}.{f.name}", types[f.name]
+        if dataclasses.is_dataclass(tp):
+            kwargs[f.name] = _build(doc, f.name, tp)
+        elif f.name in (sec or {}):
+            kwargs.setdefault(f.name, _coerce(key, tp, sec[f.name]))
+        elif f.default is f.default_factory is dataclasses.MISSING:
+            if sec is None:
+                raise ConfigError(f"{key}: section '{section}' is missing")
+            raise ConfigError(f"{key}: required field is missing")
     try:
-        return int(_get(doc, section, field, default=default))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{section}.{field}: {exc}") from exc
+        return cls(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{section}: {exc}") from exc
+
+
+# the CLI flags that override a round field, each under the field's name
+_OVERRIDES = ("p_check", "success_convention", "seed", "ideal_pnr")
 
 
 def build_round_config(doc: dict, args: argparse.Namespace | None = None) -> RoundConfig:
-    try:
-        params = PhysicalParams(
-            g=float(_get(doc, "params", "g", required=True)),
-            Omega=float(_get(doc, "params", "Omega", required=True)),
-            Delta=float(_get(doc, "params", "Delta", required=True)),
-            k=float(_get(doc, "params", "k", default=0.0)),
-            gamma=float(_get(doc, "params", "gamma", default=0.0)),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params: {exc}") from exc
-
-    try:
-        detector = DetectorModel(
-            efficiency=float(_get(doc, "detector", "efficiency", default=1.0)),
-            dark_prob=float(_get(doc, "detector", "dark_prob", default=0.0)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"detector: {exc}") from exc
-
-    t_map = _get(doc, "round", "t_map", default=None)
-    try:
-        config = RoundConfig(
-            params=params,
-            t_window=float(_get(doc, "round", "t_window", required=True)),
-            n_receivers=int(_get(doc, "round", "n_receivers", default=2)),
-            p_check=float(_get(doc, "round", "p_check", default=0.0)),
-            t_map=None if t_map is None else float(t_map),
-            detector=detector,
-            success_convention=str(
-                _get(doc, "round", "success_convention", default="survival")
-            ),
-            ideal_pnr=bool(_get(doc, "round", "ideal_pnr", default=False)),
-            cutoff=int(_get(doc, "round", "cutoff", default=1)),
-            seed=int(_get(doc, "round", "seed", default=0)),
-        )
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"round: {exc}") from exc
-
-    if args is not None:
-        overrides = {}
-        if getattr(args, "p_check", None) is not None:
-            overrides["p_check"] = args.p_check
-        if getattr(args, "convention", None) is not None:
-            overrides["success_convention"] = args.convention
-        if getattr(args, "seed", None) is not None:
-            overrides["seed"] = args.seed
-        if getattr(args, "ideal_pnr", False):
-            overrides["ideal_pnr"] = True
-        if overrides:
-            try:
-                config = dataclasses.replace(config, **overrides)
-            except ValueError as exc:
-                raise ConfigError(f"round: {exc}") from exc
-    return config
+    overrides = {f: getattr(args, f) for f in _OVERRIDES if getattr(args, f, None) is not None}
+    return _build(doc, "round", RoundConfig, overrides)
 
 
 def config_to_dict(config: RoundConfig) -> dict:
-    """Round-trippable echo of a RoundConfig (parses back equivalent)."""
-    return {
-        "params": {
-            "g": config.params.g,
-            "Omega": config.params.Omega,
-            "Delta": config.params.Delta,
-            "k": config.params.k,
-            "gamma": config.params.gamma,
-        },
-        "round": {
-            "n_receivers": config.n_receivers,
-            "p_check": config.p_check,
-            "t_map": config.t_map,
-            "t_window": config.t_window,
-            "success_convention": config.success_convention,
-            "ideal_pnr": config.ideal_pnr,
-            "cutoff": config.cutoff,
-            "seed": config.seed,
-        },
-        "detector": {
-            "efficiency": config.detector.efficiency,
-            "dark_prob": config.detector.dark_prob,
-        },
-    }
+    """Round-trippable echo of a RoundConfig (parses back equal), in field
+    order: the params section, the plain fields as section round, then the
+    detector section."""
+    out: dict = {}
+    for name, tp in _field_types(RoundConfig).items():
+        value = getattr(config, name)
+        if dataclasses.is_dataclass(tp):
+            out[name] = dataclasses.asdict(value)
+        else:
+            out.setdefault("round", {})[name] = value
+    return out
 
 
 def load_config(path: str | None) -> dict:
@@ -164,9 +136,12 @@ def load_config(path: str | None) -> dict:
     if not p.exists():
         raise ConfigError(f"config file not found: {path}")
     try:
-        return json.loads(p.read_text())
+        doc = json.loads(p.read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError("config: expected a JSON object")
+    return doc
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +238,7 @@ def _parse_eve(name: str) -> security.EveModel:
         "intercept-resend-atom-x": security.EveModel("intercept_resend_atom", basis="x"),
         "intercept-resend-photon": security.EveModel("intercept_resend_photon"),
     }
-    if name not in table:
+    if not isinstance(name, str) or name not in table:
         raise ConfigError(f"security.eve: unknown eavesdropper model {name!r}")
     return table[name]
 
@@ -284,9 +259,7 @@ def cmd_run(args) -> int:
 def cmd_batch(args) -> int:
     doc = load_config(args.config)
     config = build_round_config(doc, args)
-    n_rounds = args.rounds if args.rounds is not None else _get_int(
-        doc, "security", "rounds", default=20000
-    )
+    n_rounds = args.rounds if args.rounds is not None else _get_int(doc, "security", "rounds")
     if n_rounds < 1:
         raise ConfigError("rounds: must be >= 1")
     messages = None if args.message == "random" else (Message.from_name(args.message),)
@@ -313,10 +286,8 @@ def cmd_batch(args) -> int:
 def cmd_sweep(args) -> int:
     doc = load_config(args.config)
     config = build_round_config(doc, args)
-    grid = _get(doc, "sweep", "t_windows", default=DEFAULT_CONFIG["sweep"]["t_windows"])
-    n_rounds = args.rounds if args.rounds is not None else _get_int(
-        doc, "sweep", "rounds", default=5000
-    )
+    grid = _setting(doc, "sweep", "t_windows")
+    n_rounds = args.rounds if args.rounds is not None else _get_int(doc, "sweep", "rounds")
     if not isinstance(grid, list) or not grid or not all(
         isinstance(x, (int, float)) and x > 0 for x in grid
     ):
@@ -335,13 +306,16 @@ def cmd_sweep(args) -> int:
 def cmd_security(args) -> int:
     doc = load_config(args.config)
     config = build_round_config(doc, args)
-    n_rounds = args.rounds if args.rounds is not None else _get_int(
-        doc, "security", "rounds", default=20000
-    )
+    n_rounds = args.rounds if args.rounds is not None else _get_int(doc, "security", "rounds")
     if n_rounds < 1:
         raise ConfigError("security.rounds: must be >= 1")
-    eve_name = args.eve or _get(doc, "security", "eve", default="intercept-resend-atom-z")
+    eve_name = args.eve or _setting(doc, "security", "eve")
     eve = _parse_eve(eve_name)
+    if config.ideal_pnr and eve.strategy == "intercept_resend_photon":
+        raise ConfigError(
+            f"round.ideal_pnr, security.eve: the {eve_name} attack needs click decoding; "
+            "the ideal-PNR oracle decode never reads the tampered state"
+        )
     summary = {
         "config": config_to_dict(config),
         "n_rounds": n_rounds,
@@ -357,7 +331,7 @@ def cmd_security(args) -> int:
 
 def cmd_feasibility(args) -> int:
     doc = load_config(args.config)
-    constants_doc = _get(doc, "feasibility", "constants", default=None)
+    constants_doc = _setting(doc, "feasibility", "constants")
     try:
         constants = (
             feas.HardwareConstants(**constants_doc)
@@ -417,9 +391,10 @@ def build_parser() -> argparse.ArgumentParser:
             "sweep to sweep.rounds",
         )
         p.add_argument("--message", default="random", choices=["I", "X", "iY", "Z", "random"])
-        p.add_argument("--convention", default=None, choices=["survival", "integrated"])
+        p.add_argument("--convention", dest="success_convention", default=None,
+                       choices=["survival", "integrated"])
         p.add_argument("--p-check", dest="p_check", type=float, default=None)
-        p.add_argument("--ideal-pnr", dest="ideal_pnr", action="store_true")
+        p.add_argument("--ideal-pnr", dest="ideal_pnr", action="store_true", default=None)
         p.add_argument("--eve", default=None)
         p.add_argument("--paper-constants", dest="paper_constants", action="store_true")
         p.add_argument("--round-log", dest="round_log", action="store_true")

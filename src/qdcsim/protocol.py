@@ -91,26 +91,28 @@ class DetectorModel:
             raise ValueError("dark_prob must lie in [0, 1)")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class RoundConfig:
-    """Knobs for one protocol round / batch.
+    """Knobs for one protocol round / batch, given by keyword.
 
     ``t_map=None`` resolves to the transfer time t* of ``params``; an
     explicit ``t_map`` must be a zero of alpha (see :func:`map_to_cavities`).
     ``success_convention`` selects which reading of the analytic success
     probability :func:`success_probability_formula` reports.
+    The field order is the CLI echo's key order: section ``params``, the
+    plain fields (section ``round``), then section ``detector``.
     """
 
     params: PhysicalParams
-    t_window: float
     n_receivers: int = 2
     p_check: float = 0.0
     t_map: float | None = None
-    detector: DetectorModel = DetectorModel()
+    t_window: float
     success_convention: str = "survival"
     ideal_pnr: bool = False
     cutoff: int = 1
     seed: int = 0
+    detector: DetectorModel = DetectorModel()
 
     def __post_init__(self):
         if self.n_receivers < 2:
@@ -1035,12 +1037,19 @@ def _sample_ideal_pnr(
 
 
 def _encode_round(
-    config: RoundConfig, sent: Message, rng: np.random.Generator
+    config: RoundConfig,
+    sent: Message,
+    rng: np.random.Generator,
+    tamper: Callable[[StateVector, np.random.Generator], StateVector] | None = None,
 ) -> RoundOutcome:
+    """One encode round of ``sent``; ``tamper`` acts on the pipeline state
+    before the detection window."""
     plan = _plan(config)
     info = plan.info
 
     if config.ideal_pnr:
+        if tamper is not None:
+            raise ValueError("ideal_pnr: the oracle decode never reads the tampered state")
         label, bits = _sample_ideal_pnr(plan, sent, rng)
         if label is None:
             bits = info.bit_strings[int(rng.integers(0, len(info.bit_strings)))]
@@ -1057,9 +1066,11 @@ def _encode_round(
             bell_label=label,
         )
 
-    psi, events, jumped, photon_survived = _window_raw(
-        info, plan.amps[_MSG_INDEX[sent]].copy(), config, rng
-    )
+    amps = plan.amps[_MSG_INDEX[sent]].copy()
+    if tamper is not None:
+        layout = layout_for(config.n_parties, config.cutoff)
+        amps = tamper(StateVector(layout, amps), rng).amplitudes
+    psi, events, jumped, photon_survived = _window_raw(info, amps, config, rng)
     record = DetectionRecord(tuple(events), config.t_window)
     bits = _sample_bits_raw(info, psi, rng)
     decoded = _decode_rule(plan.table, plan.ml, record.counts(), bits)

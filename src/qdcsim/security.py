@@ -275,25 +275,25 @@ def eavesdrop_experiment(
 
     Atom attacks are probed by GHZ parity-check rounds; the photon attack by
     encode rounds with known messages, where a wrong (non-abort) decode
-    counts as a violation.
+    counts as a violation.  The photon attack needs click decoding, so an
+    ``ideal_pnr`` config raises ValueError.
     """
     if n_check_rounds < 1:
         raise ValueError("n_check_rounds must be >= 1")
     conclusive = violations = 0
     if eve.strategy == "intercept_resend_photon":
         cfg = dataclasses.replace(config, p_check=0.0)
-        layout = protocol.layout_for(config.n_parties, config.cutoff)
-        info_mode_a = layout.mode_sites[0]
+        mode_a = protocol.layout_for(config.n_parties, config.cutoff).mode_sites[0]
+
+        def tamper(state: StateVector, rng: np.random.Generator) -> StateVector:
+            return measure_site(state, mode_a, rng)[1]  # photon number
+
         psi_messages = (Message.X, Message.IY)
         streams = protocol._RoundStreams(seed)
         for i in range(n_check_rounds):
             rng = streams.rng(i)
             sent = psi_messages[int(rng.integers(0, 2))]
-            state = protocol.pipeline_state(cfg, sent)
-            _, state = measure_site(state, info_mode_a, rng)  # photon number
-            window = protocol.simulate_window(state, cfg, rng)
-            bits = protocol.sample_receiver_bits(window.state, rng)
-            decoded = protocol.decode(cfg, window.record.counts(), bits)
+            decoded = protocol._encode_round(cfg, sent, rng, tamper=tamper).decoded
             if decoded is not None:
                 conclusive += 1
                 violations += int(decoded != sent)

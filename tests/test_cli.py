@@ -4,6 +4,8 @@ import json
 import pytest
 
 from qdcsim import cli
+from qdcsim import protocol as P
+from qdcsim.dynamics import PhysicalParams
 from qdcsim.cli import ConfigError, build_round_config, config_to_dict, load_config
 
 
@@ -60,6 +62,71 @@ class TestConfigParsing:
     def test_missing_file(self):
         with pytest.raises(ConfigError, match="not found"):
             load_config("/nonexistent/config.json")
+
+    def test_roundtrip_every_field(self):
+        # all 15 fields off their defaults
+        params = {"g": 1.5, "Omega": 0.8, "Delta": 1.2, "k": 0.3, "gamma": 0.01}
+        doc = {
+            "params": params,
+            "round": {
+                "n_receivers": 3, "p_check": 0.25,
+                "t_map": P.transfer_time(PhysicalParams(**params)), "t_window": 2.5,
+                "success_convention": "integrated", "ideal_pnr": True, "cutoff": 2,
+                "seed": -11,
+            },
+            "detector": {"efficiency": 0.85, "dark_prob": 0.03},
+        }
+        cfg = build_round_config(doc)
+        echo = config_to_dict(cfg)
+        default = P.RoundConfig(params=PhysicalParams(g=1.0, Omega=1.0, Delta=1.0), t_window=0.5)
+        for section, fields in config_to_dict(default).items():
+            for name, value in fields.items():
+                assert echo[section][name] != value, f"{section}.{name}"
+        assert list(echo) == ["params", "round", "detector"]
+        assert list(echo["round"]) == [
+            "n_receivers", "p_check", "t_map", "t_window", "success_convention",
+            "ideal_pnr", "cutoff", "seed",
+        ]
+        assert build_round_config(json.loads(json.dumps(echo))) == cfg
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("round", "ideal_pnr", "false"),
+        ("round", "n_receivers", 2.7),
+        ("round", "cutoff", 1.9),
+        ("params", "k", True),
+        ("round", "p_chek", 0.5),
+        ("detector", "eficiency", 0.5),
+    ])
+    def test_malformed_field_exits_2(self, section, field, value, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc[section][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(["run", "--config", str(path)], capsys)
+        assert code == 2
+        assert f"config error: {section}.{field}:" in err
+
+    @pytest.mark.parametrize("text, named", [
+        ("[1]", "config:"),
+        ('{"round": [1]}', "round:"),
+        ('{"params": {"g": 1, "Omega": 1, "Delta": 1}, "round": {"t_window": NaN}}',
+         "round.t_window:"),
+    ])
+    def test_malformed_document_exits_2(self, text, named, tmp_path, capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        code, _, err = run_cli(["run", "--config", str(path)], capsys)
+        assert code == 2
+        assert f"config error: {named}" in err
+
+    def test_integral_float_reads_as_int(self):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["round"]["n_receivers"] = 3.0
+        assert build_round_config(doc).n_receivers == 3
+
+    def test_round_config_is_keyword_only(self):
+        with pytest.raises(TypeError):
+            P.RoundConfig(PhysicalParams(g=1.0, Omega=1.0, Delta=1.0), 0.5)
 
 
 class TestRunCommand:
@@ -273,6 +340,24 @@ class TestSecurityCommand:
         code, _, err = run_cli(["security", "--config", str(path)], capsys)
         assert code == 2
         assert "security.rounds" in err
+
+    def test_photon_attack_with_ideal_pnr_rejected(self, config_path, capsys):
+        code, _, err = run_cli(
+            ["security", "--config", config_path, "--rounds", "50", "--ideal-pnr",
+             "--eve", "intercept-resend-photon"],
+            capsys,
+        )
+        assert code == 2
+        assert "round.ideal_pnr" in err and "security.eve" in err
+
+    def test_eve_must_be_a_name(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["security"]["eve"] = ["intercept-resend-photon"]
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(["security", "--config", str(path), "--rounds", "10"], capsys)
+        assert code == 2
+        assert "security.eve" in err
 
     def test_unknown_eve(self, config_path, capsys):
         code, _, _ = run_cli(

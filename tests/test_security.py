@@ -3,7 +3,7 @@ import math
 import pytest
 
 from qdcsim.dynamics import PhysicalParams
-from qdcsim.hilbert import Message, MESSAGES
+from qdcsim.hilbert import Message, MESSAGES, measure_site
 from qdcsim import protocol as P
 from qdcsim import security as S
 from qdcsim.security import (
@@ -159,6 +159,33 @@ class TestEavesdropping:
         ):
             res = eavesdrop_experiment(eve, config(k=0.2), 10000, seed=10)
             assert res.detection_rate is not None and res.detection_rate > 0.05
+
+    def test_photon_attack_needs_click_decoding(self):
+        with pytest.raises(ValueError, match="ideal_pnr"):
+            eavesdrop_experiment(
+                EveModel("intercept_resend_photon"), config(ideal_pnr=True), 10, seed=0
+            )
+
+    def test_photon_attack_is_a_tampered_encode_round(self):
+        # the attack's rounds are the scalar encode rounds with the photon
+        # number of cavity A measured before the window
+        cfg = config(k=0.2, t_window=6.0, detector=P.DetectorModel(0.9, 0.02))
+        mode_a = P.layout_for(cfg.n_parties, cfg.cutoff).mode_sites[0]
+        conclusive = violations = 0
+        for i in range(300):
+            rng = P.round_rng(5, i)
+            sent = (Message.X, Message.IY)[int(rng.integers(0, 2))]
+            state = P.pipeline_state(cfg, sent)
+            _, state = measure_site(state, mode_a, rng)
+            window = P.simulate_window(state, cfg, rng)
+            bits = P.sample_receiver_bits(window.state, rng)
+            decoded = P.decode(cfg, window.record.counts(), bits)
+            if decoded is not None:
+                conclusive += 1
+                violations += int(decoded != sent)
+        res = eavesdrop_experiment(EveModel("intercept_resend_photon"), cfg, 300, seed=5)
+        assert (res.conclusive_rounds, res.violations) == (conclusive, violations)
+        assert violations > 0
 
     def test_photon_exact_rate_unavailable(self):
         with pytest.raises(ValueError):
