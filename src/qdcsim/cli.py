@@ -42,9 +42,15 @@ DEFAULT_CONFIG: dict = {
 
 
 def _section(doc: dict, name: str) -> dict | None:
-    sec = doc.get(name)
-    if sec is not None and not isinstance(sec, dict):
-        raise ConfigError(f"{name}: expected an object, got {sec!r}")
+    """Section ``name``, None if absent; a dotted name is a nested section."""
+    sec, path = doc, []
+    for part in name.split("."):
+        path.append(part)
+        sec = sec.get(part)
+        if sec is None:
+            return None
+        if not isinstance(sec, dict):
+            raise ConfigError(f"{'.'.join(path)}: expected an object, got {sec!r}")
     return sec
 
 
@@ -288,9 +294,9 @@ def cmd_sweep(args) -> int:
     config = build_round_config(doc, args)
     grid = _setting(doc, "sweep", "t_windows")
     n_rounds = args.rounds if args.rounds is not None else _get_int(doc, "sweep", "rounds")
-    if not isinstance(grid, list) or not grid or not all(
-        isinstance(x, (int, float)) and x > 0 for x in grid
-    ):
+    if isinstance(grid, list):
+        grid = [_coerce(f"sweep.t_windows[{i}]", float, x) for i, x in enumerate(grid)]
+    if not isinstance(grid, list) or not grid or not all(x > 0 for x in grid):
         raise ConfigError("sweep.t_windows: must be a nonempty list of positive times")
     if n_rounds < 1:
         raise ConfigError("sweep.rounds: must be >= 1")
@@ -331,15 +337,7 @@ def cmd_security(args) -> int:
 
 def cmd_feasibility(args) -> int:
     doc = load_config(args.config)
-    constants_doc = _setting(doc, "feasibility", "constants")
-    try:
-        constants = (
-            feas.HardwareConstants(**constants_doc)
-            if constants_doc
-            else feas.HardwareConstants()
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"feasibility.constants: {exc}") from exc
+    constants = _build(doc, "feasibility.constants", feas.HardwareConstants)
     if args.paper_constants or "params" not in doc:
         params = feas.paper_params(constants)
     else:

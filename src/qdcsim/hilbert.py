@@ -22,7 +22,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -240,23 +240,40 @@ def apply_site_operator(state: StateVector, site: int, matrix: np.ndarray) -> St
     return StateVector(state.layout, out.reshape(-1))
 
 
+def site_measurement(
+    state: StateVector, site: int
+) -> tuple[np.ndarray, Callable[[int], StateVector]]:
+    """A computational-basis measurement of one site, undrawn: the outcome
+    weights and the map from an outcome to the collapsed renormalized state."""
+    a = site_view(state, site)
+    probs = np.sum(np.abs(a) ** 2, axis=(0, 2))
+
+    def collapse(outcome: int) -> StateVector:
+        collapsed = np.zeros_like(a)
+        collapsed[:, outcome, :] = a[:, outcome, :] / math.sqrt(probs[outcome])
+        return StateVector(state.layout, collapsed.reshape(-1))
+
+    return probs, collapse
+
+
+def draw_outcome(weights: np.ndarray, u: float) -> int:
+    """The first outcome whose cumulative weight exceeds ``u * total``."""
+    outcome = int(np.searchsorted(np.cumsum(weights), u * weights.sum(), side="right"))
+    return min(outcome, len(weights) - 1)
+
+
 def measure_site(
     state: StateVector, site: int, rng: np.random.Generator
 ) -> tuple[int, StateVector]:
     """Projective measurement of one site in its computational basis; returns
     (occupation outcome, collapsed renormalized state).
 
-    One uniform draw ``u`` selects the first outcome whose cumulative weight
-    exceeds ``u * total``, so a subnormalized state is measured as if
-    normalized.
+    One uniform draw ``u`` selects the outcome (:func:`draw_outcome`), so a
+    subnormalized state is measured as if normalized.
     """
-    a = site_view(state, site)
-    probs = np.sum(np.abs(a) ** 2, axis=(0, 2))
-    outcome = int(np.searchsorted(np.cumsum(probs), rng.random() * probs.sum(), side="right"))
-    outcome = min(outcome, len(probs) - 1)
-    collapsed = np.zeros_like(a)
-    collapsed[:, outcome, :] = a[:, outcome, :] / math.sqrt(probs[outcome])
-    return outcome, StateVector(state.layout, collapsed.reshape(-1))
+    probs, collapse = site_measurement(state, site)
+    outcome = draw_outcome(probs, rng.random())
+    return outcome, collapse(outcome)
 
 
 def annihilation_matrix(dim: int) -> np.ndarray:

@@ -16,11 +16,14 @@ same order, so every row reproduces the scalar round bit for bit:
   ``math.log``, float powers) are evaluated per row by the same Python
   calls, never by numpy's SIMD versions.
 
-The engine takes pipeline states of at most two photons (every state the
-protocol prepares), for which the no-jump crossing is the quadratic of
-``_nojump_crossing``.  It reads the compiled per-config plan
-(``protocol._Plan``) and returns per-row arrays; ``protocol`` aggregates
-them and builds the ``RoundOutcome`` objects.
+The engine takes start states of at most two photons (every state the
+protocol prepares, and their collapses under a photon-number measurement),
+for which the no-jump crossing is the quadratic of ``_nojump_crossing``.
+It reads the compiled per-config plan (``protocol._Plan``) and returns
+per-row arrays.  :func:`run_blocks` runs the rounds of a batch, and
+``protocol`` aggregates them and builds the ``RoundOutcome`` objects;
+``security`` drives the same row functions in its own draw orders from
+:func:`row_blocks`.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .streams import RowStreams, philox_words
 ABORT = 4  # decoded-message index of an aborted round
 BLOCK_AMPLITUDES = 1 << 13  # rows x state dimension per block: ~128 kB per state array
 _FIRST_WORDS = 4  # Philox blocks (4 words each) computed up front per round
+_SPAN = 2048  # rounds whose first words are computed in one call
 
 
 def _beamsplitter(info, psi: np.ndarray, sign: int) -> np.ndarray:
@@ -73,63 +77,91 @@ class Rounds:
     decoded: np.ndarray  # encode: message index, ABORT = abort
     label: np.ndarray  # ideal PNR: Bell label index, -1 = lost round
     survived: np.ndarray  # bool: photon present at the end of a jump-free window
+    clicks: np.ndarray  # (rows, 2) observable click counts (n+, n-), darks included
     jump_t: np.ndarray  # (rows, jumps) jump times
     jump_sign: np.ndarray  # (rows, jumps) +1 (D+) / -1 (D-), 0 = no jump
     jump_seen: np.ndarray  # (rows, jumps) bool: the jump registered a click
     dark_t: np.ndarray  # (rows, 2) D+ / D- dark-count times, NaN = none
 
+    @classmethod
+    def empty(cls, n: int) -> Rounds:
+        def zeros(dtype=np.int64):
+            return np.zeros(n, dtype=dtype)
+
+        return cls(
+            check=zeros(bool), combo=zeros(), outcome=zeros(), sent=zeros(), bits=zeros(),
+            decoded=zeros(), label=zeros(), survived=zeros(bool),
+            clicks=np.zeros((n, 2), dtype=np.int64), jump_t=np.zeros((n, 0)),
+            jump_sign=np.zeros((n, 0), dtype=np.int8), jump_seen=np.zeros((n, 0), dtype=bool),
+            dark_t=np.full((n, 2), np.nan),
+        )
+
+
+def row_blocks(seed: int, start: int, stop: int, dim: int):
+    """Yield the :class:`RowStreams` of rounds ``start .. stop-1`` of the
+    batch with ``seed``, in blocks of at most ``BLOCK_AMPLITUDES`` amplitudes
+    of states of dimension ``dim``."""
+    step = max(1, BLOCK_AMPLITUDES // dim)
+    for lo in range(start, stop, _SPAN):
+        indices = np.arange(lo, min(lo + _SPAN, stop))
+        words = philox_words(seed, indices, 0, _FIRST_WORDS)
+        for b in range(0, len(indices), step):
+            block = slice(b, b + step)
+            yield RowStreams(seed, indices[block], words[block])
+
 
 def run_blocks(plan, seed: int, start: int, stop: int, msg_ids: np.ndarray):
     """Yield the :class:`Rounds` of rounds ``start .. stop-1`` of the batch
-    with ``seed``, one block of at most ``BLOCK_AMPLITUDES`` amplitudes at a
-    time; encode rounds send ``msg_ids[integers(0, len(msg_ids))]``."""
-    indices = np.arange(start, stop)
-    words = philox_words(seed, indices, 0, _FIRST_WORDS)
-    step = max(1, BLOCK_AMPLITUDES // plan.amps.shape[1])
-    for lo in range(0, len(indices), step):
-        block = slice(lo, lo + step)
-        yield _run_block(plan, RowStreams(seed, indices[block], words[block]), msg_ids)
+    with ``seed``, one block at a time; encode rounds send
+    ``msg_ids[integers(0, len(msg_ids))]``."""
+    for streams in row_blocks(seed, start, stop, plan.amps.shape[1]):
+        yield _run_block(plan, streams, msg_ids)
 
 
 def _run_block(plan, streams: RowStreams, msg_ids: np.ndarray) -> Rounds:
-    cfg = plan.config
-    n = len(streams.pos)
-    rows = np.arange(n)
-
-    def zeros(dtype=np.int64):
-        return np.zeros(n, dtype=dtype)
-
-    res = Rounds(
-        check=streams.random(rows) < cfg.p_check,
-        combo=zeros(), outcome=zeros(), sent=zeros(), bits=zeros(), decoded=zeros(),
-        label=zeros(), survived=zeros(bool),
-        jump_t=np.zeros((n, 0)), jump_sign=np.zeros((n, 0), dtype=np.int8),
-        jump_seen=np.zeros((n, 0), dtype=bool), dark_t=np.full((n, 2), np.nan),
-    )
+    rows = np.arange(len(streams.pos))
+    res = Rounds.empty(len(rows))
+    res.check = streams.random(rows) < plan.config.p_check
     check_rows = rows[res.check]
     if check_rows.size:
-        _check_rounds(plan, streams, check_rows, res)
+        check = plan.check
+        res.combo[check_rows], res.outcome[check_rows] = check_rounds(
+            streams, check_rows, plan.config.n_parties, check.cum[None], check.total[None],
+            np.zeros(len(check_rows), dtype=np.int64),
+        )
     encode_rows = rows[~res.check]
     if encode_rows.size:
         sent = msg_ids[streams.integers(encode_rows, len(msg_ids))]
-        res.sent[encode_rows] = sent
-        if cfg.ideal_pnr:
-            _ideal_pnr_rounds(plan, streams, encode_rows, sent, res)
-        else:
-            _window_rounds(plan, streams, encode_rows, sent, res)
+        encode_rounds(plan, streams, encode_rows, sent, res)
     return res
 
 
-def _check_rounds(plan, streams: RowStreams, rows: np.ndarray, res: Rounds) -> None:
+def pick(cum: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Row-wise ``min(searchsorted(cum, x, side="right"), len - 1)`` on each
+    row's nondecreasing ``cum`` (one row of ``cum`` serves every row)."""
+    return np.minimum((cum <= x[:, None]).sum(axis=1), cum.shape[-1] - 1)
+
+
+def check_rounds(streams: RowStreams, rows: np.ndarray, n_parties: int, cum: np.ndarray,
+                 total: np.ndarray, branch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``run_check_round`` after its tamper draws: (basis combo, outcome) per
+    row.  ``cum``/``total`` hold the outcome law per (tamper branch, combo);
+    ``branch`` is each row's branch (all 0 untampered)."""
     combo = np.zeros(len(rows), dtype=np.int64)
-    for _ in range(plan.config.n_parties):
+    for _ in range(n_parties):
         combo = (combo << 1) | streams.integers(rows, 2)
-    check = plan.check
-    x = streams.random(rows) * check.total[combo]
-    cum = check.cum[combo]
-    res.combo[rows] = combo
-    # searchsorted(cum, x, side="right") on each row's nondecreasing cum
-    res.outcome[rows] = np.minimum((cum <= x[:, None]).sum(axis=1), cum.shape[1] - 1)
+    x = streams.random(rows) * total[branch, combo]
+    return combo, pick(cum[branch, combo], x)
+
+
+def encode_rounds(plan, streams: RowStreams, rows: np.ndarray, sent: np.ndarray,
+                  res: Rounds) -> None:
+    """``_encode_round`` of message index ``sent`` for every row."""
+    res.sent[rows] = sent
+    if plan.config.ideal_pnr:
+        _ideal_pnr_rounds(plan, streams, rows, sent, res)
+    else:
+        window_rounds(plan, streams, rows, plan.amps, plan.sector_norms, sent, res)
 
 
 def _ideal_pnr_rounds(plan, streams, rows, sent, res: Rounds) -> None:
@@ -171,23 +203,25 @@ def _crossings(norms: np.ndarray, k: float, u: np.ndarray, t_max: np.ndarray):
     return dt, none
 
 
-def _window_rounds(plan, streams: RowStreams, rows, sent, res: Rounds) -> None:
-    """``_window_raw``, ``_sample_bits_raw`` and ``decode`` for every row."""
+def window_rounds(plan, streams: RowStreams, rows, amps: np.ndarray, norms: np.ndarray,
+                  start: np.ndarray, res: Rounds) -> None:
+    """``_window_raw``, ``_sample_bits_raw`` and ``decode`` for every row,
+    starting from ``amps[start]`` with photon-sector weights ``norms[start]``."""
     cfg = plan.config
     k, window = cfg.params.k, cfg.t_window
     eta, p_dc = cfg.detector.efficiency, cfg.detector.dark_prob
     info = plan.info
     n_vec = info.photon_numbers
-    n_sectors = plan.sector_norms.shape[1]
+    n_sectors = norms.shape[1]
     decay_rate = -k * n_vec
     n = len(rows)
-    psi = plan.amps[sent]
+    psi = amps[start]
     t = np.zeros(n)
     jumped = np.zeros(n, dtype=bool)
     survived = np.zeros(n, dtype=bool)
     jumps = []  # per jump number: (local rows, times, signs, registered)
     act = np.arange(n)
-    norms = plan.sector_norms[sent]
+    norms = norms[start]
     while act.size:
         if jumps:
             norms = _binned(np.abs(psi[act]) ** 2, n_vec, n_sectors)
@@ -244,6 +278,7 @@ def _window_rounds(plan, streams: RowStreams, rows, sent, res: Rounds) -> None:
     code = _sample_bits(plan, streams, rows, psi)
 
     res.bits[rows] = code
+    res.clicks[rows, 0], res.clicks[rows, 1] = n_plus, n_minus
     res.decoded[rows] = plan.decoded[n_plus, n_minus, code]
     res.survived[rows] = survived
     res.dark_t[rows] = dark_t
@@ -259,6 +294,5 @@ def _sample_bits(plan, streams: RowStreams, rows, psi: np.ndarray) -> np.ndarray
     code[empty] = streams.integers(rows[empty], n_codes)
     full = ~empty
     cum = np.cumsum(_binned(weights[full], plan.info.bit_codes, n_codes), axis=1)
-    x = streams.random(rows[full]) * total[full]
-    code[full] = np.minimum((cum <= x[:, None]).sum(axis=1), n_codes - 1)
+    code[full] = pick(cum, streams.random(rows[full]) * total[full])
     return code

@@ -48,10 +48,11 @@ from .hilbert import (
     SystemLayout,
     apply_site_operator,
     atom_site,
-    measure_site,
+    draw_outcome,
     mode_site,
     norm_sq,
     pauli_encode,
+    site_measurement,
     site_view,
 )
 
@@ -809,19 +810,29 @@ _BASIS_ROTATIONS = {
 }
 
 
+def atom_measurement(
+    state: StateVector, site: int, basis: str = "z"
+) -> tuple[np.ndarray, Callable[[int], StateVector]]:
+    """:func:`measure_atom` undrawn: the outcome weights and the map from an
+    outcome to the collapsed renormalized state."""
+    if state.layout.site_kind(site) is not SiteKind.ATOM:
+        raise hilbert.NotAnAtomSite(f"site {site} is not an atom")
+    if basis == "z":
+        return site_measurement(state, site)
+    rotation = _BASIS_ROTATIONS[basis]
+    probs, collapse = site_measurement(apply_site_operator(state, site, rotation), site)
+    return probs, lambda outcome: apply_site_operator(collapse(outcome), site, rotation.conj().T)
+
+
 def measure_atom(
     state: StateVector, site: int, rng: np.random.Generator, basis: str = "z"
 ) -> tuple[int, StateVector]:
     """Projective measurement of one atom; returns (occupation outcome,
     collapsed renormalized state).  Basis 'x'/'y' measures the respective
     Pauli; the returned outcome 0 corresponds to eigenvalue +1."""
-    if state.layout.site_kind(site) is not SiteKind.ATOM:
-        raise hilbert.NotAnAtomSite(f"site {site} is not an atom")
-    if basis == "z":
-        return measure_site(state, site, rng)
-    rotation = _BASIS_ROTATIONS[basis]
-    outcome, collapsed = measure_site(apply_site_operator(state, site, rotation), site, rng)
-    return outcome, apply_site_operator(collapsed, site, rotation.conj().T)
+    probs, collapse = atom_measurement(state, site, basis)
+    outcome = draw_outcome(probs, rng.random())
+    return outcome, collapse(outcome)
 
 
 def ghz_expected_parity(n_y: int) -> int | None:
@@ -939,6 +950,16 @@ class _Plan:
         return _check_context(self.config.n_parties)
 
 
+def _sector_norms(info: _LayoutInfo, amps: np.ndarray) -> np.ndarray:
+    """Photon-sector weights of each row of ``amps``, summed as
+    ``_window_raw`` sums them."""
+    n_sectors = int(info.photon_numbers.max()) + 1
+    return _frozen(np.array([
+        np.bincount(info.photon_numbers, weights=np.abs(a) ** 2, minlength=n_sectors)
+        for a in amps
+    ]))
+
+
 def _message_index(message: Message | None) -> int:
     return lockstep.ABORT if message is None else _MSG_INDEX[message]
 
@@ -953,11 +974,8 @@ def _plan(config: RoundConfig) -> _Plan:
 def _compile_plan(config: RoundConfig) -> _Plan:
     states = [pipeline_state(config, m) for m in MESSAGES]
     info = _layout_info(states[0].layout)
-    n_sectors = int(info.photon_numbers.max()) + 1
     amps = _frozen(np.array([s.amplitudes for s in states]))
-    sector_norms = _frozen(np.array(
-        [np.bincount(info.photon_numbers, weights=np.abs(a) ** 2, minlength=n_sectors) for a in amps]
-    ))
+    sector_norms = _sector_norms(info, amps)
     table = build_decode_table(config)
     ml = _ml_lookup(config)
     strings = info.bit_strings
@@ -976,7 +994,7 @@ def _compile_plan(config: RoundConfig) -> _Plan:
         pnr_cum = _frozen(np.array(rows))
     else:
         # click counts reach the photon number plus one dark count
-        counts = range(n_sectors + 1)
+        counts = range(sector_norms.shape[1] + 1)
         decoded = _frozen(np.array([
             [[_message_index(_decode_rule(table, ml, (a, b), bits)) for bits in strings]
              for b in counts]
@@ -999,11 +1017,13 @@ def round_rng(seed: int, index: int) -> np.random.Generator:
 
 
 class _RoundStreams:
-    """Cheap per-round Philox streams, bit-identical to :func:`round_rng`.
+    """Cheap per-round Philox streams, bit-identical to :func:`round_rng`,
+    for running many scalar rounds (the statistical tests of the scalar
+    window do); batches and security experiments run on the lockstep engine.
 
     Reuses one bit generator and rewrites its (key, counter) state per
     round, avoiding the OS-entropy draw hidden in Philox construction.
-    Not thread-safe: each worker chunk owns one instance.
+    Not thread-safe.
     """
 
     def __init__(self, seed: int):

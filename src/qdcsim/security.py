@@ -17,16 +17,15 @@ fixed message order, so the random stream is reproducible).
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from . import protocol
+from . import lockstep, protocol
 from .hilbert import (
-    HilbertError, Message, MESSAGES, StateVector, apply_site_operator, measure_site,
+    HilbertError, Message, MESSAGES, StateVector, apply_site_operator, site_measurement,
 )
 from .protocol import RoundConfig
 
@@ -195,15 +194,40 @@ def optimal_guess_rate(
 
 
 # ---------------------------------------------------------------------------
-# Monte-Carlo guessing game
+# Monte-Carlo guessing game and eavesdropping, on the lockstep engine
+#
+# Each experiment runs round i on the Philox stream (seed, i), in blocks of
+# rounds as numpy arrays (qdcsim.lockstep).  A row reads the draws of the
+# scalar round the experiment describes (run_round, run_check_round, a
+# tampered _encode_round), in the same order, from tables compiled once per
+# call with the scalar path's own expressions, so it reproduces that round
+# bit for bit.
 
 
-def _guess(posterior: dict[Message, float], rng: np.random.Generator) -> Message:
-    best = max(posterior.values())
-    tied = [m for m in posterior if posterior[m] >= best * (1.0 - 1e-12)]
-    if len(tied) == 1:
-        return tied[0]
-    return tied[int(rng.integers(0, len(tied)))]
+def _guess_tables(cheater: ViewSpec, config: RoundConfig, plan,
+                  messages: tuple[Message, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The maximum-posterior guess as dense tables over the observable
+    (n+, n-, receiver bit code): how many messages tie, and their message
+    indices in ``messages`` order.  An observation the model does not hold
+    (an unmodeled fluke outcome) ties every message: a blind guess."""
+    positions = _site_positions(config)
+    posteriors = {
+        obs: {m: p / max(sum(per.values()), 1e-300) for m, p in per.items()}
+        for obs, per in view_distribution(cheater, config, messages).items()
+    }
+    blind = {m: 1.0 / len(messages) for m in messages}
+    strings = plan.info.bit_strings
+    n_counts = plan.sector_norms.shape[1] + 1  # photons plus one dark count
+    shape = (n_counts, n_counts, len(strings))
+    n_tied = np.zeros(shape, dtype=np.int64)
+    tied = np.zeros(shape + (len(messages),), dtype=np.int64)
+    for key in np.ndindex(shape):
+        posterior = posteriors.get(_project(cheater, key[:2], strings[key[2]], positions), blind)
+        best = max(posterior.values())
+        ids = [protocol._MSG_INDEX[m] for m in posterior if posterior[m] >= best * (1.0 - 1e-12)]
+        n_tied[key] = len(ids)
+        tied[key][: len(ids)] = ids
+    return n_tied, tied
 
 
 def cheat_experiment(
@@ -214,33 +238,35 @@ def cheat_experiment(
     messages: Sequence[Message] = MESSAGES,
 ) -> CheatResult:
     """Guessing game: honest encode rounds, the cheater guesses from its
-    partial view via maximum posterior."""
+    partial view via maximum posterior.
+
+    Round draws: the message, ``run_round``'s check-branch draw (the game
+    runs at p_check = 0), the encode round, then the choice among tied
+    messages where more than one ties."""
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    positions = _site_positions(config)
-    posteriors = {
-        obs: {m: p / max(sum(per.values()), 1e-300) for m, p in per.items()}
-        for obs, per in view_distribution(cheater, config, messages).items()
-    }
-    cfg = dataclasses.replace(config, p_check=0.0)
+    plan = protocol._plan(config)
     msgs = tuple(messages)
+    msg_ids = np.array([protocol._MSG_INDEX[m] for m in msgs])
+    n_tied, tied = _guess_tables(cheater, config, plan, msgs)
     hits_all = hits_click = n_click = 0
-    streams = protocol._RoundStreams(seed)
-    for i in range(n_rounds):
-        rng = streams.rng(i)
-        sent = msgs[int(rng.integers(0, len(msgs)))]
-        out = protocol.run_round(cfg, sent, rng)
-        counts = out.detection.counts()
-        obs = _project(cheater, counts, out.receiver_bits, positions)
-        posterior = posteriors.get(obs)
-        if posterior is None:  # unmodeled fluke outcome: guess blind
-            posterior = {m: 1.0 / len(msgs) for m in msgs}
-        guess = _guess(posterior, rng)
-        hit = int(guess == sent)
-        hits_all += hit
-        if sum(counts) > 0:
-            n_click += 1
-            hits_click += hit
+    for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.amps.shape[1]):
+        rows = np.arange(len(streams.pos))
+        r = lockstep.Rounds.empty(len(rows))
+        sent = msg_ids[streams.integers(rows, len(msgs))]
+        streams.random(rows)  # run_round's check-branch draw
+        lockstep.encode_rounds(plan, streams, rows, sent, r)
+        obs = (r.clicks[:, 0], r.clicks[:, 1], r.bits)
+        n = n_tied[obs]
+        choice = np.zeros(len(rows), dtype=np.int64)
+        for size in np.unique(n[n > 1]).tolist():
+            ties = rows[n == size]
+            choice[ties] = streams.integers(ties, size)
+        hit = tied[obs + (choice,)] == sent
+        clicked = r.clicks.sum(axis=1) > 0
+        hits_all += int(hit.sum())
+        n_click += int(clicked.sum())
+        hits_click += int((hit & clicked).sum())
     rate_all = hits_all / n_rounds
     result_click = hits_click / n_click if n_click else None
     return CheatResult(
@@ -256,16 +282,84 @@ def cheat_experiment(
     )
 
 
-# ---------------------------------------------------------------------------
-# eavesdropping
+def _collapses(weights: np.ndarray, collapse, dim: int) -> list[np.ndarray]:
+    """The collapsed amplitudes of every outcome of a measurement; an
+    outcome of weight 0 is never drawn, and gets an empty state."""
+    return [
+        collapse(o).amplitudes if w > 0.0 else np.zeros(dim, dtype=np.complex128)
+        for o, w in enumerate(weights.tolist())
+    ]
 
 
-def _atom_tamper(eve: EveModel):
-    def tamper(state: StateVector, rng: np.random.Generator) -> StateVector:
-        _, collapsed = protocol.measure_atom(state, eve.target, rng, eve.basis)
-        return collapsed
+def _atom_attack(eve: EveModel, config: RoundConfig, n_rounds: int, seed: int):
+    """Parity-check rounds (``run_check_round``) with Eve's atom measurement
+    as the tamper: (conclusive rounds, violations).
 
-    return tamper
+    Round draws: Eve's outcome (none without an attack), the basis combo,
+    the parties' outcome.  The outcome law of each (Eve outcome, combo)
+    comes from the same ``measure_atom`` and ``rotation @ amps`` as the
+    scalar round's."""
+    ctx = protocol._check_context(config.n_parties)
+    if eve.strategy == "none":
+        weights, cum, total = None, ctx.cum[None], ctx.total[None]
+    else:
+        ghz = StateVector(ctx.layout, ctx.ghz)
+        weights, collapse = protocol.atom_measurement(ghz, eve.target, eve.basis)
+        probs = [
+            [np.abs(rotation @ amps) ** 2 for rotation in ctx.rotations]
+            for amps in _collapses(weights, collapse, ctx.layout.dim)
+        ]
+        cum = np.array([[np.cumsum(p) for p in branch] for branch in probs])
+        total = np.array([[float(p.sum()) for p in branch] for branch in probs])
+    conclusive = violations = 0
+    for streams in lockstep.row_blocks(seed, 0, n_rounds, ctx.layout.dim):
+        rows = np.arange(len(streams.pos))
+        branch = np.zeros(len(rows), dtype=np.int64)
+        if weights is not None:
+            branch = lockstep.pick(np.cumsum(weights), streams.random(rows) * weights.sum())
+        combo, outcome = lockstep.check_rounds(
+            streams, rows, config.n_parties, cum, total, branch
+        )
+        decided = ctx.conclusive[combo]
+        conclusive += int(decided.sum())
+        violations += int((decided & ~ctx.passed[combo, outcome]).sum())
+    return conclusive, violations
+
+
+def _photon_attack(config: RoundConfig, n_rounds: int, seed: int):
+    """Encode rounds of psi+ or psi- with cavity A's photon number measured
+    before the window (a tampered ``_encode_round``): (conclusive rounds,
+    wrong decodes).
+
+    Round draws: the message, Eve's outcome, the window.  Each round starts
+    from the collapsed state of its (message, outcome), built by the same
+    ``measure_site`` as the scalar round's."""
+    if config.ideal_pnr:
+        raise ValueError("ideal_pnr: the oracle decode never reads the tampered state")
+    plan = protocol._plan(config)
+    layout = protocol.layout_for(config.n_parties, config.cutoff)
+    psi_ids = np.array([protocol._MSG_INDEX[m] for m in (Message.X, Message.IY)])
+    measured = [
+        site_measurement(StateVector(layout, plan.amps[i]), layout.mode_sites[0])
+        for i in psi_ids.tolist()
+    ]
+    weights = np.array([w for w, _ in measured])
+    cum = np.array([np.cumsum(w) for w in weights])
+    total = np.array([w.sum() for w in weights])
+    amps = np.array([a for w, collapse in measured for a in _collapses(w, collapse, layout.dim)])
+    norms = protocol._sector_norms(plan.info, amps)
+    conclusive = violations = 0
+    for streams in lockstep.row_blocks(seed, 0, n_rounds, layout.dim):
+        rows = np.arange(len(streams.pos))
+        r = lockstep.Rounds.empty(len(rows))
+        which = streams.integers(rows, 2)
+        outcome = lockstep.pick(cum[which], streams.random(rows) * total[which])
+        start = which * weights.shape[1] + outcome
+        lockstep.window_rounds(plan, streams, rows, amps, norms, start, r)
+        decided = r.decoded != lockstep.ABORT
+        conclusive += int(decided.sum())
+        violations += int((decided & (r.decoded != psi_ids[which])).sum())
+    return conclusive, violations
 
 
 def eavesdrop_experiment(
@@ -280,32 +374,10 @@ def eavesdrop_experiment(
     """
     if n_check_rounds < 1:
         raise ValueError("n_check_rounds must be >= 1")
-    conclusive = violations = 0
     if eve.strategy == "intercept_resend_photon":
-        cfg = dataclasses.replace(config, p_check=0.0)
-        mode_a = protocol.layout_for(config.n_parties, config.cutoff).mode_sites[0]
-
-        def tamper(state: StateVector, rng: np.random.Generator) -> StateVector:
-            return measure_site(state, mode_a, rng)[1]  # photon number
-
-        psi_messages = (Message.X, Message.IY)
-        streams = protocol._RoundStreams(seed)
-        for i in range(n_check_rounds):
-            rng = streams.rng(i)
-            sent = psi_messages[int(rng.integers(0, 2))]
-            decoded = protocol._encode_round(cfg, sent, rng, tamper=tamper).decoded
-            if decoded is not None:
-                conclusive += 1
-                violations += int(decoded != sent)
+        conclusive, violations = _photon_attack(config, n_check_rounds, seed)
     else:
-        tamper = None if eve.strategy == "none" else _atom_tamper(eve)
-        streams = protocol._RoundStreams(seed)
-        for i in range(n_check_rounds):
-            rng = streams.rng(i)
-            out = protocol.run_check_round(config, rng, tamper=tamper)
-            if out.check_conclusive:
-                conclusive += 1
-                violations += int(not out.check_passed)
+        conclusive, violations = _atom_attack(eve, config, n_check_rounds, seed)
     rate = violations / conclusive if conclusive else None
     stderr = (
         math.sqrt(max(rate * (1 - rate), 0.0) / conclusive) if conclusive else None

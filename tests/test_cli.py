@@ -262,6 +262,23 @@ class TestGoldenDigest:
         for name, digest in self.DIGESTS.items():
             assert hashlib.sha256((out_dir / name).read_bytes()).hexdigest() == digest, name
 
+    # taken from the scalar per-round security experiments, before they
+    # moved to the lockstep engine
+    SECURITY_DIGEST = "3c20da4f72c7543280a493c301ee52a61c3cdd049045ecbe922a8d38b41d7159"
+
+    def test_security_bytes(self, tmp_path, capsys):
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(self.DOC))
+        out_dir = tmp_path / "out"
+        code, _, _ = run_cli(
+            ["security", "--config", str(path), "--rounds", "300",
+             "--eve", "intercept-resend-atom-z", "--out", str(out_dir)],
+            capsys,
+        )
+        assert code == 0
+        digest = hashlib.sha256((out_dir / "security.json").read_bytes()).hexdigest()
+        assert digest == self.SECURITY_DIGEST
+
 
 class TestSweepCommand:
     def test_csv_and_agreement(self, config_path, tmp_path, capsys):
@@ -306,6 +323,16 @@ class TestSweepCommand:
         p.write_text(json.dumps(doc))
         code, _, _ = run_cli(["sweep", "--config", str(p)], capsys)
         assert code == 2
+
+    def test_boolean_window_named(self, tmp_path, capsys):
+        # a boolean is not a time, though Python counts True as 1
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["sweep"]["t_windows"] = [True, 1]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        code, out, err = run_cli(["sweep", "--config", str(p)], capsys)
+        assert code == 2
+        assert "sweep.t_windows[0]" in err and out == ""
 
 
 class TestSecurityCommand:
@@ -378,6 +405,31 @@ class TestFeasibilityCommand:
     def test_with_config_params(self, config_path, capsys):
         code, out, _ = run_cli(["feasibility", "--config", config_path], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("constants,field", [
+        ({"Q": True}, "feasibility.constants.Q"),
+        ({"Qfactor": 1e8}, "feasibility.constants.Qfactor"),
+        ([1e8], "feasibility.constants"),
+    ])
+    def test_bad_constants_named(self, tmp_path, capsys, constants, field):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["feasibility"] = {"constants": constants}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = run_cli(["feasibility", "--config", str(p)], capsys)
+        assert code == 2
+        assert f"config error: {field}" in err
+
+    def test_constants_read_by_type(self, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["feasibility"] = {"constants": {"Q": 200000000, "t_r": 0.02}}
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        code, out, _ = run_cli(["feasibility", "--config", str(p)], capsys)
+        assert code == 0
+        constants = json.loads(out.strip().splitlines()[-1])["constants"]
+        assert constants["Q"] == 2e8 and type(constants["Q"]) is float
+        assert constants["t_r"] == 0.02 and constants["t_d"] == 3.0e-3
 
 
 class TestDecodeTableCommand:

@@ -1,12 +1,16 @@
-"""Property tests of the analytic outcome model over random configs."""
+"""Property tests of the analytic outcome model over random configs: its
+normalisation, the decode rules compiled from it, and the Monte-Carlo
+guessing games that must converge to its optimal rates."""
 
+import dataclasses
 import math
 
 from hypothesis import given, settings, strategies as st
 
 from qdcsim import protocol as P
+from qdcsim import security as S
 from qdcsim.dynamics import PhysicalParams
-from qdcsim.hilbert import MESSAGES
+from qdcsim.hilbert import MESSAGES, Message
 
 configs = st.builds(
     lambda k, eta, p_dc, t_window, n_receivers, cutoff: P.RoundConfig(
@@ -41,3 +45,40 @@ def test_ml_fallback_decodes_only_possible_keys(config):
     for key, decoded in P._ml_lookup(config).items():
         if decoded is not None:
             assert dists[decoded].get(key, 0.0) > 0.0, key
+
+
+def clear_compile_caches():
+    for cache in (P._pipeline_state, P.outcome_distribution, P.build_decode_table,
+                  P._ml_lookup, P._compile_plan, P._plan):
+        cache.cache_clear()
+
+
+@settings(max_examples=15)
+@given(configs, st.booleans(), st.integers(-(2**63), 2**64 - 1), st.integers(-(2**63), 2**64 - 1))
+def test_decode_table_does_not_depend_on_the_seed(config, pnr, seed_a, seed_b):
+    built = []
+    for seed in (seed_a, seed_b):
+        clear_compile_caches()
+        cfg = dataclasses.replace(config, ideal_pnr=pnr, seed=seed)
+        plan = P._plan(cfg)
+        decoded = plan.pnr_decoded if pnr else plan.decoded
+        built.append((P.build_decode_table(cfg), decoded))
+    (table_a, decoded_a), (table_b, decoded_b) = built
+    assert table_a == table_b
+    assert decoded_a.tolist() == decoded_b.tolist()
+
+
+@settings(max_examples=25)
+@given(
+    configs,
+    st.sampled_from(["bob_alone", "charlie_alone", "collaboration"]),
+    st.sampled_from([MESSAGES, (Message.X, Message.IY), (Message.I, Message.X, Message.Z)]),
+    st.integers(-(2**63), 2**64 - 1),
+)
+def test_cheat_rate_agrees_with_the_optimal_rate(config, view_name, messages, seed):
+    # click decoding only: the posteriors come from the click model
+    view = S.standard_views(config)[view_name]
+    n = 3000
+    rate = S.cheat_experiment(view, config, n, seed, messages).rate_all
+    exact = S.optimal_guess_rate(view, config, messages)
+    assert abs(rate - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / n) + 1e-12

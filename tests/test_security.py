@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 
 import pytest
@@ -209,3 +211,166 @@ class TestSummary:
             "eve_detection_rate",
         }
         assert abs(out["composite_bob"] - (1.0 - out["charlie_alone"])) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# differential: the lockstep experiments against the scalar per-round path
+
+
+def oracle_guess(posterior, rng):
+    best = max(posterior.values())
+    tied = [m for m in posterior if posterior[m] >= best * (1.0 - 1e-12)]
+    if len(tied) == 1:
+        return tied[0]
+    return tied[int(rng.integers(0, len(tied)))]
+
+
+def oracle_cheat(cheater, config, n_rounds, seed, messages=MESSAGES):
+    """The guessing game one scalar round at a time on round_rng streams."""
+    positions = S._site_positions(config)
+    posteriors = {
+        obs: {m: p / max(sum(per.values()), 1e-300) for m, p in per.items()}
+        for obs, per in S.view_distribution(cheater, config, messages).items()
+    }
+    cfg = dataclasses.replace(config, p_check=0.0)
+    msgs = tuple(messages)
+    hits_all = hits_click = n_click = 0
+    for i in range(n_rounds):
+        rng = P.round_rng(seed, i)
+        sent = msgs[int(rng.integers(0, len(msgs)))]
+        out = P.run_round(cfg, sent, rng)
+        counts = out.detection.counts()
+        obs = S._project(cheater, counts, out.receiver_bits, positions)
+        posterior = posteriors.get(obs)
+        if posterior is None:
+            posterior = {m: 1.0 / len(msgs) for m in msgs}
+        hit = int(oracle_guess(posterior, rng) == sent)
+        hits_all += hit
+        if sum(counts) > 0:
+            n_click += 1
+            hits_click += hit
+    rate_all = hits_all / n_rounds
+    rate_click = hits_click / n_click if n_click else None
+    return S.CheatResult(
+        n_rounds=n_rounds,
+        n_clicked=n_click,
+        rate_all=rate_all,
+        rate_given_click=rate_click,
+        stderr_all=math.sqrt(max(rate_all * (1 - rate_all), 0.0) / n_rounds),
+        stderr_given_click=(
+            math.sqrt(max(rate_click * (1 - rate_click), 0.0) / n_click) if n_click else None
+        ),
+    )
+
+
+def oracle_eve(eve, config, n_rounds, seed):
+    """The eavesdrop experiment one scalar round at a time: tampered check
+    rounds for atom attacks, tampered encode rounds for the photon attack."""
+    conclusive = violations = 0
+    if eve.strategy == "intercept_resend_photon":
+        cfg = dataclasses.replace(config, p_check=0.0)
+        mode_a = P.layout_for(config.n_parties, config.cutoff).mode_sites[0]
+
+        def tamper(state, rng):
+            return measure_site(state, mode_a, rng)[1]
+
+        for i in range(n_rounds):
+            rng = P.round_rng(seed, i)
+            sent = (Message.X, Message.IY)[int(rng.integers(0, 2))]
+            decoded = P._encode_round(cfg, sent, rng, tamper=tamper).decoded
+            if decoded is not None:
+                conclusive += 1
+                violations += int(decoded != sent)
+    else:
+        tamper = None
+        if eve.strategy != "none":
+            def tamper(state, rng):
+                return P.measure_atom(state, eve.target, rng, eve.basis)[1]
+
+        for i in range(n_rounds):
+            out = P.run_check_round(config, P.round_rng(seed, i), tamper=tamper)
+            if out.check_conclusive:
+                conclusive += 1
+                violations += int(not out.check_passed)
+    rate = violations / conclusive if conclusive else None
+    stderr = math.sqrt(max(rate * (1 - rate), 0.0) / conclusive) if conclusive else None
+    return S.EveResult(n_rounds, conclusive, violations, rate, stderr)
+
+
+DETECTION = ("pnr", (1.0, 0.0), (1.0, 0.05), (0.9, 0.0), (0.9, 0.05))
+DIFF_MATRIX = list(itertools.product((3, 4), (1, 2), (0.0, 0.2), DETECTION))
+
+
+def diff_config(n_parties, cutoff, k, detection):
+    pnr = detection == "pnr"
+    eta, p_dc = (1.0, 0.0) if pnr else detection
+    return config(
+        k=k, t_window=2.0, n_receivers=n_parties - 1, cutoff=cutoff, ideal_pnr=pnr,
+        detector=P.DetectorModel(eta, p_dc),
+    )
+
+
+class TestLockstepEqualsScalar:
+    """Every experiment equals its scalar per-round oracle exactly."""
+
+    @pytest.mark.parametrize(
+        "n_parties,cutoff,k,detection", DIFF_MATRIX,
+        ids=[f"n{n}-cut{c}-k{k}-{d if d == 'pnr' else 'eta%s-dc%s' % d}"
+             for n, c, k, d in DIFF_MATRIX],
+    )
+    def test_matrix(self, n_parties, cutoff, k, detection):
+        cfg = diff_config(n_parties, cutoff, k, detection)
+        seed, n_rounds = -7, 150
+        views = S.standard_views(cfg)
+        receivers = views["collaboration"].sees_bits
+        # blind for N+1 = 3, one non-Charlie receiver for N+1 = 4
+        views["custom"] = ViewSpec(sees_clicks=False, sees_bits=receivers[1:])
+        for name, view in views.items():
+            assert cheat_experiment(view, cfg, n_rounds, seed) == oracle_cheat(
+                view, cfg, n_rounds, seed
+            ), name
+        subset = (Message.I, Message.X, Message.Z)
+        assert cheat_experiment(views["collaboration"], cfg, n_rounds, seed, subset) == (
+            oracle_cheat(views["collaboration"], cfg, n_rounds, seed, subset)
+        )
+        eves = [
+            EveModel("none"),
+            EveModel("intercept_resend_atom", basis="z", target=0),
+            EveModel("intercept_resend_atom", basis="x", target=n_parties - 1),
+        ]
+        if not cfg.ideal_pnr:
+            eves.append(EveModel("intercept_resend_photon"))
+        for eve in eves:
+            assert eavesdrop_experiment(eve, cfg, n_rounds, seed) == oracle_eve(
+                eve, cfg, n_rounds, seed
+            ), eve
+
+    def test_matrix_covers_the_values(self):
+        columns = [set(c) for c in zip(*DIFF_MATRIX)]
+        assert columns == [{3, 4}, {1, 2}, {0.0, 0.2}, set(DETECTION)]
+        assert len(DIFF_MATRIX) == 2 * 2 * 2 * 5
+
+    def test_across_blocks_and_spans(self):
+        # more rounds than one block and than one span of precomputed words
+        cfg = diff_config(3, 1, 0.2, (0.9, 0.05))
+        views = S.standard_views(cfg)
+        assert cheat_experiment(views["bob_alone"], cfg, 2600, 3) == oracle_cheat(
+            views["bob_alone"], cfg, 2600, 3
+        )
+        eve = EveModel("intercept_resend_atom", basis="x", target=1)
+        assert eavesdrop_experiment(eve, cfg, 2600, 3) == oracle_eve(eve, cfg, 2600, 3)
+
+    def test_summary_never_runs_scalar_rounds(self, monkeypatch):
+        def scalar(*args, **kwargs):
+            raise AssertionError("security ran a round on the scalar path")
+
+        for name in ("run_round", "run_check_round", "_encode_round"):
+            monkeypatch.setattr(P, name, scalar)
+        cfg = diff_config(3, 1, 0.2, (0.9, 0.05))
+        for eve in (
+            EveModel("none"),
+            EveModel("intercept_resend_atom", basis="z", target=0),
+            EveModel("intercept_resend_atom", basis="x", target=2),
+            EveModel("intercept_resend_photon"),
+        ):
+            S.security_summary(cfg, 300, seed=4, eve=eve)
