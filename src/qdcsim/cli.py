@@ -158,22 +158,6 @@ def _message_name(m: Message | None) -> str:
     return "abort" if m is None else m.value
 
 
-def outcome_to_dict(index: int, out: protocol.RoundOutcome) -> dict:
-    d: dict = {"round": index, "mode": out.mode}
-    if out.mode == "encode":
-        d["sent"] = _message_name(out.sent)
-        d["clicks"] = [[t, ch] for t, ch in out.detection.events] if out.detection else []
-        d["receiver_bits"] = out.receiver_bits
-        d["decoded"] = _message_name(out.decoded)
-        if out.bell_label is not None:
-            d["bell_label"] = out.bell_label
-    else:
-        d["check_bases"] = out.check_bases
-        d["check_conclusive"] = out.check_conclusive
-        d["check_passed"] = out.check_passed
-    return d
-
-
 def batch_summary(config: RoundConfig, stats: protocol.BatchStats,
                   include_wall_time: bool) -> dict:
     d = {
@@ -249,12 +233,17 @@ def _parse_eve(name: str) -> security.EveModel:
     return table[name]
 
 
+def _messages(args) -> tuple[Message, ...] | None:
+    return None if args.message == "random" else (Message.from_name(args.message),)
+
+
 def cmd_run(args) -> int:
+    """Round 0 of the config's seed: a one-round batch."""
     doc = load_config(args.config)
     config = build_round_config(doc, args)
-    rng = protocol.round_rng(config.seed, 0)
-    out = protocol.run_round(config, args.message, rng)
-    line = json.dumps(outcome_to_dict(0, out))
+    log: list[str] = []
+    protocol.run_batch(config, 1, messages=_messages(args), on_log=log.extend)
+    line = log[0]
     print(line)
     emitter = _Emitter(args.out, "run", args.config, args.seed)
     emitter.emit("round.json", line + "\n")
@@ -268,14 +257,10 @@ def cmd_batch(args) -> int:
     n_rounds = args.rounds if args.rounds is not None else _get_int(doc, "security", "rounds")
     if n_rounds < 1:
         raise ConfigError("rounds: must be >= 1")
-    messages = None if args.message == "random" else (Message.from_name(args.message),)
-    log_lines: list[str] = []
-    on_round = None
-    if args.round_log:
-        on_round = lambda i, out: log_lines.append(json.dumps(outcome_to_dict(i, out)))
+    log: list[str] = []
     stats = protocol.run_batch(
         config, n_rounds, seed=config.seed, threads=args.threads,
-        messages=messages, on_round=on_round,
+        messages=_messages(args), on_log=log.extend if args.round_log else None,
     )
     print(json.dumps(batch_summary(config, stats, include_wall_time=True)))
     emitter = _Emitter(args.out, "batch", args.config, args.seed)
@@ -284,7 +269,7 @@ def cmd_batch(args) -> int:
         json.dumps(batch_summary(config, stats, include_wall_time=False)) + "\n",
     )
     if args.round_log:
-        emitter.emit("rounds.jsonl", "\n".join(log_lines) + "\n")
+        emitter.emit("rounds.jsonl", "\n".join(log) + "\n")
     emitter.finish()
     return 0
 
@@ -378,25 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def common(p):
-        p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
-        p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (>= 1)")
-        p.add_argument(
-            "--rounds", type=int, default=None,
-            help="rounds to run; batch and security default to security.rounds, "
-            "sweep to sweep.rounds",
-        )
-        p.add_argument("--message", default="random", choices=["I", "X", "iY", "Z", "random"])
-        p.add_argument("--convention", dest="success_convention", default=None,
-                       choices=["survival", "integrated"])
-        p.add_argument("--p-check", dest="p_check", type=float, default=None)
-        p.add_argument("--ideal-pnr", dest="ideal_pnr", action="store_true", default=None)
-        p.add_argument("--eve", default=None)
-        p.add_argument("--paper-constants", dest="paper_constants", action="store_true")
-        p.add_argument("--round-log", dest="round_log", action="store_true")
-
+    parsers = {}
     for name, fn in [
         ("run", cmd_run),
         ("batch", cmd_batch),
@@ -405,9 +372,29 @@ def build_parser() -> argparse.ArgumentParser:
         ("feasibility", cmd_feasibility),
         ("decode-table", cmd_decode_table),
     ]:
-        p = sub.add_parser(name)
-        common(p)
+        p = parsers[name] = sub.add_parser(name)
+        p.add_argument("--config", default=None, help="JSON config path")
+        p.add_argument("--seed", type=int, default=None, help="seed override")
+        p.add_argument("--out", default=None, help="output directory")
+        p.add_argument("--threads", type=int, default=1, help="worker threads (>= 1)")
+        p.add_argument("--convention", dest="success_convention", default=None,
+                       choices=["survival", "integrated"])
+        p.add_argument("--p-check", dest="p_check", type=float, default=None)
+        p.add_argument("--ideal-pnr", dest="ideal_pnr", action="store_true", default=None)
         p.set_defaults(func=fn)
+    # the rest only where the subcommand reads them, so argparse rejects a
+    # flag that would be ignored
+    for name, default in [("batch", "security.rounds"), ("sweep", "sweep.rounds"),
+                          ("security", "security.rounds")]:
+        parsers[name].add_argument("--rounds", type=int, default=None,
+                                   help=f"rounds to run (default {default})")
+    for name in ("run", "batch"):
+        parsers[name].add_argument("--message", default="random",
+                                   choices=["I", "X", "iY", "Z", "random"])
+    parsers["batch"].add_argument("--round-log", dest="round_log", action="store_true")
+    parsers["security"].add_argument("--eve", default=None)
+    parsers["feasibility"].add_argument("--paper-constants", dest="paper_constants",
+                                        action="store_true")
     return parser
 
 

@@ -21,7 +21,8 @@ protocol prepares, and their collapses under a photon-number measurement),
 for which the no-jump crossing is the quadratic of ``_nojump_crossing``.
 It reads the compiled per-config plan (``protocol._Plan``) and returns
 per-row arrays.  :func:`run_blocks` runs the rounds of a batch, and
-``protocol`` aggregates them and builds the ``RoundOutcome`` objects;
+``protocol`` aggregates them and formats the round log from them (building
+``RoundOutcome`` objects only for ``run_batch(on_round=...)``);
 ``security`` drives the same row functions in its own draw orders from
 :func:`row_blocks`.
 """

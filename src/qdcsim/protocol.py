@@ -27,6 +27,7 @@ exponential arrival law).
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -942,6 +943,8 @@ class _Plan:
     decoded: np.ndarray | None  # honest mode: (n+, n-, bit code) -> message index
     pnr_cum: np.ndarray | None  # ideal PNR: (4, label x bit code) cumulative Bell weights
     pnr_decoded: np.ndarray | None  # ideal PNR: (label x bit code) -> message index
+    # round-log line tails per row key, filled by the first logged blocks
+    log_tails: dict = dataclasses.field(default_factory=dict, repr=False)
 
     @property
     def check(self) -> _CheckContext:
@@ -1180,6 +1183,95 @@ def _round_outcomes(plan: _Plan, r: lockstep.Rounds) -> list[RoundOutcome]:
     return out
 
 
+# The round log: one line per round, ``json.dumps`` of the dict
+#   check:  {"round", "mode", "check_bases", "check_conclusive", "check_passed"}
+#   encode: {"round", "mode", "sent", "clicks", "receiver_bits", "decoded"}
+#           plus "bell_label" on ideal-PNR rounds that kept their photons,
+# with "clicks" the [time, channel] pairs of the round's detector events in
+# time order, "abort" for an aborted decode.
+_LOG_CHANNELS = np.array([json.dumps(ch) for ch in (
+    CHANNEL_PLUS, CHANNEL_MINUS, DARK_PLUS, DARK_MINUS
+)])
+
+
+def _log_tail(plan: _Plan, r: lockstep.Rounds, row: int) -> str:
+    """Row ``row``'s log line after ``{"round": <index>``, with an empty
+    clicks list."""
+    if r.check[row]:
+        ctx, combo = plan.check, int(r.combo[row])
+        d = {
+            "round": 0,
+            "mode": "check",
+            "check_bases": ctx.bases[combo],
+            "check_conclusive": bool(ctx.conclusive[combo]),
+            "check_passed": bool(ctx.passed[combo, r.outcome[row]]),
+        }
+    else:
+        names = [m.value for m in MESSAGES] + ["abort"]  # by lockstep message index
+        d = {
+            "round": 0,
+            "mode": "encode",
+            "sent": names[r.sent[row]],
+            "clicks": [],
+            "receiver_bits": plan.info.bit_strings[r.bits[row]],
+            "decoded": names[r.decoded[row]],
+        }
+        if plan.config.ideal_pnr and r.label[row] >= 0:
+            d["bell_label"] = BELL_LABELS[r.label[row]]
+    return json.dumps(d)[len('{"round": 0'):]
+
+
+def _log_clicks(r: lockstep.Rounds, rows: np.ndarray) -> list[str]:
+    """The JSON clicks list of each of ``rows``: registered jumps, then the
+    D+ and D- dark counts, stably sorted by time, as ``_round_outcomes``
+    orders the events; times print as ``repr(float)``, as ``json.dumps``
+    prints them."""
+    times = np.concatenate((r.jump_t[rows], r.dark_t[rows]), axis=1)
+    present = np.concatenate((r.jump_seen[rows], ~np.isnan(r.dark_t[rows])), axis=1)
+    channel = np.concatenate(
+        (np.where(r.jump_sign[rows] > 0, 0, 1), np.broadcast_to([2, 3], (len(rows), 2))), axis=1
+    )
+    order = np.argsort(np.where(present, times, np.inf), axis=1, kind="stable")
+    present = np.take_along_axis(present, order, axis=1)
+    times = np.take_along_axis(times, order, axis=1)[present].tolist()
+    names = _LOG_CHANNELS[np.take_along_axis(channel, order, axis=1)[present]].tolist()
+    pieces = [f"[{t!r}, {ch}]" for t, ch in zip(times, names)]
+    out, lo = [], 0
+    for hi in np.cumsum(present.sum(axis=1)).tolist():
+        out.append("[" + ", ".join(pieces[lo:hi]) + "]")
+        lo = hi
+    return out
+
+
+def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int) -> list[str]:
+    """The round-log line of every row of a lockstep block whose first round
+    is ``first``.  Rows without detector events share a line up to the
+    round index: each distinct tail is built once per plan by
+    ``_log_tail``."""
+    n_codes = len(plan.info.bit_strings)
+    label = r.label + 1 if plan.config.ideal_pnr else 0
+    key = np.where(
+        r.check,
+        -1 - (r.combo << plan.config.n_parties) - r.outcome,
+        ((r.sent * n_codes + r.bits) * 5 + r.decoded) * 5 + label,
+    )
+    keys, rows, inverse = np.unique(key, return_index=True, return_inverse=True)
+    tails = []
+    for k, row in zip(keys.tolist(), rows.tolist()):
+        tail = plan.log_tails.get(k)
+        if tail is None:
+            tail = plan.log_tails[k] = _log_tail(plan, r, row)
+        tails.append(tail)
+    row_tails = [tails[j] for j in inverse.tolist()]
+    lines = [f'{{"round": {i}{tail}' for i, tail in zip(range(first, first + len(key)), row_tails)]
+    events = np.flatnonzero(r.jump_seen.any(axis=1) | ~np.isnan(r.dark_t).all(axis=1))
+    for row, clicks in zip(events.tolist(), _log_clicks(r, events)):
+        # an encode tail's first "[]" is its clicks list
+        head, _, rest = row_tails[row].partition("[]")
+        lines[row] = f'{{"round": {first + row}{head}{clicks}{rest}'
+    return lines
+
+
 def _run_chunk(
     config: RoundConfig,
     seed: int,
@@ -1187,15 +1279,19 @@ def _run_chunk(
     stop: int,
     messages: tuple[Message, ...],
     keep_outcomes: bool = False,
+    keep_log: bool = False,
 ) -> dict:
-    """Rounds ``start .. stop-1``, run in lockstep blocks."""
+    """Rounds ``start .. stop-1``, run in lockstep blocks; with
+    ``keep_outcomes`` their RoundOutcomes, with ``keep_log`` their round-log
+    lines."""
     plan = _plan(config)
     msg_ids = np.array([_MSG_INDEX[m] for m in messages])
     psi_ids = [_MSG_INDEX[Message.X], _MSG_INDEX[Message.IY]]
     confusion = np.zeros((4, 5), dtype=np.int64)
     n_check = check_pass = check_concl = 0
     psi_rounds = psi_clicks = psi_survived = 0
-    outcomes = []
+    outcomes, log = [], []
+    first = start
     for r in lockstep.run_blocks(plan, seed, start, stop, msg_ids):
         encode = ~r.check
         confusion += np.bincount(
@@ -1214,6 +1310,9 @@ def _run_chunk(
         psi_survived += int((psi & r.survived).sum())
         if keep_outcomes:
             outcomes.extend(_round_outcomes(plan, r))
+        if keep_log:
+            log.extend(_log_lines(plan, r, first))
+        first += len(r.check)
     return {
         "confusion": confusion,
         "n_check": n_check,
@@ -1223,6 +1322,7 @@ def _run_chunk(
         "psi_clicks": psi_clicks,
         "psi_survived": psi_survived,
         "outcomes": outcomes,
+        "log": log,
     }
 
 
@@ -1233,6 +1333,7 @@ def run_batch(
     threads: int = 1,
     messages: Sequence[Message] | None = None,
     on_round: Callable[[int, RoundOutcome], None] | None = None,
+    on_log: Callable[[list[str]], None] | None = None,
 ) -> BatchStats:
     """Run many rounds with per-round counter-based random streams.
 
@@ -1240,6 +1341,9 @@ def run_batch(
     may run on any number of threads, aggregation happens in fixed round
     order.  Rounds run in lockstep blocks (:mod:`qdcsim.lockstep`), each
     row reproducing :func:`run_round` on its own stream bit for bit.
+    ``on_round(i, outcome)`` receives every round's RoundOutcome, and
+    ``on_log(lines)`` each chunk's round-log lines (JSON, no newline), both
+    in round order.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -1253,14 +1357,14 @@ def run_batch(
     t0 = time.perf_counter()
     chunk = 2048
     bounds = [(s, min(s + chunk, n_rounds)) for s in range(0, n_rounds, chunk)]
-    keep = on_round is not None
+    keep = (on_round is not None, on_log is not None)
     if threads > 1 and len(bounds) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(
-                pool.map(lambda b: _run_chunk(config, seed, b[0], b[1], msgs, keep), bounds)
+                pool.map(lambda b: _run_chunk(config, seed, b[0], b[1], msgs, *keep), bounds)
             )
     else:
-        results = [_run_chunk(config, seed, lo, hi, msgs, keep) for lo, hi in bounds]
+        results = [_run_chunk(config, seed, lo, hi, msgs, *keep) for lo, hi in bounds]
 
     confusion = np.zeros((4, 5), dtype=np.int64)
     n_check = check_pass = check_concl = 0
@@ -1276,6 +1380,8 @@ def run_batch(
         if on_round is not None:
             for j, out in enumerate(res["outcomes"]):
                 on_round(lo + j, out)
+        if on_log is not None:
+            on_log(res["log"])
     wall = time.perf_counter() - t0
 
     n_encode = n_rounds - n_check

@@ -159,7 +159,7 @@ class TestRunCommand:
         def broken(*args, **kwargs):
             raise ValueError("invariant broken")
 
-        monkeypatch.setattr(cli.protocol, "run_round", broken)
+        monkeypatch.setattr(cli.protocol, "run_batch", broken)
         code, _, err = run_cli(["run", "--config", config_path], capsys)
         assert code == 3
         assert "internal error: ValueError" in err
@@ -191,6 +191,19 @@ class TestBatchCommand:
         assert "rounds.jsonl" in manifest["files"]
         lines = (out_dir / "rounds.jsonl").read_text().splitlines()
         assert len(lines) == 800
+
+    def test_round_log_builds_no_round_outcome(self, config_path, tmp_path, capsys,
+                                               monkeypatch):
+        def scalar(*args):
+            raise AssertionError("the round log built a RoundOutcome")
+
+        for name in ("_round_outcomes", "run_round", "_encode_round", "run_check_round"):
+            monkeypatch.setattr(P, name, scalar)
+        for argv in (["batch", "--rounds", "600", "--round-log"], ["run", "--p-check", "0.5"]):
+            code, _, err = run_cli(
+                [*argv, "--config", config_path, "--out", str(tmp_path / argv[0])], capsys
+            )
+            assert code == 0, err
 
     def test_byte_identical_across_threads(self, config_path, tmp_path, capsys):
         d1, d8 = tmp_path / "t1", tmp_path / "t8"
@@ -233,6 +246,38 @@ class TestBatchCommand:
         code, out, _ = run_cli(["batch", "--config", str(path)], capsys)
         assert code == 0
         assert json.loads(out.strip())["n_rounds"] == 37
+
+
+@pytest.mark.parametrize("argv", [
+    ["batch", "--eve", "none"],
+    ["batch", "--paper-constants"],
+    ["sweep", "--round-log"],
+    ["security", "--round-log"],
+    ["feasibility", "--round-log"],
+    ["run", "--round-log"],
+    ["decode-table", "--round-log"],
+    ["run", "--eve", "none"],
+    ["sweep", "--eve", "none"],
+    ["feasibility", "--eve", "none"],
+    ["decode-table", "--eve", "none"],
+    ["run", "--paper-constants"],
+    ["sweep", "--paper-constants"],
+    ["security", "--paper-constants"],
+    ["decode-table", "--paper-constants"],
+    ["run", "--rounds", "10"],
+    ["feasibility", "--rounds", "10"],
+    ["decode-table", "--rounds", "10"],
+    ["sweep", "--message", "Z"],
+    ["security", "--message", "Z"],
+    ["feasibility", "--message", "Z"],
+    ["decode-table", "--message", "Z"],
+], ids=" ".join)
+def test_ignored_flag_rejected(argv, config_path, capsys):
+    # a flag the subcommand would ignore is a usage error, not a silent no-op
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--config", config_path])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestGoldenDigest:

@@ -3,11 +3,13 @@
 ``run_batch`` runs rounds as numpy arrays (``qdcsim.lockstep``) on
 vectorized Philox streams (``qdcsim.streams``).  Each round must equal,
 field for field, the RoundOutcome the scalar path builds from the round's
-own ``Generator``.
+own ``Generator``, and its round-log line must equal the JSON of that
+RoundOutcome (:func:`outcome_to_dict`).
 """
 
 import dataclasses
 import itertools
+import json
 import sys
 
 import numpy as np
@@ -125,6 +127,25 @@ def oracle(config, n_rounds, seed, messages):
     return out
 
 
+def outcome_to_dict(index, out):
+    """The round-log dict of a RoundOutcome: the line format of
+    ``rounds.jsonl`` and ``round.json`` is ``json.dumps`` of it."""
+    name = lambda m: "abort" if m is None else m.value  # noqa: E731
+    d = {"round": index, "mode": out.mode}
+    if out.mode == "encode":
+        d["sent"] = name(out.sent)
+        d["clicks"] = [[t, ch] for t, ch in out.detection.events] if out.detection else []
+        d["receiver_bits"] = out.receiver_bits
+        d["decoded"] = name(out.decoded)
+        if out.bell_label is not None:
+            d["bell_label"] = out.bell_label
+    else:
+        d["check_bases"] = out.check_bases
+        d["check_conclusive"] = out.check_conclusive
+        d["check_passed"] = out.check_passed
+    return d
+
+
 def oracle_stats(outcomes):
     encode = [o for o in outcomes if o.mode == "encode"]
     checks = [o for o in outcomes if o.mode == "check" and o.check_conclusive]
@@ -143,14 +164,16 @@ def oracle_stats(outcomes):
 
 
 def assert_engine_matches(config, n_rounds, seed, messages, threads=1):
-    got = {}
+    got, log = {}, []
     stats = P.run_batch(
-        config, n_rounds, seed=seed, threads=threads, messages=messages, on_round=got.__setitem__
+        config, n_rounds, seed=seed, threads=threads, messages=messages,
+        on_round=got.__setitem__, on_log=log.extend,
     )
     want = oracle(config, n_rounds, seed, messages)
-    assert len(got) == n_rounds
+    assert len(got) == len(log) == n_rounds
     for i, expected in enumerate(want):
         assert got[i] == expected, f"round {i}"
+        assert log[i] == json.dumps(outcome_to_dict(i, expected)), f"round {i}"
     assert (
         stats.confusion, stats.n_check, stats.check_pass_rate,
         stats.psi_click_rate, stats.psi_survival_rate,
