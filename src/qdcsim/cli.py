@@ -285,6 +285,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep.t_windows: must be a nonempty list of positive times")
     if n_rounds < 1:
         raise ConfigError("sweep.rounds: must be >= 1")
+    if reason := protocol._no_click_rate(config):
+        raise ConfigError(f"round.{reason}")
     rows = protocol.run_sweep(config, grid, n_rounds, seed=config.seed, threads=args.threads)
     csv_text = sweep_csv(rows)
     sys.stdout.write(csv_text)

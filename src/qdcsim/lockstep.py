@@ -1,30 +1,27 @@
-"""Lockstep batch engine: a block of protocol rounds as numpy arrays.
+"""The round engine: a block of protocol rounds as numpy arrays.
 
-Each row of a block is one round of a batch.  It reads the draws the scalar
-path (``protocol.run_check_round`` / ``protocol._encode_round``) reads from
-the round's own Philox stream, in the same order, and evaluates each
-floating-point expression of that path with the same operations in the
-same order, so every row reproduces the scalar round bit for bit:
+Each row of a block is one round on its own stream: a
+:class:`~qdcsim.streams.RowStreams` row, or for ``protocol.run_round`` and
+``protocol.simulate_window`` one numpy ``Generator``.  A row equals, bit
+for bit, the same round computed alone with scalar numpy and ``math``
+calls (the reference the tests keep): it reads the same draws in the same
+order and evaluates each floating-point expression the same way:
 
 * element-wise arithmetic and ufuncs (``np.exp``, ``np.abs``, ``np.sqrt``,
   complex multiply and divide) give the same bits per element whatever
   the array's shape;
-* row reductions keep the scalar order: ``sum(axis=1)`` over a row equals
-  the row's own ``sum()``, and ``bincount``/``cumsum`` accumulate in index
-  order;
-* the per-row scalars the scalar path takes from libm (``math.exp``,
-  ``math.log``, float powers) are evaluated per row by the same Python
-  calls, never by numpy's SIMD versions.
+* row reductions keep the one-round order: ``sum(axis=1)`` over a row
+  equals the row's own ``sum()``, and ``bincount``/``cumsum`` accumulate in
+  index order;
+* the per-row scalars taken from libm (``math.exp``, ``math.log``, float
+  powers) are evaluated per row by the same Python calls, never by numpy's
+  SIMD versions.
 
-The engine takes start states of at most two photons (every state the
-protocol prepares, and their collapses under a photon-number measurement),
-for which the no-jump crossing is the quadratic of ``_nojump_crossing``.
-It reads the compiled per-config plan (``protocol._Plan``) and returns
-per-row arrays.  :func:`run_blocks` runs the rounds of a batch, and
-``protocol`` aggregates them and formats the round log from them (building
-``RoundOutcome`` objects only for ``run_batch(on_round=...)``);
-``security`` drives the same row functions in its own draw orders from
-:func:`row_blocks`.
+Start states hold at most two photons (every state the protocol prepares,
+and their collapses under a photon-number measurement), so the no-jump
+crossing time is the root of a quadratic.  :func:`run_block` runs the
+rounds of a block from the compiled plan (``protocol._Plan``); ``security``
+drives the same row functions in its own draw orders.
 """
 
 from __future__ import annotations
@@ -43,7 +40,7 @@ _SPAN = 2048  # rounds whose first words are computed in one call
 
 
 def _beamsplitter(info, psi: np.ndarray, sign: int) -> np.ndarray:
-    """Row-wise ``protocol._beamsplitter_raw``: (a_A + sign * a_B)/sqrt(2)."""
+    """(a_A + sign * a_B)/sqrt(2) on each row: the unscaled jump channel."""
     src_a, dst_a, coef_a = info.ann_a
     src_b, dst_b, coef_b = info.ann_b
     out = np.zeros_like(psi)
@@ -54,8 +51,8 @@ def _beamsplitter(info, psi: np.ndarray, sign: int) -> np.ndarray:
 
 
 def _jump_rate(psi: np.ndarray) -> np.ndarray:
-    """Each row's squared norm, as ``_window_raw`` sums it: real and imaginary
-    parts squared, then numpy's pairwise sum over the row."""
+    """Each row's squared norm: real and imaginary parts squared, then
+    numpy's pairwise sum over the row (not a BLAS dot product's order)."""
     return np.square(psi.view(np.float64)).sum(axis=1)
 
 
@@ -111,16 +108,10 @@ def row_blocks(seed: int, start: int, stop: int, dim: int):
             yield RowStreams(seed, indices[block], words[block])
 
 
-def run_blocks(plan, seed: int, start: int, stop: int, msg_ids: np.ndarray):
-    """Yield the :class:`Rounds` of rounds ``start .. stop-1`` of the batch
-    with ``seed``, one block at a time; encode rounds send
+def run_block(plan, streams: RowStreams, msg_ids: np.ndarray) -> Rounds:
+    """The protocol rounds of one block of streams; encode rounds send
     ``msg_ids[integers(0, len(msg_ids))]``."""
-    for streams in row_blocks(seed, start, stop, plan.amps.shape[1]):
-        yield _run_block(plan, streams, msg_ids)
-
-
-def _run_block(plan, streams: RowStreams, msg_ids: np.ndarray) -> Rounds:
-    rows = np.arange(len(streams.pos))
+    rows = np.arange(len(streams))
     res = Rounds.empty(len(rows))
     res.check = streams.random(rows) < plan.config.p_check
     check_rows = rows[res.check]
@@ -145,8 +136,8 @@ def pick(cum: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def check_rounds(streams: RowStreams, rows: np.ndarray, n_parties: int, cum: np.ndarray,
                  total: np.ndarray, branch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``run_check_round`` after its tamper draws: (basis combo, outcome) per
-    row.  ``cum``/``total`` hold the outcome law per (tamper branch, combo);
+    """GHZ parity-check rounds after any tamper draws: (basis combo, outcome)
+    per row.  ``cum``/``total`` hold the outcome law per (tamper branch, combo);
     ``branch`` is each row's branch (all 0 untampered)."""
     combo = np.zeros(len(rows), dtype=np.int64)
     for _ in range(n_parties):
@@ -157,7 +148,7 @@ def check_rounds(streams: RowStreams, rows: np.ndarray, n_parties: int, cum: np.
 
 def encode_rounds(plan, streams: RowStreams, rows: np.ndarray, sent: np.ndarray,
                   res: Rounds) -> None:
-    """``_encode_round`` of message index ``sent`` for every row."""
+    """An encode round of message index ``sent`` for every row."""
     res.sent[rows] = sent
     if plan.config.ideal_pnr:
         _ideal_pnr_rounds(plan, streams, rows, sent, res)
@@ -178,10 +169,9 @@ def _ideal_pnr_rounds(plan, streams, rows, sent, res: Rounds) -> None:
 
 
 def _crossings(norms: np.ndarray, k: float, u: np.ndarray, t_max: np.ndarray):
-    """Row-wise ``_nojump_crossing`` on trimmed sector norms of at most two
-    photons: (dt, none) with ``none`` where the norm stays above u."""
-    if norms.shape[1] > 3 and norms[:, 3:].any():
-        raise ValueError("lockstep windows take states of at most two photons")
+    """Row-wise first t in (0, t_max] where the no-jump squared norm, the
+    quadratic sum_n P_n x^n in x = exp(-2kt) for sector norms of at most two
+    photons, hits u: (dt, none) with ``none`` where it stays above u."""
     p0, p1, p2 = norms[:, 0], norms[:, 1], norms[:, 2]
     x_end = [math.exp(v) for v in ((-2.0 * k) * t_max).tolist()]
     # sum(p * x_end**n): absent trailing sectors add exact zeros
@@ -204,25 +194,26 @@ def _crossings(norms: np.ndarray, k: float, u: np.ndarray, t_max: np.ndarray):
     return dt, none
 
 
-def window_rounds(plan, streams: RowStreams, rows, amps: np.ndarray, norms: np.ndarray,
-                  start: np.ndarray, res: Rounds) -> None:
-    """``_window_raw``, ``_sample_bits_raw`` and ``decode`` for every row,
-    starting from ``amps[start]`` with photon-sector weights ``norms[start]``."""
-    cfg = plan.config
-    k, window = cfg.params.k, cfg.t_window
-    eta, p_dc = cfg.detector.efficiency, cfg.detector.dark_prob
-    info = plan.info
+def window(info, config, streams, rows, psi: np.ndarray, norms: np.ndarray,
+           res: Rounds) -> tuple[np.ndarray, np.ndarray]:
+    """The detection window (``protocol.simulate_window``) of every row,
+    from start states ``psi`` (overwritten) of layout ``info`` with
+    photon-sector weights ``norms``: writes each row's jumps, dark counts,
+    click counts and survival flag into ``res``; returns the end-of-window
+    states and whether each row jumped."""
+    if norms.shape[1] > 3 and norms[:, 3:].any():
+        raise ValueError("detection windows take states of at most two photons")
+    k, t_window = config.params.k, config.t_window
+    eta, p_dc = config.detector.efficiency, config.detector.dark_prob
     n_vec = info.photon_numbers
     n_sectors = norms.shape[1]
     decay_rate = -k * n_vec
     n = len(rows)
-    psi = amps[start]
     t = np.zeros(n)
     jumped = np.zeros(n, dtype=bool)
     survived = np.zeros(n, dtype=bool)
     jumps = []  # per jump number: (local rows, times, signs, registered)
     act = np.arange(n)
-    norms = norms[start]
     while act.size:
         if jumps:
             norms = _binned(np.abs(psi[act]) ** 2, n_vec, n_sectors)
@@ -233,10 +224,11 @@ def window_rounds(plan, streams: RowStreams, rows, amps: np.ndarray, norms: np.n
         keep = u < total
         act, norms, total, u = act[keep], norms[keep], total[keep], u[keep]
         if k == 0.0:
+            # ideal extraction: every photon leaves, at a uniform time in the rest of the window
             act = act[u < total - norms[:, 0]]
-            t_jump = t[act] + streams.random(rows[act]) * (window - t[act])
+            t_jump = t[act] + streams.random(rows[act]) * (t_window - t[act])
         else:
-            dt, none = _crossings(norms, k, u, window - t[act])
+            dt, none = _crossings(norms, k, u, t_window - t[act])
             first = none & ~jumped[act]
             survived[act[first]] = total[first] - norms[first, 0] > 1e-12
             act, dt = act[~none], dt[~none]
@@ -257,13 +249,13 @@ def window_rounds(plan, streams: RowStreams, rows, amps: np.ndarray, norms: np.n
         seen = streams.random(rows[act]) < eta
         jumps.append((act, t[act], np.where(pick, 1, -1), seen))
     if k > 0.0:
-        psi = psi * np.exp(decay_rate * (window - t)[:, None])
+        psi = psi * np.exp(decay_rate * (t_window - t)[:, None])
 
     dark_t = np.full((n, 2), np.nan)
     if p_dc > 0.0:
         for col in range(2):
             fired = np.flatnonzero(streams.random(rows) < p_dc)
-            dark_t[fired, col] = streams.random(rows[fired]) * window
+            dark_t[fired, col] = streams.random(rows[fired]) * t_window
 
     shape = (len(res.check), len(jumps))
     res.jump_t, res.jump_sign, res.jump_seen = (
@@ -274,19 +266,26 @@ def window_rounds(plan, streams: RowStreams, rows, amps: np.ndarray, norms: np.n
             times, signs, seen
         )
     seen, sign = res.jump_seen[rows], res.jump_sign[rows]
-    n_plus = (seen & (sign > 0)).sum(axis=1) + ~np.isnan(dark_t[:, 0])
-    n_minus = (seen & (sign < 0)).sum(axis=1) + ~np.isnan(dark_t[:, 1])
-    code = _sample_bits(plan, streams, rows, psi)
-
-    res.bits[rows] = code
-    res.clicks[rows, 0], res.clicks[rows, 1] = n_plus, n_minus
-    res.decoded[rows] = plan.decoded[n_plus, n_minus, code]
+    res.clicks[rows, 0] = (seen & (sign > 0)).sum(axis=1) + ~np.isnan(dark_t[:, 0])
+    res.clicks[rows, 1] = (seen & (sign < 0)).sum(axis=1) + ~np.isnan(dark_t[:, 1])
     res.survived[rows] = survived
     res.dark_t[rows] = dark_t
+    return psi, jumped
+
+
+def window_rounds(plan, streams: RowStreams, rows, amps: np.ndarray, norms: np.ndarray,
+                  start: np.ndarray, res: Rounds) -> None:
+    """The :func:`window`, receiver bits and decode of every row, starting
+    from ``amps[start]`` with photon-sector weights ``norms[start]``."""
+    psi, _ = window(plan.info, plan.config, streams, rows, amps[start], norms[start], res)
+    code = _sample_bits(plan, streams, rows, psi)
+    res.bits[rows] = code
+    res.decoded[rows] = plan.decoded[res.clicks[rows, 0], res.clicks[rows, 1], code]
 
 
 def _sample_bits(plan, streams: RowStreams, rows, psi: np.ndarray) -> np.ndarray:
-    """Row-wise ``_sample_bits_raw``."""
+    """Each row's receiver bit code, drawn from its end-of-window state
+    (uniform where the state is numerically empty)."""
     n_codes = len(plan.info.bit_strings)
     weights = np.abs(psi) ** 2
     total = weights.sum(axis=1)

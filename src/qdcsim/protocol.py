@@ -49,7 +49,6 @@ from .hilbert import (
     SystemLayout,
     apply_site_operator,
     atom_site,
-    draw_outcome,
     mode_site,
     norm_sq,
     pauli_encode,
@@ -384,22 +383,6 @@ def all_bit_strings(config: RoundConfig) -> tuple[str, ...]:
 # photonic Bell decomposition
 
 
-def _beamsplitter_raw(info: _LayoutInfo, amps: np.ndarray, sign: int) -> np.ndarray:
-    src_a, dst_a, coef_a = info.ann_a
-    src_b, dst_b, coef_b = info.ann_b
-    out = np.zeros_like(amps)
-    out[dst_a] += coef_a * amps[src_a]
-    out[dst_b] += sign * coef_b * amps[src_b]
-    out /= math.sqrt(2.0)
-    return out
-
-
-def _beamsplitter_apply(state: StateVector, sign: int) -> StateVector:
-    """(a_A + sign * a_B)/sqrt(2) |state> (unscaled beam-splitter channel)."""
-    info = _layout_info(state.layout)
-    return StateVector(state.layout, _beamsplitter_raw(info, state.amplitudes, sign))
-
-
 def jump_apply(state: StateVector, sign: int, k: float) -> StateVector:
     """Collapse operator C_pm = sqrt(2k) (a_A pm a_B)/sqrt(2).
 
@@ -408,8 +391,8 @@ def jump_apply(state: StateVector, sign: int, k: float) -> StateVector:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    out = _beamsplitter_apply(state, sign)
-    return StateVector(state.layout, math.sqrt(2.0 * k) * out.amplitudes)
+    out = lockstep._beamsplitter(_layout_info(state.layout), state.amplitudes[None], sign)[0]
+    return StateVector(state.layout, math.sqrt(2.0 * k) * out)
 
 
 @dataclass(frozen=True)
@@ -488,47 +471,28 @@ def bell_weights(
 # Monte-Carlo wavefunction detection window
 
 
-def _nojump_crossing(
-    sector_norms: np.ndarray, k: float, u: float, t_max: float
-) -> float | None:
-    """First t in (0, t_max] where the no-jump squared norm hits u.
+class _GeneratorRows:
+    """:class:`qdcsim.streams.RowStreams` draws for a one-row block, taken
+    from one numpy ``Generator``: one value per row given, none for no rows."""
 
-    The norm is sum_n P_n x^n with x = exp(-2kt); for photon sectors up to
-    n = 2 this is a quadratic in x, otherwise bisection.
-    """
-    n_max = len(sector_norms) - 1
-    x_end = math.exp(-2.0 * k * t_max)
-    norm_end = sum(p * x_end**n for n, p in enumerate(sector_norms))
-    if norm_end >= u:
-        return None
-    if n_max <= 2:
-        p0 = sector_norms[0]
-        p1 = sector_norms[1] if n_max >= 1 else 0.0
-        p2 = sector_norms[2] if n_max >= 2 else 0.0
-        if p2 < 1e-300:
-            x = (u - p0) / p1
-        else:
-            disc = p1 * p1 - 4.0 * p2 * (p0 - u)
-            x = (-p1 + math.sqrt(max(disc, 0.0))) / (2.0 * p2)
-        x = min(max(x, x_end), 1.0)
-        return -math.log(x) / (2.0 * k)
-    lo, hi = 0.0, t_max
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        val = sum(p * math.exp(-2.0 * k * n * mid) for n, p in enumerate(sector_norms))
-        if val > u:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-15 * t_max:
-            break
-    return 0.5 * (lo + hi)
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+
+    def __len__(self) -> int:
+        return 1
+
+    def random(self, rows: np.ndarray) -> np.ndarray:
+        return self._rng.random(len(rows))
+
+    def integers(self, rows: np.ndarray, n: int) -> np.ndarray:
+        return self._rng.integers(0, n, size=len(rows))
 
 
 def simulate_window(
     state: StateVector, config: RoundConfig, rng: np.random.Generator
 ) -> WindowResult:
-    """Unravel the detection window for one trajectory.
+    """Unravel the detection window for one trajectory (one row of
+    :func:`qdcsim.lockstep.window`, drawing from ``rng``).
 
     Draw u uniform; evolve the pure-decay no-jump state until its squared
     norm reaches u or the window elapses; on a jump pick the channel with
@@ -537,111 +501,20 @@ def simulate_window(
     and a fresh u is drawn.  Dark counts are superimposed per detector.
 
     For single-photon states the registered-click probability by time t is
-    eta * (1 - exp(-2kt)) * (one-photon weight).
+    eta * (1 - exp(-2kt)) * (one-photon weight).  A start state with weight
+    on three or more photons raises ValueError before any draw.
     """
     info = _layout_info(state.layout)
-    psi, events, jumped, photon_survived = _window_raw(
-        info, state.amplitudes.copy(), config, rng
+    amps = state.amplitudes[None]
+    r = lockstep.Rounds.empty(1)
+    psi, jumped = lockstep.window(
+        info, config, _GeneratorRows(rng), np.zeros(1, dtype=np.int64), amps.copy(),
+        _sector_norms(info, amps), r,
     )
-    record = DetectionRecord(tuple(events), config.t_window)
-    return WindowResult(record, StateVector(state.layout, psi), jumped, photon_survived)
-
-
-def _window_raw(
-    info: _LayoutInfo, psi: np.ndarray, config: RoundConfig, rng: np.random.Generator
-) -> tuple[np.ndarray, list, bool, bool]:
-    k = config.params.k
-    eta = config.detector.efficiency
-    window = config.t_window
-    n_vec = info.photon_numbers
-    n_max = int(n_vec.max())
-
-    events: list[tuple[float, str]] = []
-    t = 0.0
-    jumped = False
-    photon_survived = False
-
-    while True:
-        sector_norms = np.bincount(n_vec, weights=np.abs(psi) ** 2, minlength=n_max + 1)
-        total = float(sector_norms.sum())
-        if total <= 1e-300:
-            break
-        u = rng.random()
-        if u >= total:
-            break
-        if k == 0.0:
-            # Ideal-extraction limit: photons always leave by window end,
-            # arrival times uniform over the remaining window.
-            photon_weight = total - float(sector_norms[0])
-            if u >= photon_weight:
-                break
-            t_jump = t + rng.random() * (window - t)
-        else:
-            # trailing empty sectors trimmed: states of <= 2 photons take the quadratic
-            top = n_max
-            while sector_norms[top] == 0.0:
-                top -= 1
-            dt_jump = _nojump_crossing(sector_norms[: top + 1], k, u, window - t)
-            if dt_jump is None:
-                if not jumped:
-                    photon_survived = bool(total - float(sector_norms[0]) > 1e-12)
-                break
-            t_jump = t + dt_jump
-            psi = psi * np.exp(-k * n_vec * dt_jump)
-        t = t_jump
-        plus = _beamsplitter_raw(info, psi, +1)
-        minus = _beamsplitter_raw(info, psi, -1)
-        # squared norms summed in numpy's fixed pairwise order (a BLAS dot
-        # product's order is the library's), which the lockstep engine repeats
-        r_plus = float(np.square(plus.view(np.float64)).sum())
-        r_minus = float(np.square(minus.view(np.float64)).sum())
-        if r_plus + r_minus <= 0.0:
-            break
-        if rng.random() * (r_plus + r_minus) < r_plus:
-            psi, channel, rate = plus, CHANNEL_PLUS, r_plus
-        else:
-            psi, channel, rate = minus, CHANNEL_MINUS, r_minus
-        psi = psi / math.sqrt(rate)
-        jumped = True
-        if rng.random() < eta:
-            events.append((t, channel))
-
-    if k > 0.0:
-        psi = psi * np.exp(-k * n_vec * (window - t))
-
-    p_dc = config.detector.dark_prob
-    for dark_channel in (DARK_PLUS, DARK_MINUS):
-        if p_dc > 0.0 and rng.random() < p_dc:
-            events.append((rng.random() * window, dark_channel))
-
-    events.sort(key=lambda ev: ev[0])
-    return psi, events, jumped, photon_survived
-
-
-def sample_receiver_bits(
-    state: StateVector, rng: np.random.Generator
-) -> str:
-    """Measure the rotated receivers' atoms in the computational basis.
-
-    Sampled from the (normalized) given state; a numerically empty state
-    yields uniform bits (lost-photon rounds leave receivers uncorrelated).
-    """
-    return _sample_bits_raw(_layout_info(state.layout), state.amplitudes, rng)
-
-
-def _sample_bits_raw(
-    info: _LayoutInfo, amps: np.ndarray, rng: np.random.Generator
-) -> str:
-    m = len(info.receiver_sites)
-    weights = np.abs(amps) ** 2
-    total = float(weights.sum())
-    if total <= 1e-30:
-        code = int(rng.integers(0, 2**m)) if m else 0
-        return info.bit_strings[code]
-    probs = np.bincount(info.bit_codes, weights=weights, minlength=2**m)
-    code = int(np.searchsorted(np.cumsum(probs), rng.random() * total, side="right"))
-    code = min(code, 2**m - 1)
-    return info.bit_strings[code]
+    return WindowResult(
+        DetectionRecord(_events(r, 0), config.t_window), StateVector(state.layout, psi[0]),
+        bool(jumped[0]), bool(r.survived[0]),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -814,8 +687,8 @@ _BASIS_ROTATIONS = {
 def atom_measurement(
     state: StateVector, site: int, basis: str = "z"
 ) -> tuple[np.ndarray, Callable[[int], StateVector]]:
-    """:func:`measure_atom` undrawn: the outcome weights and the map from an
-    outcome to the collapsed renormalized state."""
+    """One atom's projective measurement, undrawn: the outcome weights and the
+    map to the collapsed renormalized state.  Outcome 0 in basis 'x'/'y' is +1."""
     if state.layout.site_kind(site) is not SiteKind.ATOM:
         raise hilbert.NotAnAtomSite(f"site {site} is not an atom")
     if basis == "z":
@@ -823,17 +696,6 @@ def atom_measurement(
     rotation = _BASIS_ROTATIONS[basis]
     probs, collapse = site_measurement(apply_site_operator(state, site, rotation), site)
     return probs, lambda outcome: apply_site_operator(collapse(outcome), site, rotation.conj().T)
-
-
-def measure_atom(
-    state: StateVector, site: int, rng: np.random.Generator, basis: str = "z"
-) -> tuple[int, StateVector]:
-    """Projective measurement of one atom; returns (occupation outcome,
-    collapsed renormalized state).  Basis 'x'/'y' measures the respective
-    Pauli; the returned outcome 0 corresponds to eigenvalue +1."""
-    probs, collapse = atom_measurement(state, site, basis)
-    outcome = draw_outcome(probs, rng.random())
-    return outcome, collapse(outcome)
 
 
 def ghz_expected_parity(n_y: int) -> int | None:
@@ -892,38 +754,6 @@ def _check_context(n_parties: int) -> _CheckContext:
     )
 
 
-def run_check_round(
-    config: RoundConfig,
-    rng: np.random.Generator,
-    tamper: Callable[[StateVector, np.random.Generator], StateVector] | None = None,
-) -> RoundOutcome:
-    """One security-check round: every party measures its atom in a random
-    x/y basis; conclusive basis multisets must reproduce the GHZ parity.
-
-    Check rounds live on an atoms-only layout (the cavities stay in vacuum
-    and never participate)."""
-    ctx = _check_context(config.n_parties)
-    amps = None
-    if tamper is not None:
-        amps = tamper(StateVector(ctx.layout, ctx.ghz.copy()), rng).amplitudes
-    combo = 0
-    for _ in range(config.n_parties):
-        combo = (combo << 1) | int(rng.integers(0, 2))
-    if amps is None:
-        cum, total = ctx.cum[combo], ctx.total[combo]
-    else:
-        probs = np.abs(ctx.rotations[combo] @ amps) ** 2
-        cum, total = np.cumsum(probs), float(probs.sum())
-    outcome = int(np.searchsorted(cum, rng.random() * total, side="right"))
-    outcome = min(outcome, ctx.layout.dim - 1)
-    return RoundOutcome(
-        mode="check",
-        check_conclusive=bool(ctx.conclusive[combo]),
-        check_passed=bool(ctx.passed[combo, outcome]),
-        check_bases=ctx.bases[combo],
-    )
-
-
 # ---------------------------------------------------------------------------
 # compiled per-config plan
 
@@ -931,8 +761,8 @@ def run_check_round(
 @dataclass(frozen=True, eq=False)
 class _Plan:
     """Everything a round of one config reads, compiled once per config with
-    the seed excluded.  Each table holds what the scalar path used to
-    compute per round, from the same expression, so it is bit-equal."""
+    the seed excluded.  Each table holds what a round computed on its own
+    would evaluate, from the same expression, so it is bit-equal."""
 
     config: RoundConfig
     info: _LayoutInfo
@@ -954,8 +784,8 @@ class _Plan:
 
 
 def _sector_norms(info: _LayoutInfo, amps: np.ndarray) -> np.ndarray:
-    """Photon-sector weights of each row of ``amps``, summed as
-    ``_window_raw`` sums them."""
+    """Photon-sector weights of each row of ``amps``, summed in index order
+    (``bincount``), as the detection window re-sums them after a jump."""
     n_sectors = int(info.photon_numbers.max()) + 1
     return _frozen(np.array([
         np.bincount(info.photon_numbers, weights=np.abs(a) ** 2, minlength=n_sectors)
@@ -1019,166 +849,71 @@ def round_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-class _RoundStreams:
-    """Cheap per-round Philox streams, bit-identical to :func:`round_rng`,
-    for running many scalar rounds (the statistical tests of the scalar
-    window do); batches and security experiments run on the lockstep engine.
-
-    Reuses one bit generator and rewrites its (key, counter) state per
-    round, avoiding the OS-entropy draw hidden in Philox construction.
-    Not thread-safe.
-    """
-
-    def __init__(self, seed: int):
-        self._bg = np.random.Philox(key=np.zeros(2, dtype=np.uint64))
-        self._state = self._bg.state
-        self._state["state"]["key"][0] = seed & 0xFFFFFFFFFFFFFFFF
-        self._seed = seed
-
-    def rng(self, index: int) -> np.random.Generator:
-        st = self._state
-        st["state"]["counter"][:] = 0
-        st["state"]["key"][1] = index & 0xFFFFFFFFFFFFFFFF
-        st["buffer_pos"] = 4
-        st["has_uint32"] = 0
-        st["uinteger"] = 0
-        self._bg.state = st
-        return np.random.Generator(self._bg)
-
-
-def _sample_ideal_pnr(
-    plan: _Plan, message: Message, rng: np.random.Generator
-) -> tuple[str | None, str | None]:
-    """Oracle four-state discrimination: sample (Bell label, bits) with the
-    exact branch weights; remaining probability mass is a lost round."""
-    u = rng.random()
-    strings = plan.info.bit_strings
-    for j, acc in enumerate(plan.pnr_cum[_MSG_INDEX[message]].tolist()):
-        if u < acc:
-            return BELL_LABELS[j // len(strings)], strings[j % len(strings)]
-    return None, None
-
-
-def _encode_round(
-    config: RoundConfig,
-    sent: Message,
-    rng: np.random.Generator,
-    tamper: Callable[[StateVector, np.random.Generator], StateVector] | None = None,
-) -> RoundOutcome:
-    """One encode round of ``sent``; ``tamper`` acts on the pipeline state
-    before the detection window."""
-    plan = _plan(config)
-    info = plan.info
-
-    if config.ideal_pnr:
-        if tamper is not None:
-            raise ValueError("ideal_pnr: the oracle decode never reads the tampered state")
-        label, bits = _sample_ideal_pnr(plan, sent, rng)
-        if label is None:
-            bits = info.bit_strings[int(rng.integers(0, len(info.bit_strings)))]
-            decoded = None
-        else:
-            decoded = plan.table[(label, bits)]
-        record = DetectionRecord((), config.t_window)
-        return RoundOutcome(
-            mode="encode",
-            sent=sent,
-            receiver_bits=bits,
-            detection=record,
-            decoded=decoded,
-            bell_label=label,
-        )
-
-    amps = plan.amps[_MSG_INDEX[sent]].copy()
-    if tamper is not None:
-        layout = layout_for(config.n_parties, config.cutoff)
-        amps = tamper(StateVector(layout, amps), rng).amplitudes
-    psi, events, jumped, photon_survived = _window_raw(info, amps, config, rng)
-    record = DetectionRecord(tuple(events), config.t_window)
-    bits = _sample_bits_raw(info, psi, rng)
-    decoded = _decode_rule(plan.table, plan.ml, record.counts(), bits)
-    return RoundOutcome(
-        mode="encode",
-        sent=sent,
-        receiver_bits=bits,
-        detection=record,
-        decoded=decoded,
-        real_click=record.has_real_click(),
-        photon_survived=photon_survived,
-    )
-
-
 def run_round(
     config: RoundConfig,
     message: Message | str = "random",
     rng: np.random.Generator | None = None,
 ) -> RoundOutcome:
     """One full protocol round (check branch with probability p_check,
-    otherwise encode/transfer/detect/decode)."""
+    otherwise encode/transfer/detect/decode): a one-row lockstep block
+    drawing from ``rng`` (by default round 0 of the config's seed)."""
     if rng is None:
         rng = round_rng(config.seed, 0)
-    if rng.random() < config.p_check:
-        return run_check_round(config, rng)
     if message == "random":
-        sent = MESSAGES[int(rng.integers(0, 4))]
-    elif isinstance(message, Message):
-        sent = message
+        msg_ids = np.arange(len(MESSAGES))
     else:
-        sent = Message.from_name(str(message))
-    return _encode_round(config, sent, rng)
+        sent = message if isinstance(message, Message) else Message.from_name(str(message))
+        msg_ids = np.array([_MSG_INDEX[sent]])
+    plan = _plan(config)
+    return _round_outcomes(plan, lockstep.run_block(plan, _GeneratorRows(rng), msg_ids))[0]
+
+
+def _events(r: lockstep.Rounds, row: int) -> tuple[tuple[float, str], ...]:
+    """The detector events of one row of a lockstep block in time order:
+    registered jumps, then the D+ and D- dark counts, stably sorted."""
+    record = [
+        (t, CHANNEL_PLUS if sign > 0 else CHANNEL_MINUS)
+        for t, sign, seen in zip(
+            r.jump_t[row].tolist(), r.jump_sign[row].tolist(), r.jump_seen[row].tolist()
+        )
+        if seen
+    ]
+    record += [(t, ch) for t, ch in zip(r.dark_t[row].tolist(), (DARK_PLUS, DARK_MINUS)) if t == t]
+    record.sort(key=lambda ev: ev[0])
+    return tuple(record)
 
 
 def _round_outcomes(plan: _Plan, r: lockstep.Rounds) -> list[RoundOutcome]:
-    """The RoundOutcome of every row of a lockstep block, equal to the one
-    run_round builds.  Outcomes without detector events repeat, and being
-    immutable each is built once per block."""
+    """The RoundOutcome of every row of a lockstep block."""
     window = plan.config.t_window
     strings = plan.info.bit_strings
     messages = MESSAGES + (None,)  # indexed by lockstep message index
-    events = [()] * len(r.check)
-    for i in np.flatnonzero(r.jump_seen.any(axis=1) | ~np.isnan(r.dark_t).all(axis=1)).tolist():
-        record = [
-            (t, CHANNEL_PLUS if sign > 0 else CHANNEL_MINUS)
-            for t, sign, seen in zip(
-                r.jump_t[i].tolist(), r.jump_sign[i].tolist(), r.jump_seen[i].tolist()
-            )
-            if seen
-        ]
-        record += [(t, ch) for t, ch in zip(r.dark_t[i].tolist(), (DARK_PLUS, DARK_MINUS)) if t == t]
-        record.sort(key=lambda ev: ev[0])
-        events[i] = tuple(record)
-
-    shared: dict[tuple, RoundOutcome] = {}
     out = []
     rows = zip(
         r.check.tolist(), r.combo.tolist(), r.outcome.tolist(), r.sent.tolist(),
-        r.bits.tolist(), r.decoded.tolist(), r.label.tolist(), r.survived.tolist(), events,
+        r.bits.tolist(), r.decoded.tolist(), r.label.tolist(), r.survived.tolist(),
     )
-    for row in rows:
-        outcome = shared.get(row) if not row[-1] else None
-        if outcome is None:
-            check, combo, measured, sent, bits, decoded, label, survived, record = row
-            if check:
-                ctx = plan.check
-                outcome = RoundOutcome(
-                    mode="check",
-                    check_conclusive=bool(ctx.conclusive[combo]),
-                    check_passed=bool(ctx.passed[combo, measured]),
-                    check_bases=ctx.bases[combo],
-                )
-            else:
-                outcome = RoundOutcome(
-                    mode="encode",
-                    sent=messages[sent],
-                    receiver_bits=strings[bits],
-                    detection=DetectionRecord(record, window),
-                    decoded=messages[decoded],
-                    bell_label=BELL_LABELS[label] if plan.config.ideal_pnr and label >= 0 else None,
-                    real_click=any(ch in (CHANNEL_PLUS, CHANNEL_MINUS) for _, ch in record),
-                    photon_survived=survived,
-                )
-            if not record:
-                shared[row] = outcome
+    for i, (check, combo, measured, sent, bits, decoded, label, survived) in enumerate(rows):
+        if check:
+            ctx = plan.check
+            outcome = RoundOutcome(
+                mode="check",
+                check_conclusive=bool(ctx.conclusive[combo]),
+                check_passed=bool(ctx.passed[combo, measured]),
+                check_bases=ctx.bases[combo],
+            )
+        else:
+            detection = DetectionRecord(_events(r, i), window)
+            outcome = RoundOutcome(
+                mode="encode",
+                sent=messages[sent],
+                receiver_bits=strings[bits],
+                detection=detection,
+                decoded=messages[decoded],
+                bell_label=BELL_LABELS[label] if plan.config.ideal_pnr and label >= 0 else None,
+                real_click=detection.has_real_click(),
+                photon_survived=survived,
+            )
         out.append(outcome)
     return out
 
@@ -1223,9 +958,8 @@ def _log_tail(plan: _Plan, r: lockstep.Rounds, row: int) -> str:
 
 def _log_clicks(r: lockstep.Rounds, rows: np.ndarray) -> list[str]:
     """The JSON clicks list of each of ``rows``: registered jumps, then the
-    D+ and D- dark counts, stably sorted by time, as ``_round_outcomes``
-    orders the events; times print as ``repr(float)``, as ``json.dumps``
-    prints them."""
+    D+ and D- dark counts, stably sorted by time, as ``_events`` orders
+    them; times print as ``repr(float)``, as ``json.dumps`` prints them."""
     times = np.concatenate((r.jump_t[rows], r.dark_t[rows]), axis=1)
     present = np.concatenate((r.jump_seen[rows], ~np.isnan(r.dark_t[rows])), axis=1)
     channel = np.concatenate(
@@ -1292,7 +1026,8 @@ def _run_chunk(
     psi_rounds = psi_clicks = psi_survived = 0
     outcomes, log = [], []
     first = start
-    for r in lockstep.run_blocks(plan, seed, start, stop, msg_ids):
+    for streams in lockstep.row_blocks(seed, start, stop, plan.amps.shape[1]):
+        r = lockstep.run_block(plan, streams, msg_ids)
         encode = ~r.check
         confusion += np.bincount(
             5 * r.sent[encode] + r.decoded[encode], minlength=20
@@ -1412,6 +1147,15 @@ def success_probability_formula(config: RoundConfig) -> float:
     return beta * beta * (1.0 - decay)
 
 
+def _no_click_rate(config: RoundConfig) -> str | None:
+    """Why a sweep of ``config`` has no click rate, after the field's name."""
+    if config.ideal_pnr:
+        return "ideal_pnr: ideal-PNR rounds record no clicks, so a sweep has no click rate"
+    if config.p_check == 1.0:
+        return "p_check: at 1 no round encodes a message, so a sweep has no click rate"
+    return None
+
+
 def run_sweep(
     config: RoundConfig,
     t_windows: Sequence[float],
@@ -1420,9 +1164,12 @@ def run_sweep(
     threads: int = 1,
 ) -> list[dict]:
     """Detection-window sweep: both analytic conventions next to the
-    Monte-Carlo click-rate estimate for a fixed psi-branch message."""
+    Monte-Carlo click-rate estimate for a fixed psi-branch message.  A
+    config without a click rate (ideal PNR, p_check = 1) raises ValueError."""
     if not t_windows:
         raise ValueError("sweep grid must be nonempty")
+    if reason := _no_click_rate(config):
+        raise ValueError(reason)
     rows = []
     for t_w in t_windows:
         cfg = dataclasses.replace(config, t_window=float(t_w))

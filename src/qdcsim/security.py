@@ -198,10 +198,10 @@ def optimal_guess_rate(
 #
 # Each experiment runs round i on the Philox stream (seed, i), in blocks of
 # rounds as numpy arrays (qdcsim.lockstep).  A row reads the draws of the
-# scalar round the experiment describes (run_round, run_check_round, a
-# tampered _encode_round), in the same order, from tables compiled once per
-# call with the scalar path's own expressions, so it reproduces that round
-# bit for bit.
+# round the experiment describes (an encode round, a tampered check round, a
+# tampered encode round), in the same order, from tables compiled once per
+# call with the expressions that round evaluates, so it reproduces that
+# round, computed on its own, bit for bit.
 
 
 def _guess_tables(cheater: ViewSpec, config: RoundConfig, plan,
@@ -251,7 +251,7 @@ def cheat_experiment(
     n_tied, tied = _guess_tables(cheater, config, plan, msgs)
     hits_all = hits_click = n_click = 0
     for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.amps.shape[1]):
-        rows = np.arange(len(streams.pos))
+        rows = np.arange(len(streams))
         r = lockstep.Rounds.empty(len(rows))
         sent = msg_ids[streams.integers(rows, len(msgs))]
         streams.random(rows)  # run_round's check-branch draw
@@ -292,13 +292,12 @@ def _collapses(weights: np.ndarray, collapse, dim: int) -> list[np.ndarray]:
 
 
 def _atom_attack(eve: EveModel, config: RoundConfig, n_rounds: int, seed: int):
-    """Parity-check rounds (``run_check_round``) with Eve's atom measurement
-    as the tamper: (conclusive rounds, violations).
+    """Parity-check rounds with Eve's atom measurement as the tamper:
+    (conclusive rounds, violations).
 
     Round draws: Eve's outcome (none without an attack), the basis combo,
     the parties' outcome.  The outcome law of each (Eve outcome, combo)
-    comes from the same ``measure_atom`` and ``rotation @ amps`` as the
-    scalar round's."""
+    comes from ``atom_measurement`` and ``rotation @ amps``."""
     ctx = protocol._check_context(config.n_parties)
     if eve.strategy == "none":
         weights, cum, total = None, ctx.cum[None], ctx.total[None]
@@ -313,7 +312,7 @@ def _atom_attack(eve: EveModel, config: RoundConfig, n_rounds: int, seed: int):
         total = np.array([[float(p.sum()) for p in branch] for branch in probs])
     conclusive = violations = 0
     for streams in lockstep.row_blocks(seed, 0, n_rounds, ctx.layout.dim):
-        rows = np.arange(len(streams.pos))
+        rows = np.arange(len(streams))
         branch = np.zeros(len(rows), dtype=np.int64)
         if weights is not None:
             branch = lockstep.pick(np.cumsum(weights), streams.random(rows) * weights.sum())
@@ -328,12 +327,12 @@ def _atom_attack(eve: EveModel, config: RoundConfig, n_rounds: int, seed: int):
 
 def _photon_attack(config: RoundConfig, n_rounds: int, seed: int):
     """Encode rounds of psi+ or psi- with cavity A's photon number measured
-    before the window (a tampered ``_encode_round``): (conclusive rounds,
+    before the window (a tampered encode round): (conclusive rounds,
     wrong decodes).
 
     Round draws: the message, Eve's outcome, the window.  Each round starts
-    from the collapsed state of its (message, outcome), built by the same
-    ``measure_site`` as the scalar round's."""
+    from the collapsed state of its (message, outcome), built by
+    ``site_measurement``."""
     if config.ideal_pnr:
         raise ValueError("ideal_pnr: the oracle decode never reads the tampered state")
     plan = protocol._plan(config)
@@ -350,7 +349,7 @@ def _photon_attack(config: RoundConfig, n_rounds: int, seed: int):
     norms = protocol._sector_norms(plan.info, amps)
     conclusive = violations = 0
     for streams in lockstep.row_blocks(seed, 0, n_rounds, layout.dim):
-        rows = np.arange(len(streams.pos))
+        rows = np.arange(len(streams))
         r = lockstep.Rounds.empty(len(rows))
         which = streams.integers(rows, 2)
         outcome = lockstep.pick(cum[which], streams.random(rows) * total[which])

@@ -80,6 +80,9 @@ class RowStreams:
         self._half = np.zeros(n, dtype=np.uint64)
         self._has_half = np.zeros(n, dtype=bool)
 
+    def __len__(self) -> int:
+        return len(self.pos)
+
     def _next(self, rows: np.ndarray) -> np.ndarray:
         pos = self.pos[rows]
         if pos.size and pos.max() >= self.words.shape[1]:

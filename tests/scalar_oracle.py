@@ -1,0 +1,362 @@
+"""The scalar per-round path: one protocol round at a time on one numpy
+``Generator``, the reference the lockstep engine is tested against.
+
+Each function takes its draws from ``rng`` in the order the engine's rows
+take them from their own streams, and evaluates each floating-point
+expression the engine evaluates, in the same order, so the differential
+tests require equality, not closeness.  ``tamper`` hooks act on the state
+before it is measured (``run_check_round``) or detected
+(``_encode_round``), as the security experiments' eavesdroppers do.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Callable
+
+import numpy as np
+
+from qdcsim import lockstep
+from qdcsim import protocol as P
+from qdcsim.hilbert import MESSAGES, Message, StateVector, draw_outcome
+from qdcsim.protocol import (
+    CHANNEL_MINUS,
+    CHANNEL_PLUS,
+    DARK_MINUS,
+    DARK_PLUS,
+    BELL_LABELS,
+    DetectionRecord,
+    RoundConfig,
+    RoundOutcome,
+    WindowResult,
+    _decode_rule,
+    _layout_info,
+    _LayoutInfo,
+    _MSG_INDEX,
+    _Plan,
+    _plan,
+    layout_for,
+    round_rng,
+)
+
+
+def _beamsplitter_raw(info: _LayoutInfo, amps: np.ndarray, sign: int) -> np.ndarray:
+    src_a, dst_a, coef_a = info.ann_a
+    src_b, dst_b, coef_b = info.ann_b
+    out = np.zeros_like(amps)
+    out[dst_a] += coef_a * amps[src_a]
+    out[dst_b] += sign * coef_b * amps[src_b]
+    out /= math.sqrt(2.0)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Monte-Carlo wavefunction detection window
+
+
+def _nojump_crossing(
+    sector_norms: np.ndarray, k: float, u: float, t_max: float
+) -> float | None:
+    """First t in (0, t_max] where the no-jump squared norm hits u.
+
+    The norm is sum_n P_n x^n with x = exp(-2kt); for photon sectors up to
+    n = 2 this is a quadratic in x.
+    """
+    n_max = len(sector_norms) - 1
+    if n_max > 2:
+        raise ValueError("the scalar window takes states of at most two photons")
+    x_end = math.exp(-2.0 * k * t_max)
+    norm_end = sum(p * x_end**n for n, p in enumerate(sector_norms))
+    if norm_end >= u:
+        return None
+    p0 = sector_norms[0]
+    p1 = sector_norms[1] if n_max >= 1 else 0.0
+    p2 = sector_norms[2] if n_max >= 2 else 0.0
+    if p2 < 1e-300:
+        x = (u - p0) / p1
+    else:
+        disc = p1 * p1 - 4.0 * p2 * (p0 - u)
+        x = (-p1 + math.sqrt(max(disc, 0.0))) / (2.0 * p2)
+    x = min(max(x, x_end), 1.0)
+    return -math.log(x) / (2.0 * k)
+
+
+def simulate_window(
+    state: StateVector, config: RoundConfig, rng: np.random.Generator
+) -> WindowResult:
+    """Unravel the detection window for one trajectory."""
+    info = _layout_info(state.layout)
+    psi, events, jumped, photon_survived = _window_raw(
+        info, state.amplitudes.copy(), config, rng
+    )
+    record = DetectionRecord(tuple(events), config.t_window)
+    return WindowResult(record, StateVector(state.layout, psi), jumped, photon_survived)
+
+
+def _window_raw(
+    info: _LayoutInfo, psi: np.ndarray, config: RoundConfig, rng: np.random.Generator
+) -> tuple[np.ndarray, list, bool, bool]:
+    k = config.params.k
+    eta = config.detector.efficiency
+    window = config.t_window
+    n_vec = info.photon_numbers
+    n_max = int(n_vec.max())
+
+    events: list[tuple[float, str]] = []
+    t = 0.0
+    jumped = False
+    photon_survived = False
+
+    while True:
+        sector_norms = np.bincount(n_vec, weights=np.abs(psi) ** 2, minlength=n_max + 1)
+        total = float(sector_norms.sum())
+        if total <= 1e-300:
+            break
+        u = rng.random()
+        if u >= total:
+            break
+        if k == 0.0:
+            # Ideal-extraction limit: photons always leave by window end,
+            # arrival times uniform over the remaining window.
+            photon_weight = total - float(sector_norms[0])
+            if u >= photon_weight:
+                break
+            t_jump = t + rng.random() * (window - t)
+        else:
+            # trailing empty sectors trimmed: states of <= 2 photons take the quadratic
+            top = n_max
+            while sector_norms[top] == 0.0:
+                top -= 1
+            dt_jump = _nojump_crossing(sector_norms[: top + 1], k, u, window - t)
+            if dt_jump is None:
+                if not jumped:
+                    photon_survived = bool(total - float(sector_norms[0]) > 1e-12)
+                break
+            t_jump = t + dt_jump
+            psi = psi * np.exp(-k * n_vec * dt_jump)
+        t = t_jump
+        plus = _beamsplitter_raw(info, psi, +1)
+        minus = _beamsplitter_raw(info, psi, -1)
+        # squared norms summed in numpy's fixed pairwise order (a BLAS dot
+        # product's order is the library's), which the lockstep engine repeats
+        r_plus = float(np.square(plus.view(np.float64)).sum())
+        r_minus = float(np.square(minus.view(np.float64)).sum())
+        if r_plus + r_minus <= 0.0:
+            break
+        if rng.random() * (r_plus + r_minus) < r_plus:
+            psi, channel, rate = plus, CHANNEL_PLUS, r_plus
+        else:
+            psi, channel, rate = minus, CHANNEL_MINUS, r_minus
+        psi = psi / math.sqrt(rate)
+        jumped = True
+        if rng.random() < eta:
+            events.append((t, channel))
+
+    if k > 0.0:
+        psi = psi * np.exp(-k * n_vec * (window - t))
+
+    p_dc = config.detector.dark_prob
+    for dark_channel in (DARK_PLUS, DARK_MINUS):
+        if p_dc > 0.0 and rng.random() < p_dc:
+            events.append((rng.random() * window, dark_channel))
+
+    events.sort(key=lambda ev: ev[0])
+    return psi, events, jumped, photon_survived
+
+
+def sample_receiver_bits(
+    state: StateVector, rng: np.random.Generator
+) -> str:
+    """Measure the rotated receivers' atoms in the computational basis.
+
+    Sampled from the (normalized) given state; a numerically empty state
+    yields uniform bits (lost-photon rounds leave receivers uncorrelated).
+    """
+    return _sample_bits_raw(_layout_info(state.layout), state.amplitudes, rng)
+
+
+def _sample_bits_raw(
+    info: _LayoutInfo, amps: np.ndarray, rng: np.random.Generator
+) -> str:
+    m = len(info.receiver_sites)
+    weights = np.abs(amps) ** 2
+    total = float(weights.sum())
+    if total <= 1e-30:
+        code = int(rng.integers(0, 2**m)) if m else 0
+        return info.bit_strings[code]
+    probs = np.bincount(info.bit_codes, weights=weights, minlength=2**m)
+    code = int(np.searchsorted(np.cumsum(probs), rng.random() * total, side="right"))
+    code = min(code, 2**m - 1)
+    return info.bit_strings[code]
+
+
+# ---------------------------------------------------------------------------
+# GHZ parity check rounds
+
+
+def measure_atom(
+    state: StateVector, site: int, rng: np.random.Generator, basis: str = "z"
+) -> tuple[int, StateVector]:
+    """Projective measurement of one atom; returns (occupation outcome,
+    collapsed renormalized state).  Basis 'x'/'y' measures the respective
+    Pauli; the returned outcome 0 corresponds to eigenvalue +1."""
+    probs, collapse = P.atom_measurement(state, site, basis)
+    outcome = draw_outcome(probs, rng.random())
+    return outcome, collapse(outcome)
+
+
+def run_check_round(
+    config: RoundConfig,
+    rng: np.random.Generator,
+    tamper: Callable[[StateVector, np.random.Generator], StateVector] | None = None,
+) -> RoundOutcome:
+    """One security-check round: every party measures its atom in a random
+    x/y basis; conclusive basis multisets must reproduce the GHZ parity.
+
+    Check rounds live on an atoms-only layout (the cavities stay in vacuum
+    and never participate)."""
+    ctx = P._check_context(config.n_parties)
+    amps = None
+    if tamper is not None:
+        amps = tamper(StateVector(ctx.layout, ctx.ghz.copy()), rng).amplitudes
+    combo = 0
+    for _ in range(config.n_parties):
+        combo = (combo << 1) | int(rng.integers(0, 2))
+    if amps is None:
+        cum, total = ctx.cum[combo], ctx.total[combo]
+    else:
+        probs = np.abs(ctx.rotations[combo] @ amps) ** 2
+        cum, total = np.cumsum(probs), float(probs.sum())
+    outcome = int(np.searchsorted(cum, rng.random() * total, side="right"))
+    outcome = min(outcome, ctx.layout.dim - 1)
+    return RoundOutcome(
+        mode="check",
+        check_conclusive=bool(ctx.conclusive[combo]),
+        check_passed=bool(ctx.passed[combo, outcome]),
+        check_bases=ctx.bases[combo],
+    )
+
+
+# ---------------------------------------------------------------------------
+# rounds
+
+
+def _sample_ideal_pnr(
+    plan: _Plan, message: Message, rng: np.random.Generator
+) -> tuple[str | None, str | None]:
+    """Oracle four-state discrimination: sample (Bell label, bits) with the
+    exact branch weights; remaining probability mass is a lost round."""
+    u = rng.random()
+    strings = plan.info.bit_strings
+    for j, acc in enumerate(plan.pnr_cum[_MSG_INDEX[message]].tolist()):
+        if u < acc:
+            return BELL_LABELS[j // len(strings)], strings[j % len(strings)]
+    return None, None
+
+
+def _encode_round(
+    config: RoundConfig,
+    sent: Message,
+    rng: np.random.Generator,
+    tamper: Callable[[StateVector, np.random.Generator], StateVector] | None = None,
+) -> RoundOutcome:
+    """One encode round of ``sent``; ``tamper`` acts on the pipeline state
+    before the detection window."""
+    plan = _plan(config)
+    info = plan.info
+
+    if config.ideal_pnr:
+        if tamper is not None:
+            raise ValueError("ideal_pnr: the oracle decode never reads the tampered state")
+        label, bits = _sample_ideal_pnr(plan, sent, rng)
+        if label is None:
+            bits = info.bit_strings[int(rng.integers(0, len(info.bit_strings)))]
+            decoded = None
+        else:
+            decoded = plan.table[(label, bits)]
+        record = DetectionRecord((), config.t_window)
+        return RoundOutcome(
+            mode="encode",
+            sent=sent,
+            receiver_bits=bits,
+            detection=record,
+            decoded=decoded,
+            bell_label=label,
+        )
+
+    amps = plan.amps[_MSG_INDEX[sent]].copy()
+    if tamper is not None:
+        layout = layout_for(config.n_parties, config.cutoff)
+        amps = tamper(StateVector(layout, amps), rng).amplitudes
+    psi, events, jumped, photon_survived = _window_raw(info, amps, config, rng)
+    record = DetectionRecord(tuple(events), config.t_window)
+    bits = _sample_bits_raw(info, psi, rng)
+    decoded = _decode_rule(plan.table, plan.ml, record.counts(), bits)
+    return RoundOutcome(
+        mode="encode",
+        sent=sent,
+        receiver_bits=bits,
+        detection=record,
+        decoded=decoded,
+        real_click=record.has_real_click(),
+        photon_survived=photon_survived,
+    )
+
+
+def run_round(
+    config: RoundConfig,
+    message: Message | str = "random",
+    rng: np.random.Generator | None = None,
+) -> RoundOutcome:
+    """One full protocol round (check branch with probability p_check,
+    otherwise encode/transfer/detect/decode)."""
+    if rng is None:
+        rng = round_rng(config.seed, 0)
+    if rng.random() < config.p_check:
+        return run_check_round(config, rng)
+    if message == "random":
+        sent = MESSAGES[int(rng.integers(0, 4))]
+    elif isinstance(message, Message):
+        sent = message
+    else:
+        sent = Message.from_name(str(message))
+    return _encode_round(config, sent, rng)
+
+
+def outcome_to_dict(index: int, out: RoundOutcome) -> dict:
+    """The round-log dict of a RoundOutcome: the line format of
+    ``rounds.jsonl`` and ``round.json`` is ``json.dumps`` of it."""
+    name = lambda m: "abort" if m is None else m.value  # noqa: E731
+    d = {"round": index, "mode": out.mode}
+    if out.mode == "encode":
+        d["sent"] = name(out.sent)
+        d["clicks"] = [[t, ch] for t, ch in out.detection.events] if out.detection else []
+        d["receiver_bits"] = out.receiver_bits
+        d["decoded"] = name(out.decoded)
+        if out.bell_label is not None:
+            d["bell_label"] = out.bell_label
+    else:
+        d["check_bases"] = out.check_bases
+        d["check_conclusive"] = out.check_conclusive
+        d["check_passed"] = out.check_passed
+    return d
+
+
+# ---------------------------------------------------------------------------
+# many windows at once, for the statistical tests
+
+
+def engine_windows(state: StateVector, config: RoundConfig, seed: int, n: int):
+    """Yield, one lockstep block at a time, the :class:`lockstep.Rounds` of
+    the detection windows of ``state`` on the streams ``(seed, 0 .. n-1)``:
+    row i holds the jumps, dark counts and survival flag of
+    ``simulate_window(state, config, round_rng(seed, i))``."""
+    info = _layout_info(state.layout)
+    amps = state.amplitudes[None]
+    norms = P._sector_norms(info, amps)
+    for streams in lockstep.row_blocks(seed, 0, n, state.layout.dim):
+        rows = np.arange(len(streams))
+        start = np.zeros(len(rows), dtype=np.int64)
+        r = lockstep.Rounds.empty(len(rows))
+        lockstep.window(info, config, streams, rows, amps[start], norms[start], r)
+        yield r

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from scalar_oracle import engine_windows
 from qdcsim import cli
 from qdcsim import feasibility as F
 from qdcsim import protocol as P
@@ -166,20 +167,17 @@ def test_c04_detection_statistics(capsys):
     k, window = 0.2, 2.0
     config = P.RoundConfig(params=PARAMS, t_window=window)
     n = 100_000
-    streams = P._RoundStreams(404)
-    info = P._layout_info(psi_state(+1).layout)
 
+    # row i of each engine block is the window on the stream P.round_rng(404, i);
+    # with no dark counts, every event is a registered jump
     clicks = 0
     click_times = []
     bad_plus = 0
-    base = psi_state(+1).amplitudes
-    for i in range(n):
-        psi, events, _, _ = P._window_raw(info, base.copy(), config, streams.rng(i))
-        real = [(t, ch) for t, ch in events if ch in (P.CHANNEL_PLUS, P.CHANNEL_MINUS)]
-        if real:
-            clicks += 1
-            click_times.append(real[0][0])
-            bad_plus += sum(ch == P.CHANNEL_MINUS for _, ch in real)
+    for r in engine_windows(psi_state(+1), config, 404, n):
+        real = r.jump_seen.any(axis=1)
+        clicks += int(real.sum())
+        click_times += r.jump_t[real, r.jump_seen[real].argmax(axis=1)].tolist()
+        bad_plus += int((r.jump_seen & (r.jump_sign < 0)).sum())
     p_exp = 1 - math.exp(-2 * k * window)
     sigma = math.sqrt(p_exp * (1 - p_exp) / n)
     assert abs(clicks / n - p_exp) < 3 * sigma
@@ -191,12 +189,10 @@ def test_c04_detection_statistics(capsys):
     ks = scipy.stats.kstest(click_times, cdf)
     assert ks.pvalue > 0.01
 
-    bad_minus = 0
-    base_minus = psi_state(-1).amplitudes
-    streams = P._RoundStreams(405)
-    for i in range(n):
-        _, events, _, _ = P._window_raw(info, base_minus.copy(), config, streams.rng(i))
-        bad_minus += sum(ch == P.CHANNEL_PLUS for _, ch in events)
+    bad_minus = sum(
+        int((r.jump_seen & (r.jump_sign > 0)).sum())
+        for r in engine_windows(psi_state(-1), config, 405, n)
+    )
     assert bad_minus == 0
     report(
         capsys,

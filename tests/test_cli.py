@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import scalar_oracle as O
 from qdcsim import cli
 from qdcsim import protocol as P
 from qdcsim.dynamics import PhysicalParams
@@ -146,6 +147,24 @@ class TestRunCommand:
         assert code == 0
         assert json.loads(out.strip())["mode"] == "check"
 
+    @pytest.mark.parametrize("message", ["X", "random"])
+    @pytest.mark.parametrize("seed", [7, 8, 9])
+    def test_round_json_is_the_oracle_round(self, message, seed, tmp_path, capsys):
+        # round.json is round 0 of the seed's streams, as the scalar oracle
+        # computes it one draw at a time
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["detector"] = {"efficiency": 0.9, "dark_prob": 0.3}
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        argv = ["run", "--config", str(path), "--message", message, "--seed", str(seed),
+                "--p-check", "0.3", "--out", str(tmp_path / "out")]
+        code, out, _ = run_cli(argv, capsys)
+        assert code == 0
+        config = build_round_config(doc, cli.build_parser().parse_args(argv))
+        want = O.run_round(config, message, P.round_rng(seed, 0))
+        assert out == json.dumps(O.outcome_to_dict(0, want)) + "\n"
+        assert (tmp_path / "out" / "round.json").read_text() == out
+
     def test_bad_t_map_exit_code(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_DOC))
         doc["round"]["t_map"] = 1.0
@@ -194,11 +213,11 @@ class TestBatchCommand:
 
     def test_round_log_builds_no_round_outcome(self, config_path, tmp_path, capsys,
                                                monkeypatch):
-        def scalar(*args):
+        def build(*args, **kwargs):
             raise AssertionError("the round log built a RoundOutcome")
 
-        for name in ("_round_outcomes", "run_round", "_encode_round", "run_check_round"):
-            monkeypatch.setattr(P, name, scalar)
+        for name in ("_round_outcomes", "run_round", "RoundOutcome"):
+            monkeypatch.setattr(P, name, build)
         for argv in (["batch", "--rounds", "600", "--round-log"], ["run", "--p-check", "0.5"]):
             code, _, err = run_cli(
                 [*argv, "--config", config_path, "--out", str(tmp_path / argv[0])], capsys
@@ -368,6 +387,22 @@ class TestSweepCommand:
         p.write_text(json.dumps(doc))
         code, _, _ = run_cli(["sweep", "--config", str(p)], capsys)
         assert code == 2
+
+    @pytest.mark.parametrize("flags,field", [
+        (["--ideal-pnr"], "round.ideal_pnr"),
+        (["--p-check", "1"], "round.p_check"),
+    ])
+    def test_config_without_click_rate_named(self, flags, field, config_path, tmp_path,
+                                             capsys):
+        # ideal-PNR rounds record no clicks, and p_check = 1 runs no encode
+        # round: either would write an estimate of 0 beside the formulas
+        out_dir = tmp_path / "sw"
+        code, out, err = run_cli(
+            ["sweep", "--config", config_path, "--out", str(out_dir), *flags], capsys
+        )
+        assert code == 2
+        assert field in err and out == ""
+        assert not out_dir.exists()
 
     def test_boolean_window_named(self, tmp_path, capsys):
         # a boolean is not a time, though Python counts True as 1

@@ -1,10 +1,12 @@
-"""The lockstep batch engine against the scalar per-round path.
+"""The lockstep round engine against the scalar per-round oracle.
 
 ``run_batch`` runs rounds as numpy arrays (``qdcsim.lockstep``) on
 vectorized Philox streams (``qdcsim.streams``).  Each round must equal,
-field for field, the RoundOutcome the scalar path builds from the round's
-own ``Generator``, and its round-log line must equal the JSON of that
-RoundOutcome (:func:`outcome_to_dict`).
+field for field, the RoundOutcome the scalar oracle (``scalar_oracle``)
+builds from the round's own ``Generator``, and its round-log line must
+equal the JSON of that RoundOutcome (``outcome_to_dict``).  ``run_round``
+and ``simulate_window`` run one engine row on any ``Generator`` and must
+equal the oracle's, draw for draw.
 """
 
 import dataclasses
@@ -16,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import scalar_oracle as O
 from qdcsim import protocol as P
 from qdcsim.dynamics import PhysicalParams
 from qdcsim.hilbert import MESSAGES, Message
@@ -120,30 +123,11 @@ def oracle(config, n_rounds, seed, messages):
     for i in range(n_rounds):
         rng = P.round_rng(seed, i)
         if rng.random() < config.p_check:
-            out.append(P.run_check_round(config, rng))
+            out.append(O.run_check_round(config, rng))
         else:
             sent = messages[int(rng.integers(0, len(messages)))]
-            out.append(P._encode_round(config, sent, rng))
+            out.append(O._encode_round(config, sent, rng))
     return out
-
-
-def outcome_to_dict(index, out):
-    """The round-log dict of a RoundOutcome: the line format of
-    ``rounds.jsonl`` and ``round.json`` is ``json.dumps`` of it."""
-    name = lambda m: "abort" if m is None else m.value  # noqa: E731
-    d = {"round": index, "mode": out.mode}
-    if out.mode == "encode":
-        d["sent"] = name(out.sent)
-        d["clicks"] = [[t, ch] for t, ch in out.detection.events] if out.detection else []
-        d["receiver_bits"] = out.receiver_bits
-        d["decoded"] = name(out.decoded)
-        if out.bell_label is not None:
-            d["bell_label"] = out.bell_label
-    else:
-        d["check_bases"] = out.check_bases
-        d["check_conclusive"] = out.check_conclusive
-        d["check_passed"] = out.check_passed
-    return d
 
 
 def oracle_stats(outcomes):
@@ -173,7 +157,7 @@ def assert_engine_matches(config, n_rounds, seed, messages, threads=1):
     assert len(got) == len(log) == n_rounds
     for i, expected in enumerate(want):
         assert got[i] == expected, f"round {i}"
-        assert log[i] == json.dumps(outcome_to_dict(i, expected)), f"round {i}"
+        assert log[i] == json.dumps(O.outcome_to_dict(i, expected)), f"round {i}"
     assert (
         stats.confusion, stats.n_check, stats.check_pass_rate,
         stats.psi_click_rate, stats.psi_survival_rate,
@@ -208,14 +192,15 @@ MATRIX = [
 ]
 
 
+MATRIX_ARGS = "n_parties,cutoff,k,pnr,detector,p_check,t_window,messages"
+MATRIX_IDS = [
+    f"n{n}-cut{c}-k{k}-{'pnr' if pnr else 'clicks'}-eta{d[0]}-dc{d[1]}-pc{pc}-T{t}-m{len(ms)}"
+    for n, c, k, pnr, d, pc, t, ms in MATRIX
+]
+
+
 class TestEngineEqualsOracle:
-    @pytest.mark.parametrize(
-        "n_parties,cutoff,k,pnr,detector,p_check,t_window,messages", MATRIX,
-        ids=[
-            f"n{n}-cut{c}-k{k}-{'pnr' if pnr else 'clicks'}-eta{d[0]}-dc{d[1]}-pc{pc}-T{t}-m{len(ms)}"
-            for n, c, k, pnr, d, pc, t, ms in MATRIX
-        ],
-    )
+    @pytest.mark.parametrize(MATRIX_ARGS, MATRIX, ids=MATRIX_IDS)
     def test_matrix(self, n_parties, cutoff, k, pnr, detector, p_check, t_window, messages):
         config = make_config(n_parties, cutoff, k, pnr, detector, p_check, t_window)
         assert_engine_matches(config, 400, 5, messages)
@@ -247,12 +232,12 @@ class TestEngineEqualsOracle:
             config = make_config(k=k, detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
             assert_engine_matches(config, 600, 8, MESSAGES)
 
-    def test_never_enters_the_scalar_window(self, monkeypatch):
-        def scalar(*args):
-            raise AssertionError("run_batch ran a round on the scalar path")
+    def test_never_runs_one_round_at_a_time(self, monkeypatch):
+        def one_row(*args):
+            raise AssertionError("run_batch ran a round as a one-row block")
 
-        for name in ("_window_raw", "_sample_bits_raw", "_encode_round", "run_check_round"):
-            monkeypatch.setattr(P, name, scalar)
+        for name in ("run_round", "simulate_window", "_GeneratorRows"):
+            monkeypatch.setattr(P, name, one_row)
         P.run_batch(make_config(detector=(0.9, 0.05), p_check=0.25), 500, seed=2)
 
     @settings(max_examples=30)
@@ -273,6 +258,50 @@ class TestEngineEqualsOracle:
         params = PhysicalParams(*couplings, k=k)
         config = make_config(n_parties, cutoff, k, pnr, detector, p_check, t_window, params)
         assert_engine_matches(config, 150, seed, tuple(messages))
+
+
+def generator_pairs(seed, i):
+    """Two equal copies of a Philox round stream, then of a PCG64 generator."""
+    yield P.round_rng(seed, i), P.round_rng(seed, i)
+    yield np.random.default_rng([seed, i]), np.random.default_rng([seed, i])
+
+
+def same_position(a, b):
+    return repr(a.bit_generator.state) == repr(b.bit_generator.state)
+
+
+class TestOneRowEqualsOracle:
+    """``run_round`` and ``simulate_window`` run one engine row on the
+    caller's Generator: equal results, and the Generator left where the
+    oracle leaves it."""
+
+    @pytest.mark.parametrize(MATRIX_ARGS, MATRIX, ids=MATRIX_IDS)
+    def test_run_round(self, n_parties, cutoff, k, pnr, detector, p_check, t_window, messages):
+        config = make_config(n_parties, cutoff, k, pnr, detector, p_check, t_window)
+        # "random", or each message of the subset, also given by name
+        choices = ["random"] if len(messages) == 4 else [*messages, messages[0].value]
+        for i in range(16):
+            message = choices[i % len(choices)]
+            for got_rng, want_rng in generator_pairs(6, i):
+                got = P.run_round(config, message, got_rng)
+                assert got == O.run_round(config, message, want_rng), (i, message)
+                assert same_position(got_rng, want_rng), (i, message)
+
+    @pytest.mark.parametrize(MATRIX_ARGS, MATRIX, ids=MATRIX_IDS)
+    def test_simulate_window(self, n_parties, cutoff, k, pnr, detector, p_check, t_window,
+                             messages):
+        config = make_config(n_parties, cutoff, k, pnr, detector, p_check, t_window)
+        for i in range(16):
+            state = P.pipeline_state(config, MESSAGES[i % 4])
+            for got_rng, want_rng in generator_pairs(7, i):
+                got = P.simulate_window(state, config, got_rng)
+                want = O.simulate_window(state, config, want_rng)
+                assert (got.record, got.jumped, got.photon_survived) == (
+                    want.record, want.jumped, want.photon_survived
+                ), i
+                assert got.state.layout == want.state.layout
+                assert got.state.amplitudes.tobytes() == want.state.amplitudes.tobytes(), i
+                assert same_position(got_rng, want_rng), i
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ guessing games that must converge to its optimal rates."""
 import dataclasses
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qdcsim import protocol as P
 from qdcsim import security as S
@@ -82,3 +82,32 @@ def test_cheat_rate_agrees_with_the_optimal_rate(config, view_name, messages, se
     rate = S.cheat_experiment(view, config, n, seed, messages).rate_all
     exact = S.optimal_guess_rate(view, config, messages)
     assert abs(rate - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / n) + 1e-12
+
+
+def _model_gap(config, k, t_window):
+    """Worst outcome-probability gap over all messages between the model at
+    decay k and the k = 0 (ideal-extraction) model, at one window."""
+    at = lambda kk: dataclasses.replace(  # noqa: E731
+        config, params=PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, k=kk), t_window=t_window
+    )
+    gap = 0.0
+    for m in MESSAGES:
+        decayed, ideal = P.outcome_distribution(at(k), m), P.outcome_distribution(at(0.0), m)
+        gap = max(gap, max(abs(decayed.get(key, 0.0) - ideal.get(key, 0.0))
+                           for key in decayed.keys() | ideal.keys()))
+    return gap
+
+
+@settings(max_examples=10)
+@given(configs, st.floats(20.0, 200.0))
+@example(  # the benchmark batch detector: gaps 7.4e-3, 7.5e-5, 7.5e-7
+    P.RoundConfig(params=PhysicalParams(g=1.0, Omega=1.0, Delta=1.0), t_window=6.0,
+                  detector=P.DetectorModel(efficiency=0.9, dark_prob=0.02)),
+    50.0,
+)
+def test_small_k_converges_to_the_ideal_extraction_limit(config, k_window):
+    # k = 0 is the k -> 0 limit with k * t_window held large, where every
+    # photon leaves within the window; the gap is O(k), through beta(t*)
+    gaps = [_model_gap(config, k, k_window / k) for k in (1e-2, 1e-4, 1e-6)]
+    assert gaps[0] >= 50.0 * gaps[1] and gaps[1] >= 50.0 * gaps[2], gaps
+    assert gaps[2] < 1e-5, gaps

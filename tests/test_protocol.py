@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import scalar_oracle as O
+from qdcsim import lockstep
 from qdcsim.dynamics import PhysicalParams, alpha_beta, evolve_conditional, transfer_time
 from qdcsim.hilbert import (
     Message,
@@ -43,8 +45,8 @@ def config(k=0.2, **kw):
     return RoundConfig(**defaults)
 
 
-def two_mode_layout():
-    return SystemLayout((mode_site(1), mode_site(1)))
+def two_mode_layout(cutoff=1):
+    return SystemLayout((mode_site(cutoff), mode_site(cutoff)))
 
 
 def psi_state(sign):
@@ -260,9 +262,9 @@ class TestSimulateWindow:
     def test_click_frequency(self):
         cfg = config()  # k=0.2, window 0.5
         n = 20000
+        # row i is simulate_window(psi_state(+1), cfg, P.round_rng(3, i))
         clicks = sum(
-            simulate_window(psi_state(+1), cfg, P.round_rng(3, i)).record.has_real_click()
-            for i in range(n)
+            int(r.jump_seen.any(axis=1).sum()) for r in O.engine_windows(psi_state(+1), cfg, 3, n)
         )
         p_expected = 1 - math.exp(-2 * 0.2 * 0.5)
         sigma = math.sqrt(p_expected * (1 - p_expected) / n)
@@ -279,10 +281,7 @@ class TestSimulateWindow:
     def test_survival_flag_probability(self):
         cfg = config()
         n = 20000
-        survived = sum(
-            simulate_window(psi_state(+1), cfg, P.round_rng(6, i)).photon_survived
-            for i in range(n)
-        )
+        survived = sum(int(r.survived.sum()) for r in O.engine_windows(psi_state(+1), cfg, 6, n))
         p_expected = math.exp(-2 * 0.2 * 0.5)
         sigma = math.sqrt(p_expected * (1 - p_expected) / n)
         assert abs(survived / n - p_expected) < 3 * sigma
@@ -298,6 +297,30 @@ class TestSimulateWindow:
             assert all(ch in (P.DARK_PLUS, P.DARK_MINUS) for _, ch in res.record.events)
             assert all(0 <= t <= cfg.t_window for t, _ in res.record.events)
         assert abs(darks / 2000 - 1.0) < 0.1  # two detectors at p_dc = 0.5
+
+    def test_rejects_three_photons_before_drawing(self):
+        lay = two_mode_layout(2)
+        rng = P.round_rng(9, 0)
+        for occupation in ((2, 1), (1, 2), (2, 2)):
+            amps = basis_state(lay, occupation).amplitudes + basis_state(lay, (1, 0)).amplitudes
+            with pytest.raises(ValueError, match="at most two photons"):
+                simulate_window(StateVector(lay, amps / math.sqrt(2)), config(), rng)
+        assert rng.random() == P.round_rng(9, 0).random()
+
+    def test_runs_states_of_up_to_two_photons(self):
+        lay = two_mode_layout(2)
+        amps = np.zeros(lay.dim, dtype=complex)
+        for occupation in ((0, 0), (0, 2), (1, 1), (2, 0)):
+            amps[lay.index_of(occupation)] = 0.5
+        cfg = config(t_window=3.0)
+        two_clicks = 0
+        for i in range(200):
+            res = simulate_window(StateVector(lay, amps), cfg, P.round_rng(10, i))
+            want = O.simulate_window(StateVector(lay, amps), cfg, P.round_rng(10, i))
+            assert (res.record, res.photon_survived) == (want.record, want.photon_survived)
+            assert res.state.amplitudes.tobytes() == want.state.amplitudes.tobytes()
+            two_clicks += len(res.record.events) == 2
+        assert two_clicks > 0
 
     def test_events_ascending(self):
         cfg = config(detector=DetectorModel(dark_prob=0.4))
@@ -458,6 +481,11 @@ class TestSuccessFormula:
                 abs(r["mc_estimate"] - r["formula_integrated"]) < 3 * r["mc_stderr"] + 1e-9
             )
 
+    @pytest.mark.parametrize("field,knob", [("ideal_pnr", True), ("p_check", 1.0)])
+    def test_sweep_rejects_configs_without_click_rate(self, field, knob):
+        with pytest.raises(ValueError, match=field):
+            P.run_sweep(config(**{field: knob}), [0.5], 100, seed=1)
+
     def test_sweep_rejects_empty_grid(self):
         with pytest.raises(ValueError):
             P.run_sweep(config(), [], 100, seed=1)
@@ -475,11 +503,17 @@ class TestOutcomeDistribution:
         dist = P.outcome_distribution(cfg, Message.X)
         n = 20000
         counts = {}
-        streams = P._RoundStreams(16)
-        for i in range(n):
-            out = P._encode_round(cfg, Message.X, streams.rng(i))
-            key = (out.detection.counts(), out.receiver_bits)
-            counts[key] = counts.get(key, 0) + 1
+        plan = P._plan(cfg)
+        strings = plan.info.bit_strings
+        # row i is the encode round of X on P.round_rng(16, i)
+        for streams in lockstep.row_blocks(16, 0, n, plan.amps.shape[1]):
+            rows = np.arange(len(streams))
+            r = lockstep.Rounds.empty(len(rows))
+            sent = np.full(len(rows), MESSAGES.index(Message.X))
+            lockstep.encode_rounds(plan, streams, rows, sent, r)
+            for n_plus, n_minus, code in zip(*r.clicks.T.tolist(), r.bits.tolist()):
+                key = ((n_plus, n_minus), strings[code])
+                counts[key] = counts.get(key, 0) + 1
         for key, p in dist.items():
             if p < 5e-4:
                 continue

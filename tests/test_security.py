@@ -4,6 +4,7 @@ import math
 
 import pytest
 
+import scalar_oracle as O
 from qdcsim.dynamics import PhysicalParams
 from qdcsim.hilbert import Message, MESSAGES, measure_site
 from qdcsim import protocol as P
@@ -169,8 +170,8 @@ class TestEavesdropping:
             )
 
     def test_photon_attack_is_a_tampered_encode_round(self):
-        # the attack's rounds are the scalar encode rounds with the photon
-        # number of cavity A measured before the window
+        # the attack's rounds are encode rounds with the photon number of
+        # cavity A measured before the window
         cfg = config(k=0.2, t_window=6.0, detector=P.DetectorModel(0.9, 0.02))
         mode_a = P.layout_for(cfg.n_parties, cfg.cutoff).mode_sites[0]
         conclusive = violations = 0
@@ -180,7 +181,7 @@ class TestEavesdropping:
             state = P.pipeline_state(cfg, sent)
             _, state = measure_site(state, mode_a, rng)
             window = P.simulate_window(state, cfg, rng)
-            bits = P.sample_receiver_bits(window.state, rng)
+            bits = O.sample_receiver_bits(window.state, rng)
             decoded = P.decode(cfg, window.record.counts(), bits)
             if decoded is not None:
                 conclusive += 1
@@ -238,7 +239,7 @@ def oracle_cheat(cheater, config, n_rounds, seed, messages=MESSAGES):
     for i in range(n_rounds):
         rng = P.round_rng(seed, i)
         sent = msgs[int(rng.integers(0, len(msgs)))]
-        out = P.run_round(cfg, sent, rng)
+        out = O.run_round(cfg, sent, rng)
         counts = out.detection.counts()
         obs = S._project(cheater, counts, out.receiver_bits, positions)
         posterior = posteriors.get(obs)
@@ -277,7 +278,7 @@ def oracle_eve(eve, config, n_rounds, seed):
         for i in range(n_rounds):
             rng = P.round_rng(seed, i)
             sent = (Message.X, Message.IY)[int(rng.integers(0, 2))]
-            decoded = P._encode_round(cfg, sent, rng, tamper=tamper).decoded
+            decoded = O._encode_round(cfg, sent, rng, tamper=tamper).decoded
             if decoded is not None:
                 conclusive += 1
                 violations += int(decoded != sent)
@@ -285,10 +286,10 @@ def oracle_eve(eve, config, n_rounds, seed):
         tamper = None
         if eve.strategy != "none":
             def tamper(state, rng):
-                return P.measure_atom(state, eve.target, rng, eve.basis)[1]
+                return O.measure_atom(state, eve.target, rng, eve.basis)[1]
 
         for i in range(n_rounds):
-            out = P.run_check_round(config, P.round_rng(seed, i), tamper=tamper)
+            out = O.run_check_round(config, P.round_rng(seed, i), tamper=tamper)
             if out.check_conclusive:
                 conclusive += 1
                 violations += int(not out.check_passed)
@@ -360,12 +361,12 @@ class TestLockstepEqualsScalar:
         eve = EveModel("intercept_resend_atom", basis="x", target=1)
         assert eavesdrop_experiment(eve, cfg, 2600, 3) == oracle_eve(eve, cfg, 2600, 3)
 
-    def test_summary_never_runs_scalar_rounds(self, monkeypatch):
-        def scalar(*args, **kwargs):
-            raise AssertionError("security ran a round on the scalar path")
+    def test_summary_never_runs_one_round_at_a_time(self, monkeypatch):
+        def one_row(*args, **kwargs):
+            raise AssertionError("security ran a round as a one-row block")
 
-        for name in ("run_round", "run_check_round", "_encode_round"):
-            monkeypatch.setattr(P, name, scalar)
+        for name in ("run_round", "simulate_window", "_GeneratorRows"):
+            monkeypatch.setattr(P, name, one_row)
         cfg = diff_config(3, 1, 0.2, (0.9, 0.05))
         for eve in (
             EveModel("none"),
