@@ -350,10 +350,6 @@ _PAULI = {
 }
 
 
-def pauli_matrix(message: Message) -> np.ndarray:
-    return _PAULI[message].copy()
-
-
 def pauli_encode(state: StateVector, atom_site: int, message: Message) -> StateVector:
     """Apply the 2-bit encoding operation to one atom."""
     if state.layout.site_kind(atom_site) is not SiteKind.ATOM:

@@ -32,7 +32,7 @@ import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import lru_cache, wraps
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -67,6 +67,7 @@ PHI_PLUS = "phi+"
 PHI_MINUS = "phi-"
 BELL_LABELS = (PSI_PLUS, PSI_MINUS, PHI_PLUS, PHI_MINUS)
 _MSG_INDEX = {m: i for i, m in enumerate(MESSAGES)}
+_DECODED = MESSAGES + (None,)  # by decoded-message index, lockstep.ABORT = None
 
 _TIE_RTOL = 1e-9
 _SUPPORT_TOL = 1e-10
@@ -221,35 +222,13 @@ def prepare_ghz(n_parties: int, cutoff: int = 1) -> StateVector:
 
 
 def resolve_t_map(config: RoundConfig) -> float:
-    return config.t_map if config.t_map is not None else _transfer_time_cached(config.params)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _transfer_time_cached(params: PhysicalParams) -> float:
-    return transfer_time(params)
+    return config.t_map if config.t_map is not None else transfer_time(config.params)
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
     """Mark a compiled table read-only: compiled tables are shared by threads."""
     array.flags.writeable = False
     return array
-
-
-def _unseeded(config: RoundConfig) -> RoundConfig:
-    return config if config.seed == 0 else dataclasses.replace(config, seed=0)
-
-
-def _seedless_cache(fn):
-    """Bounded cache of ``fn(config, *args)`` keyed on the config without its
-    seed: nothing compiled from a config depends on the seed."""
-    cached = lru_cache(maxsize=_CACHE_SIZE)(fn)
-
-    @wraps(fn)
-    def lookup(config: RoundConfig, *args):
-        return cached(_unseeded(config), *args)
-
-    lookup.cache_info, lookup.cache_clear = cached.cache_info, cached.cache_clear
-    return lookup
 
 
 def map_to_cavities(state: StateVector, config: RoundConfig) -> StateVector:
@@ -306,22 +285,20 @@ def rotated_receiver_sites(layout: SystemLayout) -> tuple[int, ...]:
 
 def pipeline_state(config: RoundConfig, message: Message) -> StateVector:
     """Deterministic state entering the detection window for one message."""
-    return _pipeline_state(
-        config.params, resolve_t_map(config), config.n_parties, config.cutoff, message
-    )
+    plan = _plan(config)
+    return StateVector(plan.info.layout, plan.amps[_MSG_INDEX[message]])
 
 
-@lru_cache(maxsize=_CACHE_SIZE)
-def _pipeline_state(
-    params: PhysicalParams, t_map: float, n_parties: int, cutoff: int, message: Message
-) -> StateVector:
-    state = prepare_ghz(n_parties, cutoff)
-    state = pauli_encode(state, 0, message)
-    state = _map_pairs(state, params, t_map)
-    for site in rotated_receiver_sites(state.layout):
-        state = receiver_rotation(state, site)
-    state.amplitudes.flags.writeable = False
-    return state
+def _pipeline_amps(config: RoundConfig, t_map: float) -> np.ndarray:
+    """The pipeline state of every message, as rows in MESSAGES order."""
+    rows = []
+    for message in MESSAGES:
+        state = pauli_encode(prepare_ghz(config.n_parties, config.cutoff), 0, message)
+        state = _map_pairs(state, config.params, t_map)
+        for site in rotated_receiver_sites(state.layout):
+            state = receiver_rotation(state, site)
+        rows.append(state.amplitudes)
+    return _frozen(np.array(rows))
 
 
 def pipeline_beta(config: RoundConfig) -> float:
@@ -334,6 +311,7 @@ def pipeline_beta(config: RoundConfig) -> float:
 
 @dataclass(frozen=True)
 class _LayoutInfo:
+    layout: SystemLayout
     photon_numbers: np.ndarray  # total photons per basis index
     bit_codes: np.ndarray  # packed rotated-receiver bits per basis index
     bit_strings: tuple[str, ...]  # code -> "eg..." string
@@ -370,7 +348,7 @@ def _layout_info(layout: SystemLayout) -> _LayoutInfo:
     n.flags.writeable = False
     codes.flags.writeable = False
     return _LayoutInfo(
-        n, codes, strings, mode_a, mode_b, receivers,
+        layout, n, codes, strings, mode_a, mode_b, receivers,
         _annihilation_action(layout, mode_a), _annihilation_action(layout, mode_b),
     )
 
@@ -395,75 +373,69 @@ def jump_apply(state: StateVector, sign: int, k: float) -> StateVector:
     return StateVector(state.layout, math.sqrt(2.0 * k) * out)
 
 
-@dataclass(frozen=True)
-class _SectorData:
-    """Two-mode amplitudes ``a{n_A}{n_B}`` indexed by rotated-receiver bit
-    code (position in ``_LayoutInfo.bit_strings``).
+def _sectors(info: _LayoutInfo, amps: np.ndarray) -> np.ndarray:
+    """The two-mode amplitudes of each row of ``amps``: (rows, sector, bit
+    code) with sectors (n_A, n_B) = 00, 01, 10, 11 and bit codes indexing
+    ``info.bit_strings``.
 
     Requires every atom outside the rotated receivers to sit in |g> and the
     photonic support inside {00,01,10,11}.
     """
-
-    a00: np.ndarray
-    a01: np.ndarray
-    a10: np.ndarray
-    a11: np.ndarray
-
-    @property
-    def psi(self) -> tuple[np.ndarray, np.ndarray]:
-        """psi+ and psi- expansion coefficients per bit code."""
-        return (self.a01 + self.a10) / math.sqrt(2.0), (self.a01 - self.a10) / math.sqrt(2.0)
-
-
-def _sector_split(state: StateVector) -> _SectorData:
-    layout = state.layout
-    info = _layout_info(layout)
-    occ = layout.occupations
-    weights = np.abs(state.amplitudes) ** 2
+    occ = info.layout.occupations
+    weights = np.abs(amps) ** 2
     na, nb = occ[:, info.mode_a], occ[:, info.mode_b]
     stray = (na > 1) | (nb > 1)
-    fixed_atoms = [i for i in layout.atom_sites if i not in info.receiver_sites]
+    fixed_atoms = [i for i in info.layout.atom_sites if i not in info.receiver_sites]
     excited = ~stray & (occ[:, fixed_atoms] != G).any(axis=1)
-    if np.any(weights[excited] > _SUPPORT_TOL):
+    if np.any(weights[:, excited] > _SUPPORT_TOL):
         raise ValueError("mapped atoms retain excitation; pipeline states require t_map = t*")
-    stray_weight = float(weights[stray].sum())
+    stray_weight = float(weights[:, stray].sum(axis=1).max())
     if stray_weight > _SUPPORT_TOL:
         raise UnexpectedPhotonSupport(
             f"weight {stray_weight:.3e} outside the four two-mode basis states"
         )
     kept = ~stray & ~excited
-    sectors = []
-    for a, b in ((0, 0), (0, 1), (1, 0), (1, 1)):
+    out = np.zeros((len(amps), 4, len(info.bit_strings)), dtype=np.complex128)
+    for sector, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
         # each (bit code, n_A, n_B) names exactly one kept basis index
         sel = kept & (na == a) & (nb == b)
-        amps = np.zeros(len(info.bit_strings), dtype=np.complex128)
-        amps[info.bit_codes[sel]] = state.amplitudes[sel]
-        sectors.append(amps)
-    return _SectorData(*sectors)
+        out[:, sector, info.bit_codes[sel]] = amps[:, sel]
+    return out
+
+
+def _bell(sectors: np.ndarray, beta: float) -> np.ndarray:
+    """Bell-like weights (rows, label, bit code) of sector amplitudes, labels
+    in BELL_LABELS order.
+
+    The phi basis depends on beta(t_map) and is non-orthogonal for k > 0;
+    weights are squared expansion coefficients, so they total the squared norm.
+    """
+    beta2 = beta * beta
+    if beta2 < 1e-30:
+        raise ValueError("beta(t_map) vanishes; phi basis is degenerate")
+    norm_phi = math.sqrt(beta2 * beta2 + 1.0)
+    a00, a01, a10, a11 = (sectors[:, s] for s in range(4))
+    coefficients = (
+        (a01 + a10) / math.sqrt(2.0),
+        (a01 - a10) / math.sqrt(2.0),
+        norm_phi * (a11 / beta2 + a00) / 2.0,
+        norm_phi * (a11 / beta2 - a00) / 2.0,
+    )
+    return np.abs(np.stack(coefficients, axis=1)) ** 2
 
 
 def bell_weights(
     state: StateVector, config: RoundConfig
 ) -> dict[tuple[str, str], float]:
     """Expansion weights of a pipeline state in the photonic Bell-like basis,
-    jointly with the rotated receivers' bit strings.
-
-    The phi basis depends on beta(t_map) and is non-orthogonal for k > 0;
-    weights are squared expansion coefficients, so they total norm_sq(state).
-    """
-    sectors = _sector_split(state)
-    beta = pipeline_beta(config)
-    beta2 = beta * beta
-    if beta2 < 1e-30:
-        raise ValueError("beta(t_map) vanishes; phi basis is degenerate")
-    norm_phi = math.sqrt(beta2 * beta2 + 1.0)
-    phi_p = norm_phi * (sectors.a11 / beta2 + sectors.a00) / 2.0
-    phi_m = norm_phi * (sectors.a11 / beta2 - sectors.a00) / 2.0
-    per_label = [(np.abs(c) ** 2).tolist() for c in (*sectors.psi, phi_p, phi_m)]
+    jointly with the rotated receivers' bit strings (see :func:`_bell`)."""
+    info = _layout_info(state.layout)
+    beta = alpha_beta(config.params, _plan(config).t_map)[1]
+    weights = _bell(_sectors(info, state.amplitudes[None]), beta)[0].tolist()
     return {
-        (label, bits): w[code]
-        for code, bits in enumerate(all_bit_strings(config))
-        for label, w in zip(BELL_LABELS, per_label)
+        (label, bits): weights[j][code]
+        for code, bits in enumerate(info.bit_strings)
+        for j, label in enumerate(BELL_LABELS)
     }
 
 
@@ -529,94 +501,97 @@ def _window_q(config: RoundConfig) -> float:
     return 1.0 - math.exp(-2.0 * k * config.t_window)
 
 
-@_seedless_cache
-def outcome_distribution(
-    config: RoundConfig, message: Message
-) -> dict[tuple[tuple[int, int], str], float]:
-    """Exact joint distribution of (observable click counts, receiver bits)
-    for one message under the trajectory model, dark counts included.
+def _outcome_law(config: RoundConfig, sectors: np.ndarray, bell: np.ndarray,
+                 n_counts: int) -> np.ndarray:
+    """Exact joint law of (observable click counts, receiver bit code) per
+    row of ``sectors`` under the trajectory model, dark counts included:
+    ``law[row, n+, n-, bit code]``, click counts below ``n_counts``.
 
     Sector bookkeeping (vacuum / psi+- / two-photon) is exact for pipeline
-    states, whose photon sectors never superpose across a jump.
+    states, whose photon sectors never superpose across a jump.  Each cell
+    adds its terms in the order the model meets them.
     """
-    sectors = _sector_split(pipeline_state(config, message))
     eta = config.detector.efficiency
     p_dc = config.detector.dark_prob
     q = _window_q(config)
     s1 = 1.0 - q  # single-photon no-jump weight factor exp(-2kT)
     s2 = s1 * s1
+    m = sectors.shape[2]
+    w0, wp, wm, w2 = np.abs(sectors[:, 0]) ** 2, bell[:, 0], bell[:, 1], np.abs(sectors[:, 3]) ** 2
 
-    bit_strings = all_bit_strings(config)
-    m = len(bit_strings)
-
-    w0, wp, wm, w2 = (
-        dict(zip(bit_strings, (np.abs(amps) ** 2).tolist()))
-        for amps in (sectors.a00, *sectors.psi, sectors.a11)
-    )
-
-    total_weight = sum(w0.values()) + sum(wp.values()) + sum(wm.values()) + sum(w2.values())
-    deficit = max(0.0, 1.0 - total_weight)
-
-    real: dict[tuple[tuple[int, int], str], float] = {}
-
-    def add(counts: tuple[int, int], bits: str, p: float):
-        if p > 0.0:
-            key = (counts, bits)
-            real[key] = real.get(key, 0.0) + p
-
-    nojump = {
-        bits: w0[bits] + (wp[bits] + wm[bits]) * s1 + w2[bits] * s2 for bits in bit_strings
-    }
-    n_t = sum(nojump.values())
+    # row totals are plain sums in bit-code order, not numpy's pairwise sums
+    deficit = np.array([  # per row: the weight the transfer lost
+        [max(0.0, 1.0 - (sum(a) + sum(b) + sum(c) + sum(d)))]
+        for a, b, c, d in zip(w0.tolist(), wp.tolist(), wm.tolist(), w2.tolist())
+    ])
+    nojump = w0 + (wp + wm) * s1 + w2 * s2
+    n_t = np.array([[sum(row)] for row in nojump.tolist()])
+    live = n_t > 1e-300
+    law = np.zeros((len(sectors), n_counts, n_counts, m))
     # No-jump residuals plus the transfer-loss deficit: no real clicks; bits
     # follow the residual state (uniform when it is numerically empty).
-    for bits in bit_strings:
-        share = nojump[bits] / n_t if n_t > 1e-300 else 1.0 / m
-        add((0, 0), bits, nojump[bits] if n_t > 1e-300 else 0.0)
-        add((0, 0), bits, deficit * share)
-
-    for bits in bit_strings:
-        # single-photon sectors: one jump with prob q, registered with eta
-        add((1, 0), bits, wp[bits] * q * eta)
-        add((0, 0), bits, wp[bits] * q * (1.0 - eta))
-        add((0, 1), bits, wm[bits] * q * eta)
-        add((0, 0), bits, wm[bits] * q * (1.0 - eta))
-        # two-photon sector: jumps ~ Binom(2, q); all jumps share one sign
-        # (the surviving single-photon state is the matching psi_pm), sign
-        # +/- equiprobable; registrations independent with eta
-        w = w2[bits]
-        p_j1 = 2.0 * q * (1.0 - q)
-        p_j2 = q * q
-        add((0, 0), bits, w * p_j1 * (1.0 - eta))
-        add((1, 0), bits, w * p_j1 * eta * 0.5)
-        add((0, 1), bits, w * p_j1 * eta * 0.5)
-        add((0, 0), bits, w * p_j2 * (1.0 - eta) ** 2)
-        add((1, 0), bits, w * p_j2 * 2.0 * eta * (1.0 - eta) * 0.5)
-        add((0, 1), bits, w * p_j2 * 2.0 * eta * (1.0 - eta) * 0.5)
-        add((2, 0), bits, w * p_j2 * eta * eta * 0.5)
-        add((0, 2), bits, w * p_j2 * eta * eta * 0.5)
+    share = np.where(live, nojump / np.where(live, n_t, 1.0), 1.0 / m)
+    law[:, 0, 0] = np.where(live, nojump, 0.0) + deficit * share
+    # single-photon sectors: one jump with prob q, registered with eta
+    law[:, 1, 0] += wp * q * eta
+    law[:, 0, 0] += wp * q * (1.0 - eta)
+    law[:, 0, 1] += wm * q * eta
+    law[:, 0, 0] += wm * q * (1.0 - eta)
+    # two-photon sector: jumps ~ Binom(2, q); all jumps share one sign (the
+    # surviving single-photon state is the matching psi_pm), sign +/-
+    # equiprobable; registrations independent with eta
+    p_j1 = 2.0 * q * (1.0 - q)
+    p_j2 = q * q
+    law[:, 0, 0] += w2 * p_j1 * (1.0 - eta)
+    law[:, 1, 0] += w2 * p_j1 * eta * 0.5
+    law[:, 0, 1] += w2 * p_j1 * eta * 0.5
+    law[:, 0, 0] += w2 * p_j2 * (1.0 - eta) ** 2
+    law[:, 1, 0] += w2 * p_j2 * 2.0 * eta * (1.0 - eta) * 0.5
+    law[:, 0, 1] += w2 * p_j2 * 2.0 * eta * (1.0 - eta) * 0.5
+    law[:, 2, 0] += w2 * p_j2 * eta * eta * 0.5
+    law[:, 0, 2] += w2 * p_j2 * eta * eta * 0.5
 
     if p_dc == 0.0:
-        return real
-    out: dict[tuple[tuple[int, int], str], float] = {}
+        return law
+    # at most one dark count per detector, independent of the real clicks
+    real, law = law, np.zeros_like(law)
     dark = ((0, (1.0 - p_dc)), (1, p_dc))
-    for ((r_plus, r_minus), bits), p in real.items():
+    # in the order the model first reaches the real counts: (1, 1), the one
+    # cell of three terms, adds vacuum, then D+, then D-
+    for r_plus, r_minus in ((0, 0), (1, 0), (0, 1), (2, 0), (0, 2)):
         for d_plus, pd_plus in dark:
             for d_minus, pd_minus in dark:
-                key = ((r_plus + d_plus, r_minus + d_minus), bits)
-                out[key] = out.get(key, 0.0) + p * pd_plus * pd_minus
-    return out
+                law[:, r_plus + d_plus, r_minus + d_minus] += (
+                    real[:, r_plus, r_minus] * pd_plus * pd_minus
+                )
+    return law
 
 
-def _argmax_message(likelihoods: dict[Message, float]) -> Message | None:
-    best = max(likelihoods.values())
-    if best <= 1e-300:
-        return None
-    winners = [m for m in MESSAGES if likelihoods[m] >= best * (1.0 - _TIE_RTOL)]
-    return winners[0] if len(winners) == 1 else None
+def outcome_distribution(
+    config: RoundConfig, message: Message
+) -> dict[tuple[tuple[int, int], str], float]:
+    """Exact joint distribution of (observable click counts, receiver bits)
+    for one message, dark counts included: the nonzero cells of the plan's
+    outcome law (:func:`_outcome_law`)."""
+    plan = _plan(config)
+    law = plan.outcomes[_MSG_INDEX[message]]
+    cells = np.argwhere(law > 0.0).tolist()
+    return {
+        ((a, b), plan.info.bit_strings[code]): p
+        for (a, b, code), p in zip(cells, law[law > 0.0].tolist())
+    }
 
 
-@_seedless_cache
+def _argmax(likelihoods: np.ndarray) -> np.ndarray:
+    """The maximum-likelihood message index along axis 0 (MESSAGES order) of
+    every cell: ABORT where the best likelihood is at most 1e-300 or several
+    messages reach within a relative ``_TIE_RTOL`` of it."""
+    best = likelihoods.max(axis=0)
+    winners = likelihoods >= best * (1.0 - _TIE_RTOL)
+    unique = (best > 1e-300) & (winners.sum(axis=0) == 1)
+    return np.where(unique, winners.argmax(axis=0), lockstep.ABORT)
+
+
 def build_decode_table(config: RoundConfig) -> dict[tuple[str, str], Message | None]:
     """Maximum-likelihood decode table, generated mechanically from the
     deterministic pipeline.
@@ -625,53 +600,29 @@ def build_decode_table(config: RoundConfig) -> dict[tuple[str, str], Message | N
     weights; ties and unsupported outcomes map to None (abort).  Ideal-PNR
     mode keys: (Bell label, receiver bits) over the full four-state basis.
     """
-    weights = {msg: bell_weights(pipeline_state(config, msg), config) for msg in MESSAGES}
-    table: dict[tuple[str, str], Message | None] = {}
+    plan = _plan(config)
+    strings = plan.info.bit_strings
     if config.ideal_pnr:
-        for label in BELL_LABELS:
-            for bits in all_bit_strings(config):
-                table[(label, bits)] = _argmax_message(
-                    {m: weights[m][(label, bits)] for m in MESSAGES}
-                )
-        return table
-    for channel, label in ((CHANNEL_PLUS, PSI_PLUS), (CHANNEL_MINUS, PSI_MINUS)):
-        for bits in all_bit_strings(config):
-            table[(channel, bits)] = _argmax_message(
-                {m: weights[m][(label, bits)] for m in MESSAGES}
-            )
-    for bits in all_bit_strings(config):
-        table[("none", bits)] = None
-    return table
-
-
-@_seedless_cache
-def _ml_lookup(config: RoundConfig) -> dict[tuple[tuple[int, int], str], Message | None]:
-    dists = {m: outcome_distribution(config, m) for m in MESSAGES}
-    keys = set()
-    for d in dists.values():
-        keys.update(d.keys())
-    return {
-        key: _argmax_message({m: dists[m].get(key, 0.0) for m in MESSAGES}) for key in keys
+        keys = [(label, bits) for label in BELL_LABELS for bits in strings]
+        return dict(zip(keys, [_DECODED[i] for i in plan.pnr_decoded.tolist()]))
+    table = {
+        (channel, bits): _DECODED[i]
+        for channel, cell in ((CHANNEL_PLUS, (1, 0)), (CHANNEL_MINUS, (0, 1)))
+        for bits, i in zip(strings, plan.decoded[cell].tolist())
     }
+    table.update({("none", bits): None for bits in strings})
+    return table
 
 
 def decode(config: RoundConfig, counts: tuple[int, int], bits: str) -> Message | None:
     """Decode one window: single-click windows go through the decode table;
     multi-click windows fall back to exact maximum likelihood; irreducible
-    ties abort."""
+    ties, no-click windows and counts the model never produces abort."""
     plan = _plan(config)
-    return _decode_rule(plan.table, plan.ml, counts, bits)
-
-
-def _decode_rule(table: dict, ml: dict, counts: tuple[int, int], bits: str) -> Message | None:
     n_plus, n_minus = counts
-    if n_plus + n_minus == 0:
+    if not (0 <= n_plus < len(plan.decoded) and 0 <= n_minus < len(plan.decoded)):
         return None
-    if (n_plus, n_minus) == (1, 0):
-        return table[(CHANNEL_PLUS, bits)]
-    if (n_plus, n_minus) == (0, 1):
-        return table[(CHANNEL_MINUS, bits)]
-    return ml.get((counts, bits))
+    return _DECODED[plan.decoded[n_plus, n_minus, plan.info.bit_strings.index(bits)]]
 
 
 # ---------------------------------------------------------------------------
@@ -721,7 +672,7 @@ class _CheckContext:
     passed: np.ndarray  # True on inconclusive combos
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_CACHE_SIZE)
 def _check_context(n_parties: int) -> _CheckContext:
     layout = SystemLayout((atom_site(),) * n_parties)
     ghz = np.zeros(layout.dim, dtype=np.complex128)
@@ -762,17 +713,23 @@ def _check_context(n_parties: int) -> _CheckContext:
 class _Plan:
     """Everything a round of one config reads, compiled once per config with
     the seed excluded.  Each table holds what a round computed on its own
-    would evaluate, from the same expression, so it is bit-equal."""
+    would evaluate, from the same expression, so it is bit-equal.
+
+    One outcome law drives every decision: the single-click decode table and
+    the ideal-PNR table come from the Bell weights, the multi-click fallback
+    from ``outcomes``, and ``security`` marginalises ``outcomes`` for its
+    posteriors."""
 
     config: RoundConfig
     info: _LayoutInfo
+    t_map: float
     amps: np.ndarray  # (4, dim) pipeline amplitudes in MESSAGES order
     sector_norms: np.ndarray  # (4, photon sectors) photon-sector weights of amps
-    table: dict  # build_decode_table(config)
-    ml: dict  # _ml_lookup(config)
-    decoded: np.ndarray | None  # honest mode: (n+, n-, bit code) -> message index
-    pnr_cum: np.ndarray | None  # ideal PNR: (4, label x bit code) cumulative Bell weights
-    pnr_decoded: np.ndarray | None  # ideal PNR: (label x bit code) -> message index
+    bell: np.ndarray  # (4, Bell label, bit code) Bell weights of amps
+    outcomes: np.ndarray  # (4, n+, n-, bit code) outcome law of amps (_outcome_law)
+    decoded: np.ndarray  # (n+, n-, bit code) -> decoded-message index
+    pnr_cum: np.ndarray  # (4, label x bit code) cumulative Bell weights
+    pnr_decoded: np.ndarray  # (label x bit code) -> decoded-message index
     # round-log line tails per row key, filled by the first logged blocks
     log_tails: dict = dataclasses.field(default_factory=dict, repr=False)
 
@@ -793,50 +750,34 @@ def _sector_norms(info: _LayoutInfo, amps: np.ndarray) -> np.ndarray:
     ]))
 
 
-def _message_index(message: Message | None) -> int:
-    return lockstep.ABORT if message is None else _MSG_INDEX[message]
+def _plan(config: RoundConfig) -> _Plan:
+    """The compiled plan of a config.  Nothing in it depends on the seed, so
+    configs that differ only in their seed share one entry of the cache."""
+    return _compile_plan(config if config.seed == 0 else dataclasses.replace(config, seed=0))
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
-def _plan(config: RoundConfig) -> _Plan:
-    """The compiled plan of a config, at the cost of one hash per lookup."""
-    return _compile_plan(config)
-
-
-@_seedless_cache
 def _compile_plan(config: RoundConfig) -> _Plan:
-    states = [pipeline_state(config, m) for m in MESSAGES]
-    info = _layout_info(states[0].layout)
-    amps = _frozen(np.array([s.amplitudes for s in states]))
+    t_map = resolve_t_map(config)
+    info = _layout_info(layout_for(config.n_parties, config.cutoff))
+    amps = _pipeline_amps(config, t_map)
     sector_norms = _sector_norms(info, amps)
-    table = build_decode_table(config)
-    ml = _ml_lookup(config)
-    strings = info.bit_strings
-    decoded = pnr_cum = pnr_decoded = None
-    if config.ideal_pnr:
-        keys = [(label, bits) for label in BELL_LABELS for bits in strings]
-        pnr_decoded = _frozen(np.array([_message_index(table[key]) for key in keys]))
-        rows = []
-        for state in states:
-            weights = bell_weights(state, config)
-            acc, row = 0.0, []
-            for key in keys:
-                acc += weights[key]
-                row.append(acc)
-            rows.append(row)
-        pnr_cum = _frozen(np.array(rows))
-    else:
-        # click counts reach the photon number plus one dark count
-        counts = range(sector_norms.shape[1] + 1)
-        decoded = _frozen(np.array([
-            [[_message_index(_decode_rule(table, ml, (a, b), bits)) for bits in strings]
-             for b in counts]
-            for a in counts
-        ]))
+    sectors = _sectors(info, amps)
+    bell = _frozen(_bell(sectors, alpha_beta(config.params, t_map)[1]))
+    # click counts reach the photon number plus one dark count
+    outcomes = _frozen(_outcome_law(config, sectors, bell, sector_norms.shape[1] + 1))
+    decoded = _argmax(outcomes)
+    decoded[0, 0] = lockstep.ABORT  # no click
+    decoded[1, 0], decoded[0, 1] = _argmax(bell[:, 0]), _argmax(bell[:, 1])  # psi+, psi-
     return _Plan(
-        config=config, info=info, amps=amps, sector_norms=sector_norms, table=table, ml=ml,
-        decoded=decoded, pnr_cum=pnr_cum, pnr_decoded=pnr_decoded,
+        config=config, info=info, t_map=t_map, amps=amps, sector_norms=sector_norms,
+        bell=bell, outcomes=outcomes, decoded=_frozen(decoded),
+        pnr_cum=_frozen(np.cumsum(bell.reshape(len(MESSAGES), -1), axis=1)),
+        pnr_decoded=_frozen(_argmax(bell).reshape(-1)),
     )
+
+
+_plan.cache_info, _plan.cache_clear = _compile_plan.cache_info, _compile_plan.cache_clear
 
 
 # ---------------------------------------------------------------------------
@@ -887,7 +828,6 @@ def _round_outcomes(plan: _Plan, r: lockstep.Rounds) -> list[RoundOutcome]:
     """The RoundOutcome of every row of a lockstep block."""
     window = plan.config.t_window
     strings = plan.info.bit_strings
-    messages = MESSAGES + (None,)  # indexed by lockstep message index
     out = []
     rows = zip(
         r.check.tolist(), r.combo.tolist(), r.outcome.tolist(), r.sent.tolist(),
@@ -906,10 +846,10 @@ def _round_outcomes(plan: _Plan, r: lockstep.Rounds) -> list[RoundOutcome]:
             detection = DetectionRecord(_events(r, i), window)
             outcome = RoundOutcome(
                 mode="encode",
-                sent=messages[sent],
+                sent=_DECODED[sent],
                 receiver_bits=strings[bits],
                 detection=detection,
-                decoded=messages[decoded],
+                decoded=_DECODED[decoded],
                 bell_label=BELL_LABELS[label] if plan.config.ideal_pnr and label >= 0 else None,
                 real_click=detection.has_real_click(),
                 photon_survived=survived,

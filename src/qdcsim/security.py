@@ -3,8 +3,8 @@
 Three layers:
 
 * exact Bayesian posteriors over the four messages for partial views
-  (who sees the detectors, who sees which receiver atoms), computed by
-  enumeration from the analytic outcome distribution -- no sampling;
+  (who sees the detectors, who sees which receiver atoms): the compiled
+  outcome-law array summed over what a view does not see -- no sampling;
 * Monte-Carlo guessing games ("cheat experiments") whose empirical rates
   must converge to the posterior-optimal rates;
 * the GHZ x/y parity check of protocol step 2, with intercept-resend
@@ -107,14 +107,22 @@ def _site_positions(config: RoundConfig) -> dict[int, int]:
     return {site: pos for pos, site in enumerate(protocol.rotated_receiver_sites(layout))}
 
 
-def _consistent(obs: Observation, counts: tuple[int, int], bits: str,
-                positions: dict[int, int]) -> bool:
-    if obs.clicks is not None and obs.clicks != counts:
-        return False
-    for site, bit in obs.bits:
-        if bits[positions[site]] != bit:
-            return False
-    return True
+def _view_law(view: ViewSpec, config: RoundConfig,
+              messages: Sequence[Message]) -> np.ndarray:
+    """P(observation | message) for each of ``messages``: the plan's outcome
+    law summed over what the view does not see.  Axes: message, n+, n-, then
+    one per rotated receiver (0 = g, 1 = e); a hidden axis keeps length 1."""
+    positions = _site_positions(config)
+    for site in view.sees_bits:
+        if site not in positions:
+            raise ValueError(f"site {site} is not a rotated receiver atom")
+    outcomes = protocol._plan(config).outcomes
+    law = outcomes[[protocol._MSG_INDEX[m] for m in messages]]
+    law = law.reshape(law.shape[:3] + (2,) * len(positions))
+    hidden = tuple(3 + pos for site, pos in positions.items() if site not in view.sees_bits)
+    if not view.sees_clicks:
+        hidden += (1, 2)
+    return law.sum(axis=hidden, keepdims=True)
 
 
 def observation_likelihoods(
@@ -122,18 +130,17 @@ def observation_likelihoods(
     messages: Sequence[Message] = MESSAGES,
 ) -> dict[Message, float]:
     """P(observation | message), marginalized over unobserved coordinates."""
+    view = ViewSpec(sees_clicks=obs.clicks is not None, sees_bits=[site for site, _ in obs.bits])
+    law = _view_law(view, config, messages)
     positions = _site_positions(config)
-    for site, _ in obs.bits:
-        if site not in positions:
-            raise ValueError(f"site {site} is not a rotated receiver atom")
-    out = {}
-    for m in messages:
-        dist = protocol.outcome_distribution(config, m)
-        out[m] = sum(
-            p for (counts, bits), p in dist.items()
-            if _consistent(obs, counts, bits, positions)
-        )
-    return out
+    cell = [0] * (law.ndim - 1)
+    if obs.clicks is not None:
+        cell[:2] = obs.clicks
+    for site, bit in obs.bits:
+        cell[2 + positions[site]] = {"g": 0, "e": 1}.get(bit, -1)
+    if not all(0 <= i < n for i, n in zip(cell, law.shape[1:])):
+        return dict.fromkeys(messages, 0.0)
+    return dict(zip(messages, law[(slice(None), *cell)].tolist()))
 
 
 def exact_posterior(
@@ -153,25 +160,20 @@ def exact_posterior(
     return {m: likes[m] / total for m in messages}
 
 
-def _project(view: ViewSpec, counts: tuple[int, int], bits: str,
-             positions: dict[int, int]) -> Observation:
-    return Observation(
-        clicks=counts if view.sees_clicks else None,
-        bits=tuple((site, bits[positions[site]]) for site in view.sees_bits),
-    )
-
-
 def view_distribution(
     view: ViewSpec, config: RoundConfig, messages: Sequence[Message] = MESSAGES,
 ) -> dict[Observation, dict[Message, float]]:
-    """Joint P(observation, message) under a uniform prior on ``messages``."""
+    """Joint P(observation, message) under a uniform prior on ``messages``,
+    over the observations some message can produce."""
+    law = _view_law(view, config, messages) * (1.0 / len(messages))
     positions = _site_positions(config)
-    prior = 1.0 / len(messages)
-    joint: dict[Observation, dict[Message, float]] = {}
-    for m in messages:
-        for (counts, bits), p in protocol.outcome_distribution(config, m).items():
-            obs = _project(view, counts, bits, positions)
-            joint.setdefault(obs, {msg: 0.0 for msg in messages})[m] += prior * p
+    joint = {}
+    for cell in np.argwhere((law > 0.0).any(axis=0)).tolist():
+        obs = Observation(
+            clicks=tuple(cell[:2]) if view.sees_clicks else None,
+            bits=tuple((site, "ge"[cell[2 + positions[site]]]) for site in view.sees_bits),
+        )
+        joint[obs] = dict(zip(messages, law[(slice(None), *cell)].tolist()))
     return joint
 
 
@@ -181,16 +183,13 @@ def optimal_guess_rate(
 ) -> float:
     """Best achievable guess rate for the view (maximum-posterior strategy),
     optionally conditioned on at least one observable click."""
-    joint = view_distribution(view, config, messages)
     if given_click and not view.sees_clicks:
         raise ValueError("cannot condition on clicks for a view that cannot see them")
-    num = den = 0.0
-    for obs, per_message in joint.items():
-        if given_click and sum(obs.clicks) == 0:
-            continue
-        num += max(per_message.values())
-        den += sum(per_message.values())
-    return num / den if den > 0 else 0.0
+    law = _view_law(view, config, messages)  # a fresh array
+    if given_click:
+        law[:, 0, 0] = 0.0
+    total = float(law.sum())
+    return float(law.max(axis=0).sum()) / total if total > 0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -210,24 +209,16 @@ def _guess_tables(cheater: ViewSpec, config: RoundConfig, plan,
     (n+, n-, receiver bit code): how many messages tie, and their message
     indices in ``messages`` order.  An observation the model does not hold
     (an unmodeled fluke outcome) ties every message: a blind guess."""
-    positions = _site_positions(config)
-    posteriors = {
-        obs: {m: p / max(sum(per.values()), 1e-300) for m, p in per.items()}
-        for obs, per in view_distribution(cheater, config, messages).items()
-    }
-    blind = {m: 1.0 / len(messages) for m in messages}
-    strings = plan.info.bit_strings
-    n_counts = plan.sector_norms.shape[1] + 1  # photons plus one dark count
-    shape = (n_counts, n_counts, len(strings))
-    n_tied = np.zeros(shape, dtype=np.int64)
-    tied = np.zeros(shape + (len(messages),), dtype=np.int64)
-    for key in np.ndindex(shape):
-        posterior = posteriors.get(_project(cheater, key[:2], strings[key[2]], positions), blind)
-        best = max(posterior.values())
-        ids = [protocol._MSG_INDEX[m] for m in posterior if posterior[m] >= best * (1.0 - 1e-12)]
-        n_tied[key] = len(ids)
-        tied[key][: len(ids)] = ids
-    return n_tied, tied
+    law = _view_law(cheater, config, messages)
+    ties = law >= law.max(axis=0) * (1.0 - 1e-12)
+    shape = (len(messages),) + plan.outcomes.shape[1:3] + (2,) * (ties.ndim - 3)
+    ties = np.broadcast_to(ties, shape).reshape((len(messages),) + plan.outcomes.shape[1:])
+    n_tied = ties.sum(axis=0)
+    ids = np.array([protocol._MSG_INDEX[m] for m in messages])
+    order = np.argsort(~ties, axis=0, kind="stable")  # tied messages first
+    slot = np.arange(len(messages)).reshape((-1, 1, 1, 1))
+    tied = np.where(slot < n_tied, ids[order], 0)
+    return n_tied, np.moveaxis(tied, 0, -1)
 
 
 def cheat_experiment(

@@ -12,6 +12,7 @@ before it is measured (``run_check_round``) or detected
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -29,7 +30,6 @@ from qdcsim.protocol import (
     RoundConfig,
     RoundOutcome,
     WindowResult,
-    _decode_rule,
     _layout_info,
     _LayoutInfo,
     _MSG_INDEX,
@@ -238,6 +238,104 @@ def run_check_round(
 
 
 # ---------------------------------------------------------------------------
+# the outcome law and the decode rule, key by key
+
+
+def outcome_distribution(
+    config: RoundConfig, message: Message
+) -> dict[tuple[tuple[int, int], str], float]:
+    """The joint law of (click counts, receiver bits) of one message, one
+    key at a time: the reference of the compiled ``outcomes`` array.  A key
+    sums its terms in the order the loops reach them, and dark counts spread
+    each real key in the order the real keys were first reached."""
+    state = P.pipeline_state(config, message)
+    strings = _layout_info(state.layout).bit_strings
+    sectors = P._sectors(_layout_info(state.layout), state.amplitudes[None])[0]
+    bell = P.bell_weights(state, config)
+    w0 = dict(zip(strings, (np.abs(sectors[0]) ** 2).tolist()))
+    wp = {bits: bell[("psi+", bits)] for bits in strings}
+    wm = {bits: bell[("psi-", bits)] for bits in strings}
+    w2 = dict(zip(strings, (np.abs(sectors[3]) ** 2).tolist()))
+    eta, p_dc = config.detector.efficiency, config.detector.dark_prob
+    q = P._window_q(config)
+    s1 = 1.0 - q
+    s2 = s1 * s1
+    m = len(strings)
+    deficit = max(0.0, 1.0 - (sum(w0.values()) + sum(wp.values()) + sum(wm.values())
+                              + sum(w2.values())))
+    real: dict = {}
+
+    def add(counts, bits, p):
+        if p > 0.0:
+            real[(counts, bits)] = real.get((counts, bits), 0.0) + p
+
+    nojump = {bits: w0[bits] + (wp[bits] + wm[bits]) * s1 + w2[bits] * s2 for bits in strings}
+    n_t = sum(nojump.values())
+    for bits in strings:
+        share = nojump[bits] / n_t if n_t > 1e-300 else 1.0 / m
+        add((0, 0), bits, nojump[bits] if n_t > 1e-300 else 0.0)
+        add((0, 0), bits, deficit * share)
+    p_j1, p_j2 = 2.0 * q * (1.0 - q), q * q
+    for bits in strings:
+        add((1, 0), bits, wp[bits] * q * eta)
+        add((0, 0), bits, wp[bits] * q * (1.0 - eta))
+        add((0, 1), bits, wm[bits] * q * eta)
+        add((0, 0), bits, wm[bits] * q * (1.0 - eta))
+        w = w2[bits]
+        add((0, 0), bits, w * p_j1 * (1.0 - eta))
+        add((1, 0), bits, w * p_j1 * eta * 0.5)
+        add((0, 1), bits, w * p_j1 * eta * 0.5)
+        add((0, 0), bits, w * p_j2 * (1.0 - eta) ** 2)
+        add((1, 0), bits, w * p_j2 * 2.0 * eta * (1.0 - eta) * 0.5)
+        add((0, 1), bits, w * p_j2 * 2.0 * eta * (1.0 - eta) * 0.5)
+        add((2, 0), bits, w * p_j2 * eta * eta * 0.5)
+        add((0, 2), bits, w * p_j2 * eta * eta * 0.5)
+    if p_dc == 0.0:
+        return real
+    out: dict = {}
+    dark = ((0, (1.0 - p_dc)), (1, p_dc))
+    for ((r_plus, r_minus), bits), p in real.items():
+        for d_plus, pd_plus in dark:
+            for d_minus, pd_minus in dark:
+                key = ((r_plus + d_plus, r_minus + d_minus), bits)
+                out[key] = out.get(key, 0.0) + p * pd_plus * pd_minus
+    return out
+
+
+@lru_cache(maxsize=None)
+def _likelihoods(config: RoundConfig) -> dict:
+    """Each message's likelihood per decode key: (Bell label, bits) keys
+    from ``bell_weights`` of the pipeline states, ((n+, n-), bits) keys from
+    the key-by-key :func:`outcome_distribution`."""
+    out: dict = {}
+    for m in MESSAGES:
+        weights = P.bell_weights(P.pipeline_state(config, m), config)
+        for key, p in [*weights.items(), *outcome_distribution(config, m).items()]:
+            out.setdefault(key, dict.fromkeys(MESSAGES, 0.0))[m] = p
+    return out
+
+
+def decode_key(config: RoundConfig, *key) -> Message | None:
+    """Maximum likelihood over MESSAGES; ties within a relative 1e-9 and keys
+    no message reaches above 1e-300 abort."""
+    likelihoods = _likelihoods(config).get(key, dict.fromkeys(MESSAGES, 0.0))
+    best = max(likelihoods.values())
+    if best <= 1e-300:
+        return None
+    winners = [m for m in MESSAGES if likelihoods[m] >= best * (1.0 - 1e-9)]
+    return winners[0] if len(winners) == 1 else None
+
+
+def decode(config: RoundConfig, counts: tuple[int, int], bits: str) -> Message | None:
+    """No click aborts, a single click reads the psi+- weights, more clicks
+    fall back to maximum likelihood over the outcome model."""
+    if sum(counts) == 0:
+        return None
+    label = {(1, 0): "psi+", (0, 1): "psi-"}.get(counts)
+    return decode_key(config, label, bits) if label else decode_key(config, counts, bits)
+
+
+# ---------------------------------------------------------------------------
 # rounds
 
 
@@ -273,7 +371,7 @@ def _encode_round(
             bits = info.bit_strings[int(rng.integers(0, len(info.bit_strings)))]
             decoded = None
         else:
-            decoded = plan.table[(label, bits)]
+            decoded = decode_key(config, label, bits)
         record = DetectionRecord((), config.t_window)
         return RoundOutcome(
             mode="encode",
@@ -291,7 +389,7 @@ def _encode_round(
     psi, events, jumped, photon_survived = _window_raw(info, amps, config, rng)
     record = DetectionRecord(tuple(events), config.t_window)
     bits = _sample_bits_raw(info, psi, rng)
-    decoded = _decode_rule(plan.table, plan.ml, record.counts(), bits)
+    decoded = decode(config, record.counts(), bits)
     return RoundOutcome(
         mode="encode",
         sent=sent,

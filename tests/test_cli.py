@@ -343,6 +343,62 @@ class TestGoldenDigest:
         digest = hashlib.sha256((out_dir / "security.json").read_bytes()).hexdigest()
         assert digest == self.SECURITY_DIGEST
 
+    # the decode layer, taken while the decode tables were still built from
+    # per-message outcome dicts
+    DECODE_TABLE_DIGESTS = {
+        False: "8f31959ba15022ec3d52faa7cb46daf1585f865e267b7932f413054f7c17d7b0",
+        True: "c6f8f0020433616ba58b44a88782aa703280ca6d778f458e9675361326d72455",
+    }
+    DECODE_DIGEST = "239ef6456bb76930a986b4bf861277fabee733ad31e6000bf959b329fb1357c2"
+
+    @pytest.mark.parametrize("ideal_pnr", [False, True])
+    def test_decode_table_bytes(self, ideal_pnr, tmp_path, capsys):
+        path = tmp_path / "golden.json"
+        path.write_text(json.dumps(self.DOC))
+        out_dir = tmp_path / "out"
+        flags = ["--ideal-pnr"] if ideal_pnr else []
+        code, _, _ = run_cli(
+            ["decode-table", "--config", str(path), *flags, "--out", str(out_dir)], capsys
+        )
+        assert code == 0
+        digest = hashlib.sha256((out_dir / "decode_table.json").read_bytes()).hexdigest()
+        assert digest == self.DECODE_TABLE_DIGESTS[ideal_pnr]
+
+    # the float bits of every outcome probability on the same grid
+    OUTCOME_DIGEST = "8223c43dedfd7c3316d0a2ff802ab9e6e9d8b708f2878d78b0472d6b1f3f0e23"
+
+    @staticmethod
+    def decode_grid():
+        # dark-count rates that add ties, cutoffs that widen the tables
+        for p_dc in (0.0, 0.05, 0.5):
+            for cutoff in (1, 2):
+                for n in (2, 3):
+                    yield f"{p_dc} {cutoff} {n}", P.RoundConfig(
+                        params=PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, k=0.2),
+                        t_window=6.0, n_receivers=n, cutoff=cutoff,
+                        detector=P.DetectorModel(0.9, p_dc),
+                    )
+
+    def test_decode_answers(self):
+        # every click count up to 3 per detector and every bit string
+        digest = hashlib.sha256()
+        for name, cfg in self.decode_grid():
+            for a in range(4):
+                for b in range(4):
+                    for bits in P.all_bit_strings(cfg):
+                        m = P.decode(cfg, (a, b), bits)
+                        answer = m.value if m else "abort"
+                        digest.update(f"{name} {a} {b} {bits} {answer}\n".encode())
+        assert digest.hexdigest() == self.DECODE_DIGEST
+
+    def test_outcome_probabilities(self):
+        digest = hashlib.sha256()
+        for name, cfg in self.decode_grid():
+            for m in P.MESSAGES:
+                for (counts, bits), p in sorted(P.outcome_distribution(cfg, m).items()):
+                    digest.update(f"{name} {m.value} {counts} {bits} {p.hex()}\n".encode())
+        assert digest.hexdigest() == self.OUTCOME_DIGEST
+
 
 class TestSweepCommand:
     def test_csv_and_agreement(self, config_path, tmp_path, capsys):

@@ -5,8 +5,11 @@ guessing games that must converge to its optimal rates."""
 import dataclasses
 import math
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
+import scalar_oracle as O
+from qdcsim import lockstep
 from qdcsim import protocol as P
 from qdcsim import security as S
 from qdcsim.dynamics import PhysicalParams
@@ -40,17 +43,28 @@ def test_outcome_distribution_sums_to_one(config):
 
 @settings(max_examples=25)
 @given(configs)
+@example(  # exp(-2kT) underflows: no photon survives the window
+    P.RoundConfig(params=PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, k=1.5), t_window=1e4,
+                  detector=P.DetectorModel(efficiency=0.5, dark_prob=0.5), cutoff=2),
+)
+def test_outcome_law_equals_the_key_by_key_reference(config):
+    for m in MESSAGES:
+        want = {key: p for key, p in O.outcome_distribution(config, m).items() if p > 0.0}
+        assert P.outcome_distribution(config, m) == want, m
+
+
+@settings(max_examples=25)
+@given(configs)
 def test_ml_fallback_decodes_only_possible_keys(config):
-    dists = {m: P.outcome_distribution(config, m) for m in MESSAGES}
-    for key, decoded in P._ml_lookup(config).items():
-        if decoded is not None:
-            assert dists[decoded].get(key, 0.0) > 0.0, key
+    plan = P._plan(config)
+    n_plus, n_minus, code = np.nonzero(plan.decoded != lockstep.ABORT)
+    multi = n_plus + n_minus > 1
+    decoded = plan.decoded[n_plus, n_minus, code][multi]
+    assert (plan.outcomes[decoded, n_plus[multi], n_minus[multi], code[multi]] > 0.0).all()
 
 
 def clear_compile_caches():
-    for cache in (P._pipeline_state, P.outcome_distribution, P.build_decode_table,
-                  P._ml_lookup, P._compile_plan, P._plan):
-        cache.cache_clear()
+    P._plan.cache_clear()
 
 
 @settings(max_examples=15)

@@ -272,11 +272,13 @@ class TestSimulateWindow:
 
     def test_selection_rules(self):
         cfg = config()
-        for i in range(2000):
-            res = simulate_window(psi_state(+1), cfg, P.round_rng(4, i))
-            assert all(ch != P.CHANNEL_MINUS for _, ch in res.record.events)
-            res = simulate_window(psi_state(-1), cfg, P.round_rng(5, i))
-            assert all(ch != P.CHANNEL_PLUS for _, ch in res.record.events)
+        # row i is simulate_window(psi_state(sign), cfg, P.round_rng(seed, i))
+        for sign, seed in ((+1, 4), (-1, 5)):
+            clicks = 0
+            for r in O.engine_windows(psi_state(sign), cfg, seed, 2000):
+                assert not (r.jump_seen & (r.jump_sign == -sign)).any()
+                clicks += int(r.jump_seen.sum())
+            assert clicks > 0
 
     def test_survival_flag_probability(self):
         cfg = config()
@@ -353,6 +355,18 @@ class TestDecodeTable:
         assert len(psi_keys) == 8
         assert all(tab[k] in (Message.X, Message.IY) for k in psi_keys)
 
+    def test_counts_outside_the_table_abort(self):
+        # negative counts included: as indices they would wrap onto cells
+        # that decode, such as the single clicks
+        outside = [(3, 3), (7, 7), (100, 1), (4, 0), (0, 4)]
+        for n in range(1, 8):
+            outside += [(-n, 0), (0, -n), (-n, 1), (1, -n), (-n, -n)]
+        for cutoff in (1, 2):
+            cfg = config(cutoff=cutoff, detector=DetectorModel(0.9, 0.05))
+            for counts in outside:
+                for bits in P.all_bit_strings(cfg):
+                    assert P.decode(cfg, counts, bits) is None, (cutoff, counts, bits)
+
 
 class TestRunRound:
     def test_forced_check_branch(self):
@@ -373,10 +387,15 @@ class TestRunRound:
 
     def test_nonabort_implies_real_click(self):
         cfg = config()  # p_dc = 0
-        for i in range(2000):
-            out = run_round(cfg, "random", P.round_rng(4, i))
-            if out.decoded is not None:
-                assert out.real_click
+        plan = P._plan(cfg)
+        decodes = 0
+        # row i is run_round(cfg, "random", P.round_rng(4, i))
+        for streams in lockstep.row_blocks(4, 0, 2000, plan.amps.shape[1]):
+            r = lockstep.run_block(plan, streams, np.arange(len(MESSAGES)))
+            decoded = ~r.check & (r.decoded != lockstep.ABORT)
+            assert r.jump_seen.any(axis=1)[decoded].all()
+            decodes += int(decoded.sum())
+        assert decodes > 0
 
     def test_message_by_name(self):
         out = run_round(config(k=0.0), "iY", P.round_rng(5, 0))

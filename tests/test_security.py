@@ -229,9 +229,21 @@ def oracle_guess(posterior, rng):
 def oracle_cheat(cheater, config, n_rounds, seed, messages=MESSAGES):
     """The guessing game one scalar round at a time on round_rng streams."""
     positions = S._site_positions(config)
+
+    def project(counts, bits):
+        # what the cheater sees of a round
+        return (counts if cheater.sees_clicks else None,
+                tuple(bits[positions[site]] for site in cheater.sees_bits))
+
+    joint = {}
+    for m in messages:
+        for (counts, bits), p in O.outcome_distribution(config, m).items():
+            joint.setdefault(project(counts, bits), dict.fromkeys(messages, 0.0))[m] += (
+                p / len(messages)
+            )
     posteriors = {
         obs: {m: p / max(sum(per.values()), 1e-300) for m, p in per.items()}
-        for obs, per in S.view_distribution(cheater, config, messages).items()
+        for obs, per in joint.items()
     }
     cfg = dataclasses.replace(config, p_check=0.0)
     msgs = tuple(messages)
@@ -241,8 +253,7 @@ def oracle_cheat(cheater, config, n_rounds, seed, messages=MESSAGES):
         sent = msgs[int(rng.integers(0, len(msgs)))]
         out = O.run_round(cfg, sent, rng)
         counts = out.detection.counts()
-        obs = S._project(cheater, counts, out.receiver_bits, positions)
-        posterior = posteriors.get(obs)
+        posterior = posteriors.get(project(counts, out.receiver_bits))
         if posterior is None:
             posterior = {m: 1.0 / len(msgs) for m in msgs}
         hit = int(oracle_guess(posterior, rng) == sent)
