@@ -378,7 +378,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON config path")
         p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1, help="worker threads (>= 1)")
         p.add_argument("--convention", dest="success_convention", default=None,
                        choices=["survival", "integrated"])
         p.add_argument("--p-check", dest="p_check", type=float, default=None)
@@ -390,6 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
                           ("security", "security.rounds")]:
         parsers[name].add_argument("--rounds", type=int, default=None,
                                    help=f"rounds to run (default {default})")
+        # kept where scripts already pass it: checked, but it selects nothing
+        parsers[name].add_argument("--threads", type=int, default=1,
+                                   help="must be >= 1; every command runs on one thread")
     for name in ("run", "batch"):
         parsers[name].add_argument("--message", default="random",
                                    choices=["I", "X", "iY", "Z", "random"])
@@ -404,7 +406,7 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.threads < 1:
+        if getattr(args, "threads", 1) < 1:
             raise ConfigError("threads: must be >= 1")
         return args.func(args)
     except ConfigError as exc:

@@ -34,9 +34,9 @@ import numpy as np
 from .streams import RowStreams, philox_words
 
 ABORT = 4  # decoded-message index of an aborted round
-BLOCK_AMPLITUDES = 1 << 13  # rows x state dimension per block: ~128 kB per state array
+BLOCK_AMPLITUDES = 1 << 15  # rows x state dimension per block: ~512 kB per complex state array
 _FIRST_WORDS = 4  # Philox blocks (4 words each) computed up front per round
-_SPAN = 2048  # rounds whose first words are computed in one call
+SPAN = 2048  # rounds whose first words are computed in one call
 
 
 def _beamsplitter(info, psi: np.ndarray, sign: int) -> np.ndarray:
@@ -100,8 +100,8 @@ def row_blocks(seed: int, start: int, stop: int, dim: int):
     batch with ``seed``, in blocks of at most ``BLOCK_AMPLITUDES`` amplitudes
     of states of dimension ``dim``."""
     step = max(1, BLOCK_AMPLITUDES // dim)
-    for lo in range(start, stop, _SPAN):
-        indices = np.arange(lo, min(lo + _SPAN, stop))
+    for lo in range(start, stop, SPAN):
+        indices = np.arange(lo, min(lo + SPAN, stop))
         words = philox_words(seed, indices, 0, _FIRST_WORDS)
         for b in range(0, len(indices), step):
             block = slice(b, b + step)
@@ -227,18 +227,20 @@ def window(info, config, streams, rows, psi: np.ndarray, norms: np.ndarray,
             # ideal extraction: every photon leaves, at a uniform time in the rest of the window
             act = act[u < total - norms[:, 0]]
             t_jump = t[act] + streams.random(rows[act]) * (t_window - t[act])
+            cur = psi[act]
         else:
             dt, none = _crossings(norms, k, u, t_window - t[act])
             first = none & ~jumped[act]
             survived[act[first]] = total[first] - norms[first, 0] > 1e-12
             act, dt = act[~none], dt[~none]
             t_jump = t[act] + dt
-            psi[act] = psi[act] * np.exp(decay_rate * dt[:, None])
+            cur = psi[act] * np.exp(decay_rate * dt[:, None])
         t[act] = t_jump
-        plus = _beamsplitter(info, psi[act], +1)
-        minus = _beamsplitter(info, psi[act], -1)
+        plus = _beamsplitter(info, cur, +1)
+        minus = _beamsplitter(info, cur, -1)
         r_plus, r_minus = _jump_rate(plus), _jump_rate(minus)
         keep = ~(r_plus + r_minus <= 0.0)
+        psi[act[~keep]] = cur[~keep]  # rows that cannot jump keep their decayed state
         act, plus, minus, r_plus, r_minus = (
             act[keep], plus[keep], minus[keep], r_plus[keep], r_minus[keep]
         )

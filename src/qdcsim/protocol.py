@@ -30,7 +30,6 @@ import dataclasses
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -226,7 +225,7 @@ def resolve_t_map(config: RoundConfig) -> float:
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:
-    """Mark a compiled table read-only: compiled tables are shared by threads."""
+    """Mark a compiled table read-only: the plan cache hands one copy to every caller."""
     array.flags.writeable = False
     return array
 
@@ -1012,10 +1011,12 @@ def run_batch(
 ) -> BatchStats:
     """Run many rounds with per-round counter-based random streams.
 
-    Output is a pure function of (config, n_rounds, seed, messages): chunks
-    may run on any number of threads, aggregation happens in fixed round
-    order.  Rounds run in lockstep blocks (:mod:`qdcsim.lockstep`), each
-    row reproducing :func:`run_round` on its own stream bit for bit.
+    Output is a pure function of (config, n_rounds, seed, messages).
+    Chunks of ``lockstep.SPAN`` rounds run in round order on the calling
+    thread, each in lockstep blocks (:mod:`qdcsim.lockstep`), each row
+    reproducing :func:`run_round` on its own stream bit for bit.  ``threads``
+    must be >= 1 and changes nothing: each numpy call on a block is too short
+    for worker threads to overlap under the interpreter lock.
     ``on_round(i, outcome)`` receives every round's RoundOutcome, and
     ``on_log(lines)`` each chunk's round-log lines (JSON, no newline), both
     in round order.
@@ -1027,24 +1028,15 @@ def run_batch(
     if seed is None:
         seed = config.seed
     msgs = tuple(messages) if messages is not None else MESSAGES
-    _plan(config)  # compile before branching into threads
+    _plan(config)  # compile before the clock starts
 
     t0 = time.perf_counter()
-    chunk = 2048
-    bounds = [(s, min(s + chunk, n_rounds)) for s in range(0, n_rounds, chunk)]
     keep = (on_round is not None, on_log is not None)
-    if threads > 1 and len(bounds) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(
-                pool.map(lambda b: _run_chunk(config, seed, b[0], b[1], msgs, *keep), bounds)
-            )
-    else:
-        results = [_run_chunk(config, seed, lo, hi, msgs, *keep) for lo, hi in bounds]
-
     confusion = np.zeros((4, 5), dtype=np.int64)
     n_check = check_pass = check_concl = 0
     psi_rounds = psi_clicks = psi_survived = 0
-    for (lo, _), res in zip(bounds, results):
+    for lo in range(0, n_rounds, lockstep.SPAN):
+        res = _run_chunk(config, seed, lo, min(lo + lockstep.SPAN, n_rounds), msgs, *keep)
         confusion += res["confusion"]
         n_check += res["n_check"]
         check_pass += res["check_pass"]

@@ -290,6 +290,9 @@ class TestBatchCommand:
     ["security", "--message", "Z"],
     ["feasibility", "--message", "Z"],
     ["decode-table", "--message", "Z"],
+    ["run", "--threads", "2"],
+    ["feasibility", "--threads", "2"],
+    ["decode-table", "--threads", "2"],
 ], ids=" ".join)
 def test_ignored_flag_rejected(argv, config_path, capsys):
     # a flag the subcommand would ignore is a usage error, not a silent no-op

@@ -13,6 +13,7 @@ import dataclasses
 import itertools
 import json
 import sys
+import threading
 
 import numpy as np
 import pytest
@@ -215,8 +216,9 @@ class TestEngineEqualsOracle:
             assert set(column) == set(values)
 
     def test_threads_and_chunks(self):
-        # 2048-round chunks on more threads than cores, switching often, all
-        # reading one compiled plan; the seed also wraps modulo 2**64
+        # several 2048-round chunks; threads > 1 is accepted and changes
+        # nothing, as every chunk runs on the calling thread; the seed also
+        # wraps modulo 2**64
         config = make_config(detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -224,6 +226,23 @@ class TestEngineEqualsOracle:
             assert_engine_matches(config, 5000, -3, MESSAGES, threads=3)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("amplitudes", [1 << 10, 1 << 17])
+    def test_block_size_changes_nothing(self, monkeypatch, amplitudes):
+        # no row reads another row of its block: 32-row blocks and
+        # whole-span blocks give the rounds of the default block size
+        monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", amplitudes)
+        config = make_config(detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
+        assert_engine_matches(config, 5000, 21, MESSAGES)
+
+    def test_starts_no_thread(self, monkeypatch):
+        def start(self):
+            raise AssertionError("a batch started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", start)
+        config = make_config(detector=(0.9, 0.05), p_check=0.25)
+        P.run_batch(config, 5000, seed=3, threads=8)
+        P.run_sweep(config, [0.5, 1.0], 5000, seed=3, threads=8)
 
     def test_words_past_the_first_blocks(self, monkeypatch):
         # with one Philox block up front most rounds draw past it

@@ -424,6 +424,7 @@ class TestRunBatch:
         assert abs(stats.psi_survival_rate - expected) < 3 * sigma
 
     def test_determinism_and_threads(self):
+        # threads is checked but selects nothing: every run is on one thread
         cfg = config(detector=DetectorModel(dark_prob=0.01))
         a = run_batch(cfg, 4000, seed=11, threads=1)
         b = run_batch(cfg, 4000, seed=11, threads=8)

@@ -372,6 +372,15 @@ class TestLockstepEqualsScalar:
         eve = EveModel("intercept_resend_atom", basis="x", target=1)
         assert eavesdrop_experiment(eve, cfg, 2600, 3) == oracle_eve(eve, cfg, 2600, 3)
 
+    def test_summary_does_not_depend_on_block_size(self, monkeypatch):
+        # no row reads another row of its block
+        cfg = diff_config(4, 1, 0.2, (0.9, 0.05))
+        eves = (EveModel("intercept_resend_atom", basis="z", target=0),
+                EveModel("intercept_resend_photon"))
+        default = [S.security_summary(cfg, 2600, seed=5, eve=eve) for eve in eves]
+        monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 1 << 10)
+        assert [S.security_summary(cfg, 2600, seed=5, eve=eve) for eve in eves] == default
+
     def test_summary_never_runs_one_round_at_a_time(self, monkeypatch):
         def one_row(*args, **kwargs):
             raise AssertionError("security ran a round as a one-row block")
