@@ -63,6 +63,18 @@ def _get_int(doc: dict, section: str, field: str) -> int:
     return _coerce(f"{section}.{field}", int, _setting(doc, section, field))
 
 
+def _rounds(args, doc: dict, section: str) -> int:
+    """The round count: ``--rounds``, else ``<section>.rounds``; an error
+    names whichever of the two set it."""
+    if args.rounds is not None:
+        source, n_rounds = "--rounds", args.rounds
+    else:
+        source, n_rounds = f"{section}.rounds", _get_int(doc, section, "rounds")
+    if n_rounds < 1:
+        raise ConfigError(f"{source}: must be >= 1")
+    return n_rounds
+
+
 def _coerce(key: str, tp, value):
     """``value`` as JSON type ``tp``: bool takes booleans only, int integral
     numbers, float finite numbers (booleans are not numbers), ``X | None``
@@ -254,9 +266,7 @@ def cmd_run(args) -> int:
 def cmd_batch(args) -> int:
     doc = load_config(args.config)
     config = build_round_config(doc, args)
-    n_rounds = args.rounds if args.rounds is not None else _get_int(doc, "security", "rounds")
-    if n_rounds < 1:
-        raise ConfigError("rounds: must be >= 1")
+    n_rounds = _rounds(args, doc, "security")
     log: list[str] = []
     stats = protocol.run_batch(
         config, n_rounds, seed=config.seed, threads=args.threads,
@@ -278,13 +288,11 @@ def cmd_sweep(args) -> int:
     doc = load_config(args.config)
     config = build_round_config(doc, args)
     grid = _setting(doc, "sweep", "t_windows")
-    n_rounds = args.rounds if args.rounds is not None else _get_int(doc, "sweep", "rounds")
+    n_rounds = _rounds(args, doc, "sweep")
     if isinstance(grid, list):
         grid = [_coerce(f"sweep.t_windows[{i}]", float, x) for i, x in enumerate(grid)]
     if not isinstance(grid, list) or not grid or not all(x > 0 for x in grid):
         raise ConfigError("sweep.t_windows: must be a nonempty list of positive times")
-    if n_rounds < 1:
-        raise ConfigError("sweep.rounds: must be >= 1")
     if reason := protocol._no_click_rate(config):
         raise ConfigError(f"round.{reason}")
     rows = protocol.run_sweep(config, grid, n_rounds, seed=config.seed, threads=args.threads)
@@ -299,9 +307,7 @@ def cmd_sweep(args) -> int:
 def cmd_security(args) -> int:
     doc = load_config(args.config)
     config = build_round_config(doc, args)
-    n_rounds = args.rounds if args.rounds is not None else _get_int(doc, "security", "rounds")
-    if n_rounds < 1:
-        raise ConfigError("security.rounds: must be >= 1")
+    n_rounds = _rounds(args, doc, "security")
     eve_name = args.eve or _setting(doc, "security", "eve")
     eve = _parse_eve(eve_name)
     if config.ideal_pnr and eve.strategy == "intercept_resend_photon":

@@ -9,13 +9,20 @@ order and evaluates each floating-point expression the same way:
 
 * element-wise arithmetic and ufuncs (``np.exp``, ``np.abs``, ``np.sqrt``,
   complex multiply and divide) give the same bits per element whatever
-  the array's shape;
+  the array's shape or the element's position;
+* complex / real is written as the multiply numpy performs for it,
+  ``z * (1.0 / s)``: numpy's complex divide scales by the divisor's
+  reciprocal, so the bits agree on every operand without a -0.0 part,
+  and the jump channels hold none;
+* a decay factor ``exp(-k n dt)`` is evaluated once per row and photon
+  number ``n`` and gathered by each basis index's photon number, not once
+  per amplitude;
 * row reductions keep the one-round order: ``sum(axis=1)`` over a row
   equals the row's own ``sum()``, and ``bincount``/``cumsum`` accumulate in
   index order;
 * the per-row scalars taken from libm (``math.exp``, ``math.log``, float
-  powers) are evaluated per row by the same Python calls, never by numpy's
-  SIMD versions.
+  powers) are evaluated by the same Python calls, once per row or once
+  for rows that share the argument, never by numpy's SIMD versions.
 
 Start states hold at most two photons (every state the protocol prepares,
 and their collapses under a photon-number measurement), so the no-jump
@@ -39,15 +46,34 @@ _FIRST_WORDS = 4  # Philox blocks (4 words each) computed up front per round
 SPAN = 2048  # rounds whose first words are computed in one call
 
 
-def _beamsplitter(info, psi: np.ndarray, sign: int) -> np.ndarray:
-    """(a_A + sign * a_B)/sqrt(2) on each row: the unscaled jump channel."""
-    src_a, dst_a, coef_a = info.ann_a
-    src_b, dst_b, coef_b = info.ann_b
-    out = np.zeros_like(psi)
-    out[:, dst_a] += coef_a * psi[:, src_a]
-    out[:, dst_b] += sign * coef_b * psi[:, src_b]
-    out /= math.sqrt(2.0)
-    return out
+def beamsplitter(info, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a_A + a_B)/sqrt(2) and (a_A - a_B)/sqrt(2) on each row: the unscaled
+    jump channels of both signs.
+
+    The cavities are the last two sites, so in the (rows, atoms, n_A, n_B)
+    view each annihilator maps the slice of one occupation onto the slice
+    below it.  ``a = 0 + a_A psi`` holds no -0.0, so ``a + b`` and ``a - b``
+    equal the per-sign scatter-adds of ``+/-(a_B psi)`` onto ``a_A psi``,
+    signed zeros included.  The factor sqrt(1) is left out: ``1 * z`` and
+    ``z`` differ only in the sign of a zero, which both sums drop."""
+    rows, dim = psi.shape
+    d_a, d_b = info.layout.dims[-2:]
+    psi = psi.reshape(rows, dim // (d_a * d_b), d_a, d_b)  # -1 fails on 0 rows
+    plus = np.zeros_like(psi)
+    for n in range(1, d_a):  # a_A: n_A = n -> n - 1
+        for m in range(d_b):
+            a = psi[:, :, n, m] if n == 1 else math.sqrt(n) * psi[:, :, n, m]
+            plus[:, :, n - 1, m] += a
+    minus = plus.copy()
+    for m in range(1, d_b):  # a_B: n_B = m -> m - 1
+        for n in range(d_a):
+            b = psi[:, :, n, m] if m == 1 else math.sqrt(m) * psi[:, :, n, m]
+            plus[:, :, n, m - 1] += b
+            minus[:, :, n, m - 1] -= b
+    scale = 1.0 / math.sqrt(2.0)
+    plus *= scale
+    minus *= scale
+    return plus.reshape(rows, dim), minus.reshape(rows, dim)
 
 
 def _jump_rate(psi: np.ndarray) -> np.ndarray:
@@ -173,12 +199,15 @@ def _crossings(norms: np.ndarray, k: float, u: np.ndarray, t_max: np.ndarray):
     quadratic sum_n P_n x^n in x = exp(-2kt) for sector norms of at most two
     photons, hits u: (dt, none) with ``none`` where it stays above u."""
     p0, p1, p2 = norms[:, 0], norms[:, 1], norms[:, 2]
-    x_end = [math.exp(v) for v in ((-2.0 * k) * t_max).tolist()]
+    if t_max.size and t_max.min() == t_max.max():  # every row at one time (the first pass)
+        x_end = math.exp((-2.0 * k) * float(t_max[0]))
+        ends = x_end**1, x_end**2
+    else:
+        x_end = [math.exp(v) for v in ((-2.0 * k) * t_max).tolist()]
+        ends = np.array([x**1 for x in x_end]), np.array([x**2 for x in x_end])
+        x_end = np.array(x_end)
     # sum(p * x_end**n): absent trailing sectors add exact zeros
-    norm_end = (p0 + p1 * np.array([x**1 for x in x_end])) + p2 * np.array(
-        [x**2 for x in x_end]
-    )
-    x_end = np.array(x_end)
+    norm_end = (p0 + p1 * ends[0]) + p2 * ends[1]
     none = norm_end >= u
     go = ~none
     lin = go & (p2 < 1e-300)
@@ -207,7 +236,7 @@ def window(info, config, streams, rows, psi: np.ndarray, norms: np.ndarray,
     eta, p_dc = config.detector.efficiency, config.detector.dark_prob
     n_vec = info.photon_numbers
     n_sectors = norms.shape[1]
-    decay_rate = -k * n_vec
+    sector_rate = -k * np.arange(n_sectors)
     n = len(rows)
     t = np.zeros(n)
     jumped = np.zeros(n, dtype=bool)
@@ -234,24 +263,27 @@ def window(info, config, streams, rows, psi: np.ndarray, norms: np.ndarray,
             survived[act[first]] = total[first] - norms[first, 0] > 1e-12
             act, dt = act[~none], dt[~none]
             t_jump = t[act] + dt
-            cur = psi[act] * np.exp(decay_rate * dt[:, None])
+            cur = psi[act]
+            cur *= np.exp(sector_rate * dt[:, None])[:, n_vec]
         t[act] = t_jump
-        plus = _beamsplitter(info, cur, +1)
-        minus = _beamsplitter(info, cur, -1)
+        plus, minus = beamsplitter(info, cur)
         r_plus, r_minus = _jump_rate(plus), _jump_rate(minus)
         keep = ~(r_plus + r_minus <= 0.0)
-        psi[act[~keep]] = cur[~keep]  # rows that cannot jump keep their decayed state
-        act, plus, minus, r_plus, r_minus = (
-            act[keep], plus[keep], minus[keep], r_plus[keep], r_minus[keep]
-        )
+        if not keep.all():
+            psi[act[~keep]] = cur[~keep]  # rows that cannot jump keep their decayed state
+            act, plus, minus, r_plus, r_minus = (
+                act[keep], plus[keep], minus[keep], r_plus[keep], r_minus[keep]
+            )
         pick = streams.random(rows[act]) * (r_plus + r_minus) < r_plus
         rate = np.where(pick, r_plus, r_minus)
-        psi[act] = np.where(pick[:, None], plus, minus) / np.sqrt(rate)[:, None]
+        np.copyto(minus, plus, where=pick[:, None])
+        minus *= (1.0 / np.sqrt(rate))[:, None]
+        psi[act] = minus
         jumped[act] = True
         seen = streams.random(rows[act]) < eta
         jumps.append((act, t[act], np.where(pick, 1, -1), seen))
     if k > 0.0:
-        psi = psi * np.exp(decay_rate * (t_window - t)[:, None])
+        psi *= np.exp(sector_rate * (t_window - t)[:, None])[:, n_vec]
 
     dark_t = np.full((n, 2), np.nan)
     if p_dc > 0.0:

@@ -317,24 +317,15 @@ class _LayoutInfo:
     mode_a: int
     mode_b: int
     receiver_sites: tuple[int, ...]
-    # annihilation action per mode as gather arrays: dst <- coef * src
-    ann_a: tuple[np.ndarray, np.ndarray, np.ndarray]
-    ann_b: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _annihilation_action(layout: SystemLayout, site: int):
-    occ = layout.occupations[:, site]
-    src = np.flatnonzero(occ >= 1)
-    arrays = (src, src - layout.strides[site], np.sqrt(occ[src].astype(np.float64)))
-    for a in arrays:
-        a.flags.writeable = False
-    return arrays
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _layout_info(layout: SystemLayout) -> _LayoutInfo:
+    n_sites = len(layout.sites)
+    if layout.mode_sites != (n_sites - 2, n_sites - 1):
+        raise ValueError("protocol layouts end with cavity A, then cavity B")
     receivers = rotated_receiver_sites(layout)
-    mode_a, mode_b = layout.mode_sites[0], layout.mode_sites[1]
+    mode_a, mode_b = layout.mode_sites
     occ = layout.occupations
     m = len(receivers)
     n = occ[:, list(layout.mode_sites)].sum(axis=1)
@@ -346,10 +337,7 @@ def _layout_info(layout: SystemLayout) -> _LayoutInfo:
     )
     n.flags.writeable = False
     codes.flags.writeable = False
-    return _LayoutInfo(
-        layout, n, codes, strings, mode_a, mode_b, receivers,
-        _annihilation_action(layout, mode_a), _annihilation_action(layout, mode_b),
-    )
+    return _LayoutInfo(layout, n, codes, strings, mode_a, mode_b, receivers)
 
 
 def all_bit_strings(config: RoundConfig) -> tuple[str, ...]:
@@ -368,7 +356,8 @@ def jump_apply(state: StateVector, sign: int, k: float) -> StateVector:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    out = lockstep._beamsplitter(_layout_info(state.layout), state.amplitudes[None], sign)[0]
+    plus, minus = lockstep.beamsplitter(_layout_info(state.layout), state.amplitudes[None])
+    out = (plus if sign > 0 else minus)[0]
     return StateVector(state.layout, math.sqrt(2.0 * k) * out)
 
 
@@ -729,7 +718,8 @@ class _Plan:
     decoded: np.ndarray  # (n+, n-, bit code) -> decoded-message index
     pnr_cum: np.ndarray  # (4, label x bit code) cumulative Bell weights
     pnr_decoded: np.ndarray  # (label x bit code) -> decoded-message index
-    # round-log line tails per row key, filled by the first logged blocks
+    # round-log line tails per row key, split around the clicks list
+    # (``_log_tail``), filled by the first logged blocks
     log_tails: dict = dataclasses.field(default_factory=dict, repr=False)
 
     @property
@@ -868,9 +858,10 @@ _LOG_CHANNELS = np.array([json.dumps(ch) for ch in (
 )])
 
 
-def _log_tail(plan: _Plan, r: lockstep.Rounds, row: int) -> str:
-    """Row ``row``'s log line after ``{"round": <index>``, with an empty
-    clicks list."""
+def _log_tail(plan: _Plan, r: lockstep.Rounds, row: int) -> tuple[str, str]:
+    """Row ``row``'s log line after ``{"round": <index>``, split inside its
+    clicks list: (up to and with the ``[``, from the ``]`` on); a check
+    line, which has no clicks, is (the whole tail, "")."""
     if r.check[row]:
         ctx, combo = plan.check, int(r.combo[row])
         d = {
@@ -892,13 +883,16 @@ def _log_tail(plan: _Plan, r: lockstep.Rounds, row: int) -> str:
         }
         if plan.config.ideal_pnr and r.label[row] >= 0:
             d["bell_label"] = BELL_LABELS[r.label[row]]
-    return json.dumps(d)[len('{"round": 0'):]
+    # an encode tail's first "[]" is its clicks list
+    head, brackets, rest = json.dumps(d)[len('{"round": 0'):].partition("[]")
+    return head + brackets[:1], brackets[1:] + rest
 
 
 def _log_clicks(r: lockstep.Rounds, rows: np.ndarray) -> list[str]:
-    """The JSON clicks list of each of ``rows``: registered jumps, then the
-    D+ and D- dark counts, stably sorted by time, as ``_events`` orders
-    them; times print as ``repr(float)``, as ``json.dumps`` prints them."""
+    """The JSON clicks list of each of ``rows`` without its brackets:
+    registered jumps, then the D+ and D- dark counts, stably sorted by
+    time, as ``_events`` orders them; times print as ``repr(float)``, as
+    ``json.dumps`` prints them."""
     times = np.concatenate((r.jump_t[rows], r.dark_t[rows]), axis=1)
     present = np.concatenate((r.jump_seen[rows], ~np.isnan(r.dark_t[rows])), axis=1)
     channel = np.concatenate(
@@ -911,7 +905,7 @@ def _log_clicks(r: lockstep.Rounds, rows: np.ndarray) -> list[str]:
     pieces = [f"[{t!r}, {ch}]" for t, ch in zip(times, names)]
     out, lo = [], 0
     for hi in np.cumsum(present.sum(axis=1)).tolist():
-        out.append("[" + ", ".join(pieces[lo:hi]) + "]")
+        out.append(", ".join(pieces[lo:hi]))
         lo = hi
     return out
 
@@ -919,7 +913,7 @@ def _log_clicks(r: lockstep.Rounds, rows: np.ndarray) -> list[str]:
 def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int) -> list[str]:
     """The round-log line of every row of a lockstep block whose first round
     is ``first``.  Rows without detector events share a line up to the
-    round index: each distinct tail is built once per plan by
+    round index: each distinct tail is built and split once per plan by
     ``_log_tail``."""
     n_codes = len(plan.info.bit_strings)
     label = r.label + 1 if plan.config.ideal_pnr else 0
@@ -935,14 +929,16 @@ def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int) -> list[str]:
         if tail is None:
             tail = plan.log_tails[k] = _log_tail(plan, r, row)
         tails.append(tail)
-    row_tails = [tails[j] for j in inverse.tolist()]
-    lines = [f'{{"round": {i}{tail}' for i, tail in zip(range(first, first + len(key)), row_tails)]
+    clicks = [""] * len(key)
     events = np.flatnonzero(r.jump_seen.any(axis=1) | ~np.isnan(r.dark_t).all(axis=1))
-    for row, clicks in zip(events.tolist(), _log_clicks(r, events)):
-        # an encode tail's first "[]" is its clicks list
-        head, _, rest = row_tails[row].partition("[]")
-        lines[row] = f'{{"round": {first + row}{head}{clicks}{rest}'
-    return lines
+    for row, pairs in zip(events.tolist(), _log_clicks(r, events)):
+        clicks[row] = pairs
+    return [
+        f'{{"round": {i}{head}{pairs}{rest}'
+        for i, (head, rest), pairs in zip(
+            range(first, first + len(key)), [tails[j] for j in inverse.tolist()], clicks
+        )
+    ]
 
 
 def _run_chunk(

@@ -35,14 +35,21 @@ _TWO_M53 = 1.0 / 9007199254740992.0
 
 
 def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of a * m."""
+    """High and low 64-bit words of a * m: the high word by Hacker's
+    Delight ``mulhu`` on 32-bit limbs, updated in place."""
     m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
     a_lo, a_hi = a & _LO32, a >> _S32
-    lh = a_lo * m_hi
-    hl = a_hi * m_lo
-    mid = ((a_lo * m_lo) >> _S32) + (lh & _LO32) + (hl & _LO32)
-    hi = a_hi * m_hi + (lh >> _S32) + (hl >> _S32) + (mid >> _S32)
-    return hi, a * np.uint64(m)
+    t = a_lo * m_lo
+    t >>= _S32
+    t += a_hi * m_lo  # < 2**64: (2**32 - 1)**2 + 2**32 - 1
+    a_lo *= m_hi
+    a_lo += t & _LO32
+    a_lo >>= _S32
+    t >>= _S32
+    a_hi *= m_hi
+    a_hi += t
+    a_hi += a_lo
+    return a_hi, a * np.uint64(m)
 
 
 def philox_words(seed: int, indices: np.ndarray, first_block: int, n_blocks: int) -> np.ndarray:

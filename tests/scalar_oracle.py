@@ -40,9 +40,18 @@ from qdcsim.protocol import (
 )
 
 
+@lru_cache(maxsize=None)
+def _annihilation_action(layout, site: int):
+    """The annihilator of ``site`` as gather arrays: dst <- coef * src."""
+    occ = layout.occupations[:, site]
+    src = np.flatnonzero(occ >= 1)
+    return src, src - layout.strides[site], np.sqrt(occ[src].astype(np.float64))
+
+
 def _beamsplitter_raw(info: _LayoutInfo, amps: np.ndarray, sign: int) -> np.ndarray:
-    src_a, dst_a, coef_a = info.ann_a
-    src_b, dst_b, coef_b = info.ann_b
+    """The per-sign jump channel (a_A + sign a_B)/sqrt(2) as scatter-adds."""
+    src_a, dst_a, coef_a = _annihilation_action(info.layout, info.mode_a)
+    src_b, dst_b, coef_b = _annihilation_action(info.layout, info.mode_b)
     out = np.zeros_like(amps)
     out[dst_a] += coef_a * amps[src_a]
     out[dst_b] += sign * coef_b * amps[src_b]

@@ -302,6 +302,28 @@ def test_ignored_flag_rejected(argv, config_path, capsys):
     assert "unrecognized arguments" in capsys.readouterr().err
 
 
+# batch has no round-count key of its own: it reads security.rounds
+@pytest.mark.parametrize("command, section", [
+    ("batch", "security"), ("sweep", "sweep"), ("security", "security"),
+])
+class TestRoundCountSource:
+    def test_flag_named(self, command, section, config_path, capsys):
+        code, _, err = run_cli([command, "--config", config_path, "--rounds", "0"], capsys)
+        assert code == 2
+        assert "--rounds: must be >= 1" in err
+        assert f"{section}.rounds" not in err
+
+    def test_config_key_named(self, command, section, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc[section]["rounds"] = 0
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 2
+        assert f"{section}.rounds: must be >= 1" in err
+        assert "--rounds" not in err
+
+
 class TestGoldenDigest:
     """Pins the per-round Philox stream contract: any change to how rounds
     draw their randomness (a numpy upgrade included) changes these bytes."""

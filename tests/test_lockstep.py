@@ -23,7 +23,8 @@ import scalar_oracle as O
 from qdcsim import protocol as P
 from qdcsim.dynamics import PhysicalParams
 from qdcsim.hilbert import MESSAGES, Message
-from qdcsim.streams import RowStreams, philox_words
+from qdcsim.lockstep import beamsplitter
+from qdcsim.streams import _MULTIPLIERS, RowStreams, _mulhilo, philox_words
 
 MASK64 = 2**64 - 1
 ROW = np.zeros(1, dtype=np.int64)
@@ -52,6 +53,18 @@ class TestPhiloxWords:
         words = philox_words(11, np.arange(4), 2, 2)
         for i in range(4):
             np.testing.assert_array_equal(words[i], reference_words(11, i, 16)[8:])
+
+    @pytest.mark.parametrize("m", [*_MULTIPLIERS, 1, 2**32 - 1, MASK64])
+    def test_mulhilo_exact(self, m):
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 2**32, MASK64]
+        a = np.concatenate((
+            np.array(edges, dtype=np.uint64),
+            np.random.default_rng(m % 2**32).integers(0, MASK64, 2000, dtype=np.uint64),
+        ))
+        with np.errstate(over="ignore"):
+            hi, lo = _mulhilo(a, m)
+        assert hi.tolist() == [x * m >> 64 for x in a.tolist()]
+        assert lo.tolist() == [x * m & MASK64 for x in a.tolist()]
 
 
 def generator_reading(words):
@@ -350,6 +363,58 @@ class TestCompileCaches:
         assert P.build_decode_table(seeded) == P.build_decode_table(base)
         for m in MESSAGES:
             assert P.outcome_distribution(seeded, m) == P.outcome_distribution(base, m)
+
+
+def signed_zero_amplitudes(rng, rows, dim):
+    """Random complex rows with exact zeros and -0.0 real and imaginary parts."""
+    z = rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+    z[rng.random(z.shape) < 0.3] = 0.0
+    z.real[rng.random(z.shape) < 0.2] = -0.0
+    z.imag[rng.random(z.shape) < 0.2] = -0.0
+    return z
+
+
+class TestWindowArithmetic:
+    """The detection window's arithmetic, byte for byte."""
+
+    @pytest.mark.parametrize("n_parties", [2, 3, 4])
+    @pytest.mark.parametrize("cutoff", [1, 2])
+    def test_beamsplitter_equals_per_sign_oracle(self, n_parties, cutoff):
+        info = P._layout_info(P.layout_for(n_parties, cutoff))
+        dim = info.layout.dim
+        psi = signed_zero_amplitudes(np.random.default_rng(10 * n_parties + cutoff), 6, dim)
+        psi[0] = complex(-0.0, -0.0)
+        before = psi.tobytes()
+        plus, minus = beamsplitter(info, psi)
+        assert psi.tobytes() == before
+        for row, p, m in zip(psi, plus, minus):
+            assert p.tobytes() == O._beamsplitter_raw(info, row, +1).tobytes()
+            assert m.tobytes() == O._beamsplitter_raw(info, row, -1).tobytes()
+        empty = beamsplitter(info, psi[:0])
+        assert [a.shape for a in empty] == [(0, dim), (0, dim)]
+
+    def test_complex_divide_by_real_is_reciprocal_multiply(self):
+        # the window scales by 1/sqrt(2) and 1/sqrt(rate) as multiplies;
+        # numpy divides complex by real that way (operands hold no -0.0)
+        rng = np.random.default_rng(1)
+        z = rng.standard_normal((512, 64)) + 1j * rng.standard_normal((512, 64))
+        z[rng.random(z.shape) < 0.3] = 0.0
+        z.real[rng.random(z.shape) < 0.1] = 0.0
+        s = float(np.sqrt(2.0))
+        assert (z / s).tobytes() == (z * (1.0 / s)).tobytes()
+        rate = np.sqrt(rng.random(512) * 3.0 + 1e-300)
+        assert (z / rate[:, None]).tobytes() == (z * (1.0 / rate)[:, None]).tobytes()
+
+    @pytest.mark.parametrize("n_max", [2, 4])
+    def test_sector_exp_gather_is_full_exp(self, n_max):
+        # the window's decay factors: one exp per (row, photon number),
+        # gathered by each basis index's photon number
+        rng = np.random.default_rng(n_max)
+        n_vec = rng.integers(0, n_max + 1, 288)
+        dt = rng.random(512) * 6.0
+        full = np.exp((-0.2 * n_vec) * dt[:, None])
+        gathered = np.exp((-0.2 * np.arange(n_max + 1)) * dt[:, None])[:, n_vec]
+        assert full.tobytes() == gathered.tobytes()
 
 
 def test_rejects_fewer_than_one_thread():

@@ -230,6 +230,11 @@ class TestJumpApply:
         overlap = np.vdot(target, out.amplitudes)
         assert abs(np.linalg.norm(out.amplitudes) - abs(overlap)) < 1e-12
 
+    def test_rejects_cavities_before_atoms(self):
+        lay = SystemLayout((mode_site(1), mode_site(1), atom_site()))
+        with pytest.raises(ValueError, match="end with cavity A, then cavity B"):
+            jump_apply(basis_state(lay, (1, 0, 0)), +1, k=0.2)
+
     def test_rate_normalization(self):
         # sum of squared jump norms = 2k <n_A + n_B>
         lay = two_mode_layout()
