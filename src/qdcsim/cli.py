@@ -269,8 +269,8 @@ def cmd_batch(args) -> int:
     n_rounds = _rounds(args, doc, "security")
     log: list[str] = []
     stats = protocol.run_batch(
-        config, n_rounds, seed=config.seed, threads=args.threads,
-        messages=_messages(args), on_log=log.extend if args.round_log else None,
+        config, n_rounds, seed=config.seed, messages=_messages(args),
+        on_log=log.extend if args.round_log else None,
     )
     print(json.dumps(batch_summary(config, stats, include_wall_time=True)))
     emitter = _Emitter(args.out, "batch", args.config, args.seed)
@@ -295,7 +295,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep.t_windows: must be a nonempty list of positive times")
     if reason := protocol._no_click_rate(config):
         raise ConfigError(f"round.{reason}")
-    rows = protocol.run_sweep(config, grid, n_rounds, seed=config.seed, threads=args.threads)
+    rows = protocol.run_sweep(config, grid, n_rounds, seed=config.seed)
     csv_text = sweep_csv(rows)
     sys.stdout.write(csv_text)
     emitter = _Emitter(args.out, "sweep", args.config, args.seed)

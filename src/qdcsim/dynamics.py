@@ -217,18 +217,6 @@ def _rk4(
     return StateVector(layout, y)
 
 
-def dump_trajectory(samples: Sequence[tuple[float, StateVector]]) -> str:
-    """Debug dump of a propagated trajectory: the state dump format with a
-    leading time column (``t<TAB>index<TAB>occupations<TAB>re<TAB>im``)."""
-    from .hilbert import dump_state
-
-    lines = []
-    for t, state in samples:
-        for line in dump_state(state).splitlines():
-            lines.append(f"{float(t)!r}\t{line}")
-    return "\n".join(lines)
-
-
 def transfer_time(params: PhysicalParams) -> float:
     """Smallest t* > 0 with alpha(t*) = 0, i.e. tan(W t/2) = -W/k.
 

@@ -256,26 +256,6 @@ def site_measurement(
     return probs, collapse
 
 
-def draw_outcome(weights: np.ndarray, u: float) -> int:
-    """The first outcome whose cumulative weight exceeds ``u * total``."""
-    outcome = int(np.searchsorted(np.cumsum(weights), u * weights.sum(), side="right"))
-    return min(outcome, len(weights) - 1)
-
-
-def measure_site(
-    state: StateVector, site: int, rng: np.random.Generator
-) -> tuple[int, StateVector]:
-    """Projective measurement of one site in its computational basis; returns
-    (occupation outcome, collapsed renormalized state).
-
-    One uniform draw ``u`` selects the outcome (:func:`draw_outcome`), so a
-    subnormalized state is measured as if normalized.
-    """
-    probs, collapse = site_measurement(state, site)
-    outcome = draw_outcome(probs, rng.random())
-    return outcome, collapse(outcome)
-
-
 def annihilation_matrix(dim: int) -> np.ndarray:
     """Truncated ``a``: maps ``|n> -> sqrt(n)|n-1>``."""
     m = np.zeros((dim, dim), dtype=np.complex128)
@@ -287,12 +267,6 @@ def annihilation_matrix(dim: int) -> np.ndarray:
 def creation_matrix(dim: int) -> np.ndarray:
     """Truncated ``a^dag`` within the cutoff; see :func:`apply_creation`."""
     return annihilation_matrix(dim).conj().T
-
-
-def apply_annihilation(state: StateVector, site: int) -> StateVector:
-    if state.layout.site_kind(site) is not SiteKind.CAVITY_MODE:
-        raise NotACavityModeSite(f"site {site} is not a cavity mode")
-    return apply_site_operator(state, site, annihilation_matrix(state.layout.dims[site]))
 
 
 def apply_creation(state: StateVector, site: int) -> StateVector:

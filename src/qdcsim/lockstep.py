@@ -201,13 +201,13 @@ def _crossings(norms: np.ndarray, k: float, u: np.ndarray, t_max: np.ndarray):
     p0, p1, p2 = norms[:, 0], norms[:, 1], norms[:, 2]
     if t_max.size and t_max.min() == t_max.max():  # every row at one time (the first pass)
         x_end = math.exp((-2.0 * k) * float(t_max[0]))
-        ends = x_end**1, x_end**2
+        x_end2 = x_end**2
     else:
         x_end = [math.exp(v) for v in ((-2.0 * k) * t_max).tolist()]
-        ends = np.array([x**1 for x in x_end]), np.array([x**2 for x in x_end])
+        x_end2 = np.array([x**2 for x in x_end])
         x_end = np.array(x_end)
     # sum(p * x_end**n): absent trailing sectors add exact zeros
-    norm_end = (p0 + p1 * ends[0]) + p2 * ends[1]
+    norm_end = (p0 + p1 * x_end) + p2 * x_end2
     none = norm_end >= u
     go = ~none
     lin = go & (p2 < 1e-300)

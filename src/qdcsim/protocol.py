@@ -51,7 +51,6 @@ from .hilbert import (
     mode_site,
     norm_sq,
     pauli_encode,
-    site_measurement,
     site_view,
 )
 
@@ -340,25 +339,8 @@ def _layout_info(layout: SystemLayout) -> _LayoutInfo:
     return _LayoutInfo(layout, n, codes, strings, mode_a, mode_b, receivers)
 
 
-def all_bit_strings(config: RoundConfig) -> tuple[str, ...]:
-    return _layout_info(layout_for(config.n_parties, config.cutoff)).bit_strings
-
-
 # ---------------------------------------------------------------------------
 # photonic Bell decomposition
-
-
-def jump_apply(state: StateVector, sign: int, k: float) -> StateVector:
-    """Collapse operator C_pm = sqrt(2k) (a_A pm a_B)/sqrt(2).
-
-    The sqrt(2k) scale makes ``sum C^dag C = 2k (n_A + n_B)``, matching the
-    no-jump norm decay of one ``-i k a^dag a`` term per cavity.
-    """
-    if sign not in (+1, -1):
-        raise ValueError("sign must be +1 or -1")
-    plus, minus = lockstep.beamsplitter(_layout_info(state.layout), state.amplitudes[None])
-    out = (plus if sign > 0 else minus)[0]
-    return StateVector(state.layout, math.sqrt(2.0 * k) * out)
 
 
 def _sectors(info: _LayoutInfo, amps: np.ndarray) -> np.ndarray:
@@ -472,8 +454,8 @@ def simulate_window(
         _sector_norms(info, amps), r,
     )
     return WindowResult(
-        DetectionRecord(_events(r, 0), config.t_window), StateVector(state.layout, psi[0]),
-        bool(jumped[0]), bool(r.survived[0]),
+        _records(r, np.zeros(1, dtype=np.int64), config.t_window)[0],
+        StateVector(state.layout, psi[0]), bool(jumped[0]), bool(r.survived[0]),
     )
 
 
@@ -616,48 +598,39 @@ def decode(config: RoundConfig, counts: tuple[int, int], bits: str) -> Message |
 # ---------------------------------------------------------------------------
 # GHZ parity check rounds (protocol step 2)
 
-_BASIS_ROTATIONS = {
-    # rows are the target-basis bras; computational outcome 0 maps to +1
-    "x": np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0),
-    "y": np.array([[1, -1j], [1, 1j]], dtype=np.complex128) / math.sqrt(2.0),
-}
+# each atom's x and y bras, unscaled (sqrt 2 times the basis rotation): the
+# entries are +-1 and +-i, so outcome amplitudes that cancel are exact zeros;
+# outcome 0 is eigenvalue +1
+_XY_BRAS = np.array([[[1, 1], [1, -1]], [[1, -1j], [1, 1j]]], dtype=np.complex128)
 
 
-def atom_measurement(
-    state: StateVector, site: int, basis: str = "z"
-) -> tuple[np.ndarray, Callable[[int], StateVector]]:
-    """One atom's projective measurement, undrawn: the outcome weights and the
-    map to the collapsed renormalized state.  Outcome 0 in basis 'x'/'y' is +1."""
-    if state.layout.site_kind(site) is not SiteKind.ATOM:
-        raise hilbert.NotAnAtomSite(f"site {site} is not an atom")
-    if basis == "z":
-        return site_measurement(state, site)
-    rotation = _BASIS_ROTATIONS[basis]
-    probs, collapse = site_measurement(apply_site_operator(state, site, rotation), site)
-    return probs, lambda outcome: apply_site_operator(collapse(outcome), site, rotation.conj().T)
+def combo_laws(amps: np.ndarray, n_parties: int) -> np.ndarray:
+    """The outcome law of every x/y basis combination on the atoms-only state
+    ``amps``: ``law[combo, outcome]``.  Bit j of ``combo`` (party 0 most
+    significant) is 1 where party j measures y; ``outcome`` packs the
+    parties' outcomes as a basis index packs occupations.
 
-
-def ghz_expected_parity(n_y: int) -> int | None:
-    """Expected product of x/y outcomes on a GHZ state; None = inconclusive."""
-    if n_y % 2 == 1:
-        return None
-    return +1 if n_y % 4 == 0 else -1
+    Each party's rotation acts on its own axis and doubles the combinations
+    so far, so the work grows as 4^n, not as the 8^n of one dense matrix per
+    combination; the law is scaled by 2^-n once, at the end."""
+    psi = amps.reshape(1, -1)
+    for j in range(n_parties):
+        axes = psi.reshape(len(psi), 2**j, 2, -1)  # combo, parties < j, party j, parties > j
+        psi = np.einsum("bik,clkr->cblir", _XY_BRAS, axes).reshape(2 * len(psi), -1)
+    return (psi.real**2 + psi.imag**2) * 0.5**n_parties
 
 
 @dataclass(frozen=True)
 class _CheckContext:
     layout: SystemLayout  # atoms-only layout used for check rounds
     ghz: np.ndarray
-    rotations: tuple[np.ndarray, ...]  # joint x/y rotation per basis combo
     bases: tuple[str, ...]  # combo index -> "xyx..." string
-    parity: np.ndarray  # outcome index -> product of +-1 outcomes
-    expected: tuple[int | None, ...]  # combo index -> expected parity
     # untampered rounds, per (combo, outcome): the cumulative outcome
-    # probabilities of the rotated GHZ state and their sums, and the verdicts
+    # probabilities of the GHZ state and their sums, and the verdicts
     cum: np.ndarray
     total: np.ndarray
-    conclusive: np.ndarray  # per combo
-    passed: np.ndarray  # True on inconclusive combos
+    conclusive: np.ndarray  # per combo: the GHZ state rules out some outcomes
+    passed: np.ndarray  # the GHZ state can give the outcome (all, if inconclusive)
 
 
 @lru_cache(maxsize=_CACHE_SIZE)
@@ -665,31 +638,21 @@ def _check_context(n_parties: int) -> _CheckContext:
     layout = SystemLayout((atom_site(),) * n_parties)
     ghz = np.zeros(layout.dim, dtype=np.complex128)
     ghz[0] = ghz[-1] = 1.0 / math.sqrt(2.0)
-    ghz.flags.writeable = False
-    rotations = []
-    bases = []
-    expected = []
-    for combo in range(2**n_parties):
-        names = ["y" if (combo >> (n_parties - 1 - j)) & 1 else "x" for j in range(n_parties)]
-        u = np.array([[1.0]], dtype=np.complex128)
-        for b in names:
-            u = np.kron(u, _BASIS_ROTATIONS[b])
-        u.flags.writeable = False
-        rotations.append(u)
-        bases.append("".join(names))
-        expected.append(ghz_expected_parity(names.count("y")))
-    parity = np.array(
-        [1 - 2 * (bin(i).count("1") % 2) for i in range(layout.dim)], dtype=np.int64
+    law = combo_laws(ghz, n_parties)
+    # An even number of y bases fixes the product of the +-1 outcomes, so the
+    # outcomes of the other parity cancel exactly; an odd number leaves the
+    # outcomes uniform.
+    passed = law > 0.0
+    bases = tuple(
+        "".join("xy"[(combo >> (n_parties - 1 - j)) & 1] for j in range(n_parties))
+        for combo in range(2**n_parties)
     )
-    parity.flags.writeable = False
-    probs = [np.abs(rotation @ ghz) ** 2 for rotation in rotations]
-    passed = [[e is None or int(parity[o]) == e for o in range(layout.dim)] for e in expected]
     return _CheckContext(
-        layout, ghz, tuple(rotations), tuple(bases), parity, tuple(expected),
-        cum=_frozen(np.array([np.cumsum(p) for p in probs])),
-        total=_frozen(np.array([float(p.sum()) for p in probs])),
-        conclusive=_frozen(np.array([e is not None for e in expected])),
-        passed=_frozen(np.array(passed)),
+        layout, _frozen(ghz), bases,
+        cum=_frozen(np.cumsum(law, axis=1)),
+        total=_frozen(law.sum(axis=1)),
+        conclusive=_frozen(~passed.all(axis=1)),
+        passed=_frozen(passed),
     )
 
 
@@ -798,31 +761,47 @@ def run_round(
     return _round_outcomes(plan, lockstep.run_block(plan, _GeneratorRows(rng), msg_ids))[0]
 
 
-def _events(r: lockstep.Rounds, row: int) -> tuple[tuple[float, str], ...]:
-    """The detector events of one row of a lockstep block in time order:
-    registered jumps, then the D+ and D- dark counts, stably sorted."""
-    record = [
-        (t, CHANNEL_PLUS if sign > 0 else CHANNEL_MINUS)
-        for t, sign, seen in zip(
-            r.jump_t[row].tolist(), r.jump_sign[row].tolist(), r.jump_seen[row].tolist()
-        )
-        if seen
+_CHANNELS = (CHANNEL_PLUS, CHANNEL_MINUS, DARK_PLUS, DARK_MINUS)
+
+
+def _clicks(r: lockstep.Rounds, rows: np.ndarray) -> tuple[list, list, list]:
+    """The detector events of each of ``rows`` in time order: registered
+    jumps, then the D+ and D- dark counts, stably sorted by time.  Returns
+    the events of all the rows, concatenated, as their times and their
+    indices into ``_CHANNELS``, and each row's end offset."""
+    times = np.concatenate((r.jump_t[rows], r.dark_t[rows]), axis=1)
+    present = np.concatenate((r.jump_seen[rows], ~np.isnan(r.dark_t[rows])), axis=1)
+    channel = np.concatenate(
+        (np.where(r.jump_sign[rows] > 0, 0, 1), np.broadcast_to([2, 3], (len(rows), 2))), axis=1
+    )
+    order = np.argsort(np.where(present, times, np.inf), axis=1, kind="stable")
+    present = np.take_along_axis(present, order, axis=1)
+    return (
+        np.take_along_axis(times, order, axis=1)[present].tolist(),
+        np.take_along_axis(channel, order, axis=1)[present].tolist(),
+        np.cumsum(present.sum(axis=1)).tolist(),
+    )
+
+
+def _records(r: lockstep.Rounds, rows: np.ndarray, window: float) -> list[DetectionRecord]:
+    """The DetectionRecord of each of ``rows`` (:func:`_clicks`)."""
+    times, channels, ends = _clicks(r, rows)
+    events = [(t, _CHANNELS[c]) for t, c in zip(times, channels)]
+    return [
+        DetectionRecord(tuple(events[lo:hi]), window) for lo, hi in zip([0] + ends, ends)
     ]
-    record += [(t, ch) for t, ch in zip(r.dark_t[row].tolist(), (DARK_PLUS, DARK_MINUS)) if t == t]
-    record.sort(key=lambda ev: ev[0])
-    return tuple(record)
 
 
 def _round_outcomes(plan: _Plan, r: lockstep.Rounds) -> list[RoundOutcome]:
     """The RoundOutcome of every row of a lockstep block."""
-    window = plan.config.t_window
     strings = plan.info.bit_strings
+    records = _records(r, np.arange(len(r.check)), plan.config.t_window)
     out = []
     rows = zip(
         r.check.tolist(), r.combo.tolist(), r.outcome.tolist(), r.sent.tolist(),
-        r.bits.tolist(), r.decoded.tolist(), r.label.tolist(), r.survived.tolist(),
+        r.bits.tolist(), r.decoded.tolist(), r.label.tolist(), r.survived.tolist(), records,
     )
-    for i, (check, combo, measured, sent, bits, decoded, label, survived) in enumerate(rows):
+    for check, combo, measured, sent, bits, decoded, label, survived, detection in rows:
         if check:
             ctx = plan.check
             outcome = RoundOutcome(
@@ -832,7 +811,6 @@ def _round_outcomes(plan: _Plan, r: lockstep.Rounds) -> list[RoundOutcome]:
                 check_bases=ctx.bases[combo],
             )
         else:
-            detection = DetectionRecord(_events(r, i), window)
             outcome = RoundOutcome(
                 mode="encode",
                 sent=_DECODED[sent],
@@ -853,9 +831,7 @@ def _round_outcomes(plan: _Plan, r: lockstep.Rounds) -> list[RoundOutcome]:
 #           plus "bell_label" on ideal-PNR rounds that kept their photons,
 # with "clicks" the [time, channel] pairs of the round's detector events in
 # time order, "abort" for an aborted decode.
-_LOG_CHANNELS = np.array([json.dumps(ch) for ch in (
-    CHANNEL_PLUS, CHANNEL_MINUS, DARK_PLUS, DARK_MINUS
-)])
+_LOG_CHANNELS = tuple(json.dumps(ch) for ch in _CHANNELS)
 
 
 def _log_tail(plan: _Plan, r: lockstep.Rounds, row: int) -> tuple[str, str]:
@@ -889,25 +865,12 @@ def _log_tail(plan: _Plan, r: lockstep.Rounds, row: int) -> tuple[str, str]:
 
 
 def _log_clicks(r: lockstep.Rounds, rows: np.ndarray) -> list[str]:
-    """The JSON clicks list of each of ``rows`` without its brackets:
-    registered jumps, then the D+ and D- dark counts, stably sorted by
-    time, as ``_events`` orders them; times print as ``repr(float)``, as
-    ``json.dumps`` prints them."""
-    times = np.concatenate((r.jump_t[rows], r.dark_t[rows]), axis=1)
-    present = np.concatenate((r.jump_seen[rows], ~np.isnan(r.dark_t[rows])), axis=1)
-    channel = np.concatenate(
-        (np.where(r.jump_sign[rows] > 0, 0, 1), np.broadcast_to([2, 3], (len(rows), 2))), axis=1
-    )
-    order = np.argsort(np.where(present, times, np.inf), axis=1, kind="stable")
-    present = np.take_along_axis(present, order, axis=1)
-    times = np.take_along_axis(times, order, axis=1)[present].tolist()
-    names = _LOG_CHANNELS[np.take_along_axis(channel, order, axis=1)[present]].tolist()
-    pieces = [f"[{t!r}, {ch}]" for t, ch in zip(times, names)]
-    out, lo = [], 0
-    for hi in np.cumsum(present.sum(axis=1)).tolist():
-        out.append(", ".join(pieces[lo:hi]))
-        lo = hi
-    return out
+    """The JSON clicks list of each of ``rows`` without its brackets, in
+    :func:`_clicks` order; times print as ``repr(float)``, as ``json.dumps``
+    prints them."""
+    times, channels, ends = _clicks(r, rows)
+    pieces = [f"[{t!r}, {_LOG_CHANNELS[c]}]" for t, c in zip(times, channels)]
+    return [", ".join(pieces[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
 def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int) -> list[str]:
@@ -941,27 +904,38 @@ def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int) -> list[str]:
     ]
 
 
-def _run_chunk(
+def run_batch(
     config: RoundConfig,
-    seed: int,
-    start: int,
-    stop: int,
-    messages: tuple[Message, ...],
-    keep_outcomes: bool = False,
-    keep_log: bool = False,
-) -> dict:
-    """Rounds ``start .. stop-1``, run in lockstep blocks; with
-    ``keep_outcomes`` their RoundOutcomes, with ``keep_log`` their round-log
-    lines."""
-    plan = _plan(config)
-    msg_ids = np.array([_MSG_INDEX[m] for m in messages])
+    n_rounds: int,
+    seed: int | None = None,
+    messages: Sequence[Message] | None = None,
+    on_round: Callable[[int, RoundOutcome], None] | None = None,
+    on_log: Callable[[list[str]], None] | None = None,
+) -> BatchStats:
+    """Run many rounds with per-round counter-based random streams.
+
+    Output is a pure function of (config, n_rounds, seed, messages).  The
+    rounds run in round order on the calling thread, in lockstep blocks
+    (:func:`qdcsim.lockstep.row_blocks`), each row reproducing
+    :func:`run_round` on its own stream bit for bit.
+    ``on_round(i, outcome)`` receives every round's RoundOutcome, and
+    ``on_log(lines)`` each block's round-log lines (JSON, no newline), both
+    in round order.
+    """
+    if n_rounds < 1:
+        raise ValueError("n_rounds must be >= 1")
+    if seed is None:
+        seed = config.seed
+    plan = _plan(config)  # compile before the clock starts
+    msg_ids = np.array([_MSG_INDEX[m] for m in (MESSAGES if messages is None else messages)])
     psi_ids = [_MSG_INDEX[Message.X], _MSG_INDEX[Message.IY]]
+
+    t0 = time.perf_counter()
     confusion = np.zeros((4, 5), dtype=np.int64)
     n_check = check_pass = check_concl = 0
     psi_rounds = psi_clicks = psi_survived = 0
-    outcomes, log = [], []
-    first = start
-    for streams in lockstep.row_blocks(seed, start, stop, plan.amps.shape[1]):
+    first = 0
+    for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.amps.shape[1]):
         r = lockstep.run_block(plan, streams, msg_ids)
         encode = ~r.check
         confusion += np.bincount(
@@ -978,73 +952,12 @@ def _run_chunk(
         psi_rounds += int(psi.sum())
         psi_clicks += int((psi & r.jump_seen.any(axis=1)).sum())
         psi_survived += int((psi & r.survived).sum())
-        if keep_outcomes:
-            outcomes.extend(_round_outcomes(plan, r))
-        if keep_log:
-            log.extend(_log_lines(plan, r, first))
-        first += len(r.check)
-    return {
-        "confusion": confusion,
-        "n_check": n_check,
-        "check_pass": check_pass,
-        "check_concl": check_concl,
-        "psi_rounds": psi_rounds,
-        "psi_clicks": psi_clicks,
-        "psi_survived": psi_survived,
-        "outcomes": outcomes,
-        "log": log,
-    }
-
-
-def run_batch(
-    config: RoundConfig,
-    n_rounds: int,
-    seed: int | None = None,
-    threads: int = 1,
-    messages: Sequence[Message] | None = None,
-    on_round: Callable[[int, RoundOutcome], None] | None = None,
-    on_log: Callable[[list[str]], None] | None = None,
-) -> BatchStats:
-    """Run many rounds with per-round counter-based random streams.
-
-    Output is a pure function of (config, n_rounds, seed, messages).
-    Chunks of ``lockstep.SPAN`` rounds run in round order on the calling
-    thread, each in lockstep blocks (:mod:`qdcsim.lockstep`), each row
-    reproducing :func:`run_round` on its own stream bit for bit.  ``threads``
-    must be >= 1 and changes nothing: each numpy call on a block is too short
-    for worker threads to overlap under the interpreter lock.
-    ``on_round(i, outcome)`` receives every round's RoundOutcome, and
-    ``on_log(lines)`` each chunk's round-log lines (JSON, no newline), both
-    in round order.
-    """
-    if n_rounds < 1:
-        raise ValueError("n_rounds must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
-    if seed is None:
-        seed = config.seed
-    msgs = tuple(messages) if messages is not None else MESSAGES
-    _plan(config)  # compile before the clock starts
-
-    t0 = time.perf_counter()
-    keep = (on_round is not None, on_log is not None)
-    confusion = np.zeros((4, 5), dtype=np.int64)
-    n_check = check_pass = check_concl = 0
-    psi_rounds = psi_clicks = psi_survived = 0
-    for lo in range(0, n_rounds, lockstep.SPAN):
-        res = _run_chunk(config, seed, lo, min(lo + lockstep.SPAN, n_rounds), msgs, *keep)
-        confusion += res["confusion"]
-        n_check += res["n_check"]
-        check_pass += res["check_pass"]
-        check_concl += res["check_concl"]
-        psi_rounds += res["psi_rounds"]
-        psi_clicks += res["psi_clicks"]
-        psi_survived += res["psi_survived"]
         if on_round is not None:
-            for j, out in enumerate(res["outcomes"]):
-                on_round(lo + j, out)
+            for i, out in enumerate(_round_outcomes(plan, r), first):
+                on_round(i, out)
         if on_log is not None:
-            on_log(res["log"])
+            on_log(_log_lines(plan, r, first))
+        first += len(r.check)
     wall = time.perf_counter() - t0
 
     n_encode = n_rounds - n_check
@@ -1089,7 +1002,6 @@ def run_sweep(
     t_windows: Sequence[float],
     n_rounds: int,
     seed: int | None = None,
-    threads: int = 1,
 ) -> list[dict]:
     """Detection-window sweep: both analytic conventions next to the
     Monte-Carlo click-rate estimate for a fixed psi-branch message.  A
@@ -1101,7 +1013,7 @@ def run_sweep(
     rows = []
     for t_w in t_windows:
         cfg = dataclasses.replace(config, t_window=float(t_w))
-        stats = run_batch(cfg, n_rounds, seed=seed, threads=threads, messages=(Message.X,))
+        stats = run_batch(cfg, n_rounds, seed=seed, messages=(Message.X,))
         p = stats.psi_click_rate if stats.psi_click_rate is not None else 0.0
         n = stats.n_encode
         rows.append(

@@ -282,25 +282,38 @@ def _collapses(weights: np.ndarray, collapse, dim: int) -> list[np.ndarray]:
     ]
 
 
+def _eve_branches(eve: EveModel, n_parties: int) -> np.ndarray:
+    """The GHZ state after Eve's atom measurement, one row per outcome of
+    hers, unnormalized: each row's squared norm is in proportion to the
+    outcome's probability.  The state has unit amplitudes and the
+    projectors entries 0 and +-1, so every amplitude is exact."""
+    layout = protocol._check_context(n_parties).layout
+    ghz = np.zeros(layout.dim, dtype=np.complex128)
+    ghz[0] = ghz[-1] = 1.0
+    if eve.strategy == "none":
+        return ghz[None]
+    bras = np.eye(2) if eve.basis == "z" else protocol._XY_BRAS[0]  # rows are bras
+    state = StateVector(layout, ghz)
+    return np.array([
+        apply_site_operator(state, eve.target, np.outer(bra.conj(), bra)).amplitudes
+        for bra in bras
+    ])
+
+
 def _atom_attack(eve: EveModel, config: RoundConfig, n_rounds: int, seed: int):
     """Parity-check rounds with Eve's atom measurement as the tamper:
     (conclusive rounds, violations).
 
     Round draws: Eve's outcome (none without an attack), the basis combo,
-    the parties' outcome.  The outcome law of each (Eve outcome, combo)
-    comes from ``atom_measurement`` and ``rotation @ amps``."""
+    the parties' outcome, each from the laws of :func:`_eve_branches`."""
     ctx = protocol._check_context(config.n_parties)
     if eve.strategy == "none":
         weights, cum, total = None, ctx.cum[None], ctx.total[None]
     else:
-        ghz = StateVector(ctx.layout, ctx.ghz)
-        weights, collapse = protocol.atom_measurement(ghz, eve.target, eve.basis)
-        probs = [
-            [np.abs(rotation @ amps) ** 2 for rotation in ctx.rotations]
-            for amps in _collapses(weights, collapse, ctx.layout.dim)
-        ]
-        cum = np.array([[np.cumsum(p) for p in branch] for branch in probs])
-        total = np.array([[float(p.sum()) for p in branch] for branch in probs])
+        branches = _eve_branches(eve, config.n_parties)
+        weights = (np.abs(branches) ** 2).sum(axis=1)
+        laws = np.array([protocol.combo_laws(b, config.n_parties) for b in branches])
+        cum, total = np.cumsum(laws, axis=2), laws.sum(axis=2)
     conclusive = violations = 0
     for streams in lockstep.row_blocks(seed, 0, n_rounds, ctx.layout.dim):
         rows = np.arange(len(streams))
@@ -376,32 +389,16 @@ def eavesdrop_experiment(
 
 
 def exact_eve_detection_rate(eve: EveModel, n_parties: int = 3) -> float:
-    """Exact parity-check detection rate for atom attacks, by enumerating the
-    post-attack ensemble over all basis combinations."""
+    """Exact parity-check detection rate for atom attacks: the violating
+    share of the post-attack outcome law over the conclusive basis
+    combinations, which are all equally likely.  Every term is a dyadic
+    rational, so the rate is exact."""
     if eve.strategy == "intercept_resend_photon":
         raise ValueError("photon attack detection is estimated by Monte Carlo only")
     ctx = protocol._check_context(n_parties)
-    ghz = StateVector(ctx.layout, ctx.ghz)
-    if eve.strategy == "none":
-        branches = [ghz.amplitudes]
-    else:
-        # Eve's outcome branches, unnormalized: their squared norms are the
-        # outcome probabilities.  Rows of a basis rotation are its bras.
-        bras = np.eye(2) if eve.basis == "z" else protocol._BASIS_ROTATIONS[eve.basis]
-        branches = [
-            apply_site_operator(ghz, eve.target, np.outer(bra.conj(), bra)).amplitudes
-            for bra in bras
-        ]
-    # Every basis combination is equally likely, so the rate is a plain
-    # ratio of sums over the conclusive combinations.
-    viol = concl = 0.0
-    for rotation, expected in zip(ctx.rotations, ctx.expected):
-        if expected is None:
-            continue
-        concl += 1.0
-        for amps in branches:
-            viol += float(np.sum(np.abs((rotation @ amps)[ctx.parity != expected]) ** 2))
-    return viol / concl
+    law = sum(protocol.combo_laws(b, n_parties) for b in _eve_branches(eve, n_parties))
+    law = law[ctx.conclusive]
+    return float(law[~ctx.passed[ctx.conclusive]].sum() / law.sum())
 
 
 # ---------------------------------------------------------------------------

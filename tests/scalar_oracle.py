@@ -1,5 +1,6 @@
 """The scalar per-round path: one protocol round at a time on one numpy
-``Generator``, the reference the lockstep engine is tested against.
+``Generator``, the reference the lockstep engine is tested against, and the
+state-space helpers only the tests use.
 
 Each function takes its draws from ``rng`` in the order the engine's rows
 take them from their own streams, and evaluates each floating-point
@@ -19,7 +20,18 @@ import numpy as np
 
 from qdcsim import lockstep
 from qdcsim import protocol as P
-from qdcsim.hilbert import MESSAGES, Message, StateVector, draw_outcome
+from qdcsim.hilbert import (
+    MESSAGES,
+    Message,
+    NotACavityModeSite,
+    NotAnAtomSite,
+    SiteKind,
+    StateVector,
+    annihilation_matrix,
+    apply_site_operator,
+    dump_state,
+    site_measurement,
+)
 from qdcsim.protocol import (
     CHANNEL_MINUS,
     CHANNEL_PLUS,
@@ -38,6 +50,63 @@ from qdcsim.protocol import (
     layout_for,
     round_rng,
 )
+
+
+# ---------------------------------------------------------------------------
+# state-space helpers
+
+
+def draw_outcome(weights: np.ndarray, u: float) -> int:
+    """The first outcome whose cumulative weight exceeds ``u * total``."""
+    outcome = int(np.searchsorted(np.cumsum(weights), u * weights.sum(), side="right"))
+    return min(outcome, len(weights) - 1)
+
+
+def measure_site(
+    state: StateVector, site: int, rng: np.random.Generator
+) -> tuple[int, StateVector]:
+    """Projective measurement of one site in its computational basis; returns
+    (occupation outcome, collapsed renormalized state).
+
+    One uniform draw ``u`` selects the outcome (:func:`draw_outcome`), so a
+    subnormalized state is measured as if normalized.
+    """
+    probs, collapse = site_measurement(state, site)
+    outcome = draw_outcome(probs, rng.random())
+    return outcome, collapse(outcome)
+
+
+def apply_annihilation(state: StateVector, site: int) -> StateVector:
+    if state.layout.site_kind(site) is not SiteKind.CAVITY_MODE:
+        raise NotACavityModeSite(f"site {site} is not a cavity mode")
+    return apply_site_operator(state, site, annihilation_matrix(state.layout.dims[site]))
+
+
+def dump_trajectory(samples) -> str:
+    """Debug dump of a propagated trajectory: the state dump format with a
+    leading time column (``t<TAB>index<TAB>occupations<TAB>re<TAB>im``)."""
+    lines = []
+    for t, state in samples:
+        for line in dump_state(state).splitlines():
+            lines.append(f"{float(t)!r}\t{line}")
+    return "\n".join(lines)
+
+
+def all_bit_strings(config: RoundConfig) -> tuple[str, ...]:
+    return _layout_info(layout_for(config.n_parties, config.cutoff)).bit_strings
+
+
+def jump_apply(state: StateVector, sign: int, k: float) -> StateVector:
+    """Collapse operator C_pm = sqrt(2k) (a_A pm a_B)/sqrt(2).
+
+    The sqrt(2k) scale makes ``sum C^dag C = 2k (n_A + n_B)``, matching the
+    no-jump norm decay of one ``-i k a^dag a`` term per cavity.
+    """
+    if sign not in (+1, -1):
+        raise ValueError("sign must be +1 or -1")
+    plus, minus = lockstep.beamsplitter(_layout_info(state.layout), state.amplitudes[None])
+    out = (plus if sign > 0 else minus)[0]
+    return StateVector(state.layout, math.sqrt(2.0 * k) * out)
 
 
 @lru_cache(maxsize=None)
@@ -203,15 +272,70 @@ def _sample_bits_raw(
 # GHZ parity check rounds
 
 
+_BASIS_ROTATIONS = {
+    # rows are the target-basis bras; computational outcome 0 maps to +1
+    "x": np.array([[1, 1], [1, -1]], dtype=np.complex128) / math.sqrt(2.0),
+    "y": np.array([[1, -1j], [1, 1j]], dtype=np.complex128) / math.sqrt(2.0),
+}
+
+
+def atom_measurement(state: StateVector, site: int, basis: str = "z"):
+    """One atom's projective measurement, undrawn: the outcome weights and the
+    map to the collapsed renormalized state.  Outcome 0 in basis 'x'/'y' is +1."""
+    if state.layout.site_kind(site) is not SiteKind.ATOM:
+        raise NotAnAtomSite(f"site {site} is not an atom")
+    if basis == "z":
+        return site_measurement(state, site)
+    rotation = _BASIS_ROTATIONS[basis]
+    probs, collapse = site_measurement(apply_site_operator(state, site, rotation), site)
+    return probs, lambda outcome: apply_site_operator(collapse(outcome), site, rotation.conj().T)
+
+
 def measure_atom(
     state: StateVector, site: int, rng: np.random.Generator, basis: str = "z"
 ) -> tuple[int, StateVector]:
     """Projective measurement of one atom; returns (occupation outcome,
     collapsed renormalized state).  Basis 'x'/'y' measures the respective
     Pauli; the returned outcome 0 corresponds to eigenvalue +1."""
-    probs, collapse = P.atom_measurement(state, site, basis)
+    probs, collapse = atom_measurement(state, site, basis)
     outcome = draw_outcome(probs, rng.random())
     return outcome, collapse(outcome)
+
+
+def combo_bases(n_parties: int, combo: int) -> str:
+    """The x/y basis string of a basis combination, party 0 first."""
+    return "".join("y" if (combo >> (n_parties - 1 - j)) & 1 else "x" for j in range(n_parties))
+
+
+@lru_cache(maxsize=None)
+def dense_rotation(n_parties: int, combo: int) -> np.ndarray:
+    """The joint basis rotation of a combination as one dense kron matrix."""
+    u = np.array([[1.0]], dtype=np.complex128)
+    for b in combo_bases(n_parties, combo):
+        u = np.kron(u, _BASIS_ROTATIONS[b])
+    u.flags.writeable = False
+    return u
+
+
+def dense_combo_laws(amps: np.ndarray, n_parties: int) -> np.ndarray:
+    """``protocol.combo_laws`` from one dense matrix per combination."""
+    return np.array([
+        np.abs(dense_rotation(n_parties, combo) @ amps) ** 2 for combo in range(2**n_parties)
+    ])
+
+
+def ghz_expected_parity(bases: str) -> int | None:
+    """The product of the +-1 outcomes of x/y measurements on a GHZ state:
+    +1 for 0 mod 4 y bases, -1 for 2 mod 4, None (either) for an odd count."""
+    n_y = bases.count("y")
+    if n_y % 2 == 1:
+        return None
+    return +1 if n_y % 4 == 0 else -1
+
+
+def outcome_parity(outcome: int) -> int:
+    """The product of the +-1 outcomes packed in an outcome index."""
+    return 1 - 2 * (bin(outcome).count("1") % 2)
 
 
 def run_check_round(
@@ -223,7 +347,8 @@ def run_check_round(
     x/y basis; conclusive basis multisets must reproduce the GHZ parity.
 
     Check rounds live on an atoms-only layout (the cavities stay in vacuum
-    and never participate)."""
+    and never participate).  A tampered round reads its outcome law from
+    the dense rotation of its combination."""
     ctx = P._check_context(config.n_parties)
     amps = None
     if tamper is not None:
@@ -234,7 +359,7 @@ def run_check_round(
     if amps is None:
         cum, total = ctx.cum[combo], ctx.total[combo]
     else:
-        probs = np.abs(ctx.rotations[combo] @ amps) ** 2
+        probs = np.abs(dense_rotation(config.n_parties, combo) @ amps) ** 2
         cum, total = np.cumsum(probs), float(probs.sum())
     outcome = int(np.searchsorted(cum, rng.random() * total, side="right"))
     outcome = min(outcome, ctx.layout.dim - 1)

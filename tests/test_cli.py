@@ -410,7 +410,7 @@ class TestGoldenDigest:
         for name, cfg in self.decode_grid():
             for a in range(4):
                 for b in range(4):
-                    for bits in P.all_bit_strings(cfg):
+                    for bits in O.all_bit_strings(cfg):
                         m = P.decode(cfg, (a, b), bits)
                         answer = m.value if m else "abort"
                         digest.update(f"{name} {a} {b} {bits} {answer}\n".encode())

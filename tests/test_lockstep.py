@@ -12,7 +12,6 @@ equal the oracle's, draw for draw.
 import dataclasses
 import itertools
 import json
-import sys
 import threading
 
 import numpy as np
@@ -161,10 +160,10 @@ def oracle_stats(outcomes):
     )
 
 
-def assert_engine_matches(config, n_rounds, seed, messages, threads=1):
+def assert_engine_matches(config, n_rounds, seed, messages):
     got, log = {}, []
     stats = P.run_batch(
-        config, n_rounds, seed=seed, threads=threads, messages=messages,
+        config, n_rounds, seed=seed, messages=messages,
         on_round=got.__setitem__, on_log=log.extend,
     )
     want = oracle(config, n_rounds, seed, messages)
@@ -228,17 +227,11 @@ class TestEngineEqualsOracle:
         for column, values in zip(columns[4:], (DETECTORS, P_CHECKS, WINDOWS, SUBSETS)):
             assert set(column) == set(values)
 
-    def test_threads_and_chunks(self):
-        # several 2048-round chunks; threads > 1 is accepted and changes
-        # nothing, as every chunk runs on the calling thread; the seed also
+    def test_several_spans(self):
+        # several 2048-round Philox spans, the last one short; the seed also
         # wraps modulo 2**64
         config = make_config(detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-5)
-        try:
-            assert_engine_matches(config, 5000, -3, MESSAGES, threads=3)
-        finally:
-            sys.setswitchinterval(interval)
+        assert_engine_matches(config, 5000, -3, MESSAGES)
 
     @pytest.mark.parametrize("amplitudes", [1 << 10, 1 << 17])
     def test_block_size_changes_nothing(self, monkeypatch, amplitudes):
@@ -254,8 +247,8 @@ class TestEngineEqualsOracle:
 
         monkeypatch.setattr(threading.Thread, "start", start)
         config = make_config(detector=(0.9, 0.05), p_check=0.25)
-        P.run_batch(config, 5000, seed=3, threads=8)
-        P.run_sweep(config, [0.5, 1.0], 5000, seed=3, threads=8)
+        P.run_batch(config, 5000, seed=3)
+        P.run_sweep(config, [0.5, 1.0], 5000, seed=3)
 
     def test_words_past_the_first_blocks(self, monkeypatch):
         # with one Philox block up front most rounds draw past it
@@ -415,9 +408,3 @@ class TestWindowArithmetic:
         full = np.exp((-0.2 * n_vec) * dt[:, None])
         gathered = np.exp((-0.2 * np.arange(n_max + 1)) * dt[:, None])[:, n_vec]
         assert full.tobytes() == gathered.tobytes()
-
-
-def test_rejects_fewer_than_one_thread():
-    for threads in (0, -3):
-        with pytest.raises(ValueError, match="threads"):
-            P.run_batch(make_config(), 10, threads=threads)

@@ -24,7 +24,6 @@ from qdcsim.protocol import (
     UnexpectedPhotonSupport,
     bell_weights,
     build_decode_table,
-    jump_apply,
     map_to_cavities,
     prepare_ghz,
     receiver_rotation,
@@ -210,11 +209,11 @@ class TestBellWeights:
 
 class TestJumpApply:
     def test_minus_annihilates_psi_plus(self):
-        out = jump_apply(psi_state(+1), -1, k=0.2)
+        out = O.jump_apply(psi_state(+1), -1, k=0.2)
         assert float(np.max(np.abs(out.amplitudes))) < 1e-15
 
     def test_plus_on_psi_plus(self):
-        out = jump_apply(psi_state(+1), +1, k=0.2)
+        out = O.jump_apply(psi_state(+1), +1, k=0.2)
         expected = np.zeros(4, dtype=complex)
         expected[0] = math.sqrt(2 * 0.2)
         np.testing.assert_allclose(out.amplitudes, expected, atol=1e-15)
@@ -225,7 +224,7 @@ class TestJumpApply:
         amps = np.zeros(4, dtype=complex)
         amps[lay.index_of((1, 1))] = beta2 / math.sqrt(beta2**2 + 1)
         amps[lay.index_of((0, 0))] = 1 / math.sqrt(beta2**2 + 1)
-        out = jump_apply(StateVector(lay, amps), +1, k=0.2)
+        out = O.jump_apply(StateVector(lay, amps), +1, k=0.2)
         target = psi_state(+1).amplitudes
         overlap = np.vdot(target, out.amplitudes)
         assert abs(np.linalg.norm(out.amplitudes) - abs(overlap)) < 1e-12
@@ -233,7 +232,7 @@ class TestJumpApply:
     def test_rejects_cavities_before_atoms(self):
         lay = SystemLayout((mode_site(1), mode_site(1), atom_site()))
         with pytest.raises(ValueError, match="end with cavity A, then cavity B"):
-            jump_apply(basis_state(lay, (1, 0, 0)), +1, k=0.2)
+            O.jump_apply(basis_state(lay, (1, 0, 0)), +1, k=0.2)
 
     def test_rate_normalization(self):
         # sum of squared jump norms = 2k <n_A + n_B>
@@ -242,7 +241,7 @@ class TestJumpApply:
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         st = StateVector(lay, amps / np.linalg.norm(amps))
         k = 0.31
-        total = sum(norm_sq(jump_apply(st, s, k)) for s in (+1, -1))
+        total = sum(norm_sq(O.jump_apply(st, s, k)) for s in (+1, -1))
         info = P._layout_info(lay)
         n_expect = float(np.sum(info.photon_numbers * np.abs(st.amplitudes) ** 2))
         assert abs(total - 2 * k * n_expect) < 1e-12
@@ -369,7 +368,7 @@ class TestDecodeTable:
         for cutoff in (1, 2):
             cfg = config(cutoff=cutoff, detector=DetectorModel(0.9, 0.05))
             for counts in outside:
-                for bits in P.all_bit_strings(cfg):
+                for bits in O.all_bit_strings(cfg):
                     assert P.decode(cfg, counts, bits) is None, (cutoff, counts, bits)
 
 
@@ -428,15 +427,13 @@ class TestRunBatch:
         sigma = math.sqrt(expected * (1 - expected) / 20000)
         assert abs(stats.psi_survival_rate - expected) < 3 * sigma
 
-    def test_determinism_and_threads(self):
-        # threads is checked but selects nothing: every run is on one thread
+    def test_determinism(self):
         cfg = config(detector=DetectorModel(dark_prob=0.01))
-        a = run_batch(cfg, 4000, seed=11, threads=1)
-        b = run_batch(cfg, 4000, seed=11, threads=8)
-        c = run_batch(cfg, 4000, seed=11, threads=1)
-        assert a.confusion == b.confusion == c.confusion
+        a = run_batch(cfg, 4000, seed=11)
+        b = run_batch(cfg, 4000, seed=11)
+        assert a.confusion == b.confusion
         assert a.psi_click_rate == b.psi_click_rate
-        assert a.success_rate == c.success_rate
+        assert a.success_rate == b.success_rate
 
     def test_check_rounds_counted(self):
         stats = run_batch(config(p_check=0.5), 4000, seed=12)

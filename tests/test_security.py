@@ -2,11 +2,12 @@ import dataclasses
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 import scalar_oracle as O
 from qdcsim.dynamics import PhysicalParams
-from qdcsim.hilbert import Message, MESSAGES, measure_site
+from qdcsim.hilbert import Message, MESSAGES, StateVector
 from qdcsim import protocol as P
 from qdcsim import security as S
 from qdcsim.security import (
@@ -136,22 +137,22 @@ class TestEavesdropping:
 
     def test_z_intercept_half(self):
         eve = EveModel("intercept_resend_atom", basis="z", target=0)
-        assert abs(exact_eve_detection_rate(eve) - 0.5) < 1e-12
+        assert exact_eve_detection_rate(eve) == 0.5
         res = eavesdrop_experiment(eve, config(), 20000, seed=8)
         assert abs(res.detection_rate - 0.5) < 3 * res.stderr
 
     def test_x_intercept_quarter(self):
         eve = EveModel("intercept_resend_atom", basis="x", target=0)
-        assert abs(exact_eve_detection_rate(eve) - 0.25) < 1e-12
+        assert exact_eve_detection_rate(eve) == 0.25
         res = eavesdrop_experiment(eve, config(), 20000, seed=9)
         assert abs(res.detection_rate - 0.25) < 3 * res.stderr
 
-    @pytest.mark.parametrize("n_parties", [2, 3, 4])
+    @pytest.mark.parametrize("n_parties", [2, 3, 4, 5, 6])
     def test_exact_rate_independent_of_target(self, n_parties):
         for basis, rate in (("z", 0.5), ("x", 0.25)):
             for target in range(n_parties):
                 eve = EveModel("intercept_resend_atom", basis=basis, target=target)
-                assert abs(exact_eve_detection_rate(eve, n_parties) - rate) < 1e-12
+                assert exact_eve_detection_rate(eve, n_parties) == rate
         assert exact_eve_detection_rate(EveModel("none"), n_parties) == 0.0
 
     def test_all_attacks_detectable(self):
@@ -179,7 +180,7 @@ class TestEavesdropping:
             rng = P.round_rng(5, i)
             sent = (Message.X, Message.IY)[int(rng.integers(0, 2))]
             state = P.pipeline_state(cfg, sent)
-            _, state = measure_site(state, mode_a, rng)
+            _, state = O.measure_site(state, mode_a, rng)
             window = P.simulate_window(state, cfg, rng)
             bits = O.sample_receiver_bits(window.state, rng)
             decoded = P.decode(cfg, window.record.counts(), bits)
@@ -199,6 +200,56 @@ class TestEavesdropping:
             EveModel("replay")
         with pytest.raises(ValueError):
             EveModel("intercept_resend_atom", basis="q")
+
+
+class TestParityCheckLaws:
+    """``protocol.combo_laws`` against one dense kron matrix per basis
+    combination (the oracle's reference)."""
+
+    @pytest.mark.parametrize("n_parties", [2, 3, 4, 5, 6])
+    def test_ghz_tables_follow_the_parity(self, n_parties):
+        # outcomes of the wrong parity cancel to exact zeros
+        ctx = P._check_context(n_parties)
+        law = P.combo_laws(ctx.ghz, n_parties)
+        assert np.abs(law - O.dense_combo_laws(ctx.ghz, n_parties)).max() <= 1e-15
+        for combo in range(2**n_parties):
+            bases = O.combo_bases(n_parties, combo)
+            expected = O.ghz_expected_parity(bases)
+            assert ctx.bases[combo] == bases
+            assert ctx.conclusive[combo] == (expected is not None)
+            allowed = [
+                expected is None or O.outcome_parity(outcome) == expected
+                for outcome in range(2**n_parties)
+            ]
+            assert ctx.passed[combo].tolist() == allowed
+            assert (law[combo] > 0.0).tolist() == allowed
+
+    @pytest.mark.parametrize("n_parties", [2, 3, 4, 5, 6])
+    def test_attacked_states(self, n_parties):
+        # Eve's exact branches, normalized, against the oracle's collapsed
+        # states; a branch's zeros are exact
+        ctx = P._check_context(n_parties)
+        ghz = StateVector(ctx.layout, ctx.ghz)
+        for basis in ("z", "x"):
+            for target in range(n_parties):
+                eve = EveModel("intercept_resend_atom", basis=basis, target=target)
+                _, collapse = O.atom_measurement(ghz, target, basis)
+                for outcome, branch in enumerate(S._eve_branches(eve, n_parties)):
+                    law = P.combo_laws(branch, n_parties) / np.sum(np.abs(branch) ** 2)
+                    dense = O.dense_combo_laws(collapse(outcome).amplitudes, n_parties)
+                    assert np.abs(law - dense).max() <= 1e-15
+                    assert ((law == 0.0) == (dense < 1e-15)).all()
+                    # the collapsed state itself, through both paths
+                    amps = collapse(outcome).amplitudes
+                    assert np.abs(P.combo_laws(amps, n_parties) - dense).max() <= 1e-15
+
+    def test_ten_parties_build(self):
+        # 4,096 amplitudes per pipeline state; one dense matrix per basis
+        # combination would need 16 GiB here
+        ctx = P._check_context(10)
+        assert ctx.cum.shape == ctx.passed.shape == (1024, 1024)
+        assert int(ctx.conclusive.sum()) == 512
+        assert np.abs(ctx.total - 1.0).max() < 1e-12
 
 
 class TestSummary:
@@ -284,7 +335,7 @@ def oracle_eve(eve, config, n_rounds, seed):
         mode_a = P.layout_for(config.n_parties, config.cutoff).mode_sites[0]
 
         def tamper(state, rng):
-            return measure_site(state, mode_a, rng)[1]
+            return O.measure_site(state, mode_a, rng)[1]
 
         for i in range(n_rounds):
             rng = P.round_rng(seed, i)
