@@ -2,33 +2,28 @@
 
 Each row of a block is one round on its own stream: a
 :class:`~qdcsim.streams.RowStreams` row, or for ``protocol.run_round`` and
-``protocol.simulate_window`` one numpy ``Generator``.  A row equals, bit
-for bit, the same round computed alone with scalar numpy and ``math``
-calls (the reference the tests keep): it reads the same draws in the same
-order and evaluates each floating-point expression the same way:
+``protocol.simulate_window`` one numpy ``Generator``.  A row takes the
+draws of the same round computed alone on a dense state vector (the
+Monte-Carlo wavefunction reference the tests keep), in the same order, and
+makes the same decisions from them.
 
-* element-wise arithmetic and ufuncs (``np.exp``, ``np.abs``, ``np.sqrt``,
-  complex multiply and divide) give the same bits per element whatever
-  the array's shape or the element's position;
-* complex / real is written as the multiply numpy performs for it,
-  ``z * (1.0 / s)``: numpy's complex divide scales by the divisor's
-  reciprocal, so the bits agree on every operand without a -0.0 part,
-  and the jump channels hold none;
-* a decay factor ``exp(-k n dt)`` is evaluated once per row and photon
-  number ``n`` and gathered by each basis index's photon number, not once
-  per amplitude;
-* row reductions keep the one-round order: ``sum(axis=1)`` over a row
-  equals the row's own ``sum()``, and ``bincount``/``cumsum`` accumulate in
-  index order;
-* the per-row scalars taken from libm (``math.exp``, ``math.log``, float
-  powers) are evaluated by the same Python calls, once per row or once
-  for rows that share the argument, never by numpy's SIMD versions.
+The detection window runs in closed form on :func:`jump_tables`.  A start
+holds at most two photons, a jump lowers the photon number by one, and the
+no-jump decay exp(-k n t) scales each photon sector n, so a row's state is
+V[s, h] = B_h ... psi_s for one of 7 jump histories h, scaled per sector:
+a row carries h and its three sector weights.  The first pass reads the
+start's own sector norms, so the first jump time is the reference's bit
+for bit; later times and end states agree up to rounding.
 
-Start states hold at most two photons (every state the protocol prepares,
-and their collapses under a photon-number measurement), so the no-jump
-crossing time is the root of a quadratic.  :func:`run_block` runs the
-rounds of a block from the compiled plan (``protocol._Plan``); ``security``
-drives the same row functions in its own draw orders.
+A row's bits do not depend on its block: element-wise ufuncs give the same
+bits per element whatever the array's shape, row reductions keep the
+one-row order (``sum(axis=1)``, ``cumsum``), and the per-row scalars taken
+from libm (``math.exp``, ``math.log``, float powers) are evaluated by the
+same Python calls, never by numpy's SIMD versions.
+
+:func:`run_block` runs the rounds of a block from the compiled plan
+(``protocol._Plan``); ``security`` drives the same row functions in its
+own draw orders.
 """
 
 from __future__ import annotations
@@ -41,9 +36,11 @@ import numpy as np
 from .streams import RowStreams, philox_words
 
 ABORT = 4  # decoded-message index of an aborted round
-BLOCK_AMPLITUDES = 1 << 15  # rows x state dimension per block: ~512 kB per complex state array
+BLOCK_AMPLITUDES = 1 << 15  # rows x entries of the widest per-row array per block
 _FIRST_WORDS = 4  # Philox blocks (4 words each) computed up front per round
 SPAN = 2048  # rounds whose first words are computed in one call
+HISTORIES = 7  # jump histories of a window: none, +, -, ++, +-, -+, --
+SECTORS = 3  # photon numbers a window state holds: 0, 1, 2
 
 
 def beamsplitter(info, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,17 +73,71 @@ def beamsplitter(info, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return plus.reshape(rows, dim), minus.reshape(rows, dim)
 
 
-def _jump_rate(psi: np.ndarray) -> np.ndarray:
-    """Each row's squared norm: real and imaginary parts squared, then
-    numpy's pairwise sum over the row (not a BLAS dot product's order)."""
-    return np.square(psi.view(np.float64)).sum(axis=1)
+@dataclass(frozen=True, eq=False)
+class JumpTables:
+    """The detection window of each start state s, compiled per jump history
+    h: none, +, -, ++, +-, -+, -- (index 0-6; after h, a jump on channel c,
+    0 = D+ and 1 = D-, leads to history 2h + 1 + c)."""
+
+    norms: np.ndarray  # (starts, 7, 3) W[s, h, n]: photon-sector weights of V[s, h]
+    branch: np.ndarray  # (starts, 7, 2, 3) F[s, h, c, n] = W[s, 2h+1+c, n-1] / W[s, h, n]
+    bits: np.ndarray  # (starts, 7, 3, bit codes) bit-code weights of sector n per unit W[s, h, n]
+
+    @property
+    def width(self) -> int:
+        """Entries a window row holds at once: (sector, bit code) weights."""
+        return self.bits.shape[2] * self.bits.shape[3]
+
+    def state(self, info, vectors: np.ndarray, s: int, h: int, q: np.ndarray) -> np.ndarray:
+        """The amplitudes of start ``s`` after history ``h`` with sector
+        weights ``q``: V[s, h] of ``vectors`` (:func:`jump_vectors` of the
+        same starts) scaled in sector n by sqrt(q[n] / W[s, h, n])."""
+        scale = np.zeros(max(int(info.photon_numbers.max()) + 1, SECTORS))
+        scale[:SECTORS] = np.sqrt(_per_unit(q, self.norms[s, h]))
+        return vectors[s, h] * scale[info.photon_numbers]
 
 
-def _binned(weights: np.ndarray, bins: np.ndarray, n_bins: int) -> np.ndarray:
-    """Row-wise ``np.bincount(bins, weights=row, minlength=n_bins)``."""
-    n = len(weights)
-    flat = (np.arange(n)[:, None] * n_bins + bins).ravel()
-    return np.bincount(flat, weights=weights.ravel(), minlength=n * n_bins).reshape(n, n_bins)
+def _per_unit(weights: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """``weights / norms``, 0 where the norm is 0 (so are the weights)."""
+    return np.divide(weights, norms, out=np.zeros(np.broadcast(weights, norms).shape),
+                     where=norms > 0.0)
+
+
+def jump_vectors(info, amps: np.ndarray) -> np.ndarray:
+    """V[s, h], shape (starts, 7, dim): the jump channels of history h
+    applied to the start state ``amps[s]`` of layout ``info``."""
+    vectors = np.zeros((len(amps), HISTORIES, amps.shape[1]), dtype=np.complex128)
+    vectors[:, 0] = amps
+    for h in range(HISTORIES // 2):  # histories of at most one jump
+        vectors[:, 2 * h + 1], vectors[:, 2 * h + 2] = beamsplitter(info, vectors[:, h])
+    return vectors
+
+
+def jump_tables(info, amps: np.ndarray) -> JumpTables:
+    """The :class:`JumpTables` of the start states ``amps`` (rows) of layout
+    ``info``.  Sector weights are summed in index order (``bincount``), so
+    W[s, 0] is the start state's own.  A start with weight on three or more
+    photons raises ValueError."""
+    n_vec, n_codes = info.photon_numbers, len(info.bit_strings)
+    n_sectors = max(int(n_vec.max()) + 1, SECTORS)
+    weights = np.abs(jump_vectors(info, amps).reshape(-1, amps.shape[1])) ** 2
+    norms = np.array([np.bincount(n_vec, weights=w, minlength=n_sectors) for w in weights])
+    norms = norms.reshape(len(amps), HISTORIES, n_sectors)
+    if norms[..., SECTORS:].any():
+        raise ValueError("detection windows take states of at most two photons")
+    norms = np.ascontiguousarray(norms[..., :SECTORS])
+    bins, size = n_vec * n_codes + info.bit_codes, n_sectors * n_codes
+    bits = np.array([np.bincount(bins, weights=w, minlength=size) for w in weights])
+    bits = _per_unit(
+        bits.reshape(len(amps), HISTORIES, n_sectors, n_codes)[:, :, :SECTORS], norms[..., None]
+    )
+    branch = np.zeros((len(amps), HISTORIES, 2, SECTORS))
+    for h in range(HISTORIES // 2):
+        for c in range(2):
+            branch[:, h, c, 1:] = _per_unit(norms[:, 2 * h + 1 + c, :-1], norms[:, h, 1:])
+    for table in (norms, branch, bits):
+        table.flags.writeable = False
+    return JumpTables(norms, branch, bits)
 
 
 @dataclass
@@ -121,11 +172,11 @@ class Rounds:
         )
 
 
-def row_blocks(seed: int, start: int, stop: int, dim: int):
+def row_blocks(seed: int, start: int, stop: int, width: int):
     """Yield the :class:`RowStreams` of rounds ``start .. stop-1`` of the
-    batch with ``seed``, in blocks of at most ``BLOCK_AMPLITUDES`` amplitudes
-    of states of dimension ``dim``."""
-    step = max(1, BLOCK_AMPLITUDES // dim)
+    batch with ``seed``, in blocks of at most ``BLOCK_AMPLITUDES`` entries of
+    the widest per-row array the caller holds, ``width`` entries a row."""
+    step = max(1, BLOCK_AMPLITUDES // width)
     for lo in range(start, stop, SPAN):
         indices = np.arange(lo, min(lo + SPAN, stop))
         words = philox_words(seed, indices, 0, _FIRST_WORDS)
@@ -179,7 +230,7 @@ def encode_rounds(plan, streams: RowStreams, rows: np.ndarray, sent: np.ndarray,
     if plan.config.ideal_pnr:
         _ideal_pnr_rounds(plan, streams, rows, sent, res)
     else:
-        window_rounds(plan, streams, rows, plan.amps, plan.sector_norms, sent, res)
+        window_rounds(plan, streams, rows, plan.tables, sent, res)
 
 
 def _ideal_pnr_rounds(plan, streams, rows, sent, res: Rounds) -> None:
@@ -223,67 +274,65 @@ def _crossings(norms: np.ndarray, k: float, u: np.ndarray, t_max: np.ndarray):
     return dt, none
 
 
-def window(info, config, streams, rows, psi: np.ndarray, norms: np.ndarray,
+def window(config, tables: JumpTables, streams, rows, start: np.ndarray,
            res: Rounds) -> tuple[np.ndarray, np.ndarray]:
     """The detection window (``protocol.simulate_window``) of every row,
-    from start states ``psi`` (overwritten) of layout ``info`` with
-    photon-sector weights ``norms``: writes each row's jumps, dark counts,
-    click counts and survival flag into ``res``; returns the end-of-window
-    states and whether each row jumped."""
-    if norms.shape[1] > 3 and norms[:, 3:].any():
-        raise ValueError("detection windows take states of at most two photons")
+    from start state ``start`` of ``tables``: writes each row's jumps, dark
+    counts, click counts and survival flag into ``res``; returns each row's
+    end-of-window photon-sector weights q and jump history h
+    (:meth:`JumpTables.state`).
+
+    A pass finds where the no-jump norm sum_n q[n] x^n, x = exp(-2kt),
+    crosses the row's draw, decays q[n] by exp(-2knt), draws the channel c
+    from the rates r[c] = sum_n q[n] F[c, n] and moves to
+    q'[n-1] = q[n] F[c, n] / r[c]."""
     k, t_window = config.params.k, config.t_window
     eta, p_dc = config.detector.efficiency, config.detector.dark_prob
-    n_vec = info.photon_numbers
-    n_sectors = norms.shape[1]
-    sector_rate = -k * np.arange(n_sectors)
+    decay = (-2.0 * k) * np.arange(SECTORS)
     n = len(rows)
+    q = tables.norms[start, 0]
+    hist = np.zeros(n, dtype=np.int64)
     t = np.zeros(n)
-    jumped = np.zeros(n, dtype=bool)
     survived = np.zeros(n, dtype=bool)
     jumps = []  # per jump number: (local rows, times, signs, registered)
     act = np.arange(n)
     while act.size:
-        if jumps:
-            norms = _binned(np.abs(psi[act]) ** 2, n_vec, n_sectors)
-        total = norms.sum(axis=1)
+        cur = q[act]
+        total = cur.sum(axis=1)
         keep = total > 1e-300
-        act, norms, total = act[keep], norms[keep], total[keep]
+        act, cur, total = act[keep], cur[keep], total[keep]
         u = streams.random(rows[act])
         keep = u < total
-        act, norms, total, u = act[keep], norms[keep], total[keep], u[keep]
+        act, cur, total, u = act[keep], cur[keep], total[keep], u[keep]
         if k == 0.0:
             # ideal extraction: every photon leaves, at a uniform time in the rest of the window
-            act = act[u < total - norms[:, 0]]
+            keep = u < total - cur[:, 0]
+            act, cur = act[keep], cur[keep]
             t_jump = t[act] + streams.random(rows[act]) * (t_window - t[act])
-            cur = psi[act]
         else:
-            dt, none = _crossings(norms, k, u, t_window - t[act])
-            first = none & ~jumped[act]
-            survived[act[first]] = total[first] - norms[first, 0] > 1e-12
-            act, dt = act[~none], dt[~none]
+            dt, none = _crossings(cur, k, u, t_window - t[act])
+            first = none & (hist[act] == 0)
+            survived[act[first]] = total[first] - cur[first, 0] > 1e-12
+            act, cur, dt = act[~none], cur[~none], dt[~none]
             t_jump = t[act] + dt
-            cur = psi[act]
-            cur *= np.exp(sector_rate * dt[:, None])[:, n_vec]
+            cur *= np.exp(decay * dt[:, None])
         t[act] = t_jump
-        plus, minus = beamsplitter(info, cur)
-        r_plus, r_minus = _jump_rate(plus), _jump_rate(minus)
+        flow = cur[:, None, :] * tables.branch[start[act], hist[act]]  # (rows, channel, n)
+        r_plus, r_minus = flow[:, 0].sum(axis=1), flow[:, 1].sum(axis=1)
         keep = ~(r_plus + r_minus <= 0.0)
         if not keep.all():
-            psi[act[~keep]] = cur[~keep]  # rows that cannot jump keep their decayed state
-            act, plus, minus, r_plus, r_minus = (
-                act[keep], plus[keep], minus[keep], r_plus[keep], r_minus[keep]
-            )
+            q[act[~keep]] = cur[~keep]  # rows that cannot jump keep their decayed weights
+            act, flow, r_plus, r_minus = act[keep], flow[keep], r_plus[keep], r_minus[keep]
         pick = streams.random(rows[act]) * (r_plus + r_minus) < r_plus
-        rate = np.where(pick, r_plus, r_minus)
-        np.copyto(minus, plus, where=pick[:, None])
-        minus *= (1.0 / np.sqrt(rate))[:, None]
-        psi[act] = minus
-        jumped[act] = True
+        channel = np.where(pick, 0, 1)
+        moved = flow[np.arange(len(act)), channel]
+        q[act, :-1] = moved[:, 1:] / np.where(pick, r_plus, r_minus)[:, None]
+        q[act, -1] = 0.0
+        hist[act] = 2 * hist[act] + 1 + channel
         seen = streams.random(rows[act]) < eta
         jumps.append((act, t[act], np.where(pick, 1, -1), seen))
     if k > 0.0:
-        psi *= np.exp(sector_rate * (t_window - t)[:, None])[:, n_vec]
+        q *= np.exp(decay * (t_window - t)[:, None])
 
     dark_t = np.full((n, 2), np.nan)
     if p_dc > 0.0:
@@ -304,29 +353,27 @@ def window(info, config, streams, rows, psi: np.ndarray, norms: np.ndarray,
     res.clicks[rows, 1] = (seen & (sign < 0)).sum(axis=1) + ~np.isnan(dark_t[:, 1])
     res.survived[rows] = survived
     res.dark_t[rows] = dark_t
-    return psi, jumped
+    return q, hist
 
 
-def window_rounds(plan, streams: RowStreams, rows, amps: np.ndarray, norms: np.ndarray,
-                  start: np.ndarray, res: Rounds) -> None:
+def window_rounds(plan, streams: RowStreams, rows, tables: JumpTables, start: np.ndarray,
+                  res: Rounds) -> None:
     """The :func:`window`, receiver bits and decode of every row, starting
-    from ``amps[start]`` with photon-sector weights ``norms[start]``."""
-    psi, _ = window(plan.info, plan.config, streams, rows, amps[start], norms[start], res)
-    code = _sample_bits(plan, streams, rows, psi)
+    from start state ``start`` of ``tables``."""
+    q, hist = window(plan.config, tables, streams, rows, start, res)
+    code = _sample_bits(streams, rows, (q[:, :, None] * tables.bits[start, hist]).sum(axis=1))
     res.bits[rows] = code
     res.decoded[rows] = plan.decoded[res.clicks[rows, 0], res.clicks[rows, 1], code]
 
 
-def _sample_bits(plan, streams: RowStreams, rows, psi: np.ndarray) -> np.ndarray:
-    """Each row's receiver bit code, drawn from its end-of-window state
-    (uniform where the state is numerically empty)."""
-    n_codes = len(plan.info.bit_strings)
-    weights = np.abs(psi) ** 2
-    total = weights.sum(axis=1)
+def _sample_bits(streams: RowStreams, rows, weights: np.ndarray) -> np.ndarray:
+    """Each row's receiver bit code, drawn from its end-of-window bit-code
+    ``weights`` (uniform where they are numerically empty)."""
+    cum = np.cumsum(weights, axis=1)
+    total = cum[:, -1]
     code = np.zeros(len(rows), dtype=np.int64)
     empty = total <= 1e-30
-    code[empty] = streams.integers(rows[empty], n_codes)
+    code[empty] = streams.integers(rows[empty], weights.shape[1])
     full = ~empty
-    cum = np.cumsum(_binned(weights[full], plan.info.bit_codes, n_codes), axis=1)
-    code[full] = pick(cum, streams.random(rows[full]) * total[full])
+    code[full] = pick(cum[full], streams.random(rows[full]) * total[full])
     return code

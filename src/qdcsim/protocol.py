@@ -434,7 +434,8 @@ def simulate_window(
     state: StateVector, config: RoundConfig, rng: np.random.Generator
 ) -> WindowResult:
     """Unravel the detection window for one trajectory (one row of
-    :func:`qdcsim.lockstep.window`, drawing from ``rng``).
+    :func:`qdcsim.lockstep.window` on the state's own jump tables, drawing
+    from ``rng``).
 
     Draw u uniform; evolve the pure-decay no-jump state until its squared
     norm reaches u or the window elapses; on a jump pick the channel with
@@ -447,15 +448,15 @@ def simulate_window(
     on three or more photons raises ValueError before any draw.
     """
     info = _layout_info(state.layout)
-    amps = state.amplitudes[None]
+    tables = lockstep.jump_tables(info, state.amplitudes[None])
+    row = np.zeros(1, dtype=np.int64)
     r = lockstep.Rounds.empty(1)
-    psi, jumped = lockstep.window(
-        info, config, _GeneratorRows(rng), np.zeros(1, dtype=np.int64), amps.copy(),
-        _sector_norms(info, amps), r,
-    )
+    q, hist = lockstep.window(config, tables, _GeneratorRows(rng), row, row, r)
+    h = int(hist[0])
+    end = tables.state(info, lockstep.jump_vectors(info, state.amplitudes[None]), 0, h, q[0])
     return WindowResult(
-        _records(r, np.zeros(1, dtype=np.int64), config.t_window)[0],
-        StateVector(state.layout, psi[0]), bool(jumped[0]), bool(r.survived[0]),
+        _records(r, row, config.t_window)[0], StateVector(state.layout, end), h > 0,
+        bool(r.survived[0]),
     )
 
 
@@ -664,7 +665,8 @@ def _check_context(n_parties: int) -> _CheckContext:
 class _Plan:
     """Everything a round of one config reads, compiled once per config with
     the seed excluded.  Each table holds what a round computed on its own
-    would evaluate, from the same expression, so it is bit-equal.
+    would evaluate, from the same expression, so it is bit-equal; the jump
+    tables hold the detection window in closed form (``lockstep``).
 
     One outcome law drives every decision: the single-click decode table and
     the ideal-PNR table come from the Bell weights, the multi-click fallback
@@ -675,7 +677,7 @@ class _Plan:
     info: _LayoutInfo
     t_map: float
     amps: np.ndarray  # (4, dim) pipeline amplitudes in MESSAGES order
-    sector_norms: np.ndarray  # (4, photon sectors) photon-sector weights of amps
+    tables: lockstep.JumpTables  # detection-window tables of amps
     bell: np.ndarray  # (4, Bell label, bit code) Bell weights of amps
     outcomes: np.ndarray  # (4, n+, n-, bit code) outcome law of amps (_outcome_law)
     decoded: np.ndarray  # (n+, n-, bit code) -> decoded-message index
@@ -691,15 +693,15 @@ class _Plan:
         built at the first check round."""
         return _check_context(self.config.n_parties)
 
-
-def _sector_norms(info: _LayoutInfo, amps: np.ndarray) -> np.ndarray:
-    """Photon-sector weights of each row of ``amps``, summed in index order
-    (``bincount``), as the detection window re-sums them after a jump."""
-    n_sectors = int(info.photon_numbers.max()) + 1
-    return _frozen(np.array([
-        np.bincount(info.photon_numbers, weights=np.abs(a) ** 2, minlength=n_sectors)
-        for a in amps
-    ]))
+    def row_width(self, checks: bool) -> int:
+        """Entries of the widest per-row array a block of this plan's rounds
+        holds (``lockstep.row_blocks``): the encode round's (photon sector or
+        Bell label, bit code) weights and, with ``checks`` and p_check > 0,
+        the check round's law over 2^n outcomes."""
+        width = self.pnr_cum.shape[1] if self.config.ideal_pnr else self.tables.width
+        if checks and self.config.p_check > 0.0:
+            width = max(width, 2**self.config.n_parties)
+        return width
 
 
 def _plan(config: RoundConfig) -> _Plan:
@@ -713,16 +715,16 @@ def _compile_plan(config: RoundConfig) -> _Plan:
     t_map = resolve_t_map(config)
     info = _layout_info(layout_for(config.n_parties, config.cutoff))
     amps = _pipeline_amps(config, t_map)
-    sector_norms = _sector_norms(info, amps)
     sectors = _sectors(info, amps)
     bell = _frozen(_bell(sectors, alpha_beta(config.params, t_map)[1]))
     # click counts reach the photon number plus one dark count
-    outcomes = _frozen(_outcome_law(config, sectors, bell, sector_norms.shape[1] + 1))
+    outcomes = _frozen(_outcome_law(config, sectors, bell, int(info.photon_numbers.max()) + 2))
     decoded = _argmax(outcomes)
     decoded[0, 0] = lockstep.ABORT  # no click
     decoded[1, 0], decoded[0, 1] = _argmax(bell[:, 0]), _argmax(bell[:, 1])  # psi+, psi-
     return _Plan(
-        config=config, info=info, t_map=t_map, amps=amps, sector_norms=sector_norms,
+        config=config, info=info, t_map=t_map, amps=amps,
+        tables=lockstep.jump_tables(info, amps),
         bell=bell, outcomes=outcomes, decoded=_frozen(decoded),
         pnr_cum=_frozen(np.cumsum(bell.reshape(len(MESSAGES), -1), axis=1)),
         pnr_decoded=_frozen(_argmax(bell).reshape(-1)),
@@ -935,7 +937,7 @@ def run_batch(
     n_check = check_pass = check_concl = 0
     psi_rounds = psi_clicks = psi_survived = 0
     first = 0
-    for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.amps.shape[1]):
+    for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.row_width(checks=True)):
         r = lockstep.run_block(plan, streams, msg_ids)
         encode = ~r.check
         confusion += np.bincount(

@@ -241,7 +241,7 @@ def cheat_experiment(
     msg_ids = np.array([protocol._MSG_INDEX[m] for m in msgs])
     n_tied, tied = _guess_tables(cheater, config, plan, msgs)
     hits_all = hits_click = n_click = 0
-    for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.amps.shape[1]):
+    for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.row_width(checks=False)):
         rows = np.arange(len(streams))
         r = lockstep.Rounds.empty(len(rows))
         sent = msg_ids[streams.integers(rows, len(msgs))]
@@ -329,6 +329,20 @@ def _atom_attack(eve: EveModel, config: RoundConfig, n_rounds: int, seed: int):
     return conclusive, violations
 
 
+def _photon_starts(plan, psi_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eve's photon-number measurement of cavity A on the pipeline states of
+    the messages ``psi_ids``: the outcome weights (one row per message), and
+    the collapsed state of each (message, outcome), message-major."""
+    layout = plan.info.layout
+    measured = [
+        site_measurement(StateVector(layout, plan.amps[i]), layout.mode_sites[0])
+        for i in psi_ids.tolist()
+    ]
+    weights = np.array([w for w, _ in measured])
+    amps = np.array([a for w, collapse in measured for a in _collapses(w, collapse, layout.dim)])
+    return weights, amps
+
+
 def _photon_attack(config: RoundConfig, n_rounds: int, seed: int):
     """Encode rounds of psi+ or psi- with cavity A's photon number measured
     before the window (a tampered encode round): (conclusive rounds,
@@ -340,25 +354,19 @@ def _photon_attack(config: RoundConfig, n_rounds: int, seed: int):
     if config.ideal_pnr:
         raise ValueError("ideal_pnr: the oracle decode never reads the tampered state")
     plan = protocol._plan(config)
-    layout = protocol.layout_for(config.n_parties, config.cutoff)
     psi_ids = np.array([protocol._MSG_INDEX[m] for m in (Message.X, Message.IY)])
-    measured = [
-        site_measurement(StateVector(layout, plan.amps[i]), layout.mode_sites[0])
-        for i in psi_ids.tolist()
-    ]
-    weights = np.array([w for w, _ in measured])
+    weights, amps = _photon_starts(plan, psi_ids)
     cum = np.array([np.cumsum(w) for w in weights])
     total = np.array([w.sum() for w in weights])
-    amps = np.array([a for w, collapse in measured for a in _collapses(w, collapse, layout.dim)])
-    norms = protocol._sector_norms(plan.info, amps)
+    tables = lockstep.jump_tables(plan.info, amps)
     conclusive = violations = 0
-    for streams in lockstep.row_blocks(seed, 0, n_rounds, layout.dim):
+    for streams in lockstep.row_blocks(seed, 0, n_rounds, tables.width):
         rows = np.arange(len(streams))
         r = lockstep.Rounds.empty(len(rows))
         which = streams.integers(rows, 2)
         outcome = lockstep.pick(cum[which], streams.random(rows) * total[which])
         start = which * weights.shape[1] + outcome
-        lockstep.window_rounds(plan, streams, rows, amps, norms, start, r)
+        lockstep.window_rounds(plan, streams, rows, tables, start, r)
         decided = r.decoded != lockstep.ABORT
         conclusive += int(decided.sum())
         violations += int((decided & (r.decoded != psi_ids[which])).sum())

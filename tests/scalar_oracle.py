@@ -3,16 +3,21 @@
 state-space helpers only the tests use.
 
 Each function takes its draws from ``rng`` in the order the engine's rows
-take them from their own streams, and evaluates each floating-point
-expression the engine evaluates, in the same order, so the differential
-tests require equality, not closeness.  ``tamper`` hooks act on the state
+take them from their own streams, and makes the same decisions from them.
+The detection window here carries the dense state vector through every
+jump (the Monte-Carlo wavefunction), where the engine reads compiled
+jump-history tables: the first jump time is bit-equal, later jump times
+and end states agree within ``TIME_TOL`` (``assert_outcomes_close``), and
+everything else is equal.  ``tamper`` hooks act on the state
 before it is measured (``run_check_round``) or detected
 (``_encode_round``), as the security experiments' eavesdroppers do.
 """
 
 from __future__ import annotations
 
+import json
 import math
+from dataclasses import replace
 from functools import lru_cache
 from typing import Callable
 
@@ -163,12 +168,22 @@ def simulate_window(
     state: StateVector, config: RoundConfig, rng: np.random.Generator
 ) -> WindowResult:
     """Unravel the detection window for one trajectory."""
+    return window_jumps(state, config, rng)[0]
+
+
+def window_jumps(
+    state: StateVector, config: RoundConfig, rng: np.random.Generator
+) -> tuple[WindowResult, list[tuple[float, int, bool]]]:
+    """:func:`simulate_window` and the (time, sign, registered) of its jumps."""
     info = _layout_info(state.layout)
-    psi, events, jumped, photon_survived = _window_raw(
+    psi, events, jumps, photon_survived = _window_raw(
         info, state.amplitudes.copy(), config, rng
     )
     record = DetectionRecord(tuple(events), config.t_window)
-    return WindowResult(record, StateVector(state.layout, psi), jumped, photon_survived)
+    return (
+        WindowResult(record, StateVector(state.layout, psi), bool(jumps), photon_survived),
+        jumps,
+    )
 
 
 def _window_raw(
@@ -181,8 +196,8 @@ def _window_raw(
     n_max = int(n_vec.max())
 
     events: list[tuple[float, str]] = []
+    jumps: list[tuple[float, int, bool]] = []
     t = 0.0
-    jumped = False
     photon_survived = False
 
     while True:
@@ -207,7 +222,7 @@ def _window_raw(
                 top -= 1
             dt_jump = _nojump_crossing(sector_norms[: top + 1], k, u, window - t)
             if dt_jump is None:
-                if not jumped:
+                if not jumps:
                     photon_survived = bool(total - float(sector_norms[0]) > 1e-12)
                 break
             t_jump = t + dt_jump
@@ -226,8 +241,9 @@ def _window_raw(
         else:
             psi, channel, rate = minus, CHANNEL_MINUS, r_minus
         psi = psi / math.sqrt(rate)
-        jumped = True
-        if rng.random() < eta:
+        seen = bool(rng.random() < eta)
+        jumps.append((t, 1 if channel == CHANNEL_PLUS else -1, seen))
+        if seen:
             events.append((t, channel))
 
     if k > 0.0:
@@ -239,7 +255,7 @@ def _window_raw(
             events.append((rng.random() * window, dark_channel))
 
     events.sort(key=lambda ev: ev[0])
-    return psi, events, jumped, photon_survived
+    return psi, events, jumps, photon_survived
 
 
 def sample_receiver_bits(
@@ -520,7 +536,7 @@ def _encode_round(
     if tamper is not None:
         layout = layout_for(config.n_parties, config.cutoff)
         amps = tamper(StateVector(layout, amps), rng).amplitudes
-    psi, events, jumped, photon_survived = _window_raw(info, amps, config, rng)
+    psi, events, _, photon_survived = _window_raw(info, amps, config, rng)
     record = DetectionRecord(tuple(events), config.t_window)
     bits = _sample_bits_raw(info, psi, rng)
     decoded = decode(config, record.counts(), bits)
@@ -583,12 +599,58 @@ def engine_windows(state: StateVector, config: RoundConfig, seed: int, n: int):
     the detection windows of ``state`` on the streams ``(seed, 0 .. n-1)``:
     row i holds the jumps, dark counts and survival flag of
     ``simulate_window(state, config, round_rng(seed, i))``."""
-    info = _layout_info(state.layout)
-    amps = state.amplitudes[None]
-    norms = P._sector_norms(info, amps)
-    for streams in lockstep.row_blocks(seed, 0, n, state.layout.dim):
+    tables = lockstep.jump_tables(_layout_info(state.layout), state.amplitudes[None])
+    for streams in lockstep.row_blocks(seed, 0, n, tables.width):
         rows = np.arange(len(streams))
         start = np.zeros(len(rows), dtype=np.int64)
         r = lockstep.Rounds.empty(len(rows))
-        lockstep.window(info, config, streams, rows, amps[start], norms[start], r)
+        lockstep.window(config, tables, streams, rows, start, r)
         yield r
+
+
+# ---------------------------------------------------------------------------
+# engine results against the oracle's
+
+TIME_TOL = 1e-12  # bound on later jump times and end amplitudes against the oracle
+
+
+def assert_records_close(got: DetectionRecord, want: DetectionRecord, first_jump=None,
+                         where=None) -> None:
+    """Equal records, except that real-click times may differ by ``TIME_TOL``.
+    Dark-count times are exact, and so is the first real click when
+    ``first_jump``, the oracle's (time, sign, registered) of the round's
+    first jump, registered."""
+    assert got.window == want.window, where
+    assert [ch for _, ch in got.events] == [ch for _, ch in want.events], where
+    first_click = first_jump is not None and first_jump[2]
+    for (t_got, ch), (t_want, _) in zip(got.events, want.events):
+        if ch in (DARK_PLUS, DARK_MINUS):
+            assert t_got == t_want, where
+        elif first_click:
+            assert t_got == t_want, where
+            first_click = False
+        else:
+            assert abs(t_got - t_want) <= TIME_TOL, where
+
+
+def assert_outcomes_close(got: RoundOutcome, want: RoundOutcome, where=None) -> None:
+    """Equal RoundOutcomes up to :func:`assert_records_close`."""
+    assert (got.detection is None) == (want.detection is None), where
+    if got.detection is not None:
+        assert_records_close(got.detection, want.detection, where=where)
+    assert replace(got, detection=None) == replace(want, detection=None), where
+
+
+def assert_log_close(line: str, want: dict, where=None) -> None:
+    """A round-log line against the oracle's dict (:func:`outcome_to_dict`):
+    the same keys and values, click times as in :func:`assert_records_close`."""
+    got = json.loads(line)
+    assert list(got) == list(want), where
+    for key, value in want.items():
+        if key != "clicks":
+            assert got[key] == value, (where, key)
+    if "clicks" in want:
+        assert_records_close(
+            DetectionRecord(tuple(map(tuple, got["clicks"])), 0.0),
+            DetectionRecord(tuple(map(tuple, want["clicks"])), 0.0), where=where,
+        )

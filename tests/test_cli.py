@@ -1,5 +1,10 @@
 import hashlib
 import json
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -30,6 +35,34 @@ def run_cli(args, capsys):
     code = cli.main(args)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+class TestParserOncePerProcess:
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_calls_in_one_process_write_what_fresh_processes_write(self, tmp_path, monkeypatch,
+                                                                    capsys):
+        monkeypatch.chdir(tmp_path)
+        Path("base.json").write_text(json.dumps(BASE_DOC))
+        commands = [["batch", "--rounds", "300", "--round-log", "--out", "batch"],
+                    ["security", "--rounds", "200", "--out", "security"]]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        for argv in commands:
+            subprocess.run([sys.executable, "-m", "qdcsim.cli", *argv, "--config", "base.json"],
+                           env=env, check=True, capture_output=True)
+        fresh = {str(p): p.read_bytes() for p in sorted(Path().glob("*/*"))}
+        for argv in commands:
+            shutil.rmtree(argv[-1])
+        for argv in commands:
+            assert cli.main([*argv, "--config", "base.json"]) == 0
+            with pytest.raises(SystemExit) as usage_error:  # still exits 2 on a shared parser
+                cli.main([argv[0], "--no-such-flag"])
+            assert usage_error.value.code == 2
+        capsys.readouterr()
+        assert {str(p): p.read_bytes() for p in sorted(Path().glob("*/*"))} == fresh
+        assert len(fresh) == 5  # batch_summary, rounds.jsonl, security.json, 2 manifests
 
 
 class TestConfigParsing:
@@ -335,7 +368,7 @@ class TestGoldenDigest:
     }
     DIGESTS = {
         "batch_summary.json": "5b9ef2c3da6c7ec98f6925b410354b3682744703b9158da5a6a7cc2f034ecd66",
-        "rounds.jsonl": "978011c9457b5cacdce874d19f10a425af4ba2aed0a6c40695d85f9e932f8928",
+        "rounds.jsonl": "2c1ce85f8abb93020930b4c3539996108b4fe36da83b96c4c03db232d94dce93",
     }
 
     def test_batch_bytes(self, tmp_path, capsys):
