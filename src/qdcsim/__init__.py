@@ -3,14 +3,14 @@
 Subpackages:
 
 * :mod:`qdcsim.hilbert` -- tensor-product state space and Pauli encoding
-* :mod:`qdcsim.dynamics` -- conditional atom-cavity evolution
+* :mod:`qdcsim.dynamics` -- closed-form conditional atom-cavity evolution
 * :mod:`qdcsim.protocol` -- encode/transfer/detect pipeline and batches
 * :mod:`qdcsim.security` -- posteriors, cheat games, eavesdropper checks
 * :mod:`qdcsim.feasibility` -- hardware-regime arithmetic
 * :mod:`qdcsim.cli` -- command-line front end
 """
 
-from .dynamics import PhysicalParams, alpha_beta, evolve_conditional, transfer_time
+from .dynamics import PhysicalParams, alpha_beta, transfer_time
 from .hilbert import (
     Message,
     MESSAGES,
@@ -38,7 +38,6 @@ from .protocol import (
 __all__ = [
     "PhysicalParams",
     "alpha_beta",
-    "evolve_conditional",
     "transfer_time",
     "Message",
     "MESSAGES",

@@ -26,9 +26,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-NUMERIC_SLACK = 1e-12
-DUMP_AMPLITUDE_FLOOR = 1e-14
-
 G, E = 0, 1  # atom basis labels
 
 
@@ -44,19 +41,7 @@ class DimensionMismatch(HilbertError):
     pass
 
 
-class TruncationOverflow(HilbertError):
-    """A creation operator would push amplitude past a mode's cutoff."""
-
-
 class NotAnAtomSite(HilbertError):
-    pass
-
-
-class NotACavityModeSite(HilbertError):
-    pass
-
-
-class LayoutMismatch(HilbertError):
     pass
 
 
@@ -162,19 +147,12 @@ class SystemLayout:
         return self.sites[site].kind
 
 
-def dimension(layout: SystemLayout) -> int:
-    """Total Hilbert-space dimension (product of site dimensions)."""
-    return layout.dim
-
-
 @dataclass(frozen=True)
 class StateVector:
     """Complex amplitude vector over a layout's basis.
 
-    Amplitudes must be finite; squared norm of physical states lies in
-    ``[0, 1 + NUMERIC_SLACK]`` (checked by :meth:`assert_physical`, not by
-    the constructor, so that operator images like ``H|psi>`` remain
-    representable).
+    Amplitudes must be finite.  The constructor does not bound the norm,
+    so that operator images like ``H|psi>`` remain representable.
     """
 
     layout: SystemLayout
@@ -190,15 +168,6 @@ class StateVector:
             raise ValueError("amplitudes must be finite")
         object.__setattr__(self, "amplitudes", amps)
 
-    def copy(self) -> "StateVector":
-        return StateVector(self.layout, self.amplitudes.copy())
-
-    def assert_physical(self) -> "StateVector":
-        n2 = norm_sq(self)
-        if n2 > 1.0 + NUMERIC_SLACK:
-            raise ValueError(f"squared norm {n2} exceeds 1 + slack")
-        return self
-
 
 def basis_state(layout: SystemLayout, occupations: Sequence[int]) -> StateVector:
     """Unit vector on one occupation tuple."""
@@ -209,13 +178,6 @@ def basis_state(layout: SystemLayout, occupations: Sequence[int]) -> StateVector
 
 def norm_sq(state: StateVector) -> float:
     return float(np.real(np.vdot(state.amplitudes, state.amplitudes)))
-
-
-def inner(a: StateVector, b: StateVector) -> complex:
-    """Hermitian inner product <a|b>."""
-    if a.layout != b.layout:
-        raise LayoutMismatch("states live on different layouts")
-    return complex(np.vdot(a.amplitudes, b.amplitudes))
 
 
 def site_view(state: StateVector, site: int) -> np.ndarray:
@@ -254,34 +216,6 @@ def site_measurement(
         return StateVector(state.layout, collapsed.reshape(-1))
 
     return probs, collapse
-
-
-def annihilation_matrix(dim: int) -> np.ndarray:
-    """Truncated ``a``: maps ``|n> -> sqrt(n)|n-1>``."""
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    for n in range(1, dim):
-        m[n - 1, n] = np.sqrt(n)
-    return m
-
-
-def creation_matrix(dim: int) -> np.ndarray:
-    """Truncated ``a^dag`` within the cutoff; see :func:`apply_creation`."""
-    return annihilation_matrix(dim).conj().T
-
-
-def apply_creation(state: StateVector, site: int) -> StateVector:
-    """Apply ``a^dag``; raises :class:`TruncationOverflow` if amplitude
-    at the top Fock level would leave the truncated space."""
-    if state.layout.site_kind(site) is not SiteKind.CAVITY_MODE:
-        raise NotACavityModeSite(f"site {site} is not a cavity mode")
-    d = state.layout.dims[site]
-    if _top_level_weight(state, site) > NUMERIC_SLACK:
-        raise TruncationOverflow(f"creation on site {site} would exceed cutoff {d - 1}")
-    return apply_site_operator(state, site, creation_matrix(d))
-
-
-def _top_level_weight(state: StateVector, site: int) -> float:
-    return float(np.sum(np.abs(site_view(state, site)[:, -1, :]) ** 2))
 
 
 class Message(enum.Enum):
@@ -329,16 +263,3 @@ def pauli_encode(state: StateVector, atom_site: int, message: Message) -> StateV
     if state.layout.site_kind(atom_site) is not SiteKind.ATOM:
         raise NotAnAtomSite(f"site {atom_site} is not an atom")
     return apply_site_operator(state, atom_site, _PAULI[message])
-
-
-def dump_state(state: StateVector) -> str:
-    """Debug dump: ``index<TAB>occupation-tuple<TAB>re<TAB>im`` per line,
-    amplitudes below 1e-14 omitted, indices ascending."""
-    lines = []
-    for idx in range(state.layout.dim):
-        amp = state.amplitudes[idx]
-        if abs(amp) < DUMP_AMPLITUDE_FLOOR:
-            continue
-        occ = ",".join(str(o) for o in state.layout.occupations_of(idx))
-        lines.append(f"{idx}\t{occ}\t{float(amp.real)!r}\t{float(amp.imag)!r}")
-    return "\n".join(lines)

@@ -172,13 +172,13 @@ class Rounds:
         )
 
 
-def row_blocks(seed: int, start: int, stop: int, width: int):
-    """Yield the :class:`RowStreams` of rounds ``start .. stop-1`` of the
-    batch with ``seed``, in blocks of at most ``BLOCK_AMPLITUDES`` entries of
-    the widest per-row array the caller holds, ``width`` entries a row."""
+def row_blocks(seed: int, n_rounds: int, width: int):
+    """Yield the :class:`RowStreams` of rounds ``0 .. n_rounds-1`` of the batch
+    with ``seed``, in blocks of at most ``BLOCK_AMPLITUDES`` entries of the
+    widest per-row array the caller holds, ``width`` entries a row."""
     step = max(1, BLOCK_AMPLITUDES // width)
-    for lo in range(start, stop, SPAN):
-        indices = np.arange(lo, min(lo + SPAN, stop))
+    for lo in range(0, n_rounds, SPAN):
+        indices = np.arange(lo, min(lo + SPAN, n_rounds))
         words = philox_words(seed, indices, 0, _FIRST_WORDS)
         for b in range(0, len(indices), step):
             block = slice(b, b + step)
@@ -330,7 +330,8 @@ def window(config, tables: JumpTables, streams, rows, start: np.ndarray,
         q[act, -1] = 0.0
         hist[act] = 2 * hist[act] + 1 + channel
         seen = streams.random(rows[act]) < eta
-        jumps.append((act, t[act], np.where(pick, 1, -1), seen))
+        if act.size:  # the last pass draws for no row and records nothing
+            jumps.append((act, t[act], np.where(pick, 1, -1), seen))
     if k > 0.0:
         q *= np.exp(decay * (t_window - t)[:, None])
 

@@ -937,7 +937,7 @@ def run_batch(
     n_check = check_pass = check_concl = 0
     psi_rounds = psi_clicks = psi_survived = 0
     first = 0
-    for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.row_width(checks=True)):
+    for streams in lockstep.row_blocks(seed, n_rounds, plan.row_width(checks=True)):
         r = lockstep.run_block(plan, streams, msg_ids)
         encode = ~r.check
         confusion += np.bincount(

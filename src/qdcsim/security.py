@@ -241,7 +241,7 @@ def cheat_experiment(
     msg_ids = np.array([protocol._MSG_INDEX[m] for m in msgs])
     n_tied, tied = _guess_tables(cheater, config, plan, msgs)
     hits_all = hits_click = n_click = 0
-    for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.row_width(checks=False)):
+    for streams in lockstep.row_blocks(seed, n_rounds, plan.row_width(checks=False)):
         rows = np.arange(len(streams))
         r = lockstep.Rounds.empty(len(rows))
         sent = msg_ids[streams.integers(rows, len(msgs))]
@@ -315,7 +315,7 @@ def _atom_attack(eve: EveModel, config: RoundConfig, n_rounds: int, seed: int):
         laws = np.array([protocol.combo_laws(b, config.n_parties) for b in branches])
         cum, total = np.cumsum(laws, axis=2), laws.sum(axis=2)
     conclusive = violations = 0
-    for streams in lockstep.row_blocks(seed, 0, n_rounds, ctx.layout.dim):
+    for streams in lockstep.row_blocks(seed, n_rounds, ctx.layout.dim):
         rows = np.arange(len(streams))
         branch = np.zeros(len(rows), dtype=np.int64)
         if weights is not None:
@@ -360,7 +360,7 @@ def _photon_attack(config: RoundConfig, n_rounds: int, seed: int):
     total = np.array([w.sum() for w in weights])
     tables = lockstep.jump_tables(plan.info, amps)
     conclusive = violations = 0
-    for streams in lockstep.row_blocks(seed, 0, n_rounds, tables.width):
+    for streams in lockstep.row_blocks(seed, n_rounds, tables.width):
         rows = np.arange(len(streams))
         r = lockstep.Rounds.empty(len(rows))
         which = streams.integers(rows, 2)

@@ -1,5 +1,7 @@
 """The scalar per-round path: one protocol round at a time on one numpy
-``Generator``, the reference the lockstep engine is tested against, and the
+``Generator``, the reference the lockstep engine is tested against; the
+fixed-step RK4 integration of the no-jump generator, the reference the
+closed-form transfer (``dynamics.alpha_beta``) is tested against; and the
 state-space helpers only the tests use.
 
 Each function takes its draws from ``rng`` in the order the engine's rows
@@ -19,22 +21,21 @@ import json
 import math
 from dataclasses import replace
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from qdcsim import lockstep
 from qdcsim import protocol as P
+from qdcsim.dynamics import PhysicalParams
 from qdcsim.hilbert import (
     MESSAGES,
+    HilbertError,
     Message,
-    NotACavityModeSite,
     NotAnAtomSite,
     SiteKind,
     StateVector,
-    annihilation_matrix,
     apply_site_operator,
-    dump_state,
     site_measurement,
 )
 from qdcsim.protocol import (
@@ -59,6 +60,43 @@ from qdcsim.protocol import (
 
 # ---------------------------------------------------------------------------
 # state-space helpers
+
+NUMERIC_SLACK = 1e-12
+DUMP_AMPLITUDE_FLOOR = 1e-14
+
+
+class TruncationOverflow(HilbertError):
+    """A creation operator would push amplitude past a mode's cutoff."""
+
+
+class NotACavityModeSite(HilbertError):
+    pass
+
+
+def annihilation_matrix(dim: int) -> np.ndarray:
+    """Truncated ``a``: maps ``|n> -> sqrt(n)|n-1>``."""
+    m = np.zeros((dim, dim), dtype=np.complex128)
+    for n in range(1, dim):
+        m[n - 1, n] = np.sqrt(n)
+    return m
+
+
+def creation_matrix(dim: int) -> np.ndarray:
+    """Truncated ``a^dag`` within the cutoff."""
+    return annihilation_matrix(dim).conj().T
+
+
+def dump_state(state: StateVector) -> str:
+    """Debug dump: ``index<TAB>occupation-tuple<TAB>re<TAB>im`` per line,
+    amplitudes below 1e-14 omitted, indices ascending."""
+    lines = []
+    for idx in range(state.layout.dim):
+        amp = state.amplitudes[idx]
+        if abs(amp) < DUMP_AMPLITUDE_FLOOR:
+            continue
+        occ = ",".join(str(o) for o in state.layout.occupations_of(idx))
+        lines.append(f"{idx}\t{occ}\t{float(amp.real)!r}\t{float(amp.imag)!r}")
+    return "\n".join(lines)
 
 
 def draw_outcome(weights: np.ndarray, u: float) -> int:
@@ -131,6 +169,116 @@ def _beamsplitter_raw(info: _LayoutInfo, amps: np.ndarray, sign: int) -> np.ndar
     out[dst_b] += sign * coef_b * amps[src_b]
     out /= math.sqrt(2.0)
     return out
+
+
+# ---------------------------------------------------------------------------
+# conditional no-jump evolution by fixed-step RK4
+
+_LOWER = np.array([[0, 1], [0, 0]], dtype=np.complex128)  # |g><e|
+_RAISE = np.array([[0, 0], [1, 0]], dtype=np.complex128)  # |e><g|
+
+
+def effective_hamiltonian_apply(
+    state: StateVector, atom_site: int, mode_site: int, params: PhysicalParams
+) -> StateVector:
+    """Return ``H_e|state>`` for one atom-cavity pair (not the propagated state).
+
+    The ``-i k a^dag a`` decay term acts on the mode regardless of the
+    atom; with several active pairs the total generator is the sum of the
+    per-pair terms.
+    """
+    layout = state.layout
+    if layout.site_kind(atom_site) is not SiteKind.ATOM:
+        raise NotAnAtomSite(f"site {atom_site} is not an atom")
+    if layout.site_kind(mode_site) is not SiteKind.CAVITY_MODE:
+        raise NotACavityModeSite(f"site {mode_site} is not a cavity mode")
+
+    d_mode = layout.dims[mode_site]
+    if _overflow_weight(state, atom_site, mode_site) > NUMERIC_SLACK:
+        raise TruncationOverflow(
+            f"a^dag on mode site {mode_site} would exceed cutoff {d_mode - 1}"
+        )
+
+    delta = params.delta_eff
+    # i*delta * a (x) |e><g|
+    t1 = apply_site_operator(apply_site_operator(state, atom_site, _RAISE), mode_site,
+                             annihilation_matrix(d_mode))
+    # -i*delta * a^dag (x) |g><e|
+    t2 = apply_site_operator(apply_site_operator(state, atom_site, _LOWER), mode_site,
+                             creation_matrix(d_mode))
+    # -i*k * a^dag a
+    n_op = np.diag(np.arange(d_mode, dtype=np.complex128))
+    t3 = apply_site_operator(state, mode_site, n_op)
+
+    amps = 1j * delta * t1.amplitudes - 1j * delta * t2.amplitudes - 1j * params.k * t3.amplitudes
+    return StateVector(layout, amps)
+
+
+def _overflow_weight(state: StateVector, atom_site: int, mode_site: int) -> float:
+    """Weight on (atom = e, mode = cutoff): the configurations a^dag would
+    push out of the truncated space."""
+    dims = state.layout.dims
+    shaped = state.amplitudes.reshape(dims)
+    sl = [slice(None)] * len(dims)
+    sl[atom_site] = 1
+    sl[mode_site] = dims[mode_site] - 1
+    return float(np.sum(np.abs(shaped[tuple(sl)]) ** 2))
+
+
+def default_step(params: PhysicalParams) -> float:
+    """Documented step guidance: dt <= 0.01 / max(delta, k)."""
+    return 0.01 / max(params.delta_eff, params.k)
+
+
+def evolve_conditional(
+    state: StateVector,
+    pairs: Sequence[tuple[int, int]],
+    params: PhysicalParams,
+    t: float,
+    dt: float | None = None,
+) -> StateVector:
+    """Propagate ``d|psi>/dt = -i (sum_pairs H_e) |psi>`` with fixed-step RK4.
+
+    Returns the subnormalized no-jump state.  Fixed stepping keeps results
+    bit-reproducible across runs.
+    """
+    if t < 0:
+        raise ValueError("t must be nonnegative")
+    if t == 0:
+        return StateVector(state.layout, state.amplitudes.copy())
+    if dt is None:
+        dt = min(default_step(params), t / 100.0)
+    if dt > t / 100.0 + 1e-15 * t:
+        raise ValueError(f"dt = {dt} too coarse; need dt <= t/100 = {t / 100.0}")
+    return _rk4(state, pairs, params, t, dt)
+
+
+def _rk4(
+    state: StateVector,
+    pairs: Sequence[tuple[int, int]],
+    params: PhysicalParams,
+    t: float,
+    dt: float,
+) -> StateVector:
+    layout = state.layout
+
+    def rhs(amps: np.ndarray) -> np.ndarray:
+        vec = StateVector(layout, amps)
+        total = np.zeros_like(amps)
+        for atom_site, mode_site in pairs:
+            total += effective_hamiltonian_apply(vec, atom_site, mode_site, params).amplitudes
+        return -1j * total
+
+    n_steps = max(1, math.ceil(t / dt))
+    h = t / n_steps
+    y = state.amplitudes.copy()
+    for _ in range(n_steps):
+        k1 = rhs(y)
+        k2 = rhs(y + 0.5 * h * k1)
+        k3 = rhs(y + 0.5 * h * k2)
+        k4 = rhs(y + h * k3)
+        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return StateVector(layout, y)
 
 
 # ---------------------------------------------------------------------------
@@ -600,7 +748,7 @@ def engine_windows(state: StateVector, config: RoundConfig, seed: int, n: int):
     row i holds the jumps, dark counts and survival flag of
     ``simulate_window(state, config, round_rng(seed, i))``."""
     tables = lockstep.jump_tables(_layout_info(state.layout), state.amplitudes[None])
-    for streams in lockstep.row_blocks(seed, 0, n, tables.width):
+    for streams in lockstep.row_blocks(seed, n, tables.width):
         rows = np.arange(len(streams))
         start = np.zeros(len(rows), dtype=np.int64)
         r = lockstep.Rounds.empty(len(rows))

@@ -13,12 +13,12 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from scalar_oracle import engine_windows
+from scalar_oracle import engine_windows, evolve_conditional
 from qdcsim import cli
 from qdcsim import feasibility as F
 from qdcsim import protocol as P
 from qdcsim import security as S
-from qdcsim.dynamics import PhysicalParams, alpha_beta, evolve_conditional, transfer_time
+from qdcsim.dynamics import PhysicalParams, alpha_beta, transfer_time
 from qdcsim.hilbert import (
     Message, MESSAGES, StateVector, SystemLayout, mode_site, norm_sq, pauli_encode,
 )

