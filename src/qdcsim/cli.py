@@ -21,7 +21,6 @@ import sys
 import typing
 from pathlib import Path
 
-from . import feasibility as feas
 from . import protocol, security
 from .hilbert import Message
 from .protocol import RoundConfig
@@ -270,7 +269,7 @@ def cmd_batch(args) -> int:
     log: list[str] = []
     stats = protocol.run_batch(
         config, n_rounds, seed=config.seed, messages=_messages(args),
-        on_log=log.extend if args.round_log else None,
+        on_log=log.extend if args.round_log else None, workers=args.threads,
     )
     print(json.dumps(batch_summary(config, stats, include_wall_time=True)))
     emitter = _Emitter(args.out, "batch", args.config, args.seed)
@@ -295,7 +294,7 @@ def cmd_sweep(args) -> int:
         raise ConfigError("sweep.t_windows: must be a nonempty list of positive times")
     if reason := protocol._no_click_rate(config):
         raise ConfigError(f"round.{reason}")
-    rows = protocol.run_sweep(config, grid, n_rounds, seed=config.seed)
+    rows = protocol.run_sweep(config, grid, n_rounds, seed=config.seed, workers=args.threads)
     csv_text = sweep_csv(rows)
     sys.stdout.write(csv_text)
     emitter = _Emitter(args.out, "sweep", args.config, args.seed)
@@ -318,7 +317,8 @@ def cmd_security(args) -> int:
     summary = {
         "config": config_to_dict(config),
         "n_rounds": n_rounds,
-        "security": security.security_summary(config, n_rounds, config.seed, eve),
+        "security": security.security_summary(config, n_rounds, config.seed, eve,
+                                              workers=args.threads),
     }
     line = json.dumps(summary)
     print(line)
@@ -329,6 +329,8 @@ def cmd_security(args) -> int:
 
 
 def cmd_feasibility(args) -> int:
+    from . import feasibility as feas  # only this command reads it: keeps start-up short
+
     doc = load_config(args.config)
     constants = _build(doc, "feasibility.constants", feas.HardwareConstants)
     if args.paper_constants or "params" not in doc:
@@ -398,9 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
                           ("security", "security.rounds")]:
         parsers[name].add_argument("--rounds", type=int, default=None,
                                    help=f"rounds to run (default {default})")
-        # kept where scripts already pass it: checked, but it selects nothing
         parsers[name].add_argument("--threads", type=int, default=1,
-                                   help="must be >= 1; every command runs on one thread")
+                                   help="worker processes, at most one per CPU (default 1)")
     for name in ("run", "batch"):
         parsers[name].add_argument("--message", default="random",
                                    choices=["I", "X", "iY", "Z", "random"])

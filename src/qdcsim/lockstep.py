@@ -24,11 +24,19 @@ same Python calls, never by numpy's SIMD versions.
 :func:`run_block` runs the rounds of a block from the compiled plan
 (``protocol._Plan``); ``security`` drives the same row functions in its
 own draw orders.
+
+Independent work units (a batch's ``SPAN``-round spans, ``security``'s
+experiments, ``sweep``'s windows) can share forked worker processes
+(:func:`fork_map`, :func:`worker_count`); as every round reads its own
+stream, the split does not change a bit of the result.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import pickle
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +47,8 @@ ABORT = 4  # decoded-message index of an aborted round
 BLOCK_AMPLITUDES = 1 << 15  # rows x entries of the widest per-row array per block
 _FIRST_WORDS = 4  # Philox blocks (4 words each) computed up front per round
 SPAN = 2048  # rounds whose first words are computed in one call
+_PIPE_BYTES = 1 << 20  # the most a worker's pipe is grown to hold
+BREAK_EVEN_ROUNDS = 6144  # fewer rounds in all run in process: a fork would not pay (README)
 HISTORIES = 7  # jump histories of a window: none, +, -, ++, +-, -+, --
 SECTORS = 3  # photon numbers a window state holds: 0, 1, 2
 
@@ -172,17 +182,107 @@ class Rounds:
         )
 
 
-def row_blocks(seed: int, n_rounds: int, width: int):
-    """Yield the :class:`RowStreams` of rounds ``0 .. n_rounds-1`` of the batch
-    with ``seed``, in blocks of at most ``BLOCK_AMPLITUDES`` entries of the
-    widest per-row array the caller holds, ``width`` entries a row."""
+def row_blocks(seed: int, start: int, stop: int, width: int):
+    """Yield the :class:`RowStreams` of rounds ``start .. stop-1`` of the
+    batch with ``seed``, in blocks of at most ``BLOCK_AMPLITUDES`` entries of
+    the widest per-row array the caller holds, ``width`` entries a row.  A
+    range that starts on a multiple of ``SPAN`` gets the blocks of the same
+    rounds in a longer range."""
     step = max(1, BLOCK_AMPLITUDES // width)
-    for lo in range(0, n_rounds, SPAN):
-        indices = np.arange(lo, min(lo + SPAN, n_rounds))
+    for lo in range(start, stop, SPAN):
+        indices = np.arange(lo, min(lo + SPAN, stop))
         words = philox_words(seed, indices, 0, _FIRST_WORDS)
         for b in range(0, len(indices), step):
             block = slice(b, b + step)
             yield RowStreams(seed, indices[block], words[block])
+
+
+# ---------------------------------------------------------------------------
+# independent work units in forked worker processes
+
+
+def worker_count(workers: int, units: int, rounds: int) -> int:
+    """Processes to share ``units`` independent work units of ``rounds``
+    rounds in all: ``min(workers, usable CPUs, units)``.  It is 1, and the
+    units run in process, below ``BREAK_EVEN_ROUNDS`` rounds, where
+    ``os.fork`` is missing, and while other threads run (a forked child
+    could inherit a lock one of them holds)."""
+    if rounds < BREAK_EVEN_ROUNDS or not hasattr(os, "fork") or threading.active_count() > 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return max(1, min(workers, cpus or 1, units))
+
+
+def fork_map(task, units, workers: int) -> list:
+    """``[task(u) for u in units]``, with the units split into ``workers``
+    contiguous shares.  The calling process runs the first share; each
+    other share runs in a forked child, which pickles its results, or the
+    exception it raised, to a pipe and ends with ``os._exit``.  The results
+    come back in unit order; a child's exception is raised here.  Every
+    child is reaped before this returns or raises, and killed first if
+    anything failed."""
+    units = list(units)
+    workers = max(1, min(workers, len(units)))
+    size, extra = divmod(len(units), workers)
+    shares = [units[w * size + min(w, extra):(w + 1) * size + min(w + 1, extra)]
+              for w in range(workers)]
+    children: dict[int, int] = {}  # pid -> read end of its pipe
+    try:
+        for share in shares[1:]:
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to be had: the pipe goes too
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _child(task, share, write, [read, *children.values()])
+            os.close(write)
+            children[pid] = read
+        results = [task(u) for u in shares[0]]
+        for pid, read in children.items():
+            with open(read, "rb", closefd=False) as pipe:
+                try:
+                    ok, value = pickle.load(pipe)
+                except EOFError:
+                    raise RuntimeError(f"worker process {pid} ended without a result") from None
+            if not ok:
+                raise value
+            results.extend(value)
+        return results
+    except BaseException:
+        import signal
+
+        for pid in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read in children.items():
+            os.close(read)
+            os.waitpid(pid, 0)
+
+
+def _child(task, share, write: int, inherited: list[int]):
+    """A forked worker: runs ``share``, writes the pickled outcome to the
+    pipe ``write`` and ends the process, whatever happens."""
+    try:
+        for fd in inherited:  # the parent's ends of the workers' pipes
+            os.close(fd)
+        try:
+            outcome = (True, [task(u) for u in share])
+        except BaseException as exc:  # the parent raises it
+            outcome = (False, exc)
+        try:  # a pipe that holds the whole outcome lets the child end before it is read
+            import fcntl
+
+            fcntl.fcntl(write, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+        except (ImportError, AttributeError, OSError):
+            pass  # the writes wait for the reader
+        with open(write, "wb") as pipe:
+            pickle.dump(outcome, pipe)
+    finally:
+        os._exit(0)
 
 
 def run_block(plan, streams: RowStreams, msg_ids: np.ndarray) -> Rounds:

@@ -906,6 +906,35 @@ def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int) -> list[str]:
     ]
 
 
+def _span_part(plan: _Plan, seed: int, span: tuple[int, int], msg_ids: np.ndarray,
+               log: bool, on_round=None) -> tuple[np.ndarray, list[str]]:
+    """The rounds ``span[0] .. span[1]-1`` of a batch as one part: its
+    counters (the 4 x 5 confusion cells; check rounds, conclusive checks,
+    passed checks; psi rounds, those with a registered click, those whose
+    photon survived) and, with ``log``, its round-log lines."""
+    psi_ids = [_MSG_INDEX[Message.X], _MSG_INDEX[Message.IY]]
+    counts, lines, first = np.zeros(26, dtype=np.int64), [], span[0]
+    for streams in lockstep.row_blocks(seed, *span, plan.row_width(checks=True)):
+        r = lockstep.run_block(plan, streams, msg_ids)
+        encode = ~r.check
+        counts[:20] += np.bincount(5 * r.sent[encode] + r.decoded[encode], minlength=20)
+        if r.check.any():
+            ctx = plan.check
+            combo, outcome = r.combo[r.check], r.outcome[r.check]
+            conclusive = ctx.conclusive[combo]
+            counts[20:23] += [r.check.sum(), conclusive.sum(),
+                              (conclusive & ctx.passed[combo, outcome]).sum()]
+        psi = encode & np.isin(r.sent, psi_ids)
+        counts[23:] += [psi.sum(), (psi & r.jump_seen.any(axis=1)).sum(), (psi & r.survived).sum()]
+        if on_round is not None:
+            for i, out in enumerate(_round_outcomes(plan, r), first):
+                on_round(i, out)
+        if log:
+            lines += _log_lines(plan, r, first)
+        first += len(r.check)
+    return counts, lines
+
+
 def run_batch(
     config: RoundConfig,
     n_rounds: int,
@@ -913,55 +942,46 @@ def run_batch(
     messages: Sequence[Message] | None = None,
     on_round: Callable[[int, RoundOutcome], None] | None = None,
     on_log: Callable[[list[str]], None] | None = None,
+    workers: int = 1,
 ) -> BatchStats:
     """Run many rounds with per-round counter-based random streams.
 
     Output is a pure function of (config, n_rounds, seed, messages).  The
-    rounds run in round order on the calling thread, in lockstep blocks
-    (:func:`qdcsim.lockstep.row_blocks`), each row reproducing
-    :func:`run_round` on its own stream bit for bit.
-    ``on_round(i, outcome)`` receives every round's RoundOutcome, and
-    ``on_log(lines)`` each block's round-log lines (JSON, no newline), both
-    in round order.
+    rounds run in lockstep blocks (:func:`qdcsim.lockstep.row_blocks`),
+    each row reproducing :func:`run_round` on its own stream bit for bit,
+    and each ``lockstep.SPAN``-round span is one part of the batch.  With
+    ``workers`` > 1 the spans are shared by forked processes
+    (:func:`qdcsim.lockstep.fork_map`, :func:`qdcsim.lockstep.worker_count`),
+    with the same result.  ``on_round(i, outcome)`` receives every round's
+    RoundOutcome (it keeps the batch in process), and ``on_log(lines)``
+    each span's round-log lines (JSON, no newline), both in round order.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
     if seed is None:
         seed = config.seed
-    plan = _plan(config)  # compile before the clock starts
+    plan = _plan(config)  # compile before the clock starts, and before any fork
     msg_ids = np.array([_MSG_INDEX[m] for m in (MESSAGES if messages is None else messages)])
-    psi_ids = [_MSG_INDEX[Message.X], _MSG_INDEX[Message.IY]]
 
     t0 = time.perf_counter()
-    confusion = np.zeros((4, 5), dtype=np.int64)
-    n_check = check_pass = check_concl = 0
-    psi_rounds = psi_clicks = psi_survived = 0
-    first = 0
-    for streams in lockstep.row_blocks(seed, n_rounds, plan.row_width(checks=True)):
-        r = lockstep.run_block(plan, streams, msg_ids)
-        encode = ~r.check
-        confusion += np.bincount(
-            5 * r.sent[encode] + r.decoded[encode], minlength=20
-        ).reshape(4, 5)
-        if r.check.any():
-            ctx = plan.check
-            combo, outcome = r.combo[r.check], r.outcome[r.check]
-            conclusive = ctx.conclusive[combo]
-            n_check += int(r.check.sum())
-            check_concl += int(conclusive.sum())
-            check_pass += int((conclusive & ctx.passed[combo, outcome]).sum())
-        psi = encode & np.isin(r.sent, psi_ids)
-        psi_rounds += int(psi.sum())
-        psi_clicks += int((psi & r.jump_seen.any(axis=1)).sum())
-        psi_survived += int((psi & r.survived).sum())
-        if on_round is not None:
-            for i, out in enumerate(_round_outcomes(plan, r), first):
-                on_round(i, out)
-        if on_log is not None:
-            on_log(_log_lines(plan, r, first))
-        first += len(r.check)
+    spans = [(lo, min(lo + lockstep.SPAN, n_rounds)) for lo in range(0, n_rounds, lockstep.SPAN)]
+    log = on_log is not None
+
+    def part(span):
+        return _span_part(plan, seed, span, msg_ids, log, on_round)
+
+    # a callback cannot cross processes; in process, on_log streams span by span
+    workers = 1 if on_round is not None else lockstep.worker_count(workers, len(spans), n_rounds)
+    parts = map(part, spans) if workers == 1 else lockstep.fork_map(part, spans, workers)
+    counts = np.zeros(26, dtype=np.int64)
+    for span_counts, lines in parts:
+        counts += span_counts
+        if log:
+            on_log(lines)
     wall = time.perf_counter() - t0
 
+    confusion = counts[:20].reshape(4, 5)
+    n_check, check_concl, check_pass, psi_rounds, psi_clicks, psi_survived = counts[20:].tolist()
     n_encode = n_rounds - n_check
     correct = int(sum(confusion[i, i] for i in range(4)))
     aborts = int(confusion[:, 4].sum())
@@ -1004,31 +1024,30 @@ def run_sweep(
     t_windows: Sequence[float],
     n_rounds: int,
     seed: int | None = None,
+    workers: int = 1,
 ) -> list[dict]:
     """Detection-window sweep: both analytic conventions next to the
     Monte-Carlo click-rate estimate for a fixed psi-branch message.  A
-    config without a click rate (ideal PNR, p_check = 1) raises ValueError."""
+    config without a click rate (ideal PNR, p_check = 1) raises ValueError.
+    With ``workers`` > 1 the windows are shared by forked processes
+    (:func:`qdcsim.lockstep.fork_map`), with the same rows."""
     if not t_windows:
         raise ValueError("sweep grid must be nonempty")
     if reason := _no_click_rate(config):
         raise ValueError(reason)
-    rows = []
-    for t_w in t_windows:
+
+    def row(t_w) -> dict:
         cfg = dataclasses.replace(config, t_window=float(t_w))
         stats = run_batch(cfg, n_rounds, seed=seed, messages=(Message.X,))
         p = stats.psi_click_rate if stats.psi_click_rate is not None else 0.0
         n = stats.n_encode
-        rows.append(
-            {
-                "t_window": float(t_w),
-                "formula_survival": success_probability_formula(
-                    dataclasses.replace(cfg, success_convention="survival")
-                ),
-                "formula_integrated": success_probability_formula(
-                    dataclasses.replace(cfg, success_convention="integrated")
-                ),
-                "mc_estimate": p,
-                "mc_stderr": math.sqrt(p * (1.0 - p) / n) if n else 0.0,
-            }
-        )
-    return rows
+        formulas = {
+            f"formula_{c}": success_probability_formula(
+                dataclasses.replace(cfg, success_convention=c)
+            ) for c in ("survival", "integrated")
+        }
+        return {"t_window": float(t_w), **formulas, "mc_estimate": p,
+                "mc_stderr": math.sqrt(p * (1.0 - p) / n) if n else 0.0}
+
+    workers = lockstep.worker_count(workers, len(t_windows), len(t_windows) * n_rounds)
+    return lockstep.fork_map(row, t_windows, workers)

@@ -241,7 +241,7 @@ def cheat_experiment(
     msg_ids = np.array([protocol._MSG_INDEX[m] for m in msgs])
     n_tied, tied = _guess_tables(cheater, config, plan, msgs)
     hits_all = hits_click = n_click = 0
-    for streams in lockstep.row_blocks(seed, n_rounds, plan.row_width(checks=False)):
+    for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.row_width(checks=False)):
         rows = np.arange(len(streams))
         r = lockstep.Rounds.empty(len(rows))
         sent = msg_ids[streams.integers(rows, len(msgs))]
@@ -315,7 +315,7 @@ def _atom_attack(eve: EveModel, config: RoundConfig, n_rounds: int, seed: int):
         laws = np.array([protocol.combo_laws(b, config.n_parties) for b in branches])
         cum, total = np.cumsum(laws, axis=2), laws.sum(axis=2)
     conclusive = violations = 0
-    for streams in lockstep.row_blocks(seed, n_rounds, ctx.layout.dim):
+    for streams in lockstep.row_blocks(seed, 0, n_rounds, ctx.layout.dim):
         rows = np.arange(len(streams))
         branch = np.zeros(len(rows), dtype=np.int64)
         if weights is not None:
@@ -360,7 +360,7 @@ def _photon_attack(config: RoundConfig, n_rounds: int, seed: int):
     total = np.array([w.sum() for w in weights])
     tables = lockstep.jump_tables(plan.info, amps)
     conclusive = violations = 0
-    for streams in lockstep.row_blocks(seed, n_rounds, tables.width):
+    for streams in lockstep.row_blocks(seed, 0, n_rounds, tables.width):
         rows = np.arange(len(streams))
         r = lockstep.Rounds.empty(len(rows))
         which = streams.integers(rows, 2)
@@ -424,17 +424,26 @@ def standard_views(config: RoundConfig) -> dict[str, ViewSpec]:
 
 
 def security_summary(
-    config: RoundConfig, n_rounds: int, seed: int, eve: EveModel | None = None
+    config: RoundConfig, n_rounds: int, seed: int, eve: EveModel | None = None,
+    workers: int = 1,
 ) -> dict:
     """Headline rates: Bob alone (given a click), Charlie alone, full
     collaboration (given a click), the derived composite 1 - charlie_alone,
-    and eavesdropper detection for the chosen attack."""
+    and eavesdropper detection for the chosen attack.  With ``workers`` > 1
+    the four experiments are shared by forked processes
+    (:func:`qdcsim.lockstep.fork_map`), with the same rates."""
     views = standard_views(config)
-    bob = cheat_experiment(views["bob_alone"], config, n_rounds, seed)
-    charlie = cheat_experiment(views["charlie_alone"], config, n_rounds, seed + 1)
-    collab = cheat_experiment(views["collaboration"], config, n_rounds, seed + 2)
     eve = eve if eve is not None else EveModel("intercept_resend_atom", basis="z", target=0)
-    eve_result = eavesdrop_experiment(eve, config, n_rounds, seed + 3)
+    experiments = [
+        lambda: cheat_experiment(views["bob_alone"], config, n_rounds, seed),
+        lambda: cheat_experiment(views["charlie_alone"], config, n_rounds, seed + 1),
+        lambda: cheat_experiment(views["collaboration"], config, n_rounds, seed + 2),
+        lambda: eavesdrop_experiment(eve, config, n_rounds, seed + 3),
+    ]
+    workers = lockstep.worker_count(workers, len(experiments), len(experiments) * n_rounds)
+    if workers > 1:
+        protocol._plan(config)  # compiled once, before the fork
+    bob, charlie, collab, eve_result = lockstep.fork_map(lambda run: run(), experiments, workers)
     return {
         "bob_alone": bob.rate_given_click,
         "bob_alone_stderr": bob.stderr_given_click,

@@ -748,7 +748,7 @@ def engine_windows(state: StateVector, config: RoundConfig, seed: int, n: int):
     row i holds the jumps, dark counts and survival flag of
     ``simulate_window(state, config, round_rng(seed, i))``."""
     tables = lockstep.jump_tables(_layout_info(state.layout), state.amplitudes[None])
-    for streams in lockstep.row_blocks(seed, n, tables.width):
+    for streams in lockstep.row_blocks(seed, 0, n, tables.width):
         rows = np.arange(len(streams))
         start = np.zeros(len(rows), dtype=np.int64)
         r = lockstep.Rounds.empty(len(rows))

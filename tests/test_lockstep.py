@@ -571,7 +571,7 @@ class TestJumpTables:
         shape = plan.outcomes.shape[1:]
         for m in range(len(MESSAGES)):
             counts = np.zeros(shape, dtype=np.int64)
-            for streams in lockstep.row_blocks(31 + m, n_rounds, plan.row_width(False)):
+            for streams in lockstep.row_blocks(31 + m, 0, n_rounds, plan.row_width(False)):
                 rows = np.arange(len(streams))
                 r = lockstep.Rounds.empty(len(rows))
                 start = np.full(len(rows), m)

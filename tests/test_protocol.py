@@ -395,7 +395,7 @@ class TestRunRound:
         plan = P._plan(cfg)
         decodes = 0
         # row i is run_round(cfg, "random", P.round_rng(4, i))
-        for streams in lockstep.row_blocks(4, 2000, plan.row_width(checks=True)):
+        for streams in lockstep.row_blocks(4, 0, 2000, plan.row_width(checks=True)):
             r = lockstep.run_block(plan, streams, np.arange(len(MESSAGES)))
             decoded = ~r.check & (r.decoded != lockstep.ABORT)
             assert r.jump_seen.any(axis=1)[decoded].all()
@@ -529,7 +529,7 @@ class TestOutcomeDistribution:
         plan = P._plan(cfg)
         strings = plan.info.bit_strings
         # row i is the encode round of X on P.round_rng(16, i)
-        for streams in lockstep.row_blocks(16, n, plan.row_width(checks=False)):
+        for streams in lockstep.row_blocks(16, 0, n, plan.row_width(checks=False)):
             rows = np.arange(len(streams))
             r = lockstep.Rounds.empty(len(rows))
             sent = np.full(len(rows), MESSAGES.index(Message.X))
