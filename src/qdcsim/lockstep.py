@@ -25,10 +25,11 @@ same Python calls, never by numpy's SIMD versions.
 (``protocol._Plan``); ``security`` drives the same row functions in its
 own draw orders.
 
-Independent work units (a batch's ``SPAN``-round spans, ``security``'s
-experiments, ``sweep``'s windows) can share forked worker processes
-(:func:`fork_map`, :func:`worker_count`); as every round reads its own
-stream, the split does not change a bit of the result.
+:func:`row_blocks` cuts a range of rounds into blocks sized by memory.
+Independent work units (a batch's round ranges, one per process,
+``security``'s experiments, ``sweep``'s windows) can share forked worker
+processes (:func:`fork_map`, :func:`worker_count`); as every round reads
+its own stream, neither blocks nor split change a bit of the result.
 """
 
 from __future__ import annotations
@@ -44,9 +45,9 @@ import numpy as np
 from .streams import RowStreams, philox_words
 
 ABORT = 4  # decoded-message index of an aborted round
-BLOCK_AMPLITUDES = 1 << 15  # rows x entries of the widest per-row array per block
+BLOCK_AMPLITUDES = 1 << 17  # rows x entries of the widest per-row array per block
 _FIRST_WORDS = 4  # Philox blocks (4 words each) computed up front per round
-SPAN = 2048  # rounds whose first words are computed in one call
+SPAN = 2048  # rounds per unit of a batch: at most ceil(n_rounds / SPAN) processes
 _PIPE_BYTES = 1 << 20  # the most a worker's pipe is grown to hold
 BREAK_EVEN_ROUNDS = 6144  # fewer rounds in all run in process: a fork would not pay (README)
 HISTORIES = 7  # jump histories of a window: none, +, -, ++, +-, -+, --
@@ -184,17 +185,13 @@ class Rounds:
 
 def row_blocks(seed: int, start: int, stop: int, width: int):
     """Yield the :class:`RowStreams` of rounds ``start .. stop-1`` of the
-    batch with ``seed``, in blocks of at most ``BLOCK_AMPLITUDES`` entries of
-    the widest per-row array the caller holds, ``width`` entries a row.  A
-    range that starts on a multiple of ``SPAN`` gets the blocks of the same
-    rounds in a longer range."""
+    batch with ``seed`` in blocks of ``max(1, BLOCK_AMPLITUDES // width)``
+    rounds, the last maybe short (``width``: entries of the caller's widest
+    per-row array); one call computes each block's first Philox words."""
     step = max(1, BLOCK_AMPLITUDES // width)
-    for lo in range(start, stop, SPAN):
-        indices = np.arange(lo, min(lo + SPAN, stop))
-        words = philox_words(seed, indices, 0, _FIRST_WORDS)
-        for b in range(0, len(indices), step):
-            block = slice(b, b + step)
-            yield RowStreams(seed, indices[block], words[block])
+    for lo in range(start, stop, step):
+        indices = np.arange(lo, min(lo + step, stop))
+        yield RowStreams(seed, indices, philox_words(seed, indices, 0, _FIRST_WORDS))
 
 
 # ---------------------------------------------------------------------------

@@ -906,15 +906,15 @@ def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int) -> list[str]:
     ]
 
 
-def _span_part(plan: _Plan, seed: int, span: tuple[int, int], msg_ids: np.ndarray,
-               log: bool, on_round=None) -> tuple[np.ndarray, list[str]]:
-    """The rounds ``span[0] .. span[1]-1`` of a batch as one part: its
+def _range_part(plan: _Plan, seed: int, bounds: tuple[int, int], msg_ids: np.ndarray,
+                on_log=None, on_round=None) -> np.ndarray:
+    """The rounds ``bounds[0] .. bounds[1]-1`` of a batch as one part: its
     counters (the 4 x 5 confusion cells; check rounds, conclusive checks,
     passed checks; psi rounds, those with a registered click, those whose
-    photon survived) and, with ``log``, its round-log lines."""
+    photon survived).  ``on_log`` gets each block's round-log lines."""
     psi_ids = [_MSG_INDEX[Message.X], _MSG_INDEX[Message.IY]]
-    counts, lines, first = np.zeros(26, dtype=np.int64), [], span[0]
-    for streams in lockstep.row_blocks(seed, *span, plan.row_width(checks=True)):
+    counts, first = np.zeros(26, dtype=np.int64), bounds[0]
+    for streams in lockstep.row_blocks(seed, *bounds, plan.row_width(checks=True)):
         r = lockstep.run_block(plan, streams, msg_ids)
         encode = ~r.check
         counts[:20] += np.bincount(5 * r.sent[encode] + r.decoded[encode], minlength=20)
@@ -929,10 +929,10 @@ def _span_part(plan: _Plan, seed: int, span: tuple[int, int], msg_ids: np.ndarra
         if on_round is not None:
             for i, out in enumerate(_round_outcomes(plan, r), first):
                 on_round(i, out)
-        if log:
-            lines += _log_lines(plan, r, first)
+        if on_log is not None:
+            on_log(_log_lines(plan, r, first))
         first += len(r.check)
-    return counts, lines
+    return counts
 
 
 def run_batch(
@@ -948,13 +948,13 @@ def run_batch(
 
     Output is a pure function of (config, n_rounds, seed, messages).  The
     rounds run in lockstep blocks (:func:`qdcsim.lockstep.row_blocks`),
-    each row reproducing :func:`run_round` on its own stream bit for bit,
-    and each ``lockstep.SPAN``-round span is one part of the batch.  With
-    ``workers`` > 1 the spans are shared by forked processes
-    (:func:`qdcsim.lockstep.fork_map`, :func:`qdcsim.lockstep.worker_count`),
-    with the same result.  ``on_round(i, outcome)`` receives every round's
-    RoundOutcome (it keeps the batch in process), and ``on_log(lines)``
-    each span's round-log lines (JSON, no newline), both in round order.
+    each row reproducing :func:`run_round` on its own stream bit for bit.
+    With ``workers`` > 1 each of :func:`qdcsim.lockstep.worker_count`
+    processes runs one near-equal contiguous range of rounds
+    (:func:`qdcsim.lockstep.fork_map`), with the same result.
+    ``on_round(i, outcome)`` receives every round's RoundOutcome (it keeps
+    the batch in process), and ``on_log(lines)`` the round-log lines (JSON,
+    no newline) of each block, or each forked range, both in round order.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -964,20 +964,22 @@ def run_batch(
     msg_ids = np.array([_MSG_INDEX[m] for m in (MESSAGES if messages is None else messages)])
 
     t0 = time.perf_counter()
-    spans = [(lo, min(lo + lockstep.SPAN, n_rounds)) for lo in range(0, n_rounds, lockstep.SPAN)]
-    log = on_log is not None
+    # a callback cannot cross processes; in process, on_log streams block by block
+    shares = -(-n_rounds // lockstep.SPAN)
+    workers = 1 if on_round is not None else lockstep.worker_count(workers, shares, n_rounds)
+    if workers == 1:
+        counts = _range_part(plan, seed, (0, n_rounds), msg_ids, on_log, on_round)
+    else:
+        def part(bounds):
+            lines = []
+            return _range_part(plan, seed, bounds, msg_ids, lines.extend if on_log else None), lines
 
-    def part(span):
-        return _span_part(plan, seed, span, msg_ids, log, on_round)
-
-    # a callback cannot cross processes; in process, on_log streams span by span
-    workers = 1 if on_round is not None else lockstep.worker_count(workers, len(spans), n_rounds)
-    parts = map(part, spans) if workers == 1 else lockstep.fork_map(part, spans, workers)
-    counts = np.zeros(26, dtype=np.int64)
-    for span_counts, lines in parts:
-        counts += span_counts
-        if log:
-            on_log(lines)
+        ranges = [(n_rounds * w // workers, n_rounds * (w + 1) // workers) for w in range(workers)]
+        counts = np.zeros(26, dtype=np.int64)
+        for range_counts, lines in lockstep.fork_map(part, ranges, workers):
+            counts += range_counts
+            if on_log is not None:
+                on_log(lines)
     wall = time.perf_counter() - t0
 
     confusion = counts[:20].reshape(4, 5)

@@ -55,12 +55,10 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
 def philox_words(seed: int, indices: np.ndarray, first_block: int, n_blocks: int) -> np.ndarray:
     """Words ``4*first_block`` up to ``4*(first_block + n_blocks)`` of the
     streams ``Philox(key=[seed, index])``, one row per index."""
-    key1 = (np.asarray(indices, dtype=np.uint64))[:, None]
-    shape = (key1.shape[0], n_blocks)
-    counter = np.arange(first_block + 1, first_block + n_blocks + 1, dtype=np.uint64)
-    zero = np.zeros(shape, dtype=np.uint64)
-    c0, c1, c2, c3 = np.broadcast_to(counter, shape), zero, zero, zero
-    key0 = np.uint64(seed & _MASK64)
+    key0, key1 = np.uint64(seed & _MASK64), np.asarray(indices, dtype=np.uint64)[:, None]
+    # the counter (1, n_blocks) and zero words broadcast: rounds 0-1 run on small operands
+    c0 = np.arange(first_block + 1, first_block + n_blocks + 1, dtype=np.uint64)[None]
+    c1 = c2 = c3 = np.uint64(0)
     with np.errstate(over="ignore"):
         for r in range(_ROUNDS):
             if r:
@@ -69,7 +67,8 @@ def philox_words(seed: int, indices: np.ndarray, first_block: int, n_blocks: int
             hi0, lo0 = _mulhilo(c0, _MULTIPLIERS[0])
             hi1, lo1 = _mulhilo(c2, _MULTIPLIERS[1])
             c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
-    return np.stack((c0, c1, c2, c3), axis=-1).reshape(shape[0], 4 * n_blocks)
+    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
+    return words.reshape(len(key1), 4 * n_blocks)
 
 
 class RowStreams:

@@ -58,6 +58,30 @@ class TestPhiloxWords:
         for i in range(4):
             np.testing.assert_array_equal(words[i], reference_words(11, i, 16)[8:])
 
+    @pytest.mark.parametrize("seed", [0, 1, MASK64])
+    @pytest.mark.parametrize("first_block, n_blocks", [(0, 4), (0, 1), (1, 3), (4, 2)])
+    @pytest.mark.parametrize("indices", [[7], [0, 1, 2, 3, 2**40, MASK64]])
+    def test_broadcast_counter_equals_numpy(self, seed, first_block, n_blocks, indices):
+        # the counter row and the zero words broadcast against the index
+        # column, for one row or many, from the first block or a later one
+        words = philox_words(seed, np.array(indices, dtype=np.uint64), first_block, n_blocks)
+        assert words.shape == (len(indices), 4 * n_blocks)
+        for row, index in zip(words, indices):
+            want = reference_words(seed, index, 4 * (first_block + n_blocks))
+            np.testing.assert_array_equal(row, want[4 * first_block:])
+
+    @pytest.mark.parametrize("seed", [0, 1, MASK64])
+    def test_streams_extend_past_the_first_words(self, seed):
+        # 40 draws a row run past the 16 words computed up front
+        indices = np.array([0, 3, 2**33, MASK64], dtype=np.uint64)
+        streams = RowStreams(seed, indices, philox_words(seed, indices, 0, 4))
+        rows = np.arange(len(indices))
+        got = np.array([streams.random(rows) for _ in range(40)]).T
+        for row, index in zip(got, indices.tolist()):
+            key = np.array([seed, index], dtype=np.uint64)
+            want = np.random.Generator(np.random.Philox(key=key)).random(40)
+            assert row.tolist() == want.tolist()
+
     @pytest.mark.parametrize("m", [*_MULTIPLIERS, 1, 2**32 - 1, MASK64])
     def test_mulhilo_exact(self, m):
         edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 2**32, MASK64]
@@ -244,20 +268,22 @@ class TestEngineEqualsOracle:
         for column, values in zip(columns[4:], (DETECTORS, P_CHECKS, WINDOWS, SUBSETS)):
             assert set(column) == set(values)
 
-    def test_several_spans(self):
-        # several 2048-round Philox spans, the last one short; the seed also
-        # wraps modulo 2**64
+    def test_several_spans(self, monkeypatch):
+        # several 2048-round blocks, the last one short; the seed also wraps
+        # modulo 2**64
         config = make_config(detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
+        width = P._plan(config).row_width(checks=True)
+        monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 2048 * width)
         assert_engine_matches(config, 5000, -3, MESSAGES)
 
     @pytest.mark.parametrize("block_rows", [32, 700])
     def test_block_size_changes_nothing(self, monkeypatch, block_rows):
-        # no row reads another row of its block: the default runs one block
-        # per 2048-round span, and 32-row blocks or 700-row blocks (which
-        # split each span unevenly) give the same bytes
+        # no row reads another row of its block: by default the whole
+        # 5000-round batch is one block, and 32-row blocks or 700-row blocks
+        # (the last one short) give the same bytes
         config = make_config(detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
         width = P._plan(config).row_width(checks=True)
-        assert P.lockstep.BLOCK_AMPLITUDES // width >= P.lockstep.SPAN
+        assert P.lockstep.BLOCK_AMPLITUDES // width >= 5000
         default = engine_rounds(config, 5000, 21, MESSAGES)
         monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", block_rows * width)
         got, log, stats = assert_engine_matches(config, 5000, 21, MESSAGES)
@@ -295,10 +321,32 @@ class TestEngineEqualsOracle:
 
         monkeypatch.setattr(P.lockstep, "run_block", run_block)
         P.run_batch(config, 8000, seed=0)
-        assert len(blocks) == 4
+        rows = lockstep.BLOCK_AMPLITUDES // P._plan(config).row_width(checks=True)
+        assert len(blocks) == -(-8000 // rows)
         for r in blocks:
             assert r.jump_sign.shape[1] > 0
             assert r.jump_sign[:, -1].any()
+
+    @pytest.mark.parametrize("n_parties, cutoff, n_rounds", [(3, 1, 8000), (5, 2, 6200),
+                                                             (10, 1, 300)])
+    def test_blocks_fill_but_never_exceed_the_memory_bound(self, monkeypatch, n_parties,
+                                                           cutoff, n_rounds):
+        # the benchmark's batch layout, CI's wide and many layouts: blocks of
+        # BLOCK_AMPLITUDES // width rounds over the whole range, the last short
+        config = make_config(n_parties, cutoff, detector=(0.9, 0.02), p_check=0.25,
+                             t_window=6.0)
+        width = P._plan(config).row_width(checks=True)
+        sizes, original = [], lockstep.run_block
+
+        def run_block(plan, streams, msg_ids):
+            sizes.append(len(streams))
+            return original(plan, streams, msg_ids)
+
+        monkeypatch.setattr(P.lockstep, "run_block", run_block)
+        P.run_batch(config, n_rounds, seed=0)
+        assert max(sizes) * width <= lockstep.BLOCK_AMPLITUDES
+        full = lockstep.BLOCK_AMPLITUDES // width
+        assert sizes == [full] * (n_rounds // full) + [n_rounds % full] * (n_rounds % full > 0)
 
     def test_never_runs_one_round_at_a_time(self, monkeypatch):
         def one_row(*args):

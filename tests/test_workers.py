@@ -18,8 +18,7 @@ CONFIG = RoundConfig(
     params=PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, k=0.2), t_window=6.0, p_check=0.25,
     detector=DetectorModel(efficiency=0.9, dark_prob=0.05), seed=5,
 )
-N_SPANS = 9
-N_ROUNDS = (N_SPANS - 1) * lockstep.SPAN + 300  # the last span is short
+N_ROUNDS = 8 * lockstep.SPAN + 300  # 9 units of SPAN rounds, the last short: at most 9 processes
 
 
 @pytest.fixture()
@@ -137,6 +136,40 @@ class TestByteIdentity:
         assert len(log) == N_ROUNDS
         no_child_left()
 
+    @pytest.mark.parametrize("workers, n_rounds, processes", [
+        (64, N_ROUNDS, 9), (8, lockstep.BREAK_EVEN_ROUNDS, 3),
+        (8, lockstep.BREAK_EVEN_ROUNDS + 1, 4), (2, lockstep.BREAK_EVEN_ROUNDS, 2),
+        (8, lockstep.BREAK_EVEN_ROUNDS - 1, 1),
+    ])
+    def test_process_count(self, workers, n_rounds, processes, many_cpus, forks):
+        # min(workers, CPUs, SPAN-round shares), in process below break-even
+        P.run_batch(CONFIG, n_rounds, workers=workers)
+        assert len(forks) == processes - 1
+        no_child_left()
+
+    @pytest.mark.parametrize("workers", [2, 3, 9])
+    def test_one_contiguous_range_per_process(self, workers, monkeypatch, many_cpus, forks,
+                                              tmp_path):
+        # every process, the caller's included, leaves one file per range it runs
+        range_part = P._range_part
+
+        def recorded(plan, seed, bounds, *args):
+            (tmp_path / f"{os.getpid()}-{bounds[0]}-{bounds[1]}").touch()
+            return range_part(plan, seed, bounds, *args)
+
+        monkeypatch.setattr(P, "_range_part", recorded)
+        batch(workers)
+        runs = sorted((tuple(map(int, f.name.split("-"))) for f in tmp_path.iterdir()),
+                      key=lambda run: run[1])
+        pids = [pid for pid, _, _ in runs]
+        assert len(set(pids)) == len(pids) == workers
+        assert pids[0] == os.getpid() and set(pids[1:]) == set(forks)
+        bounds = [lo for _, lo, _ in runs] + [N_ROUNDS]
+        assert [(lo, hi) for _, lo, hi in runs] == list(zip(bounds, bounds[1:]))
+        sizes = [hi - lo for _, lo, hi in runs]
+        assert max(sizes) - min(sizes) <= 1
+        no_child_left()
+
     def test_security_summary(self, many_cpus, forks):
         cfg = dataclasses.replace(CONFIG, p_check=0.0)
         eve = S.EveModel("intercept_resend_photon")
@@ -210,18 +243,18 @@ class TestFailure:
         if fds is not None:
             assert len(os.listdir("/proc/self/fd")) == fds
 
-    @pytest.mark.parametrize("failing_span", [0, N_SPANS - 1])  # the caller's share, a child's
-    def test_cli_exits_3(self, failing_span, monkeypatch, many_cpus, tmp_path, capsys):
-        span_part = P._span_part
+    @pytest.mark.parametrize("failing", ["first", "last"])  # the caller's range, a child's
+    def test_cli_exits_3(self, failing, monkeypatch, many_cpus, tmp_path, capsys):
+        range_part = P._range_part
 
-        def broken(plan, seed, span, *args):
-            if span[0] == failing_span * lockstep.SPAN:
-                raise ValueError("broken span")
-            return span_part(plan, seed, span, *args)
+        def broken(plan, seed, bounds, *args):
+            if (bounds[0] == 0) if failing == "first" else (bounds[1] == N_ROUNDS):
+                raise ValueError("broken range")
+            return range_part(plan, seed, bounds, *args)
 
-        monkeypatch.setattr(P, "_span_part", broken)
+        monkeypatch.setattr(P, "_range_part", broken)
         code = cli.main(["batch", "--rounds", str(N_ROUNDS), "--threads", "4", "--round-log",
                          "--out", str(tmp_path)])
         assert code == 3
-        assert "internal error: ValueError: broken span" in capsys.readouterr().err
+        assert "internal error: ValueError: broken range" in capsys.readouterr().err
         no_child_left()
