@@ -22,6 +22,7 @@ import typing
 from pathlib import Path
 
 from . import protocol, security
+from .dynamics import PhysicalParams
 from .hilbert import Message
 from .protocol import RoundConfig
 
@@ -124,7 +125,7 @@ def _build(doc: dict, section: str, cls, overrides: dict | None = None):
 
 
 # the CLI flags that override a round field, each under the field's name
-_OVERRIDES = ("p_check", "success_convention", "seed", "ideal_pnr")
+_OVERRIDES = ("p_check", "seed", "ideal_pnr")
 
 
 def build_round_config(doc: dict, args: argparse.Namespace | None = None) -> RoundConfig:
@@ -336,12 +337,12 @@ def cmd_feasibility(args) -> int:
     if args.paper_constants or "params" not in doc:
         params = feas.paper_params(constants)
     else:
-        params = build_round_config(doc, args).params
+        params = _build(doc, "params", PhysicalParams)
     text = feas.report_text(params, constants)
     payload = json.dumps(feas.report_json(params, constants))
     print(text)
     print(payload)
-    emitter = _Emitter(args.out, "feasibility", args.config, args.seed)
+    emitter = _Emitter(args.out, "feasibility", args.config, None)
     emitter.emit("feasibility.json", payload + "\n")
     emitter.finish()
     return 0
@@ -357,7 +358,7 @@ def cmd_decode_table(args) -> int:
     ]
     line = json.dumps({"ideal_pnr": config.ideal_pnr, "table": entries})
     print(line)
-    emitter = _Emitter(args.out, "decode-table", args.config, args.seed)
+    emitter = _Emitter(args.out, "decode-table", args.config, None)
     emitter.emit("decode_table.json", line + "\n")
     emitter.finish()
     return 0
@@ -387,15 +388,17 @@ def build_parser() -> argparse.ArgumentParser:
     ]:
         p = parsers[name] = sub.add_parser(name)
         p.add_argument("--config", default=None, help="JSON config path")
-        p.add_argument("--seed", type=int, default=None, help="seed override")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--convention", dest="success_convention", default=None,
-                       choices=["survival", "integrated"])
-        p.add_argument("--p-check", dest="p_check", type=float, default=None)
-        p.add_argument("--ideal-pnr", dest="ideal_pnr", action="store_true", default=None)
         p.set_defaults(func=fn)
     # the rest only where the subcommand reads them, so argparse rejects a
     # flag that would be ignored
+    for name in ("run", "batch", "sweep", "security"):
+        parsers[name].add_argument("--seed", type=int, default=None, help="seed override")
+    for name in ("run", "batch", "sweep"):
+        parsers[name].add_argument("--p-check", dest="p_check", type=float, default=None)
+    for name in ("run", "batch", "sweep", "security", "decode-table"):
+        parsers[name].add_argument("--ideal-pnr", dest="ideal_pnr", action="store_true",
+                                   default=None)
     for name, default in [("batch", "security.rounds"), ("sweep", "sweep.rounds"),
                           ("security", "security.rounds")]:
         parsers[name].add_argument("--rounds", type=int, default=None,

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 
 @dataclass(frozen=True)
@@ -80,6 +80,7 @@ def alpha_beta(params: PhysicalParams, t: float) -> tuple[float, float]:
     return alpha, beta
 
 
+@lru_cache(maxsize=64)  # every RoundConfig with t_map = null checks beta(t*)
 def transfer_time(params: PhysicalParams) -> float:
     """Smallest t* > 0 with alpha(t*) = 0, i.e. tan(W t/2) = -W/k.
 

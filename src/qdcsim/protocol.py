@@ -69,6 +69,7 @@ _DECODED = MESSAGES + (None,)  # by decoded-message index, lockstep.ABORT = None
 
 _TIE_RTOL = 1e-9
 _SUPPORT_TOL = 1e-10
+_BETA2_FLOOR = 1e-30  # below it the phi basis (beta^2 |11> +- |00>) is degenerate
 _CACHE_SIZE = 64  # entries per compile cache
 
 
@@ -96,11 +97,12 @@ class RoundConfig:
     """Knobs for one protocol round / batch, given by keyword.
 
     ``t_map=None`` resolves to the transfer time t* of ``params``; an
-    explicit ``t_map`` must be a zero of alpha (see :func:`map_to_cavities`).
-    ``success_convention`` selects which reading of the analytic success
-    probability :func:`success_probability_formula` reports.
-    The field order is the CLI echo's key order: section ``params``, the
-    plain fields (section ``round``), then section ``detector``.
+    explicit ``t_map`` must be a zero of alpha (see :func:`map_to_cavities`),
+    and beta must not vanish there (the phi basis divides by beta^2).  Each
+    cavity only ever holds the one photon its atom emits, so a config's
+    modes are compiled at one photon.  The field order is the CLI echo's
+    key order: section ``params``, the plain fields (section ``round``),
+    then section ``detector``.
     """
 
     params: PhysicalParams
@@ -108,9 +110,7 @@ class RoundConfig:
     p_check: float = 0.0
     t_map: float | None = None
     t_window: float
-    success_convention: str = "survival"
     ideal_pnr: bool = False
-    cutoff: int = 1
     seed: int = 0
     detector: DetectorModel = DetectorModel()
 
@@ -130,10 +130,14 @@ class RoundConfig:
                     f"t_map = {self.t_map!r} leaves weight {alpha2:.3e} on the mapped "
                     "atoms; use null (the transfer time t*) or another zero of alpha"
                 )
-        if self.success_convention not in ("survival", "integrated"):
-            raise ValueError("success_convention must be 'survival' or 'integrated'")
-        if self.cutoff < 1:
-            raise ValueError("cutoff must be >= 1")
+        beta2 = pipeline_beta(self) ** 2
+        if beta2 < _BETA2_FLOOR:
+            field = (f"params.k = {self.params.k!r}" if self.t_map is None
+                     else f"t_map = {self.t_map!r}")
+            raise ValueError(
+                f"{field} leaves beta(t_map)^2 = {beta2:.3e} below {_BETA2_FLOOR:g}: "
+                "the mapped photon has decayed and the phi basis is degenerate"
+            )
 
     @property
     def n_parties(self) -> int:
@@ -291,7 +295,7 @@ def _pipeline_amps(config: RoundConfig, t_map: float) -> np.ndarray:
     """The pipeline state of every message, as rows in MESSAGES order."""
     rows = []
     for message in MESSAGES:
-        state = pauli_encode(prepare_ghz(config.n_parties, config.cutoff), 0, message)
+        state = pauli_encode(prepare_ghz(config.n_parties), 0, message)
         state = _map_pairs(state, config.params, t_map)
         for site in rotated_receiver_sites(state.layout):
             state = receiver_rotation(state, site)
@@ -380,9 +384,7 @@ def _bell(sectors: np.ndarray, beta: float) -> np.ndarray:
     The phi basis depends on beta(t_map) and is non-orthogonal for k > 0;
     weights are squared expansion coefficients, so they total the squared norm.
     """
-    beta2 = beta * beta
-    if beta2 < 1e-30:
-        raise ValueError("beta(t_map) vanishes; phi basis is degenerate")
+    beta2 = beta * beta  # at least _BETA2_FLOOR: RoundConfig validates it
     norm_phi = math.sqrt(beta2 * beta2 + 1.0)
     a00, a01, a10, a11 = (sectors[:, s] for s in range(4))
     coefficients = (
@@ -713,7 +715,7 @@ def _plan(config: RoundConfig) -> _Plan:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _compile_plan(config: RoundConfig) -> _Plan:
     t_map = resolve_t_map(config)
-    info = _layout_info(layout_for(config.n_parties, config.cutoff))
+    info = _layout_info(layout_for(config.n_parties))
     amps = _pipeline_amps(config, t_map)
     sectors = _sectors(info, amps)
     bell = _frozen(_bell(sectors, alpha_beta(config.params, t_map)[1]))
@@ -879,14 +881,12 @@ def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int) -> list[str]:
     """The round-log line of every row of a lockstep block whose first round
     is ``first``.  Rows without detector events share a line up to the
     round index: each distinct tail is built and split once per plan by
-    ``_log_tail``."""
+    ``_log_tail``.  A check line reads the outcome only through its
+    verdict, so check tails are keyed by (combo, passed): 2^(n+1) at most."""
     n_codes = len(plan.info.bit_strings)
     label = r.label + 1 if plan.config.ideal_pnr else 0
-    key = np.where(
-        r.check,
-        -1 - (r.combo << plan.config.n_parties) - r.outcome,
-        ((r.sent * n_codes + r.bits) * 5 + r.decoded) * 5 + label,
-    )
+    check_key = -1 - 2 * r.combo - plan.check.passed[r.combo, r.outcome] if r.check.any() else 0
+    key = np.where(r.check, check_key, ((r.sent * n_codes + r.bits) * 5 + r.decoded) * 5 + label)
     keys, rows, inverse = np.unique(key, return_index=True, return_inverse=True)
     tails = []
     for k, row in zip(keys.tolist(), rows.tolist()):
@@ -907,13 +907,13 @@ def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int) -> list[str]:
 
 
 def _range_part(plan: _Plan, seed: int, bounds: tuple[int, int], msg_ids: np.ndarray,
-                on_log=None, on_round=None) -> np.ndarray:
+                log: bool) -> tuple[np.ndarray, list[str]]:
     """The rounds ``bounds[0] .. bounds[1]-1`` of a batch as one part: its
     counters (the 4 x 5 confusion cells; check rounds, conclusive checks,
     passed checks; psi rounds, those with a registered click, those whose
-    photon survived).  ``on_log`` gets each block's round-log lines."""
+    photon survived) and, with ``log``, its round-log lines."""
     psi_ids = [_MSG_INDEX[Message.X], _MSG_INDEX[Message.IY]]
-    counts, first = np.zeros(26, dtype=np.int64), bounds[0]
+    counts, lines, first = np.zeros(26, dtype=np.int64), [], bounds[0]
     for streams in lockstep.row_blocks(seed, *bounds, plan.row_width(checks=True)):
         r = lockstep.run_block(plan, streams, msg_ids)
         encode = ~r.check
@@ -926,13 +926,10 @@ def _range_part(plan: _Plan, seed: int, bounds: tuple[int, int], msg_ids: np.nda
                               (conclusive & ctx.passed[combo, outcome]).sum()]
         psi = encode & np.isin(r.sent, psi_ids)
         counts[23:] += [psi.sum(), (psi & r.jump_seen.any(axis=1)).sum(), (psi & r.survived).sum()]
-        if on_round is not None:
-            for i, out in enumerate(_round_outcomes(plan, r), first):
-                on_round(i, out)
-        if on_log is not None:
-            on_log(_log_lines(plan, r, first))
+        if log:
+            lines += _log_lines(plan, r, first)
         first += len(r.check)
-    return counts
+    return counts, lines
 
 
 def run_batch(
@@ -940,7 +937,6 @@ def run_batch(
     n_rounds: int,
     seed: int | None = None,
     messages: Sequence[Message] | None = None,
-    on_round: Callable[[int, RoundOutcome], None] | None = None,
     on_log: Callable[[list[str]], None] | None = None,
     workers: int = 1,
 ) -> BatchStats:
@@ -949,12 +945,11 @@ def run_batch(
     Output is a pure function of (config, n_rounds, seed, messages).  The
     rounds run in lockstep blocks (:func:`qdcsim.lockstep.row_blocks`),
     each row reproducing :func:`run_round` on its own stream bit for bit.
-    With ``workers`` > 1 each of :func:`qdcsim.lockstep.worker_count`
-    processes runs one near-equal contiguous range of rounds
-    (:func:`qdcsim.lockstep.fork_map`), with the same result.
-    ``on_round(i, outcome)`` receives every round's RoundOutcome (it keeps
-    the batch in process), and ``on_log(lines)`` the round-log lines (JSON,
-    no newline) of each block, or each forked range, both in round order.
+    Each of :func:`qdcsim.lockstep.worker_count` processes runs one
+    near-equal contiguous range of rounds (:func:`qdcsim.lockstep.fork_map`;
+    one range, in process, at ``workers`` = 1), with the same result.
+    ``on_log(lines)`` receives the round-log lines (JSON, no newline) of
+    each range, in round order.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -964,22 +959,16 @@ def run_batch(
     msg_ids = np.array([_MSG_INDEX[m] for m in (MESSAGES if messages is None else messages)])
 
     t0 = time.perf_counter()
-    # a callback cannot cross processes; in process, on_log streams block by block
-    shares = -(-n_rounds // lockstep.SPAN)
-    workers = 1 if on_round is not None else lockstep.worker_count(workers, shares, n_rounds)
-    if workers == 1:
-        counts = _range_part(plan, seed, (0, n_rounds), msg_ids, on_log, on_round)
-    else:
-        def part(bounds):
-            lines = []
-            return _range_part(plan, seed, bounds, msg_ids, lines.extend if on_log else None), lines
-
-        ranges = [(n_rounds * w // workers, n_rounds * (w + 1) // workers) for w in range(workers)]
-        counts = np.zeros(26, dtype=np.int64)
-        for range_counts, lines in lockstep.fork_map(part, ranges, workers):
-            counts += range_counts
-            if on_log is not None:
-                on_log(lines)
+    workers = lockstep.worker_count(workers, -(-n_rounds // lockstep.SPAN), n_rounds)
+    ranges = [(n_rounds * w // workers, n_rounds * (w + 1) // workers) for w in range(workers)]
+    counts = np.zeros(26, dtype=np.int64)
+    for range_counts, lines in lockstep.fork_map(
+        lambda bounds: _range_part(plan, seed, bounds, msg_ids, on_log is not None),
+        ranges, workers,
+    ):
+        counts += range_counts
+        if on_log is not None:
+            on_log(lines)
     wall = time.perf_counter() - t0
 
     confusion = counts[:20].reshape(4, 5)
@@ -1001,15 +990,18 @@ def run_batch(
     )
 
 
-def success_probability_formula(config: RoundConfig) -> float:
-    """Analytic success probability beta^2 * f(2k t_window): the 'survival'
-    convention reads the exponential as photon survival, 'integrated' as the
-    probability the photon has been emitted (and detected) in the window."""
+def success_probability_formula(config: RoundConfig, convention: str) -> float:
+    """Analytic success probability beta^2 * f(2k t_window) in one of two
+    readings: ``"survival"`` reads the exponential as photon survival,
+    ``"integrated"`` as the probability the photon has been emitted (and
+    detected) in the window."""
     beta = pipeline_beta(config)
     decay = math.exp(-2.0 * config.params.k * config.t_window)
-    if config.success_convention == "survival":
+    if convention == "survival":
         return beta * beta * decay
-    return beta * beta * (1.0 - decay)
+    if convention == "integrated":
+        return beta * beta * (1.0 - decay)
+    raise ValueError(f"convention must be 'survival' or 'integrated', not {convention!r}")
 
 
 def _no_click_rate(config: RoundConfig) -> str | None:
@@ -1043,11 +1035,8 @@ def run_sweep(
         stats = run_batch(cfg, n_rounds, seed=seed, messages=(Message.X,))
         p = stats.psi_click_rate if stats.psi_click_rate is not None else 0.0
         n = stats.n_encode
-        formulas = {
-            f"formula_{c}": success_probability_formula(
-                dataclasses.replace(cfg, success_convention=c)
-            ) for c in ("survival", "integrated")
-        }
+        formulas = {f"formula_{c}": success_probability_formula(cfg, c)
+                    for c in ("survival", "integrated")}
         return {"t_window": float(t_w), **formulas, "mc_estimate": p,
                 "mc_stderr": math.sqrt(p * (1.0 - p) / n) if n else 0.0}
 

@@ -103,7 +103,7 @@ class EveResult:
 
 
 def _site_positions(config: RoundConfig) -> dict[int, int]:
-    layout = protocol.layout_for(config.n_parties, config.cutoff)
+    layout = protocol.layout_for(config.n_parties)
     return {site: pos for pos, site in enumerate(protocol.rotated_receiver_sites(layout))}
 
 
@@ -414,7 +414,7 @@ def exact_eve_detection_rate(eve: EveModel, n_parties: int = 3) -> float:
 
 
 def standard_views(config: RoundConfig) -> dict[str, ViewSpec]:
-    layout = protocol.layout_for(config.n_parties, config.cutoff)
+    layout = protocol.layout_for(config.n_parties)
     receivers = protocol.rotated_receiver_sites(layout)
     return {
         "bob_alone": ViewSpec(sees_clicks=True, sees_bits=()),

@@ -36,6 +36,7 @@ from qdcsim.hilbert import (
     SiteKind,
     StateVector,
     apply_site_operator,
+    pauli_encode,
     site_measurement,
 )
 from qdcsim.protocol import (
@@ -54,6 +55,7 @@ from qdcsim.protocol import (
     _Plan,
     _plan,
     layout_for,
+    prepare_ghz,
     round_rng,
 )
 
@@ -136,7 +138,22 @@ def dump_trajectory(samples) -> str:
 
 
 def all_bit_strings(config: RoundConfig) -> tuple[str, ...]:
-    return _layout_info(layout_for(config.n_parties, config.cutoff)).bit_strings
+    return _layout_info(layout_for(config.n_parties)).bit_strings
+
+
+@lru_cache(maxsize=None)
+def pipeline_state(config: RoundConfig, message: Message, cutoff: int = 1) -> StateVector:
+    """The state entering the detection window for ``message``, on cavity
+    modes truncated at ``cutoff`` photons, built step by step from the
+    library's calls that take any layout.  At cutoff 1 it is the compiled
+    plan's state, bit for bit; a larger cutoff only adds mode levels that
+    the pipeline never fills."""
+    state = pauli_encode(prepare_ghz(config.n_parties, cutoff), 0, message)
+    state = P.map_to_cavities(state, config)
+    for site in P.rotated_receiver_sites(state.layout):
+        state = P.receiver_rotation(state, site)
+    state.amplitudes.flags.writeable = False  # one copy serves every caller
+    return state
 
 
 def jump_apply(state: StateVector, sign: int, k: float) -> StateVector:
@@ -540,13 +557,14 @@ def run_check_round(
 
 
 def outcome_distribution(
-    config: RoundConfig, message: Message
+    config: RoundConfig, message: Message, cutoff: int = 1
 ) -> dict[tuple[tuple[int, int], str], float]:
     """The joint law of (click counts, receiver bits) of one message, one
-    key at a time: the reference of the compiled ``outcomes`` array.  A key
-    sums its terms in the order the loops reach them, and dark counts spread
-    each real key in the order the real keys were first reached."""
-    state = P.pipeline_state(config, message)
+    key at a time, from its :func:`pipeline_state` at ``cutoff``: the
+    reference of the compiled ``outcomes`` array.  A key sums its terms in
+    the order the loops reach them, and dark counts spread each real key in
+    the order the real keys were first reached."""
+    state = pipeline_state(config, message, cutoff)
     strings = _layout_info(state.layout).bit_strings
     sectors = P._sectors(_layout_info(state.layout), state.amplitudes[None])[0]
     bell = P.bell_weights(state, config)
@@ -655,9 +673,10 @@ def _encode_round(
     sent: Message,
     rng: np.random.Generator,
     tamper: Callable[[StateVector, np.random.Generator], StateVector] | None = None,
+    cutoff: int = 1,
 ) -> RoundOutcome:
-    """One encode round of ``sent``; ``tamper`` acts on the pipeline state
-    before the detection window."""
+    """One encode round of ``sent`` on its :func:`pipeline_state` at
+    ``cutoff``; ``tamper`` acts on that state before the detection window."""
     plan = _plan(config)
     info = plan.info
 
@@ -680,11 +699,11 @@ def _encode_round(
             bell_label=label,
         )
 
-    amps = plan.amps[_MSG_INDEX[sent]].copy()
+    state = pipeline_state(config, sent, cutoff)
     if tamper is not None:
-        layout = layout_for(config.n_parties, config.cutoff)
-        amps = tamper(StateVector(layout, amps), rng).amplitudes
-    psi, events, _, photon_survived = _window_raw(info, amps, config, rng)
+        state = tamper(state, rng)
+    info = _layout_info(state.layout)
+    psi, events, _, photon_survived = _window_raw(info, state.amplitudes, config, rng)
     record = DetectionRecord(tuple(events), config.t_window)
     bits = _sample_bits_raw(info, psi, rng)
     decoded = decode(config, record.counts(), bits)
@@ -703,9 +722,10 @@ def run_round(
     config: RoundConfig,
     message: Message | str = "random",
     rng: np.random.Generator | None = None,
+    cutoff: int = 1,
 ) -> RoundOutcome:
     """One full protocol round (check branch with probability p_check,
-    otherwise encode/transfer/detect/decode)."""
+    otherwise encode/transfer/detect/decode at mode cutoff ``cutoff``)."""
     if rng is None:
         rng = round_rng(config.seed, 0)
     if rng.random() < config.p_check:
@@ -716,7 +736,7 @@ def run_round(
         sent = message
     else:
         sent = Message.from_name(str(message))
-    return _encode_round(config, sent, rng)
+    return _encode_round(config, sent, rng, cutoff=cutoff)
 
 
 def outcome_to_dict(index: int, out: RoundOutcome) -> dict:

@@ -101,7 +101,7 @@ def _analytic_pipeline(config):
     """Post-rotation states built directly from the branch structure,
     independent of the propagator."""
     beta = alpha_beta(config.params, transfer_time(config.params))[1]
-    lay = P.layout_for(3, config.cutoff)
+    lay = P.layout_for(3)
     g, e = 0, 1
     states = {}
 
@@ -134,7 +134,7 @@ def _analytic_pipeline(config):
 def _rk4_pipeline(config, message):
     """The pipeline with the transfer integrated by fixed-step RK4 of the
     full no-jump generator instead of the closed-form map."""
-    state = pauli_encode(P.prepare_ghz(config.n_parties, config.cutoff), 0, message)
+    state = pauli_encode(P.prepare_ghz(config.n_parties), 0, message)
     t = P.resolve_t_map(config)
     dt = min(0.005 / max(config.params.delta_eff, config.params.k), t / 400.0)
     mode_a, mode_b = state.layout.mode_sites

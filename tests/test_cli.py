@@ -1,4 +1,7 @@
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import os
 import shutil
@@ -98,15 +101,14 @@ class TestConfigParsing:
             load_config("/nonexistent/config.json")
 
     def test_roundtrip_every_field(self):
-        # all 15 fields off their defaults
+        # all 13 fields off their defaults
         params = {"g": 1.5, "Omega": 0.8, "Delta": 1.2, "k": 0.3, "gamma": 0.01}
         doc = {
             "params": params,
             "round": {
                 "n_receivers": 3, "p_check": 0.25,
                 "t_map": P.transfer_time(PhysicalParams(**params)), "t_window": 2.5,
-                "success_convention": "integrated", "ideal_pnr": True, "cutoff": 2,
-                "seed": -11,
+                "ideal_pnr": True, "seed": -11,
             },
             "detector": {"efficiency": 0.85, "dark_prob": 0.03},
         }
@@ -118,15 +120,14 @@ class TestConfigParsing:
                 assert echo[section][name] != value, f"{section}.{name}"
         assert list(echo) == ["params", "round", "detector"]
         assert list(echo["round"]) == [
-            "n_receivers", "p_check", "t_map", "t_window", "success_convention",
-            "ideal_pnr", "cutoff", "seed",
+            "n_receivers", "p_check", "t_map", "t_window", "ideal_pnr", "seed",
         ]
         assert build_round_config(json.loads(json.dumps(echo))) == cfg
 
     @pytest.mark.parametrize("section, field, value", [
         ("round", "ideal_pnr", "false"),
         ("round", "n_receivers", 2.7),
-        ("round", "cutoff", 1.9),
+        ("round", "cutoff", 1.9),  # not a field: every cavity holds one photon at most
         ("params", "k", True),
         ("round", "p_chek", 0.5),
         ("detector", "eficiency", 0.5),
@@ -206,6 +207,23 @@ class TestRunCommand:
         code, _, err = run_cli(["run", "--config", str(bad)], capsys)
         assert code == 2
         assert "t_map" in err
+
+    @pytest.mark.parametrize("command", ["run", "batch", "security", "decode-table"])
+    @pytest.mark.parametrize("section, field, value, named", [
+        ("params", "k", 1.9999999, "round: params.k = 1.9999999 leaves beta"),  # t* = 4967
+        ("round", "t_map", 1e300, "round: t_map = 1e+300 leaves beta"),
+    ])
+    def test_vanishing_beta_exits_2(self, command, section, field, value, named, tmp_path,
+                                    capsys):
+        # beta(t_map) = 0 would divide the phi basis by zero when the plan
+        # compiles: the config is rejected first, with the field named
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc[section][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert f"config error: {named}" in err
 
     def test_internal_value_error_exits_3(self, config_path, capsys, monkeypatch):
         def broken(*args, **kwargs):
@@ -326,6 +344,14 @@ class TestBatchCommand:
     ["run", "--threads", "2"],
     ["feasibility", "--threads", "2"],
     ["decode-table", "--threads", "2"],
+    *[[name, "--convention", "survival"]
+      for name in ("run", "batch", "sweep", "security", "feasibility", "decode-table")],
+    ["feasibility", "--seed", "3"],
+    ["decode-table", "--seed", "3"],
+    ["security", "--p-check", "0.5"],
+    ["feasibility", "--p-check", "0.5"],
+    ["decode-table", "--p-check", "0.5"],
+    ["feasibility", "--ideal-pnr"],
 ], ids=" ".join)
 def test_ignored_flag_rejected(argv, config_path, capsys):
     # a flag the subcommand would ignore is a usage error, not a silent no-op
@@ -333,6 +359,85 @@ def test_ignored_flag_rejected(argv, config_path, capsys):
         cli.main([*argv, "--config", config_path])
     assert exc.value.code == 2
     assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# every (subcommand, flag) pair the parser accepts besides --out and --threads,
+# which change no emitted byte by design (the manifest records --out), with
+# a value for each flag that differs from the baseline command's
+FLAG_VALUES = {
+    "--config": ["--config", "other.json"],
+    "--seed": ["--seed", "3"],
+    "--p-check": ["--p-check", "1"],
+    "--ideal-pnr": ["--ideal-pnr"],
+    "--rounds": ["--rounds", "60"],
+    "--message": ["--message", "I"],
+    "--round-log": ["--round-log"],
+    "--eve": ["--eve", "intercept-resend-photon"],
+    "--paper-constants": ["--paper-constants"],
+}
+ACCEPTED = {
+    "run": ("--config", "--seed", "--p-check", "--ideal-pnr", "--message"),
+    "batch": ("--config", "--seed", "--p-check", "--ideal-pnr", "--rounds", "--message",
+              "--round-log"),
+    "sweep": ("--config", "--seed", "--p-check", "--ideal-pnr", "--rounds"),
+    "security": ("--config", "--seed", "--ideal-pnr", "--rounds", "--eve"),
+    "feasibility": ("--config", "--paper-constants"),
+    "decode-table": ("--config", "--ideal-pnr"),
+}
+
+
+def test_parser_accepts_only_these_flags():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "subcommand")
+    accepted = {
+        name: {flag for a in p._actions for flag in a.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert accepted == {
+        name: {*flags, "--out", *(["--threads"] if "--rounds" in flags else [])}
+        for name, flags in ACCEPTED.items()
+    }
+    assert sum(len(flags) for flags in accepted.values()) == 35
+
+
+@pytest.fixture(scope="module")
+def flag_outputs(tmp_path_factory):
+    """Runs ``[subcommand, --config base.json, *flags]`` in a scratch
+    directory: its exit code and emitted files, manifest.json left out and
+    the config echo taken out of batch_summary.json and security.json."""
+    root = tmp_path_factory.mktemp("flags")
+    doc = json.loads(json.dumps(BASE_DOC))
+    doc["security"]["rounds"] = doc["sweep"]["rounds"] = 100
+    doc["round"]["seed"] = 7  # round 0 keeps its photons, which --ideal-pnr labels
+    (root / "base.json").write_text(json.dumps(doc))
+    doc["params"]["k"], doc["round"]["n_receivers"] = 0.5, 3
+    (root / "other.json").write_text(json.dumps(doc))
+    runs = iter(range(1 << 30))
+
+    def run(command, *flags):
+        out = root / f"out{next(runs)}"
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main([command, "--config", str(root / "base.json"), *flags,
+                             "--out", str(out)])
+        files = {}
+        for path in sorted(out.glob("*")):
+            text = path.read_text()
+            if path.name in ("batch_summary.json", "security.json"):
+                text = json.dumps({k: v for k, v in json.loads(text).items() if k != "config"})
+            files[path.name] = text
+        files.pop("manifest.json", None)
+        return code, files
+
+    return functools.lru_cache(maxsize=None)(lambda command, *flags: run(command, *flags)), root
+
+
+@pytest.mark.parametrize("command, flag", [
+    pytest.param(command, flag, id=f"{command} {flag}")
+    for command, flags in ACCEPTED.items() for flag in flags
+])
+def test_every_flag_changes_an_output(command, flag, flag_outputs, monkeypatch):
+    run, root = flag_outputs
+    monkeypatch.chdir(root)  # --config names other.json by a relative path
+    assert run(command, *FLAG_VALUES[flag]) != run(command)
 
 
 # batch has no round-count key of its own: it reads security.rounds
@@ -367,7 +472,7 @@ class TestGoldenDigest:
         "detector": {"efficiency": 0.9, "dark_prob": 0.05},
     }
     DIGESTS = {
-        "batch_summary.json": "5b9ef2c3da6c7ec98f6925b410354b3682744703b9158da5a6a7cc2f034ecd66",
+        "batch_summary.json": "369f11d680bc3758d1735e57ac5f8fd6cb65d2c2dcf7b4748b64432549004779",
         "rounds.jsonl": "2c1ce85f8abb93020930b4c3539996108b4fe36da83b96c4c03db232d94dce93",
     }
 
@@ -386,7 +491,7 @@ class TestGoldenDigest:
 
     # taken from the scalar per-round security experiments, before they
     # moved to the lockstep engine
-    SECURITY_DIGEST = "3c20da4f72c7543280a493c301ee52a61c3cdd049045ecbe922a8d38b41d7159"
+    SECURITY_DIGEST = "53d63c286da5b859a2b9e404901f2928374ec1ce5c0a7e7bb31772cb4bcd9702"
 
     def test_security_bytes(self, tmp_path, capsys):
         path = tmp_path / "golden.json"
@@ -427,14 +532,15 @@ class TestGoldenDigest:
 
     @staticmethod
     def decode_grid():
-        # dark-count rates that add ties, cutoffs that widen the tables
+        # dark-count rates that add ties.  The digests were taken when configs
+        # still set a mode cutoff, at 1 and 2: the names keep it, and each
+        # config, now compiled at one photon, answers for both.
         for p_dc in (0.0, 0.05, 0.5):
             for cutoff in (1, 2):
                 for n in (2, 3):
                     yield f"{p_dc} {cutoff} {n}", P.RoundConfig(
                         params=PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, k=0.2),
-                        t_window=6.0, n_receivers=n, cutoff=cutoff,
-                        detector=P.DetectorModel(0.9, p_dc),
+                        t_window=6.0, n_receivers=n, detector=P.DetectorModel(0.9, p_dc),
                     )
 
     def test_decode_answers(self):
@@ -599,6 +705,21 @@ class TestFeasibilityCommand:
     def test_with_config_params(self, config_path, capsys):
         code, out, _ = run_cli(["feasibility", "--config", config_path], capsys)
         assert code == 0
+
+    @pytest.mark.parametrize("round_section", [None, {"t_window": 0.5, "n_receivers": 1}])
+    def test_reads_only_params(self, round_section, config_path, tmp_path, capsys):
+        # the report reads the params section alone: a config without a
+        # round section, or with one a batch would reject, reports the same
+        _, want, _ = run_cli(["feasibility", "--config", config_path], capsys)
+        doc = {"params": BASE_DOC["params"]}
+        if round_section is not None:
+            doc["round"] = round_section
+        path = tmp_path / "params.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["feasibility", "--config", str(path)], capsys)
+        assert code == 0, err
+        assert out == want
+        assert json.loads(out.splitlines()[-1])["params"]["k"] == BASE_DOC["params"]["k"]
 
     @pytest.mark.parametrize("constants,field", [
         ({"Q": True}, "feasibility.constants.Q"),

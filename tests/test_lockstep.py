@@ -16,6 +16,7 @@ import dataclasses
 import itertools
 import json
 import threading
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -159,8 +160,9 @@ class TestStreamRules:
 # differential: engine rounds against the scalar oracle
 
 
-def oracle(config, n_rounds, seed, messages):
-    """Rounds one at a time on the scalar path, as run_batch specifies them."""
+def oracle(config, n_rounds, seed, messages, cutoff=1):
+    """Rounds one at a time on the scalar path, as run_batch specifies them,
+    with the cavity modes of the dense states truncated at ``cutoff``."""
     out = []
     for i in range(n_rounds):
         rng = P.round_rng(seed, i)
@@ -168,7 +170,7 @@ def oracle(config, n_rounds, seed, messages):
             out.append(O.run_check_round(config, rng))
         else:
             sent = messages[int(rng.integers(0, len(messages)))]
-            out.append(O._encode_round(config, sent, rng))
+            out.append(O._encode_round(config, sent, rng, cutoff=cutoff))
     return out
 
 
@@ -190,22 +192,25 @@ def oracle_stats(outcomes):
 
 
 def engine_rounds(config, n_rounds, seed, messages):
-    """``run_batch``'s RoundOutcomes in round order, its round-log lines and
-    its stats."""
-    got, log = {}, []
-    stats = P.run_batch(
-        config, n_rounds, seed=seed, messages=messages,
-        on_round=got.__setitem__, on_log=log.extend,
-    )
-    assert sorted(got) == list(range(n_rounds))
-    return [got[i] for i in range(n_rounds)], log, stats
+    """The RoundOutcomes of the engine's blocks of the batch, as ``run_batch``
+    cuts them, in round order; then ``run_batch``'s round-log lines and its
+    stats."""
+    plan = P._plan(config)
+    msg_ids = np.array([P._MSG_INDEX[m] for m in messages])
+    got = []
+    for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.row_width(checks=True)):
+        got += P._round_outcomes(plan, lockstep.run_block(plan, streams, msg_ids))
+    log = []
+    stats = P.run_batch(config, n_rounds, seed=seed, messages=messages, on_log=log.extend)
+    return got, log, stats
 
 
-def assert_engine_matches(config, n_rounds, seed, messages):
-    """The engine's rounds agree with the oracle's; returns
-    :func:`engine_rounds`."""
+def assert_engine_matches(config, n_rounds, seed, messages, cutoff=1):
+    """The engine's rounds agree with the oracle's at mode cutoff
+    ``cutoff``; returns :func:`engine_rounds`."""
     got, log, stats = engine_rounds(config, n_rounds, seed, messages)
-    want = oracle(config, n_rounds, seed, messages)
+    want = oracle(config, n_rounds, seed, messages, cutoff)
+    assert len(got) == n_rounds
     assert len(log) == n_rounds
     for i, expected in enumerate(want):
         O.assert_outcomes_close(got[i], expected, f"round {i}")
@@ -218,7 +223,7 @@ def assert_engine_matches(config, n_rounds, seed, messages):
     return got, log, stats
 
 
-def make_config(n_parties=3, cutoff=1, k=0.2, ideal_pnr=False, detector=(1.0, 0.0),
+def make_config(n_parties=3, k=0.2, ideal_pnr=False, detector=(1.0, 0.0),
                 p_check=0.0, t_window=0.5, params=None):
     return P.RoundConfig(
         params=params or PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, k=k),
@@ -227,7 +232,6 @@ def make_config(n_parties=3, cutoff=1, k=0.2, ideal_pnr=False, detector=(1.0, 0.
         p_check=p_check,
         detector=P.DetectorModel(*detector),
         ideal_pnr=ideal_pnr,
-        cutoff=cutoff,
     )
 
 
@@ -235,6 +239,9 @@ SUBSETS = (MESSAGES, (Message.X,), (Message.I, Message.X, Message.Z))
 DETECTORS = ((1.0, 0.0), (0.9, 0.05), (1.0, 0.05), (0.9, 0.0))
 P_CHECKS = (0.0, 0.25, 1.0)
 WINDOWS = (0.5, 6.0)
+# The engine compiles every cavity at one photon.  The oracle's dense states
+# are truncated at ``cutoff``: at 2 they hold levels the pipeline never
+# fills, and the rounds must not change.
 STRUCTURE = list(itertools.product((3, 4, 5), (1, 2), (0.0, 0.2), (False, True)))
 # every structural combination twice, with the remaining knobs rotated so
 # that each of their values meets each structural value
@@ -256,8 +263,8 @@ MATRIX_IDS = [
 class TestEngineEqualsOracle:
     @pytest.mark.parametrize(MATRIX_ARGS, MATRIX, ids=MATRIX_IDS)
     def test_matrix(self, n_parties, cutoff, k, pnr, detector, p_check, t_window, messages):
-        config = make_config(n_parties, cutoff, k, pnr, detector, p_check, t_window)
-        assert_engine_matches(config, 400, 5, messages)
+        config = make_config(n_parties, k, pnr, detector, p_check, t_window)
+        assert_engine_matches(config, 400, 5, messages, cutoff)
 
     def test_matrix_pairs_every_value(self):
         columns = list(zip(*MATRIX))
@@ -327,14 +334,12 @@ class TestEngineEqualsOracle:
             assert r.jump_sign.shape[1] > 0
             assert r.jump_sign[:, -1].any()
 
-    @pytest.mark.parametrize("n_parties, cutoff, n_rounds", [(3, 1, 8000), (5, 2, 6200),
-                                                             (10, 1, 300)])
+    @pytest.mark.parametrize("n_parties, n_rounds", [(3, 8000), (5, 6200), (10, 300)])
     def test_blocks_fill_but_never_exceed_the_memory_bound(self, monkeypatch, n_parties,
-                                                           cutoff, n_rounds):
+                                                           n_rounds):
         # the benchmark's batch layout, CI's wide and many layouts: blocks of
         # BLOCK_AMPLITUDES // width rounds over the whole range, the last short
-        config = make_config(n_parties, cutoff, detector=(0.9, 0.02), p_check=0.25,
-                             t_window=6.0)
+        config = make_config(n_parties, detector=(0.9, 0.02), p_check=0.25, t_window=6.0)
         width = P._plan(config).row_width(checks=True)
         sizes, original = [], lockstep.run_block
 
@@ -372,8 +377,8 @@ class TestEngineEqualsOracle:
     def test_random_configs(self, k, couplings, t_window, detector, p_check, n_parties,
                             cutoff, pnr, messages, seed):
         params = PhysicalParams(*couplings, k=k)
-        config = make_config(n_parties, cutoff, k, pnr, detector, p_check, t_window, params)
-        assert_engine_matches(config, 150, seed, tuple(messages))
+        config = make_config(n_parties, k, pnr, detector, p_check, t_window, params)
+        assert_engine_matches(config, 150, seed, tuple(messages), cutoff)
 
 
 def generator_pairs(seed, i):
@@ -393,22 +398,24 @@ class TestOneRowEqualsOracle:
 
     @pytest.mark.parametrize(MATRIX_ARGS, MATRIX, ids=MATRIX_IDS)
     def test_run_round(self, n_parties, cutoff, k, pnr, detector, p_check, t_window, messages):
-        config = make_config(n_parties, cutoff, k, pnr, detector, p_check, t_window)
+        config = make_config(n_parties, k, pnr, detector, p_check, t_window)
         # "random", or each message of the subset, also given by name
         choices = ["random"] if len(messages) == 4 else [*messages, messages[0].value]
         for i in range(16):
             message = choices[i % len(choices)]
             for got_rng, want_rng in generator_pairs(6, i):
                 got = P.run_round(config, message, got_rng)
-                O.assert_outcomes_close(got, O.run_round(config, message, want_rng), (i, message))
+                want = O.run_round(config, message, want_rng, cutoff)
+                O.assert_outcomes_close(got, want, (i, message))
                 assert same_position(got_rng, want_rng), (i, message)
 
     @pytest.mark.parametrize(MATRIX_ARGS, MATRIX, ids=MATRIX_IDS)
     def test_simulate_window(self, n_parties, cutoff, k, pnr, detector, p_check, t_window,
                              messages):
-        config = make_config(n_parties, cutoff, k, pnr, detector, p_check, t_window)
+        # the window runs on the state's own layout, at the matrix's cutoff
+        config = make_config(n_parties, k, pnr, detector, p_check, t_window)
         for i in range(16):
-            state = P.pipeline_state(config, MESSAGES[i % 4])
+            state = O.pipeline_state(config, MESSAGES[i % 4], cutoff)
             tables = lockstep.jump_tables(P._layout_info(state.layout), state.amplitudes[None])
             for (got_rng, want_rng), (row_rng, _) in zip(generator_pairs(7, i),
                                                          generator_pairs(7, i)):
@@ -555,8 +562,13 @@ class TestJumpTables:
     @pytest.mark.parametrize("n_parties", [3, 4, 5])
     @pytest.mark.parametrize("cutoff", [1, 2])
     def test_plan_tables_equal_the_oracle_chain(self, n_parties, cutoff):
-        plan = P._plan(make_config(n_parties, cutoff))
-        assert_tables_match(plan.tables, plan.info, plan.amps)
+        # the oracle chain runs on the pipeline states at ``cutoff``: levels
+        # the pipeline never fills change no entry of the plan's tables
+        config = make_config(n_parties)
+        plan = P._plan(config)
+        states = [O.pipeline_state(config, m, cutoff) for m in MESSAGES]
+        amps = np.array([state.amplitudes for state in states])
+        assert_tables_match(plan.tables, P._layout_info(states[0].layout), amps)
         # the two channels together count the photons: F[+, n] + F[-, n] = n
         live = plan.tables.norms[:, :3] > 0.0
         photons = np.broadcast_to(np.arange(3.0), live.shape)
@@ -566,11 +578,27 @@ class TestJumpTables:
     @pytest.mark.parametrize("n_parties", [3, 4, 5])
     @pytest.mark.parametrize("cutoff", [1, 2])
     def test_photon_attack_starts(self, n_parties, cutoff):
-        plan = P._plan(make_config(n_parties, cutoff))
+        # Eve's measurement of cavity A on the pipeline states at ``cutoff``:
+        # outcomes above one photon have weight 0, and the others start
+        # windows with the one-photon plan's tables
+        config = make_config(n_parties)
+        plan = P._plan(config)
         psi_ids = np.array([P._MSG_INDEX[m] for m in (Message.X, Message.IY)])
         weights, amps = S._photon_starts(plan, psi_ids)
         assert amps.shape == (2 * weights.shape[1], plan.info.layout.dim)
-        assert_tables_match(lockstep.jump_tables(plan.info, amps), plan.info, amps)
+        tables = lockstep.jump_tables(plan.info, amps)
+        assert_tables_match(tables, plan.info, amps)
+        states = [O.pipeline_state(config, m, cutoff) for m in MESSAGES]
+        wide = SimpleNamespace(info=P._layout_info(states[0].layout),
+                               amps=np.array([state.amplitudes for state in states]))
+        wide_weights, wide_amps = S._photon_starts(wide, psi_ids)
+        assert wide_weights.shape == (2, cutoff + 1) and not wide_weights[:, 2:].any()
+        assert np.abs(wide_weights[:, :2] - weights).max() <= 1e-15
+        kept = [i * (cutoff + 1) + outcome for i in range(2) for outcome in range(2)]
+        wide_tables = lockstep.jump_tables(wide.info, wide_amps)
+        for name in ("norms", "branch", "bits"):
+            assert np.abs(getattr(wide_tables, name)[kept] - getattr(tables, name)).max() <= 1e-15
+        assert_tables_match(wide_tables, wide.info, wide_amps)
 
     @pytest.mark.parametrize("n_parties", [3, 4, 5])
     def test_three_photons_raise_before_any_draw(self, n_parties):
@@ -583,8 +611,8 @@ class TestJumpTables:
             lockstep.jump_tables(info, amps[None] / np.sqrt(2.0))
         rng = P.round_rng(9, 0)
         with pytest.raises(ValueError, match="at most two photons"):
-            P.simulate_window(StateVector(layout, amps / np.sqrt(2.0)),
-                              make_config(n_parties, 2), rng)
+            P.simulate_window(StateVector(layout, amps / np.sqrt(2.0)), make_config(n_parties),
+                              rng)
         assert rng.random() == P.round_rng(9, 0).random()
 
     def test_window_of_mixed_photon_numbers(self):
@@ -598,7 +626,7 @@ class TestJumpTables:
             idx = np.flatnonzero(info.photon_numbers == n)
             amps[idx] = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
         state = StateVector(layout, amps / np.linalg.norm(amps))
-        config = make_config(3, 2, detector=(0.9, 0.05), t_window=3.0)
+        config = make_config(3, detector=(0.9, 0.05), t_window=3.0)
         two_jumps = 0
         for i in range(300):
             got = P.simulate_window(state, config, P.round_rng(12, i))
@@ -610,10 +638,10 @@ class TestJumpTables:
         assert two_jumps > 0
 
     def test_window_counts_follow_the_outcome_law(self):
-        # CI's wide layout: 4 receivers at cutoff 2 (dim 288).  The oracle
-        # no longer pins the window bit for bit, so its (n+, n-, bit code)
-        # histogram must follow the exact law the decode arrays come from.
-        config = make_config(5, 2, detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
+        # CI's wide layout: 4 receivers (dim 128).  The oracle no longer
+        # pins the window bit for bit, so its (n+, n-, bit code) histogram
+        # must follow the exact law the decode arrays come from.
+        config = make_config(5, detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
         plan = P._plan(config)
         n_rounds = 20000
         shape = plan.outcomes.shape[1:]

@@ -16,19 +16,17 @@ from qdcsim.dynamics import PhysicalParams
 from qdcsim.hilbert import MESSAGES, Message
 
 configs = st.builds(
-    lambda k, eta, p_dc, t_window, n_receivers, cutoff: P.RoundConfig(
+    lambda k, eta, p_dc, t_window, n_receivers: P.RoundConfig(
         params=PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, k=k),
         detector=P.DetectorModel(efficiency=eta, dark_prob=p_dc),
         t_window=t_window,
         n_receivers=n_receivers,
-        cutoff=cutoff,
     ),
     k=st.sampled_from([0.0]) | st.floats(1e-3, 1.9),  # underdamped: k < 2 delta = 2
     eta=st.floats(0.0, 1.0),
     p_dc=st.floats(0.0, 0.5),
     t_window=st.floats(0.01, 20.0),
     n_receivers=st.sampled_from([2, 3]),
-    cutoff=st.sampled_from([1, 2]),
 )
 
 
@@ -45,7 +43,7 @@ def test_outcome_distribution_sums_to_one(config):
 @given(configs)
 @example(  # exp(-2kT) underflows: no photon survives the window
     P.RoundConfig(params=PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, k=1.5), t_window=1e4,
-                  detector=P.DetectorModel(efficiency=0.5, dark_prob=0.5), cutoff=2),
+                  detector=P.DetectorModel(efficiency=0.5, dark_prob=0.5)),
 )
 def test_outcome_law_equals_the_key_by_key_reference(config):
     for m in MESSAGES:

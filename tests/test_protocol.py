@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -98,7 +100,7 @@ class TestMapToCavities:
     @pytest.mark.parametrize("n_parties", [2, 3, 4])
     @pytest.mark.parametrize("message", MESSAGES, ids=lambda m: m.value)
     def test_matches_rk4_oracle(self, message, n_parties, cutoff, k):
-        cfg = config(k=k, cutoff=cutoff)
+        cfg = config(k=k)
         st = pauli_encode(prepare_ghz(n_parties, cutoff), 0, message)
         exact = map_to_cavities(st, cfg).amplitudes
         assert float(np.max(np.abs(exact - rk4_map(st, cfg).amplitudes))) <= 1e-9
@@ -201,7 +203,7 @@ class TestBellWeights:
             bell_weights(basis_state(P.layout_for(3), (1, 0, 0, 0, 0)), cfg)
 
     def test_unexpected_photon_support(self):
-        cfg = config(cutoff=2)
+        cfg = config()
         lay = P.layout_for(3, cutoff=2)
         with pytest.raises(UnexpectedPhotonSupport):
             bell_weights(basis_state(lay, (0, 0, 0, 2, 0)), cfg)
@@ -366,11 +368,10 @@ class TestDecodeTable:
         outside = [(3, 3), (7, 7), (100, 1), (4, 0), (0, 4)]
         for n in range(1, 8):
             outside += [(-n, 0), (0, -n), (-n, 1), (1, -n), (-n, -n)]
-        for cutoff in (1, 2):
-            cfg = config(cutoff=cutoff, detector=DetectorModel(0.9, 0.05))
-            for counts in outside:
-                for bits in O.all_bit_strings(cfg):
-                    assert P.decode(cfg, counts, bits) is None, (cutoff, counts, bits)
+        cfg = config(detector=DetectorModel(0.9, 0.05))
+        for counts in outside:
+            for bits in O.all_bit_strings(cfg):
+                assert P.decode(cfg, counts, bits) is None, (counts, bits)
 
 
 class TestRunRound:
@@ -436,6 +437,22 @@ class TestRunBatch:
         assert a.psi_click_rate == b.psi_click_rate
         assert a.success_rate == b.success_rate
 
+    def test_check_log_tails_bounded(self):
+        # a check line reads its outcome only through the verdict, so a plan
+        # keeps at most 2^(n+1) check tails, where 6000 10-party check rounds
+        # hold thousands of distinct (combo, outcome) pairs
+        cfg = config(n_receivers=9, p_check=1.0, t_window=6.0)
+        P._plan.cache_clear()
+        log = []
+        stats = run_batch(cfg, 6000, seed=12, on_log=log.extend)
+        tails = [key for key in P._plan(cfg).log_tails if key < 0]
+        assert stats.n_check == len(log) == 6000
+        lines = [json.loads(line) for line in log]
+        assert len(tails) == len({(d["check_bases"], d["check_passed"]) for d in lines}) <= 2**11
+        for d in lines:  # honest rounds: conclusive with an even number of y bases, and passed
+            assert d["check_conclusive"] == (d["check_bases"].count("y") % 2 == 0)
+            assert d["check_passed"]
+
     def test_check_rounds_counted(self):
         stats = run_batch(config(p_check=0.5), 4000, seed=12)
         assert stats.n_check + stats.n_encode == 4000
@@ -451,21 +468,47 @@ class TestMultiparty:
 
 
 class TestTruncationRobustness:
-    def test_cutoff_two_reproduces_default(self):
-        # the protocol never populates n >= 2, so a larger cutoff must not
-        # change the deterministic pipeline
-        cfg1, cfg2 = config(), config(cutoff=2)
+    """Each cavity only ever holds the one photon its atom emits, so configs
+    compile their modes at one photon; the pipeline built by hand on modes
+    of a larger cutoff shows that nothing is cut off."""
+
+    @pytest.mark.parametrize("k", [0.0, 0.2])
+    @pytest.mark.parametrize("n_parties", [3, 4, 5])
+    @pytest.mark.parametrize("cutoff", [2, 3])
+    def test_no_weight_above_one_photon_per_mode(self, cutoff, n_parties, k):
+        cfg = config(k=k, n_receivers=n_parties - 1)
         for m in MESSAGES:
-            st1, st2 = P.pipeline_state(cfg1, m), P.pipeline_state(cfg2, m)
+            state = O.pipeline_state(cfg, m, cutoff)
+            occ = state.layout.occupations[:, list(state.layout.mode_sites)]
+            above = (occ >= 2).any(axis=1)
+            assert above.any() and not state.amplitudes[above].any(), m
+            kept = state.amplitudes[~above]
+            assert kept.tobytes() == P.pipeline_state(cfg, m).amplitudes.tobytes(), m
+
+    def test_cutoff_two_reproduces_default(self):
+        # the default's Bell weights, from the pipeline built at cutoff 2
+        cfg = config()
+        for m in MESSAGES:
+            st1, st2 = P.pipeline_state(cfg, m), O.pipeline_state(cfg, m, 2)
             assert abs(norm_sq(st1) - norm_sq(st2)) < 1e-10
-            w1 = bell_weights(st1, cfg1)
-            w2 = bell_weights(st2, cfg2)
+            w1 = bell_weights(st1, cfg)
+            w2 = bell_weights(st2, cfg)
             for key, val in w1.items():
                 assert abs(w2[key] - val) < 1e-9
 
     def test_cutoff_two_batch_statistics(self):
-        stats = run_batch(config(k=0.0, cutoff=2), 3000, seed=21,
-                          messages=(Message.X, Message.IY))
+        # the windows of the psi states built at cutoff 2 record the clicks
+        # of the default's, and at k = 0 every one of them decodes
+        cfg = config(k=0.0)
+        for m in (Message.X, Message.IY):
+            default, wide = (
+                list(O.engine_windows(state, cfg, 21, 3000))
+                for state in (P.pipeline_state(cfg, m), O.pipeline_state(cfg, m, 2))
+            )
+            for r1, r2 in zip(default, wide, strict=True):
+                for name in ("clicks", "jump_t", "jump_sign", "jump_seen", "survived"):
+                    assert getattr(r1, name).tobytes() == getattr(r2, name).tobytes(), name
+        stats = run_batch(cfg, 3000, seed=21, messages=(Message.X, Message.IY))
         assert stats.success_rate == 1.0
 
 
@@ -478,21 +521,21 @@ class TestIdealPnr:
 
 class TestSuccessFormula:
     def test_lossless_survival(self):
-        assert success_probability_formula(config(k=0.0)) == 1.0
+        assert success_probability_formula(config(k=0.0), "survival") == 1.0
 
     def test_reference_survival(self):
         # at t_map = t*, |beta| = e^{-k t*/2}, so the value is e^{-k t*} e^{-2kT}
         cfg = config()
         t_star = transfer_time(PARAMS)
         expected = math.exp(-0.2 * t_star) * math.exp(-2 * 0.2 * 0.5)
-        assert abs(success_probability_formula(cfg) - expected) < 1e-12
+        assert abs(success_probability_formula(cfg, "survival") - expected) < 1e-12
         assert abs(expected - 0.58516) < 1e-4
 
     def test_reference_integrated(self):
-        cfg = config(success_convention="integrated")
+        cfg = config()
         t_star = transfer_time(PARAMS)
         expected = math.exp(-0.2 * t_star) * (1 - math.exp(-2 * 0.2 * 0.5))
-        assert abs(success_probability_formula(cfg) - expected) < 1e-12
+        assert abs(success_probability_formula(cfg, "integrated") - expected) < 1e-12
         assert abs(expected - 0.12956) < 1e-4
 
     def test_sweep_rows(self):
@@ -555,8 +598,16 @@ class TestConfigValidation:
             config(t_window=0.0)
 
     def test_bad_convention(self):
-        with pytest.raises(ValueError):
-            config(success_convention="both")
+        with pytest.raises(ValueError, match="convention"):
+            success_probability_formula(config(), "both")
+
+    @pytest.mark.parametrize("k, t_map, field", [
+        (1.9999999, None, "params.k = 1.9999999"),  # t* = 4967
+        (0.2, 1e300, "t_map = 1e+300"),
+    ])
+    def test_vanishing_beta_named(self, k, t_map, field):
+        with pytest.raises(ValueError, match=f"{re.escape(field)} leaves beta"):
+            config(k=k, t_map=t_map)
 
     def test_bad_receivers(self):
         with pytest.raises(ValueError):

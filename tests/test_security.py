@@ -174,7 +174,7 @@ class TestEavesdropping:
         # the attack's rounds are encode rounds with the photon number of
         # cavity A measured before the window
         cfg = config(k=0.2, t_window=6.0, detector=P.DetectorModel(0.9, 0.02))
-        mode_a = P.layout_for(cfg.n_parties, cfg.cutoff).mode_sites[0]
+        mode_a = P.layout_for(cfg.n_parties).mode_sites[0]
         conclusive = violations = 0
         for i in range(300):
             rng = P.round_rng(5, i)
@@ -277,8 +277,9 @@ def oracle_guess(posterior, rng):
     return tied[int(rng.integers(0, len(tied)))]
 
 
-def oracle_cheat(cheater, config, n_rounds, seed, messages=MESSAGES):
-    """The guessing game one scalar round at a time on round_rng streams."""
+def oracle_cheat(cheater, config, n_rounds, seed, messages=MESSAGES, cutoff=1):
+    """The guessing game one scalar round at a time on round_rng streams,
+    with the cavity modes of the dense states truncated at ``cutoff``."""
     positions = S._site_positions(config)
 
     def project(counts, bits):
@@ -288,7 +289,7 @@ def oracle_cheat(cheater, config, n_rounds, seed, messages=MESSAGES):
 
     joint = {}
     for m in messages:
-        for (counts, bits), p in O.outcome_distribution(config, m).items():
+        for (counts, bits), p in O.outcome_distribution(config, m, cutoff).items():
             joint.setdefault(project(counts, bits), dict.fromkeys(messages, 0.0))[m] += (
                 p / len(messages)
             )
@@ -302,7 +303,7 @@ def oracle_cheat(cheater, config, n_rounds, seed, messages=MESSAGES):
     for i in range(n_rounds):
         rng = P.round_rng(seed, i)
         sent = msgs[int(rng.integers(0, len(msgs)))]
-        out = O.run_round(cfg, sent, rng)
+        out = O.run_round(cfg, sent, rng, cutoff)
         counts = out.detection.counts()
         posterior = posteriors.get(project(counts, out.receiver_bits))
         if posterior is None:
@@ -326,21 +327,21 @@ def oracle_cheat(cheater, config, n_rounds, seed, messages=MESSAGES):
     )
 
 
-def oracle_eve(eve, config, n_rounds, seed):
+def oracle_eve(eve, config, n_rounds, seed, cutoff=1):
     """The eavesdrop experiment one scalar round at a time: tampered check
-    rounds for atom attacks, tampered encode rounds for the photon attack."""
+    rounds for atom attacks, tampered encode rounds (cavity modes truncated
+    at ``cutoff``) for the photon attack."""
     conclusive = violations = 0
     if eve.strategy == "intercept_resend_photon":
         cfg = dataclasses.replace(config, p_check=0.0)
-        mode_a = P.layout_for(config.n_parties, config.cutoff).mode_sites[0]
 
         def tamper(state, rng):
-            return O.measure_site(state, mode_a, rng)[1]
+            return O.measure_site(state, state.layout.mode_sites[0], rng)[1]
 
         for i in range(n_rounds):
             rng = P.round_rng(seed, i)
             sent = (Message.X, Message.IY)[int(rng.integers(0, 2))]
-            decoded = O._encode_round(cfg, sent, rng, tamper=tamper).decoded
+            decoded = O._encode_round(cfg, sent, rng, tamper=tamper, cutoff=cutoff).decoded
             if decoded is not None:
                 conclusive += 1
                 violations += int(decoded != sent)
@@ -361,14 +362,15 @@ def oracle_eve(eve, config, n_rounds, seed):
 
 
 DETECTION = ("pnr", (1.0, 0.0), (1.0, 0.05), (0.9, 0.0), (0.9, 0.05))
+# n_parties, the oracle's mode cutoff (the engine's is one photon), k, detection
 DIFF_MATRIX = list(itertools.product((3, 4), (1, 2), (0.0, 0.2), DETECTION))
 
 
-def diff_config(n_parties, cutoff, k, detection):
+def diff_config(n_parties, k, detection):
     pnr = detection == "pnr"
     eta, p_dc = (1.0, 0.0) if pnr else detection
     return config(
-        k=k, t_window=2.0, n_receivers=n_parties - 1, cutoff=cutoff, ideal_pnr=pnr,
+        k=k, t_window=2.0, n_receivers=n_parties - 1, ideal_pnr=pnr,
         detector=P.DetectorModel(eta, p_dc),
     )
 
@@ -382,7 +384,7 @@ class TestLockstepEqualsScalar:
              for n, c, k, d in DIFF_MATRIX],
     )
     def test_matrix(self, n_parties, cutoff, k, detection):
-        cfg = diff_config(n_parties, cutoff, k, detection)
+        cfg = diff_config(n_parties, k, detection)
         seed, n_rounds = -7, 150
         views = S.standard_views(cfg)
         receivers = views["collaboration"].sees_bits
@@ -390,11 +392,11 @@ class TestLockstepEqualsScalar:
         views["custom"] = ViewSpec(sees_clicks=False, sees_bits=receivers[1:])
         for name, view in views.items():
             assert cheat_experiment(view, cfg, n_rounds, seed) == oracle_cheat(
-                view, cfg, n_rounds, seed
+                view, cfg, n_rounds, seed, cutoff=cutoff
             ), name
         subset = (Message.I, Message.X, Message.Z)
         assert cheat_experiment(views["collaboration"], cfg, n_rounds, seed, subset) == (
-            oracle_cheat(views["collaboration"], cfg, n_rounds, seed, subset)
+            oracle_cheat(views["collaboration"], cfg, n_rounds, seed, subset, cutoff)
         )
         eves = [
             EveModel("none"),
@@ -405,7 +407,7 @@ class TestLockstepEqualsScalar:
             eves.append(EveModel("intercept_resend_photon"))
         for eve in eves:
             assert eavesdrop_experiment(eve, cfg, n_rounds, seed) == oracle_eve(
-                eve, cfg, n_rounds, seed
+                eve, cfg, n_rounds, seed, cutoff
             ), eve
 
     def test_matrix_covers_the_values(self):
@@ -415,7 +417,7 @@ class TestLockstepEqualsScalar:
 
     def test_across_blocks_and_spans(self):
         # more rounds than one block and than one span of precomputed words
-        cfg = diff_config(3, 1, 0.2, (0.9, 0.05))
+        cfg = diff_config(3, 0.2, (0.9, 0.05))
         views = S.standard_views(cfg)
         assert cheat_experiment(views["bob_alone"], cfg, 2600, 3) == oracle_cheat(
             views["bob_alone"], cfg, 2600, 3
@@ -425,7 +427,7 @@ class TestLockstepEqualsScalar:
 
     def test_summary_does_not_depend_on_block_size(self, monkeypatch):
         # no row reads another row of its block
-        cfg = diff_config(4, 1, 0.2, (0.9, 0.05))
+        cfg = diff_config(4, 0.2, (0.9, 0.05))
         eves = (EveModel("intercept_resend_atom", basis="z", target=0),
                 EveModel("intercept_resend_photon"))
         default = [S.security_summary(cfg, 2600, seed=5, eve=eve) for eve in eves]
@@ -438,7 +440,7 @@ class TestLockstepEqualsScalar:
 
         for name in ("run_round", "simulate_window", "_GeneratorRows"):
             monkeypatch.setattr(P, name, one_row)
-        cfg = diff_config(3, 1, 0.2, (0.9, 0.05))
+        cfg = diff_config(3, 0.2, (0.9, 0.05))
         for eve in (
             EveModel("none"),
             EveModel("intercept_resend_atom", basis="z", target=0),

@@ -88,13 +88,6 @@ class TestWorkerCount:
 
 
 class TestInProcess:
-    def test_on_round(self, no_fork):
-        seen = []
-        stats = P.run_batch(CONFIG, 3 * lockstep.SPAN, workers=8,
-                            on_round=lambda i, out: seen.append(i))
-        assert seen == list(range(3 * lockstep.SPAN))
-        assert stats.n_rounds == len(seen)
-
     def test_one_unit(self, no_fork):
         assert lockstep.fork_map(lambda u: u + 1, [41], 8) == [42]
         rows = P.run_sweep(CONFIG, [2.0], 2 * lockstep.BREAK_EVEN_ROUNDS, workers=8)
@@ -108,6 +101,21 @@ class TestInProcess:
         log = []
         P.run_batch(CONFIG, N_ROUNDS, workers=8, on_log=log.extend)
         assert len(log) == N_ROUNDS
+
+    def test_one_range_through_fork_map(self, monkeypatch, no_fork):
+        # at one worker a batch is one range, which fork_map runs in process;
+        # on_log gets its lines as one list
+        calls, fork_map = [], lockstep.fork_map
+
+        def recorded(task, units, workers):
+            calls.append((list(units), workers))
+            return fork_map(task, units, workers)
+
+        monkeypatch.setattr(lockstep, "fork_map", recorded)
+        lists = []
+        P.run_batch(CONFIG, N_ROUNDS, on_log=lists.append)
+        assert calls == [([(0, N_ROUNDS)], 1)]
+        assert [len(lines) for lines in lists] == [N_ROUNDS]
 
 
 class TestForkMap:
@@ -134,6 +142,15 @@ class TestByteIdentity:
         assert len(forks) == workers - 1
         assert (stats, log) == batch(1)
         assert len(log) == N_ROUNDS
+        no_child_left()
+
+    def test_one_log_list_per_range(self, many_cpus, forks):
+        lists = []
+        P.run_batch(CONFIG, N_ROUNDS, workers=3, on_log=lists.append)
+        assert len(forks) == 2
+        assert [len(lines) for lines in lists] == [
+            N_ROUNDS * (w + 1) // 3 - N_ROUNDS * w // 3 for w in range(3)
+        ]
         no_child_left()
 
     @pytest.mark.parametrize("workers, n_rounds, processes", [
