@@ -1,0 +1,135 @@
+"""The golden corpus: the sha256 of every file the CLI emits, manifests
+included, on CI's smoke commands plus ``run``, ``decode-table`` and
+``feasibility``, at a few hundred rounds.
+
+Each command runs in one scratch directory with relative ``--config`` and
+``--out`` paths, so the manifests' bytes do not depend on where the suite
+runs.  The configs are CI's (``tests/configs/``).  A change that keeps
+every output byte-identical passes unedited; a declared byte change
+re-pins the digests it moves and records the old and new ones.
+"""
+
+import contextlib
+import hashlib
+import io
+import shutil
+from pathlib import Path
+
+import pytest
+
+from qdcsim import cli
+
+CONFIGS = Path(__file__).parent / "configs"
+ROUNDS = "300"
+
+# output directory -> the command's arguments before --out
+COMMANDS = {
+    "batch": ["batch", "--round-log", "--rounds", ROUNDS],
+    "sweep": ["sweep", "--rounds", ROUNDS],
+    "security": ["security", "--rounds", ROUNDS],
+    "wide-batch": ["batch", "--config", "wide.json", "--round-log", "--rounds", ROUNDS],
+    "wide-security": ["security", "--config", "wide.json", "--rounds", ROUNDS],
+    "wide-photon-security": ["security", "--config", "wide.json", "--eve",
+                             "intercept-resend-photon", "--rounds", ROUNDS],
+    "photon-security": ["security", "--eve", "intercept-resend-photon", "--rounds", ROUNDS],
+    "k0-batch": ["batch", "--config", "k0.json", "--round-log", "--rounds", ROUNDS],
+    "pnr-batch": ["batch", "--ideal-pnr", "--round-log", "--rounds", ROUNDS],
+    "many-batch": ["batch", "--config", "many.json", "--round-log", "--rounds", ROUNDS],
+    "many-security": ["security", "--config", "many.json", "--rounds", ROUNDS],
+    "run": ["run"],
+    "wide-run": ["run", "--config", "wide.json", "--message", "X"],
+    "decode-table": ["decode-table"],
+    "pnr-decode-table": ["decode-table", "--ideal-pnr"],
+    "feasibility": ["feasibility"],
+}
+
+DIGESTS = {
+    "batch/batch_summary.json": "1efe3405319b36f7337b5a9644b64b1448f3bd0364cc6ff61fc90168f84244ba",
+    "batch/manifest.json": "624115f482aeadb83c80c3ce1cb99df7d6030fb248e53c88e3cfcca17a886abc",
+    "batch/rounds.jsonl": "c6ac015f48ef03d875e5f8247cd33d497cc7c03b8f26266e9898aac6833d4829",
+    "decode-table/decode_table.json":
+        "8f31959ba15022ec3d52faa7cb46daf1585f865e267b7932f413054f7c17d7b0",
+    "decode-table/manifest.json":
+        "5e1caf42fb094101f2dd51c0a3d128d7d18205e74f614b08f18a715837fc6034",
+    "feasibility/feasibility.json":
+        "47aa17643c22c047fcd93f14144f6327dd9530cd09f5edf5df5bd0aa1fb70dd3",
+    "feasibility/manifest.json": "70be159b9dc62e815cf6bdbb230b44cb445160489303971aec2a8b13289c295f",
+    "k0-batch/batch_summary.json":
+        "50b283a93bade4a66e3b5dc8a4dde4ae183deae34978293b970e6c7325463703",
+    "k0-batch/manifest.json": "d1cdab44545d411b2cd9c7751749de5951f8e1727f2979fff42d6a6ac0bae4fa",
+    "k0-batch/rounds.jsonl": "98f097097975525e813341b1e4b2f9435a7b6cb97d82b57b6f03e979e10c1d17",
+    "many-batch/batch_summary.json":
+        "209104628e85a539575a3aa44468e39a9f5f1cb634b0457aae67fb281e1cbec6",
+    "many-batch/manifest.json": "e282de1cccb6e0858c6515cd13528744b4362c7f4bf8679c9bc7dfcd45873373",
+    "many-batch/rounds.jsonl": "da8774d853f681a514376b2d04c7961a21147e36830712e4d1f6d9c739de27f5",
+    "many-security/manifest.json":
+        "d8a2d52d4b7f761686255deb2bd7dc0c3c0b2d48b349632f747707ad94a8fb71",
+    "many-security/security.json":
+        "a36c1dd2c081d46e081f5e3d7ecf79b3d9bc0d2274aafbdb3dea2807529f5abd",
+    "photon-security/manifest.json":
+        "9c12a610e26601f0ca8a3d5d38dc0e79bd2ae736a4a5739795ce4be6aee96278",
+    "photon-security/security.json":
+        "1aa8b0168498b013052174436f5c542aac7f8d57fb6bd52521c31f58222fea72",
+    "pnr-batch/batch_summary.json":
+        "116cf1ffa057d99b0e25f801f7d8f903657eee57d58cd8a1cdb66e2dd7903999",
+    "pnr-batch/manifest.json": "579b72866804a64d09fc26f9df276913e0a6c0003b0b44dc8fd832016190c1b6",
+    "pnr-batch/rounds.jsonl": "78c3822723addad634474218268aacc54aab17778dd918eee5a1e6b5c435360f",
+    "pnr-decode-table/decode_table.json":
+        "c6f8f0020433616ba58b44a88782aa703280ca6d778f458e9675361326d72455",
+    "pnr-decode-table/manifest.json":
+        "ee0329fafba6fe469a01ae649afb036f20e4e9dc474bf7fad69084e5eabba992",
+    "run/manifest.json": "4934c693c8128d2c2ff45970b6a9978288e8491ec0f2cd73e1e664a309ccfdb1",
+    "run/round.json": "daf81af6b525953a7ad66be6341d326d8df9a4459f8cea44bb1d44bffdfe8d9d",
+    "security/manifest.json": "06114add2fffdad9cdf60417266d1ce4db03b03d95f7b7bce7a187da11e6aa9d",
+    "security/security.json": "6b8c4983f5c10dac821b523dffe09a8f86d1e47768909864ee592917e204b1dd",
+    "sweep/manifest.json": "58f1da94ed5bd3bae9fe03bd1c4313a7151737c1b09fc60dfc2fa9951b31fcec",
+    "sweep/sweep.csv": "cccd5adafdec784ae1277250f63c98a55bd1a9915c97c86a59a6ffee7088bf16",
+    "wide-batch/batch_summary.json":
+        "cd2bd62692c65eb2dd99dc775e223f69a97ec248c7079850f199327c619fc499",
+    "wide-batch/manifest.json": "3d24d056415d242e12b5b85ea24f57f4229d6764101e9e7897e355290c14ed24",
+    "wide-batch/rounds.jsonl": "f8bbcedeb96034d228df4f58f5281f8e119516ea8da7e122b52384d80aec9a5e",
+    "wide-photon-security/manifest.json":
+        "765f2ecd5534a626d1cab168bebcb5b2f3c1f2e3d5e4022d8bd1c6b556117441",
+    "wide-photon-security/security.json":
+        "57bdb24646557e2c05e490b561e4894a27929ee875f19576ca16c518550bf83c",
+    "wide-run/manifest.json": "78d78b0f0b82333ed11b3b138b6e69a639ab6928cc9c0a29961685d4667bbf03",
+    "wide-run/round.json": "1de4a88da62cb05ae9471350c2bb59ed5681edae8db2a728ba68fe6a6c88520c",
+    "wide-security/manifest.json":
+        "8b656102e0680ed7c1c5d4abf22627f1338fd37542066d39b87ff1db0b29a033",
+    "wide-security/security.json":
+        "65fb335009b4bb1b0e84fdcafc517dec6ac4f0519addb69b63b1c9f0edcb872f",
+}
+
+
+@pytest.fixture(scope="module")
+def corpus(tmp_path_factory):
+    """Runs every command in one scratch directory holding CI's configs:
+    each command's exit code, and the sha256 of every emitted file by its
+    relative path."""
+    root = tmp_path_factory.mktemp("corpus")
+    for config in CONFIGS.glob("*.json"):
+        shutil.copy(config, root)
+    codes = {}
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(root)
+        for out, argv in COMMANDS.items():
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes[out] = cli.main([*argv, "--out", out])
+    digests = {
+        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for out in COMMANDS for path in sorted((root / out).glob("*"))
+    }
+    return codes, digests
+
+
+@pytest.mark.parametrize("out", COMMANDS)
+def test_command_bytes(out, corpus):
+    codes, digests = corpus
+    assert codes[out] == 0
+    got = {path: digest for path, digest in digests.items() if path.split("/")[0] == out}
+    assert got == {path: digest for path, digest in DIGESTS.items() if path.split("/")[0] == out}
+
+
+def test_corpus_covers_every_emitted_file(corpus):
+    assert set(corpus[1]) == set(DIGESTS)
+    assert {path.split("/")[0] for path in DIGESTS} == set(COMMANDS)
