@@ -23,15 +23,12 @@ from .hilbert import (
 from .protocol import (
     DetectorModel,
     RoundConfig,
-    RoundOutcome,
     bell_weights,
     build_decode_table,
     map_to_cavities,
     prepare_ghz,
     receiver_rotation,
     run_batch,
-    run_round,
-    simulate_window,
     success_probability_formula,
 )
 
@@ -48,15 +45,12 @@ __all__ = [
     "pauli_encode",
     "DetectorModel",
     "RoundConfig",
-    "RoundOutcome",
     "bell_weights",
     "build_decode_table",
     "map_to_cavities",
     "prepare_ghz",
     "receiver_rotation",
     "run_batch",
-    "run_round",
-    "simulate_window",
     "success_probability_formula",
 ]
 

@@ -1,11 +1,12 @@
 """The round engine: a block of protocol rounds as numpy arrays.
 
-Each row of a block is one round on its own stream: a
-:class:`~qdcsim.streams.RowStreams` row, or for ``protocol.run_round`` and
-``protocol.simulate_window`` one numpy ``Generator``.  A row takes the
-draws of the same round computed alone on a dense state vector (the
-Monte-Carlo wavefunction reference the tests keep), in the same order, and
-makes the same decisions from them.
+Each row of a block is one round on its own
+:class:`~qdcsim.streams.RowStreams` stream, the numpy ``Generator`` of that
+round.  A row takes the draws of the same round computed alone on a dense
+state vector (the Monte-Carlo wavefunction of Dalibard, Castin & Molmer,
+PRL 68, 580 (1992), kept as the reference under ``tests/``), in the same
+order, and makes the same decisions from them; every command runs its
+rounds this way, and a one-round batch is ``qdcsim run``.
 
 The detection window runs in closed form on :func:`jump_tables`.  A start
 holds at most two photons, a jump lowers the photon number by one, and the
@@ -13,7 +14,7 @@ no-jump decay exp(-k n t) scales each photon sector n, so a row's state is
 V[s, h] = B_h ... psi_s for one of 7 jump histories h, scaled per sector:
 a row carries h and its three sector weights.  The first pass reads the
 start's own sector norms, so the first jump time is the reference's bit
-for bit; later times and end states agree up to rounding.
+for bit; later times agree up to rounding.
 
 A row's bits do not depend on its block: element-wise ufuncs give the same
 bits per element whatever the array's shape, row reductions keep the
@@ -98,14 +99,6 @@ class JumpTables:
     def width(self) -> int:
         """Entries a window row holds at once: (sector, bit code) weights."""
         return self.bits.shape[2] * self.bits.shape[3]
-
-    def state(self, info, vectors: np.ndarray, s: int, h: int, q: np.ndarray) -> np.ndarray:
-        """The amplitudes of start ``s`` after history ``h`` with sector
-        weights ``q``: V[s, h] of ``vectors`` (:func:`jump_vectors` of the
-        same starts) scaled in sector n by sqrt(q[n] / W[s, h, n])."""
-        scale = np.zeros(max(int(info.photon_numbers.max()) + 1, SECTORS))
-        scale[:SECTORS] = np.sqrt(_per_unit(q, self.norms[s, h]))
-        return vectors[s, h] * scale[info.photon_numbers]
 
 
 def _per_unit(weights: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -373,11 +366,11 @@ def _crossings(norms: np.ndarray, k: float, u: np.ndarray, t_max: np.ndarray):
 
 def window(config, tables: JumpTables, streams, rows, start: np.ndarray,
            res: Rounds) -> tuple[np.ndarray, np.ndarray]:
-    """The detection window (``protocol.simulate_window``) of every row,
-    from start state ``start`` of ``tables``: writes each row's jumps, dark
+    """The Monte-Carlo wavefunction detection window of every row, from
+    start state ``start`` of ``tables``: writes each row's jumps, dark
     counts, click counts and survival flag into ``res``; returns each row's
-    end-of-window photon-sector weights q and jump history h
-    (:meth:`JumpTables.state`).
+    end-of-window photon-sector weights q and jump history h, whose end
+    state is V[start, h] scaled in sector n by sqrt(q[n] / W[start, h, n]).
 
     A pass finds where the no-jump norm sum_n q[n] x^n, x = exp(-2kt),
     crosses the row's draw, decays q[n] by exp(-2knt), draws the channel c

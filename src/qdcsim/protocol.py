@@ -144,50 +144,6 @@ class RoundConfig:
         return self.n_receivers + 1
 
 
-@dataclass(frozen=True)
-class DetectionRecord:
-    """Timestamped detector events within one window, times ascending.
-
-    Dark channels are simulator ground truth; the receiver observes only
-    which detector fired.
-    """
-
-    events: tuple[tuple[float, str], ...]
-    window: float
-
-    def counts(self) -> tuple[int, int]:
-        """Observable click counts (n_plus, n_minus), darks included."""
-        n_plus = sum(1 for _, ch in self.events if ch in (CHANNEL_PLUS, DARK_PLUS))
-        n_minus = sum(1 for _, ch in self.events if ch in (CHANNEL_MINUS, DARK_MINUS))
-        return n_plus, n_minus
-
-    def has_real_click(self) -> bool:
-        return any(ch in (CHANNEL_PLUS, CHANNEL_MINUS) for _, ch in self.events)
-
-
-@dataclass(frozen=True)
-class WindowResult:
-    record: DetectionRecord
-    state: StateVector
-    jumped: bool
-    photon_survived: bool
-
-
-@dataclass(frozen=True)
-class RoundOutcome:
-    mode: str  # "check" | "encode"
-    sent: Message | None = None
-    receiver_bits: str | None = None
-    detection: DetectionRecord | None = None
-    decoded: Message | None = None  # None = abort in encode mode
-    bell_label: str | None = None  # ideal-PNR mode only
-    check_conclusive: bool | None = None
-    check_passed: bool | None = None
-    check_bases: str | None = None
-    real_click: bool = False
-    photon_survived: bool = False
-
-
 @dataclass
 class BatchStats:
     n_rounds: int
@@ -409,57 +365,6 @@ def bell_weights(
         for code, bits in enumerate(info.bit_strings)
         for j, label in enumerate(BELL_LABELS)
     }
-
-
-# ---------------------------------------------------------------------------
-# Monte-Carlo wavefunction detection window
-
-
-class _GeneratorRows:
-    """:class:`qdcsim.streams.RowStreams` draws for a one-row block, taken
-    from one numpy ``Generator``: one value per row given, none for no rows."""
-
-    def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-
-    def __len__(self) -> int:
-        return 1
-
-    def random(self, rows: np.ndarray) -> np.ndarray:
-        return self._rng.random(len(rows))
-
-    def integers(self, rows: np.ndarray, n: int) -> np.ndarray:
-        return self._rng.integers(0, n, size=len(rows))
-
-
-def simulate_window(
-    state: StateVector, config: RoundConfig, rng: np.random.Generator
-) -> WindowResult:
-    """Unravel the detection window for one trajectory (one row of
-    :func:`qdcsim.lockstep.window` on the state's own jump tables, drawing
-    from ``rng``).
-
-    Draw u uniform; evolve the pure-decay no-jump state until its squared
-    norm reaches u or the window elapses; on a jump pick the channel with
-    probability proportional to <C_pm^dag C_pm>, apply it, and register a
-    click with probability eta.  After each jump the state is renormalized
-    and a fresh u is drawn.  Dark counts are superimposed per detector.
-
-    For single-photon states the registered-click probability by time t is
-    eta * (1 - exp(-2kt)) * (one-photon weight).  A start state with weight
-    on three or more photons raises ValueError before any draw.
-    """
-    info = _layout_info(state.layout)
-    tables = lockstep.jump_tables(info, state.amplitudes[None])
-    row = np.zeros(1, dtype=np.int64)
-    r = lockstep.Rounds.empty(1)
-    q, hist = lockstep.window(config, tables, _GeneratorRows(rng), row, row, r)
-    h = int(hist[0])
-    end = tables.state(info, lockstep.jump_vectors(info, state.amplitudes[None]), 0, h, q[0])
-    return WindowResult(
-        _records(r, row, config.t_window)[0], StateVector(state.layout, end), h > 0,
-        bool(r.survived[0]),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -740,102 +645,13 @@ _plan.cache_info, _plan.cache_clear = _compile_plan.cache_info, _compile_plan.ca
 # rounds and batches
 
 
-def round_rng(seed: int, index: int) -> np.random.Generator:
-    """Independent counter-based stream per (seed, round index)."""
-    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
-def run_round(
-    config: RoundConfig,
-    message: Message | str = "random",
-    rng: np.random.Generator | None = None,
-) -> RoundOutcome:
-    """One full protocol round (check branch with probability p_check,
-    otherwise encode/transfer/detect/decode): a one-row lockstep block
-    drawing from ``rng`` (by default round 0 of the config's seed)."""
-    if rng is None:
-        rng = round_rng(config.seed, 0)
-    if message == "random":
-        msg_ids = np.arange(len(MESSAGES))
-    else:
-        sent = message if isinstance(message, Message) else Message.from_name(str(message))
-        msg_ids = np.array([_MSG_INDEX[sent]])
-    plan = _plan(config)
-    return _round_outcomes(plan, lockstep.run_block(plan, _GeneratorRows(rng), msg_ids))[0]
-
-
-_CHANNELS = (CHANNEL_PLUS, CHANNEL_MINUS, DARK_PLUS, DARK_MINUS)
-
-
-def _clicks(r: lockstep.Rounds, rows: np.ndarray) -> tuple[list, list, list]:
-    """The detector events of each of ``rows`` in time order: registered
-    jumps, then the D+ and D- dark counts, stably sorted by time.  Returns
-    the events of all the rows, concatenated, as their times and their
-    indices into ``_CHANNELS``, and each row's end offset."""
-    times = np.concatenate((r.jump_t[rows], r.dark_t[rows]), axis=1)
-    present = np.concatenate((r.jump_seen[rows], ~np.isnan(r.dark_t[rows])), axis=1)
-    channel = np.concatenate(
-        (np.where(r.jump_sign[rows] > 0, 0, 1), np.broadcast_to([2, 3], (len(rows), 2))), axis=1
-    )
-    order = np.argsort(np.where(present, times, np.inf), axis=1, kind="stable")
-    present = np.take_along_axis(present, order, axis=1)
-    return (
-        np.take_along_axis(times, order, axis=1)[present].tolist(),
-        np.take_along_axis(channel, order, axis=1)[present].tolist(),
-        np.cumsum(present.sum(axis=1)).tolist(),
-    )
-
-
-def _records(r: lockstep.Rounds, rows: np.ndarray, window: float) -> list[DetectionRecord]:
-    """The DetectionRecord of each of ``rows`` (:func:`_clicks`)."""
-    times, channels, ends = _clicks(r, rows)
-    events = [(t, _CHANNELS[c]) for t, c in zip(times, channels)]
-    return [
-        DetectionRecord(tuple(events[lo:hi]), window) for lo, hi in zip([0] + ends, ends)
-    ]
-
-
-def _round_outcomes(plan: _Plan, r: lockstep.Rounds) -> list[RoundOutcome]:
-    """The RoundOutcome of every row of a lockstep block."""
-    strings = plan.info.bit_strings
-    records = _records(r, np.arange(len(r.check)), plan.config.t_window)
-    out = []
-    rows = zip(
-        r.check.tolist(), r.combo.tolist(), r.outcome.tolist(), r.sent.tolist(),
-        r.bits.tolist(), r.decoded.tolist(), r.label.tolist(), r.survived.tolist(), records,
-    )
-    for check, combo, measured, sent, bits, decoded, label, survived, detection in rows:
-        if check:
-            ctx = plan.check
-            outcome = RoundOutcome(
-                mode="check",
-                check_conclusive=bool(ctx.conclusive[combo]),
-                check_passed=bool(ctx.passed[combo, measured]),
-                check_bases=ctx.bases[combo],
-            )
-        else:
-            outcome = RoundOutcome(
-                mode="encode",
-                sent=_DECODED[sent],
-                receiver_bits=strings[bits],
-                detection=detection,
-                decoded=_DECODED[decoded],
-                bell_label=BELL_LABELS[label] if plan.config.ideal_pnr and label >= 0 else None,
-                real_click=detection.has_real_click(),
-                photon_survived=survived,
-            )
-        out.append(outcome)
-    return out
-
-
 # The round log: one line per round, ``json.dumps`` of the dict
 #   check:  {"round", "mode", "check_bases", "check_conclusive", "check_passed"}
 #   encode: {"round", "mode", "sent", "clicks", "receiver_bits", "decoded"}
 #           plus "bell_label" on ideal-PNR rounds that kept their photons,
 # with "clicks" the [time, channel] pairs of the round's detector events in
 # time order, "abort" for an aborted decode.
-_LOG_CHANNELS = tuple(json.dumps(ch) for ch in _CHANNELS)
+_LOG_CHANNELS = tuple(json.dumps(ch) for ch in (CHANNEL_PLUS, CHANNEL_MINUS, DARK_PLUS, DARK_MINUS))
 
 
 def _log_tail(plan: _Plan, r: lockstep.Rounds, row: int) -> tuple[str, str]:
@@ -869,11 +685,23 @@ def _log_tail(plan: _Plan, r: lockstep.Rounds, row: int) -> tuple[str, str]:
 
 
 def _log_clicks(r: lockstep.Rounds, rows: np.ndarray) -> list[str]:
-    """The JSON clicks list of each of ``rows`` without its brackets, in
-    :func:`_clicks` order; times print as ``repr(float)``, as ``json.dumps``
-    prints them."""
-    times, channels, ends = _clicks(r, rows)
-    pieces = [f"[{t!r}, {_LOG_CHANNELS[c]}]" for t, c in zip(times, channels)]
+    """The JSON clicks list of each of ``rows`` without its brackets: the
+    registered jumps, then the D+ and D- dark counts, stably sorted by time;
+    times print as ``repr(float)``, as ``json.dumps`` prints them."""
+    times = np.concatenate((r.jump_t[rows], r.dark_t[rows]), axis=1)
+    present = np.concatenate((r.jump_seen[rows], ~np.isnan(r.dark_t[rows])), axis=1)
+    channel = np.concatenate(
+        (np.where(r.jump_sign[rows] > 0, 0, 1), np.broadcast_to([2, 3], (len(rows), 2))), axis=1
+    )
+    order = np.argsort(np.where(present, times, np.inf), axis=1, kind="stable")
+    present = np.take_along_axis(present, order, axis=1)
+    pieces = [
+        f"[{t!r}, {_LOG_CHANNELS[c]}]" for t, c in zip(
+            np.take_along_axis(times, order, axis=1)[present].tolist(),
+            np.take_along_axis(channel, order, axis=1)[present].tolist(),
+        )
+    ]
+    ends = np.cumsum(present.sum(axis=1)).tolist()
     return [", ".join(pieces[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
@@ -944,7 +772,7 @@ def run_batch(
 
     Output is a pure function of (config, n_rounds, seed, messages).  The
     rounds run in lockstep blocks (:func:`qdcsim.lockstep.row_blocks`),
-    each row reproducing :func:`run_round` on its own stream bit for bit.
+    each row on its own stream, so a row's result does not depend on its block.
     Each of :func:`qdcsim.lockstep.worker_count` processes runs one
     near-equal contiguous range of rounds (:func:`qdcsim.lockstep.fork_map`;
     one range, in process, at ``workers`` = 1), with the same result.

@@ -231,8 +231,8 @@ def cheat_experiment(
     """Guessing game: honest encode rounds, the cheater guesses from its
     partial view via maximum posterior.
 
-    Round draws: the message, ``run_round``'s check-branch draw (the game
-    runs at p_check = 0), the encode round, then the choice among tied
+    Round draws: the message, a round's check-branch draw
+    (``lockstep.run_block``'s first; the game runs at p_check = 0), the encode round, then the choice among tied
     messages where more than one ties."""
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
@@ -245,7 +245,7 @@ def cheat_experiment(
         rows = np.arange(len(streams))
         r = lockstep.Rounds.empty(len(rows))
         sent = msg_ids[streams.integers(rows, len(msgs))]
-        streams.random(rows)  # run_round's check-branch draw
+        streams.random(rows)  # the check-branch draw
         lockstep.encode_rounds(plan, streams, rows, sent, r)
         obs = (r.clicks[:, 0], r.clicks[:, 1], r.bits)
         n = n_tied[obs]

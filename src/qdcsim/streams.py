@@ -1,7 +1,7 @@
 """Per-round Philox streams for many rounds at once.
 
-Round ``i`` of a batch with seed ``s`` draws from ``Philox(key=[s, i])``
-(:func:`qdcsim.protocol.round_rng`).  Philox-4x64-10 is counter based
+Round ``i`` of a batch with seed ``s`` draws from the numpy ``Generator``
+on ``Philox(key=[s mod 2**64, i])``.  Philox-4x64-10 is counter based
 (Salmon et al., SC'11): word ``j`` of a stream is lane ``j % 4`` of the
 block cipher applied to counter ``j // 4 + 1`` (numpy increments the
 counter before each block), so any word of any round can be computed

@@ -1,5 +1,7 @@
 """The scalar per-round path: one protocol round at a time on one numpy
-``Generator``, the reference the lockstep engine is tested against; the
+``Generator`` (:func:`round_rng`), with its results as per-round objects
+(:class:`RoundOutcome`, :class:`DetectionRecord`, :class:`WindowResult`),
+the reference the lockstep engine is tested against; the
 fixed-step RK4 integration of the no-jump generator, the reference the
 closed-form transfer (``dynamics.alpha_beta``) is tested against; and the
 state-space helpers only the tests use.
@@ -9,8 +11,8 @@ take them from their own streams, and makes the same decisions from them.
 The detection window here carries the dense state vector through every
 jump (the Monte-Carlo wavefunction), where the engine reads compiled
 jump-history tables: the first jump time is bit-equal, later jump times
-and end states agree within ``TIME_TOL`` (``assert_outcomes_close``), and
-everything else is equal.  ``tamper`` hooks act on the state
+agree within ``TIME_TOL`` (``assert_window_row``, ``assert_log_close``),
+and everything else is equal.  ``tamper`` hooks act on the state
 before it is measured (``run_check_round``) or detected
 (``_encode_round``), as the security experiments' eavesdroppers do.
 """
@@ -19,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -45,10 +47,7 @@ from qdcsim.protocol import (
     DARK_MINUS,
     DARK_PLUS,
     BELL_LABELS,
-    DetectionRecord,
     RoundConfig,
-    RoundOutcome,
-    WindowResult,
     _layout_info,
     _LayoutInfo,
     _MSG_INDEX,
@@ -56,8 +55,62 @@ from qdcsim.protocol import (
     _plan,
     layout_for,
     prepare_ghz,
-    round_rng,
 )
+
+
+# ---------------------------------------------------------------------------
+# per-round results and streams
+
+
+def round_rng(seed: int, index: int) -> np.random.Generator:
+    """Round ``index``'s stream of the batch with ``seed``: the numpy
+    ``Generator`` whose draws a ``qdcsim.streams.RowStreams`` row computes."""
+    key = np.array([seed & 0xFFFFFFFFFFFFFFFF, index & 0xFFFFFFFFFFFFFFFF], dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+@dataclass(frozen=True)
+class DetectionRecord:
+    """Timestamped detector events within one window, times ascending.
+
+    Dark channels are simulator ground truth; the receiver observes only
+    which detector fired.
+    """
+
+    events: tuple[tuple[float, str], ...]
+    window: float
+
+    def counts(self) -> tuple[int, int]:
+        """Observable click counts (n_plus, n_minus), darks included."""
+        n_plus = sum(1 for _, ch in self.events if ch in (CHANNEL_PLUS, DARK_PLUS))
+        n_minus = sum(1 for _, ch in self.events if ch in (CHANNEL_MINUS, DARK_MINUS))
+        return n_plus, n_minus
+
+    def has_real_click(self) -> bool:
+        return any(ch in (CHANNEL_PLUS, CHANNEL_MINUS) for _, ch in self.events)
+
+
+@dataclass(frozen=True)
+class WindowResult:
+    record: DetectionRecord
+    state: StateVector
+    jumped: bool
+    photon_survived: bool
+
+
+@dataclass(frozen=True)
+class RoundOutcome:
+    mode: str  # "check" | "encode"
+    sent: Message | None = None
+    receiver_bits: str | None = None
+    detection: DetectionRecord | None = None
+    decoded: Message | None = None  # None = abort in encode mode
+    bell_label: str | None = None  # ideal-PNR mode only
+    check_conclusive: bool | None = None
+    check_passed: bool | None = None
+    check_bases: str | None = None
+    real_click: bool = False
+    photon_survived: bool = False
 
 
 # ---------------------------------------------------------------------------
@@ -674,9 +727,12 @@ def _encode_round(
     rng: np.random.Generator,
     tamper: Callable[[StateVector, np.random.Generator], StateVector] | None = None,
     cutoff: int = 1,
+    jumps: list | None = None,
 ) -> RoundOutcome:
     """One encode round of ``sent`` on its :func:`pipeline_state` at
-    ``cutoff``; ``tamper`` acts on that state before the detection window."""
+    ``cutoff``; ``tamper`` acts on that state before the detection window,
+    and ``jumps``, if given, receives the (time, sign, registered) of the
+    window's jumps."""
     plan = _plan(config)
     info = plan.info
 
@@ -703,7 +759,9 @@ def _encode_round(
     if tamper is not None:
         state = tamper(state, rng)
     info = _layout_info(state.layout)
-    psi, events, _, photon_survived = _window_raw(info, state.amplitudes, config, rng)
+    psi, events, window_jumps, photon_survived = _window_raw(info, state.amplitudes, config, rng)
+    if jumps is not None:
+        jumps += window_jumps
     record = DetectionRecord(tuple(events), config.t_window)
     bits = _sample_bits_raw(info, psi, rng)
     decoded = decode(config, record.counts(), bits)
@@ -723,9 +781,11 @@ def run_round(
     message: Message | str = "random",
     rng: np.random.Generator | None = None,
     cutoff: int = 1,
+    jumps: list | None = None,
 ) -> RoundOutcome:
     """One full protocol round (check branch with probability p_check,
-    otherwise encode/transfer/detect/decode at mode cutoff ``cutoff``)."""
+    otherwise encode/transfer/detect/decode at mode cutoff ``cutoff``;
+    ``jumps`` as in :func:`_encode_round`)."""
     if rng is None:
         rng = round_rng(config.seed, 0)
     if rng.random() < config.p_check:
@@ -736,7 +796,7 @@ def run_round(
         sent = message
     else:
         sent = Message.from_name(str(message))
-    return _encode_round(config, sent, rng, cutoff=cutoff)
+    return _encode_round(config, sent, rng, cutoff=cutoff, jumps=jumps)
 
 
 def outcome_to_dict(index: int, out: RoundOutcome) -> dict:
@@ -779,7 +839,7 @@ def engine_windows(state: StateVector, config: RoundConfig, seed: int, n: int):
 # ---------------------------------------------------------------------------
 # engine results against the oracle's
 
-TIME_TOL = 1e-12  # bound on later jump times and end amplitudes against the oracle
+TIME_TOL = 1e-12  # bound on later jump times against the oracle
 
 
 def assert_records_close(got: DetectionRecord, want: DetectionRecord, first_jump=None,
@@ -801,12 +861,25 @@ def assert_records_close(got: DetectionRecord, want: DetectionRecord, first_jump
             assert abs(t_got - t_want) <= TIME_TOL, where
 
 
-def assert_outcomes_close(got: RoundOutcome, want: RoundOutcome, where=None) -> None:
-    """Equal RoundOutcomes up to :func:`assert_records_close`."""
-    assert (got.detection is None) == (want.detection is None), where
-    if got.detection is not None:
-        assert_records_close(got.detection, want.detection, where=where)
-    assert replace(got, detection=None) == replace(want, detection=None), where
+def assert_window_row(r: lockstep.Rounds, row: int, record: DetectionRecord, survived: bool,
+                      jumps, where=None) -> None:
+    """Row ``row`` of an engine window against the oracle's window: its
+    ``record``, survival flag and ``jumps`` (:func:`window_jumps`).  Jump
+    signs, registrations, click counts, dark-count times and the survival
+    flag are exact, the first jump time too, later ones within ``TIME_TOL``."""
+    n = len(jumps)  # passes where no row jumped leave zero columns
+    times, signs, seen = zip(*jumps) if jumps else ((), (), ())
+    assert not r.jump_sign[row, n:].any() and not r.jump_seen[row, n:].any(), where
+    assert r.jump_sign[row, :n].tolist() == list(signs), where
+    assert r.jump_seen[row, :n].tolist() == list(seen), where
+    assert r.jump_t[row, :min(n, 1)].tolist() == list(times[:1]), where
+    assert np.all(np.abs(r.jump_t[row, :n] - times) <= TIME_TOL), where
+    assert tuple(r.clicks[row].tolist()) == record.counts(), where
+    darks = dict((ch, t) for t, ch in record.events if ch in (DARK_PLUS, DARK_MINUS))
+    assert [None if math.isnan(t) else t for t in r.dark_t[row].tolist()] == [
+        darks.get(DARK_PLUS), darks.get(DARK_MINUS)
+    ], where
+    assert bool(r.survived[row]) == survived, where
 
 
 def assert_log_close(line: str, want: dict, where=None) -> None:

