@@ -129,8 +129,15 @@ _OVERRIDES = ("p_check", "seed", "ideal_pnr")
 
 
 def build_round_config(doc: dict, args: argparse.Namespace | None = None) -> RoundConfig:
+    """The round config of ``doc``, with the CLI's overrides.  Seeds must lie
+    in [0, 2**64): the library reduces a seed mod 2**64, so another seed
+    would alias one of these."""
     overrides = {f: getattr(args, f) for f in _OVERRIDES if getattr(args, f, None) is not None}
-    return _build(doc, "round", RoundConfig, overrides)
+    config = _build(doc, "round", RoundConfig, overrides)
+    if not 0 <= config.seed < 2**64:
+        source = "--seed" if "seed" in overrides else "round.seed"
+        raise ConfigError(f"{source}: must lie in [0, 2**64), got {config.seed}")
+    return config
 
 
 def config_to_dict(config: RoundConfig) -> dict:
@@ -310,11 +317,16 @@ def cmd_security(args) -> int:
     n_rounds = _rounds(args, doc, "security")
     eve_name = args.eve or _setting(doc, "security", "eve")
     eve = _parse_eve(eve_name)
-    if config.ideal_pnr and eve.strategy == "intercept_resend_photon":
+    photon = eve.strategy == "intercept_resend_photon"
+    if config.ideal_pnr and photon:
         raise ConfigError(
             f"round.ideal_pnr, security.eve: the {eve_name} attack needs click decoding; "
             "the ideal-PNR oracle decode never reads the tampered state"
         )
+    try:
+        protocol.check_size(config.n_receivers, checks=not photon)  # atom attacks: check rounds
+    except ValueError as exc:
+        raise ConfigError(f"round: {exc}") from exc
     summary = {
         "config": config_to_dict(config),
         "n_rounds": n_rounds,

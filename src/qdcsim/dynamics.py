@@ -58,6 +58,12 @@ class PhysicalParams:
             raise ValueError(
                 f"underdamped regime required: 2*delta = {2 * self.delta_eff} must exceed k = {self.k}"
             )
+        if not 0.0 < 4.0 * self.delta_eff * self.delta_eff < math.inf:
+            raise ValueError(
+                f"g = {self.g!r}, Omega = {self.Omega!r}, Delta = {self.Delta!r} give "
+                f"delta = g*Omega/Delta = {self.delta_eff!r}, outside the range where the rate "
+                "Omega_k = sqrt(4 delta^2 - k^2) is finite and positive"
+            )
 
     @cached_property
     def delta_eff(self) -> float:

@@ -1,12 +1,13 @@
 """The round engine: a block of protocol rounds as numpy arrays.
 
-Each row of a block is one round on its own
-:class:`~qdcsim.streams.RowStreams` stream, the numpy ``Generator`` of that
-round.  A row takes the draws of the same round computed alone on a dense
-state vector (the Monte-Carlo wavefunction of Dalibard, Castin & Molmer,
-PRL 68, 580 (1992), kept as the reference under ``tests/``), in the same
-order, and makes the same decisions from them; every command runs its
-rounds this way, and a one-round batch is ``qdcsim run``.
+Each row of a block is one round on its own stream, a
+:class:`~qdcsim.streams.RowStreams` row that draws what the round's numpy
+``Generator`` would.  A row takes the draws of the same round computed
+alone on a dense state vector (the Monte-Carlo wavefunction of Dalibard,
+Castin & Molmer, PRL 68, 580 (1992), kept as the reference under
+``tests/``), in the same order, and makes the same decisions from them;
+every command runs its rounds this way, and a one-round batch is
+``qdcsim run``.
 
 The detection window runs in closed form on :func:`jump_tables`.  A start
 holds at most two photons, a jump lowers the photon number by one, and the

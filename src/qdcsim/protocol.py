@@ -71,6 +71,7 @@ _TIE_RTOL = 1e-9
 _SUPPORT_TOL = 1e-10
 _BETA2_FLOOR = 1e-30  # below it the phi basis (beta^2 |11> +- |00>) is degenerate
 _CACHE_SIZE = 64  # entries per compile cache
+MEMORY_BUDGET = 1 << 28  # bytes: the largest array a config may compile (256 MiB)
 
 
 class UnexpectedPhotonSupport(hilbert.HilbertError):
@@ -119,6 +120,7 @@ class RoundConfig:
             raise ValueError("n_receivers must be >= 2")
         if not 0.0 <= self.p_check <= 1.0:
             raise ValueError("p_check must lie in [0, 1]")
+        check_size(self.n_receivers, checks=self.p_check > 0.0)
         if not self.t_window > 0:
             raise ValueError("t_window must be positive")
         if self.t_map is not None:
@@ -156,6 +158,27 @@ class BatchStats:
     psi_click_rate: float | None
     psi_survival_rate: float | None
     wall_time_s: float
+
+
+def check_size(n_receivers: int, checks: bool) -> None:
+    """Raise ValueError, naming ``n_receivers``, where the largest array a
+    config compiles would exceed ``MEMORY_BUDGET``: the detection window's
+    jump vectors, 7 histories x 4 messages x dim complex amplitudes with
+    dim = 4 x 2^n (``lockstep.jump_vectors``), and with ``checks`` a check
+    round law's 2^n x 2^n complex amplitudes (``combo_laws``)."""
+    n = n_receivers + 1
+    try:
+        size = math.ldexp(lockstep.HISTORIES * len(MESSAGES) * 16 * 4, n)
+        if checks:
+            size = max(size, math.ldexp(16, 2 * n))
+    except OverflowError:
+        size = math.inf
+    if size > MEMORY_BUDGET:
+        raise ValueError(
+            f"n_receivers = {n_receivers} needs about {size / 2**30:.3g} GiB for its largest "
+            f"compiled array{' (check tables)' if checks else ''}, above the budget of "
+            f"{MEMORY_BUDGET >> 20} MiB"
+        )
 
 
 # ---------------------------------------------------------------------------

@@ -231,9 +231,9 @@ def cheat_experiment(
     """Guessing game: honest encode rounds, the cheater guesses from its
     partial view via maximum posterior.
 
-    Round draws: the message, a round's check-branch draw
-    (``lockstep.run_block``'s first; the game runs at p_check = 0), the encode round, then the choice among tied
-    messages where more than one ties."""
+    Round draws: the message, a round's check-branch draw (the first draw
+    of ``lockstep.run_block``; the game runs at p_check = 0), the encode
+    round, then the choice among tied messages where more than one ties."""
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
     plan = protocol._plan(config)

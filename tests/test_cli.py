@@ -108,7 +108,7 @@ class TestConfigParsing:
             "round": {
                 "n_receivers": 3, "p_check": 0.25,
                 "t_map": P.transfer_time(PhysicalParams(**params)), "t_window": 2.5,
-                "ideal_pnr": True, "seed": -11,
+                "ideal_pnr": True, "seed": 2**64 - 11,
             },
             "detector": {"efficiency": 0.85, "dark_prob": 0.03},
         }
@@ -224,6 +224,68 @@ class TestRunCommand:
         code, out, err = run_cli([command, "--config", str(path)], capsys)
         assert code == 2 and out == ""
         assert f"config error: {named}" in err
+
+    @pytest.mark.parametrize("command", ["batch", "security", "decode-table"])
+    @pytest.mark.parametrize("section, field, value, named", [
+        ("params", "g", 1e300, "params: g = 1e+300, Omega = 1.0, Delta = 1.0 give"),
+        ("params", "Omega", 1e300, "params: g = 1.0, Omega = 1e+300, Delta = 1.0 give"),
+        ("params", "Delta", 1e-300, "params: g = 1.0, Omega = 1.0, Delta = 1e-300 give"),
+        ("round", "n_receivers", 30, "round: n_receivers = 30 needs about 3.58e+03 GiB"),
+    ])
+    def test_oversized_document_exits_2_before_compiling(self, command, section, field, value,
+                                                         named, tmp_path, capsys, monkeypatch):
+        # Omega_k = sqrt(4 delta^2 - k^2) would overflow, or the layout's
+        # arrays exceed the memory budget: rejected before any layout exists
+        def compile_layout(*args, **kwargs):
+            raise AssertionError("a rejected config compiled a layout")
+
+        monkeypatch.setattr(P, "layout_for", compile_layout)
+        monkeypatch.setattr(P, "_check_context", compile_layout)
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc[section][field] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert f"config error: {named}" in err
+
+    def test_check_tables_sized_for_security(self, tmp_path, capsys, monkeypatch):
+        # 12 receivers compile within the budget, but not the check tables
+        # an atom attack reads
+        monkeypatch.setattr(P, "_check_context", None)
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["round"]["n_receivers"] = 12
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["security", "--config", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert "config error: round: n_receivers = 12 needs about 1 GiB" in err
+        assert "(check tables)" in err
+        doc["round"]["p_check"] = 0.25
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["batch", "--config", str(path)], capsys)
+        assert code == 2 and "(check tables)" in err
+
+    @pytest.mark.parametrize("command", ["batch", "security"])
+    @pytest.mark.parametrize("seed", [2**64, 2**70, -1])
+    def test_seed_outside_64_bits_exits_2(self, command, seed, tmp_path, capsys):
+        # the streams reduce a seed mod 2**64, so it would alias silently
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["round"]["seed"] = seed
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([command, "--config", str(path), "--rounds", "10"], capsys)
+        assert code == 2 and out == ""
+        assert f"config error: round.seed: must lie in [0, 2**64), got {seed}" in err
+        code, out, err = run_cli([command, f"--seed={seed}", "--rounds", "10"], capsys)
+        assert code == 2 and out == ""
+        assert f"config error: --seed: must lie in [0, 2**64), got {seed}" in err
+
+    def test_largest_seed_runs(self, config_path, capsys):
+        code, out, _ = run_cli(["batch", "--config", config_path, "--rounds", "10",
+                                f"--seed={2**64 - 1}"], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["round"]["seed"] == 2**64 - 1
 
     def test_internal_value_error_exits_3(self, config_path, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -59,6 +59,21 @@ class TestParams:
         with pytest.raises(ValueError):
             PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, k=-0.1)
 
+    @pytest.mark.parametrize("g, omega, delta, k", [
+        (1e300, 1.0, 1.0, 0.2),  # delta^2 overflows
+        (1e200, 1e200, 1.0, 0.2),  # delta itself overflows
+        (1.0, 1.0, 1e-300, 0.0),
+        (1e-300, 1.0, 1.0, 0.0),  # 4 delta^2 underflows to 0: Omega_k = 0
+    ])
+    def test_rejects_rates_out_of_range(self, g, omega, delta, k):
+        with pytest.raises(ValueError, match="Omega_k = sqrt"):
+            PhysicalParams(g=g, Omega=omega, Delta=delta, k=k)
+
+    @pytest.mark.parametrize("g, k", [(1e150, 0.2), (5e-155, 0.0)])
+    def test_extreme_rates_in_range(self, g, k):
+        p = PhysicalParams(g=g, Omega=1.0, Delta=1.0, k=k)
+        assert 0.0 < transfer_time(p) < math.inf
+
 
 class TestHamiltonianApply:
     def test_dark_state(self):
