@@ -28,10 +28,10 @@ same Python calls, never by numpy's SIMD versions.
 own draw orders.
 
 :func:`row_blocks` cuts a range of rounds into blocks sized by memory.
-Independent work units (a batch's round ranges, one per process,
-``security``'s experiments, ``sweep``'s windows) can share forked worker
-processes (:func:`fork_map`, :func:`worker_count`); as every round reads
-its own stream, neither blocks nor split change a bit of the result.
+Independent work units (the round ranges of a batch or of ``security``,
+one per process, :func:`map_ranges`; ``sweep``'s windows) can share forked
+worker processes (:func:`fork_map`, :func:`worker_count`); as every round
+reads its own stream, neither blocks nor split change a bit of the result.
 """
 
 from __future__ import annotations
@@ -48,8 +48,12 @@ from .streams import RowStreams, philox_words
 
 ABORT = 4  # decoded-message index of an aborted round
 BLOCK_AMPLITUDES = 1 << 17  # rows x entries of the widest per-row array per block
-_FIRST_WORDS = 4  # Philox blocks (4 words each) computed up front per round
-SPAN = 2048  # rounds per unit of a batch: at most ceil(n_rounds / SPAN) processes
+# Philox blocks (4 words each) computed up front per row, by row kind: a row
+# that may run an encode round draws a varying number (2.46 blocks on
+# average on the benchmark security config), an atom-attack check row
+# exactly 2 + ceil(n_parties / 2) words; a row that needs more extends its stream
+_FIRST_WORDS = {"encode": 4, "check": 1}
+SPAN = 2048  # rows per unit of a round range: at most ceil(rows / SPAN) processes
 _PIPE_BYTES = 1 << 20  # the most a worker's pipe is grown to hold
 BREAK_EVEN_ROUNDS = 6144  # fewer rounds in all run in process: a fork would not pay (README)
 HISTORIES = 7  # jump histories of a window: none, +, -, ++, +-, -+, --
@@ -177,15 +181,23 @@ class Rounds:
         )
 
 
-def row_blocks(seed: int, start: int, stop: int, width: int):
-    """Yield the :class:`RowStreams` of rounds ``start .. stop-1`` of the
-    batch with ``seed`` in blocks of ``max(1, BLOCK_AMPLITUDES // width)``
-    rounds, the last maybe short (``width``: entries of the caller's widest
-    per-row array); one call computes each block's first Philox words."""
-    step = max(1, BLOCK_AMPLITUDES // width)
+def row_blocks(seed: int, start: int, stop: int, width: int, kind: str = "encode",
+               games: int = 1):
+    """Yield the :class:`RowStreams` of rounds ``start .. stop-1`` of
+    ``games`` games side by side, game g on the streams of seed
+    ``seed + g`` (mod 2**64), in blocks of
+    ``max(1, BLOCK_AMPLITUDES // (width * games))`` rounds, the last maybe
+    short (``width``: entries of the caller's widest per-row array).  A
+    block's rows are game-major: row ``g * m + j`` is round ``lo + j`` of
+    game g.  One call computes each block's first Philox words,
+    ``_FIRST_WORDS[kind]`` blocks of them per row."""
+    step = max(1, BLOCK_AMPLITUDES // (width * games))
+    game_seeds = np.array([(seed + g) % 2**64 for g in range(games)], dtype=np.uint64)
     for lo in range(start, stop, step):
         indices = np.arange(lo, min(lo + step, stop))
-        yield RowStreams(seed, indices, philox_words(seed, indices, 0, _FIRST_WORDS))
+        seeds = seed if games == 1 else np.repeat(game_seeds, len(indices))
+        indices = np.tile(indices, games)
+        yield RowStreams(seeds, indices, philox_words(seeds, indices, 0, _FIRST_WORDS[kind]))
 
 
 # ---------------------------------------------------------------------------
@@ -202,6 +214,18 @@ def worker_count(workers: int, units: int, rounds: int) -> int:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     return max(1, min(workers, cpus or 1, units))
+
+
+def map_ranges(task, n_rounds: int, rows_per_round: int, workers: int) -> list:
+    """``task(bounds)`` for each of :func:`worker_count` near-equal
+    contiguous ranges ``bounds = (lo, hi)`` of ``n_rounds`` rounds, one per
+    process (:func:`fork_map`), in round order.  The units are the
+    ``SPAN``-row shares of the ``rows_per_round * n_rounds`` rows the
+    rounds simulate."""
+    rows = rows_per_round * n_rounds
+    workers = worker_count(workers, -(-rows // SPAN), rows)
+    ranges = [(n_rounds * w // workers, n_rounds * (w + 1) // workers) for w in range(workers)]
+    return fork_map(task, ranges, workers)
 
 
 def fork_map(task, units, workers: int) -> list:
@@ -453,15 +477,21 @@ def window_rounds(plan, streams: RowStreams, rows, tables: JumpTables, start: np
     """The :func:`window`, receiver bits and decode of every row, starting
     from start state ``start`` of ``tables``."""
     q, hist = window(plan.config, tables, streams, rows, start, res)
-    code = _sample_bits(streams, rows, (q[:, :, None] * tables.bits[start, hist]).sum(axis=1))
+    # sum over sectors n of q[n] * bits[n], in sector order, one (rows, bit
+    # codes) term at a time: a block never holds all sectors' terms at once
+    weights = q[:, 0, None] * tables.bits[start, hist, 0]
+    for n in range(1, SECTORS):
+        weights += q[:, n, None] * tables.bits[start, hist, n]
+    code = _sample_bits(streams, rows, weights)
     res.bits[rows] = code
     res.decoded[rows] = plan.decoded[res.clicks[rows, 0], res.clicks[rows, 1], code]
 
 
 def _sample_bits(streams: RowStreams, rows, weights: np.ndarray) -> np.ndarray:
     """Each row's receiver bit code, drawn from its end-of-window bit-code
-    ``weights`` (uniform where they are numerically empty)."""
-    cum = np.cumsum(weights, axis=1)
+    ``weights`` (uniform where they are numerically empty), which are
+    overwritten by their running sums."""
+    cum = np.cumsum(weights, axis=1, out=weights)
     total = cum[:, -1]
     code = np.zeros(len(rows), dtype=np.int64)
     empty = total <= 1e-30

@@ -797,7 +797,7 @@ def run_batch(
     rounds run in lockstep blocks (:func:`qdcsim.lockstep.row_blocks`),
     each row on its own stream, so a row's result does not depend on its block.
     Each of :func:`qdcsim.lockstep.worker_count` processes runs one
-    near-equal contiguous range of rounds (:func:`qdcsim.lockstep.fork_map`;
+    near-equal contiguous range of rounds (:func:`qdcsim.lockstep.map_ranges`;
     one range, in process, at ``workers`` = 1), with the same result.
     ``on_log(lines)`` receives the round-log lines (JSON, no newline) of
     each range, in round order.
@@ -810,12 +810,10 @@ def run_batch(
     msg_ids = np.array([_MSG_INDEX[m] for m in (MESSAGES if messages is None else messages)])
 
     t0 = time.perf_counter()
-    workers = lockstep.worker_count(workers, -(-n_rounds // lockstep.SPAN), n_rounds)
-    ranges = [(n_rounds * w // workers, n_rounds * (w + 1) // workers) for w in range(workers)]
     counts = np.zeros(26, dtype=np.int64)
-    for range_counts, lines in lockstep.fork_map(
+    for range_counts, lines in lockstep.map_ranges(
         lambda bounds: _range_part(plan, seed, bounds, msg_ids, on_log is not None),
-        ranges, workers,
+        n_rounds, 1, workers,
     ):
         counts += range_counts
         if on_log is not None:

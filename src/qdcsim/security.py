@@ -200,7 +200,9 @@ def optimal_guess_rate(
 # round the experiment describes (an encode round, a tampered check round, a
 # tampered encode round), in the same order, from tables compiled once per
 # call with the expressions that round evaluates, so it reproduces that
-# round, computed on its own, bit for bit.
+# round, computed on its own, bit for bit.  An experiment compiles to a
+# function of (seed, round range) that returns integer counters, so any
+# split of the rounds into ranges adds up to the same counters.
 
 
 def _guess_tables(cheater: ViewSpec, config: RoundConfig, plan,
@@ -221,6 +223,62 @@ def _guess_tables(cheater: ViewSpec, config: RoundConfig, plan,
     return n_tied, np.moveaxis(tied, 0, -1)
 
 
+def _guessing_games(views: Sequence[ViewSpec], config: RoundConfig,
+                    messages: Sequence[Message]):
+    """The guessing games of ``views`` as one lockstep pass: honest encode
+    rounds, each cheater guessing from its partial view via maximum
+    posterior.  Returns the function of (seed, round range) that counts,
+    per game, (hits, rounds with a click, hits among them); game g runs on
+    the streams of seed + g.
+
+    Round draws: the message, a round's check-branch draw (the first draw
+    of ``lockstep.run_block``; the game runs at p_check = 0), the encode
+    round, then the choice among tied messages where more than one ties."""
+    plan = protocol._plan(config)
+    msgs = tuple(messages)
+    msg_ids = np.array([protocol._MSG_INDEX[m] for m in msgs])
+    tables = [_guess_tables(view, config, plan, msgs) for view in views]
+    n_tied, tied = np.stack([n for n, _ in tables]), np.stack([t for _, t in tables])
+    width, games = plan.row_width(checks=False), len(views)
+
+    def run(seed: int, bounds: tuple[int, int]) -> np.ndarray:
+        counts = np.zeros((games, 3), dtype=np.int64)
+        for streams in lockstep.row_blocks(seed, *bounds, width, games=games):
+            rows = np.arange(len(streams))
+            r = lockstep.Rounds.empty(len(rows))
+            sent = msg_ids[streams.integers(rows, len(msgs))]
+            streams.random(rows)  # the check-branch draw
+            lockstep.encode_rounds(plan, streams, rows, sent, r)
+            obs = (rows // (len(rows) // games), r.clicks[:, 0], r.clicks[:, 1], r.bits)
+            n = n_tied[obs]
+            choice = np.zeros(len(rows), dtype=np.int64)
+            for size in np.unique(n[n > 1]).tolist():
+                ties = rows[n == size]
+                choice[ties] = streams.integers(ties, size)
+            hit = tied[obs + (choice,)] == sent
+            clicked = r.clicks.sum(axis=1) > 0
+            counts += np.stack((hit, clicked, hit & clicked), axis=1).reshape(
+                games, -1, 3).sum(axis=1)
+        return counts
+
+    return run
+
+
+def _cheat_result(n_rounds: int, hits: int, n_click: int, hits_click: int) -> CheatResult:
+    rate_all = hits / n_rounds
+    rate_click = hits_click / n_click if n_click else None
+    return CheatResult(
+        n_rounds=n_rounds,
+        n_clicked=n_click,
+        rate_all=rate_all,
+        rate_given_click=rate_click,
+        stderr_all=math.sqrt(max(rate_all * (1 - rate_all), 0.0) / n_rounds),
+        stderr_given_click=(
+            math.sqrt(max(rate_click * (1 - rate_click), 0.0) / n_click) if n_click else None
+        ),
+    )
+
+
 def cheat_experiment(
     cheater: ViewSpec,
     config: RoundConfig,
@@ -229,48 +287,12 @@ def cheat_experiment(
     messages: Sequence[Message] = MESSAGES,
 ) -> CheatResult:
     """Guessing game: honest encode rounds, the cheater guesses from its
-    partial view via maximum posterior.
-
-    Round draws: the message, a round's check-branch draw (the first draw
-    of ``lockstep.run_block``; the game runs at p_check = 0), the encode
-    round, then the choice among tied messages where more than one ties."""
+    partial view via maximum posterior (the one-view pass of
+    :func:`_guessing_games`)."""
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    plan = protocol._plan(config)
-    msgs = tuple(messages)
-    msg_ids = np.array([protocol._MSG_INDEX[m] for m in msgs])
-    n_tied, tied = _guess_tables(cheater, config, plan, msgs)
-    hits_all = hits_click = n_click = 0
-    for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.row_width(checks=False)):
-        rows = np.arange(len(streams))
-        r = lockstep.Rounds.empty(len(rows))
-        sent = msg_ids[streams.integers(rows, len(msgs))]
-        streams.random(rows)  # the check-branch draw
-        lockstep.encode_rounds(plan, streams, rows, sent, r)
-        obs = (r.clicks[:, 0], r.clicks[:, 1], r.bits)
-        n = n_tied[obs]
-        choice = np.zeros(len(rows), dtype=np.int64)
-        for size in np.unique(n[n > 1]).tolist():
-            ties = rows[n == size]
-            choice[ties] = streams.integers(ties, size)
-        hit = tied[obs + (choice,)] == sent
-        clicked = r.clicks.sum(axis=1) > 0
-        hits_all += int(hit.sum())
-        n_click += int(clicked.sum())
-        hits_click += int((hit & clicked).sum())
-    rate_all = hits_all / n_rounds
-    result_click = hits_click / n_click if n_click else None
-    return CheatResult(
-        n_rounds=n_rounds,
-        n_clicked=n_click,
-        rate_all=rate_all,
-        rate_given_click=result_click,
-        stderr_all=math.sqrt(max(rate_all * (1 - rate_all), 0.0) / n_rounds),
-        stderr_given_click=(
-            math.sqrt(max(result_click * (1 - result_click), 0.0) / n_click)
-            if n_click else None
-        ),
-    )
+    counts = _guessing_games([cheater], config, messages)(seed, (0, n_rounds))
+    return _cheat_result(n_rounds, *counts[0].tolist())
 
 
 def _collapses(weights: np.ndarray, collapse, dim: int) -> list[np.ndarray]:
@@ -300,9 +322,10 @@ def _eve_branches(eve: EveModel, n_parties: int) -> np.ndarray:
     ])
 
 
-def _atom_attack(eve: EveModel, config: RoundConfig, n_rounds: int, seed: int):
-    """Parity-check rounds with Eve's atom measurement as the tamper:
-    (conclusive rounds, violations).
+def _atom_attack(eve: EveModel, config: RoundConfig):
+    """Parity-check rounds with Eve's atom measurement as the tamper: the
+    function of (seed, round range) that counts (conclusive rounds,
+    violations).
 
     Round draws: Eve's outcome (none without an attack), the basis combo,
     the parties' outcome, each from the laws of :func:`_eve_branches`."""
@@ -314,19 +337,22 @@ def _atom_attack(eve: EveModel, config: RoundConfig, n_rounds: int, seed: int):
         weights = (np.abs(branches) ** 2).sum(axis=1)
         laws = np.array([protocol.combo_laws(b, config.n_parties) for b in branches])
         cum, total = np.cumsum(laws, axis=2), laws.sum(axis=2)
-    conclusive = violations = 0
-    for streams in lockstep.row_blocks(seed, 0, n_rounds, ctx.layout.dim):
-        rows = np.arange(len(streams))
-        branch = np.zeros(len(rows), dtype=np.int64)
-        if weights is not None:
-            branch = lockstep.pick(np.cumsum(weights), streams.random(rows) * weights.sum())
-        combo, outcome = lockstep.check_rounds(
-            streams, rows, config.n_parties, cum, total, branch
-        )
-        decided = ctx.conclusive[combo]
-        conclusive += int(decided.sum())
-        violations += int((decided & ~ctx.passed[combo, outcome]).sum())
-    return conclusive, violations
+
+    def run(seed: int, bounds: tuple[int, int]) -> np.ndarray:
+        counts = np.zeros(2, dtype=np.int64)
+        for streams in lockstep.row_blocks(seed, *bounds, ctx.layout.dim, kind="check"):
+            rows = np.arange(len(streams))
+            branch = np.zeros(len(rows), dtype=np.int64)
+            if weights is not None:
+                branch = lockstep.pick(np.cumsum(weights), streams.random(rows) * weights.sum())
+            combo, outcome = lockstep.check_rounds(
+                streams, rows, config.n_parties, cum, total, branch
+            )
+            decided = ctx.conclusive[combo]
+            counts += [decided.sum(), (decided & ~ctx.passed[combo, outcome]).sum()]
+        return counts
+
+    return run
 
 
 def _photon_starts(plan, psi_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -343,10 +369,10 @@ def _photon_starts(plan, psi_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return weights, amps
 
 
-def _photon_attack(config: RoundConfig, n_rounds: int, seed: int):
+def _photon_attack(config: RoundConfig):
     """Encode rounds of psi+ or psi- with cavity A's photon number measured
-    before the window (a tampered encode round): (conclusive rounds,
-    wrong decodes).
+    before the window (a tampered encode round): the function of (seed,
+    round range) that counts (conclusive rounds, wrong decodes).
 
     Round draws: the message, Eve's outcome, the window.  Each round starts
     from the collapsed state of its (message, outcome), built by
@@ -359,18 +385,37 @@ def _photon_attack(config: RoundConfig, n_rounds: int, seed: int):
     cum = np.array([np.cumsum(w) for w in weights])
     total = np.array([w.sum() for w in weights])
     tables = lockstep.jump_tables(plan.info, amps)
-    conclusive = violations = 0
-    for streams in lockstep.row_blocks(seed, 0, n_rounds, tables.width):
-        rows = np.arange(len(streams))
-        r = lockstep.Rounds.empty(len(rows))
-        which = streams.integers(rows, 2)
-        outcome = lockstep.pick(cum[which], streams.random(rows) * total[which])
-        start = which * weights.shape[1] + outcome
-        lockstep.window_rounds(plan, streams, rows, tables, start, r)
-        decided = r.decoded != lockstep.ABORT
-        conclusive += int(decided.sum())
-        violations += int((decided & (r.decoded != psi_ids[which])).sum())
-    return conclusive, violations
+
+    def run(seed: int, bounds: tuple[int, int]) -> np.ndarray:
+        counts = np.zeros(2, dtype=np.int64)
+        for streams in lockstep.row_blocks(seed, *bounds, tables.width):
+            rows = np.arange(len(streams))
+            r = lockstep.Rounds.empty(len(rows))
+            which = streams.integers(rows, 2)
+            outcome = lockstep.pick(cum[which], streams.random(rows) * total[which])
+            start = which * weights.shape[1] + outcome
+            lockstep.window_rounds(plan, streams, rows, tables, start, r)
+            decided = r.decoded != lockstep.ABORT
+            counts += [decided.sum(), (decided & (r.decoded != psi_ids[which])).sum()]
+        return counts
+
+    return run
+
+
+def _attack(eve: EveModel, config: RoundConfig):
+    """The compiled eavesdrop experiment of ``eve``: a function of (seed,
+    round range) that counts (conclusive rounds, violations)."""
+    if eve.strategy == "intercept_resend_photon":
+        return _photon_attack(config)
+    return _atom_attack(eve, config)
+
+
+def _eve_result(n_rounds: int, conclusive: int, violations: int) -> EveResult:
+    rate = violations / conclusive if conclusive else None
+    stderr = (
+        math.sqrt(max(rate * (1 - rate), 0.0) / conclusive) if conclusive else None
+    )
+    return EveResult(n_rounds, conclusive, violations, rate, stderr)
 
 
 def eavesdrop_experiment(
@@ -385,15 +430,8 @@ def eavesdrop_experiment(
     """
     if n_check_rounds < 1:
         raise ValueError("n_check_rounds must be >= 1")
-    if eve.strategy == "intercept_resend_photon":
-        conclusive, violations = _photon_attack(config, n_check_rounds, seed)
-    else:
-        conclusive, violations = _atom_attack(eve, config, n_check_rounds, seed)
-    rate = violations / conclusive if conclusive else None
-    stderr = (
-        math.sqrt(max(rate * (1 - rate), 0.0) / conclusive) if conclusive else None
-    )
-    return EveResult(n_check_rounds, conclusive, violations, rate, stderr)
+    counts = _attack(eve, config)(seed, (0, n_check_rounds))
+    return _eve_result(n_check_rounds, *counts.tolist())
 
 
 def exact_eve_detection_rate(eve: EveModel, n_parties: int = 3) -> float:
@@ -423,27 +461,38 @@ def standard_views(config: RoundConfig) -> dict[str, ViewSpec]:
     }
 
 
+_GAMES = ("bob_alone", "charlie_alone", "collaboration")  # on seeds seed + 0, 1, 2
+
+
 def security_summary(
     config: RoundConfig, n_rounds: int, seed: int, eve: EveModel | None = None,
     workers: int = 1,
 ) -> dict:
     """Headline rates: Bob alone (given a click), Charlie alone, full
     collaboration (given a click), the derived composite 1 - charlie_alone,
-    and eavesdropper detection for the chosen attack.  With ``workers`` > 1
-    the four experiments are shared by forked processes
-    (:func:`qdcsim.lockstep.fork_map`), with the same rates."""
+    and eavesdropper detection for the chosen attack, on seed + 3.
+
+    Like :func:`qdcsim.protocol.run_batch`, the rounds are split into
+    near-equal contiguous ranges, one per process
+    (:func:`qdcsim.lockstep.map_ranges`, counting 4 rows per round); each
+    range runs the three guessing games as one lockstep pass, then the
+    eavesdropper's rounds.  The counters are integer sums, so the rates do
+    not depend on ``workers``."""
+    if n_rounds < 1:
+        raise ValueError("n_rounds must be >= 1")
     views = standard_views(config)
     eve = eve if eve is not None else EveModel("intercept_resend_atom", basis="z", target=0)
-    experiments = [
-        lambda: cheat_experiment(views["bob_alone"], config, n_rounds, seed),
-        lambda: cheat_experiment(views["charlie_alone"], config, n_rounds, seed + 1),
-        lambda: cheat_experiment(views["collaboration"], config, n_rounds, seed + 2),
-        lambda: eavesdrop_experiment(eve, config, n_rounds, seed + 3),
-    ]
-    workers = lockstep.worker_count(workers, len(experiments), len(experiments) * n_rounds)
-    if workers > 1:
-        protocol._plan(config)  # compiled once, before the fork
-    bob, charlie, collab, eve_result = lockstep.fork_map(lambda run: run(), experiments, workers)
+    games = _guessing_games([views[name] for name in _GAMES], config, MESSAGES)
+    attack = _attack(eve, config)  # compiled once, before any fork
+    parts = lockstep.map_ranges(
+        lambda bounds: (games(seed, bounds), attack(seed + len(_GAMES), bounds)),
+        n_rounds, len(_GAMES) + 1, workers,
+    )
+    bob, charlie, collab = (
+        _cheat_result(n_rounds, *counts)
+        for counts in sum(counts for counts, _ in parts).tolist()
+    )
+    eve_result = _eve_result(n_rounds, *sum(counts for _, counts in parts).tolist())
     return {
         "bob_alone": bob.rate_given_click,
         "bob_alone_stderr": bob.stderr_given_click,

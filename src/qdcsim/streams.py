@@ -1,7 +1,8 @@
 """Per-round Philox streams for many rounds at once.
 
 Round ``i`` of a batch with seed ``s`` draws from the numpy ``Generator``
-on ``Philox(key=[s mod 2**64, i])``.  Philox-4x64-10 is counter based
+on ``Philox(key=[s mod 2**64, i])``; a block of rows may mix seeds, one
+per row.  Philox-4x64-10 is counter based
 (Salmon et al., SC'11): word ``j`` of a stream is lane ``j % 4`` of the
 block cipher applied to counter ``j // 4 + 1`` (numpy increments the
 counter before each block), so any word of any round can be computed
@@ -52,10 +53,16 @@ def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
     return a_hi, a * np.uint64(m)
 
 
-def philox_words(seed: int, indices: np.ndarray, first_block: int, n_blocks: int) -> np.ndarray:
+def philox_words(seed: int | np.ndarray, indices: np.ndarray, first_block: int,
+                 n_blocks: int) -> np.ndarray:
     """Words ``4*first_block`` up to ``4*(first_block + n_blocks)`` of the
-    streams ``Philox(key=[seed, index])``, one row per index."""
-    key0, key1 = np.uint64(seed & _MASK64), np.asarray(indices, dtype=np.uint64)[:, None]
+    streams ``Philox(key=[seed, index])``, one row per index; ``seed`` is
+    one int for every row, or a uint64 array with one seed per row."""
+    key1 = np.asarray(indices, dtype=np.uint64)[:, None]
+    if np.ndim(seed):
+        key0 = np.asarray(seed, dtype=np.uint64)[:, None]
+    else:
+        key0 = np.uint64(int(seed) & _MASK64)
     # the counter (1, n_blocks) and zero words broadcast: rounds 0-1 run on small operands
     c0 = np.arange(first_block + 1, first_block + n_blocks + 1, dtype=np.uint64)[None]
     c1 = c2 = c3 = np.uint64(0)
@@ -75,9 +82,10 @@ class RowStreams:
     """One numpy-``Generator``-equivalent stream per row; every draw method
     takes the rows (int array) that draw, in any order."""
 
-    def __init__(self, seed: int, indices: np.ndarray, words: np.ndarray):
+    def __init__(self, seed: int | np.ndarray, indices: np.ndarray, words: np.ndarray):
         """``words`` holds the first whole Philox blocks of each row's stream
-        (:func:`philox_words`); later words are computed when first drawn."""
+        (:func:`philox_words` of ``seed`` and ``indices``); later words are
+        computed when first drawn."""
         self._seed = seed
         self._indices = np.asarray(indices, dtype=np.uint64)
         self.words = words

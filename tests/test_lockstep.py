@@ -83,6 +83,45 @@ class TestPhiloxWords:
             want = np.random.Generator(np.random.Philox(key=key)).random(40)
             assert row.tolist() == want.tolist()
 
+    @pytest.mark.parametrize("first_block, n_blocks", [(0, 1), (0, 4), (3, 2)])
+    def test_per_row_seeds(self, first_block, n_blocks):
+        # one seed per row: each row is the stream of its own (seed, index),
+        # MASK64 and the seed + 1 that wraps to 0 included
+        seeds = [MASK64, 0, 5, MASK64, 2**63, 0]
+        indices = [0, 0, 7, 2**40, MASK64, 3]
+        words = philox_words(np.array(seeds, dtype=np.uint64), np.array(indices, dtype=np.uint64),
+                             first_block, n_blocks)
+        for row, seed, index in zip(words, seeds, indices):
+            want = reference_words(seed, index, 4 * (first_block + n_blocks))
+            np.testing.assert_array_equal(row, want[4 * first_block:])
+
+    def test_per_row_seed_streams_extend(self):
+        seeds = np.array([MASK64, 0, 11], dtype=np.uint64)
+        indices = np.array([4, 4, 2**33], dtype=np.uint64)
+        streams = RowStreams(seeds, indices, philox_words(seeds, indices, 0, 1))
+        rows = np.arange(len(indices))
+        got = np.array([streams.random(rows) for _ in range(10)]).T
+        for row, seed, index in zip(got, seeds.tolist(), indices.tolist()):
+            key = np.array([seed, index], dtype=np.uint64)
+            assert row.tolist() == np.random.Generator(np.random.Philox(key=key)).random(10).tolist()
+
+    @pytest.mark.parametrize("kind, n_blocks", [("encode", 4), ("check", 1)])
+    def test_games_side_by_side(self, kind, n_blocks):
+        # row g * m + j of a block is round lo + j of game g, on seed + g mod
+        # 2**64; blocks hold BLOCK_AMPLITUDES // (width * games) rounds
+        width, games = lockstep.BLOCK_AMPLITUDES // 40, 3
+        blocks = list(lockstep.row_blocks(MASK64 - 1, 5, 40, width, kind, games))
+        assert [len(b) for b in blocks] == [39, 39, 27]  # 13, 13 and 9 rounds of 3 games
+        lo = 5
+        for streams in blocks:
+            m = len(streams) // games
+            assert streams.words.shape == (len(streams), 4 * n_blocks)
+            for g in range(games):
+                for j in range(m):
+                    want = reference_words(MASK64 - 1 + g, lo + j, 4 * n_blocks)
+                    np.testing.assert_array_equal(streams.words[g * m + j], want)
+            lo += m
+
     @pytest.mark.parametrize("m", [*_MULTIPLIERS, 1, 2**32 - 1, MASK64])
     def test_mulhilo_exact(self, m):
         edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 2**32, MASK64]
@@ -311,7 +350,7 @@ class TestEngineEqualsOracle:
 
     def test_words_past_the_first_blocks(self, monkeypatch):
         # with one Philox block up front most rounds draw past it
-        monkeypatch.setattr(P.lockstep, "_FIRST_WORDS", 1)
+        monkeypatch.setattr(P.lockstep, "_FIRST_WORDS", {"encode": 1, "check": 1})
         for k in (0.0, 0.2):
             config = make_config(k=k, detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
             assert_engine_matches(config, 600, 8, MESSAGES)

@@ -10,6 +10,7 @@ from qdcsim.dynamics import PhysicalParams
 from qdcsim.hilbert import Message, MESSAGES, StateVector
 from qdcsim import protocol as P
 from qdcsim import security as S
+from qdcsim import streams
 from qdcsim.security import (
     EveModel,
     InconsistentObservation,
@@ -424,6 +425,62 @@ class TestLockstepEqualsScalar:
         )
         eve = EveModel("intercept_resend_atom", basis="x", target=1)
         assert eavesdrop_experiment(eve, cfg, 2600, 3) == oracle_eve(eve, cfg, 2600, 3)
+
+    @pytest.mark.parametrize("eve", [
+        EveModel("intercept_resend_atom", basis="z", target=0), EveModel("intercept_resend_photon"),
+    ], ids=["atom-z", "photon"])
+    def test_summary_equals_the_oracles(self, eve, monkeypatch, many_cpus, forks):
+        # the three games on seeds s, s+1, s+2 and the eavesdropper on s+3,
+        # in one process and in three (ranges of 866, 867 and 867 rounds),
+        # each range over several blocks
+        cfg = diff_config(3, 0.2, (0.9, 0.05))
+        seed, n_rounds = 9, 2600
+        views = S.standard_views(cfg)
+        bob, charlie, collab = (
+            oracle_cheat(views[name], cfg, n_rounds, seed + g)
+            for g, name in enumerate(("bob_alone", "charlie_alone", "collaboration"))
+        )
+        eve_result = oracle_eve(eve, cfg, n_rounds, seed + 3)
+        want = {
+            "bob_alone": bob.rate_given_click,
+            "bob_alone_stderr": bob.stderr_given_click,
+            "charlie_alone": charlie.rate_all,
+            "charlie_alone_stderr": charlie.stderr_all,
+            "collaboration": collab.rate_given_click,
+            "collaboration_stderr": collab.stderr_given_click,
+            "composite_bob": 1.0 - charlie.rate_all,
+            "eve_detection_rate": eve_result.detection_rate,
+            "eve_detection_stderr": eve_result.stderr,
+            "eve_conclusive_rounds": eve_result.conclusive_rounds,
+        }
+        monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 1 << 13)
+        assert n_rounds // 3 > (1 << 13) // (3 * P._plan(cfg).row_width(checks=False))
+        for workers, processes in ((1, 1), (3, 3)):
+            got = S.security_summary(cfg, n_rounds, seed, eve, workers=workers)
+            assert len(forks) == processes - 1
+            forks.clear()
+            assert {key: got[key] for key in want} == want
+
+    def test_check_rows_extend_past_their_first_block(self, monkeypatch):
+        # at 10 parties an atom-attack check row draws 1 + 5 + 1 = 7 words:
+        # one Philox block up front, then the stream extends
+        cfg = config(n_receivers=9)
+        eve = EveModel("intercept_resend_atom", basis="x", target=9)
+        calls, philox_words = [], P.lockstep.philox_words
+
+        def recorded(seed, indices, first_block, n_blocks):
+            calls.append((first_block, n_blocks))
+            return philox_words(seed, indices, first_block, n_blocks)
+
+        monkeypatch.setattr(P.lockstep, "philox_words", recorded)  # the first blocks
+        monkeypatch.setattr(streams, "philox_words", recorded)  # the extensions
+        got = eavesdrop_experiment(eve, cfg, 200, seed=4)
+        assert calls == [(0, 1), (1, 1)] * 2  # blocks of 128 and 72 rounds (width 1024)
+        assert got == oracle_eve(eve, cfg, 200, 4)
+        monkeypatch.setattr(P.lockstep, "_FIRST_WORDS", {"encode": 4, "check": 4})
+        calls.clear()
+        assert eavesdrop_experiment(eve, cfg, 200, seed=4) == got
+        assert calls == [(0, 4)] * 2
 
     def test_summary_does_not_depend_on_block_size(self, monkeypatch):
         # no row reads another row of its block

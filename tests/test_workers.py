@@ -22,33 +22,11 @@ N_ROUNDS = 8 * lockstep.SPAN + 300  # 9 units of SPAN rounds, the last short: at
 
 
 @pytest.fixture()
-def many_cpus(monkeypatch):
-    """16 usable CPUs, whatever the host has, so that 9 workers start."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)), raising=False)
-
-
-@pytest.fixture()
 def no_fork(monkeypatch, many_cpus):
     def fork():
         raise AssertionError("a process was started")
 
     monkeypatch.setattr(os, "fork", fork)
-
-
-@pytest.fixture()
-def forks(monkeypatch):
-    """Counts the processes started (the calls run in this process)."""
-    started = []
-    real = os.fork
-
-    def fork():
-        pid = real()
-        if pid:
-            started.append(pid)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    return started
 
 
 def no_child_left():
