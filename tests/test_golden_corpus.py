@@ -1,6 +1,8 @@
 """The golden corpus: the sha256 of every file the CLI emits, manifests
-included, on CI's smoke commands plus ``run``, ``decode-table`` and
-``feasibility``, at a few hundred rounds.
+included, and of every command's stdout, on CI's smoke commands plus
+``run``, ``decode-table`` and ``feasibility``, at a few hundred rounds.
+``batch`` reports its wall time on stdout, so that number is replaced by a
+fixed token before hashing.
 
 Each command runs in one scratch directory with relative ``--config`` and
 ``--out`` paths, so the manifests' bytes do not depend on where the suite
@@ -12,6 +14,7 @@ re-pins the digests it moves and records the old and new ones.
 import contextlib
 import hashlib
 import io
+import re
 import shutil
 from pathlib import Path
 
@@ -101,30 +104,57 @@ DIGESTS = {
 }
 
 
+# output directory -> sha256 of the command's stdout, wall time replaced
+STDOUT_DIGESTS = {
+    "batch": "15efab8d76f66494c3a8bda949667a00f8abed47e1a7b381f27ef00654b3108b",
+    "sweep": "cccd5adafdec784ae1277250f63c98a55bd1a9915c97c86a59a6ffee7088bf16",
+    "security": "6b8c4983f5c10dac821b523dffe09a8f86d1e47768909864ee592917e204b1dd",
+    "wide-batch": "9bd4fe1d7fa3600b3d7068dc4e11d061d602456009d25589d67cae977641a377",
+    "wide-security": "65fb335009b4bb1b0e84fdcafc517dec6ac4f0519addb69b63b1c9f0edcb872f",
+    "wide-photon-security": "57bdb24646557e2c05e490b561e4894a27929ee875f19576ca16c518550bf83c",
+    "photon-security": "1aa8b0168498b013052174436f5c542aac7f8d57fb6bd52521c31f58222fea72",
+    "k0-batch": "a866818ce4f0a9b65ed387aabb600c0678214d586d6b06cf6e0f1440eb4ca4e0",
+    "pnr-batch": "ff2fda994a1d937aca72d3f4c1536d74ed06ac9d20e1571032fd822922c2490c",
+    "many-batch": "e70600db4a1c088f0c986cf383322b323e9c0fcb043004ec2ba851c8acf5ab29",
+    "many-security": "a36c1dd2c081d46e081f5e3d7ecf79b3d9bc0d2274aafbdb3dea2807529f5abd",
+    "run": "daf81af6b525953a7ad66be6341d326d8df9a4459f8cea44bb1d44bffdfe8d9d",
+    "wide-run": "1de4a88da62cb05ae9471350c2bb59ed5681edae8db2a728ba68fe6a6c88520c",
+    "decode-table": "8f31959ba15022ec3d52faa7cb46daf1585f865e267b7932f413054f7c17d7b0",
+    "pnr-decode-table": "c6f8f0020433616ba58b44a88782aa703280ca6d778f458e9675361326d72455",
+    "feasibility": "ca60020d3e1398f5b7920e84db9659c01586d6135dea26348d0594d4bd0f5319",
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
 @pytest.fixture(scope="module")
 def corpus(tmp_path_factory):
     """Runs every command in one scratch directory holding CI's configs:
-    each command's exit code, and the sha256 of every emitted file by its
-    relative path."""
+    each command's exit code, the sha256 of every emitted file by its
+    relative path, and the sha256 of each command's stdout."""
     root = tmp_path_factory.mktemp("corpus")
     for config in CONFIGS.glob("*.json"):
         shutil.copy(config, root)
-    codes = {}
+    codes, stdouts = {}, {}
     with pytest.MonkeyPatch.context() as mp:
         mp.chdir(root)
         for out, argv in COMMANDS.items():
-            with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stdout(io.StringIO()) as stdout:
                 codes[out] = cli.main([*argv, "--out", out])
+            text = re.sub(r'"wall_time_s": [^,}]+', '"wall_time_s": <float>', stdout.getvalue())
+            stdouts[out] = _sha256(text.encode())
     digests = {
-        path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        path.relative_to(root).as_posix(): _sha256(path.read_bytes())
         for out in COMMANDS for path in sorted((root / out).glob("*"))
     }
-    return codes, digests
+    return codes, digests, stdouts
 
 
 @pytest.mark.parametrize("out", COMMANDS)
 def test_command_bytes(out, corpus):
-    codes, digests = corpus
+    codes, digests, _ = corpus
     assert codes[out] == 0
     got = {path: digest for path, digest in digests.items() if path.split("/")[0] == out}
     assert got == {path: digest for path, digest in DIGESTS.items() if path.split("/")[0] == out}
@@ -133,3 +163,12 @@ def test_command_bytes(out, corpus):
 def test_corpus_covers_every_emitted_file(corpus):
     assert set(corpus[1]) == set(DIGESTS)
     assert {path.split("/")[0] for path in DIGESTS} == set(COMMANDS)
+
+
+@pytest.mark.parametrize("out", COMMANDS)
+def test_command_stdout(out, corpus):
+    assert corpus[2][out] == STDOUT_DIGESTS[out]
+
+
+def test_stdout_of_every_command_pinned():
+    assert set(STDOUT_DIGESTS) == set(COMMANDS)
