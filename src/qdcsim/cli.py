@@ -2,13 +2,16 @@
 
 One JSON config document with sections {params, round, detector, security,
 feasibility, sweep}; subcommands run / batch / sweep / security /
-feasibility / decode-table.  All randomness flows from the single manifest
-seed; float values serialize via Python's shortest round-trip repr, so
-re-running a manifest reproduces identical bytes.  Wall-clock timing is
-reported on stdout only, never in emitted files.
+feasibility / decode-table.  Each subcommand is a function of (arguments,
+config document) that returns its stdout text and its files by name;
+:func:`main` alone loads the document and writes stdout, the files and
+``manifest.json``.  All randomness flows from the round config's seed;
+float values serialize via Python's shortest round-trip repr, so re-running
+a manifest reproduces identical bytes.  Wall-clock timing is reported on
+stdout only, never in emitted files.
 
-Exit codes: 0 success, 2 configuration error, 3 internal invariant
-violation.
+Exit codes: 0 success, 2 configuration error (:class:`ConfigError`, which
+the library raises too), 3 internal invariant violation.
 """
 
 from __future__ import annotations
@@ -24,11 +27,7 @@ from pathlib import Path
 from . import protocol, security
 from .dynamics import PhysicalParams
 from .hilbert import Message
-from .protocol import RoundConfig
-
-
-class ConfigError(Exception):
-    pass
+from .protocol import ConfigError, RoundConfig
 
 
 # Only what the dataclasses leave open: every other default is the field's
@@ -173,10 +172,6 @@ def load_config(path: str | None) -> dict:
 # serialization helpers
 
 
-def _message_name(m: Message | None) -> str:
-    return "abort" if m is None else m.value
-
-
 def batch_summary(config: RoundConfig, stats: protocol.BatchStats,
                   include_wall_time: bool) -> dict:
     d = {
@@ -208,36 +203,19 @@ def sweep_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-class _Emitter:
-    """Writes deterministic files under --out and records them in a manifest."""
-
-    def __init__(self, out_dir: str | None, subcommand: str, config_path: str | None,
-                 seed_override: int | None):
-        self.out_dir = Path(out_dir) if out_dir else None
-        self.manifest = {
-            "subcommand": subcommand,
-            "config": config_path,
-            "out_dir": out_dir,
-            "seed_override": seed_override,
-            "files": [],
-        }
-
-    def emit(self, name: str, content: str):
-        if self.out_dir is None:
-            return
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        (self.out_dir / name).write_text(content)
-        self.manifest["files"].append(name)
-
-    def finish(self):
-        if self.out_dir is None:
-            return
-        path = self.out_dir / "manifest.json"
-        path.write_text(json.dumps(self.manifest, indent=2) + "\n")
+def emit(out_dir: str, manifest: dict, files: dict[str, str]) -> None:
+    """Writes ``files`` under ``out_dir``, then ``manifest.json``: ``manifest``
+    with the files' names in writing order."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in files.items():
+        (out / name).write_text(content)
+    manifest = {**manifest, "files": list(files)}
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each returns (stdout text, {file name: content})
 
 
 def _parse_eve(name: str) -> security.EveModel:
@@ -256,43 +234,31 @@ def _messages(args) -> tuple[Message, ...] | None:
     return None if args.message == "random" else (Message.from_name(args.message),)
 
 
-def cmd_run(args) -> int:
+def cmd_run(args, doc: dict) -> tuple[str, dict[str, str]]:
     """Round 0 of the config's seed: a one-round batch."""
-    doc = load_config(args.config)
     config = build_round_config(doc, args)
     log: list[str] = []
     protocol.run_batch(config, 1, messages=_messages(args), on_log=log.extend)
-    line = log[0]
-    print(line)
-    emitter = _Emitter(args.out, "run", args.config, args.seed)
-    emitter.emit("round.json", line + "\n")
-    emitter.finish()
-    return 0
+    line = log[0] + "\n"
+    return line, {"round.json": line}
 
 
-def cmd_batch(args) -> int:
-    doc = load_config(args.config)
+def cmd_batch(args, doc: dict) -> tuple[str, dict[str, str]]:
     config = build_round_config(doc, args)
     n_rounds = _rounds(args, doc, "security")
     log: list[str] = []
     stats = protocol.run_batch(
-        config, n_rounds, seed=config.seed, messages=_messages(args),
+        config, n_rounds, messages=_messages(args),
         on_log=log.extend if args.round_log else None, workers=args.threads,
     )
-    print(json.dumps(batch_summary(config, stats, include_wall_time=True)))
-    emitter = _Emitter(args.out, "batch", args.config, args.seed)
-    emitter.emit(
-        "batch_summary.json",
-        json.dumps(batch_summary(config, stats, include_wall_time=False)) + "\n",
-    )
+    summary = batch_summary(config, stats, include_wall_time=False)
+    files = {"batch_summary.json": json.dumps(summary) + "\n"}
     if args.round_log:
-        emitter.emit("rounds.jsonl", "\n".join(log) + "\n")
-    emitter.finish()
-    return 0
+        files["rounds.jsonl"] = "\n".join(log) + "\n"
+    return json.dumps(batch_summary(config, stats, include_wall_time=True)) + "\n", files
 
 
-def cmd_sweep(args) -> int:
-    doc = load_config(args.config)
+def cmd_sweep(args, doc: dict) -> tuple[str, dict[str, str]]:
     config = build_round_config(doc, args)
     grid = _setting(doc, "sweep", "t_windows")
     n_rounds = _rounds(args, doc, "sweep")
@@ -300,80 +266,45 @@ def cmd_sweep(args) -> int:
         grid = [_coerce(f"sweep.t_windows[{i}]", float, x) for i, x in enumerate(grid)]
     if not isinstance(grid, list) or not grid or not all(x > 0 for x in grid):
         raise ConfigError("sweep.t_windows: must be a nonempty list of positive times")
-    if reason := protocol._no_click_rate(config):
-        raise ConfigError(f"round.{reason}")
-    rows = protocol.run_sweep(config, grid, n_rounds, seed=config.seed, workers=args.threads)
-    csv_text = sweep_csv(rows)
-    sys.stdout.write(csv_text)
-    emitter = _Emitter(args.out, "sweep", args.config, args.seed)
-    emitter.emit("sweep.csv", csv_text)
-    emitter.finish()
-    return 0
+    csv_text = sweep_csv(protocol.run_sweep(config, grid, n_rounds, workers=args.threads))
+    return csv_text, {"sweep.csv": csv_text}
 
 
-def cmd_security(args) -> int:
-    doc = load_config(args.config)
+def cmd_security(args, doc: dict) -> tuple[str, dict[str, str]]:
     config = build_round_config(doc, args)
     n_rounds = _rounds(args, doc, "security")
-    eve_name = args.eve or _setting(doc, "security", "eve")
-    eve = _parse_eve(eve_name)
-    photon = eve.strategy == "intercept_resend_photon"
-    if config.ideal_pnr and photon:
-        raise ConfigError(
-            f"round.ideal_pnr, security.eve: the {eve_name} attack needs click decoding; "
-            "the ideal-PNR oracle decode never reads the tampered state"
-        )
-    try:
-        protocol.check_size(config.n_receivers, checks=not photon)  # atom attacks: check rounds
-    except ValueError as exc:
-        raise ConfigError(f"round: {exc}") from exc
-    summary = {
+    eve = _parse_eve(args.eve or _setting(doc, "security", "eve"))
+    line = json.dumps({
         "config": config_to_dict(config),
         "n_rounds": n_rounds,
-        "security": security.security_summary(config, n_rounds, config.seed, eve,
-                                              workers=args.threads),
-    }
-    line = json.dumps(summary)
-    print(line)
-    emitter = _Emitter(args.out, "security", args.config, args.seed)
-    emitter.emit("security.json", line + "\n")
-    emitter.finish()
-    return 0
+        "security": security.security_summary(config, n_rounds, eve, workers=args.threads),
+    }) + "\n"
+    return line, {"security.json": line}
 
 
-def cmd_feasibility(args) -> int:
+def cmd_feasibility(args, doc: dict) -> tuple[str, dict[str, str]]:
     from . import feasibility as feas  # only this command reads it: keeps start-up short
 
-    doc = load_config(args.config)
     constants = _build(doc, "feasibility.constants", feas.HardwareConstants)
     if args.paper_constants or "params" not in doc:
-        params = feas.paper_params(constants)
+        try:
+            params = feas.paper_params(constants)
+        except ValueError as exc:  # the paper's couplings at k = 1/t_d
+            raise ConfigError(f"feasibility.constants.t_d: {exc}") from exc
     else:
         params = _build(doc, "params", PhysicalParams)
-    text = feas.report_text(params, constants)
-    payload = json.dumps(feas.report_json(params, constants))
-    print(text)
-    print(payload)
-    emitter = _Emitter(args.out, "feasibility", args.config, None)
-    emitter.emit("feasibility.json", payload + "\n")
-    emitter.finish()
-    return 0
+    payload = json.dumps(feas.report_json(params, constants)) + "\n"
+    return feas.report_text(params, constants) + "\n" + payload, {"feasibility.json": payload}
 
 
-def cmd_decode_table(args) -> int:
-    doc = load_config(args.config)
+def cmd_decode_table(args, doc: dict) -> tuple[str, dict[str, str]]:
     config = build_round_config(doc, args)
-    table = protocol.build_decode_table(config)
     entries = [
-        {"key": list(key), "message": _message_name(msg)}
-        for key, msg in sorted(table.items())
+        {"key": list(key), "message": "abort" if msg is None else msg.value}
+        for key, msg in sorted(protocol.build_decode_table(config).items())
     ]
-    line = json.dumps({"ideal_pnr": config.ideal_pnr, "table": entries})
-    print(line)
-    emitter = _Emitter(args.out, "decode-table", args.config, None)
-    emitter.emit("decode_table.json", line + "\n")
-    emitter.finish()
-    return 0
+    line = json.dumps({"ideal_pnr": config.ideal_pnr, "table": entries}) + "\n"
+    return line, {"decode_table.json": line}
 
 
 # ---------------------------------------------------------------------------
@@ -428,12 +359,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Runs one subcommand: writes its stdout, then, with ``--out``, its files
+    and ``manifest.json``; returns the exit code."""
+    args = build_parser().parse_args(argv)
     try:
         if getattr(args, "threads", 1) < 1:
             raise ConfigError("threads: must be >= 1")
-        return args.func(args)
+        stdout, files = args.func(args, load_config(args.config))
+        sys.stdout.write(stdout)
+        if args.out:
+            emit(args.out, {"subcommand": args.subcommand, "config": args.config,
+                            "out_dir": args.out, "seed_override": getattr(args, "seed", None)},
+                 files)
+        return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -74,6 +74,11 @@ _CACHE_SIZE = 64  # entries per compile cache
 MEMORY_BUDGET = 1 << 28  # bytes: the largest array a config may compile (256 MiB)
 
 
+class ConfigError(ValueError):
+    """A config the called function cannot run, named by its config
+    document field (``section.field``); raised before anything compiles."""
+
+
 class UnexpectedPhotonSupport(hilbert.HilbertError):
     """State has weight outside the two-mode {00,01,10,11} subspace."""
 
@@ -786,16 +791,16 @@ def _range_part(plan: _Plan, seed: int, bounds: tuple[int, int], msg_ids: np.nda
 def run_batch(
     config: RoundConfig,
     n_rounds: int,
-    seed: int | None = None,
     messages: Sequence[Message] | None = None,
     on_log: Callable[[list[str]], None] | None = None,
     workers: int = 1,
 ) -> BatchStats:
     """Run many rounds with per-round counter-based random streams.
 
-    Output is a pure function of (config, n_rounds, seed, messages).  The
-    rounds run in lockstep blocks (:func:`qdcsim.lockstep.row_blocks`),
-    each row on its own stream, so a row's result does not depend on its block.
+    Output is a pure function of (config, n_rounds, messages); the rounds run
+    on the streams of ``config.seed``, in lockstep blocks
+    (:func:`qdcsim.lockstep.row_blocks`), each row on its own stream, so a
+    row's result does not depend on its block.
     Each of :func:`qdcsim.lockstep.worker_count` processes runs one
     near-equal contiguous range of rounds (:func:`qdcsim.lockstep.map_ranges`;
     one range, in process, at ``workers`` = 1), with the same result.
@@ -804,15 +809,13 @@ def run_batch(
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    if seed is None:
-        seed = config.seed
     plan = _plan(config)  # compile before the clock starts, and before any fork
     msg_ids = np.array([_MSG_INDEX[m] for m in (MESSAGES if messages is None else messages)])
 
     t0 = time.perf_counter()
     counts = np.zeros(26, dtype=np.int64)
     for range_counts, lines in lockstep.map_ranges(
-        lambda bounds: _range_part(plan, seed, bounds, msg_ids, on_log is not None),
+        lambda bounds: _range_part(plan, config.seed, bounds, msg_ids, on_log is not None),
         n_rounds, 1, workers,
     ):
         counts += range_counts
@@ -853,35 +856,29 @@ def success_probability_formula(config: RoundConfig, convention: str) -> float:
     raise ValueError(f"convention must be 'survival' or 'integrated', not {convention!r}")
 
 
-def _no_click_rate(config: RoundConfig) -> str | None:
-    """Why a sweep of ``config`` has no click rate, after the field's name."""
-    if config.ideal_pnr:
-        return "ideal_pnr: ideal-PNR rounds record no clicks, so a sweep has no click rate"
-    if config.p_check == 1.0:
-        return "p_check: at 1 no round encodes a message, so a sweep has no click rate"
-    return None
-
-
 def run_sweep(
     config: RoundConfig,
     t_windows: Sequence[float],
     n_rounds: int,
-    seed: int | None = None,
     workers: int = 1,
 ) -> list[dict]:
     """Detection-window sweep: both analytic conventions next to the
     Monte-Carlo click-rate estimate for a fixed psi-branch message.  A
-    config without a click rate (ideal PNR, p_check = 1) raises ValueError.
+    config without a click rate (ideal PNR, p_check = 1) raises ConfigError.
     With ``workers`` > 1 the windows are shared by forked processes
     (:func:`qdcsim.lockstep.fork_map`), with the same rows."""
     if not t_windows:
         raise ValueError("sweep grid must be nonempty")
-    if reason := _no_click_rate(config):
-        raise ValueError(reason)
+    if config.ideal_pnr:
+        raise ConfigError("round.ideal_pnr: ideal-PNR rounds record no clicks, "
+                          "so a sweep has no click rate")
+    if config.p_check == 1.0:
+        raise ConfigError("round.p_check: at 1 no round encodes a message, "
+                          "so a sweep has no click rate")
 
     def row(t_w) -> dict:
         cfg = dataclasses.replace(config, t_window=float(t_w))
-        stats = run_batch(cfg, n_rounds, seed=seed, messages=(Message.X,))
+        stats = run_batch(cfg, n_rounds, messages=(Message.X,))
         p = stats.psi_click_rate if stats.psi_click_rate is not None else 0.0
         n = stats.n_encode
         formulas = {f"formula_{c}": success_probability_formula(cfg, c)

@@ -283,15 +283,14 @@ def cheat_experiment(
     cheater: ViewSpec,
     config: RoundConfig,
     n_rounds: int,
-    seed: int,
     messages: Sequence[Message] = MESSAGES,
 ) -> CheatResult:
     """Guessing game: honest encode rounds, the cheater guesses from its
     partial view via maximum posterior (the one-view pass of
-    :func:`_guessing_games`)."""
+    :func:`_guessing_games`), on the streams of ``config.seed``."""
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    counts = _guessing_games([cheater], config, messages)(seed, (0, n_rounds))
+    counts = _guessing_games([cheater], config, messages)(config.seed, (0, n_rounds))
     return _cheat_result(n_rounds, *counts[0].tolist())
 
 
@@ -377,8 +376,6 @@ def _photon_attack(config: RoundConfig):
     Round draws: the message, Eve's outcome, the window.  Each round starts
     from the collapsed state of its (message, outcome), built by
     ``site_measurement``."""
-    if config.ideal_pnr:
-        raise ValueError("ideal_pnr: the oracle decode never reads the tampered state")
     plan = protocol._plan(config)
     psi_ids = np.array([protocol._MSG_INDEX[m] for m in (Message.X, Message.IY)])
     weights, amps = _photon_starts(plan, psi_ids)
@@ -404,9 +401,21 @@ def _photon_attack(config: RoundConfig):
 
 def _attack(eve: EveModel, config: RoundConfig):
     """The compiled eavesdrop experiment of ``eve``: a function of (seed,
-    round range) that counts (conclusive rounds, violations)."""
+    round range) that counts (conclusive rounds, violations).  A config the
+    attack cannot run raises ConfigError before anything compiles: the
+    photon attack needs click decoding, and an atom attack's check tables
+    must fit ``protocol.MEMORY_BUDGET``."""
     if eve.strategy == "intercept_resend_photon":
+        if config.ideal_pnr:
+            raise protocol.ConfigError(
+                "round.ideal_pnr, security.eve: the intercept-resend-photon attack needs click "
+                "decoding; the ideal-PNR oracle decode never reads the tampered state"
+            )
         return _photon_attack(config)
+    try:
+        protocol.check_size(config.n_receivers, checks=True)
+    except ValueError as exc:
+        raise protocol.ConfigError(f"round: {exc}") from exc
     return _atom_attack(eve, config)
 
 
@@ -419,18 +428,19 @@ def _eve_result(n_rounds: int, conclusive: int, violations: int) -> EveResult:
 
 
 def eavesdrop_experiment(
-    eve: EveModel, config: RoundConfig, n_check_rounds: int, seed: int
+    eve: EveModel, config: RoundConfig, n_check_rounds: int
 ) -> EveResult:
-    """Detection statistics against one eavesdropper model.
+    """Detection statistics against one eavesdropper model, on the streams
+    of ``config.seed``.
 
     Atom attacks are probed by GHZ parity-check rounds; the photon attack by
     encode rounds with known messages, where a wrong (non-abort) decode
-    counts as a violation.  The photon attack needs click decoding, so an
-    ``ideal_pnr`` config raises ValueError.
+    counts as a violation.  A config the attack cannot run raises
+    ConfigError (:func:`_attack`).
     """
     if n_check_rounds < 1:
         raise ValueError("n_check_rounds must be >= 1")
-    counts = _attack(eve, config)(seed, (0, n_check_rounds))
+    counts = _attack(eve, config)(config.seed, (0, n_check_rounds))
     return _eve_result(n_check_rounds, *counts.tolist())
 
 
@@ -464,13 +474,12 @@ def standard_views(config: RoundConfig) -> dict[str, ViewSpec]:
 _GAMES = ("bob_alone", "charlie_alone", "collaboration")  # on seeds seed + 0, 1, 2
 
 
-def security_summary(
-    config: RoundConfig, n_rounds: int, seed: int, eve: EveModel | None = None,
-    workers: int = 1,
-) -> dict:
+def security_summary(config: RoundConfig, n_rounds: int, eve: EveModel, workers: int = 1) -> dict:
     """Headline rates: Bob alone (given a click), Charlie alone, full
     collaboration (given a click), the derived composite 1 - charlie_alone,
-    and eavesdropper detection for the chosen attack, on seed + 3.
+    and eavesdropper detection for ``eve``'s attack, on seed + 3, with seed
+    ``config.seed``.  A config the attack cannot run raises ConfigError
+    (:func:`_attack`).
 
     Like :func:`qdcsim.protocol.run_batch`, the rounds are split into
     near-equal contiguous ranges, one per process
@@ -480,12 +489,11 @@ def security_summary(
     not depend on ``workers``."""
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
+    attack = _attack(eve, config)  # first: it checks the config; compiled once, before any fork
     views = standard_views(config)
-    eve = eve if eve is not None else EveModel("intercept_resend_atom", basis="z", target=0)
     games = _guessing_games([views[name] for name in _GAMES], config, MESSAGES)
-    attack = _attack(eve, config)  # compiled once, before any fork
     parts = lockstep.map_ranges(
-        lambda bounds: (games(seed, bounds), attack(seed + len(_GAMES), bounds)),
+        lambda bounds: (games(config.seed, bounds), attack(config.seed + len(_GAMES), bounds)),
         n_rounds, len(_GAMES) + 1, workers,
     )
     bob, charlie, collab = (

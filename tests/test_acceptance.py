@@ -202,9 +202,9 @@ def test_c04_detection_statistics(capsys):
 
 
 def test_c05_success_formula_sweep(capsys):
-    config = P.RoundConfig(params=PARAMS, t_window=0.5)
+    config = P.RoundConfig(params=PARAMS, t_window=0.5, seed=505)
     grid = [round(0.1 * j, 1) for j in range(1, 11)]
-    rows = P.run_sweep(config, grid, 20_000, seed=505)
+    rows = P.run_sweep(config, grid, 20_000)
     t_star = transfer_time(PARAMS)
     beta = alpha_beta(PARAMS, t_star)[1]
     for row in rows:
@@ -218,15 +218,16 @@ def test_c05_success_formula_sweep(capsys):
 
 def test_c06_decode_correctness(capsys):
     config = P.RoundConfig(params=PARAMS0, t_window=0.5)
-    stats = P.run_batch(config, 100_000, seed=606, messages=(Message.X, Message.IY))
+    stats = P.run_batch(dataclasses.replace(config, seed=606), 100_000,
+                        messages=(Message.X, Message.IY))
     assert stats.success_rate == 1.0 and stats.abort_rate == 0.0
 
     for message in (Message.I, Message.Z):
-        aborts = P.run_batch(config, 20_000, seed=607, messages=(message,))
+        aborts = P.run_batch(dataclasses.replace(config, seed=607), 20_000, messages=(message,))
         assert aborts.abort_rate == 1.0
 
     pnr = dataclasses.replace(config, ideal_pnr=True)
-    full = P.run_batch(pnr, 20_000, seed=608)
+    full = P.run_batch(dataclasses.replace(pnr, seed=608), 20_000)
     assert full.success_rate == 1.0
     report(capsys, "criterion 6 (psi decode error-free, phi aborts, PNR decodes all four): PASS")
 
@@ -247,9 +248,9 @@ def test_c07_security_numbers(capsys):
     assert abs(post[Message.X] - 1.0) < 1e-12
 
     n = 100_000
-    bob = S.cheat_experiment(views["bob_alone"], config, n, seed=707)
+    bob = S.cheat_experiment(views["bob_alone"], dataclasses.replace(config, seed=707), n)
     assert abs(bob.rate_given_click - 0.5) < 3 * bob.stderr_given_click
-    charlie = S.cheat_experiment(views["charlie_alone"], config, n, seed=708)
+    charlie = S.cheat_experiment(views["charlie_alone"], dataclasses.replace(config, seed=708), n)
     assert abs(charlie.rate_all - 0.25) < 3 * charlie.stderr_all
     composite = 1.0 - charlie.rate_all
     assert abs(composite - 0.75) < 3 * charlie.stderr_all
@@ -263,13 +264,13 @@ def test_c07_security_numbers(capsys):
 def test_c08_eavesdropper_detection(capsys):
     config = P.RoundConfig(params=PARAMS0, t_window=0.5)
     n = 100_000
-    clean = S.eavesdrop_experiment(S.EveModel("none"), config, n, seed=808)
+    clean = S.eavesdrop_experiment(S.EveModel("none"), dataclasses.replace(config, seed=808), n)
     assert clean.violations == 0 and clean.detection_rate == 0.0
 
     eve = S.EveModel("intercept_resend_atom", basis="z", target=0)
     exact = S.exact_eve_detection_rate(eve)
     assert abs(exact - 0.5) < 1e-12
-    attacked = S.eavesdrop_experiment(eve, config, n, seed=809)
+    attacked = S.eavesdrop_experiment(eve, dataclasses.replace(config, seed=809), n)
     assert abs(attacked.detection_rate - exact) < 3 * attacked.stderr
     report(
         capsys,
@@ -294,13 +295,13 @@ def test_c09_feasibility_arithmetic(capsys):
 
 
 def test_c10_multiparty(capsys):
-    config = P.RoundConfig(params=PARAMS0, t_window=0.5, n_receivers=3)
+    config = P.RoundConfig(params=PARAMS0, t_window=0.5, n_receivers=3, seed=1010)
     table = P.build_decode_table(config)
     psi_keys = [key for key in table if key[0] in (P.CHANNEL_PLUS, P.CHANNEL_MINUS)]
     assert len(psi_keys) == 8
     assert all(table[key] in (Message.X, Message.IY) for key in psi_keys)
 
-    stats = P.run_batch(config, 10_000, seed=1010, messages=(Message.X, Message.IY))
+    stats = P.run_batch(config, 10_000, messages=(Message.X, Message.IY))
     assert stats.success_rate == 1.0
     report(capsys, "criterion 10 (3-receiver table conflict-free, decoding error-free): PASS")
 

@@ -1,15 +1,20 @@
 import contextlib
+import copy
+import dataclasses
 import functools
 import hashlib
 import io
 import json
+import math
 import os
+import re
 import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import scalar_oracle as O
 from qdcsim import cli
@@ -805,3 +810,85 @@ class TestDecodeTableCommand:
         assert entries[("D+", "e")] == "X"
         assert entries[("D-", "e")] == "iY"
         assert entries[("none", "e")] == "abort"
+
+
+# ---------------------------------------------------------------------------
+# whole config documents: every one runs (exit 0) or names a field (exit 2)
+
+EDGES = st.sampled_from([0, 5e-324, 1e300, -1, -1e300, 2**64, math.inf, -math.inf, math.nan,
+                         "1", [], [1.0], {}, True, False, None])
+
+# every field a document may hold, each with values that run
+DOCUMENT = {
+    "params": {"g": [1.0, 0.5], "Omega": [1.0, 2.0], "Delta": [1.0, 1.5], "k": [0.2, 0.0],
+               "gamma": [0.0, 0.01]},
+    "round": {"n_receivers": [2, 3, 4], "p_check": [0.0, 0.25, 1.0], "t_map": [None],
+              "t_window": [0.5, 6.0], "ideal_pnr": [False, True], "seed": [0, 7, 2**64 - 1]},
+    "detector": {"efficiency": [1.0, 0.9], "dark_prob": [0.0, 0.02]},
+    "security": {"eve": ["intercept-resend-atom-z", "intercept-resend-atom-x",
+                         "intercept-resend-photon", "none"], "rounds": [10]},
+    "sweep": {"t_windows": [[0.5], [0.2, 1.0]], "rounds": [10]},
+    "feasibility": {"constants": [{}, {"t_d": 3e-3, "Q": 1e8}]},
+}
+FIELD_PATHS = [(section,) for section in DOCUMENT] + [
+    (section, field) for section, fields in DOCUMENT.items() for field in fields
+] + [("feasibility", "constants", name) for name in ("t_r", "Q", "t_d", "T_d", "t1", "t2")]
+FIELD_NAMES = {section: set(fields) for section, fields in DOCUMENT.items()}
+FIELD_NAMES["params"] = {f.name for f in dataclasses.fields(PhysicalParams)}
+FIELD_NAMES["round"] = {f.name for f in dataclasses.fields(P.RoundConfig)}
+FIELD_NAMES["detector"] = {f.name for f in dataclasses.fields(P.DetectorModel)}
+
+
+@st.composite
+def documents(draw):
+    """A document of values that run, with up to three fields (or whole
+    sections) set to an edge value or left out."""
+    doc = copy.deepcopy({
+        section: {field: draw(st.sampled_from(values)) for field, values in fields.items()}
+        for section, fields in DOCUMENT.items()
+    })
+    for path in draw(st.lists(st.sampled_from(FIELD_PATHS), max_size=3, unique=True)):
+        *parents, key = path
+        sec = doc
+        for part in parents:
+            sec = sec.get(part) if isinstance(sec, dict) else None
+        if not isinstance(sec, dict):
+            continue
+        if draw(st.booleans()):
+            sec.pop(key, None)
+        elif path == ("sweep", "t_windows"):
+            sec[key] = copy.deepcopy(draw(EDGES | st.lists(EDGES, min_size=1, max_size=2)))
+        else:
+            sec[key] = copy.deepcopy(draw(EDGES))
+    return doc
+
+
+def names_a_field(err: str) -> bool:
+    """The error starts with ``section.field``, or with ``section:`` and
+    names one of the section's fields (or the section is not an object)."""
+    m = re.match(r"config error: (\w+)((?:\.\w+)+)?(\[\d+\])?[:,] (.*)", err)
+    if m is None or m.group(1) not in FIELD_NAMES:
+        return False
+    section, dotted, _, rest = m.groups()
+    words = set(re.findall(r"\w+", rest))
+    return bool(dotted) or bool(words & FIELD_NAMES[section]) or rest.startswith("expected an")
+
+
+@settings(max_examples=400)
+@given(documents(), st.sampled_from(["run", "batch", "sweep", "security", "feasibility",
+                                     "decode-table"]), st.integers(1, 20))
+# without params, the report reads the paper's couplings with k = 1/t_d, which
+# a tiny t_d leaves overdamped (it exited 3)
+@example(doc={"feasibility": {"constants": {"t_d": 5e-324}}}, command="feasibility", n_rounds=1)
+@example(doc={"feasibility": {"constants": {"t_d": 1e-7}}}, command="feasibility", n_rounds=1)
+def test_every_document_runs_or_names_a_field(tmp_path_factory, doc, command, n_rounds):
+    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, "--config", str(path)]
+    if command in ("batch", "sweep", "security"):
+        argv += ["--rounds", str(n_rounds), "--threads", "1"]
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()) as err:
+        code = cli.main(argv)
+    assert code in (0, 2), err.getvalue()
+    assert code == 0 or names_a_field(err.getvalue()), err.getvalue()

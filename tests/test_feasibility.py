@@ -66,9 +66,9 @@ class TestTimescaleReport:
 class TestDarkCountSweep:
     def test_fidelity_drop_band(self):
         params = PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, k=0.2)
-        cfg = P.RoundConfig(params=params, t_window=0.5)
+        cfg = P.RoundConfig(params=params, t_window=0.5, seed=2)
         rows, in_band = F.dark_count_fidelity_sweep(
-            cfg, dark_probs=(0.0, 0.01, 0.05), n_rounds=4000, seed=2
+            cfg, dark_probs=(0.0, 0.01, 0.05), n_rounds=4000
         )
         assert rows[0].fidelity == 1.0  # no dark counts, no wrong decodes
         drops = [r.fidelity_drop for r in rows]

@@ -241,7 +241,8 @@ def engine_rounds(config, n_rounds, seed, messages):
         r = lockstep.run_block(plan, streams, msg_ids)
         got += zip(r.survived.tolist(), r.jump_seen.any(axis=1).tolist())
     log = []
-    stats = P.run_batch(config, n_rounds, seed=seed, messages=messages, on_log=log.extend)
+    stats = P.run_batch(dataclasses.replace(config, seed=seed), n_rounds, messages=messages,
+                        on_log=log.extend)
     return got, log, stats
 
 
@@ -344,9 +345,9 @@ class TestEngineEqualsOracle:
             raise AssertionError("a batch started a thread")
 
         monkeypatch.setattr(threading.Thread, "start", start)
-        config = make_config(detector=(0.9, 0.05), p_check=0.25)
-        P.run_batch(config, 5000, seed=3)
-        P.run_sweep(config, [0.5, 1.0], 5000, seed=3)
+        config = dataclasses.replace(make_config(detector=(0.9, 0.05), p_check=0.25), seed=3)
+        P.run_batch(config, 5000)
+        P.run_sweep(config, [0.5, 1.0], 5000)
 
     def test_words_past_the_first_blocks(self, monkeypatch):
         # with one Philox block up front most rounds draw past it
@@ -366,7 +367,7 @@ class TestEngineEqualsOracle:
             return blocks[-1]
 
         monkeypatch.setattr(P.lockstep, "run_block", run_block)
-        P.run_batch(config, 8000, seed=0)
+        P.run_batch(config, 8000)
         rows = lockstep.BLOCK_AMPLITUDES // P._plan(config).row_width(checks=True)
         assert len(blocks) == -(-8000 // rows)
         for r in blocks:
@@ -387,7 +388,7 @@ class TestEngineEqualsOracle:
             return original(plan, streams, msg_ids)
 
         monkeypatch.setattr(P.lockstep, "run_block", run_block)
-        P.run_batch(config, n_rounds, seed=0)
+        P.run_batch(config, n_rounds)
         assert max(sizes) * width <= lockstep.BLOCK_AMPLITUDES
         full = lockstep.BLOCK_AMPLITUDES // width
         assert sizes == [full] * (n_rounds // full) + [n_rounds % full] * (n_rounds % full > 0)

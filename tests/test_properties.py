@@ -91,7 +91,7 @@ def test_cheat_rate_agrees_with_the_optimal_rate(config, view_name, messages, se
     # click decoding only: the posteriors come from the click model
     view = S.standard_views(config)[view_name]
     n = 3000
-    rate = S.cheat_experiment(view, config, n, seed, messages).rate_all
+    rate = S.cheat_experiment(view, dataclasses.replace(config, seed=seed), n, messages).rate_all
     exact = S.optimal_guess_rate(view, config, messages)
     assert abs(rate - exact) <= 5.0 * math.sqrt(exact * (1.0 - exact) / n) + 1e-12
 

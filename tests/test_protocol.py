@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import re
@@ -377,7 +378,8 @@ class TestDecodeTable:
 def round_log(cfg, n_rounds, seed, messages=None) -> list[dict]:
     """The parsed round-log lines of a batch."""
     log = []
-    run_batch(cfg, n_rounds, seed=seed, messages=messages, on_log=log.extend)
+    run_batch(dataclasses.replace(cfg, seed=seed), n_rounds, messages=messages,
+              on_log=log.extend)
     return [json.loads(line) for line in log]
 
 
@@ -388,11 +390,11 @@ class TestRunRound:
         assert out["mode"] == "check" and "sent" not in out
 
     def test_x_decodes_at_k0(self):
-        stats = run_batch(config(k=0.0), 300, seed=2, messages=(Message.X,))
+        stats = run_batch(config(k=0.0, seed=2), 300, messages=(Message.X,))
         assert stats.confusion[MESSAGES.index(Message.X)] == [0, 300, 0, 0, 0]
 
     def test_i_aborts_without_pnr(self):
-        stats = run_batch(config(k=0.0), 300, seed=3, messages=(Message.I,))
+        stats = run_batch(config(k=0.0, seed=3), 300, messages=(Message.I,))
         assert stats.confusion[MESSAGES.index(Message.I)] == [0, 0, 0, 0, 300]
 
     def test_nonabort_implies_real_click(self):
@@ -415,10 +417,10 @@ class TestRunRound:
 class TestRunBatch:
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError):
-            run_batch(config(), 0, seed=1)
+            run_batch(config(seed=1), 0)
 
     def test_lossless_success_half(self):
-        stats = run_batch(config(k=0.0), 20000, seed=9)
+        stats = run_batch(config(k=0.0, seed=9), 20000)
         sigma = math.sqrt(0.25 / 20000)
         assert abs(stats.success_rate - 0.5) < 3 * sigma
         # I and Z rows abort entirely; X and iY rows are exactly diagonal
@@ -427,16 +429,16 @@ class TestRunBatch:
         assert conf[1, 1] == conf[1].sum() and conf[2, 2] == conf[2].sum()
 
     def test_survival_counter(self):
-        cfg = config()
-        stats = run_batch(cfg, 20000, seed=10, messages=(Message.X, Message.IY))
+        cfg = config(seed=10)
+        stats = run_batch(cfg, 20000, messages=(Message.X, Message.IY))
         expected = P.pipeline_beta(cfg) ** 2 * math.exp(-2 * 0.2 * 0.5)
         sigma = math.sqrt(expected * (1 - expected) / 20000)
         assert abs(stats.psi_survival_rate - expected) < 3 * sigma
 
     def test_determinism(self):
-        cfg = config(detector=DetectorModel(dark_prob=0.01))
-        a = run_batch(cfg, 4000, seed=11)
-        b = run_batch(cfg, 4000, seed=11)
+        cfg = config(detector=DetectorModel(dark_prob=0.01), seed=11)
+        a = run_batch(cfg, 4000)
+        b = run_batch(cfg, 4000)
         assert a.confusion == b.confusion
         assert a.psi_click_rate == b.psi_click_rate
         assert a.success_rate == b.success_rate
@@ -445,10 +447,10 @@ class TestRunBatch:
         # a check line reads its outcome only through the verdict, so a plan
         # keeps at most 2^(n+1) check tails, where 6000 10-party check rounds
         # hold thousands of distinct (combo, outcome) pairs
-        cfg = config(n_receivers=9, p_check=1.0, t_window=6.0)
+        cfg = config(n_receivers=9, p_check=1.0, t_window=6.0, seed=12)
         P._plan.cache_clear()
         log = []
-        stats = run_batch(cfg, 6000, seed=12, on_log=log.extend)
+        stats = run_batch(cfg, 6000, on_log=log.extend)
         tails = [key for key in P._plan(cfg).log_tails if key < 0]
         assert stats.n_check == len(log) == 6000
         lines = [json.loads(line) for line in log]
@@ -458,7 +460,7 @@ class TestRunBatch:
             assert d["check_passed"]
 
     def test_check_rounds_counted(self):
-        stats = run_batch(config(p_check=0.5), 4000, seed=12)
+        stats = run_batch(config(p_check=0.5, seed=12), 4000)
         assert stats.n_check + stats.n_encode == 4000
         assert 0.4 < stats.n_check / 4000 < 0.6
         assert stats.check_pass_rate == 1.0
@@ -466,8 +468,8 @@ class TestRunBatch:
 
 class TestMultiparty:
     def test_lossless_decode_error_free(self):
-        cfg = config(k=0.0, n_receivers=3)
-        stats = run_batch(cfg, 5000, seed=13, messages=(Message.X, Message.IY))
+        cfg = config(k=0.0, n_receivers=3, seed=13)
+        stats = run_batch(cfg, 5000, messages=(Message.X, Message.IY))
         assert stats.success_rate == 1.0
 
 
@@ -512,14 +514,15 @@ class TestTruncationRobustness:
             for r1, r2 in zip(default, wide, strict=True):
                 for name in ("clicks", "jump_t", "jump_sign", "jump_seen", "survived"):
                     assert getattr(r1, name).tobytes() == getattr(r2, name).tobytes(), name
-        stats = run_batch(cfg, 3000, seed=21, messages=(Message.X, Message.IY))
+        stats = run_batch(dataclasses.replace(cfg, seed=21), 3000,
+                          messages=(Message.X, Message.IY))
         assert stats.success_rate == 1.0
 
 
 class TestIdealPnr:
     def test_all_messages_decode_at_k0(self):
-        cfg = config(k=0.0, ideal_pnr=True)
-        stats = run_batch(cfg, 8000, seed=14)
+        cfg = config(k=0.0, ideal_pnr=True, seed=14)
+        stats = run_batch(cfg, 8000)
         assert stats.success_rate == 1.0
 
 
@@ -543,8 +546,8 @@ class TestSuccessFormula:
         assert abs(expected - 0.12956) < 1e-4
 
     def test_sweep_rows(self):
-        cfg = config()
-        rows = P.run_sweep(cfg, [0.2, 0.5], 2000, seed=15)
+        cfg = config(seed=15)
+        rows = P.run_sweep(cfg, [0.2, 0.5], 2000)
         assert [r["t_window"] for r in rows] == [0.2, 0.5]
         for r in rows:
             assert (
@@ -554,11 +557,16 @@ class TestSuccessFormula:
     @pytest.mark.parametrize("field,knob", [("ideal_pnr", True), ("p_check", 1.0)])
     def test_sweep_rejects_configs_without_click_rate(self, field, knob):
         with pytest.raises(ValueError, match=field):
-            P.run_sweep(config(**{field: knob}), [0.5], 100, seed=1)
+            P.run_sweep(config(**{field: knob}, seed=1), [0.5], 100)
+
+    @pytest.mark.parametrize("field,knob", [("ideal_pnr", True), ("p_check", 1.0)])
+    def test_sweep_names_the_field_before_compiling(self, field, knob, no_compile):
+        with pytest.raises(P.ConfigError, match=f"^round.{field}: "):
+            P.run_sweep(config(**{field: knob}), [0.5], 100)
 
     def test_sweep_rejects_empty_grid(self):
         with pytest.raises(ValueError):
-            P.run_sweep(config(), [], 100, seed=1)
+            P.run_sweep(config(seed=1), [], 100)
 
 
 class TestOutcomeDistribution:

@@ -98,54 +98,52 @@ class TestOptimalRates:
 
 class TestCheatExperiments:
     def test_bob_given_click(self):
-        res = cheat_experiment(BOB, config(), 20000, seed=1)
+        res = cheat_experiment(BOB, config(seed=1), 20000)
         assert abs(res.rate_given_click - 0.5) < 3 * res.stderr_given_click
 
     def test_bob_psi_messages(self):
-        res = cheat_experiment(BOB, config(), 20000, seed=2, messages=(Message.X, Message.IY))
+        res = cheat_experiment(BOB, config(seed=2), 20000, messages=(Message.X, Message.IY))
         assert abs(res.rate_given_click - 0.5) < 3 * res.stderr_given_click
 
     def test_charlie_alone(self):
-        res = cheat_experiment(CHARLIE, config(), 20000, seed=3)
+        res = cheat_experiment(CHARLIE, config(seed=3), 20000)
         assert abs(res.rate_all - 0.25) < 3 * res.stderr_all
 
     def test_collaboration_psi_exact(self):
-        res = cheat_experiment(
-            COLLAB, config(), 5000, seed=4, messages=(Message.X, Message.IY)
-        )
+        res = cheat_experiment(COLLAB, config(seed=4), 5000, messages=(Message.X, Message.IY))
         assert res.rate_given_click == 1.0
 
     def test_matches_optimal_with_loss(self):
-        cfg = config(k=0.2)
-        res = cheat_experiment(COLLAB, cfg, 30000, seed=5)
+        cfg = config(k=0.2, seed=5)
+        res = cheat_experiment(COLLAB, cfg, 30000)
         exact = optimal_guess_rate(COLLAB, cfg)
         assert abs(res.rate_all - exact) < 3 * res.stderr_all
 
     def test_rejects_zero_rounds(self):
         with pytest.raises(ValueError):
-            cheat_experiment(BOB, config(), 0, seed=1)
+            cheat_experiment(BOB, config(seed=1), 0)
 
 
 class TestEavesdropping:
     def test_no_eve_never_detected(self):
-        res = eavesdrop_experiment(EveModel("none"), config(), 20000, seed=6)
+        res = eavesdrop_experiment(EveModel("none"), config(seed=6), 20000)
         assert res.violations == 0 and res.detection_rate == 0.0
 
     def test_conclusive_fraction(self):
-        res = eavesdrop_experiment(EveModel("none"), config(), 20000, seed=7)
+        res = eavesdrop_experiment(EveModel("none"), config(seed=7), 20000)
         frac = res.conclusive_rounds / res.n_rounds
         assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / 20000)
 
     def test_z_intercept_half(self):
         eve = EveModel("intercept_resend_atom", basis="z", target=0)
         assert exact_eve_detection_rate(eve) == 0.5
-        res = eavesdrop_experiment(eve, config(), 20000, seed=8)
+        res = eavesdrop_experiment(eve, config(seed=8), 20000)
         assert abs(res.detection_rate - 0.5) < 3 * res.stderr
 
     def test_x_intercept_quarter(self):
         eve = EveModel("intercept_resend_atom", basis="x", target=0)
         assert exact_eve_detection_rate(eve) == 0.25
-        res = eavesdrop_experiment(eve, config(), 20000, seed=9)
+        res = eavesdrop_experiment(eve, config(seed=9), 20000)
         assert abs(res.detection_rate - 0.25) < 3 * res.stderr
 
     @pytest.mark.parametrize("n_parties", [2, 3, 4, 5, 6])
@@ -162,19 +160,19 @@ class TestEavesdropping:
             EveModel("intercept_resend_atom", basis="x", target=1),
             EveModel("intercept_resend_photon"),
         ):
-            res = eavesdrop_experiment(eve, config(k=0.2), 10000, seed=10)
+            res = eavesdrop_experiment(eve, config(k=0.2, seed=10), 10000)
             assert res.detection_rate is not None and res.detection_rate > 0.05
 
     def test_photon_attack_needs_click_decoding(self):
         with pytest.raises(ValueError, match="ideal_pnr"):
             eavesdrop_experiment(
-                EveModel("intercept_resend_photon"), config(ideal_pnr=True), 10, seed=0
+                EveModel("intercept_resend_photon"), config(ideal_pnr=True, seed=0), 10
             )
 
     def test_photon_attack_is_a_tampered_encode_round(self):
         # the attack's rounds are encode rounds with the photon number of
         # cavity A measured before the window
-        cfg = config(k=0.2, t_window=6.0, detector=P.DetectorModel(0.9, 0.02))
+        cfg = config(k=0.2, t_window=6.0, detector=P.DetectorModel(0.9, 0.02), seed=5)
         mode_a = P.layout_for(cfg.n_parties).mode_sites[0]
         conclusive = violations = 0
         for i in range(300):
@@ -188,7 +186,7 @@ class TestEavesdropping:
             if decoded is not None:
                 conclusive += 1
                 violations += int(decoded != sent)
-        res = eavesdrop_experiment(EveModel("intercept_resend_photon"), cfg, 300, seed=5)
+        res = eavesdrop_experiment(EveModel("intercept_resend_photon"), cfg, 300)
         assert (res.conclusive_rounds, res.violations) == (conclusive, violations)
         assert violations > 0
 
@@ -201,6 +199,23 @@ class TestEavesdropping:
             EveModel("replay")
         with pytest.raises(ValueError):
             EveModel("intercept_resend_atom", basis="q")
+
+
+class TestConfigErrors:
+    """An attack the config cannot run raises ConfigError naming the field,
+    before anything compiles.  12 receivers fit the plan's budget, but not
+    the 2^13 x 2^13 check-round law (about 1 GiB) an atom attack reads."""
+
+    @pytest.mark.parametrize("eve, cfg, field", [
+        (EveModel("intercept_resend_photon"), config(ideal_pnr=True), "round.ideal_pnr"),
+        (EveModel("intercept_resend_atom", basis="z"), config(n_receivers=12), "n_receivers"),
+        (EveModel("none"), config(n_receivers=12), "n_receivers"),
+    ], ids=["photon-pnr", "atom-z-12", "none-12"])
+    def test_named_before_compiling(self, eve, cfg, field, no_compile):
+        with pytest.raises(P.ConfigError, match=field):
+            S.security_summary(cfg, 10, eve)
+        with pytest.raises(P.ConfigError, match=field):
+            eavesdrop_experiment(eve, cfg, 10)
 
 
 class TestParityCheckLaws:
@@ -255,7 +270,8 @@ class TestParityCheckLaws:
 
 class TestSummary:
     def test_summary_fields(self):
-        out = S.security_summary(config(), 4000, seed=11)
+        eve = EveModel("intercept_resend_atom", basis="z")
+        out = S.security_summary(config(seed=11), 4000, eve)
         assert set(out) >= {
             "bob_alone",
             "charlie_alone",
@@ -387,16 +403,17 @@ class TestLockstepEqualsScalar:
     def test_matrix(self, n_parties, cutoff, k, detection):
         cfg = diff_config(n_parties, k, detection)
         seed, n_rounds = -7, 150
+        seeded = dataclasses.replace(cfg, seed=seed)
         views = S.standard_views(cfg)
         receivers = views["collaboration"].sees_bits
         # blind for N+1 = 3, one non-Charlie receiver for N+1 = 4
         views["custom"] = ViewSpec(sees_clicks=False, sees_bits=receivers[1:])
         for name, view in views.items():
-            assert cheat_experiment(view, cfg, n_rounds, seed) == oracle_cheat(
+            assert cheat_experiment(view, seeded, n_rounds) == oracle_cheat(
                 view, cfg, n_rounds, seed, cutoff=cutoff
             ), name
         subset = (Message.I, Message.X, Message.Z)
-        assert cheat_experiment(views["collaboration"], cfg, n_rounds, seed, subset) == (
+        assert cheat_experiment(views["collaboration"], seeded, n_rounds, subset) == (
             oracle_cheat(views["collaboration"], cfg, n_rounds, seed, subset, cutoff)
         )
         eves = [
@@ -407,7 +424,7 @@ class TestLockstepEqualsScalar:
         if not cfg.ideal_pnr:
             eves.append(EveModel("intercept_resend_photon"))
         for eve in eves:
-            assert eavesdrop_experiment(eve, cfg, n_rounds, seed) == oracle_eve(
+            assert eavesdrop_experiment(eve, seeded, n_rounds) == oracle_eve(
                 eve, cfg, n_rounds, seed, cutoff
             ), eve
 
@@ -418,13 +435,13 @@ class TestLockstepEqualsScalar:
 
     def test_across_blocks_and_spans(self):
         # more rounds than one block and than one span of precomputed words
-        cfg = diff_config(3, 0.2, (0.9, 0.05))
+        cfg = dataclasses.replace(diff_config(3, 0.2, (0.9, 0.05)), seed=3)
         views = S.standard_views(cfg)
-        assert cheat_experiment(views["bob_alone"], cfg, 2600, 3) == oracle_cheat(
+        assert cheat_experiment(views["bob_alone"], cfg, 2600) == oracle_cheat(
             views["bob_alone"], cfg, 2600, 3
         )
         eve = EveModel("intercept_resend_atom", basis="x", target=1)
-        assert eavesdrop_experiment(eve, cfg, 2600, 3) == oracle_eve(eve, cfg, 2600, 3)
+        assert eavesdrop_experiment(eve, cfg, 2600) == oracle_eve(eve, cfg, 2600, 3)
 
     @pytest.mark.parametrize("eve", [
         EveModel("intercept_resend_atom", basis="z", target=0), EveModel("intercept_resend_photon"),
@@ -456,7 +473,8 @@ class TestLockstepEqualsScalar:
         monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 1 << 13)
         assert n_rounds // 3 > (1 << 13) // (3 * P._plan(cfg).row_width(checks=False))
         for workers, processes in ((1, 1), (3, 3)):
-            got = S.security_summary(cfg, n_rounds, seed, eve, workers=workers)
+            got = S.security_summary(dataclasses.replace(cfg, seed=seed), n_rounds, eve,
+                                     workers=workers)
             assert len(forks) == processes - 1
             forks.clear()
             assert {key: got[key] for key in want} == want
@@ -464,7 +482,7 @@ class TestLockstepEqualsScalar:
     def test_check_rows_extend_past_their_first_block(self, monkeypatch):
         # at 10 parties an atom-attack check row draws 1 + 5 + 1 = 7 words:
         # one Philox block up front, then the stream extends
-        cfg = config(n_receivers=9)
+        cfg = config(n_receivers=9, seed=4)
         eve = EveModel("intercept_resend_atom", basis="x", target=9)
         calls, philox_words = [], P.lockstep.philox_words
 
@@ -474,20 +492,20 @@ class TestLockstepEqualsScalar:
 
         monkeypatch.setattr(P.lockstep, "philox_words", recorded)  # the first blocks
         monkeypatch.setattr(streams, "philox_words", recorded)  # the extensions
-        got = eavesdrop_experiment(eve, cfg, 200, seed=4)
+        got = eavesdrop_experiment(eve, cfg, 200)
         assert calls == [(0, 1), (1, 1)] * 2  # blocks of 128 and 72 rounds (width 1024)
         assert got == oracle_eve(eve, cfg, 200, 4)
         monkeypatch.setattr(P.lockstep, "_FIRST_WORDS", {"encode": 4, "check": 4})
         calls.clear()
-        assert eavesdrop_experiment(eve, cfg, 200, seed=4) == got
+        assert eavesdrop_experiment(eve, cfg, 200) == got
         assert calls == [(0, 4)] * 2
 
     def test_summary_does_not_depend_on_block_size(self, monkeypatch):
         # no row reads another row of its block
-        cfg = diff_config(4, 0.2, (0.9, 0.05))
+        cfg = dataclasses.replace(diff_config(4, 0.2, (0.9, 0.05)), seed=5)
         eves = (EveModel("intercept_resend_atom", basis="z", target=0),
                 EveModel("intercept_resend_photon"))
-        default = [S.security_summary(cfg, 2600, seed=5, eve=eve) for eve in eves]
+        default = [S.security_summary(cfg, 2600, eve=eve) for eve in eves]
         monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 1 << 10)
-        assert [S.security_summary(cfg, 2600, seed=5, eve=eve) for eve in eves] == default
+        assert [S.security_summary(cfg, 2600, eve=eve) for eve in eves] == default
 

@@ -166,13 +166,13 @@ class TestByteIdentity:
         no_child_left()
 
     def test_security_summary(self, many_cpus, forks):
-        cfg = dataclasses.replace(CONFIG, p_check=0.0)
+        cfg = dataclasses.replace(CONFIG, p_check=0.0, seed=3)
         eve = S.EveModel("intercept_resend_photon")
         n_rounds = lockstep.BREAK_EVEN_ROUNDS // 4 + 1
-        one = S.security_summary(cfg, n_rounds, 3, eve)
+        one = S.security_summary(cfg, n_rounds, eve)
         assert not forks
         for workers in (2, 9):
-            assert S.security_summary(cfg, n_rounds, 3, eve, workers=workers) == one
+            assert S.security_summary(cfg, n_rounds, eve, workers=workers) == one
         assert len(forks) == 1 + 3
         no_child_left()
 
