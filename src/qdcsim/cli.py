@@ -24,10 +24,13 @@ import sys
 import typing
 from pathlib import Path
 
-from . import protocol, security
+from . import protocol
 from .dynamics import PhysicalParams
 from .hilbert import Message
 from .protocol import ConfigError, RoundConfig
+
+if typing.TYPE_CHECKING:  # annotations only: the security command imports it
+    from . import security
 
 
 # Only what the dataclasses leave open: every other default is the field's
@@ -64,13 +67,16 @@ def _get_int(doc: dict, section: str, field: str) -> int:
 
 def _rounds(args, doc: dict, section: str) -> int:
     """The round count: ``--rounds``, else ``<section>.rounds``; an error
-    names whichever of the two set it."""
+    names whichever of the two set it.  Round indices are int64 and key the
+    streams, so a count must lie below 2**63."""
     if args.rounds is not None:
         source, n_rounds = "--rounds", args.rounds
     else:
         source, n_rounds = f"{section}.rounds", _get_int(doc, section, "rounds")
     if n_rounds < 1:
         raise ConfigError(f"{source}: must be >= 1")
+    if n_rounds >= 2**63:
+        raise ConfigError(f"{source}: must be below 2**63")
     return n_rounds
 
 
@@ -219,6 +225,8 @@ def emit(out_dir: str, manifest: dict, files: dict[str, str]) -> None:
 
 
 def _parse_eve(name: str) -> security.EveModel:
+    from . import security
+
     table = {
         "none": security.EveModel("none"),
         "intercept-resend-atom-z": security.EveModel("intercept_resend_atom", basis="z"),
@@ -271,6 +279,8 @@ def cmd_sweep(args, doc: dict) -> tuple[str, dict[str, str]]:
 
 
 def cmd_security(args, doc: dict) -> tuple[str, dict[str, str]]:
+    from . import security  # only this command reads it: keeps start-up short
+
     config = build_round_config(doc, args)
     n_rounds = _rounds(args, doc, "security")
     eve = _parse_eve(args.eve or _setting(doc, "security", "eve"))
@@ -289,8 +299,9 @@ def cmd_feasibility(args, doc: dict) -> tuple[str, dict[str, str]]:
     if args.paper_constants or "params" not in doc:
         try:
             params = feas.paper_params(constants)
-        except ValueError as exc:  # the paper's couplings at k = 1/t_d
-            raise ConfigError(f"feasibility.constants.t_d: {exc}") from exc
+        except ValueError as exc:  # gamma = 1/t_r is infinite, or k = 1/t_d overdamps
+            name = "t_r" if 1.0 / constants.t_r > sys.float_info.max else "t_d"
+            raise ConfigError(f"feasibility.constants.{name}: {exc}") from exc
     else:
         params = _build(doc, "params", PhysicalParams)
     payload = json.dumps(feas.report_json(params, constants)) + "\n"

@@ -54,6 +54,8 @@ class PhysicalParams:
             raise ValueError("g, Omega, Delta must be positive")
         if self.k < 0 or self.gamma < 0:
             raise ValueError("k and gamma must be nonnegative")
+        if not math.isfinite(self.gamma):
+            raise ValueError(f"gamma must be finite, got {self.gamma!r}")
         if 2.0 * self.delta_eff <= self.k:
             raise ValueError(
                 f"underdamped regime required: 2*delta = {2 * self.delta_eff} must exceed k = {self.k}"

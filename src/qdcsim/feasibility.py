@@ -45,6 +45,8 @@ class HardwareConstants:
         for name in ("t_r", "Q", "t_d", "T_d", "t1", "t2"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not math.isfinite(self.t1 + self.t2):
+            raise ValueError(f"t1 + t2 = {self.t1 + self.t2!r} must be finite")
 
 
 def paper_params(constants: HardwareConstants | None = None) -> PhysicalParams:

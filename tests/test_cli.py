@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import copy
 import dataclasses
@@ -71,6 +72,38 @@ class TestParserOncePerProcess:
         capsys.readouterr()
         assert {str(p): p.read_bytes() for p in sorted(Path().glob("*/*"))} == fresh
         assert len(fresh) == 5  # batch_summary, rounds.jsonl, security.json, 2 manifests
+
+
+# Runs cli.main in a fresh interpreter (this one has imported every module)
+# and prints its exit code and the qdcsim modules it loaded as the last line;
+# security and feasibility must load in their own commands alone.
+LOADED_MODULES = """\
+import json, sys
+from qdcsim import cli
+code = cli.main(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("qdcsim."))]))
+"""
+
+# each command line, with the modules of those two it must load
+COMMAND_IMPORTS = [
+    (["run"], set()),
+    (["batch", "--round-log", "--rounds", "20"], set()),
+    (["sweep", "--rounds", "20"], set()),
+    (["decode-table"], set()),
+    (["feasibility"], {"qdcsim.feasibility"}),
+    (["security", "--rounds", "20"], {"qdcsim.security"}),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", [pytest.param(*c, id=c[0][0]) for c in COMMAND_IMPORTS])
+def test_command_imports_only_its_modules(argv, loaded, tmp_path):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv, "--out", "out"],
+                          cwd=tmp_path, env=env, check=True, capture_output=True, text=True)
+    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    assert code == 0, proc.stderr
+    assert {"qdcsim.security", "qdcsim.feasibility"} & set(modules) == loaded
 
 
 class TestConfigParsing:
@@ -515,6 +548,30 @@ class TestRoundCountSource:
         assert f"{section}.rounds: must be >= 1" in err
         assert "--rounds" not in err
 
+    # round indices are int64: a larger count ran until killed
+    @pytest.mark.parametrize("value", [2**63, 10**30])
+    def test_flag_from_2_63_named(self, command, section, value, config_path, capsys):
+        code, _, err = run_cli([command, "--config", config_path, "--rounds", str(value)],
+                               capsys)
+        assert code == 2
+        assert "config error: --rounds: must be below 2**63" in err
+
+    @pytest.mark.parametrize("value", [2**63, 1e300])
+    def test_config_key_from_2_63_named(self, command, section, value, tmp_path, capsys):
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc[section]["rounds"] = value
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli([command, "--config", str(path)], capsys)
+        assert code == 2
+        assert f"config error: {section}.rounds: must be below 2**63" in err
+
+    def test_largest_count_accepted(self, command, section):
+        doc = {section: {"rounds": 2**63 - 1}}
+        for rounds in (2**63 - 1, None):
+            args = argparse.Namespace(rounds=rounds)
+            assert cli._rounds(args, doc, section) == 2**63 - 1
+
 
 class TestGoldenDigest:
     """Pins the per-round Philox stream contract: any change to how rounds
@@ -789,6 +846,23 @@ class TestFeasibilityCommand:
         assert code == 2
         assert f"config error: {field}" in err
 
+    @pytest.mark.parametrize("constants, named", [
+        ({"t_r": 5e-324}, "feasibility.constants.t_r: gamma must be finite"),
+        ({"t1": 1e308, "t2": 1e308}, "feasibility.constants: t1 + t2 = inf must be finite"),
+        ({"t_d": 5e-324}, "feasibility.constants.t_d: underdamped regime required"),
+        ({"t_r": 5e-324, "t_d": 5e-324}, "feasibility.constants.t_r: gamma must be finite"),
+    ])
+    def test_infinite_report_value_named(self, constants, named, tmp_path, capsys):
+        # gamma = 1/t_r and t1 + t2 overflowed to inf, which feasibility.json
+        # carried as the non-standard token Infinity
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps({"feasibility": {"constants": constants}}))
+        out = tmp_path / "out"
+        code, _, err = run_cli(["feasibility", "--config", str(p), "--out", str(out)], capsys)
+        assert code == 2
+        assert f"config error: {named}" in err
+        assert not out.exists()
+
     def test_constants_read_by_type(self, tmp_path, capsys):
         doc = json.loads(json.dumps(BASE_DOC))
         doc["feasibility"] = {"constants": {"Q": 200000000, "t_r": 0.02}}
@@ -874,21 +948,108 @@ def names_a_field(err: str) -> bool:
     return bool(dotted) or bool(words & FIELD_NAMES[section]) or rest.startswith("expected an")
 
 
+def names_a_flag(err: str, argv: list[str]) -> bool:
+    """The error starts with a flag of ``argv``, or is argparse's usage error
+    naming one."""
+    m = re.search(r"(?:^config error:|error: argument) (--[\w-]+)", err, re.MULTILINE)
+    return m is not None and m.group(1) in {a.split("=")[0] for a in argv}
+
+
+# the values drawn for each flag besides --config, --rounds and --threads;
+# a flag without values is a switch
+FLAG_VALUES_DRAWN = {
+    "--seed": [-1, 2**64, 2**64 - 1],
+    "--p-check": ["nan", "inf", "-0.0", "1.5", "5e-324"],
+    "--message": ["I", "X", "iY", "Z", "random"],
+    "--eve": [*DOCUMENT["security"]["eve"], "bogus"],
+    "--ideal-pnr": [], "--round-log": [], "--paper-constants": [],
+}
+FLAG_ROUNDS = st.sampled_from([*range(1, 21), 10**30])
+SECTION_ROUNDS = st.sampled_from([*range(1, 21), 0, 1e300, 2**64, "10"])
+
+
+@st.composite
+def invocations(draw):
+    """A document and a command line: a subcommand with up to three of the
+    flags it takes.  The round count is ``--rounds`` or, without it,
+    ``<section>.rounds``, so that no command runs more than 20 rounds."""
+    doc = draw(documents())
+    command = draw(st.sampled_from(list(ACCEPTED)))
+    argv = [command]
+    flags = st.sampled_from([f for f in ACCEPTED[command] if f in FLAG_VALUES_DRAWN])
+    for flag in draw(st.lists(flags, max_size=3, unique=True)):
+        values = FLAG_VALUES_DRAWN[flag]
+        argv.append(f"{flag}={draw(st.sampled_from(values))}" if values else flag)
+    if "--rounds" in ACCEPTED[command]:
+        argv.append("--threads=1")
+        if draw(st.booleans()):
+            argv.append(f"--rounds={draw(FLAG_ROUNDS)}")
+        else:
+            section = "sweep" if command == "sweep" else "security"
+            if doc.get(section) is None:
+                doc[section] = {}
+            if isinstance(doc[section], dict):
+                doc[section]["rounds"] = draw(SECTION_ROUNDS)
+    return doc, argv
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON: {token}")
+
+
+def load_strict(path: Path) -> list:
+    """The values of an emitted JSON file, or of each line of a .jsonl file;
+    NaN and Infinity, which json.dumps writes but JSON lacks, raise."""
+    text = path.read_text()
+    lines = text.splitlines() if path.suffix == ".jsonl" else [text]
+    return [json.loads(line, parse_constant=_reject_constant) for line in lines]
+
+
+RUNS = {"params": {"g": 1.0, "Omega": 1.0, "Delta": 1.0}, "round": {"t_window": 0.5}}
+
+
 @settings(max_examples=400)
-@given(documents(), st.sampled_from(["run", "batch", "sweep", "security", "feasibility",
-                                     "decode-table"]), st.integers(1, 20))
+@given(invocations())
 # without params, the report reads the paper's couplings with k = 1/t_d, which
 # a tiny t_d leaves overdamped (it exited 3)
-@example(doc={"feasibility": {"constants": {"t_d": 5e-324}}}, command="feasibility", n_rounds=1)
-@example(doc={"feasibility": {"constants": {"t_d": 1e-7}}}, command="feasibility", n_rounds=1)
-def test_every_document_runs_or_names_a_field(tmp_path_factory, doc, command, n_rounds):
-    path = tmp_path_factory.mktemp("fuzz") / "doc.json"
-    path.write_text(json.dumps(doc))
-    argv = [command, "--config", str(path)]
-    if command in ("batch", "sweep", "security"):
-        argv += ["--rounds", str(n_rounds), "--threads", "1"]
+@example(({"feasibility": {"constants": {"t_d": 5e-324}}}, ["feasibility"]))
+@example(({"feasibility": {"constants": {"t_d": 1e-7}}}, ["feasibility"]))
+# gamma = 1/t_r and t1 + t2 overflowed: feasibility.json held Infinity
+@example(({"feasibility": {"constants": {"t_r": 5e-324}}}, ["feasibility"]))
+@example(({"feasibility": {"constants": {"t1": 1e308, "t2": 1e308}}}, ["feasibility"]))
+# round counts from 2**63 ran until killed
+@example(({**RUNS, "security": {"rounds": 1e300}}, ["batch", "--threads=1"]))
+@example(({**RUNS, "sweep": {"rounds": 1e300}}, ["sweep", "--threads=1"]))
+@example((RUNS, ["batch", "--threads=1", f"--rounds={10**30}"]))
+def test_every_document_runs_or_names_a_field(tmp_path_factory, invocation):
+    doc, argv = invocation
+    root = tmp_path_factory.mktemp("fuzz")
+    (root / "doc.json").write_text(json.dumps(doc))
+    out = root / "out"
     with contextlib.redirect_stdout(io.StringIO()), \
             contextlib.redirect_stderr(io.StringIO()) as err:
-        code = cli.main(argv)
-    assert code in (0, 2), err.getvalue()
-    assert code == 0 or names_a_field(err.getvalue()), err.getvalue()
+        try:
+            code = cli.main([*argv, "--config", str(root / "doc.json"), "--out", str(out)])
+        except SystemExit as exc:  # argparse rejects a flag's value
+            code = exc.code
+    err = err.getvalue()
+    assert code in (0, 2), err
+    if code == 2:
+        assert names_a_field(err) or names_a_flag(err, argv), err
+        assert not out.exists()
+    for path in [*out.glob("*.json"), *out.glob("*.jsonl")]:
+        load_strict(path)
+
+
+def test_golden_corpus_is_standard_json(tmp_path, monkeypatch):
+    # the golden corpus's commands, their files parsed as strictly
+    from test_golden_corpus import COMMANDS, CONFIGS
+
+    for config in CONFIGS.glob("*.json"):
+        shutil.copy(config, tmp_path)
+    monkeypatch.chdir(tmp_path)
+    for out, argv in COMMANDS.items():
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main([*argv, "--out", out]) == 0
+        for path in [*Path(out).glob("*.json"), *Path(out).glob("*.jsonl")]:
+            load_strict(path)

@@ -59,6 +59,11 @@ class TestParams:
         with pytest.raises(ValueError):
             PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, k=-0.1)
 
+    def test_rejects_infinite_gamma(self):
+        # the feasibility report writes gamma; inf is not standard JSON
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, gamma=math.inf)
+
     @pytest.mark.parametrize("g, omega, delta, k", [
         (1e300, 1.0, 1.0, 0.2),  # delta^2 overflows
         (1e200, 1e200, 1.0, 0.2),  # delta itself overflows

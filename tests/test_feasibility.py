@@ -61,6 +61,10 @@ class TestTimescaleReport:
     def test_constants_validation(self):
         with pytest.raises(ValueError):
             F.HardwareConstants(t_d=0.0)
+        with pytest.raises(ValueError, match="t1 \\+ t2 = inf must be finite"):
+            F.HardwareConstants(t1=1e308, t2=1e308)
+        with pytest.raises(ValueError, match="gamma must be finite"):
+            F.paper_params(F.HardwareConstants(t_r=5e-324))
 
 
 class TestDarkCountSweep:
