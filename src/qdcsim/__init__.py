@@ -2,7 +2,7 @@
 
 Subpackages:
 
-* :mod:`qdcsim.hilbert` -- tensor-product state space and Pauli encoding
+* :mod:`qdcsim.hilbert` -- the two-bit messages
 * :mod:`qdcsim.dynamics` -- closed-form conditional atom-cavity evolution
 * :mod:`qdcsim.protocol` -- encode/transfer/detect pipeline and batches
 * :mod:`qdcsim.security` -- posteriors, cheat games, eavesdropper checks
@@ -11,23 +11,12 @@ Subpackages:
 """
 
 from .dynamics import PhysicalParams, alpha_beta, transfer_time
-from .hilbert import (
-    Message,
-    MESSAGES,
-    SiteSpec,
-    StateVector,
-    SystemLayout,
-    basis_state,
-    pauli_encode,
-)
+from .hilbert import Message, MESSAGES
 from .protocol import (
     DetectorModel,
     RoundConfig,
     bell_weights,
     build_decode_table,
-    map_to_cavities,
-    prepare_ghz,
-    receiver_rotation,
     run_batch,
     success_probability_formula,
 )
@@ -38,18 +27,10 @@ __all__ = [
     "transfer_time",
     "Message",
     "MESSAGES",
-    "SiteSpec",
-    "StateVector",
-    "SystemLayout",
-    "basis_state",
-    "pauli_encode",
     "DetectorModel",
     "RoundConfig",
     "bell_weights",
     "build_decode_table",
-    "map_to_cavities",
-    "prepare_ghz",
-    "receiver_rotation",
     "run_batch",
     "success_probability_formula",
 ]

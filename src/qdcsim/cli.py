@@ -11,7 +11,9 @@ a manifest reproduces identical bytes.  Wall-clock timing is reported on
 stdout only, never in emitted files.
 
 Exit codes: 0 success, 2 configuration error (:class:`ConfigError`, which
-the library raises too), 3 internal invariant violation.
+the library raises too), 3 internal invariant violation.  A non-finite
+number in an output is one: the writers reject it before any file is
+written.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import sys
 import typing
 from pathlib import Path
@@ -200,12 +203,14 @@ def batch_summary(config: RoundConfig, stats: protocol.BatchStats,
 
 
 def sweep_csv(rows: list[dict]) -> str:
-    lines = ["t_window,formula_survival,formula_integrated,mc_estimate,mc_stderr"]
+    """The sweep rows as CSV; a non-finite value raises ValueError, as
+    ``json.dumps(..., allow_nan=False)`` does for the JSON files."""
+    columns = ("t_window", "formula_survival", "formula_integrated", "mc_estimate", "mc_stderr")
+    lines = [",".join(columns)]
     for r in rows:
-        lines.append(
-            f"{r['t_window']!r},{r['formula_survival']!r},{r['formula_integrated']!r},"
-            f"{r['mc_estimate']!r},{r['mc_stderr']!r}"
-        )
+        if not all(math.isfinite(r[c]) for c in columns):
+            raise ValueError(f"sweep row {r} holds a non-finite value")
+        lines.append(",".join(repr(r[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 
@@ -217,7 +222,7 @@ def emit(out_dir: str, manifest: dict, files: dict[str, str]) -> None:
     for name, content in files.items():
         (out / name).write_text(content)
     manifest = {**manifest, "files": list(files)}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
+    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -260,10 +265,11 @@ def cmd_batch(args, doc: dict) -> tuple[str, dict[str, str]]:
         on_log=log.extend if args.round_log else None, workers=args.threads,
     )
     summary = batch_summary(config, stats, include_wall_time=False)
-    files = {"batch_summary.json": json.dumps(summary) + "\n"}
+    files = {"batch_summary.json": json.dumps(summary, allow_nan=False) + "\n"}
     if args.round_log:
         files["rounds.jsonl"] = "\n".join(log) + "\n"
-    return json.dumps(batch_summary(config, stats, include_wall_time=True)) + "\n", files
+    stdout = json.dumps(batch_summary(config, stats, include_wall_time=True), allow_nan=False)
+    return stdout + "\n", files
 
 
 def cmd_sweep(args, doc: dict) -> tuple[str, dict[str, str]]:
@@ -288,7 +294,7 @@ def cmd_security(args, doc: dict) -> tuple[str, dict[str, str]]:
         "config": config_to_dict(config),
         "n_rounds": n_rounds,
         "security": security.security_summary(config, n_rounds, eve, workers=args.threads),
-    }) + "\n"
+    }, allow_nan=False) + "\n"
     return line, {"security.json": line}
 
 
@@ -304,7 +310,7 @@ def cmd_feasibility(args, doc: dict) -> tuple[str, dict[str, str]]:
             raise ConfigError(f"feasibility.constants.{name}: {exc}") from exc
     else:
         params = _build(doc, "params", PhysicalParams)
-    payload = json.dumps(feas.report_json(params, constants)) + "\n"
+    payload = json.dumps(feas.report_json(params, constants), allow_nan=False) + "\n"
     return feas.report_text(params, constants) + "\n" + payload, {"feasibility.json": payload}
 
 
@@ -314,7 +320,7 @@ def cmd_decode_table(args, doc: dict) -> tuple[str, dict[str, str]]:
         {"key": list(key), "message": "abort" if msg is None else msg.value}
         for key, msg in sorted(protocol.build_decode_table(config).items())
     ]
-    line = json.dumps({"ideal_pnr": config.ideal_pnr, "table": entries}) + "\n"
+    line = json.dumps({"ideal_pnr": config.ideal_pnr, "table": entries}, allow_nan=False) + "\n"
     return line, {"decode_table.json": line}
 
 

@@ -18,9 +18,9 @@ whose underdamped solution from ``|e,0>`` is
 
 with W = Omega_k = sqrt(4 delta^2 - k^2).  ``|g,0>`` is dark.  The
 protocol pipeline maps atoms to cavities with these closed forms
-(``protocol.map_to_cavities``); no numerical integrator ships.  The test
+(``protocol._pipeline_sectors``); no numerical integrator ships.  The test
 suite checks the closed forms and the pipeline against a fixed-step RK4
-integration of the same generator on the full state
+integration of the same generator on the full dense state
 (``tests/scalar_oracle.py``).
 
 The first zero of alpha, at W t/2 = pi - arctan(W/k), is the transfer

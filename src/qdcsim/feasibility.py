@@ -69,8 +69,9 @@ class CheckRow:
 
 def regime_report(params: PhysicalParams) -> list[CheckRow]:
     """Validity ratios for eliminating the upper atomic level and for the
-    underdamped transfer."""
-    ratio_dispersive = params.Omega * params.g / params.Delta**2
+    underdamped transfer.  Omega*g/Delta^2 is taken as delta/Delta, which
+    neither overflows nor underflows where Delta^2 would."""
+    ratio_dispersive = params.delta_eff / params.Delta
     ratio_gamma = params.Delta / params.gamma if params.gamma > 0 else math.inf
     ratio_k = params.omega_k / params.k if params.k > 0 else math.inf
     return [

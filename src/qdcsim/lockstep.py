@@ -10,10 +10,10 @@ every command runs its rounds this way, and a one-round batch is
 ``qdcsim run``.
 
 The detection window runs in closed form on :func:`jump_tables`.  A start
-holds at most two photons, a jump lowers the photon number by one, and the
-no-jump decay exp(-k n t) scales each photon sector n, so a row's state is
-V[s, h] = B_h ... psi_s for one of 7 jump histories h, scaled per sector:
-a row carries h and its three sector weights.  The first pass reads the
+holds at most one photon per cavity, a jump lowers the photon number by
+one, and the no-jump decay exp(-k n t) scales each photon sector n, so a
+row's state is V[s, h] = B_h ... psi_s for one of 7 jump histories h,
+scaled per sector: a row carries h and its three sector weights.  The first pass reads the
 start's own sector norms, so the first jump time is the reference's bit
 for bit; later times agree up to rounding.
 
@@ -60,34 +60,24 @@ HISTORIES = 7  # jump histories of a window: none, +, -, ++, +-, -+, --
 SECTORS = 3  # photon numbers a window state holds: 0, 1, 2
 
 
-def beamsplitter(info, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(a_A + a_B)/sqrt(2) and (a_A - a_B)/sqrt(2) on each row: the unscaled
-    jump channels of both signs.
+def beamsplitter(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(a_A + a_B)/sqrt(2) and (a_A - a_B)/sqrt(2) on each row of photon-sector
+    amplitudes ``psi[row, bit code, n_A, n_B]``: the unscaled jump channels of
+    both signs.
 
-    The cavities are the last two sites, so in the (rows, atoms, n_A, n_B)
-    view each annihilator maps the slice of one occupation onto the slice
-    below it.  ``a = 0 + a_A psi`` holds no -0.0, so ``a + b`` and ``a - b``
-    equal the per-sign scatter-adds of ``+/-(a_B psi)`` onto ``a_A psi``,
-    signed zeros included.  The factor sqrt(1) is left out: ``1 * z`` and
-    ``z`` differ only in the sign of a zero, which both sums drop."""
-    rows, dim = psi.shape
-    d_a, d_b = info.layout.dims[-2:]
-    psi = psi.reshape(rows, dim // (d_a * d_b), d_a, d_b)  # -1 fails on 0 rows
+    Each annihilator maps the one-photon slice of its cavity onto the vacuum
+    slice, with the factor sqrt(1) left out.  ``a = 0 + a_A psi`` holds no
+    -0.0, so ``a + b`` and ``a - b`` equal the per-sign scatter-adds of
+    ``+/-(a_B psi)`` onto ``a_A psi``, signed zeros included."""
     plus = np.zeros_like(psi)
-    for n in range(1, d_a):  # a_A: n_A = n -> n - 1
-        for m in range(d_b):
-            a = psi[:, :, n, m] if n == 1 else math.sqrt(n) * psi[:, :, n, m]
-            plus[:, :, n - 1, m] += a
+    plus[..., 0, :] += psi[..., 1, :]  # a_A: n_A = 1 -> 0
     minus = plus.copy()
-    for m in range(1, d_b):  # a_B: n_B = m -> m - 1
-        for n in range(d_a):
-            b = psi[:, :, n, m] if m == 1 else math.sqrt(m) * psi[:, :, n, m]
-            plus[:, :, n, m - 1] += b
-            minus[:, :, n, m - 1] -= b
+    plus[..., 0] += psi[..., 1]  # a_B: n_B = 1 -> 0
+    minus[..., 0] -= psi[..., 1]
     scale = 1.0 / math.sqrt(2.0)
     plus *= scale
     minus *= scale
-    return plus.reshape(rows, dim), minus.reshape(rows, dim)
+    return plus, minus
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,35 +102,29 @@ def _per_unit(weights: np.ndarray, norms: np.ndarray) -> np.ndarray:
                      where=norms > 0.0)
 
 
-def jump_vectors(info, amps: np.ndarray) -> np.ndarray:
-    """V[s, h], shape (starts, 7, dim): the jump channels of history h
-    applied to the start state ``amps[s]`` of layout ``info``."""
-    vectors = np.zeros((len(amps), HISTORIES, amps.shape[1]), dtype=np.complex128)
-    vectors[:, 0] = amps
+def jump_vectors(starts: np.ndarray) -> np.ndarray:
+    """V[s, h], shape (starts, 7, bit codes, 2, 2): the jump channels of
+    history h applied to the photon-sector amplitudes ``starts[s]``."""
+    vectors = np.zeros((len(starts), HISTORIES) + starts.shape[1:], dtype=np.complex128)
+    vectors[:, 0] = starts
     for h in range(HISTORIES // 2):  # histories of at most one jump
-        vectors[:, 2 * h + 1], vectors[:, 2 * h + 2] = beamsplitter(info, vectors[:, h])
+        vectors[:, 2 * h + 1], vectors[:, 2 * h + 2] = beamsplitter(vectors[:, h])
     return vectors
 
 
-def jump_tables(info, amps: np.ndarray) -> JumpTables:
-    """The :class:`JumpTables` of the start states ``amps`` (rows) of layout
-    ``info``.  Sector weights are summed in index order (``bincount``), so
-    W[s, 0] is the start state's own.  A start with weight on three or more
-    photons raises ValueError."""
-    n_vec, n_codes = info.photon_numbers, len(info.bit_strings)
-    n_sectors = max(int(n_vec.max()) + 1, SECTORS)
-    weights = np.abs(jump_vectors(info, amps).reshape(-1, amps.shape[1])) ** 2
-    norms = np.array([np.bincount(n_vec, weights=w, minlength=n_sectors) for w in weights])
-    norms = norms.reshape(len(amps), HISTORIES, n_sectors)
-    if norms[..., SECTORS:].any():
-        raise ValueError("detection windows take states of at most two photons")
-    norms = np.ascontiguousarray(norms[..., :SECTORS])
-    bins, size = n_vec * n_codes + info.bit_codes, n_sectors * n_codes
-    bits = np.array([np.bincount(bins, weights=w, minlength=size) for w in weights])
-    bits = _per_unit(
-        bits.reshape(len(amps), HISTORIES, n_sectors, n_codes)[:, :, :SECTORS], norms[..., None]
-    )
-    branch = np.zeros((len(amps), HISTORIES, 2, SECTORS))
+def jump_tables(starts: np.ndarray) -> JumpTables:
+    """The :class:`JumpTables` of the start states ``starts[s, bit code, n_A,
+    n_B]``.  Sector weights are summed in (bit code, n_A, n_B) order
+    (``bincount``), so W[s, 0] is the start state's own."""
+    n_codes = starts.shape[1]
+    n_vec = np.tile([0, 1, 1, 2], n_codes)  # photon number per (bit code, n_A, n_B)
+    weights = np.abs(jump_vectors(starts).reshape(-1, 4 * n_codes)) ** 2
+    norms = np.array([np.bincount(n_vec, weights=w, minlength=SECTORS) for w in weights])
+    norms = norms.reshape(len(starts), HISTORIES, SECTORS)
+    bins = n_vec * n_codes + np.repeat(np.arange(n_codes), 4)
+    bits = np.array([np.bincount(bins, weights=w, minlength=SECTORS * n_codes) for w in weights])
+    bits = _per_unit(bits.reshape(len(starts), HISTORIES, SECTORS, n_codes), norms[..., None])
+    branch = np.zeros((len(starts), HISTORIES, 2, SECTORS))
     for h in range(HISTORIES // 2):
         for c in range(2):
             branch[:, h, c, 1:] = _per_unit(norms[:, 2 * h + 1 + c, :-1], norms[:, h, 1:])
@@ -349,7 +333,7 @@ def encode_rounds(plan, streams: RowStreams, rows: np.ndarray, sent: np.ndarray,
 
 
 def _ideal_pnr_rounds(plan, streams, rows, sent, res: Rounds) -> None:
-    n_codes = len(plan.info.bit_strings)
+    n_codes = len(plan.bit_strings)
     cum = plan.pnr_cum[sent]
     j = (cum <= streams.random(rows)[:, None]).sum(axis=1)
     lost = j == cum.shape[1]

@@ -27,6 +27,7 @@ exponential arrival law).
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import time
@@ -36,23 +37,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from . import hilbert, lockstep
+from . import lockstep
 from .dynamics import PhysicalParams, alpha_beta, transfer_time
-from .hilbert import (
-    G,
-    E,
-    Message,
-    MESSAGES,
-    SiteKind,
-    StateVector,
-    SystemLayout,
-    apply_site_operator,
-    atom_site,
-    mode_site,
-    norm_sq,
-    pauli_encode,
-    site_view,
-)
+from .hilbert import Message, MESSAGES
 
 CHANNEL_PLUS = "D+"
 CHANNEL_MINUS = "D-"
@@ -79,10 +66,6 @@ class ConfigError(ValueError):
     document field (``section.field``); raised before anything compiles."""
 
 
-class UnexpectedPhotonSupport(hilbert.HilbertError):
-    """State has weight outside the two-mode {00,01,10,11} subspace."""
-
-
 @dataclass(frozen=True)
 class DetectorModel:
     """Threshold detector pair: registration efficiency and per-window dark
@@ -103,7 +86,7 @@ class RoundConfig:
     """Knobs for one protocol round / batch, given by keyword.
 
     ``t_map=None`` resolves to the transfer time t* of ``params``; an
-    explicit ``t_map`` must be a zero of alpha (see :func:`map_to_cavities`),
+    explicit ``t_map`` must be a zero of alpha (see :func:`_pipeline_sectors`),
     and beta must not vanish there (the phi basis divides by beta^2).  Each
     cavity only ever holds the one photon its atom emits, so a config's
     modes are compiled at one photon.  The field order is the CLI echo's
@@ -168,12 +151,12 @@ class BatchStats:
 def check_size(n_receivers: int, checks: bool) -> None:
     """Raise ValueError, naming ``n_receivers``, where the largest array a
     config compiles would exceed ``MEMORY_BUDGET``: the detection window's
-    jump vectors, 7 histories x 4 messages x dim complex amplitudes with
-    dim = 4 x 2^n (``lockstep.jump_vectors``), and with ``checks`` a check
-    round law's 2^n x 2^n complex amplitudes (``combo_laws``)."""
+    jump vectors, 7 histories x 4 messages x 4 x 2^(n-2) complex amplitudes
+    (``lockstep.jump_vectors``), and with ``checks`` a check round law's
+    2^n x 2^n complex amplitudes (``combo_laws``)."""
     n = n_receivers + 1
     try:
-        size = math.ldexp(lockstep.HISTORIES * len(MESSAGES) * 16 * 4, n)
+        size = math.ldexp(lockstep.HISTORIES * len(MESSAGES) * 16, n)
         if checks:
             size = max(size, math.ldexp(16, 2 * n))
     except OverflowError:
@@ -187,24 +170,7 @@ def check_size(n_receivers: int, checks: bool) -> None:
 
 
 # ---------------------------------------------------------------------------
-# layout and deterministic pipeline
-
-
-def layout_for(n_parties: int, cutoff: int = 1) -> SystemLayout:
-    """Atoms in party order (Alice, Bob, further receivers), then cavities A, B."""
-    sites = tuple([atom_site()] * n_parties) + (mode_site(cutoff), mode_site(cutoff))
-    return SystemLayout(sites)
-
-
-def prepare_ghz(n_parties: int, cutoff: int = 1) -> StateVector:
-    """(|e..e> + |g..g>)/sqrt(2) on the atoms, cavities in vacuum."""
-    if n_parties < 2:
-        raise ValueError("n_parties must be >= 2")
-    layout = layout_for(n_parties, cutoff)
-    amps = np.zeros(layout.dim, dtype=np.complex128)
-    amps[layout.index_of((E,) * n_parties + (0, 0))] = 1.0 / math.sqrt(2.0)
-    amps[layout.index_of((G,) * n_parties + (0, 0))] = 1.0 / math.sqrt(2.0)
-    return StateVector(layout, amps)
+# deterministic pipeline, in the photon-sector basis
 
 
 def resolve_t_map(config: RoundConfig) -> float:
@@ -217,74 +183,46 @@ def _frozen(array: np.ndarray) -> np.ndarray:
     return array
 
 
-def map_to_cavities(state: StateVector, config: RoundConfig) -> StateVector:
-    """Simultaneous conditional evolution of (Alice atom, cavity A) and
-    (Bob atom, cavity B) for ``t_map``, in closed form.
-
-    With the cavity in vacuum each pair evolves as |g,0> -> |g,0> (dark)
-    and |e,0> -> alpha|e,0> + beta|g,1>, with (alpha, beta) from
-    :func:`alpha_beta`.  At ``t_map = t*`` alpha vanishes, so both mapped
-    atoms end in |g>, disentangled from the (A, B, remaining receivers)
-    subsystem.
-    """
-    return _map_pairs(state, config.params, resolve_t_map(config))
-
-
-def _map_pairs(state: StateVector, params: PhysicalParams, t_map: float) -> StateVector:
-    layout = state.layout
-    if abs(norm_sq(state) - 1.0) > 1e-9:
-        raise ValueError("map_to_cavities expects a normalized input state")
-    mode_a, mode_b = layout.mode_sites[0], layout.mode_sites[1]
-    for m in (mode_a, mode_b):
-        if _occupied_weight(state, m) > 1e-12:
-            raise ValueError("cavities must start in vacuum")
-    alpha, beta = alpha_beta(params, t_map)
-    occ = layout.occupations
-    amps = state.amplitudes.copy()
-    for atom, mode in ((0, mode_a), (1, mode_b)):
-        excited = np.flatnonzero((occ[:, atom] == E) & (occ[:, mode] == 0))
-        emitted = excited - layout.strides[atom] + layout.strides[mode]
-        amps[emitted] += beta * amps[excited]
-        amps[excited] *= alpha
-    return StateVector(layout, amps)
-
-
-def _occupied_weight(state: StateVector, site: int) -> float:
-    return float(np.sum(np.abs(site_view(state, site)[:, 1:, :]) ** 2))
-
-
 _ROTATION = np.array([[-1, 1], [1, 1]], dtype=np.complex128) / math.sqrt(2.0)
 # |e> -> (|e>+|g>)/sqrt2, |g> -> (|e>-|g>)/sqrt2; involution (R^2 = I).
 
-
-def receiver_rotation(state: StateVector, atom_index: int) -> StateVector:
-    """Classical-field pulse rotating one receiver atom before readout."""
-    if state.layout.site_kind(atom_index) is not SiteKind.ATOM:
-        raise hilbert.NotAnAtomSite(f"site {atom_index} is not an atom")
-    return apply_site_operator(state, atom_index, _ROTATION)
-
-
-def rotated_receiver_sites(layout: SystemLayout) -> tuple[int, ...]:
-    """All receivers except the flying-qubit holder (Bob, atom 1)."""
-    return tuple(i for i in layout.atom_sites if i >= 2)
-
-
-def pipeline_state(config: RoundConfig, message: Message) -> StateVector:
-    """Deterministic state entering the detection window for one message."""
-    plan = _plan(config)
-    return StateVector(plan.info.layout, plan.amps[_MSG_INDEX[message]])
+# Alice's Pauli, per message: for the GHZ branch whose atoms sit in g, then
+# in e, her atom's value after it (0 = g, 1 = e) and the sign it gives the
+# branch.  X swaps g<->e, Z flips the sign of g, and iY flips then signs, so
+# that it turns the GHZ state into (|gee>-|egg>)/sqrt(2) with a leading plus.
+_ENCODE = {
+    Message.I: ((0, 1.0), (1, 1.0)),
+    Message.X: ((1, 1.0), (0, 1.0)),
+    Message.IY: ((1, -1.0), (0, 1.0)),
+    Message.Z: ((0, -1.0), (1, 1.0)),
+}
 
 
-def _pipeline_amps(config: RoundConfig, t_map: float) -> np.ndarray:
-    """The pipeline state of every message, as rows in MESSAGES order."""
-    rows = []
-    for message in MESSAGES:
-        state = pauli_encode(prepare_ghz(config.n_parties), 0, message)
-        state = _map_pairs(state, config.params, t_map)
-        for site in rotated_receiver_sites(state.layout):
-            state = receiver_rotation(state, site)
-        rows.append(state.amplitudes)
-    return _frozen(np.array(rows))
+def _pipeline_sectors(n_parties: int, beta: float) -> np.ndarray:
+    """The state entering the detection window of every message, as
+    amplitudes ``[message, bit code, n_A, n_B]``: messages in MESSAGES
+    order, bit codes indexing the plan's ``bit_strings``.
+
+    Each branch of the GHZ state (|e..e> + |g..g>)/sqrt(2) stays one product
+    term.  Alice's Pauli sets her atom's value and the branch's sign
+    (``_ENCODE``).  At t_map each mapped pair (atom, cavity) sends |e,0> to
+    alpha|e,0> + beta|g,1> (:func:`alpha_beta`) with alpha = 0, up to the
+    ``_SUPPORT_TOL`` a config allows, so an excited atom leaves one photon
+    in its cavity, A's factor beta applied before B's, and both mapped atoms
+    end in |g>.  Each further receiver holds Bob's value and is rotated by
+    ``_ROTATION``, in site order."""
+    out = np.zeros((len(MESSAGES), 2 ** (n_parties - 2), 2, 2), dtype=np.complex128)
+    for row, message in enumerate(MESSAGES):
+        for bob, (alice, sign) in enumerate(_ENCODE[message]):
+            amp = sign / math.sqrt(2.0)
+            for excited in (alice, bob):
+                if excited:
+                    amp = beta * amp
+            column = np.array([amp], dtype=np.complex128)
+            for _ in range(n_parties - 2):
+                column = np.multiply.outer(column, _ROTATION[:, bob]).reshape(-1)
+            out[row, :, alice, bob] = column
+    return out
 
 
 def pipeline_beta(config: RoundConfig) -> float:
@@ -292,85 +230,19 @@ def pipeline_beta(config: RoundConfig) -> float:
 
 
 # ---------------------------------------------------------------------------
-# layout bookkeeping caches
-
-
-@dataclass(frozen=True)
-class _LayoutInfo:
-    layout: SystemLayout
-    photon_numbers: np.ndarray  # total photons per basis index
-    bit_codes: np.ndarray  # packed rotated-receiver bits per basis index
-    bit_strings: tuple[str, ...]  # code -> "eg..." string
-    mode_a: int
-    mode_b: int
-    receiver_sites: tuple[int, ...]
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _layout_info(layout: SystemLayout) -> _LayoutInfo:
-    n_sites = len(layout.sites)
-    if layout.mode_sites != (n_sites - 2, n_sites - 1):
-        raise ValueError("protocol layouts end with cavity A, then cavity B")
-    receivers = rotated_receiver_sites(layout)
-    mode_a, mode_b = layout.mode_sites
-    occ = layout.occupations
-    m = len(receivers)
-    n = occ[:, list(layout.mode_sites)].sum(axis=1)
-    # receiver bits packed first-receiver-most-significant
-    codes = occ[:, list(receivers)] @ (1 << np.arange(m - 1, -1, -1, dtype=np.int64))
-    strings = tuple(
-        "".join("e" if (code >> (m - 1 - j)) & 1 else "g" for j in range(m))
-        for code in range(2**m)
-    )
-    n.flags.writeable = False
-    codes.flags.writeable = False
-    return _LayoutInfo(layout, n, codes, strings, mode_a, mode_b, receivers)
-
-
-# ---------------------------------------------------------------------------
 # photonic Bell decomposition
 
 
-def _sectors(info: _LayoutInfo, amps: np.ndarray) -> np.ndarray:
-    """The two-mode amplitudes of each row of ``amps``: (rows, sector, bit
-    code) with sectors (n_A, n_B) = 00, 01, 10, 11 and bit codes indexing
-    ``info.bit_strings``.
-
-    Requires every atom outside the rotated receivers to sit in |g> and the
-    photonic support inside {00,01,10,11}.
-    """
-    occ = info.layout.occupations
-    weights = np.abs(amps) ** 2
-    na, nb = occ[:, info.mode_a], occ[:, info.mode_b]
-    stray = (na > 1) | (nb > 1)
-    fixed_atoms = [i for i in info.layout.atom_sites if i not in info.receiver_sites]
-    excited = ~stray & (occ[:, fixed_atoms] != G).any(axis=1)
-    if np.any(weights[:, excited] > _SUPPORT_TOL):
-        raise ValueError("mapped atoms retain excitation; pipeline states require t_map = t*")
-    stray_weight = float(weights[:, stray].sum(axis=1).max())
-    if stray_weight > _SUPPORT_TOL:
-        raise UnexpectedPhotonSupport(
-            f"weight {stray_weight:.3e} outside the four two-mode basis states"
-        )
-    kept = ~stray & ~excited
-    out = np.zeros((len(amps), 4, len(info.bit_strings)), dtype=np.complex128)
-    for sector, (a, b) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-        # each (bit code, n_A, n_B) names exactly one kept basis index
-        sel = kept & (na == a) & (nb == b)
-        out[:, sector, info.bit_codes[sel]] = amps[:, sel]
-    return out
-
-
 def _bell(sectors: np.ndarray, beta: float) -> np.ndarray:
-    """Bell-like weights (rows, label, bit code) of sector amplitudes, labels
-    in BELL_LABELS order.
+    """Bell-like weights (rows, label, bit code) of sector amplitudes
+    (rows, bit code, n_A, n_B), labels in BELL_LABELS order.
 
     The phi basis depends on beta(t_map) and is non-orthogonal for k > 0;
     weights are squared expansion coefficients, so they total the squared norm.
     """
     beta2 = beta * beta  # at least _BETA2_FLOOR: RoundConfig validates it
     norm_phi = math.sqrt(beta2 * beta2 + 1.0)
-    a00, a01, a10, a11 = (sectors[:, s] for s in range(4))
+    a00, a01, a10, a11 = (sectors.reshape(len(sectors), -1, 4)[:, :, s] for s in range(4))
     coefficients = (
         (a01 + a10) / math.sqrt(2.0),
         (a01 - a10) / math.sqrt(2.0),
@@ -380,17 +252,15 @@ def _bell(sectors: np.ndarray, beta: float) -> np.ndarray:
     return np.abs(np.stack(coefficients, axis=1)) ** 2
 
 
-def bell_weights(
-    state: StateVector, config: RoundConfig
-) -> dict[tuple[str, str], float]:
-    """Expansion weights of a pipeline state in the photonic Bell-like basis,
-    jointly with the rotated receivers' bit strings (see :func:`_bell`)."""
-    info = _layout_info(state.layout)
-    beta = alpha_beta(config.params, _plan(config).t_map)[1]
-    weights = _bell(_sectors(info, state.amplitudes[None]), beta)[0].tolist()
+def bell_weights(config: RoundConfig, message: Message) -> dict[tuple[str, str], float]:
+    """Expansion weights of a message's pipeline state in the photonic
+    Bell-like basis, jointly with the rotated receivers' bit strings (see
+    :func:`_bell`)."""
+    plan = _plan(config)
+    weights = plan.bell[_MSG_INDEX[message]].tolist()
     return {
         (label, bits): weights[j][code]
-        for code, bits in enumerate(info.bit_strings)
+        for code, bits in enumerate(plan.bit_strings)
         for j, label in enumerate(BELL_LABELS)
     }
 
@@ -410,8 +280,9 @@ def _window_q(config: RoundConfig) -> float:
 def _outcome_law(config: RoundConfig, sectors: np.ndarray, bell: np.ndarray,
                  n_counts: int) -> np.ndarray:
     """Exact joint law of (observable click counts, receiver bit code) per
-    row of ``sectors`` under the trajectory model, dark counts included:
-    ``law[row, n+, n-, bit code]``, click counts below ``n_counts``.
+    row of ``sectors`` (rows, bit code, n_A, n_B) under the trajectory model,
+    dark counts included: ``law[row, n+, n-, bit code]``, click counts below
+    ``n_counts``.
 
     Sector bookkeeping (vacuum / psi+- / two-photon) is exact for pipeline
     states, whose photon sectors never superpose across a jump.  Each cell
@@ -422,8 +293,9 @@ def _outcome_law(config: RoundConfig, sectors: np.ndarray, bell: np.ndarray,
     q = _window_q(config)
     s1 = 1.0 - q  # single-photon no-jump weight factor exp(-2kT)
     s2 = s1 * s1
-    m = sectors.shape[2]
-    w0, wp, wm, w2 = np.abs(sectors[:, 0]) ** 2, bell[:, 0], bell[:, 1], np.abs(sectors[:, 3]) ** 2
+    m = sectors.shape[1]
+    w0, wp, wm, w2 = (np.abs(sectors[..., 0, 0]) ** 2, bell[:, 0], bell[:, 1],
+                      np.abs(sectors[..., 1, 1]) ** 2)
 
     # row totals are plain sums in bit-code order, not numpy's pairwise sums
     deficit = np.array([  # per row: the weight the transfer lost
@@ -483,7 +355,7 @@ def outcome_distribution(
     law = plan.outcomes[_MSG_INDEX[message]]
     cells = np.argwhere(law > 0.0).tolist()
     return {
-        ((a, b), plan.info.bit_strings[code]): p
+        ((a, b), plan.bit_strings[code]): p
         for (a, b, code), p in zip(cells, law[law > 0.0].tolist())
     }
 
@@ -507,7 +379,7 @@ def build_decode_table(config: RoundConfig) -> dict[tuple[str, str], Message | N
     mode keys: (Bell label, receiver bits) over the full four-state basis.
     """
     plan = _plan(config)
-    strings = plan.info.bit_strings
+    strings = plan.bit_strings
     if config.ideal_pnr:
         keys = [(label, bits) for label in BELL_LABELS for bits in strings]
         return dict(zip(keys, [_DECODED[i] for i in plan.pnr_decoded.tolist()]))
@@ -528,7 +400,7 @@ def decode(config: RoundConfig, counts: tuple[int, int], bits: str) -> Message |
     n_plus, n_minus = counts
     if not (0 <= n_plus < len(plan.decoded) and 0 <= n_minus < len(plan.decoded)):
         return None
-    return _DECODED[plan.decoded[n_plus, n_minus, plan.info.bit_strings.index(bits)]]
+    return _DECODED[plan.decoded[n_plus, n_minus, plan.bit_strings.index(bits)]]
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +430,7 @@ def combo_laws(amps: np.ndarray, n_parties: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _CheckContext:
-    layout: SystemLayout  # atoms-only layout used for check rounds
-    ghz: np.ndarray
+    ghz: np.ndarray  # the atoms-only GHZ state, 2^n amplitudes
     bases: tuple[str, ...]  # combo index -> "xyx..." string
     # untampered rounds, per (combo, outcome): the cumulative outcome
     # probabilities of the GHZ state and their sums, and the verdicts
@@ -571,8 +442,7 @@ class _CheckContext:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _check_context(n_parties: int) -> _CheckContext:
-    layout = SystemLayout((atom_site(),) * n_parties)
-    ghz = np.zeros(layout.dim, dtype=np.complex128)
+    ghz = np.zeros(2**n_parties, dtype=np.complex128)
     ghz[0] = ghz[-1] = 1.0 / math.sqrt(2.0)
     law = combo_laws(ghz, n_parties)
     # An even number of y bases fixes the product of the +-1 outcomes, so the
@@ -584,7 +454,7 @@ def _check_context(n_parties: int) -> _CheckContext:
         for combo in range(2**n_parties)
     )
     return _CheckContext(
-        layout, _frozen(ghz), bases,
+        _frozen(ghz), bases,
         cum=_frozen(np.cumsum(law, axis=1)),
         total=_frozen(law.sum(axis=1)),
         conclusive=_frozen(~passed.all(axis=1)),
@@ -609,12 +479,12 @@ class _Plan:
     posteriors."""
 
     config: RoundConfig
-    info: _LayoutInfo
+    bit_strings: tuple[str, ...]  # bit code -> the rotated receivers' "eg..." string
     t_map: float
-    amps: np.ndarray  # (4, dim) pipeline amplitudes in MESSAGES order
-    tables: lockstep.JumpTables  # detection-window tables of amps
-    bell: np.ndarray  # (4, Bell label, bit code) Bell weights of amps
-    outcomes: np.ndarray  # (4, n+, n-, bit code) outcome law of amps (_outcome_law)
+    sectors: np.ndarray  # (4, bit code, n_A, n_B) pipeline amplitudes (_pipeline_sectors)
+    tables: lockstep.JumpTables  # detection-window tables of sectors
+    bell: np.ndarray  # (4, Bell label, bit code) Bell weights of sectors
+    outcomes: np.ndarray  # (4, n+, n-, bit code) outcome law of sectors (_outcome_law)
     decoded: np.ndarray  # (n+, n-, bit code) -> decoded-message index
     pnr_cum: np.ndarray  # (4, label x bit code) cumulative Bell weights
     pnr_decoded: np.ndarray  # (label x bit code) -> decoded-message index
@@ -648,18 +518,17 @@ def _plan(config: RoundConfig) -> _Plan:
 @lru_cache(maxsize=_CACHE_SIZE)
 def _compile_plan(config: RoundConfig) -> _Plan:
     t_map = resolve_t_map(config)
-    info = _layout_info(layout_for(config.n_parties))
-    amps = _pipeline_amps(config, t_map)
-    sectors = _sectors(info, amps)
-    bell = _frozen(_bell(sectors, alpha_beta(config.params, t_map)[1]))
-    # click counts reach the photon number plus one dark count
-    outcomes = _frozen(_outcome_law(config, sectors, bell, int(info.photon_numbers.max()) + 2))
+    beta = alpha_beta(config.params, t_map)[1]
+    sectors = _frozen(_pipeline_sectors(config.n_parties, beta))
+    bell = _frozen(_bell(sectors, beta))
+    # click counts reach the two photons plus one dark count
+    outcomes = _frozen(_outcome_law(config, sectors, bell, 4))
     decoded = _argmax(outcomes)
     decoded[0, 0] = lockstep.ABORT  # no click
     decoded[1, 0], decoded[0, 1] = _argmax(bell[:, 0]), _argmax(bell[:, 1])  # psi+, psi-
     return _Plan(
-        config=config, info=info, t_map=t_map, amps=amps,
-        tables=lockstep.jump_tables(info, amps),
+        config=config, t_map=t_map, sectors=sectors, tables=lockstep.jump_tables(sectors),
+        bit_strings=tuple(map("".join, itertools.product("ge", repeat=config.n_parties - 2))),
         bell=bell, outcomes=outcomes, decoded=_frozen(decoded),
         pnr_cum=_frozen(np.cumsum(bell.reshape(len(MESSAGES), -1), axis=1)),
         pnr_decoded=_frozen(_argmax(bell).reshape(-1)),
@@ -702,7 +571,7 @@ def _log_tail(plan: _Plan, r: lockstep.Rounds, row: int) -> tuple[str, str]:
             "mode": "encode",
             "sent": names[r.sent[row]],
             "clicks": [],
-            "receiver_bits": plan.info.bit_strings[r.bits[row]],
+            "receiver_bits": plan.bit_strings[r.bits[row]],
             "decoded": names[r.decoded[row]],
         }
         if plan.config.ideal_pnr and r.label[row] >= 0:
@@ -739,7 +608,7 @@ def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int) -> list[str]:
     round index: each distinct tail is built and split once per plan by
     ``_log_tail``.  A check line reads the outcome only through its
     verdict, so check tails are keyed by (combo, passed): 2^(n+1) at most."""
-    n_codes = len(plan.info.bit_strings)
+    n_codes = len(plan.bit_strings)
     label = r.label + 1 if plan.config.ideal_pnr else 0
     check_key = -1 - 2 * r.combo - plan.check.passed[r.combo, r.outcome] if r.check.any() else 0
     key = np.where(r.check, check_key, ((r.sent * n_codes + r.bits) * 5 + r.decoded) * 5 + label)

@@ -24,13 +24,11 @@ from typing import Sequence
 import numpy as np
 
 from . import lockstep, protocol
-from .hilbert import (
-    HilbertError, Message, MESSAGES, StateVector, apply_site_operator, site_measurement,
-)
+from .hilbert import Message, MESSAGES
 from .protocol import RoundConfig
 
 
-class InconsistentObservation(HilbertError):
+class InconsistentObservation(ValueError):
     """Observation has zero likelihood under every message."""
 
 
@@ -103,8 +101,9 @@ class EveResult:
 
 
 def _site_positions(config: RoundConfig) -> dict[int, int]:
-    layout = protocol.layout_for(config.n_parties)
-    return {site: pos for pos, site in enumerate(protocol.rotated_receiver_sites(layout))}
+    """The rotated receivers' atom sites (all but Alice's, 0, and Bob's, 1)
+    and their positions in a bit string."""
+    return {site: pos for pos, site in enumerate(range(2, config.n_parties))}
 
 
 def _view_law(view: ViewSpec, config: RoundConfig,
@@ -294,30 +293,19 @@ def cheat_experiment(
     return _cheat_result(n_rounds, *counts[0].tolist())
 
 
-def _collapses(weights: np.ndarray, collapse, dim: int) -> list[np.ndarray]:
-    """The collapsed amplitudes of every outcome of a measurement; an
-    outcome of weight 0 is never drawn, and gets an empty state."""
-    return [
-        collapse(o).amplitudes if w > 0.0 else np.zeros(dim, dtype=np.complex128)
-        for o, w in enumerate(weights.tolist())
-    ]
-
-
 def _eve_branches(eve: EveModel, n_parties: int) -> np.ndarray:
     """The GHZ state after Eve's atom measurement, one row per outcome of
     hers, unnormalized: each row's squared norm is in proportion to the
     outcome's probability.  The state has unit amplitudes and the
     projectors entries 0 and +-1, so every amplitude is exact."""
-    layout = protocol._check_context(n_parties).layout
-    ghz = np.zeros(layout.dim, dtype=np.complex128)
+    ghz = np.zeros(2**n_parties, dtype=np.complex128)
     ghz[0] = ghz[-1] = 1.0
     if eve.strategy == "none":
         return ghz[None]
     bras = np.eye(2) if eve.basis == "z" else protocol._XY_BRAS[0]  # rows are bras
-    state = StateVector(layout, ghz)
+    axes = ghz.reshape(2**eve.target, 2, -1)  # parties < target, the target, parties > target
     return np.array([
-        apply_site_operator(state, eve.target, np.outer(bra.conj(), bra)).amplitudes
-        for bra in bras
+        np.einsum("ij,ljr->lir", np.outer(bra.conj(), bra), axes).reshape(-1) for bra in bras
     ])
 
 
@@ -339,7 +327,7 @@ def _atom_attack(eve: EveModel, config: RoundConfig):
 
     def run(seed: int, bounds: tuple[int, int]) -> np.ndarray:
         counts = np.zeros(2, dtype=np.int64)
-        for streams in lockstep.row_blocks(seed, *bounds, ctx.layout.dim, kind="check"):
+        for streams in lockstep.row_blocks(seed, *bounds, len(ctx.ghz), kind="check"):
             rows = np.arange(len(streams))
             branch = np.zeros(len(rows), dtype=np.int64)
             if weights is not None:
@@ -357,15 +345,15 @@ def _atom_attack(eve: EveModel, config: RoundConfig):
 def _photon_starts(plan, psi_ids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eve's photon-number measurement of cavity A on the pipeline states of
     the messages ``psi_ids``: the outcome weights (one row per message), and
-    the collapsed state of each (message, outcome), message-major."""
-    layout = plan.info.layout
-    measured = [
-        site_measurement(StateVector(layout, plan.amps[i]), layout.mode_sites[0])
-        for i in psi_ids.tolist()
-    ]
-    weights = np.array([w for w, _ in measured])
-    amps = np.array([a for w, collapse in measured for a in _collapses(w, collapse, layout.dim)])
-    return weights, amps
+    the collapsed, renormalized state of each (message, outcome n_A),
+    message-major.  An outcome of weight 0 is never drawn, and gets an
+    empty state."""
+    sectors = plan.sectors[psi_ids]
+    weights = np.sum(np.abs(sectors) ** 2, axis=(1, 3))
+    starts = np.zeros((len(psi_ids), 2) + sectors.shape[1:], dtype=np.complex128)
+    for i, n_a in zip(*np.nonzero(weights > 0.0)):
+        starts[i, n_a, :, n_a] = sectors[i, :, n_a] / math.sqrt(weights[i, n_a])
+    return weights, starts.reshape((-1,) + sectors.shape[1:])
 
 
 def _photon_attack(config: RoundConfig):
@@ -374,14 +362,13 @@ def _photon_attack(config: RoundConfig):
     round range) that counts (conclusive rounds, wrong decodes).
 
     Round draws: the message, Eve's outcome, the window.  Each round starts
-    from the collapsed state of its (message, outcome), built by
-    ``site_measurement``."""
+    from the collapsed state of its (message, outcome) (:func:`_photon_starts`)."""
     plan = protocol._plan(config)
     psi_ids = np.array([protocol._MSG_INDEX[m] for m in (Message.X, Message.IY)])
-    weights, amps = _photon_starts(plan, psi_ids)
+    weights, starts = _photon_starts(plan, psi_ids)
     cum = np.array([np.cumsum(w) for w in weights])
     total = np.array([w.sum() for w in weights])
-    tables = lockstep.jump_tables(plan.info, amps)
+    tables = lockstep.jump_tables(starts)
 
     def run(seed: int, bounds: tuple[int, int]) -> np.ndarray:
         counts = np.zeros(2, dtype=np.int64)
@@ -462,8 +449,7 @@ def exact_eve_detection_rate(eve: EveModel, n_parties: int = 3) -> float:
 
 
 def standard_views(config: RoundConfig) -> dict[str, ViewSpec]:
-    layout = protocol.layout_for(config.n_parties)
-    receivers = protocol.rotated_receiver_sites(layout)
+    receivers = tuple(range(2, config.n_parties))
     return {
         "bob_alone": ViewSpec(sees_clicks=True, sees_bits=()),
         "charlie_alone": ViewSpec(sees_clicks=False, sees_bits=receivers[:1]),

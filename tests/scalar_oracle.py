@@ -4,7 +4,9 @@
 the reference the lockstep engine is tested against; the
 fixed-step RK4 integration of the no-jump generator, the reference the
 closed-form transfer (``dynamics.alpha_beta``) is tested against; and the
-state-space helpers only the tests use.
+state-space helpers only the tests use.  States are dense vectors over the
+layouts of ``dense``, where the engine reads the photon-sector amplitudes
+of the compiled plan (:func:`dense.sectors` relates the two).
 
 Each function takes its draws from ``rng`` in the order the engine's rows
 take them from their own streams, and makes the same decisions from them.
@@ -27,20 +29,15 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from dense import (
+    HilbertError, LayoutInfo, NotAnAtomSite, SiteKind, StateVector, SystemLayout,
+    apply_site_operator, atom_site, layout_for, layout_info, pipeline_state, sectors,
+    site_measurement,
+)
 from qdcsim import lockstep
 from qdcsim import protocol as P
 from qdcsim.dynamics import PhysicalParams
-from qdcsim.hilbert import (
-    MESSAGES,
-    HilbertError,
-    Message,
-    NotAnAtomSite,
-    SiteKind,
-    StateVector,
-    apply_site_operator,
-    pauli_encode,
-    site_measurement,
-)
+from qdcsim.hilbert import MESSAGES, Message
 from qdcsim.protocol import (
     CHANNEL_MINUS,
     CHANNEL_PLUS,
@@ -48,13 +45,9 @@ from qdcsim.protocol import (
     DARK_PLUS,
     BELL_LABELS,
     RoundConfig,
-    _layout_info,
-    _LayoutInfo,
     _MSG_INDEX,
     _Plan,
     _plan,
-    layout_for,
-    prepare_ghz,
 )
 
 
@@ -191,22 +184,19 @@ def dump_trajectory(samples) -> str:
 
 
 def all_bit_strings(config: RoundConfig) -> tuple[str, ...]:
-    return _layout_info(layout_for(config.n_parties)).bit_strings
+    return layout_info(layout_for(config.n_parties)).bit_strings
 
 
-@lru_cache(maxsize=None)
-def pipeline_state(config: RoundConfig, message: Message, cutoff: int = 1) -> StateVector:
-    """The state entering the detection window for ``message``, on cavity
-    modes truncated at ``cutoff`` photons, built step by step from the
-    library's calls that take any layout.  At cutoff 1 it is the compiled
-    plan's state, bit for bit; a larger cutoff only adds mode levels that
-    the pipeline never fills."""
-    state = pauli_encode(prepare_ghz(config.n_parties, cutoff), 0, message)
-    state = P.map_to_cavities(state, config)
-    for site in P.rotated_receiver_sites(state.layout):
-        state = P.receiver_rotation(state, site)
-    state.amplitudes.flags.writeable = False  # one copy serves every caller
-    return state
+def bell_weights(config: RoundConfig, message: Message, cutoff: int = 1) -> dict:
+    """``protocol.bell_weights`` of the dense :func:`dense.pipeline_state`
+    at ``cutoff``, projected onto the photon sectors."""
+    state = pipeline_state(config, message, cutoff)
+    weights = P._bell(sectors(state)[0][None], P.pipeline_beta(config))[0].tolist()
+    return {
+        (label, bits): weights[j][code]
+        for code, bits in enumerate(layout_info(state.layout).bit_strings)
+        for j, label in enumerate(BELL_LABELS)
+    }
 
 
 def jump_apply(state: StateVector, sign: int, k: float) -> StateVector:
@@ -217,8 +207,7 @@ def jump_apply(state: StateVector, sign: int, k: float) -> StateVector:
     """
     if sign not in (+1, -1):
         raise ValueError("sign must be +1 or -1")
-    plus, minus = lockstep.beamsplitter(_layout_info(state.layout), state.amplitudes[None])
-    out = (plus if sign > 0 else minus)[0]
+    out = _beamsplitter_raw(layout_info(state.layout), state.amplitudes, sign)
     return StateVector(state.layout, math.sqrt(2.0 * k) * out)
 
 
@@ -230,7 +219,7 @@ def _annihilation_action(layout, site: int):
     return src, src - layout.strides[site], np.sqrt(occ[src].astype(np.float64))
 
 
-def _beamsplitter_raw(info: _LayoutInfo, amps: np.ndarray, sign: int) -> np.ndarray:
+def _beamsplitter_raw(info: LayoutInfo, amps: np.ndarray, sign: int) -> np.ndarray:
     """The per-sign jump channel (a_A + sign a_B)/sqrt(2) as scatter-adds."""
     src_a, dst_a, coef_a = _annihilation_action(info.layout, info.mode_a)
     src_b, dst_b, coef_b = _annihilation_action(info.layout, info.mode_b)
@@ -393,7 +382,7 @@ def window_jumps(
     state: StateVector, config: RoundConfig, rng: np.random.Generator
 ) -> tuple[WindowResult, list[tuple[float, int, bool]]]:
     """:func:`simulate_window` and the (time, sign, registered) of its jumps."""
-    info = _layout_info(state.layout)
+    info = layout_info(state.layout)
     psi, events, jumps, photon_survived = _window_raw(
         info, state.amplitudes.copy(), config, rng
     )
@@ -405,7 +394,7 @@ def window_jumps(
 
 
 def _window_raw(
-    info: _LayoutInfo, psi: np.ndarray, config: RoundConfig, rng: np.random.Generator
+    info: LayoutInfo, psi: np.ndarray, config: RoundConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, list, bool, bool]:
     k = config.params.k
     eta = config.detector.efficiency
@@ -484,11 +473,11 @@ def sample_receiver_bits(
     Sampled from the (normalized) given state; a numerically empty state
     yields uniform bits (lost-photon rounds leave receivers uncorrelated).
     """
-    return _sample_bits_raw(_layout_info(state.layout), state.amplitudes, rng)
+    return _sample_bits_raw(layout_info(state.layout), state.amplitudes, rng)
 
 
 def _sample_bits_raw(
-    info: _LayoutInfo, amps: np.ndarray, rng: np.random.Generator
+    info: LayoutInfo, amps: np.ndarray, rng: np.random.Generator
 ) -> str:
     m = len(info.receiver_sites)
     weights = np.abs(amps) ** 2
@@ -586,7 +575,8 @@ def run_check_round(
     ctx = P._check_context(config.n_parties)
     amps = None
     if tamper is not None:
-        amps = tamper(StateVector(ctx.layout, ctx.ghz.copy()), rng).amplitudes
+        layout = SystemLayout((atom_site(),) * config.n_parties)
+        amps = tamper(StateVector(layout, ctx.ghz.copy()), rng).amplitudes
     combo = 0
     for _ in range(config.n_parties):
         combo = (combo << 1) | int(rng.integers(0, 2))
@@ -596,7 +586,7 @@ def run_check_round(
         probs = np.abs(dense_rotation(config.n_parties, combo) @ amps) ** 2
         cum, total = np.cumsum(probs), float(probs.sum())
     outcome = int(np.searchsorted(cum, rng.random() * total, side="right"))
-    outcome = min(outcome, ctx.layout.dim - 1)
+    outcome = min(outcome, len(ctx.ghz) - 1)
     return RoundOutcome(
         mode="check",
         check_conclusive=bool(ctx.conclusive[combo]),
@@ -613,18 +603,18 @@ def outcome_distribution(
     config: RoundConfig, message: Message, cutoff: int = 1
 ) -> dict[tuple[tuple[int, int], str], float]:
     """The joint law of (click counts, receiver bits) of one message, one
-    key at a time, from its :func:`pipeline_state` at ``cutoff``: the
-    reference of the compiled ``outcomes`` array.  A key sums its terms in
-    the order the loops reach them, and dark counts spread each real key in
-    the order the real keys were first reached."""
-    state = pipeline_state(config, message, cutoff)
-    strings = _layout_info(state.layout).bit_strings
-    sectors = P._sectors(_layout_info(state.layout), state.amplitudes[None])[0]
-    bell = P.bell_weights(state, config)
-    w0 = dict(zip(strings, (np.abs(sectors[0]) ** 2).tolist()))
+    key at a time, from its :func:`dense.pipeline_state` at ``cutoff``,
+    projected onto the photon sectors: the reference of the compiled
+    ``outcomes`` array.  A key sums its terms in the order the loops reach
+    them, and dark counts spread each real key in the order the real keys
+    were first reached."""
+    amps = sectors(pipeline_state(config, message, cutoff))[0]
+    strings = all_bit_strings(config)
+    bell = bell_weights(config, message, cutoff)
+    w0 = dict(zip(strings, (np.abs(amps[:, 0, 0]) ** 2).tolist()))
     wp = {bits: bell[("psi+", bits)] for bits in strings}
     wm = {bits: bell[("psi-", bits)] for bits in strings}
-    w2 = dict(zip(strings, (np.abs(sectors[3]) ** 2).tolist()))
+    w2 = dict(zip(strings, (np.abs(amps[:, 1, 1]) ** 2).tolist()))
     eta, p_dc = config.detector.efficiency, config.detector.dark_prob
     q = P._window_q(config)
     s1 = 1.0 - q
@@ -674,12 +664,11 @@ def outcome_distribution(
 @lru_cache(maxsize=None)
 def _likelihoods(config: RoundConfig) -> dict:
     """Each message's likelihood per decode key: (Bell label, bits) keys
-    from ``bell_weights`` of the pipeline states, ((n+, n-), bits) keys from
-    the key-by-key :func:`outcome_distribution`."""
+    from :func:`bell_weights` of the pipeline states, ((n+, n-), bits) keys
+    from the key-by-key :func:`outcome_distribution`."""
     out: dict = {}
     for m in MESSAGES:
-        weights = P.bell_weights(P.pipeline_state(config, m), config)
-        for key, p in [*weights.items(), *outcome_distribution(config, m).items()]:
+        for key, p in [*bell_weights(config, m).items(), *outcome_distribution(config, m).items()]:
             out.setdefault(key, dict.fromkeys(MESSAGES, 0.0))[m] = p
     return out
 
@@ -714,7 +703,7 @@ def _sample_ideal_pnr(
     """Oracle four-state discrimination: sample (Bell label, bits) with the
     exact branch weights; remaining probability mass is a lost round."""
     u = rng.random()
-    strings = plan.info.bit_strings
+    strings = plan.bit_strings
     for j, acc in enumerate(plan.pnr_cum[_MSG_INDEX[message]].tolist()):
         if u < acc:
             return BELL_LABELS[j // len(strings)], strings[j % len(strings)]
@@ -729,19 +718,17 @@ def _encode_round(
     cutoff: int = 1,
     jumps: list | None = None,
 ) -> RoundOutcome:
-    """One encode round of ``sent`` on its :func:`pipeline_state` at
+    """One encode round of ``sent`` on its :func:`dense.pipeline_state` at
     ``cutoff``; ``tamper`` acts on that state before the detection window,
     and ``jumps``, if given, receives the (time, sign, registered) of the
     window's jumps."""
-    plan = _plan(config)
-    info = plan.info
-
     if config.ideal_pnr:
+        plan = _plan(config)
         if tamper is not None:
             raise ValueError("ideal_pnr: the oracle decode never reads the tampered state")
         label, bits = _sample_ideal_pnr(plan, sent, rng)
         if label is None:
-            bits = info.bit_strings[int(rng.integers(0, len(info.bit_strings)))]
+            bits = plan.bit_strings[int(rng.integers(0, len(plan.bit_strings)))]
             decoded = None
         else:
             decoded = decode_key(config, label, bits)
@@ -758,7 +745,7 @@ def _encode_round(
     state = pipeline_state(config, sent, cutoff)
     if tamper is not None:
         state = tamper(state, rng)
-    info = _layout_info(state.layout)
+    info = layout_info(state.layout)
     psi, events, window_jumps, photon_survived = _window_raw(info, state.amplitudes, config, rng)
     if jumps is not None:
         jumps += window_jumps
@@ -824,10 +811,13 @@ def outcome_to_dict(index: int, out: RoundOutcome) -> dict:
 
 def engine_windows(state: StateVector, config: RoundConfig, seed: int, n: int):
     """Yield, one lockstep block at a time, the :class:`lockstep.Rounds` of
-    the detection windows of ``state`` on the streams ``(seed, 0 .. n-1)``:
+    the detection windows of ``state``, projected onto the photon sectors
+    (at most ``P._SUPPORT_TOL`` dropped), on the streams ``(seed, 0 .. n-1)``:
     row i holds the jumps, dark counts and survival flag of
     ``simulate_window(state, config, round_rng(seed, i))``."""
-    tables = lockstep.jump_tables(_layout_info(state.layout), state.amplitudes[None])
+    start, dropped = sectors(state)
+    assert dropped <= P._SUPPORT_TOL, dropped
+    tables = lockstep.jump_tables(start[None])
     for streams in lockstep.row_blocks(seed, 0, n, tables.width):
         rows = np.arange(len(streams))
         start = np.zeros(len(rows), dtype=np.int64)

@@ -13,15 +13,17 @@ import numpy as np
 import pytest
 import scipy.stats
 
+from dense import (
+    StateVector, SystemLayout, layout_for, mode_site, pauli_encode, prepare_ghz,
+    receiver_rotation, rotated_receiver_sites, sectors,
+)
 from scalar_oracle import engine_windows, evolve_conditional
 from qdcsim import cli
 from qdcsim import feasibility as F
 from qdcsim import protocol as P
 from qdcsim import security as S
 from qdcsim.dynamics import PhysicalParams, alpha_beta, transfer_time
-from qdcsim.hilbert import (
-    Message, MESSAGES, StateVector, SystemLayout, mode_site, norm_sq, pauli_encode,
-)
+from qdcsim.hilbert import Message, MESSAGES
 
 PARAMS = PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, k=0.2)
 PARAMS0 = PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, k=0.0)
@@ -101,7 +103,7 @@ def _analytic_pipeline(config):
     """Post-rotation states built directly from the branch structure,
     independent of the propagator."""
     beta = alpha_beta(config.params, transfer_time(config.params))[1]
-    lay = P.layout_for(3)
+    lay = layout_for(3)
     g, e = 0, 1
     states = {}
 
@@ -109,7 +111,7 @@ def _analytic_pipeline(config):
         amps = np.zeros(lay.dim, dtype=complex)
         for (charlie, n_a, n_b), val in entries.items():
             amps[lay.index_of((g, g, charlie, n_a, n_b))] = val
-        return amps
+        return StateVector(lay, amps)
 
     r2 = math.sqrt(2.0)
     states[Message.X] = build({
@@ -134,13 +136,13 @@ def _analytic_pipeline(config):
 def _rk4_pipeline(config, message):
     """The pipeline with the transfer integrated by fixed-step RK4 of the
     full no-jump generator instead of the closed-form map."""
-    state = pauli_encode(P.prepare_ghz(config.n_parties), 0, message)
+    state = pauli_encode(prepare_ghz(config.n_parties), 0, message)
     t = P.resolve_t_map(config)
     dt = min(0.005 / max(config.params.delta_eff, config.params.k), t / 400.0)
     mode_a, mode_b = state.layout.mode_sites
     state = evolve_conditional(state, [(0, mode_a), (1, mode_b)], config.params, t, dt)
-    for site in P.rotated_receiver_sites(state.layout):
-        state = P.receiver_rotation(state, site)
+    for site in rotated_receiver_sites(state.layout):
+        state = receiver_rotation(state, site)
     return state
 
 
@@ -149,11 +151,12 @@ def test_c03_state_pipeline_reproduction(capsys):
     beta, analytic = _analytic_pipeline(config)
     worst = 0.0
     for message, expected in analytic.items():
-        simulated = P.pipeline_state(config, message)
-        worst = max(worst, float(np.max(np.abs(simulated.amplitudes - expected))))
-        oracle = _rk4_pipeline(config, message).amplitudes
-        worst = max(worst, float(np.max(np.abs(simulated.amplitudes - oracle))))
-        norm = norm_sq(simulated)
+        # the plan's photon sectors against both dense states, projected
+        simulated = P._plan(config).sectors[P._MSG_INDEX[message]]
+        for reference in (expected, _rk4_pipeline(config, message)):
+            kept, dropped = sectors(reference)
+            worst = max(worst, float(np.max(np.abs(simulated - kept))), math.sqrt(dropped))
+        norm = float(np.sum(np.abs(simulated) ** 2))
         target = beta**2 if message in (Message.X, Message.IY) else (beta**4 + 1) / 2
         assert abs(norm - target) < 1e-8
     assert worst <= 1e-8

@@ -26,3 +26,19 @@ def test_one_row_generator_path_is_gone():
     for name in ("_GeneratorRows", "_round_outcomes", "_records"):
         assert not hasattr(protocol, name), name
     assert not hasattr(lockstep.JumpTables, "state")
+
+
+def test_dense_state_space_is_a_test_oracle():
+    # plans compile in the photon-sector basis; the dense tensor-product
+    # layer and the pipeline built on it are the reference under tests/
+    from qdcsim import hilbert, protocol
+
+    gone = {
+        hilbert: ("SiteSpec", "StateVector", "SystemLayout", "basis_state", "pauli_encode",
+                  "apply_site_operator", "site_measurement"),
+        protocol: ("map_to_cavities", "prepare_ghz", "receiver_rotation", "layout_for",
+                   "pipeline_state", "_layout_info", "_sectors", "UnexpectedPhotonSupport"),
+    }
+    for module, names in gone.items():
+        for name in names:
+            assert name not in qdcsim.__all__ and not hasattr(module, name), name

@@ -268,17 +268,17 @@ class TestRunCommand:
         ("params", "g", 1e300, "params: g = 1e+300, Omega = 1.0, Delta = 1.0 give"),
         ("params", "Omega", 1e300, "params: g = 1.0, Omega = 1e+300, Delta = 1.0 give"),
         ("params", "Delta", 1e-300, "params: g = 1.0, Omega = 1.0, Delta = 1e-300 give"),
-        ("round", "n_receivers", 30, "round: n_receivers = 30 needs about 3.58e+03 GiB"),
+        ("round", "n_receivers", 30, "round: n_receivers = 30 needs about 896 GiB"),
     ])
     def test_oversized_document_exits_2_before_compiling(self, command, section, field, value,
                                                          named, tmp_path, capsys, monkeypatch):
-        # Omega_k = sqrt(4 delta^2 - k^2) would overflow, or the layout's
-        # arrays exceed the memory budget: rejected before any layout exists
-        def compile_layout(*args, **kwargs):
-            raise AssertionError("a rejected config compiled a layout")
+        # Omega_k = sqrt(4 delta^2 - k^2) would overflow, or the compiled
+        # arrays exceed the memory budget: rejected before any state exists
+        def compile_state(*args, **kwargs):
+            raise AssertionError("a rejected config compiled a state")
 
-        monkeypatch.setattr(P, "layout_for", compile_layout)
-        monkeypatch.setattr(P, "_check_context", compile_layout)
+        monkeypatch.setattr(P, "_pipeline_sectors", compile_state)
+        monkeypatch.setattr(P, "_check_context", compile_state)
         doc = json.loads(json.dumps(BASE_DOC))
         doc[section][field] = value
         path = tmp_path / "bad.json"
@@ -1053,3 +1053,49 @@ def test_golden_corpus_is_standard_json(tmp_path, monkeypatch):
             assert cli.main([*argv, "--out", out]) == 0
         for path in [*Path(out).glob("*.json"), *Path(out).glob("*.jsonl")]:
             load_strict(path)
+
+
+# a magnitude log-uniform over the positive floats, subnormals included, or an exact zero
+MAGNITUDES = st.just(0.0) | st.floats(-324.0, 308.25).map(lambda e: 10.0**e)
+COUPLED_COMMANDS = (["feasibility"], ["run"], ["batch", "--rounds", "3"],
+                    ["sweep", "--rounds", "3"], ["decode-table"])
+
+
+@settings(max_examples=200)
+@given(st.fixed_dictionaries({name: MAGNITUDES for name in ("g", "Omega", "Delta", "k")}))
+# Omega*g/Delta^2 overflowed (OverflowError) or underflowed to 0/0 (ZeroDivisionError)
+@example({"g": 1e154, "Omega": 1e154, "Delta": 1e200, "k": 0.0})
+@example({"g": 1e-150, "Omega": 1e-150, "Delta": 1e-200, "k": 0.0})
+@example({"g": 1e-25, "Omega": 1e-25, "Delta": 1e-200, "k": 0.0})  # the ratio is infinite
+def test_couplings_drawn_together_run_or_name_params(tmp_path_factory, params):
+    root = tmp_path_factory.mktemp("couplings")
+    (root / "doc.json").write_text(json.dumps({"params": params, "round": {"t_window": 0.5}}))
+    for argv in COUPLED_COMMANDS:
+        out = root / argv[0]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = cli.main([*argv, "--config", str(root / "doc.json"), "--out", str(out)])
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            assert "params" in err.getvalue() and not out.exists(), (argv, err.getvalue())
+        for path in out.glob("*.json"):
+            load_strict(path)
+
+
+@pytest.mark.parametrize("argv, target, fake", [
+    (["batch", "--rounds", "10"], "qdcsim.protocol.run_batch",
+     lambda *a, run=P.run_batch, **kw: dataclasses.replace(run(*a, **kw), success_rate=math.nan)),
+    (["sweep", "--rounds", "10"], "qdcsim.protocol.success_probability_formula",
+     lambda *args: math.nan),
+    (["security", "--rounds", "10"], "qdcsim.security.security_summary",
+     lambda *args, **kwargs: {"bob_alone": math.nan}),
+    (["feasibility"], "qdcsim.feasibility.transfer_time", lambda params: math.nan),
+], ids=["batch", "sweep", "security", "feasibility"])
+def test_non_finite_output_exits_3_writing_nothing(argv, target, fake, tmp_path, capsys,
+                                                    monkeypatch):
+    # a value that slips past validation: the writers reject it, where a
+    # file would hold NaN, which only a lax parser reads
+    monkeypatch.setattr(target, fake)
+    code, out, err = run_cli([*argv, "--out", str(tmp_path / "out")], capsys)
+    assert code == 3 and out == "" and "internal error: ValueError" in err
+    assert not (tmp_path / "out").exists()

@@ -5,14 +5,8 @@ import pytest
 
 import scalar_oracle as O
 
+from dense import SystemLayout, atom_site, basis_state, mode_site, norm_sq
 from qdcsim.dynamics import PhysicalParams, alpha_beta, transfer_time
-from qdcsim.hilbert import (
-    SystemLayout,
-    atom_site,
-    basis_state,
-    mode_site,
-    norm_sq,
-)
 
 
 def params(delta=1.0, k=0.2):

@@ -4,10 +4,8 @@ import numpy as np
 import pytest
 
 import scalar_oracle as O
-from qdcsim import hilbert as H
-from qdcsim.hilbert import (
+from dense import (
     DimensionMismatch,
-    Message,
     NotAnAtomSite,
     OutOfRangeOccupation,
     StateVector,
@@ -20,6 +18,8 @@ from qdcsim.hilbert import (
     pauli_encode,
     site_view,
 )
+from qdcsim import hilbert as H
+from qdcsim.hilbert import Message
 
 
 def layout_atoms_modes(n_atoms, n_modes=0, cutoff=1):

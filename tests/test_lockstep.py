@@ -16,18 +16,19 @@ draw and decision is equal.
 import dataclasses
 import itertools
 import threading
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense as D
 import scalar_oracle as O
+from dense import StateVector
 from qdcsim import lockstep
 from qdcsim import protocol as P
 from qdcsim import security as S
 from qdcsim.dynamics import PhysicalParams
-from qdcsim.hilbert import MESSAGES, Message, StateVector
+from qdcsim.hilbert import MESSAGES, Message
 from qdcsim.lockstep import beamsplitter
 from qdcsim.streams import _MULTIPLIERS, RowStreams, _mulhilo, philox_words
 
@@ -500,11 +501,12 @@ class TestOneRowEqualsOracle:
     @pytest.mark.parametrize(MATRIX_ARGS, MATRIX, ids=MATRIX_IDS)
     def test_simulate_window(self, n_parties, cutoff, k, pnr, detector, p_check, t_window,
                              messages):
-        # the window runs on the state's own layout, at the matrix's cutoff
+        # the engine's window runs on the photon sectors of the oracle's
+        # dense state at the matrix's cutoff
         config = make_config(n_parties, k, pnr, detector, p_check, t_window)
         for i in range(16):
             state = O.pipeline_state(config, MESSAGES[i % 4], cutoff)
-            tables = lockstep.jump_tables(P._layout_info(state.layout), state.amplitudes[None])
+            tables = lockstep.jump_tables(D.sectors(state)[0][None])
             row = one_row(7, i, tables.width)
             r = lockstep.Rounds.empty(1)
             lockstep.window(config, tables, row, ROW, ROW, r)
@@ -532,7 +534,7 @@ class TestCompileCaches:
         assert P._plan.cache_info().currsize == 1
 
     def test_caches_are_bounded(self):
-        for cache in (P._plan, P._layout_info, P._check_context):
+        for cache in (P._plan, P._check_context):
             assert cache.cache_info().maxsize is not None
 
     def test_seeded_lookup_returns_the_unseeded_plan(self):
@@ -557,20 +559,20 @@ class TestWindowArithmetic:
     """The detection window's arithmetic, byte for byte."""
 
     @pytest.mark.parametrize("n_parties", [2, 3, 4])
-    @pytest.mark.parametrize("cutoff", [1, 2])
-    def test_beamsplitter_equals_per_sign_oracle(self, n_parties, cutoff):
-        info = P._layout_info(P.layout_for(n_parties, cutoff))
-        dim = info.layout.dim
-        psi = signed_zero_amplitudes(np.random.default_rng(10 * n_parties + cutoff), 6, dim)
+    def test_beamsplitter_equals_per_sign_oracle(self, n_parties):
+        # the dense one-photon layout, read as (rows, atoms, n_A, n_B)
+        info = D.layout_info(D.layout_for(n_parties))
+        shape = (info.layout.dim // 4, 2, 2)
+        psi = signed_zero_amplitudes(np.random.default_rng(10 * n_parties + 1), 6, 4 * shape[0])
         psi[0] = complex(-0.0, -0.0)
         before = psi.tobytes()
-        plus, minus = beamsplitter(info, psi)
+        plus, minus = beamsplitter(psi.reshape((6,) + shape))
         assert psi.tobytes() == before
         for row, p, m in zip(psi, plus, minus):
             assert p.tobytes() == O._beamsplitter_raw(info, row, +1).tobytes()
             assert m.tobytes() == O._beamsplitter_raw(info, row, -1).tobytes()
-        empty = beamsplitter(info, psi[:0])
-        assert [a.shape for a in empty] == [(0, dim), (0, dim)]
+        empty = beamsplitter(psi[:0].reshape((0,) + shape))
+        assert [a.shape for a in empty] == [(0,) + shape] * 2
 
     def test_complex_divide_by_real_is_reciprocal_multiply(self):
         # the window scales by 1/sqrt(2) and 1/sqrt(rate) as multiplies;
@@ -623,9 +625,23 @@ def oracle_tables(info, amps):
     return np.array(vectors), np.array(norms), np.array(branch), np.array(bits)
 
 
-def assert_tables_match(tables, info, amps):
+def in_sectors(info, amps):
+    """Dense amplitudes (rows) of layout ``info`` projected onto the photon
+    sectors (``dense.sectors``): zero outside them."""
+    amps = np.asarray(amps)
+    out = np.zeros_like(amps)
+    out[:, info.sector_indices] = amps[:, info.sector_indices]
+    return out
+
+
+def assert_tables_match(tables, starts, info, amps):
+    """The tables of the photon-sector ``starts`` against the oracle chain on
+    the dense states ``amps`` of layout ``info``, which hold nothing outside
+    the sectors and project onto ``starts``."""
+    assert np.abs(amps[:, info.sector_indices] - starts).max() <= 1e-15
     want = oracle_tables(info, amps)
-    got = (lockstep.jump_vectors(info, amps), tables.norms, tables.branch, tables.bits)
+    want = (want[0][..., info.sector_indices],) + want[1:]  # V in the sector basis
+    got = (lockstep.jump_vectors(starts), tables.norms, tables.branch, tables.bits)
     for name, g, w in zip(("V", "W", "F", "G/W"), got, want):
         assert g.shape == w.shape, name
         assert np.abs(g - w).max() <= 1e-15, name
@@ -637,13 +653,15 @@ class TestJumpTables:
     @pytest.mark.parametrize("n_parties", [3, 4, 5])
     @pytest.mark.parametrize("cutoff", [1, 2])
     def test_plan_tables_equal_the_oracle_chain(self, n_parties, cutoff):
-        # the oracle chain runs on the pipeline states at ``cutoff``: levels
-        # the pipeline never fills change no entry of the plan's tables
+        # the oracle chain runs on the dense pipeline states at ``cutoff``,
+        # projected onto the photon sectors: levels the pipeline never fills
+        # change no entry of the plan's tables
         config = make_config(n_parties)
         plan = P._plan(config)
         states = [O.pipeline_state(config, m, cutoff) for m in MESSAGES]
-        amps = np.array([state.amplitudes for state in states])
-        assert_tables_match(plan.tables, P._layout_info(states[0].layout), amps)
+        info = D.layout_info(states[0].layout)
+        amps = in_sectors(info, [state.amplitudes for state in states])
+        assert_tables_match(plan.tables, plan.sectors, info, amps)
         # the two channels together count the photons: F[+, n] + F[-, n] = n
         live = plan.tables.norms[:, :3] > 0.0
         photons = np.broadcast_to(np.arange(3.0), live.shape)
@@ -653,48 +671,34 @@ class TestJumpTables:
     @pytest.mark.parametrize("n_parties", [3, 4, 5])
     @pytest.mark.parametrize("cutoff", [1, 2])
     def test_photon_attack_starts(self, n_parties, cutoff):
-        # Eve's measurement of cavity A on the pipeline states at ``cutoff``:
-        # outcomes above one photon have weight 0, and the others start
-        # windows with the one-photon plan's tables
+        # Eve's measurement of cavity A on the dense pipeline states at
+        # ``cutoff``: outcomes above one photon have weight 0, and the others
+        # collapse onto the plan's starts, up to the projection
         config = make_config(n_parties)
         plan = P._plan(config)
         psi_ids = np.array([P._MSG_INDEX[m] for m in (Message.X, Message.IY)])
-        weights, amps = S._photon_starts(plan, psi_ids)
-        assert amps.shape == (2 * weights.shape[1], plan.info.layout.dim)
-        tables = lockstep.jump_tables(plan.info, amps)
-        assert_tables_match(tables, plan.info, amps)
-        states = [O.pipeline_state(config, m, cutoff) for m in MESSAGES]
-        wide = SimpleNamespace(info=P._layout_info(states[0].layout),
-                               amps=np.array([state.amplitudes for state in states]))
-        wide_weights, wide_amps = S._photon_starts(wide, psi_ids)
+        weights, starts = S._photon_starts(plan, psi_ids)
+        assert starts.shape == (2 * weights.shape[1],) + plan.sectors.shape[1:]
+        wide_weights, amps = [], []
+        for i in psi_ids.tolist():
+            state = O.pipeline_state(config, MESSAGES[i], cutoff)
+            w, collapse = D.site_measurement(state, state.layout.mode_sites[0])
+            wide_weights.append(w)
+            amps += [collapse(outcome).amplitudes for outcome in range(2)]
+        wide_weights = np.array(wide_weights)
         assert wide_weights.shape == (2, cutoff + 1) and not wide_weights[:, 2:].any()
         assert np.abs(wide_weights[:, :2] - weights).max() <= 1e-15
-        kept = [i * (cutoff + 1) + outcome for i in range(2) for outcome in range(2)]
-        wide_tables = lockstep.jump_tables(wide.info, wide_amps)
-        for name in ("norms", "branch", "bits"):
-            assert np.abs(getattr(wide_tables, name)[kept] - getattr(tables, name)).max() <= 1e-15
-        assert_tables_match(wide_tables, wide.info, wide_amps)
-
-    @pytest.mark.parametrize("n_parties", [3, 4, 5])
-    def test_three_photons_raise_before_any_draw(self, n_parties):
-        layout = P.layout_for(n_parties, 2)
-        info = P._layout_info(layout)
-        amps = np.zeros(layout.dim, dtype=complex)
-        amps[np.flatnonzero(info.photon_numbers == 3)[0]] = 1.0
-        amps[np.flatnonzero(info.photon_numbers == 1)[0]] = 1.0
-        with pytest.raises(ValueError, match="at most two photons"):
-            lockstep.jump_tables(info, amps[None] / np.sqrt(2.0))
+        info = D.layout_info(D.layout_for(n_parties, cutoff))
+        assert_tables_match(lockstep.jump_tables(starts), starts, info, in_sectors(info, amps))
 
     def test_window_of_mixed_photon_numbers(self):
-        # weight on one and two photons at once, which no pipeline state
+        # weight on no, one and two photons at once, which no pipeline state
         # has: the decay before a jump then moves weight between sectors
-        layout = P.layout_for(3, 2)
-        info = P._layout_info(layout)
+        layout = D.layout_for(3)
+        idx = D.layout_info(layout).sector_indices.reshape(-1)
         rng = np.random.default_rng(12)
         amps = np.zeros(layout.dim, dtype=complex)
-        for n in range(3):
-            idx = np.flatnonzero(info.photon_numbers == n)
-            amps[idx] = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
+        amps[idx] = rng.standard_normal(len(idx)) + 1j * rng.standard_normal(len(idx))
         state = StateVector(layout, amps / np.linalg.norm(amps))
         config = make_config(3, detector=(0.9, 0.05), t_window=3.0)
         two_jumps, i = 0, 0

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
+import dense as D
 import scalar_oracle as O
 from qdcsim.dynamics import PhysicalParams
-from qdcsim.hilbert import Message, MESSAGES, StateVector
+from qdcsim.hilbert import Message, MESSAGES
 from qdcsim import protocol as P
 from qdcsim import security as S
 from qdcsim import streams
@@ -173,12 +174,12 @@ class TestEavesdropping:
         # the attack's rounds are encode rounds with the photon number of
         # cavity A measured before the window
         cfg = config(k=0.2, t_window=6.0, detector=P.DetectorModel(0.9, 0.02), seed=5)
-        mode_a = P.layout_for(cfg.n_parties).mode_sites[0]
+        mode_a = D.layout_for(cfg.n_parties).mode_sites[0]
         conclusive = violations = 0
         for i in range(300):
             rng = O.round_rng(5, i)
             sent = (Message.X, Message.IY)[int(rng.integers(0, 2))]
-            state = P.pipeline_state(cfg, sent)
+            state = O.pipeline_state(cfg, sent)
             _, state = O.measure_site(state, mode_a, rng)
             window = O.simulate_window(state, cfg, rng)
             bits = O.sample_receiver_bits(window.state, rng)
@@ -245,7 +246,7 @@ class TestParityCheckLaws:
         # Eve's exact branches, normalized, against the oracle's collapsed
         # states; a branch's zeros are exact
         ctx = P._check_context(n_parties)
-        ghz = StateVector(ctx.layout, ctx.ghz)
+        ghz = D.StateVector(D.SystemLayout((D.atom_site(),) * n_parties), ctx.ghz)
         for basis in ("z", "x"):
             for target in range(n_parties):
                 eve = EveModel("intercept_resend_atom", basis=basis, target=target)
