@@ -95,8 +95,6 @@ def _coerce(key: str, tp, value):
         return int(value)
     if float in options and number and abs(value) <= sys.float_info.max:
         return float(value)
-    if str in options and isinstance(value, str):
-        return value
     raise ConfigError(f"{key}: expected {getattr(tp, '__name__', tp)}, got {value!r}")
 
 

@@ -2,7 +2,7 @@
 
 The state space itself lives in closed form where it is used: the pipeline
 states as photon-sector amplitudes (``protocol``), the check rounds as the
-atoms-only GHZ vector (``protocol.combo_laws``).
+outcome sets the GHZ state allows (``lockstep.check_law``).
 """
 
 from __future__ import annotations

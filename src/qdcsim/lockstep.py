@@ -114,16 +114,24 @@ def jump_vectors(starts: np.ndarray) -> np.ndarray:
 
 def jump_tables(starts: np.ndarray) -> JumpTables:
     """The :class:`JumpTables` of the start states ``starts[s, bit code, n_A,
-    n_B]``.  Sector weights are summed in (bit code, n_A, n_B) order
-    (``bincount``), so W[s, 0] is the start state's own."""
+    n_B]``, built one start at a time, so that only one start's jump vectors
+    and their squared moduli are held at once.  Sector weights are summed in
+    (bit code, n_A, n_B) order (``bincount``), so W[s, 0] is the start
+    state's own."""
     n_codes = starts.shape[1]
     n_vec = np.tile([0, 1, 1, 2], n_codes)  # photon number per (bit code, n_A, n_B)
-    weights = np.abs(jump_vectors(starts).reshape(-1, 4 * n_codes)) ** 2
-    norms = np.array([np.bincount(n_vec, weights=w, minlength=SECTORS) for w in weights])
-    norms = norms.reshape(len(starts), HISTORIES, SECTORS)
     bins = n_vec * n_codes + np.repeat(np.arange(n_codes), 4)
-    bits = np.array([np.bincount(bins, weights=w, minlength=SECTORS * n_codes) for w in weights])
-    bits = _per_unit(bits.reshape(len(starts), HISTORIES, SECTORS, n_codes), norms[..., None])
+    norms = np.zeros((len(starts), HISTORIES, SECTORS))
+    bits = np.zeros((len(starts), HISTORIES, SECTORS, n_codes))
+    for s in range(len(starts)):
+        weights = np.abs(jump_vectors(starts[s:s + 1]).reshape(HISTORIES, -1))
+        np.square(weights, out=weights)
+        for h, w in enumerate(weights):
+            norms[s, h] = np.bincount(n_vec, weights=w, minlength=SECTORS)
+            bits[s, h] = np.bincount(bins, weights=w, minlength=SECTORS * n_codes).reshape(
+                SECTORS, n_codes)
+        bits[s] = _per_unit(bits[s], norms[s, ..., None])
+        del weights, w  # before the next start's vectors
     branch = np.zeros((len(starts), HISTORIES, 2, SECTORS))
     for h in range(HISTORIES // 2):
         for c in range(2):
@@ -292,10 +300,8 @@ def run_block(plan, streams: RowStreams, msg_ids: np.ndarray) -> Rounds:
     res.check = streams.random(rows) < plan.config.p_check
     check_rows = rows[res.check]
     if check_rows.size:
-        check = plan.check
         res.combo[check_rows], res.outcome[check_rows] = check_rounds(
-            streams, check_rows, plan.config.n_parties, check.cum[None], check.total[None],
-            np.zeros(len(check_rows), dtype=np.int64),
+            streams, check_rows, plan.config.n_parties
         )
     encode_rows = rows[~res.check]
     if encode_rows.size:
@@ -310,16 +316,75 @@ def pick(cum: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.minimum((cum <= x[:, None]).sum(axis=1), cum.shape[-1] - 1)
 
 
-def check_rounds(streams: RowStreams, rows: np.ndarray, n_parties: int, cum: np.ndarray,
-                 total: np.ndarray, branch: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """GHZ parity-check rounds after any tamper draws: (basis combo, outcome)
-    per row.  ``cum``/``total`` hold the outcome law per (tamper branch, combo);
-    ``branch`` is each row's branch (all 0 untampered)."""
+# ---------------------------------------------------------------------------
+# GHZ parity-check rounds (protocol step 2), in closed form: bit j of a basis
+# combination (party 0 most significant) is 1 where party j measures y, and
+# an outcome packs the parties' outcomes alike, 0 for eigenvalue +1
+
+
+def _popcount(x: np.ndarray, n_bits: int) -> np.ndarray:
+    return sum((x >> b) & 1 for b in range(n_bits))
+
+
+def check_law(combo: np.ndarray, n_parties: int, eve_bit: int = 0, sign: int | np.ndarray = 0,
+              entangled: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The outcomes each row's state allows in basis combination ``combo``,
+    all equally likely: those whose bits ``fixed`` read ``sign`` and whose
+    bits ``mask`` have parity ``parity`` (0 where ``mask`` is 0), as (fixed,
+    mask, parity).
+
+    The GHZ state allows every outcome where the number m of y bases is odd,
+    else those of parity m/2 mod 2 (Mermin, PRL 65, 1838 (1990)).  Eve's z
+    measurement (``entangled=False``) leaves a product state, which allows
+    all.  After her x measurement with outcome ``sign`` of the party at
+    outcome bit ``eve_bit``, that party reads ``sign`` where it measures x,
+    and the others share a GHZ state of sign (-1)^sign: the GHZ rule on
+    their own y count, shifted by ``sign``."""
+    others = ((1 << n_parties) - 1) & ~eve_bit
+    m = _popcount(combo & others, n_parties)
+    mask = np.where(entangled & (m % 2 == 0), others, 0)
+    return np.where(combo & eve_bit, 0, eve_bit), mask, ((m >> 1) ^ sign) & (mask > 0)
+
+
+def _insert_zero(x: np.ndarray, bit: np.ndarray) -> np.ndarray:
+    low = x & (bit - 1)  # all of x where bit is 0
+    return ((x - low) << 1) | low
+
+
+def check_outcomes(combo: np.ndarray, u: np.ndarray, n_parties: int, eve_bit: int = 0,
+                   sign: int | np.ndarray = 0, entangled: bool = True) -> np.ndarray:
+    """Each row's outcome for its draw ``u`` in [0, 1): the floor(u |S|)-th,
+    in index order, of the set S that :func:`check_law` allows.  S fixes the
+    bits ``fixed`` and, given the rest, the lowest bit of ``mask``, and runs
+    in the order of its other bits: its j-th outcome is j with zeros
+    inserted at those two bits, which are then set.  |S| is a power of 2, so
+    u |S| is exact."""
+    fixed, mask, parity = check_law(combo, n_parties, eve_bit, sign, entangled)
+    pivot = mask & -mask
+    j = np.ldexp(u, n_parties - (fixed > 0) - (pivot > 0)).astype(np.int64)
+    out = _insert_zero(_insert_zero(j, np.minimum(fixed, pivot)), np.maximum(fixed, pivot))
+    out |= fixed * sign
+    return out | pivot * ((_popcount(out & mask, n_parties) & 1) ^ parity)
+
+
+def check_rounds(streams: RowStreams, rows: np.ndarray, n_parties: int,
+                 **state) -> tuple[np.ndarray, np.ndarray]:
+    """GHZ parity-check rounds after any tamper draws, on the state
+    :func:`check_law` describes (``state``: its keywords): (basis
+    combination, outcome) per row.  Draws: the bases, party 0 first, then
+    the outcome's."""
     combo = np.zeros(len(rows), dtype=np.int64)
     for _ in range(n_parties):
         combo = (combo << 1) | streams.integers(rows, 2)
-    x = streams.random(rows) * total[branch, combo]
-    return combo, pick(cum[branch, combo], x)
+    return combo, check_outcomes(combo, streams.random(rows), n_parties, **state)
+
+
+def check_verdicts(combo: np.ndarray, outcome: np.ndarray,
+                   n_parties: int) -> tuple[np.ndarray, np.ndarray]:
+    """(conclusive, passed) per row: conclusive where the GHZ state rules
+    out some outcomes, passed where it allows the row's outcome."""
+    _, mask, parity = check_law(combo, n_parties)
+    return mask > 0, (_popcount(outcome & mask, n_parties) & 1) == parity
 
 
 def encode_rounds(plan, streams: RowStreams, rows: np.ndarray, sent: np.ndarray,

@@ -57,8 +57,8 @@ _DECODED = MESSAGES + (None,)  # by decoded-message index, lockstep.ABORT = None
 _TIE_RTOL = 1e-9
 _SUPPORT_TOL = 1e-10
 _BETA2_FLOOR = 1e-30  # below it the phi basis (beta^2 |11> +- |00>) is degenerate
-_CACHE_SIZE = 64  # entries per compile cache
-MEMORY_BUDGET = 1 << 28  # bytes: the largest array a config may compile (256 MiB)
+_CACHE_SIZE = 64  # entries of the plan cache
+MEMORY_BUDGET = 1 << 28  # bytes: the most a config's compile may hold at once (256 MiB)
 
 
 class ConfigError(ValueError):
@@ -108,7 +108,7 @@ class RoundConfig:
             raise ValueError("n_receivers must be >= 2")
         if not 0.0 <= self.p_check <= 1.0:
             raise ValueError("p_check must lie in [0, 1]")
-        check_size(self.n_receivers, checks=self.p_check > 0.0)
+        check_size(self.n_receivers)
         if not self.t_window > 0:
             raise ValueError("t_window must be positive")
         if self.t_map is not None:
@@ -148,25 +148,22 @@ class BatchStats:
     wall_time_s: float
 
 
-def check_size(n_receivers: int, checks: bool) -> None:
-    """Raise ValueError, naming ``n_receivers``, where the largest array a
-    config compiles would exceed ``MEMORY_BUDGET``: the detection window's
-    jump vectors, 7 histories x 4 messages x 4 x 2^(n-2) complex amplitudes
-    (``lockstep.jump_vectors``), and with ``checks`` a check round law's
-    2^n x 2^n complex amplitudes (``combo_laws``)."""
-    n = n_receivers + 1
+def check_size(n_receivers: int) -> float:
+    """The bytes a config of ``n_receivers`` compiles at its peak, by
+    estimate: the detection window's jump vectors, 7 histories x 4 messages x
+    4 x 2^(n-2) complex amplitudes (``lockstep.jump_vectors``), and their
+    squared moduli.  Raise ValueError, naming ``n_receivers``, where it
+    exceeds ``MEMORY_BUDGET``."""
     try:
-        size = math.ldexp(lockstep.HISTORIES * len(MESSAGES) * 16, n)
-        if checks:
-            size = max(size, math.ldexp(16, 2 * n))
+        size = math.ldexp(lockstep.HISTORIES * len(MESSAGES) * (16 + 8), n_receivers + 1)
     except OverflowError:
         size = math.inf
     if size > MEMORY_BUDGET:
         raise ValueError(
-            f"n_receivers = {n_receivers} needs about {size / 2**30:.3g} GiB for its largest "
-            f"compiled array{' (check tables)' if checks else ''}, above the budget of "
-            f"{MEMORY_BUDGET >> 20} MiB"
+            f"n_receivers = {n_receivers} needs about {size / 2**30:.3g} GiB to compile, "
+            f"above the budget of {MEMORY_BUDGET >> 20} MiB"
         )
+    return size
 
 
 # ---------------------------------------------------------------------------
@@ -404,65 +401,6 @@ def decode(config: RoundConfig, counts: tuple[int, int], bits: str) -> Message |
 
 
 # ---------------------------------------------------------------------------
-# GHZ parity check rounds (protocol step 2)
-
-# each atom's x and y bras, unscaled (sqrt 2 times the basis rotation): the
-# entries are +-1 and +-i, so outcome amplitudes that cancel are exact zeros;
-# outcome 0 is eigenvalue +1
-_XY_BRAS = np.array([[[1, 1], [1, -1]], [[1, -1j], [1, 1j]]], dtype=np.complex128)
-
-
-def combo_laws(amps: np.ndarray, n_parties: int) -> np.ndarray:
-    """The outcome law of every x/y basis combination on the atoms-only state
-    ``amps``: ``law[combo, outcome]``.  Bit j of ``combo`` (party 0 most
-    significant) is 1 where party j measures y; ``outcome`` packs the
-    parties' outcomes as a basis index packs occupations.
-
-    Each party's rotation acts on its own axis and doubles the combinations
-    so far, so the work grows as 4^n, not as the 8^n of one dense matrix per
-    combination; the law is scaled by 2^-n once, at the end."""
-    psi = amps.reshape(1, -1)
-    for j in range(n_parties):
-        axes = psi.reshape(len(psi), 2**j, 2, -1)  # combo, parties < j, party j, parties > j
-        psi = np.einsum("bik,clkr->cblir", _XY_BRAS, axes).reshape(2 * len(psi), -1)
-    return (psi.real**2 + psi.imag**2) * 0.5**n_parties
-
-
-@dataclass(frozen=True)
-class _CheckContext:
-    ghz: np.ndarray  # the atoms-only GHZ state, 2^n amplitudes
-    bases: tuple[str, ...]  # combo index -> "xyx..." string
-    # untampered rounds, per (combo, outcome): the cumulative outcome
-    # probabilities of the GHZ state and their sums, and the verdicts
-    cum: np.ndarray
-    total: np.ndarray
-    conclusive: np.ndarray  # per combo: the GHZ state rules out some outcomes
-    passed: np.ndarray  # the GHZ state can give the outcome (all, if inconclusive)
-
-
-@lru_cache(maxsize=_CACHE_SIZE)
-def _check_context(n_parties: int) -> _CheckContext:
-    ghz = np.zeros(2**n_parties, dtype=np.complex128)
-    ghz[0] = ghz[-1] = 1.0 / math.sqrt(2.0)
-    law = combo_laws(ghz, n_parties)
-    # An even number of y bases fixes the product of the +-1 outcomes, so the
-    # outcomes of the other parity cancel exactly; an odd number leaves the
-    # outcomes uniform.
-    passed = law > 0.0
-    bases = tuple(
-        "".join("xy"[(combo >> (n_parties - 1 - j)) & 1] for j in range(n_parties))
-        for combo in range(2**n_parties)
-    )
-    return _CheckContext(
-        _frozen(ghz), bases,
-        cum=_frozen(np.cumsum(law, axis=1)),
-        total=_frozen(law.sum(axis=1)),
-        conclusive=_frozen(~passed.all(axis=1)),
-        passed=_frozen(passed),
-    )
-
-
-# ---------------------------------------------------------------------------
 # compiled per-config plan
 
 
@@ -480,7 +418,6 @@ class _Plan:
 
     config: RoundConfig
     bit_strings: tuple[str, ...]  # bit code -> the rotated receivers' "eg..." string
-    t_map: float
     sectors: np.ndarray  # (4, bit code, n_A, n_B) pipeline amplitudes (_pipeline_sectors)
     tables: lockstep.JumpTables  # detection-window tables of sectors
     bell: np.ndarray  # (4, Bell label, bit code) Bell weights of sectors
@@ -492,21 +429,11 @@ class _Plan:
     # (``_log_tail``), filled by the first logged blocks
     log_tails: dict = dataclasses.field(default_factory=dict, repr=False)
 
-    @property
-    def check(self) -> _CheckContext:
-        """Check-round tables; they depend on the party count alone and are
-        built at the first check round."""
-        return _check_context(self.config.n_parties)
-
-    def row_width(self, checks: bool) -> int:
+    def row_width(self) -> int:
         """Entries of the widest per-row array a block of this plan's rounds
         holds (``lockstep.row_blocks``): the encode round's (photon sector or
-        Bell label, bit code) weights and, with ``checks`` and p_check > 0,
-        the check round's law over 2^n outcomes."""
-        width = self.pnr_cum.shape[1] if self.config.ideal_pnr else self.tables.width
-        if checks and self.config.p_check > 0.0:
-            width = max(width, 2**self.config.n_parties)
-        return width
+        Bell label, bit code) weights.  A check round holds a few integers."""
+        return self.pnr_cum.shape[1] if self.config.ideal_pnr else self.tables.width
 
 
 def _plan(config: RoundConfig) -> _Plan:
@@ -517,8 +444,7 @@ def _plan(config: RoundConfig) -> _Plan:
 
 @lru_cache(maxsize=_CACHE_SIZE)
 def _compile_plan(config: RoundConfig) -> _Plan:
-    t_map = resolve_t_map(config)
-    beta = alpha_beta(config.params, t_map)[1]
+    beta = pipeline_beta(config)
     sectors = _frozen(_pipeline_sectors(config.n_parties, beta))
     bell = _frozen(_bell(sectors, beta))
     # click counts reach the two photons plus one dark count
@@ -527,7 +453,7 @@ def _compile_plan(config: RoundConfig) -> _Plan:
     decoded[0, 0] = lockstep.ABORT  # no click
     decoded[1, 0], decoded[0, 1] = _argmax(bell[:, 0]), _argmax(bell[:, 1])  # psi+, psi-
     return _Plan(
-        config=config, t_map=t_map, sectors=sectors, tables=lockstep.jump_tables(sectors),
+        config=config, sectors=sectors, tables=lockstep.jump_tables(sectors),
         bit_strings=tuple(map("".join, itertools.product("ge", repeat=config.n_parties - 2))),
         bell=bell, outcomes=outcomes, decoded=_frozen(decoded),
         pnr_cum=_frozen(np.cumsum(bell.reshape(len(MESSAGES), -1), axis=1)),
@@ -549,6 +475,7 @@ _plan.cache_info, _plan.cache_clear = _compile_plan.cache_info, _compile_plan.ca
 # with "clicks" the [time, channel] pairs of the round's detector events in
 # time order, "abort" for an aborted decode.
 _LOG_CHANNELS = tuple(json.dumps(ch) for ch in (CHANNEL_PLUS, CHANNEL_MINUS, DARK_PLUS, DARK_MINUS))
+_BASES = str.maketrans("01", "xy")  # a basis combination's bits, party 0 first, as bases
 
 
 def _log_tail(plan: _Plan, r: lockstep.Rounds, row: int) -> tuple[str, str]:
@@ -556,13 +483,14 @@ def _log_tail(plan: _Plan, r: lockstep.Rounds, row: int) -> tuple[str, str]:
     clicks list: (up to and with the ``[``, from the ``]`` on); a check
     line, which has no clicks, is (the whole tail, "")."""
     if r.check[row]:
-        ctx, combo = plan.check, int(r.combo[row])
+        n_parties, combo = plan.config.n_parties, r.combo[row:row + 1]
+        conclusive, passed = lockstep.check_verdicts(combo, r.outcome[row:row + 1], n_parties)
         d = {
             "round": 0,
             "mode": "check",
-            "check_bases": ctx.bases[combo],
-            "check_conclusive": bool(ctx.conclusive[combo]),
-            "check_passed": bool(ctx.passed[combo, r.outcome[row]]),
+            "check_bases": format(int(combo[0]), f"0{n_parties}b").translate(_BASES),
+            "check_conclusive": bool(conclusive[0]),
+            "check_passed": bool(passed[0]),
         }
     else:
         names = [m.value for m in MESSAGES] + ["abort"]  # by lockstep message index
@@ -610,8 +538,10 @@ def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int) -> list[str]:
     verdict, so check tails are keyed by (combo, passed): 2^(n+1) at most."""
     n_codes = len(plan.bit_strings)
     label = r.label + 1 if plan.config.ideal_pnr else 0
-    check_key = -1 - 2 * r.combo - plan.check.passed[r.combo, r.outcome] if r.check.any() else 0
-    key = np.where(r.check, check_key, ((r.sent * n_codes + r.bits) * 5 + r.decoded) * 5 + label)
+    key = ((r.sent * n_codes + r.bits) * 5 + r.decoded) * 5 + label
+    combo, outcome = r.combo[r.check], r.outcome[r.check]
+    passed = lockstep.check_verdicts(combo, outcome, plan.config.n_parties)[1]
+    key[r.check] = -1 - 2 * combo - passed
     keys, rows, inverse = np.unique(key, return_index=True, return_inverse=True)
     tails = []
     for k, row in zip(keys.tolist(), rows.tolist()):
@@ -639,16 +569,14 @@ def _range_part(plan: _Plan, seed: int, bounds: tuple[int, int], msg_ids: np.nda
     photon survived) and, with ``log``, its round-log lines."""
     psi_ids = [_MSG_INDEX[Message.X], _MSG_INDEX[Message.IY]]
     counts, lines, first = np.zeros(26, dtype=np.int64), [], bounds[0]
-    for streams in lockstep.row_blocks(seed, *bounds, plan.row_width(checks=True)):
+    for streams in lockstep.row_blocks(seed, *bounds, plan.row_width()):
         r = lockstep.run_block(plan, streams, msg_ids)
         encode = ~r.check
         counts[:20] += np.bincount(5 * r.sent[encode] + r.decoded[encode], minlength=20)
         if r.check.any():
-            ctx = plan.check
-            combo, outcome = r.combo[r.check], r.outcome[r.check]
-            conclusive = ctx.conclusive[combo]
-            counts[20:23] += [r.check.sum(), conclusive.sum(),
-                              (conclusive & ctx.passed[combo, outcome]).sum()]
+            conclusive, passed = lockstep.check_verdicts(
+                r.combo[r.check], r.outcome[r.check], plan.config.n_parties)
+            counts[20:23] += [r.check.sum(), conclusive.sum(), (conclusive & passed).sum()]
         psi = encode & np.isin(r.sent, psi_ids)
         counts[23:] += [psi.sum(), (psi & r.jump_seen.any(axis=1)).sum(), (psi & r.survived).sum()]
         if log:

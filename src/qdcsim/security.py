@@ -238,7 +238,7 @@ def _guessing_games(views: Sequence[ViewSpec], config: RoundConfig,
     msg_ids = np.array([protocol._MSG_INDEX[m] for m in msgs])
     tables = [_guess_tables(view, config, plan, msgs) for view in views]
     n_tied, tied = np.stack([n for n, _ in tables]), np.stack([t for _, t in tables])
-    width, games = plan.row_width(checks=False), len(views)
+    width, games = plan.row_width(), len(views)
 
     def run(seed: int, bounds: tuple[int, int]) -> np.ndarray:
         counts = np.zeros((games, 3), dtype=np.int64)
@@ -293,20 +293,22 @@ def cheat_experiment(
     return _cheat_result(n_rounds, *counts[0].tolist())
 
 
-def _eve_branches(eve: EveModel, n_parties: int) -> np.ndarray:
-    """The GHZ state after Eve's atom measurement, one row per outcome of
-    hers, unnormalized: each row's squared norm is in proportion to the
-    outcome's probability.  The state has unit amplitudes and the
-    projectors entries 0 and +-1, so every amplitude is exact."""
-    ghz = np.zeros(2**n_parties, dtype=np.complex128)
-    ghz[0] = ghz[-1] = 1.0
+def _eve_state(eve: EveModel, n_parties: int) -> dict:
+    """The state Eve's atom measurement leaves for the check round, as
+    :func:`qdcsim.lockstep.check_law`'s keywords but for her outcome,
+    ``sign``: nothing without an attack, a product state after z, after x
+    the target's outcome bit.  A target that is not a party raises
+    ValueError."""
     if eve.strategy == "none":
-        return ghz[None]
-    bras = np.eye(2) if eve.basis == "z" else protocol._XY_BRAS[0]  # rows are bras
-    axes = ghz.reshape(2**eve.target, 2, -1)  # parties < target, the target, parties > target
-    return np.array([
-        np.einsum("ij,ljr->lir", np.outer(bra.conj(), bra), axes).reshape(-1) for bra in bras
-    ])
+        return {}
+    if not 0 <= eve.target < n_parties:
+        raise ValueError(
+            f"target = {eve.target!r} is not a party: an atom attack at {n_parties} parties "
+            f"targets one of 0 .. {n_parties - 1}"
+        )
+    if eve.basis == "z":
+        return {"entangled": False}
+    return {"eve_bit": 1 << (n_parties - 1 - eve.target)}
 
 
 def _atom_attack(eve: EveModel, config: RoundConfig):
@@ -314,29 +316,21 @@ def _atom_attack(eve: EveModel, config: RoundConfig):
     function of (seed, round range) that counts (conclusive rounds,
     violations).
 
-    Round draws: Eve's outcome (none without an attack), the basis combo,
-    the parties' outcome, each from the laws of :func:`_eve_branches`."""
-    ctx = protocol._check_context(config.n_parties)
-    if eve.strategy == "none":
-        weights, cum, total = None, ctx.cum[None], ctx.total[None]
-    else:
-        branches = _eve_branches(eve, config.n_parties)
-        weights = (np.abs(branches) ** 2).sum(axis=1)
-        laws = np.array([protocol.combo_laws(b, config.n_parties) for b in branches])
-        cum, total = np.cumsum(laws, axis=2), laws.sum(axis=2)
+    Round draws: Eve's outcome (none without an attack), each of hers
+    equally likely, then the check round (``lockstep.check_rounds``).  A row
+    holds a few integers, so a block is ``BLOCK_AMPLITUDES`` rows."""
+    n, state = config.n_parties, _eve_state(eve, config.n_parties)
 
     def run(seed: int, bounds: tuple[int, int]) -> np.ndarray:
         counts = np.zeros(2, dtype=np.int64)
-        for streams in lockstep.row_blocks(seed, *bounds, len(ctx.ghz), kind="check"):
+        for streams in lockstep.row_blocks(seed, *bounds, 1, kind="check"):
             rows = np.arange(len(streams))
-            branch = np.zeros(len(rows), dtype=np.int64)
-            if weights is not None:
-                branch = lockstep.pick(np.cumsum(weights), streams.random(rows) * weights.sum())
-            combo, outcome = lockstep.check_rounds(
-                streams, rows, config.n_parties, cum, total, branch
-            )
-            decided = ctx.conclusive[combo]
-            counts += [decided.sum(), (decided & ~ctx.passed[combo, outcome]).sum()]
+            outcome = 0
+            if eve.strategy != "none":
+                outcome = (streams.random(rows) >= 0.5).astype(np.int64)
+            combo, parties = lockstep.check_rounds(streams, rows, n, sign=outcome, **state)
+            conclusive, passed = lockstep.check_verdicts(combo, parties, n)
+            counts += [conclusive.sum(), (conclusive & ~passed).sum()]
         return counts
 
     return run
@@ -390,8 +384,8 @@ def _attack(eve: EveModel, config: RoundConfig):
     """The compiled eavesdrop experiment of ``eve``: a function of (seed,
     round range) that counts (conclusive rounds, violations).  A config the
     attack cannot run raises ConfigError before anything compiles: the
-    photon attack needs click decoding, and an atom attack's check tables
-    must fit ``protocol.MEMORY_BUDGET``."""
+    photon attack needs click decoding.  An atom attack's target that is not
+    a party raises ValueError."""
     if eve.strategy == "intercept_resend_photon":
         if config.ideal_pnr:
             raise protocol.ConfigError(
@@ -399,10 +393,6 @@ def _attack(eve: EveModel, config: RoundConfig):
                 "decoding; the ideal-PNR oracle decode never reads the tampered state"
             )
         return _photon_attack(config)
-    try:
-        protocol.check_size(config.n_receivers, checks=True)
-    except ValueError as exc:
-        raise protocol.ConfigError(f"round: {exc}") from exc
     return _atom_attack(eve, config)
 
 
@@ -433,15 +423,25 @@ def eavesdrop_experiment(
 
 def exact_eve_detection_rate(eve: EveModel, n_parties: int = 3) -> float:
     """Exact parity-check detection rate for atom attacks: the violating
-    share of the post-attack outcome law over the conclusive basis
-    combinations, which are all equally likely.  Every term is a dyadic
-    rational, so the rate is exact."""
+    share of the conclusive checks, whose basis combinations are all equally
+    likely, as are Eve's two outcomes.  A state allows a set of outcomes,
+    all equally likely (``lockstep.check_law``), on which the outcome parity
+    is fixed where its rules cover every party, and otherwise even and odd
+    alike.  So every term is 0, 1/2 or 1, and the rate is exact."""
     if eve.strategy == "intercept_resend_photon":
         raise ValueError("photon attack detection is estimated by Monte Carlo only")
-    ctx = protocol._check_context(n_parties)
-    law = sum(protocol.combo_laws(b, n_parties) for b in _eve_branches(eve, n_parties))
-    law = law[ctx.conclusive]
-    return float(law[~ctx.passed[ctx.conclusive]].sum() / law.sum())
+    state = _eve_state(eve, n_parties)
+    everyone = (1 << n_parties) - 1
+    combo = np.arange(everyone + 1)
+    _, ghz_mask, expected = lockstep.check_law(combo, n_parties)
+    combo, expected = combo[ghz_mask > 0], expected[ghz_mask > 0]  # the conclusive ones
+    outcomes = (0,) if eve.strategy == "none" else (0, 1)  # Eve's
+    violated = 0.0
+    for outcome in outcomes:
+        fixed, mask, parity = lockstep.check_law(combo, n_parties, sign=outcome, **state)
+        whole = parity ^ (outcome * (fixed > 0))  # all bits' parity, where the rules fix it
+        violated += np.where(mask == everyone & ~fixed, whole != expected, 0.5).sum()
+    return float(violated / (len(outcomes) * len(combo)))
 
 
 # ---------------------------------------------------------------------------

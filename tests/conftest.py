@@ -33,13 +33,11 @@ def forks(monkeypatch):
 
 @pytest.fixture()
 def no_compile(monkeypatch):
-    """Fails the test where a config compiles its plan or a check-round law
-    (2^n x 2^n amplitudes), so that a config check placed after the compile
-    fails instead of allocating."""
+    """Fails the test where a config compiles its plan, so that a config
+    check placed after the compile fails instead of allocating."""
     from qdcsim import protocol
 
     def compile_(*args, **kwargs):
         raise AssertionError("a rejected config compiled")
 
     monkeypatch.setattr(protocol, "_compile_plan", compile_)
-    monkeypatch.setattr(protocol, "combo_laws", compile_)

@@ -541,10 +541,18 @@ def dense_rotation(n_parties: int, combo: int) -> np.ndarray:
 
 
 def dense_combo_laws(amps: np.ndarray, n_parties: int) -> np.ndarray:
-    """``protocol.combo_laws`` from one dense matrix per combination."""
+    """The outcome law ``law[combo, outcome]`` of every x/y basis combination
+    on the atoms-only state ``amps``, from one dense matrix per combination."""
     return np.array([
         np.abs(dense_rotation(n_parties, combo) @ amps) ** 2 for combo in range(2**n_parties)
     ])
+
+
+def ghz_amplitudes(n_parties: int) -> np.ndarray:
+    """The atoms-only GHZ state (|g..g> + |e..e>)/sqrt(2)."""
+    ghz = np.zeros(2**n_parties, dtype=np.complex128)
+    ghz[0] = ghz[-1] = 1.0 / math.sqrt(2.0)
+    return ghz
 
 
 def ghz_expected_parity(bases: str) -> int | None:
@@ -570,28 +578,27 @@ def run_check_round(
     x/y basis; conclusive basis multisets must reproduce the GHZ parity.
 
     Check rounds live on an atoms-only layout (the cavities stay in vacuum
-    and never participate).  A tampered round reads its outcome law from
-    the dense rotation of its combination."""
-    ctx = P._check_context(config.n_parties)
-    amps = None
+    and never participate).  The round draws its outcome from the dense
+    rotation of its combination applied to the (tampered) GHZ state."""
+    n = config.n_parties
+    amps = ghz_amplitudes(n)
     if tamper is not None:
-        layout = SystemLayout((atom_site(),) * config.n_parties)
-        amps = tamper(StateVector(layout, ctx.ghz.copy()), rng).amplitudes
+        layout = SystemLayout((atom_site(),) * n)
+        amps = tamper(StateVector(layout, amps), rng).amplitudes
     combo = 0
-    for _ in range(config.n_parties):
+    for _ in range(n):
         combo = (combo << 1) | int(rng.integers(0, 2))
-    if amps is None:
-        cum, total = ctx.cum[combo], ctx.total[combo]
-    else:
-        probs = np.abs(dense_rotation(config.n_parties, combo) @ amps) ** 2
-        cum, total = np.cumsum(probs), float(probs.sum())
-    outcome = int(np.searchsorted(cum, rng.random() * total, side="right"))
-    outcome = min(outcome, len(ctx.ghz) - 1)
+    probs = np.abs(dense_rotation(n, combo) @ amps) ** 2
+    outcome = int(np.searchsorted(np.cumsum(probs), rng.random() * float(probs.sum()),
+                                  side="right"))
+    outcome = min(outcome, len(amps) - 1)
+    bases = combo_bases(n, combo)
+    expected = ghz_expected_parity(bases)
     return RoundOutcome(
         mode="check",
-        check_conclusive=bool(ctx.conclusive[combo]),
-        check_passed=bool(ctx.passed[combo, outcome]),
-        check_bases=ctx.bases[combo],
+        check_conclusive=expected is not None,
+        check_passed=expected is None or outcome_parity(outcome) == expected,
+        check_bases=bases,
     )
 
 

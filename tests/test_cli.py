@@ -268,7 +268,7 @@ class TestRunCommand:
         ("params", "g", 1e300, "params: g = 1e+300, Omega = 1.0, Delta = 1.0 give"),
         ("params", "Omega", 1e300, "params: g = 1.0, Omega = 1e+300, Delta = 1.0 give"),
         ("params", "Delta", 1e-300, "params: g = 1.0, Omega = 1.0, Delta = 1e-300 give"),
-        ("round", "n_receivers", 30, "round: n_receivers = 30 needs about 896 GiB"),
+        ("round", "n_receivers", 30, "round: n_receivers = 30 needs about 1.34e+03 GiB"),
     ])
     def test_oversized_document_exits_2_before_compiling(self, command, section, field, value,
                                                          named, tmp_path, capsys, monkeypatch):
@@ -278,7 +278,6 @@ class TestRunCommand:
             raise AssertionError("a rejected config compiled a state")
 
         monkeypatch.setattr(P, "_pipeline_sectors", compile_state)
-        monkeypatch.setattr(P, "_check_context", compile_state)
         doc = json.loads(json.dumps(BASE_DOC))
         doc[section][field] = value
         path = tmp_path / "bad.json"
@@ -287,22 +286,24 @@ class TestRunCommand:
         assert code == 2 and out == ""
         assert f"config error: {named}" in err
 
-    def test_check_tables_sized_for_security(self, tmp_path, capsys, monkeypatch):
-        # 12 receivers compile within the budget, but not the check tables
-        # an atom attack reads
-        monkeypatch.setattr(P, "_check_context", None)
+    def test_check_rounds_run_as_wide_as_the_plan(self, tmp_path, capsys):
+        # check rounds hold no table, so every config the plan's budget
+        # admits runs them: 12 receivers run an atom attack and a batch with
+        # check rounds, and 18 exit 2 with check rounds or without
         doc = json.loads(json.dumps(BASE_DOC))
         doc["round"]["n_receivers"] = 12
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(["security", "--config", str(path)], capsys)
-        assert code == 2 and out == ""
-        assert "config error: round: n_receivers = 12 needs about 1 GiB" in err
-        assert "(check tables)" in err
-        doc["round"]["p_check"] = 0.25
+        for argv in (["security", "--rounds", "20"],
+                     ["batch", "--p-check", "0.25", "--rounds", "50"]):
+            code, out, err = run_cli([*argv, "--config", str(path)], capsys)
+            assert code == 0 and err == ""
+        doc["round"]["n_receivers"] = 18
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(["batch", "--config", str(path)], capsys)
-        assert code == 2 and "(check tables)" in err
+        for argv in (["security"], ["batch", "--p-check", "0.25"], ["batch", "--p-check", "0"]):
+            code, out, err = run_cli([*argv, "--config", str(path)], capsys)
+            assert code == 2 and out == ""
+            assert "config error: round: n_receivers = 18 needs about" in err
 
     @pytest.mark.parametrize("command", ["batch", "security"])
     @pytest.mark.parametrize("seed", [2**64, 2**70, -1])

@@ -238,7 +238,7 @@ def engine_rounds(config, n_rounds, seed, messages):
     plan = P._plan(config)
     msg_ids = np.array([P._MSG_INDEX[m] for m in messages])
     got = []
-    for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.row_width(checks=True)):
+    for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.row_width()):
         r = lockstep.run_block(plan, streams, msg_ids)
         got += zip(r.survived.tolist(), r.jump_seen.any(axis=1).tolist())
     log = []
@@ -320,7 +320,7 @@ class TestEngineEqualsOracle:
         # several 2048-round blocks, the last one short; the seed also wraps
         # modulo 2**64
         config = make_config(detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
-        width = P._plan(config).row_width(checks=True)
+        width = P._plan(config).row_width()
         monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 2048 * width)
         assert_engine_matches(config, 5000, -3, MESSAGES)
 
@@ -330,7 +330,7 @@ class TestEngineEqualsOracle:
         # 5000-round batch is one block, and 32-row blocks or 700-row blocks
         # (the last one short) give the same bytes
         config = make_config(detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
-        width = P._plan(config).row_width(checks=True)
+        width = P._plan(config).row_width()
         assert P.lockstep.BLOCK_AMPLITUDES // width >= 5000
         default = engine_rounds(config, 5000, 21, MESSAGES)
         monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", block_rows * width)
@@ -369,7 +369,7 @@ class TestEngineEqualsOracle:
 
         monkeypatch.setattr(P.lockstep, "run_block", run_block)
         P.run_batch(config, 8000)
-        rows = lockstep.BLOCK_AMPLITUDES // P._plan(config).row_width(checks=True)
+        rows = lockstep.BLOCK_AMPLITUDES // P._plan(config).row_width()
         assert len(blocks) == -(-8000 // rows)
         for r in blocks:
             assert r.jump_sign.shape[1] > 0
@@ -381,7 +381,7 @@ class TestEngineEqualsOracle:
         # the benchmark's batch layout, CI's wide and many layouts: blocks of
         # BLOCK_AMPLITUDES // width rounds over the whole range, the last short
         config = make_config(n_parties, detector=(0.9, 0.02), p_check=0.25, t_window=6.0)
-        width = P._plan(config).row_width(checks=True)
+        width = P._plan(config).row_width()
         sizes, original = [], lockstep.run_block
 
         def run_block(plan, streams, msg_ids):
@@ -485,7 +485,7 @@ class TestOneRowEqualsOracle:
                 sent = MESSAGES
             else:
                 sent = (message if isinstance(message, Message) else Message.from_name(message),)
-            row = one_row(6, i, plan.row_width(checks=True))
+            row = one_row(6, i, plan.row_width())
             r = lockstep.run_block(plan, row, np.array([P._MSG_INDEX[m] for m in sent]))
             rng, jumps = RecordedGenerator(O.round_rng(6, i)), []
             want = O.run_round(config, message, rng, cutoff, jumps)
@@ -533,9 +533,8 @@ class TestCompileCaches:
             P.run_batch(dataclasses.replace(base, seed=seed), 20)
         assert P._plan.cache_info().currsize == 1
 
-    def test_caches_are_bounded(self):
-        for cache in (P._plan, P._check_context):
-            assert cache.cache_info().maxsize is not None
+    def test_cache_is_bounded(self):
+        assert P._plan.cache_info().maxsize is not None
 
     def test_seeded_lookup_returns_the_unseeded_plan(self):
         base = make_config(detector=(0.9, 0.05))
@@ -720,7 +719,7 @@ class TestJumpTables:
         shape = plan.outcomes.shape[1:]
         for m in range(len(MESSAGES)):
             counts = np.zeros(shape, dtype=np.int64)
-            for streams in lockstep.row_blocks(31 + m, 0, n_rounds, plan.row_width(False)):
+            for streams in lockstep.row_blocks(31 + m, 0, n_rounds, plan.row_width()):
                 rows = np.arange(len(streams))
                 r = lockstep.Rounds.empty(len(rows))
                 start = np.full(len(rows), m)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -366,7 +367,7 @@ class TestRunRound:
         plan = P._plan(cfg)
         decodes = 0
         # row i is round i of the batch with seed 4
-        for streams in lockstep.row_blocks(4, 0, 2000, plan.row_width(checks=True)):
+        for streams in lockstep.row_blocks(4, 0, 2000, plan.row_width()):
             r = lockstep.run_block(plan, streams, np.arange(len(MESSAGES)))
             decoded = ~r.check & (r.decoded != lockstep.ABORT)
             assert r.jump_seen.any(axis=1)[decoded].all()
@@ -552,7 +553,7 @@ class TestOutcomeDistribution:
         plan = P._plan(cfg)
         strings = plan.bit_strings
         # row i is the encode round of X on O.round_rng(16, i)
-        for streams in lockstep.row_blocks(16, 0, n, plan.row_width(checks=False)):
+        for streams in lockstep.row_blocks(16, 0, n, plan.row_width()):
             rows = np.arange(len(streams))
             r = lockstep.Rounds.empty(len(rows))
             sent = np.full(len(rows), MESSAGES.index(Message.X))
@@ -593,10 +594,23 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             config(n_receivers=1)
 
-    def test_size_budget_boundaries(self):
-        # jump vectors of 448 x 2^(N+1) bytes fit 256 MiB up to N = 18, the
-        # check tables of 16 x 4^(N+1) bytes up to N = 11
-        for n_receivers, checks in ((18, False), (11, True)):
-            P.check_size(n_receivers, checks)
-            with pytest.raises(ValueError, match=f"n_receivers = {n_receivers + 1} needs"):
-                P.check_size(n_receivers + 1, checks)
+    @pytest.mark.parametrize("p_check", [0.0, 0.25])
+    def test_size_budget_boundaries(self, p_check):
+        # jump vectors and their squared moduli, 672 x 2^(N+1) bytes, fit
+        # 256 MiB up to N = 17 receivers, with check rounds or without
+        assert P.check_size(17) == 672 * 2**18
+        config(n_receivers=17, p_check=p_check)
+        with pytest.raises(ValueError, match="n_receivers = 18 needs about 0.328 GiB"):
+            config(n_receivers=18, p_check=p_check)
+
+    def test_compile_peak_within_the_estimate(self):
+        # the estimate bounds everything a compile holds at once, not only
+        # its largest array: the jump tables are built one start at a time
+        cfg = config(n_receivers=12, p_check=0.25)
+        tracemalloc.start()
+        try:
+            P._compile_plan.__wrapped__(cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= P.check_size(12)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import dense as D
 import scalar_oracle as O
 from qdcsim.dynamics import PhysicalParams
 from qdcsim.hilbert import Message, MESSAGES
+from qdcsim import lockstep
 from qdcsim import protocol as P
 from qdcsim import security as S
 from qdcsim import streams
@@ -204,69 +206,106 @@ class TestEavesdropping:
 
 class TestConfigErrors:
     """An attack the config cannot run raises ConfigError naming the field,
-    before anything compiles.  12 receivers fit the plan's budget, but not
-    the 2^13 x 2^13 check-round law (about 1 GiB) an atom attack reads."""
+    and an atom attack's target outside the parties ValueError naming it,
+    before anything compiles."""
 
     @pytest.mark.parametrize("eve, cfg, field", [
         (EveModel("intercept_resend_photon"), config(ideal_pnr=True), "round.ideal_pnr"),
-        (EveModel("intercept_resend_atom", basis="z"), config(n_receivers=12), "n_receivers"),
-        (EveModel("none"), config(n_receivers=12), "n_receivers"),
-    ], ids=["photon-pnr", "atom-z-12", "none-12"])
+    ], ids=["photon-pnr"])
     def test_named_before_compiling(self, eve, cfg, field, no_compile):
         with pytest.raises(P.ConfigError, match=field):
             S.security_summary(cfg, 10, eve)
         with pytest.raises(P.ConfigError, match=field):
             eavesdrop_experiment(eve, cfg, 10)
 
+    @pytest.mark.parametrize("basis", ["z", "x"])
+    @pytest.mark.parametrize("target", [3, -1, 40])
+    def test_target_outside_the_parties(self, basis, target, no_compile):
+        # at 3 parties: as an outcome bit it would shift onto no party or
+        # the wrong one
+        eve = EveModel("intercept_resend_atom", basis=basis, target=target)
+        named = rf"target = {target} is not a party: .* one of 0 \.\. 2$"
+        with pytest.raises(ValueError, match=named):
+            S.security_summary(config(), 10, eve)
+        with pytest.raises(ValueError, match=named):
+            eavesdrop_experiment(eve, config(), 10)
+        with pytest.raises(ValueError, match=named):
+            exact_eve_detection_rate(eve, 3)
+
+
+def boundary_draws(size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Draws u at every outcome boundary j / size, one ulp either side of
+    it, and the largest draw below 1, with the index j of the allowed
+    outcome each must pick."""
+    j = np.arange(size)
+    u = j / size
+    draws = np.concatenate((u, np.nextafter(u, 1.0), np.nextafter(u[1:], 0.0),
+                            [np.nextafter(1.0, 0.0)]))
+    return draws, np.concatenate((j, j, j[:-1], [size - 1]))
+
 
 class TestParityCheckLaws:
-    """``protocol.combo_laws`` against one dense kron matrix per basis
-    combination (the oracle's reference)."""
+    """The closed-form check rounds (``lockstep.check_law``) against one
+    dense kron matrix per basis combination (the oracle's reference)."""
 
-    @pytest.mark.parametrize("n_parties", [2, 3, 4, 5, 6])
-    def test_ghz_tables_follow_the_parity(self, n_parties):
-        # outcomes of the wrong parity cancel to exact zeros
-        ctx = P._check_context(n_parties)
-        law = P.combo_laws(ctx.ghz, n_parties)
-        assert np.abs(law - O.dense_combo_laws(ctx.ghz, n_parties)).max() <= 1e-15
+    @staticmethod
+    def assert_samples(law, n_parties, **state):
+        # every allowed outcome equally likely, and draw u picks the
+        # floor(u |S|)-th allowed outcome, at the boundaries too
         for combo in range(2**n_parties):
-            bases = O.combo_bases(n_parties, combo)
-            expected = O.ghz_expected_parity(bases)
-            assert ctx.bases[combo] == bases
-            assert ctx.conclusive[combo] == (expected is not None)
-            allowed = [
-                expected is None or O.outcome_parity(outcome) == expected
-                for outcome in range(2**n_parties)
-            ]
-            assert ctx.passed[combo].tolist() == allowed
-            assert (law[combo] > 0.0).tolist() == allowed
+            allowed = np.flatnonzero(law[combo] > 1e-12)
+            assert np.abs(law[combo, allowed] - 1.0 / len(allowed)).max() <= 1e-15
+            assert np.abs(np.delete(law[combo], allowed)).max(initial=0.0) <= 1e-15
+            draws, picks = boundary_draws(len(allowed))
+            got = lockstep.check_outcomes(np.full(len(draws), combo), draws, n_parties, **state)
+            assert got.tolist() == allowed[picks].tolist()
 
     @pytest.mark.parametrize("n_parties", [2, 3, 4, 5, 6])
-    def test_attacked_states(self, n_parties):
-        # Eve's exact branches, normalized, against the oracle's collapsed
-        # states; a branch's zeros are exact
-        ctx = P._check_context(n_parties)
-        ghz = D.StateVector(D.SystemLayout((D.atom_site(),) * n_parties), ctx.ghz)
+    def test_ghz_rounds_follow_the_parity(self, n_parties):
+        self.assert_samples(O.dense_combo_laws(O.ghz_amplitudes(n_parties), n_parties),
+                            n_parties)
+        outcomes = np.arange(2**n_parties)
+        for combo in range(2**n_parties):
+            expected = O.ghz_expected_parity(O.combo_bases(n_parties, combo))
+            conclusive, passed = lockstep.check_verdicts(
+                np.full(len(outcomes), combo), outcomes, n_parties)
+            assert conclusive.tolist() == [expected is not None] * len(outcomes)
+            assert passed.tolist() == [
+                expected is None or O.outcome_parity(outcome) == expected for outcome in outcomes
+            ]
+
+    @pytest.mark.parametrize("n_parties", [2, 3, 4, 5, 6])
+    def test_attacked_rounds(self, n_parties):
+        # each of Eve's outcomes has probability 1/2 (the draw u >= 0.5 picks
+        # outcome 1), and the parties sample the state she leaves
+        ghz = D.StateVector(D.SystemLayout((D.atom_site(),) * n_parties),
+                            O.ghz_amplitudes(n_parties))
         for basis in ("z", "x"):
             for target in range(n_parties):
                 eve = EveModel("intercept_resend_atom", basis=basis, target=target)
-                _, collapse = O.atom_measurement(ghz, target, basis)
-                for outcome, branch in enumerate(S._eve_branches(eve, n_parties)):
-                    law = P.combo_laws(branch, n_parties) / np.sum(np.abs(branch) ** 2)
-                    dense = O.dense_combo_laws(collapse(outcome).amplitudes, n_parties)
-                    assert np.abs(law - dense).max() <= 1e-15
-                    assert ((law == 0.0) == (dense < 1e-15)).all()
-                    # the collapsed state itself, through both paths
-                    amps = collapse(outcome).amplitudes
-                    assert np.abs(P.combo_laws(amps, n_parties) - dense).max() <= 1e-15
+                probs, collapse = O.atom_measurement(ghz, target, basis)
+                assert np.abs(np.asarray(probs) - 0.5).max() <= 1e-15
+                state = S._eve_state(eve, n_parties)
+                for outcome in (0, 1):
+                    law = O.dense_combo_laws(collapse(outcome).amplitudes, n_parties)
+                    self.assert_samples(law, n_parties, sign=outcome, **state)
 
-    def test_ten_parties_build(self):
-        # 4,096 amplitudes per pipeline state; one dense matrix per basis
-        # combination would need 16 GiB here
-        ctx = P._check_context(10)
-        assert ctx.cum.shape == ctx.passed.shape == (1024, 1024)
-        assert int(ctx.conclusive.sum()) == 512
-        assert np.abs(ctx.total - 1.0).max() < 1e-12
+    def test_ten_parties_run_in_little_memory(self):
+        # no 2^n x 2^n check table: a 1000-round atom-x attack and a
+        # 1000-round batch with check rounds at 10 parties hold under 2 MiB
+        cfg = config(k=0.2, n_receivers=9, p_check=0.25, seed=2)
+        P._plan(cfg)  # the plan compiles as at any other width
+        eve = EveModel("intercept_resend_atom", basis="x", target=4)
+        tracemalloc.start()
+        try:
+            attacked = eavesdrop_experiment(eve, cfg, 1000)
+            stats = P.run_batch(cfg, 1000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 << 20
+        assert attacked.conclusive_rounds > 400 and stats.n_check > 200
+        assert stats.check_pass_rate == 1.0
 
 
 class TestSummary:
@@ -472,7 +511,7 @@ class TestLockstepEqualsScalar:
             "eve_conclusive_rounds": eve_result.conclusive_rounds,
         }
         monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 1 << 13)
-        assert n_rounds // 3 > (1 << 13) // (3 * P._plan(cfg).row_width(checks=False))
+        assert n_rounds // 3 > (1 << 13) // (3 * P._plan(cfg).row_width())
         for workers, processes in ((1, 1), (3, 3)):
             got = S.security_summary(dataclasses.replace(cfg, seed=seed), n_rounds, eve,
                                      workers=workers)
@@ -493,8 +532,9 @@ class TestLockstepEqualsScalar:
 
         monkeypatch.setattr(P.lockstep, "philox_words", recorded)  # the first blocks
         monkeypatch.setattr(streams, "philox_words", recorded)  # the extensions
+        monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 128)  # a check row's width is 1
         got = eavesdrop_experiment(eve, cfg, 200)
-        assert calls == [(0, 1), (1, 1)] * 2  # blocks of 128 and 72 rounds (width 1024)
+        assert calls == [(0, 1), (1, 1)] * 2  # blocks of 128 and 72 rounds
         assert got == oracle_eve(eve, cfg, 200, 4)
         monkeypatch.setattr(P.lockstep, "_FIRST_WORDS", {"encode": 4, "check": 4})
         calls.clear()
