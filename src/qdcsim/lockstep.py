@@ -36,6 +36,7 @@ reads its own stream, neither blocks nor split change a bit of the result.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import pickle
@@ -53,9 +54,19 @@ BLOCK_AMPLITUDES = 1 << 17  # rows x entries of the widest per-row array per blo
 # average on the benchmark security config), an atom-attack check row
 # exactly 2 + ceil(n_parties / 2) words; a row that needs more extends its stream
 _FIRST_WORDS = {"encode": 4, "check": 1}
-SPAN = 2048  # rows per unit of a round range: at most ceil(rows / SPAN) processes
 _PIPE_BYTES = 1 << 20  # the most a worker's pipe is grown to hold
-BREAK_EVEN_ROUNDS = 6144  # fewer rounds in all run in process: a fork would not pay (README)
+# The cost rule of worker_count, in microseconds of one CPU, fitted to
+# in-process timings (README): each added process costs FORK_COST (fork and
+# reap, copy-on-write faults in both processes, the child's result transfer,
+# the faults of the caller's next command), and a row of a command costs
+# ROW_COST[command] = (fixed, per entry of the plan's row width)
+FORK_COST = 18_000.0
+ROW_COST = {
+    "batch": (2.0, 0.021),  # a batch round
+    "batch_log": (2.35, 0.025),  # with its round-log line, less that line's transfer
+    "security": (2.2, 0.014),  # one of a security round's 4 rows
+    "sweep": (1.65, 0.015),  # a round of one sweep window
+}
 HISTORIES = 7  # jump histories of a window: none, +, -, ++, +-, -+, --
 SECTORS = 3  # photon numbers a window state holds: 0, 1, 2
 
@@ -196,26 +207,37 @@ def row_blocks(seed: int, start: int, stop: int, width: int, kind: str = "encode
 # independent work units in forked worker processes
 
 
-def worker_count(workers: int, units: int, rounds: int) -> int:
-    """Processes to share ``units`` independent work units of ``rounds``
-    rounds in all: ``min(workers, usable CPUs, units)``.  It is 1, and the
-    units run in process, below ``BREAK_EVEN_ROUNDS`` rounds, where
-    ``os.fork`` is missing, and while other threads run (a forked child
-    could inherit a lock one of them holds)."""
-    if rounds < BREAK_EVEN_ROUNDS or not hasattr(os, "fork") or threading.active_count() > 1:
+def row_cost(command: str, width: int) -> float:
+    """Estimated in-process microseconds per row of ``command`` (a key of
+    ``ROW_COST``) on a plan whose rows hold ``width`` entries
+    (``protocol._Plan.row_width``)."""
+    fixed, per_entry = ROW_COST[command]
+    return fixed + per_entry * width
+
+
+def worker_count(workers: int, units: int, work: float) -> int:
+    """Processes to share ``units`` independent work units of ``work``
+    estimated in-process microseconds in all: the largest w <= ``min(workers,
+    usable CPUs, units)`` for which ``work`` exceeds ``FORK_COST * w * (w -
+    1)``, where the w-th process still saves more than it costs.  It is 1,
+    and the units run in process, where ``os.fork`` is missing and while
+    other threads run (a forked child could inherit a lock one of them
+    holds)."""
+    if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return max(1, min(workers, cpus or 1, units))
+    w = max(1, min(workers, cpus or 1, units))
+    while w > 1 and work <= FORK_COST * w * (w - 1):
+        w -= 1
+    return w
 
 
-def map_ranges(task, n_rounds: int, rows_per_round: int, workers: int) -> list:
+def map_ranges(task, n_rounds: int, workers: int, round_cost: float) -> list:
     """``task(bounds)`` for each of :func:`worker_count` near-equal
-    contiguous ranges ``bounds = (lo, hi)`` of ``n_rounds`` rounds, one per
-    process (:func:`fork_map`), in round order.  The units are the
-    ``SPAN``-row shares of the ``rows_per_round * n_rounds`` rows the
-    rounds simulate."""
-    rows = rows_per_round * n_rounds
-    workers = worker_count(workers, -(-rows // SPAN), rows)
+    contiguous ranges ``bounds = (lo, hi)`` of ``n_rounds`` rounds of
+    ``round_cost`` estimated microseconds each, one range per process
+    (:func:`fork_map`), in round order."""
+    workers = worker_count(workers, n_rounds, n_rounds * round_cost)
     ranges = [(n_rounds * w // workers, n_rounds * (w + 1) // workers) for w in range(workers)]
     return fork_map(task, ranges, workers)
 
@@ -418,9 +440,8 @@ def _crossings(norms: np.ndarray, k: float, u: np.ndarray, t_max: np.ndarray):
         x_end = math.exp((-2.0 * k) * float(t_max[0]))
         x_end2 = x_end**2
     else:
-        x_end = [math.exp(v) for v in ((-2.0 * k) * t_max).tolist()]
-        x_end2 = np.array([x**2 for x in x_end])
-        x_end = np.array(x_end)
+        x_end = np.fromiter(map(math.exp, ((-2.0 * k) * t_max).tolist()), float, len(t_max))
+        x_end2 = np.fromiter(map(pow, x_end.tolist(), itertools.repeat(2)), float, len(t_max))
     # sum(p * x_end**n): absent trailing sectors add exact zeros
     norm_end = (p0 + p1 * x_end) + p2 * x_end2
     none = norm_end >= u
@@ -434,7 +455,7 @@ def _crossings(norms: np.ndarray, k: float, u: np.ndarray, t_max: np.ndarray):
     x[quad] = (-q1 + np.sqrt(np.maximum(disc, 0.0))) / (2.0 * q2)
     x = np.minimum(np.maximum(x, x_end), 1.0)
     dt = np.zeros_like(u)
-    dt[go] = np.array([-math.log(v) for v in x[go].tolist()]) / (2.0 * k)
+    dt[go] = -np.fromiter(map(math.log, x[go].tolist()), float, go.sum()) / (2.0 * k)
     return dt, none
 
 

@@ -458,14 +458,34 @@ def standard_views(config: RoundConfig) -> dict[str, ViewSpec]:
 
 
 _GAMES = ("bob_alone", "charlie_alone", "collaboration")  # on seeds seed + 0, 1, 2
+_GUESS_CELL_BYTES = 64  # bytes per outcome-law cell while the guess tables are built
+
+
+def check_size(config: RoundConfig) -> float:
+    """The bytes :func:`security_summary` holds at its peak, by estimate:
+    the plan's compile (:func:`qdcsim.protocol.check_size`) plus the three
+    games' guess tables while they are built, ``_GUESS_CELL_BYTES`` per cell
+    of the outcome law, 4 messages x 16 click counts x 2^(n-1) bit codes
+    (per view a float64 marginal, a tie mask, an int64 argsort and the tied
+    indices, then stacked).  Raise ConfigError, naming ``round.n_receivers``,
+    where it exceeds ``protocol.MEMORY_BUDGET``."""
+    n = config.n_receivers
+    size = protocol.check_size(n) + math.ldexp(_GUESS_CELL_BYTES * len(MESSAGES) * 16, n - 1)
+    if size > protocol.MEMORY_BUDGET:
+        raise protocol.ConfigError(
+            f"round.n_receivers: {n} receivers need about {size / 2**30:.3g} GiB for the "
+            f"security summary, above the budget of {protocol.MEMORY_BUDGET >> 20} MiB"
+        )
+    return size
 
 
 def security_summary(config: RoundConfig, n_rounds: int, eve: EveModel, workers: int = 1) -> dict:
     """Headline rates: Bob alone (given a click), Charlie alone, full
     collaboration (given a click), the derived composite 1 - charlie_alone,
     and eavesdropper detection for ``eve``'s attack, on seed + 3, with seed
-    ``config.seed``.  A config the attack cannot run raises ConfigError
-    (:func:`_attack`).
+    ``config.seed``.  A config the attack cannot run, or one past the
+    memory budget (:func:`check_size`), raises ConfigError before anything
+    compiles.
 
     Like :func:`qdcsim.protocol.run_batch`, the rounds are split into
     near-equal contiguous ranges, one per process
@@ -475,12 +495,15 @@ def security_summary(config: RoundConfig, n_rounds: int, eve: EveModel, workers:
     not depend on ``workers``."""
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    attack = _attack(eve, config)  # first: it checks the config; compiled once, before any fork
+    check_size(config)
+    attack = _attack(eve, config)  # it checks the config; compiled once, before any fork
     views = standard_views(config)
     games = _guessing_games([views[name] for name in _GAMES], config, MESSAGES)
+    width = protocol._plan(config).row_width()
+    round_cost = (len(_GAMES) + 1) * lockstep.row_cost("security", width)
     parts = lockstep.map_ranges(
         lambda bounds: (games(config.seed, bounds), attack(config.seed + len(_GAMES), bounds)),
-        n_rounds, len(_GAMES) + 1, workers,
+        n_rounds, workers, round_cost,
     )
     bob, charlie, collab = (
         _cheat_result(n_rounds, *counts)

@@ -33,6 +33,7 @@ _MULTIPLIERS = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
 _WEYL = (np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B))
 _ROUNDS = 10
 _TWO_M53 = 1.0 / 9007199254740992.0
+TILE = 2048  # rows per piece of philox_words
 
 
 def _mulhilo(a: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -57,25 +58,29 @@ def philox_words(seed: int | np.ndarray, indices: np.ndarray, first_block: int,
                  n_blocks: int) -> np.ndarray:
     """Words ``4*first_block`` up to ``4*(first_block + n_blocks)`` of the
     streams ``Philox(key=[seed, index])``, one row per index; ``seed`` is
-    one int for every row, or a uint64 array with one seed per row."""
-    key1 = np.asarray(indices, dtype=np.uint64)[:, None]
-    if np.ndim(seed):
-        key0 = np.asarray(seed, dtype=np.uint64)[:, None]
-    else:
-        key0 = np.uint64(int(seed) & _MASK64)
+    one int for every row, or a uint64 array with one seed per row.  The
+    rows are computed ``TILE`` at a time into the result, so the cipher's
+    temporaries stay those of one tile."""
+    indices = np.asarray(indices, dtype=np.uint64)
+    seeds = np.asarray(seed, dtype=np.uint64) if np.ndim(seed) else None
+    words = np.empty((len(indices), n_blocks, 4), dtype=np.uint64)
     # the counter (1, n_blocks) and zero words broadcast: rounds 0-1 run on small operands
-    c0 = np.arange(first_block + 1, first_block + n_blocks + 1, dtype=np.uint64)[None]
-    c1 = c2 = c3 = np.uint64(0)
+    counter = np.arange(first_block + 1, first_block + n_blocks + 1, dtype=np.uint64)[None]
     with np.errstate(over="ignore"):
-        for r in range(_ROUNDS):
-            if r:
-                key0 = key0 + _WEYL[0]
-                key1 = key1 + _WEYL[1]
-            hi0, lo0 = _mulhilo(c0, _MULTIPLIERS[0])
-            hi1, lo1 = _mulhilo(c2, _MULTIPLIERS[1])
-            c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
-    words = np.stack(np.broadcast_arrays(c0, c1, c2, c3), axis=-1)
-    return words.reshape(len(key1), 4 * n_blocks)
+        for lo in range(0, len(indices), TILE):
+            key1 = indices[lo:lo + TILE, None]
+            key0 = np.uint64(int(seed) & _MASK64) if seeds is None else seeds[lo:lo + TILE, None]
+            c0, c1, c2, c3 = counter, np.uint64(0), np.uint64(0), np.uint64(0)
+            for r in range(_ROUNDS):
+                if r:
+                    key0 = key0 + _WEYL[0]
+                    key1 = key1 + _WEYL[1]
+                hi0, lo0 = _mulhilo(c0, _MULTIPLIERS[0])
+                hi1, lo1 = _mulhilo(c2, _MULTIPLIERS[1])
+                c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
+            for lane, c in enumerate((c0, c1, c2, c3)):
+                words[lo:lo + TILE, :, lane] = c
+    return words.reshape(len(indices), 4 * n_blocks)
 
 
 class RowStreams:

@@ -14,6 +14,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -304,6 +305,17 @@ class TestRunCommand:
             code, out, err = run_cli([*argv, "--config", str(path)], capsys)
             assert code == 2 and out == ""
             assert "config error: round: n_receivers = 18 needs about" in err
+
+    def test_security_guess_tables_past_the_budget_exit_2(self, tmp_path, capsys, no_compile):
+        # 17 receivers compile a plan, but not a security summary's guess tables beside it
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["round"]["n_receivers"] = 17
+        path = tmp_path / "seventeen.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli(["security", "--config", str(path), "--out",
+                                  str(tmp_path / "out")], capsys)
+        assert code == 2 and out == "" and not (tmp_path / "out").exists()
+        assert "config error: round.n_receivers: 17 receivers need about" in err
 
     @pytest.mark.parametrize("command", ["batch", "security"])
     @pytest.mark.parametrize("seed", [2**64, 2**70, -1])
@@ -1100,3 +1112,53 @@ def test_non_finite_output_exits_3_writing_nothing(argv, target, fake, tmp_path,
     code, out, err = run_cli([*argv, "--out", str(tmp_path / "out")], capsys)
     assert code == 3 and out == "" and "internal error: ValueError" in err
     assert not (tmp_path / "out").exists()
+
+
+SIGNED = MAGNITUDES | MAGNITUDES.map(lambda x: -x)
+PHYSICAL_FIELDS = {"gamma": "params", "t_window": "round", "t_map": "round",
+                   "efficiency": "detector", "dark_prob": "detector"}
+
+
+def all_finite(value) -> bool:
+    """Every number in a nest of dicts, lists, tuples and arrays is finite."""
+    if isinstance(value, dict):
+        return all(map(all_finite, value.values()))
+    if isinstance(value, (list, tuple)):
+        return all(map(all_finite, value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind not in "fc" or bool(np.isfinite(value).all())
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return True
+
+
+@settings(max_examples=200)
+@given(st.fixed_dictionaries({**{name: SIGNED for name in PHYSICAL_FIELDS},
+                              "t_map": st.none() | SIGNED}))
+# accepted, at the ends of the float range: exp(-2k t) underflows to 0 or stays 1
+@example({"gamma": 1.7e308, "t_window": 1.7e308, "t_map": None, "efficiency": 5e-324,
+          "dark_prob": math.nextafter(1.0, 0.0)})
+@example({"gamma": 5e-324, "t_window": 5e-324, "t_map": None, "efficiency": 1.0,
+          "dark_prob": 5e-324})
+def test_physical_fields_drawn_together_run_or_name_a_field(fields):
+    # a config that the validator accepts compiles, runs a round and reports
+    # with finite numbers only; any other names the field it rejects
+    from qdcsim import feasibility
+
+    doc = {section: {} for section in ("params", "round", "detector")}
+    doc["params"].update(g=1.0, Omega=1.0, Delta=1.0, k=0.2)
+    for name, value in fields.items():
+        doc[PHYSICAL_FIELDS[name]][name] = value
+    try:
+        config = build_round_config(doc)
+    except ConfigError as exc:
+        assert names_a_field(f"config error: {exc}"), exc
+        assert any(name in str(exc) for name in PHYSICAL_FIELDS), exc
+        return
+    plan = P._plan(config)
+    stats = P.run_batch(config, 1, on_log=list)
+    assert all_finite([getattr(plan, f.name) for f in dataclasses.fields(plan)][1:-1])
+    assert all_finite(dataclasses.asdict(stats))
+    assert all_finite(feasibility.report_json(config.params))
+    assert all_finite([P.success_probability_formula(config, c)
+                       for c in ("survival", "integrated")])

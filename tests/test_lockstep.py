@@ -30,7 +30,7 @@ from qdcsim import security as S
 from qdcsim.dynamics import PhysicalParams
 from qdcsim.hilbert import MESSAGES, Message
 from qdcsim.lockstep import beamsplitter
-from qdcsim.streams import _MULTIPLIERS, RowStreams, _mulhilo, philox_words
+from qdcsim.streams import _MULTIPLIERS, TILE, RowStreams, _mulhilo, philox_words
 
 MASK64 = 2**64 - 1
 ROW = np.zeros(1, dtype=np.int64)
@@ -71,6 +71,20 @@ class TestPhiloxWords:
         for row, index in zip(words, indices):
             want = reference_words(seed, index, 4 * (first_block + n_blocks))
             np.testing.assert_array_equal(row, want[4 * first_block:])
+
+    @pytest.mark.parametrize("n_rows", [TILE - 1, TILE, TILE + 1])
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_across_tile_edges(self, n_rows, per_row):
+        # rows are computed a tile at a time into one array: every row of
+        # the last, maybe short or lone, tile is its own stream
+        indices = np.arange(n_rows, dtype=np.uint64) * np.uint64(2**40 + 3)
+        seeds = (np.arange(n_rows, dtype=np.uint64) * np.uint64(7) + np.uint64(MASK64 - 5)
+                 if per_row else MASK64)
+        words = philox_words(seeds, indices, 1, 2)
+        assert words.shape == (n_rows, 8)
+        for row, index in enumerate(indices.tolist()):
+            seed = int(seeds[row]) if per_row else seeds
+            np.testing.assert_array_equal(words[row], reference_words(seed, index, 12)[4:])
 
     @pytest.mark.parametrize("seed", [0, 1, MASK64])
     def test_streams_extend_past_the_first_words(self, seed):

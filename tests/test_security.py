@@ -218,6 +218,28 @@ class TestConfigErrors:
         with pytest.raises(P.ConfigError, match=field):
             eavesdrop_experiment(eve, cfg, 10)
 
+    @pytest.mark.parametrize("eve", [EveModel("intercept_resend_atom", basis="z"),
+                                     EveModel("intercept_resend_photon")])
+    def test_past_the_memory_budget(self, eve, no_compile):
+        # 17 receivers: the plan fits the budget, its guess tables beside it do not
+        assert P.check_size(17) <= P.MEMORY_BUDGET
+        with pytest.raises(P.ConfigError, match=r"^round\.n_receivers: 17 receivers need about"):
+            S.security_summary(config(n_receivers=17), 10, eve)
+        assert S.check_size(config(n_receivers=16)) <= P.MEMORY_BUDGET
+
+    def test_summary_peak_within_the_estimate(self):
+        # the plan's compile and the three games' guess tables, built after
+        # it, stay below the estimate at 12 receivers
+        cfg = config(k=0.2, n_receivers=12, detector=P.DetectorModel(0.9, 0.02))
+        P._plan.cache_clear()
+        tracemalloc.start()
+        try:
+            S.security_summary(cfg, 50, EveModel("intercept_resend_atom", basis="z"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= S.check_size(cfg)
+
     @pytest.mark.parametrize("basis", ["z", "x"])
     @pytest.mark.parametrize("target", [3, -1, 40])
     def test_target_outside_the_parties(self, basis, target, no_compile):
@@ -511,6 +533,7 @@ class TestLockstepEqualsScalar:
             "eve_conclusive_rounds": eve_result.conclusive_rounds,
         }
         monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 1 << 13)
+        monkeypatch.setattr(P.lockstep, "FORK_COST", 0.0)  # three processes however short
         assert n_rounds // 3 > (1 << 13) // (3 * P._plan(cfg).row_width())
         for workers, processes in ((1, 1), (3, 3)):
             got = S.security_summary(dataclasses.replace(cfg, seed=seed), n_rounds, eve,

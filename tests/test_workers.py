@@ -1,12 +1,18 @@
-"""Forked workers: who runs in process, byte identity at every worker
-count, and no process left behind, even when a worker fails."""
+"""Forked workers: who runs in process under the cost rule, byte identity
+at every worker count, and no process left behind, even when a worker
+fails."""
 
+import contextlib
 import dataclasses
+import io
+import json
+import math
 import os
 import threading
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from qdcsim import cli, lockstep
 from qdcsim import protocol as P
@@ -18,7 +24,16 @@ CONFIG = RoundConfig(
     params=PhysicalParams(g=1.0, Omega=1.0, Delta=1.0, k=0.2), t_window=6.0, p_check=0.25,
     detector=DetectorModel(efficiency=0.9, dark_prob=0.05), seed=5,
 )
-N_ROUNDS = 8 * lockstep.SPAN + 300  # 9 units of SPAN rounds, the last short: at most 9 processes
+N_ROUNDS = 16_684  # not a multiple of a block or of any process count
+LOG_COST = lockstep.row_cost("batch_log", P._plan(CONFIG).row_width())  # a logged CONFIG round
+
+
+def break_even(cost: float) -> int:
+    """The fewest units of ``cost`` whose work exceeds ``2 * FORK_COST``."""
+    n = math.floor(2 * lockstep.FORK_COST / cost)
+    while n * cost <= 2 * lockstep.FORK_COST:
+        n += 1
+    return n
 
 
 @pytest.fixture()
@@ -29,6 +44,12 @@ def no_fork(monkeypatch, many_cpus):
     monkeypatch.setattr(os, "fork", fork)
 
 
+@pytest.fixture()
+def free_forks(monkeypatch):
+    """Forking costs nothing: every command runs min(workers, CPUs, units) processes."""
+    monkeypatch.setattr(lockstep, "FORK_COST", 0.0)
+
+
 def no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -37,44 +58,65 @@ def no_child_left():
 class TestWorkerCount:
     def test_capped_by_cpus_without_starting_them(self, monkeypatch, no_fork):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(4096)))
-        assert lockstep.worker_count(10_000, 1 << 20, 1 << 30) == 4096
+        assert lockstep.worker_count(10_000, 1 << 20, math.inf) == 4096
 
     def test_capped_by_units_and_requested(self, no_fork):
-        assert lockstep.worker_count(10_000, 3, 1 << 30) == 3
-        assert lockstep.worker_count(5, 100, 1 << 30) == 5
-        assert lockstep.worker_count(1, 100, 1 << 30) == 1
+        assert lockstep.worker_count(10_000, 3, math.inf) == 3
+        assert lockstep.worker_count(5, 100, math.inf) == 5
+        assert lockstep.worker_count(1, 100, math.inf) == 1
 
-    def test_below_break_even_in_process(self, no_fork):
-        assert lockstep.worker_count(8, 100, lockstep.BREAK_EVEN_ROUNDS - 1) == 1
-        assert lockstep.worker_count(8, 100, lockstep.BREAK_EVEN_ROUNDS) == 8
+    def test_break_even(self, no_fork):
+        # the w-th process runs where the work exceeds FORK_COST * w * (w - 1)
+        f = lockstep.FORK_COST
+        for w in (2, 3, 8):
+            assert lockstep.worker_count(8, 100, f * w * (w - 1)) == w - 1
+            assert lockstep.worker_count(8, 100, math.nextafter(f * w * (w - 1), math.inf)) == w
+        assert lockstep.worker_count(8, 100, 0.0) == 1
+
+    @given(workers=st.integers(1, 10**6), units=st.integers(1, 10**6), cpus=st.integers(1, 512),
+           work=st.just(math.inf) | st.floats(0.0, 1e15))
+    def test_largest_count_that_pays(self, workers, units, cpus, work):
+        # never above workers, CPUs or units; each process it runs pays, and
+        # one more would not, or is not allowed
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+            w = lockstep.worker_count(workers, units, work)
+        cap, f = min(workers, cpus, units), lockstep.FORK_COST
+        assert 1 <= w <= cap
+        assert w == 1 or work > f * w * (w - 1)
+        assert w == cap or not work > f * (w + 1) * w
 
     def test_without_fork_in_process(self, monkeypatch, many_cpus):
         monkeypatch.delattr(os, "fork")
-        assert lockstep.worker_count(8, 100, 1 << 30) == 1
+        assert lockstep.worker_count(8, 100, math.inf) == 1
 
     def test_other_threads_in_process(self, no_fork):
         done = threading.Event()
         thread = threading.Thread(target=done.wait, args=(30,))
         thread.start()
         try:
-            assert lockstep.worker_count(8, 100, 1 << 30) == 1
+            assert lockstep.worker_count(8, 100, math.inf) == 1
         finally:
             done.set()
             thread.join(30)
         assert not thread.is_alive()
-        assert lockstep.worker_count(8, 100, 1 << 30) == 8
+        assert lockstep.worker_count(8, 100, math.inf) == 8
 
 
 class TestInProcess:
-    def test_one_unit(self, no_fork):
+    def test_one_unit(self, no_fork, free_forks):
         assert lockstep.fork_map(lambda u: u + 1, [41], 8) == [42]
-        rows = P.run_sweep(CONFIG, [2.0], 2 * lockstep.BREAK_EVEN_ROUNDS, workers=8)
+        rows = P.run_sweep(CONFIG, [2.0], 2000, workers=8)
         assert len(rows) == 1
 
-    def test_single_span(self, no_fork):
-        assert P.run_batch(CONFIG, lockstep.SPAN, workers=8).n_rounds == lockstep.SPAN
+    def test_benchmark_sizes_in_process(self, no_fork):
+        # 8,000 logged rounds, and 2,000 security rounds of 4 rows at 3
+        # receivers, cost less than a second process
+        assert lockstep.worker_count(2, 8000, 8000 * LOG_COST) == 1
+        width = P._plan(dataclasses.replace(CONFIG, n_receivers=3)).row_width()
+        assert lockstep.worker_count(2, 2000, 2000 * 4 * lockstep.row_cost("security", width)) == 1
 
-    def test_without_fork(self, monkeypatch, many_cpus):
+    def test_without_fork(self, monkeypatch, many_cpus, free_forks):
         monkeypatch.delattr(os, "fork")
         log = []
         P.run_batch(CONFIG, N_ROUNDS, workers=8, on_log=log.extend)
@@ -115,14 +157,14 @@ def batch(workers):
 
 class TestByteIdentity:
     @pytest.mark.parametrize("workers", [2, 9])
-    def test_batch(self, workers, many_cpus, forks):
+    def test_batch(self, workers, many_cpus, free_forks, forks):
         stats, log = batch(workers)
         assert len(forks) == workers - 1
         assert (stats, log) == batch(1)
         assert len(log) == N_ROUNDS
         no_child_left()
 
-    def test_one_log_list_per_range(self, many_cpus, forks):
+    def test_one_log_list_per_range(self, many_cpus, free_forks, forks):
         lists = []
         P.run_batch(CONFIG, N_ROUNDS, workers=3, on_log=lists.append)
         assert len(forks) == 2
@@ -131,20 +173,49 @@ class TestByteIdentity:
         ]
         no_child_left()
 
-    @pytest.mark.parametrize("workers, n_rounds, processes", [
-        (64, N_ROUNDS, 9), (8, lockstep.BREAK_EVEN_ROUNDS, 3),
-        (8, lockstep.BREAK_EVEN_ROUNDS + 1, 4), (2, lockstep.BREAK_EVEN_ROUNDS, 2),
-        (8, lockstep.BREAK_EVEN_ROUNDS - 1, 1),
+    @pytest.mark.parametrize("workers, extra, processes", [
+        (2, -1, 1), (2, 0, 2), (8, -1, 1), (8, 0, 2),
     ])
-    def test_process_count(self, workers, n_rounds, processes, many_cpus, forks):
-        # min(workers, CPUs, SPAN-round shares), in process below break-even
-        P.run_batch(CONFIG, n_rounds, workers=workers)
+    def test_process_count(self, workers, extra, processes, many_cpus, forks):
+        # one logged round below the two-process break-even runs in process,
+        # the break-even itself in two, however many workers are allowed
+        P.run_batch(CONFIG, break_even(LOG_COST) + extra, workers=workers, on_log=list)
         assert len(forks) == processes - 1
         no_child_left()
 
+    @pytest.mark.parametrize("processes", [1, 2, 3])
+    def test_files_at_forced_counts(self, processes, monkeypatch, many_cpus, forks, tmp_path):
+        # FORK_COST = W / w^2 puts a command's work W past the w-th process's
+        # break-even, F w (w - 1), and short of the next one's, F (w + 1) w
+        doc = {"params": {"g": 1.0, "Omega": 1.0, "Delta": 1.0, "k": 0.2},
+               "round": {"t_window": 6.0, "p_check": 0.25, "seed": 5},
+               "detector": {"efficiency": 0.9, "dark_prob": 0.05}}
+        (tmp_path / "doc.json").write_text(json.dumps(doc))
+        width = P._plan(CONFIG).row_width()
+        commands = {
+            "batch": (["batch", "--round-log", "--rounds", "3001"],
+                      3001 * lockstep.row_cost("batch_log", width)),
+            "security": (["security", "--rounds", "1001"],
+                         1001 * 4 * lockstep.row_cost("security", width)),
+        }
+        for name, (argv, work) in commands.items():
+            argv = [*argv, "--config", str(tmp_path / "doc.json")]
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main([*argv, "--out", str(tmp_path / f"{name}-1")]) == 0
+                monkeypatch.setattr(lockstep, "FORK_COST", work / processes**2)
+                forks.clear()
+                assert cli.main([*argv, "--threads", "64", "--out", str(tmp_path / name)]) == 0
+            assert len(forks) == processes - 1
+            one, forced = tmp_path / f"{name}-1", tmp_path / name
+            assert {p.name for p in forced.iterdir()} == {p.name for p in one.iterdir()}
+            for path in one.iterdir():
+                if path.name != "manifest.json":  # it records the --out path
+                    assert (forced / path.name).read_bytes() == path.read_bytes()
+        no_child_left()
+
     @pytest.mark.parametrize("workers", [2, 3, 9])
-    def test_one_contiguous_range_per_process(self, workers, monkeypatch, many_cpus, forks,
-                                              tmp_path):
+    def test_one_contiguous_range_per_process(self, workers, monkeypatch, many_cpus, free_forks,
+                                              forks, tmp_path):
         # every process, the caller's included, leaves one file per range it runs
         range_part = P._range_part
 
@@ -165,20 +236,20 @@ class TestByteIdentity:
         assert max(sizes) - min(sizes) <= 1
         no_child_left()
 
-    def test_security_summary(self, many_cpus, forks):
+    def test_security_summary(self, many_cpus, free_forks, forks):
         cfg = dataclasses.replace(CONFIG, p_check=0.0, seed=3)
         eve = S.EveModel("intercept_resend_photon")
-        n_rounds = lockstep.BREAK_EVEN_ROUNDS // 4 + 1
+        n_rounds = 1537
         one = S.security_summary(cfg, n_rounds, eve)
         assert not forks
         for workers in (2, 9):
             assert S.security_summary(cfg, n_rounds, eve, workers=workers) == one
-        assert len(forks) == 1 + 3
+        assert len(forks) == 1 + 8
         no_child_left()
 
-    def test_sweep(self, many_cpus, forks):
+    def test_sweep(self, many_cpus, free_forks, forks):
         windows = [0.5, 1.0, 2.0, 4.0, 6.0]
-        n_rounds = lockstep.BREAK_EVEN_ROUNDS // 5 + 1
+        n_rounds = 1229
         one = P.run_sweep(CONFIG, windows, n_rounds)
         for workers in (2, 9):
             assert P.run_sweep(CONFIG, windows, n_rounds, workers=workers) == one
