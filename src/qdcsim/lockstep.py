@@ -55,18 +55,9 @@ BLOCK_AMPLITUDES = 1 << 17  # rows x entries of the widest per-row array per blo
 # exactly 2 + ceil(n_parties / 2) words; a row that needs more extends its stream
 _FIRST_WORDS = {"encode": 4, "check": 1}
 _PIPE_BYTES = 1 << 20  # the most a worker's pipe is grown to hold
-# The cost rule of worker_count, in microseconds of one CPU, fitted to
-# in-process timings (README): each added process costs FORK_COST (fork and
-# reap, copy-on-write faults in both processes, the child's result transfer,
-# the faults of the caller's next command), and a row of a command costs
-# ROW_COST[command] = (fixed, per entry of the plan's row width)
-FORK_COST = 18_000.0
-ROW_COST = {
-    "batch": (2.0, 0.021),  # a batch round
-    "batch_log": (2.35, 0.025),  # with its round-log line, less that line's transfer
-    "security": (2.2, 0.014),  # one of a security round's 4 rows
-    "sweep": (1.65, 0.015),  # a round of one sweep window
-}
+# worker_count's rule: each added process costs as much wall time as
+# FORK_ROWS rows run in process, given a free CPU for it (README, --threads)
+FORK_ROWS = 5000
 HISTORIES = 7  # jump histories of a window: none, +, -, ++, +-, -+, --
 SECTORS = 3  # photon numbers a window state holds: 0, 1, 2
 
@@ -207,37 +198,30 @@ def row_blocks(seed: int, start: int, stop: int, width: int, kind: str = "encode
 # independent work units in forked worker processes
 
 
-def row_cost(command: str, width: int) -> float:
-    """Estimated in-process microseconds per row of ``command`` (a key of
-    ``ROW_COST``) on a plan whose rows hold ``width`` entries
-    (``protocol._Plan.row_width``)."""
-    fixed, per_entry = ROW_COST[command]
-    return fixed + per_entry * width
-
-
-def worker_count(workers: int, units: int, work: float) -> int:
-    """Processes to share ``units`` independent work units of ``work``
-    estimated in-process microseconds in all: the largest w <= ``min(workers,
-    usable CPUs, units)`` for which ``work`` exceeds ``FORK_COST * w * (w -
-    1)``, where the w-th process still saves more than it costs.  It is 1,
-    and the units run in process, where ``os.fork`` is missing and while
-    other threads run (a forked child could inherit a lock one of them
-    holds)."""
+def worker_count(workers: int, units: int, rows: int) -> int:
+    """Processes to share ``units`` independent work units that simulate
+    ``rows`` rows in all: the largest w <= ``min(workers, usable CPUs,
+    units)`` for which ``rows`` exceeds ``FORK_ROWS * w * (w - 1)``.  Going
+    from w - 1 processes to w saves the wall time of rows / (w (w - 1))
+    rows and costs that of ``FORK_ROWS``, so the w-th process is the last
+    that still pays.  It is 1, and the units run in process, where
+    ``os.fork`` is missing and while other threads run (a forked child
+    could inherit a lock one of them holds)."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     w = max(1, min(workers, cpus or 1, units))
-    while w > 1 and work <= FORK_COST * w * (w - 1):
+    while w > 1 and rows <= FORK_ROWS * w * (w - 1):
         w -= 1
     return w
 
 
-def map_ranges(task, n_rounds: int, workers: int, round_cost: float) -> list:
+def map_ranges(task, n_rounds: int, rows_per_round: int, workers: int) -> list:
     """``task(bounds)`` for each of :func:`worker_count` near-equal
     contiguous ranges ``bounds = (lo, hi)`` of ``n_rounds`` rounds of
-    ``round_cost`` estimated microseconds each, one range per process
-    (:func:`fork_map`), in round order."""
-    workers = worker_count(workers, n_rounds, n_rounds * round_cost)
+    ``rows_per_round`` rows each, one range per process (:func:`fork_map`),
+    in round order."""
+    workers = worker_count(workers, n_rounds, rows_per_round * n_rounds)
     ranges = [(n_rounds * w // workers, n_rounds * (w + 1) // workers) for w in range(workers)]
     return fork_map(task, ranges, workers)
 

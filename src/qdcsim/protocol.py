@@ -609,17 +609,14 @@ def run_batch(
     plan = _plan(config)  # compile before the clock starts, and before any fork
     msg_ids = np.array([_MSG_INDEX[m] for m in (MESSAGES if messages is None else messages)])
 
-    log = on_log is not None
-    round_cost = lockstep.row_cost("batch_log" if log else "batch", plan.row_width())
-
     t0 = time.perf_counter()
     counts = np.zeros(26, dtype=np.int64)
     for range_counts, lines in lockstep.map_ranges(
-        lambda bounds: _range_part(plan, config.seed, bounds, msg_ids, log),
-        n_rounds, workers, round_cost,
+        lambda bounds: _range_part(plan, config.seed, bounds, msg_ids, on_log is not None),
+        n_rounds, 1, workers,
     ):
         counts += range_counts
-        if log:
+        if on_log is not None:
             on_log(lines)
     wall = time.perf_counter() - t0
 
@@ -686,6 +683,5 @@ def run_sweep(
         return {"t_window": float(t_w), **formulas, "mc_estimate": p,
                 "mc_stderr": math.sqrt(p * (1.0 - p) / n) if n else 0.0}
 
-    width = lockstep.SECTORS << (config.n_parties - 2)  # a window row's (sector, bit code) weights
-    work = len(t_windows) * n_rounds * lockstep.row_cost("sweep", width)
-    return lockstep.fork_map(row, t_windows, lockstep.worker_count(workers, len(t_windows), work))
+    workers = lockstep.worker_count(workers, len(t_windows), len(t_windows) * n_rounds)
+    return lockstep.fork_map(row, t_windows, workers)

@@ -499,11 +499,9 @@ def security_summary(config: RoundConfig, n_rounds: int, eve: EveModel, workers:
     attack = _attack(eve, config)  # it checks the config; compiled once, before any fork
     views = standard_views(config)
     games = _guessing_games([views[name] for name in _GAMES], config, MESSAGES)
-    width = protocol._plan(config).row_width()
-    round_cost = (len(_GAMES) + 1) * lockstep.row_cost("security", width)
     parts = lockstep.map_ranges(
         lambda bounds: (games(config.seed, bounds), attack(config.seed + len(_GAMES), bounds)),
-        n_rounds, workers, round_cost,
+        n_rounds, len(_GAMES) + 1, workers,
     )
     bob, charlie, collab = (
         _cheat_result(n_rounds, *counts)

@@ -533,7 +533,7 @@ class TestLockstepEqualsScalar:
             "eve_conclusive_rounds": eve_result.conclusive_rounds,
         }
         monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 1 << 13)
-        monkeypatch.setattr(P.lockstep, "FORK_COST", 0.0)  # three processes however short
+        monkeypatch.setattr(P.lockstep, "FORK_ROWS", 0)  # three processes however short
         assert n_rounds // 3 > (1 << 13) // (3 * P._plan(cfg).row_width())
         for workers, processes in ((1, 1), (3, 3)):
             got = S.security_summary(dataclasses.replace(cfg, seed=seed), n_rounds, eve,

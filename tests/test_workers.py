@@ -25,15 +25,7 @@ CONFIG = RoundConfig(
     detector=DetectorModel(efficiency=0.9, dark_prob=0.05), seed=5,
 )
 N_ROUNDS = 16_684  # not a multiple of a block or of any process count
-LOG_COST = lockstep.row_cost("batch_log", P._plan(CONFIG).row_width())  # a logged CONFIG round
-
-
-def break_even(cost: float) -> int:
-    """The fewest units of ``cost`` whose work exceeds ``2 * FORK_COST``."""
-    n = math.floor(2 * lockstep.FORK_COST / cost)
-    while n * cost <= 2 * lockstep.FORK_COST:
-        n += 1
-    return n
+BREAK_EVEN = 2 * lockstep.FORK_ROWS + 1  # the fewest rows that run in two processes
 
 
 @pytest.fixture()
@@ -47,7 +39,7 @@ def no_fork(monkeypatch, many_cpus):
 @pytest.fixture()
 def free_forks(monkeypatch):
     """Forking costs nothing: every command runs min(workers, CPUs, units) processes."""
-    monkeypatch.setattr(lockstep, "FORK_COST", 0.0)
+    monkeypatch.setattr(lockstep, "FORK_ROWS", 0)
 
 
 def no_child_left():
@@ -66,25 +58,25 @@ class TestWorkerCount:
         assert lockstep.worker_count(1, 100, math.inf) == 1
 
     def test_break_even(self, no_fork):
-        # the w-th process runs where the work exceeds FORK_COST * w * (w - 1)
-        f = lockstep.FORK_COST
+        # the w-th process runs where the rows exceed FORK_ROWS * w * (w - 1)
+        f = lockstep.FORK_ROWS
         for w in (2, 3, 8):
             assert lockstep.worker_count(8, 100, f * w * (w - 1)) == w - 1
-            assert lockstep.worker_count(8, 100, math.nextafter(f * w * (w - 1), math.inf)) == w
-        assert lockstep.worker_count(8, 100, 0.0) == 1
+            assert lockstep.worker_count(8, 100, f * w * (w - 1) + 1) == w
+        assert lockstep.worker_count(8, 100, 0) == 1
 
     @given(workers=st.integers(1, 10**6), units=st.integers(1, 10**6), cpus=st.integers(1, 512),
-           work=st.just(math.inf) | st.floats(0.0, 1e15))
-    def test_largest_count_that_pays(self, workers, units, cpus, work):
+           rows=st.just(math.inf) | st.integers(0, 10**15))
+    def test_largest_count_that_pays(self, workers, units, cpus, rows):
         # never above workers, CPUs or units; each process it runs pays, and
         # one more would not, or is not allowed
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
-            w = lockstep.worker_count(workers, units, work)
-        cap, f = min(workers, cpus, units), lockstep.FORK_COST
+            w = lockstep.worker_count(workers, units, rows)
+        cap, f = min(workers, cpus, units), lockstep.FORK_ROWS
         assert 1 <= w <= cap
-        assert w == 1 or work > f * w * (w - 1)
-        assert w == cap or not work > f * (w + 1) * w
+        assert w == 1 or rows > f * w * (w - 1)
+        assert w == cap or not rows > f * (w + 1) * w
 
     def test_without_fork_in_process(self, monkeypatch, many_cpus):
         monkeypatch.delattr(os, "fork")
@@ -110,11 +102,10 @@ class TestInProcess:
         assert len(rows) == 1
 
     def test_benchmark_sizes_in_process(self, no_fork):
-        # 8,000 logged rounds, and 2,000 security rounds of 4 rows at 3
-        # receivers, cost less than a second process
-        assert lockstep.worker_count(2, 8000, 8000 * LOG_COST) == 1
-        width = P._plan(dataclasses.replace(CONFIG, n_receivers=3)).row_width()
-        assert lockstep.worker_count(2, 2000, 2000 * 4 * lockstep.row_cost("security", width)) == 1
+        # 8,000 batch rounds, and 2,000 security rounds of 4 rows, cost less
+        # than a second process
+        assert lockstep.worker_count(2, 8000, 8000) == 1
+        assert lockstep.worker_count(2, 2000, 2000 * 4) == 1
 
     def test_without_fork(self, monkeypatch, many_cpus, free_forks):
         monkeypatch.delattr(os, "fork")
@@ -179,30 +170,27 @@ class TestByteIdentity:
     def test_process_count(self, workers, extra, processes, many_cpus, forks):
         # one logged round below the two-process break-even runs in process,
         # the break-even itself in two, however many workers are allowed
-        P.run_batch(CONFIG, break_even(LOG_COST) + extra, workers=workers, on_log=list)
+        P.run_batch(CONFIG, BREAK_EVEN + extra, workers=workers, on_log=list)
         assert len(forks) == processes - 1
         no_child_left()
 
     @pytest.mark.parametrize("processes", [1, 2, 3])
     def test_files_at_forced_counts(self, processes, monkeypatch, many_cpus, forks, tmp_path):
-        # FORK_COST = W / w^2 puts a command's work W past the w-th process's
+        # FORK_ROWS = R / w^2 puts a command's R rows past the w-th process's
         # break-even, F w (w - 1), and short of the next one's, F (w + 1) w
         doc = {"params": {"g": 1.0, "Omega": 1.0, "Delta": 1.0, "k": 0.2},
                "round": {"t_window": 6.0, "p_check": 0.25, "seed": 5},
                "detector": {"efficiency": 0.9, "dark_prob": 0.05}}
         (tmp_path / "doc.json").write_text(json.dumps(doc))
-        width = P._plan(CONFIG).row_width()
         commands = {
-            "batch": (["batch", "--round-log", "--rounds", "3001"],
-                      3001 * lockstep.row_cost("batch_log", width)),
-            "security": (["security", "--rounds", "1001"],
-                         1001 * 4 * lockstep.row_cost("security", width)),
+            "batch": (["batch", "--round-log", "--rounds", "3001"], 3001),
+            "security": (["security", "--rounds", "1001"], 1001 * 4),
         }
-        for name, (argv, work) in commands.items():
+        for name, (argv, rows) in commands.items():
             argv = [*argv, "--config", str(tmp_path / "doc.json")]
             with contextlib.redirect_stdout(io.StringIO()):
                 assert cli.main([*argv, "--out", str(tmp_path / f"{name}-1")]) == 0
-                monkeypatch.setattr(lockstep, "FORK_COST", work / processes**2)
+                monkeypatch.setattr(lockstep, "FORK_ROWS", rows / processes**2)
                 forks.clear()
                 assert cli.main([*argv, "--threads", "64", "--out", str(tmp_path / name)]) == 0
             assert len(forks) == processes - 1
