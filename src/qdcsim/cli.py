@@ -24,6 +24,7 @@ import functools
 import json
 import math
 import sys
+import time
 import typing
 from pathlib import Path
 
@@ -179,9 +180,8 @@ def load_config(path: str | None) -> dict:
 # serialization helpers
 
 
-def batch_summary(config: RoundConfig, stats: protocol.BatchStats,
-                  include_wall_time: bool) -> dict:
-    d = {
+def batch_summary(config: RoundConfig, stats: protocol.BatchStats) -> dict:
+    return {
         "config": config_to_dict(config),
         "n_rounds": stats.n_rounds,
         "n_encode": stats.n_encode,
@@ -195,9 +195,6 @@ def batch_summary(config: RoundConfig, stats: protocol.BatchStats,
         "psi_click_rate": stats.psi_click_rate,
         "psi_survival_rate": stats.psi_survival_rate,
     }
-    if include_wall_time:
-        d["wall_time_s"] = stats.wall_time_s
-    return d
 
 
 def sweep_csv(rows: list[dict]) -> str:
@@ -258,15 +255,17 @@ def cmd_batch(args, doc: dict) -> tuple[str, dict[str, str]]:
     config = build_round_config(doc, args)
     n_rounds = _rounds(args, doc, "security")
     log: list[str] = []
+    t0 = time.perf_counter()
     stats = protocol.run_batch(
         config, n_rounds, messages=_messages(args),
         on_log=log.extend if args.round_log else None, workers=args.threads,
     )
-    summary = batch_summary(config, stats, include_wall_time=False)
+    wall = time.perf_counter() - t0
+    summary = batch_summary(config, stats)
     files = {"batch_summary.json": json.dumps(summary, allow_nan=False) + "\n"}
     if args.round_log:
         files["rounds.jsonl"] = "\n".join(log) + "\n"
-    stdout = json.dumps(batch_summary(config, stats, include_wall_time=True), allow_nan=False)
+    stdout = json.dumps({**summary, "wall_time_s": wall}, allow_nan=False)
     return stdout + "\n", files
 
 
@@ -379,7 +378,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if getattr(args, "threads", 1) < 1:
-            raise ConfigError("threads: must be >= 1")
+            raise ConfigError("--threads: must be >= 1")
         stdout, files = args.func(args, load_config(args.config))
         sys.stdout.write(stdout)
         if args.out:

@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,8 +59,7 @@ def paper_params(constants: HardwareConstants | None = None) -> PhysicalParams:
     )
 
 
-@dataclass(frozen=True)
-class CheckRow:
+class CheckRow(NamedTuple):
     name: str
     value: float
     threshold: float
@@ -84,16 +84,14 @@ def regime_report(params: PhysicalParams) -> list[CheckRow]:
     ]
 
 
-@dataclass(frozen=True)
-class TimescaleRow:
+class TimescaleRow(NamedTuple):
     name: str
     total: float
     limit: float
     passed: bool
 
 
-@dataclass(frozen=True)
-class TimescaleReport:
+class TimescaleReport(NamedTuple):
     rows: tuple[TimescaleRow, ...]
     quoted_t1: float
     computed_transfer_time: float
@@ -118,8 +116,7 @@ def timescale_report(
     return TimescaleReport(rows, c.t1, t_star, flagged)
 
 
-@dataclass
-class DarkCountRow:
+class DarkCountRow(NamedTuple):
     dark_prob: float
     success_rate: float
     fidelity: float | None
@@ -200,15 +197,8 @@ def report_json(params: PhysicalParams, constants: HardwareConstants | None = No
             "delta_eff": params.delta_eff, "Omega_k": params.omega_k,
         },
         "constants": dataclasses.asdict(c),
-        "regime": [
-            {"name": r.name, "value": _finite(r.value), "threshold": r.threshold,
-             "relation": r.relation, "passed": r.passed}
-            for r in regime
-        ],
-        "timescales": [
-            {"name": r.name, "total": r.total, "limit": r.limit, "passed": r.passed}
-            for r in times.rows
-        ],
+        "regime": [{**r._asdict(), "value": _finite(r.value)} for r in regime],
+        "timescales": [r._asdict() for r in times.rows],
         "quoted_t1": times.quoted_t1,
         "computed_transfer_time": times.computed_transfer_time,
         "t1_discrepancy_flagged": times.t1_discrepancy_flagged,

@@ -41,7 +41,7 @@ import math
 import os
 import pickle
 import threading
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -82,8 +82,7 @@ def beamsplitter(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return plus, minus
 
 
-@dataclass(frozen=True, eq=False)
-class JumpTables:
+class JumpTables(NamedTuple):
     """The detection window of each start state s, compiled per jump history
     h: none, +, -, ++, +-, -+, -- (index 0-6; after h, a jump on channel c,
     0 = D+ and 1 = D-, leads to history 2h + 1 + c)."""
@@ -143,36 +142,27 @@ def jump_tables(starts: np.ndarray) -> JumpTables:
     return JumpTables(norms, branch, bits)
 
 
-@dataclass
 class Rounds:
-    """Per-row results of one block; encode fields are 0 on check rows."""
+    """Per-row results of a block of ``n`` rows; encode fields are 0 on
+    check rows."""
 
-    check: np.ndarray  # bool: security-check round
-    combo: np.ndarray  # check: x/y basis combination index
-    outcome: np.ndarray  # check: measured outcome index
-    sent: np.ndarray  # encode: message index
-    bits: np.ndarray  # encode: receiver bit code
-    decoded: np.ndarray  # encode: message index, ABORT = abort
-    label: np.ndarray  # ideal PNR: Bell label index, -1 = lost round
-    survived: np.ndarray  # bool: photon present at the end of a jump-free window
-    clicks: np.ndarray  # (rows, 2) observable click counts (n+, n-), darks included
-    jump_t: np.ndarray  # (rows, jumps) jump times
-    jump_sign: np.ndarray  # (rows, jumps) +1 (D+) / -1 (D-), 0 = no jump
-    jump_seen: np.ndarray  # (rows, jumps) bool: the jump registered a click
-    dark_t: np.ndarray  # (rows, 2) D+ / D- dark-count times, NaN = none
-
-    @classmethod
-    def empty(cls, n: int) -> Rounds:
-        def zeros(dtype=np.int64):
-            return np.zeros(n, dtype=dtype)
-
-        return cls(
-            check=zeros(bool), combo=zeros(), outcome=zeros(), sent=zeros(), bits=zeros(),
-            decoded=zeros(), label=zeros(), survived=zeros(bool),
-            clicks=np.zeros((n, 2), dtype=np.int64), jump_t=np.zeros((n, 0)),
-            jump_sign=np.zeros((n, 0), dtype=np.int8), jump_seen=np.zeros((n, 0), dtype=bool),
-            dark_t=np.full((n, 2), np.nan),
-        )
+    def __init__(self, n: int):
+        self.check = np.zeros(n, dtype=bool)  # security-check round
+        self.combo = np.zeros(n, dtype=np.int64)  # check: x/y basis combination index
+        self.outcome = np.zeros(n, dtype=np.int64)  # check: measured outcome index
+        self.sent = np.zeros(n, dtype=np.int64)  # encode: message index
+        self.bits = np.zeros(n, dtype=np.int64)  # encode: receiver bit code
+        self.decoded = np.zeros(n, dtype=np.int64)  # encode: message index, ABORT = abort
+        self.label = np.zeros(n, dtype=np.int64)  # ideal PNR: Bell label index, -1 = lost round
+        # photon present at the end of a jump-free window
+        self.survived = np.zeros(n, dtype=bool)
+        # (rows, 2) observable click counts (n+, n-), darks included
+        self.clicks = np.zeros((n, 2), dtype=np.int64)
+        self.jump_t = np.zeros((n, 0))  # (rows, jumps) jump times
+        # (rows, jumps) +1 (D+) / -1 (D-), 0 = no jump
+        self.jump_sign = np.zeros((n, 0), dtype=np.int8)
+        self.jump_seen = np.zeros((n, 0), dtype=bool)  # (rows, jumps) the jump registered a click
+        self.dark_t = np.full((n, 2), np.nan)  # (rows, 2) D+ / D- dark-count times, NaN = none
 
 
 def row_blocks(seed: int, start: int, stop: int, width: int, kind: str = "encode",
@@ -302,7 +292,7 @@ def run_block(plan, streams: RowStreams, msg_ids: np.ndarray) -> Rounds:
     """The protocol rounds of one block of streams; encode rounds send
     ``msg_ids[integers(0, len(msg_ids))]``."""
     rows = np.arange(len(streams))
-    res = Rounds.empty(len(rows))
+    res = Rounds(len(rows))
     res.check = streams.random(rows) < plan.config.p_check
     check_rows = rows[res.check]
     if check_rows.size:

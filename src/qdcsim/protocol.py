@@ -30,10 +30,9 @@ import dataclasses
 import itertools
 import json
 import math
-import time
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -134,8 +133,7 @@ class RoundConfig:
         return self.n_receivers + 1
 
 
-@dataclass
-class BatchStats:
+class BatchStats(NamedTuple):
     n_rounds: int
     n_encode: int
     n_check: int
@@ -145,7 +143,6 @@ class BatchStats:
     check_pass_rate: float | None
     psi_click_rate: float | None
     psi_survival_rate: float | None
-    wall_time_s: float
 
 
 def check_size(n_receivers: int) -> float:
@@ -404,8 +401,7 @@ def decode(config: RoundConfig, counts: tuple[int, int], bits: str) -> Message |
 # compiled per-config plan
 
 
-@dataclass(frozen=True, eq=False)
-class _Plan:
+class _Plan(NamedTuple):
     """Everything a round of one config reads, compiled once per config with
     the seed excluded.  Each table holds what a round computed on its own
     would evaluate, from the same expression, so it is bit-equal; the jump
@@ -427,7 +423,7 @@ class _Plan:
     pnr_decoded: np.ndarray  # (label x bit code) -> decoded-message index
     # round-log line tails per row key, split around the clicks list
     # (``_log_tail``), filled by the first logged blocks
-    log_tails: dict = dataclasses.field(default_factory=dict, repr=False)
+    log_tails: dict
 
     def row_width(self) -> int:
         """Entries of the widest per-row array a block of this plan's rounds
@@ -457,7 +453,7 @@ def _compile_plan(config: RoundConfig) -> _Plan:
         bit_strings=tuple(map("".join, itertools.product("ge", repeat=config.n_parties - 2))),
         bell=bell, outcomes=outcomes, decoded=_frozen(decoded),
         pnr_cum=_frozen(np.cumsum(bell.reshape(len(MESSAGES), -1), axis=1)),
-        pnr_decoded=_frozen(_argmax(bell).reshape(-1)),
+        pnr_decoded=_frozen(_argmax(bell).reshape(-1)), log_tails={},
     )
 
 
@@ -530,18 +526,18 @@ def _log_clicks(r: lockstep.Rounds, rows: np.ndarray) -> list[str]:
     return [", ".join(pieces[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
-def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int) -> list[str]:
+def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int, passed: np.ndarray) -> list[str]:
     """The round-log line of every row of a lockstep block whose first round
-    is ``first``.  Rows without detector events share a line up to the
-    round index: each distinct tail is built and split once per plan by
-    ``_log_tail``.  A check line reads the outcome only through its
-    verdict, so check tails are keyed by (combo, passed): 2^(n+1) at most."""
+    is ``first``; ``passed`` holds the check rows' verdicts
+    (``lockstep.check_verdicts``).  Rows without detector events share a
+    line up to the round index: each distinct tail is built and split once
+    per plan by ``_log_tail``.  A check line reads the outcome only through
+    its verdict, so check tails are keyed by (combo, passed): 2^(n+1) at
+    most."""
     n_codes = len(plan.bit_strings)
     label = r.label + 1 if plan.config.ideal_pnr else 0
     key = ((r.sent * n_codes + r.bits) * 5 + r.decoded) * 5 + label
-    combo, outcome = r.combo[r.check], r.outcome[r.check]
-    passed = lockstep.check_verdicts(combo, outcome, plan.config.n_parties)[1]
-    key[r.check] = -1 - 2 * combo - passed
+    key[r.check] = -1 - 2 * r.combo[r.check] - passed
     keys, rows, inverse = np.unique(key, return_index=True, return_inverse=True)
     tails = []
     for k, row in zip(keys.tolist(), rows.tolist()):
@@ -573,14 +569,13 @@ def _range_part(plan: _Plan, seed: int, bounds: tuple[int, int], msg_ids: np.nda
         r = lockstep.run_block(plan, streams, msg_ids)
         encode = ~r.check
         counts[:20] += np.bincount(5 * r.sent[encode] + r.decoded[encode], minlength=20)
-        if r.check.any():
-            conclusive, passed = lockstep.check_verdicts(
-                r.combo[r.check], r.outcome[r.check], plan.config.n_parties)
-            counts[20:23] += [r.check.sum(), conclusive.sum(), (conclusive & passed).sum()]
+        conclusive, passed = lockstep.check_verdicts(
+            r.combo[r.check], r.outcome[r.check], plan.config.n_parties)
+        counts[20:23] += [r.check.sum(), conclusive.sum(), (conclusive & passed).sum()]
         psi = encode & np.isin(r.sent, psi_ids)
         counts[23:] += [psi.sum(), (psi & r.jump_seen.any(axis=1)).sum(), (psi & r.survived).sum()]
         if log:
-            lines += _log_lines(plan, r, first)
+            lines += _log_lines(plan, r, first, passed)
         first += len(r.check)
     return counts, lines
 
@@ -606,10 +601,8 @@ def run_batch(
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    plan = _plan(config)  # compile before the clock starts, and before any fork
+    plan = _plan(config)  # compile before any fork
     msg_ids = np.array([_MSG_INDEX[m] for m in (MESSAGES if messages is None else messages)])
-
-    t0 = time.perf_counter()
     counts = np.zeros(26, dtype=np.int64)
     for range_counts, lines in lockstep.map_ranges(
         lambda bounds: _range_part(plan, config.seed, bounds, msg_ids, on_log is not None),
@@ -618,7 +611,6 @@ def run_batch(
         counts += range_counts
         if on_log is not None:
             on_log(lines)
-    wall = time.perf_counter() - t0
 
     confusion = counts[:20].reshape(4, 5)
     n_check, check_concl, check_pass, psi_rounds, psi_clicks, psi_survived = counts[20:].tolist()
@@ -635,7 +627,6 @@ def run_batch(
         check_pass_rate=check_pass / check_concl if check_concl else None,
         psi_click_rate=psi_clicks / psi_rounds if psi_rounds else None,
         psi_survival_rate=psi_survived / psi_rounds if psi_rounds else None,
-        wall_time_s=wall,
     )
 
 

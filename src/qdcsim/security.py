@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -77,8 +77,7 @@ class EveModel:
             raise ValueError("atom intercept-resend requires basis 'z' or 'x'")
 
 
-@dataclass
-class CheatResult:
+class CheatResult(NamedTuple):
     n_rounds: int
     n_clicked: int
     rate_all: float
@@ -87,8 +86,7 @@ class CheatResult:
     stderr_given_click: float | None
 
 
-@dataclass
-class EveResult:
+class EveResult(NamedTuple):
     n_rounds: int
     conclusive_rounds: int
     violations: int
@@ -244,7 +242,7 @@ def _guessing_games(views: Sequence[ViewSpec], config: RoundConfig,
         counts = np.zeros((games, 3), dtype=np.int64)
         for streams in lockstep.row_blocks(seed, *bounds, width, games=games):
             rows = np.arange(len(streams))
-            r = lockstep.Rounds.empty(len(rows))
+            r = lockstep.Rounds(len(rows))
             sent = msg_ids[streams.integers(rows, len(msgs))]
             streams.random(rows)  # the check-branch draw
             lockstep.encode_rounds(plan, streams, rows, sent, r)
@@ -368,7 +366,7 @@ def _photon_attack(config: RoundConfig):
         counts = np.zeros(2, dtype=np.int64)
         for streams in lockstep.row_blocks(seed, *bounds, tables.width):
             rows = np.arange(len(streams))
-            r = lockstep.Rounds.empty(len(rows))
+            r = lockstep.Rounds(len(rows))
             which = streams.integers(rows, 2)
             outcome = lockstep.pick(cum[which], streams.random(rows) * total[which])
             start = which * weights.shape[1] + outcome

@@ -828,7 +828,7 @@ def engine_windows(state: StateVector, config: RoundConfig, seed: int, n: int):
     for streams in lockstep.row_blocks(seed, 0, n, tables.width):
         rows = np.arange(len(streams))
         start = np.zeros(len(rows), dtype=np.int64)
-        r = lockstep.Rounds.empty(len(rows))
+        r = lockstep.Rounds(len(rows))
         lockstep.window(config, tables, streams, rows, start, r)
         yield r
 

@@ -1,4 +1,4 @@
-"""The public export list of ``qdcsim``."""
+"""The public export list of ``qdcsim`` and the kinds of its records."""
 
 import qdcsim
 
@@ -42,3 +42,25 @@ def test_dense_state_space_is_a_test_oracle():
     for module, names in gone.items():
         for name in names:
             assert name not in qdcsim.__all__ and not hasattr(module, name), name
+
+
+def test_only_the_config_schema_and_security_inputs_are_dataclasses():
+    # the CLI reflects over the config schema and the security inputs check
+    # what a caller passes; every other record is a NamedTuple or a plain
+    # class, as a dataclass's generated methods cost start-up time
+    import dataclasses
+    import importlib
+    import pkgutil
+
+    found = set()
+    for info in pkgutil.iter_modules(qdcsim.__path__):
+        module = importlib.import_module(f"qdcsim.{info.name}")
+        found |= {f"{info.name}.{name}" for name, obj in vars(module).items()
+                  if isinstance(obj, type) and dataclasses.is_dataclass(obj)
+                  and obj.__module__ == module.__name__}
+    assert found == {
+        "dynamics.PhysicalParams", "protocol.DetectorModel", "protocol.RoundConfig",
+        "feasibility.HardwareConstants",
+        "security.ViewSpec", "security.Observation", "security.EveModel",
+    }
+    assert "wall_time_s" not in qdcsim.protocol.BatchStats._fields

@@ -366,9 +366,10 @@ class TestBatchCommand:
         assert code == 0
         summary = json.loads(out.strip())
         assert summary["n_rounds"] == 800
-        assert "wall_time_s" in summary
         on_disk = json.loads((out_dir / "batch_summary.json").read_text())
-        assert "wall_time_s" not in on_disk  # deterministic file contents
+        # deterministic file contents; stdout adds the wall time as its last key
+        assert summary == {**on_disk, "wall_time_s": summary["wall_time_s"]}
+        assert list(summary) == [*on_disk, "wall_time_s"]
         manifest = json.loads((out_dir / "manifest.json").read_text())
         assert "batch_summary.json" in manifest["files"]
         assert "rounds.jsonl" in manifest["files"]
@@ -400,11 +401,11 @@ class TestBatchCommand:
 
     def test_rejects_fewer_than_one_thread(self, config_path, capsys):
         for threads in ("0", "-3"):
-            code, _, err = run_cli(
-                ["batch", "--config", config_path, "--rounds", "10", "--threads", threads], capsys
-            )
+            argv = ["batch", "--config", config_path, "--rounds", "10", "--threads", threads]
+            code, _, err = run_cli(argv, capsys)
             assert code == 2
-            assert "threads: must be >= 1" in err
+            assert names_a_flag(err, argv), err
+            assert "config error: --threads: must be >= 1" in err
 
     def test_default_rounds_are_security_rounds(self, tmp_path, capsys):
         # batch has no round-count key of its own: without --rounds it runs
@@ -924,16 +925,23 @@ FIELD_NAMES = {section: set(fields) for section, fields in DOCUMENT.items()}
 FIELD_NAMES["params"] = {f.name for f in dataclasses.fields(PhysicalParams)}
 FIELD_NAMES["round"] = {f.name for f in dataclasses.fields(P.RoundConfig)}
 FIELD_NAMES["detector"] = {f.name for f in dataclasses.fields(P.DetectorModel)}
+# a magnitude log-uniform over the positive floats, subnormals included, or an exact zero
+MAGNITUDES = st.just(0.0) | st.floats(-324.0, 308.25).map(lambda e: 10.0**e)
+# the couplings drawn jointly, so that configs moving g, Omega and Delta together run
+COUPLINGS = st.fixed_dictionaries({name: MAGNITUDES for name in ("g", "Omega", "Delta", "k")})
 
 
 @st.composite
 def documents(draw):
-    """A document of values that run, with up to three fields (or whole
-    sections) set to an edge value or left out."""
+    """A document of values that run, or with couplings drawn jointly from
+    ``COUPLINGS``, with up to three fields (or whole sections) set to an
+    edge value or left out."""
     doc = copy.deepcopy({
         section: {field: draw(st.sampled_from(values)) for field, values in fields.items()}
         for section, fields in DOCUMENT.items()
     })
+    if draw(st.booleans()):
+        doc["params"].update(draw(COUPLINGS))
     for path in draw(st.lists(st.sampled_from(FIELD_PATHS), max_size=3, unique=True)):
         *parents, key = path
         sec = doc
@@ -1068,14 +1076,12 @@ def test_golden_corpus_is_standard_json(tmp_path, monkeypatch):
             load_strict(path)
 
 
-# a magnitude log-uniform over the positive floats, subnormals included, or an exact zero
-MAGNITUDES = st.just(0.0) | st.floats(-324.0, 308.25).map(lambda e: 10.0**e)
 COUPLED_COMMANDS = (["feasibility"], ["run"], ["batch", "--rounds", "3"],
-                    ["sweep", "--rounds", "3"], ["decode-table"])
+                    ["sweep", "--rounds", "3"], ["security", "--rounds", "3"], ["decode-table"])
 
 
 @settings(max_examples=200)
-@given(st.fixed_dictionaries({name: MAGNITUDES for name in ("g", "Omega", "Delta", "k")}))
+@given(COUPLINGS)
 # Omega*g/Delta^2 overflowed (OverflowError) or underflowed to 0/0 (ZeroDivisionError)
 @example({"g": 1e154, "Omega": 1e154, "Delta": 1e200, "k": 0.0})
 @example({"g": 1e-150, "Omega": 1e-150, "Delta": 1e-200, "k": 0.0})
@@ -1097,7 +1103,7 @@ def test_couplings_drawn_together_run_or_name_params(tmp_path_factory, params):
 
 @pytest.mark.parametrize("argv, target, fake", [
     (["batch", "--rounds", "10"], "qdcsim.protocol.run_batch",
-     lambda *a, run=P.run_batch, **kw: dataclasses.replace(run(*a, **kw), success_rate=math.nan)),
+     lambda *a, run=P.run_batch, **kw: run(*a, **kw)._replace(success_rate=math.nan)),
     (["sweep", "--rounds", "10"], "qdcsim.protocol.success_probability_formula",
      lambda *args: math.nan),
     (["security", "--rounds", "10"], "qdcsim.security.security_summary",
@@ -1157,8 +1163,8 @@ def test_physical_fields_drawn_together_run_or_name_a_field(fields):
         return
     plan = P._plan(config)
     stats = P.run_batch(config, 1, on_log=list)
-    assert all_finite([getattr(plan, f.name) for f in dataclasses.fields(plan)][1:-1])
-    assert all_finite(dataclasses.asdict(stats))
+    assert all_finite(plan[1:-1])
+    assert all_finite(stats)
     assert all_finite(feasibility.report_json(config.params))
     assert all_finite([P.success_probability_formula(config, c)
                        for c in ("survival", "integrated")])

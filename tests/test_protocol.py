@@ -555,7 +555,7 @@ class TestOutcomeDistribution:
         # row i is the encode round of X on O.round_rng(16, i)
         for streams in lockstep.row_blocks(16, 0, n, plan.row_width()):
             rows = np.arange(len(streams))
-            r = lockstep.Rounds.empty(len(rows))
+            r = lockstep.Rounds(len(rows))
             sent = np.full(len(rows), MESSAGES.index(Message.X))
             lockstep.encode_rounds(plan, streams, rows, sent, r)
             for n_plus, n_minus, code in zip(*r.clicks.T.tolist(), r.bits.tolist()):

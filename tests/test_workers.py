@@ -143,7 +143,7 @@ class TestForkMap:
 def batch(workers):
     log = []
     stats = P.run_batch(CONFIG, N_ROUNDS, workers=workers, on_log=log.extend)
-    return dataclasses.replace(stats, wall_time_s=0.0), log
+    return stats, log
 
 
 class TestByteIdentity:
