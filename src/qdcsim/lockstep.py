@@ -27,11 +27,14 @@ same Python calls, never by numpy's SIMD versions.
 (``protocol._Plan``); ``security`` drives the same row functions in its
 own draw orders.
 
-:func:`row_blocks` cuts a range of rounds into blocks sized by memory.
-Independent work units (the round ranges of a batch or of ``security``,
-one per process, :func:`map_ranges`; ``sweep``'s windows) can share forked
-worker processes (:func:`fork_map`, :func:`worker_count`); as every round
-reads its own stream, neither blocks nor split change a bit of the result.
+:func:`row_blocks` cuts a range of rounds into blocks of ``BLOCK_ROWS`` rows,
+whatever the layout; the bit-code draw, whose weights span the 2^(N-1) bit
+codes of N receivers, runs in row chunks of ``BLOCK_AMPLITUDES`` entries
+(:func:`_chunks`).  Independent work units (the round ranges of a batch or
+of ``security``, one per process, :func:`map_ranges`; ``sweep``'s windows)
+can share forked worker processes (:func:`fork_map`, :func:`worker_count`);
+as every round reads its own stream, neither blocks, chunks nor split change
+a bit of the result.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ import numpy as np
 from .streams import RowStreams, philox_words
 
 ABORT = 4  # decoded-message index of an aborted round
-BLOCK_AMPLITUDES = 1 << 17  # rows x entries of the widest per-row array per block
+BLOCK_ROWS = 1 << 15  # rows per block on every layout; a row's own arrays take under 1 KiB
+BLOCK_AMPLITUDES = 1 << 17  # rows x (sector or Bell label, bit code) entries per bit-code chunk
 # Philox blocks (4 words each) computed up front per row, by row kind: a row
 # that may run an encode round draws a varying number (2.46 blocks on
 # average on the benchmark security config), an atom-attack check row
@@ -165,17 +169,14 @@ class Rounds:
         self.dark_t = np.full((n, 2), np.nan)  # (rows, 2) D+ / D- dark-count times, NaN = none
 
 
-def row_blocks(seed: int, start: int, stop: int, width: int, kind: str = "encode",
-               games: int = 1):
-    """Yield the :class:`RowStreams` of rounds ``start .. stop-1`` of
-    ``games`` games side by side, game g on the streams of seed
-    ``seed + g`` (mod 2**64), in blocks of
-    ``max(1, BLOCK_AMPLITUDES // (width * games))`` rounds, the last maybe
-    short (``width``: entries of the caller's widest per-row array).  A
-    block's rows are game-major: row ``g * m + j`` is round ``lo + j`` of
-    game g.  One call computes each block's first Philox words,
-    ``_FIRST_WORDS[kind]`` blocks of them per row."""
-    step = max(1, BLOCK_AMPLITUDES // (width * games))
+def row_blocks(seed: int, start: int, stop: int, kind: str = "encode", games: int = 1):
+    """Yield the :class:`RowStreams` of rounds ``start .. stop-1`` of ``games``
+    games side by side, game g on the streams of seed ``seed + g`` (mod
+    2**64), in blocks of ``max(1, BLOCK_ROWS // games)`` rounds, the last
+    maybe short.  A block's rows are game-major: row ``g * m + j`` is round
+    ``lo + j`` of game g.  One call computes each block's first Philox
+    words, ``_FIRST_WORDS[kind]`` blocks of them per row."""
+    step = max(1, BLOCK_ROWS // games)
     game_seeds = np.array([(seed + g) % 2**64 for g in range(games)], dtype=np.uint64)
     for lo in range(start, stop, step):
         indices = np.arange(lo, min(lo + step, stop))
@@ -306,6 +307,12 @@ def run_block(plan, streams: RowStreams, msg_ids: np.ndarray) -> Rounds:
     return res
 
 
+def _chunks(n: int, width: int) -> list[slice]:
+    """Row slices of ``n`` rows, each at most ``BLOCK_AMPLITUDES`` entries of ``width`` a row."""
+    step = max(1, BLOCK_AMPLITUDES // width)
+    return [slice(lo, lo + step) for lo in range(0, n, step)]
+
+
 def pick(cum: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Row-wise ``min(searchsorted(cum, x, side="right"), len - 1)`` on each
     row's nondecreasing ``cum`` (one row of ``cum`` serves every row)."""
@@ -394,10 +401,11 @@ def encode_rounds(plan, streams: RowStreams, rows: np.ndarray, sent: np.ndarray,
 
 
 def _ideal_pnr_rounds(plan, streams, rows, sent, res: Rounds) -> None:
-    n_codes = len(plan.bit_strings)
-    cum = plan.pnr_cum[sent]
-    j = (cum <= streams.random(rows)[:, None]).sum(axis=1)
-    lost = j == cum.shape[1]
+    n_codes, width = len(plan.bit_strings), plan.pnr_cum.shape[1]
+    u, j = streams.random(rows), np.zeros(len(rows), dtype=np.int64)
+    for part in _chunks(len(rows), width):  # (rows, Bell label x bit code) weights
+        j[part] = (plan.pnr_cum[sent[part]] <= u[part, None]).sum(axis=1)
+    lost = j == width
     code = j % n_codes
     code[lost] = streams.integers(rows[lost], n_codes)
     res.bits[rows] = code
@@ -519,16 +527,16 @@ def window(config, tables: JumpTables, streams, rows, start: np.ndarray,
 def window_rounds(plan, streams: RowStreams, rows, tables: JumpTables, start: np.ndarray,
                   res: Rounds) -> None:
     """The :func:`window`, receiver bits and decode of every row, starting
-    from start state ``start`` of ``tables``."""
+    from start state ``start`` of ``tables``, the bits in row :func:`_chunks`."""
     q, hist = window(plan.config, tables, streams, rows, start, res)
-    # sum over sectors n of q[n] * bits[n], in sector order, one (rows, bit
-    # codes) term at a time: a block never holds all sectors' terms at once
-    weights = q[:, 0, None] * tables.bits[start, hist, 0]
-    for n in range(1, SECTORS):
-        weights += q[:, n, None] * tables.bits[start, hist, n]
-    code = _sample_bits(streams, rows, weights)
-    res.bits[rows] = code
-    res.decoded[rows] = plan.decoded[res.clicks[rows, 0], res.clicks[rows, 1], code]
+    for part in _chunks(len(rows), tables.width):
+        s, h, qs = start[part], hist[part], q[part]
+        # sum_n q[n] * bits[n] in sector order, one (rows, bit codes) term at a time
+        weights = qs[:, 0, None] * tables.bits[s, h, 0]
+        for n in range(1, SECTORS):
+            weights += qs[:, n, None] * tables.bits[s, h, n]
+        res.bits[rows[part]] = _sample_bits(streams, rows[part], weights)
+    res.decoded[rows] = plan.decoded[res.clicks[rows, 0], res.clicks[rows, 1], res.bits[rows]]
 
 
 def _sample_bits(streams: RowStreams, rows, weights: np.ndarray) -> np.ndarray:

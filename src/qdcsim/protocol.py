@@ -425,12 +425,6 @@ class _Plan(NamedTuple):
     # (``_log_tail``), filled by the first logged blocks
     log_tails: dict
 
-    def row_width(self) -> int:
-        """Entries of the widest per-row array a block of this plan's rounds
-        holds (``lockstep.row_blocks``): the encode round's (photon sector or
-        Bell label, bit code) weights.  A check round holds a few integers."""
-        return self.pnr_cum.shape[1] if self.config.ideal_pnr else self.tables.width
-
 
 def _plan(config: RoundConfig) -> _Plan:
     """The compiled plan of a config.  Nothing in it depends on the seed, so
@@ -565,7 +559,7 @@ def _range_part(plan: _Plan, seed: int, bounds: tuple[int, int], msg_ids: np.nda
     photon survived) and, with ``log``, its round-log lines."""
     psi_ids = [_MSG_INDEX[Message.X], _MSG_INDEX[Message.IY]]
     counts, lines, first = np.zeros(26, dtype=np.int64), [], bounds[0]
-    for streams in lockstep.row_blocks(seed, *bounds, plan.row_width()):
+    for streams in lockstep.row_blocks(seed, *bounds):
         r = lockstep.run_block(plan, streams, msg_ids)
         encode = ~r.check
         counts[:20] += np.bincount(5 * r.sent[encode] + r.decoded[encode], minlength=20)

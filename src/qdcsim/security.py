@@ -231,16 +231,14 @@ def _guessing_games(views: Sequence[ViewSpec], config: RoundConfig,
     Round draws: the message, a round's check-branch draw (the first draw
     of ``lockstep.run_block``; the game runs at p_check = 0), the encode
     round, then the choice among tied messages where more than one ties."""
-    plan = protocol._plan(config)
-    msgs = tuple(messages)
+    plan, msgs, games = protocol._plan(config), tuple(messages), len(views)
     msg_ids = np.array([protocol._MSG_INDEX[m] for m in msgs])
     tables = [_guess_tables(view, config, plan, msgs) for view in views]
     n_tied, tied = np.stack([n for n, _ in tables]), np.stack([t for _, t in tables])
-    width, games = plan.row_width(), len(views)
 
     def run(seed: int, bounds: tuple[int, int]) -> np.ndarray:
         counts = np.zeros((games, 3), dtype=np.int64)
-        for streams in lockstep.row_blocks(seed, *bounds, width, games=games):
+        for streams in lockstep.row_blocks(seed, *bounds, games=games):
             rows = np.arange(len(streams))
             r = lockstep.Rounds(len(rows))
             sent = msg_ids[streams.integers(rows, len(msgs))]
@@ -315,13 +313,12 @@ def _atom_attack(eve: EveModel, config: RoundConfig):
     violations).
 
     Round draws: Eve's outcome (none without an attack), each of hers
-    equally likely, then the check round (``lockstep.check_rounds``).  A row
-    holds a few integers, so a block is ``BLOCK_AMPLITUDES`` rows."""
+    equally likely, then the check round (``lockstep.check_rounds``)."""
     n, state = config.n_parties, _eve_state(eve, config.n_parties)
 
     def run(seed: int, bounds: tuple[int, int]) -> np.ndarray:
         counts = np.zeros(2, dtype=np.int64)
-        for streams in lockstep.row_blocks(seed, *bounds, 1, kind="check"):
+        for streams in lockstep.row_blocks(seed, *bounds, kind="check"):
             rows = np.arange(len(streams))
             outcome = 0
             if eve.strategy != "none":
@@ -364,7 +361,7 @@ def _photon_attack(config: RoundConfig):
 
     def run(seed: int, bounds: tuple[int, int]) -> np.ndarray:
         counts = np.zeros(2, dtype=np.int64)
-        for streams in lockstep.row_blocks(seed, *bounds, tables.width):
+        for streams in lockstep.row_blocks(seed, *bounds):
             rows = np.arange(len(streams))
             r = lockstep.Rounds(len(rows))
             which = streams.integers(rows, 2)

@@ -825,7 +825,7 @@ def engine_windows(state: StateVector, config: RoundConfig, seed: int, n: int):
     start, dropped = sectors(state)
     assert dropped <= P._SUPPORT_TOL, dropped
     tables = lockstep.jump_tables(start[None])
-    for streams in lockstep.row_blocks(seed, 0, n, tables.width):
+    for streams in lockstep.row_blocks(seed, 0, n):
         rows = np.arange(len(streams))
         start = np.zeros(len(rows), dtype=np.int64)
         r = lockstep.Rounds(len(rows))

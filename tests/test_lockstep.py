@@ -121,11 +121,12 @@ class TestPhiloxWords:
             assert row.tolist() == np.random.Generator(np.random.Philox(key=key)).random(10).tolist()
 
     @pytest.mark.parametrize("kind, n_blocks", [("encode", 4), ("check", 1)])
-    def test_games_side_by_side(self, kind, n_blocks):
+    def test_games_side_by_side(self, kind, n_blocks, monkeypatch):
         # row g * m + j of a block is round lo + j of game g, on seed + g mod
-        # 2**64; blocks hold BLOCK_AMPLITUDES // (width * games) rounds
-        width, games = lockstep.BLOCK_AMPLITUDES // 40, 3
-        blocks = list(lockstep.row_blocks(MASK64 - 1, 5, 40, width, kind, games))
+        # 2**64; blocks hold BLOCK_ROWS // games rounds, whatever the row kind
+        monkeypatch.setattr(lockstep, "BLOCK_ROWS", 40)
+        games = 3
+        blocks = list(lockstep.row_blocks(MASK64 - 1, 5, 40, kind, games))
         assert [len(b) for b in blocks] == [39, 39, 27]  # 13, 13 and 9 rounds of 3 games
         lo = 5
         for streams in blocks:
@@ -252,7 +253,7 @@ def engine_rounds(config, n_rounds, seed, messages):
     plan = P._plan(config)
     msg_ids = np.array([P._MSG_INDEX[m] for m in messages])
     got = []
-    for streams in lockstep.row_blocks(seed, 0, n_rounds, plan.row_width()):
+    for streams in lockstep.row_blocks(seed, 0, n_rounds):
         r = lockstep.run_block(plan, streams, msg_ids)
         got += zip(r.survived.tolist(), r.jump_seen.any(axis=1).tolist())
     log = []
@@ -334,8 +335,7 @@ class TestEngineEqualsOracle:
         # several 2048-round blocks, the last one short; the seed also wraps
         # modulo 2**64
         config = make_config(detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
-        width = P._plan(config).row_width()
-        monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 2048 * width)
+        monkeypatch.setattr(P.lockstep, "BLOCK_ROWS", 2048)
         assert_engine_matches(config, 5000, -3, MESSAGES)
 
     @pytest.mark.parametrize("block_rows", [32, 700])
@@ -344,14 +344,37 @@ class TestEngineEqualsOracle:
         # 5000-round batch is one block, and 32-row blocks or 700-row blocks
         # (the last one short) give the same bytes
         config = make_config(detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
-        width = P._plan(config).row_width()
-        assert P.lockstep.BLOCK_AMPLITUDES // width >= 5000
+        assert P.lockstep.BLOCK_ROWS >= 5000
         default = engine_rounds(config, 5000, 21, MESSAGES)
-        monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", block_rows * width)
+        monkeypatch.setattr(P.lockstep, "BLOCK_ROWS", block_rows)
         got, log, stats = assert_engine_matches(config, 5000, 21, MESSAGES)
         assert log == default[1]
         assert got == default[0]
         assert stats == default[2]
+
+    def test_bit_code_chunks_change_nothing(self, monkeypatch):
+        # tests/configs/many.json's 10 parties (256 bit codes): bit codes
+        # drawn in chunks of one row give the bytes of the default chunks
+        # (170 rows a window chunk, 128 an ideal-PNR one) in a logged lossy
+        # batch with check rounds, an ideal-PNR batch and the photon attack
+        config = dataclasses.replace(
+            make_config(10, detector=(0.9, 0.05), p_check=0.25, t_window=6.0), seed=13)
+        pnr = dataclasses.replace(config, ideal_pnr=True)
+        plan, pnr_plan = P._plan(config), P._plan(pnr)
+        photon = S.EveModel("intercept_resend_photon")
+
+        def runs():
+            log = []
+            stats = P.run_batch(config, 600, on_log=log.extend)
+            return stats, log, P.run_batch(pnr, 600), S.eavesdrop_experiment(photon, config, 600)
+
+        default = runs()
+        # the default chunks are several: the photon attack's 600 rows too
+        window_chunk = lockstep.BLOCK_AMPLITUDES // plan.tables.width
+        pnr_chunk = lockstep.BLOCK_AMPLITUDES // pnr_plan.pnr_cum.shape[1]
+        assert window_chunk < default[0].n_encode and pnr_chunk < default[2].n_encode
+        monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 1)
+        assert runs() == default
 
     def test_starts_no_thread(self, monkeypatch):
         def start(self):
@@ -381,30 +404,41 @@ class TestEngineEqualsOracle:
 
         monkeypatch.setattr(P.lockstep, "run_block", run_block)
         P.run_batch(config, 8000)
-        rows = lockstep.BLOCK_AMPLITUDES // P._plan(config).row_width()
-        assert len(blocks) == -(-8000 // rows)
+        assert len(blocks) == -(-8000 // lockstep.BLOCK_ROWS)
         for r in blocks:
             assert r.jump_sign.shape[1] > 0
             assert r.jump_sign[:, -1].any()
 
-    @pytest.mark.parametrize("n_parties, n_rounds", [(3, 8000), (5, 6200), (10, 300)])
+    @pytest.mark.parametrize("n_parties, n_rounds", [(3, 40000), (5, 40000), (10, 34000)])
     def test_blocks_fill_but_never_exceed_the_memory_bound(self, monkeypatch, n_parties,
                                                            n_rounds):
         # the benchmark's batch layout, CI's wide and many layouts: blocks of
-        # BLOCK_AMPLITUDES // width rounds over the whole range, the last short
+        # BLOCK_ROWS rounds over the whole range, the last short, whatever
+        # the layout; a block draws its encode rows' bit codes in chunks of
+        # BLOCK_AMPLITUDES // width rows, the last short
         config = make_config(n_parties, detector=(0.9, 0.02), p_check=0.25, t_window=6.0)
-        width = P._plan(config).row_width()
-        sizes, original = [], lockstep.run_block
+        width = P._plan(config).tables.width
+        blocks, run_block, sample_bits = [], lockstep.run_block, lockstep._sample_bits
 
-        def run_block(plan, streams, msg_ids):
-            sizes.append(len(streams))
-            return original(plan, streams, msg_ids)
+        def recorded_block(plan, streams, msg_ids):
+            blocks.append((len(streams), []))
+            r = run_block(plan, streams, msg_ids)
+            blocks[-1] += (int((~r.check).sum()),)
+            return r
 
-        monkeypatch.setattr(P.lockstep, "run_block", run_block)
+        def recorded_chunk(streams, rows, weights):
+            assert weights.size * lockstep.SECTORS <= lockstep.BLOCK_AMPLITUDES
+            blocks[-1][1].append(len(rows))
+            return sample_bits(streams, rows, weights)
+
+        monkeypatch.setattr(P.lockstep, "run_block", recorded_block)
+        monkeypatch.setattr(P.lockstep, "_sample_bits", recorded_chunk)
         P.run_batch(config, n_rounds)
-        assert max(sizes) * width <= lockstep.BLOCK_AMPLITUDES
-        full = lockstep.BLOCK_AMPLITUDES // width
-        assert sizes == [full] * (n_rounds // full) + [n_rounds % full] * (n_rounds % full > 0)
+        full, chunk = lockstep.BLOCK_ROWS, lockstep.BLOCK_AMPLITUDES // width
+        assert [size for size, _, _ in blocks] == (
+            [full] * (n_rounds // full) + [n_rounds % full] * (n_rounds % full > 0))
+        for _, chunks, encode in blocks:
+            assert chunks == [chunk] * (encode // chunk) + [encode % chunk] * (encode % chunk > 0)
 
     @settings(max_examples=30)
     @given(
@@ -467,9 +501,9 @@ class RecordedGenerator:
         return value
 
 
-def one_row(seed, i, width):
+def one_row(seed, i):
     """Round ``i`` of the batch with ``seed`` as a one-row block."""
-    (streams,) = lockstep.row_blocks(seed, i, i + 1, width)
+    (streams,) = lockstep.row_blocks(seed, i, i + 1)
     return RecordedRow(streams)
 
 
@@ -497,7 +531,7 @@ class TestOneRowEqualsOracle:
                 sent = MESSAGES
             else:
                 sent = (message if isinstance(message, Message) else Message.from_name(message),)
-            row = one_row(6, i, plan.row_width())
+            row = one_row(6, i)
             r = lockstep.run_block(plan, row, np.array([P._MSG_INDEX[m] for m in sent]))
             rng, jumps = RecordedGenerator(O.round_rng(6, i)), []
             want = O.run_round(config, message, rng, cutoff, jumps)
@@ -521,7 +555,7 @@ class TestOneRowEqualsOracle:
         for i in range(16):
             state = O.pipeline_state(config, MESSAGES[i % 4], cutoff)
             tables = lockstep.jump_tables(D.sectors(state)[0][None])
-            row = one_row(7, i, tables.width)
+            row = one_row(7, i)
             r = lockstep.Rounds(1)
             lockstep.window(config, tables, row, ROW, ROW, r)
             rng = RecordedGenerator(O.round_rng(7, i))
@@ -733,7 +767,7 @@ class TestJumpTables:
         shape = plan.outcomes.shape[1:]
         for m in range(len(MESSAGES)):
             counts = np.zeros(shape, dtype=np.int64)
-            for streams in lockstep.row_blocks(31 + m, 0, n_rounds, plan.row_width()):
+            for streams in lockstep.row_blocks(31 + m, 0, n_rounds):
                 rows = np.arange(len(streams))
                 r = lockstep.Rounds(len(rows))
                 start = np.full(len(rows), m)

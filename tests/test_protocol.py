@@ -367,7 +367,7 @@ class TestRunRound:
         plan = P._plan(cfg)
         decodes = 0
         # row i is round i of the batch with seed 4
-        for streams in lockstep.row_blocks(4, 0, 2000, plan.row_width()):
+        for streams in lockstep.row_blocks(4, 0, 2000):
             r = lockstep.run_block(plan, streams, np.arange(len(MESSAGES)))
             decoded = ~r.check & (r.decoded != lockstep.ABORT)
             assert r.jump_seen.any(axis=1)[decoded].all()
@@ -553,7 +553,7 @@ class TestOutcomeDistribution:
         plan = P._plan(cfg)
         strings = plan.bit_strings
         # row i is the encode round of X on O.round_rng(16, i)
-        for streams in lockstep.row_blocks(16, 0, n, plan.row_width()):
+        for streams in lockstep.row_blocks(16, 0, n):
             rows = np.arange(len(streams))
             r = lockstep.Rounds(len(rows))
             sent = np.full(len(rows), MESSAGES.index(Message.X))

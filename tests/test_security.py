@@ -329,6 +329,27 @@ class TestParityCheckLaws:
         assert attacked.conclusive_rounds > 400 and stats.n_check > 200
         assert stats.check_pass_rate == 1.0
 
+    def test_wide_layouts_hold_one_bit_code_chunk(self):
+        # 15 receivers (16384 bit codes): a 2000-round lossy batch with check
+        # rounds is one block, whose per-row arrays take under 1 KiB a row,
+        # and its bit codes are drawn in chunks of BLOCK_AMPLITUDES
+        # (sector, bit code) weights, which the draw holds with its
+        # temporaries in 8 bytes an entry.  A whole block's (rows, bit codes)
+        # weights would take 1500 x 16384 x 8 bytes, about 200 MB.
+        cfg = config(k=0.2, t_window=6.0, n_receivers=15, p_check=0.25, seed=2,
+                     detector=P.DetectorModel(0.9, 0.05))
+        P._plan(cfg)
+        n_rounds = 2000
+        assert n_rounds <= lockstep.BLOCK_ROWS
+        tracemalloc.start()
+        try:
+            stats = P.run_batch(cfg, n_rounds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n_rounds * 1024 + 8 * lockstep.BLOCK_AMPLITUDES
+        assert stats.n_check > 400 and stats.n_encode > 1400
+
 
 class TestSummary:
     def test_summary_fields(self):
@@ -532,9 +553,9 @@ class TestLockstepEqualsScalar:
             "eve_detection_stderr": eve_result.stderr,
             "eve_conclusive_rounds": eve_result.conclusive_rounds,
         }
-        monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 1 << 13)
+        monkeypatch.setattr(P.lockstep, "BLOCK_ROWS", 1 << 10)
         monkeypatch.setattr(P.lockstep, "FORK_ROWS", 0)  # three processes however short
-        assert n_rounds // 3 > (1 << 13) // (3 * P._plan(cfg).row_width())
+        assert n_rounds // 3 > (1 << 10) // 3
         for workers, processes in ((1, 1), (3, 3)):
             got = S.security_summary(dataclasses.replace(cfg, seed=seed), n_rounds, eve,
                                      workers=workers)
@@ -555,7 +576,7 @@ class TestLockstepEqualsScalar:
 
         monkeypatch.setattr(P.lockstep, "philox_words", recorded)  # the first blocks
         monkeypatch.setattr(streams, "philox_words", recorded)  # the extensions
-        monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 128)  # a check row's width is 1
+        monkeypatch.setattr(P.lockstep, "BLOCK_ROWS", 128)
         got = eavesdrop_experiment(eve, cfg, 200)
         assert calls == [(0, 1), (1, 1)] * 2  # blocks of 128 and 72 rounds
         assert got == oracle_eve(eve, cfg, 200, 4)
@@ -570,6 +591,6 @@ class TestLockstepEqualsScalar:
         eves = (EveModel("intercept_resend_atom", basis="z", target=0),
                 EveModel("intercept_resend_photon"))
         default = [S.security_summary(cfg, 2600, eve=eve) for eve in eves]
-        monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 1 << 10)
+        monkeypatch.setattr(P.lockstep, "BLOCK_ROWS", 1 << 7)
         assert [S.security_summary(cfg, 2600, eve=eve) for eve in eves] == default
 
