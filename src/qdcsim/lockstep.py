@@ -27,14 +27,14 @@ same Python calls, never by numpy's SIMD versions.
 (``protocol._Plan``); ``security`` drives the same row functions in its
 own draw orders.
 
+The receivers' bit code enters the tables through its parity alone, so a
+row draws it in closed form from two parity-class weights (:func:`pick_code`).
 :func:`row_blocks` cuts a range of rounds into blocks of ``BLOCK_ROWS`` rows,
-whatever the layout; the bit-code draw, whose weights span the 2^(N-1) bit
-codes of N receivers, runs in row chunks of ``BLOCK_AMPLITUDES`` entries
-(:func:`_chunks`).  Independent work units (the round ranges of a batch or
+whatever the layout.  Independent work units (the round ranges of a batch or
 of ``security``, one per process, :func:`map_ranges`; ``sweep``'s windows)
 can share forked worker processes (:func:`fork_map`, :func:`worker_count`);
-as every round reads its own stream, neither blocks, chunks nor split change
-a bit of the result.
+as every round reads its own stream, neither blocks nor split change a bit
+of the result.
 """
 
 from __future__ import annotations
@@ -52,7 +52,6 @@ from .streams import RowStreams, philox_words
 
 ABORT = 4  # decoded-message index of an aborted round
 BLOCK_ROWS = 1 << 15  # rows per block on every layout; a row's own arrays take under 1 KiB
-BLOCK_AMPLITUDES = 1 << 17  # rows x (sector or Bell label, bit code) entries per bit-code chunk
 # Philox blocks (4 words each) computed up front per row, by row kind: a row
 # that may run an encode round draws a varying number (2.46 blocks on
 # average on the benchmark security config), an atom-attack check row
@@ -68,7 +67,7 @@ SECTORS = 3  # photon numbers a window state holds: 0, 1, 2
 
 def beamsplitter(psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(a_A + a_B)/sqrt(2) and (a_A - a_B)/sqrt(2) on each row of photon-sector
-    amplitudes ``psi[row, bit code, n_A, n_B]``: the unscaled jump channels of
+    amplitudes ``psi[row, bits, n_A, n_B]``: the unscaled jump channels of
     both signs.
 
     Each annihilator maps the one-photon slice of its cavity onto the vacuum
@@ -93,12 +92,7 @@ class JumpTables(NamedTuple):
 
     norms: np.ndarray  # (starts, 7, 3) W[s, h, n]: photon-sector weights of V[s, h]
     branch: np.ndarray  # (starts, 7, 2, 3) F[s, h, c, n] = W[s, 2h+1+c, n-1] / W[s, h, n]
-    bits: np.ndarray  # (starts, 7, 3, bit codes) bit-code weights of sector n per unit W[s, h, n]
-
-    @property
-    def width(self) -> int:
-        """Entries a window row holds at once: (sector, bit code) weights."""
-        return self.bits.shape[2] * self.bits.shape[3]
+    bits: np.ndarray  # (starts, 7, 3, bits) weights of sector n per entry of bits, per unit W
 
 
 def _per_unit(weights: np.ndarray, norms: np.ndarray) -> np.ndarray:
@@ -108,8 +102,8 @@ def _per_unit(weights: np.ndarray, norms: np.ndarray) -> np.ndarray:
 
 
 def jump_vectors(starts: np.ndarray) -> np.ndarray:
-    """V[s, h], shape (starts, 7, bit codes, 2, 2): the jump channels of
-    history h applied to the photon-sector amplitudes ``starts[s]``."""
+    """V[s, h], shape (starts, 7, bits, 2, 2): the jump channels of history
+    h applied to the photon-sector amplitudes ``starts[s]``."""
     vectors = np.zeros((len(starts), HISTORIES) + starts.shape[1:], dtype=np.complex128)
     vectors[:, 0] = starts
     for h in range(HISTORIES // 2):  # histories of at most one jump
@@ -118,25 +112,21 @@ def jump_vectors(starts: np.ndarray) -> np.ndarray:
 
 
 def jump_tables(starts: np.ndarray) -> JumpTables:
-    """The :class:`JumpTables` of the start states ``starts[s, bit code, n_A,
-    n_B]``, built one start at a time, so that only one start's jump vectors
-    and their squared moduli are held at once.  Sector weights are summed in
-    (bit code, n_A, n_B) order (``bincount``), so W[s, 0] is the start
-    state's own."""
-    n_codes = starts.shape[1]
-    n_vec = np.tile([0, 1, 1, 2], n_codes)  # photon number per (bit code, n_A, n_B)
-    bins = n_vec * n_codes + np.repeat(np.arange(n_codes), 4)
+    """The :class:`JumpTables` of the start states ``starts[s, bits, n_A,
+    n_B]`` (bits: the parity, or every bit code).  Sector weights are summed
+    in (bits, n_A, n_B) order (``bincount``), so W[s, 0] is the start's own."""
+    n_bits = starts.shape[1]
+    n_vec = np.tile([0, 1, 1, 2], n_bits)  # photon number per (bits, n_A, n_B)
+    bins = n_vec * n_bits + np.repeat(np.arange(n_bits), 4)
     norms = np.zeros((len(starts), HISTORIES, SECTORS))
-    bits = np.zeros((len(starts), HISTORIES, SECTORS, n_codes))
-    for s in range(len(starts)):
-        weights = np.abs(jump_vectors(starts[s:s + 1]).reshape(HISTORIES, -1))
-        np.square(weights, out=weights)
-        for h, w in enumerate(weights):
-            norms[s, h] = np.bincount(n_vec, weights=w, minlength=SECTORS)
-            bits[s, h] = np.bincount(bins, weights=w, minlength=SECTORS * n_codes).reshape(
-                SECTORS, n_codes)
-        bits[s] = _per_unit(bits[s], norms[s, ..., None])
-        del weights, w  # before the next start's vectors
+    bits = np.zeros((len(starts), HISTORIES, SECTORS, n_bits))
+    weights = np.abs(jump_vectors(starts).reshape(len(starts), HISTORIES, -1))
+    np.square(weights, out=weights)
+    for s, h in itertools.product(range(len(starts)), range(HISTORIES)):
+        norms[s, h] = np.bincount(n_vec, weights=weights[s, h], minlength=SECTORS)
+        bits[s, h] = np.bincount(bins, weights=weights[s, h], minlength=SECTORS * n_bits).reshape(
+            SECTORS, n_bits)
+    bits = _per_unit(bits, norms[..., None])
     branch = np.zeros((len(starts), HISTORIES, 2, SECTORS))
     for h in range(HISTORIES // 2):
         for c in range(2):
@@ -307,16 +297,51 @@ def run_block(plan, streams: RowStreams, msg_ids: np.ndarray) -> Rounds:
     return res
 
 
-def _chunks(n: int, width: int) -> list[slice]:
-    """Row slices of ``n`` rows, each at most ``BLOCK_AMPLITUDES`` entries of ``width`` a row."""
-    step = max(1, BLOCK_AMPLITUDES // width)
-    return [slice(lo, lo + step) for lo in range(0, n, step)]
-
-
 def pick(cum: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Row-wise ``min(searchsorted(cum, x, side="right"), len - 1)`` on each
     row's nondecreasing ``cum`` (one row of ``cum`` serves every row)."""
     return np.minimum((cum <= x[:, None]).sum(axis=1), cum.shape[-1] - 1)
+
+
+def parity(codes: np.ndarray) -> np.ndarray:
+    """The parity of each bit code's bits (codes below 2^64)."""
+    for shift in (32, 16, 8, 4, 2, 1):
+        codes = codes ^ (codes >> shift)
+    return codes & 1
+
+
+def pick_code(weights: np.ndarray, x: np.ndarray, n_codes: int,
+              base: float | np.ndarray = 0.0) -> np.ndarray:
+    """:func:`pick` in closed form on the cumulative weights, from ``base``,
+    of ``n_codes`` (a power of 2, at least 2) bit codes, each weighing its
+    parity's ``weights[row, parity]`` over the n_codes / 2 codes of that
+    parity.  Codes 2j and 2j+1 differ in parity, so every such pair weighs
+    as much: ``x`` falls in pair j = floor((x - base) / pair), on its first
+    code, of parity popcount(j) mod 2, below base + j pair + that code's
+    weight.  A code of weight 0 is never taken."""
+    pairs = n_codes // 2
+    pair = (weights[:, 0] + weights[:, 1]) / pairs
+    j = np.minimum(np.floor((x - base) / pair), pairs - 1).astype(np.int64)
+    rows, first = np.arange(len(j)), parity(j)
+    w_first, w_second = weights[rows, first], weights[rows, 1 - first]
+    second = (w_first == 0.0) | ((x >= base + j * pair + w_first / pairs) & (w_second > 0.0))
+    return 2 * j + second
+
+
+def pick_label_code(cum: np.ndarray, bell: np.ndarray, u: np.ndarray,
+                    n_codes: int) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`pick`, unclipped, in closed form on the cumulative weights of
+    every (Bell label, bit code), label-major, for Bell weights
+    ``bell[row, label, parity]`` with running sums ``cum[row]``: the label
+    is the count of labels whose weights end at or below ``u``, the code
+    :func:`pick_code` within it.  A draw past them all is label 4, code 0."""
+    label = (cum[:, 1::2] <= u[:, None]).sum(axis=1)
+    code = np.zeros(len(u), dtype=np.int64)
+    rows = np.flatnonzero(label < bell.shape[1])
+    lab = label[rows]
+    base = np.where(lab > 0, cum[rows, 2 * lab - 1], 0.0)
+    code[rows] = pick_code(bell[rows, lab], u[rows], n_codes, base)
+    return label, code
 
 
 # ---------------------------------------------------------------------------
@@ -401,16 +426,16 @@ def encode_rounds(plan, streams: RowStreams, rows: np.ndarray, sent: np.ndarray,
 
 
 def _ideal_pnr_rounds(plan, streams, rows, sent, res: Rounds) -> None:
-    n_codes, width = len(plan.bit_strings), plan.pnr_cum.shape[1]
-    u, j = streams.random(rows), np.zeros(len(rows), dtype=np.int64)
-    for part in _chunks(len(rows), width):  # (rows, Bell label x bit code) weights
-        j[part] = (plan.pnr_cum[sent[part]] <= u[part, None]).sum(axis=1)
-    lost = j == width
-    code = j % n_codes
+    """Oracle four-state discrimination (:func:`pick_label_code`); a lost
+    round draws its bit code uniformly."""
+    n_codes = 1 << (plan.config.n_receivers - 1)
+    u = streams.random(rows)
+    label, code = pick_label_code(plan.pnr_cum[sent], plan.bell[sent], u, n_codes)
+    lost = label == 4
     code[lost] = streams.integers(rows[lost], n_codes)
     res.bits[rows] = code
-    res.label[rows] = np.where(lost, -1, j // n_codes)
-    res.decoded[rows] = np.where(lost, ABORT, plan.pnr_decoded[np.where(lost, 0, j)])
+    res.label[rows] = np.where(lost, -1, label)
+    res.decoded[rows] = np.where(lost, ABORT, plan.pnr_decoded[label % 4, parity(code)])
 
 
 def _crossings(norms: np.ndarray, k: float, u: np.ndarray, t_max: np.ndarray):
@@ -526,28 +551,25 @@ def window(config, tables: JumpTables, streams, rows, start: np.ndarray,
 
 def window_rounds(plan, streams: RowStreams, rows, tables: JumpTables, start: np.ndarray,
                   res: Rounds) -> None:
-    """The :func:`window`, receiver bits and decode of every row, starting
-    from start state ``start`` of ``tables``, the bits in row :func:`_chunks`."""
+    """The :func:`window`, receiver bit code and decode of every row,
+    starting from start state ``start`` of ``tables``."""
     q, hist = window(plan.config, tables, streams, rows, start, res)
-    for part in _chunks(len(rows), tables.width):
-        s, h, qs = start[part], hist[part], q[part]
-        # sum_n q[n] * bits[n] in sector order, one (rows, bit codes) term at a time
-        weights = qs[:, 0, None] * tables.bits[s, h, 0]
-        for n in range(1, SECTORS):
-            weights += qs[:, n, None] * tables.bits[s, h, n]
-        res.bits[rows[part]] = _sample_bits(streams, rows[part], weights)
-    res.decoded[rows] = plan.decoded[res.clicks[rows, 0], res.clicks[rows, 1], res.bits[rows]]
+    # sum_n q[n] * bits[n] in sector order: each row's parity-class weights
+    weights = q[:, 0, None] * tables.bits[start, hist, 0]
+    for n in range(1, SECTORS):
+        weights += q[:, n, None] * tables.bits[start, hist, n]
+    code = sample_code(streams, rows, weights, 1 << (plan.config.n_receivers - 1))
+    res.bits[rows] = code
+    res.decoded[rows] = plan.decoded[res.clicks[rows, 0], res.clicks[rows, 1], parity(code)]
 
 
-def _sample_bits(streams: RowStreams, rows, weights: np.ndarray) -> np.ndarray:
-    """Each row's receiver bit code, drawn from its end-of-window bit-code
-    ``weights`` (uniform where they are numerically empty), which are
-    overwritten by their running sums."""
-    cum = np.cumsum(weights, axis=1, out=weights)
-    total = cum[:, -1]
+def sample_code(streams: RowStreams, rows, weights: np.ndarray, n_codes: int) -> np.ndarray:
+    """Each row's receiver bit code among ``n_codes`` from its end-of-window
+    parity-class ``weights`` (rows, 2), uniform where they are empty."""
+    total = weights[:, 0] + weights[:, 1]
     code = np.zeros(len(rows), dtype=np.int64)
     empty = total <= 1e-30
-    code[empty] = streams.integers(rows[empty], weights.shape[1])
+    code[empty] = streams.integers(rows[empty], n_codes)
     full = ~empty
-    code[full] = pick(cum[full], streams.random(rows[full]) * total[full])
+    code[full] = pick_code(weights[full], streams.random(rows[full]) * total[full], n_codes)
     return code

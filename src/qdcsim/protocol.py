@@ -57,7 +57,8 @@ _TIE_RTOL = 1e-9
 _SUPPORT_TOL = 1e-10
 _BETA2_FLOOR = 1e-30  # below it the phi basis (beta^2 |11> +- |00>) is degenerate
 _CACHE_SIZE = 64  # entries of the plan cache
-MEMORY_BUDGET = 1 << 28  # bytes: the most a config's compile may hold at once (256 MiB)
+MAX_RECEIVERS = 33  # a round's bit code is integers(0, 2^(n-1)): RowStreams draws n <= 2^32
+DECODE_TABLE_RECEIVERS = 17  # a decode table lists every bit string: 3 x 2^16 keys at most
 
 
 class ConfigError(ValueError):
@@ -105,9 +106,11 @@ class RoundConfig:
     def __post_init__(self):
         if self.n_receivers < 2:
             raise ValueError("n_receivers must be >= 2")
+        if self.n_receivers > MAX_RECEIVERS:
+            raise ValueError(f"n_receivers = {self.n_receivers} is above {MAX_RECEIVERS}: a round "
+                             "draws its bit code from 2^(n-1) codes, at most 2^32")
         if not 0.0 <= self.p_check <= 1.0:
             raise ValueError("p_check must lie in [0, 1]")
-        check_size(self.n_receivers)
         if not self.t_window > 0:
             raise ValueError("t_window must be positive")
         if self.t_map is not None:
@@ -145,24 +148,6 @@ class BatchStats(NamedTuple):
     psi_survival_rate: float | None
 
 
-def check_size(n_receivers: int) -> float:
-    """The bytes a config of ``n_receivers`` compiles at its peak, by
-    estimate: the detection window's jump vectors, 7 histories x 4 messages x
-    4 x 2^(n-2) complex amplitudes (``lockstep.jump_vectors``), and their
-    squared moduli.  Raise ValueError, naming ``n_receivers``, where it
-    exceeds ``MEMORY_BUDGET``."""
-    try:
-        size = math.ldexp(lockstep.HISTORIES * len(MESSAGES) * (16 + 8), n_receivers + 1)
-    except OverflowError:
-        size = math.inf
-    if size > MEMORY_BUDGET:
-        raise ValueError(
-            f"n_receivers = {n_receivers} needs about {size / 2**30:.3g} GiB to compile, "
-            f"above the budget of {MEMORY_BUDGET >> 20} MiB"
-        )
-    return size
-
-
 # ---------------------------------------------------------------------------
 # deterministic pipeline, in the photon-sector basis
 
@@ -194,8 +179,9 @@ _ENCODE = {
 
 def _pipeline_sectors(n_parties: int, beta: float) -> np.ndarray:
     """The state entering the detection window of every message, as
-    amplitudes ``[message, bit code, n_A, n_B]``: messages in MESSAGES
-    order, bit codes indexing the plan's ``bit_strings``.
+    amplitudes ``[message, parity, n_A, n_B]``: messages in MESSAGES order,
+    the rotated receivers' bit codes (first receiver most significant, e =
+    1) by the parity of their bits.
 
     Each branch of the GHZ state (|e..e> + |g..g>)/sqrt(2) stays one product
     term.  Alice's Pauli sets her atom's value and the branch's sign
@@ -204,18 +190,20 @@ def _pipeline_sectors(n_parties: int, beta: float) -> np.ndarray:
     ``_SUPPORT_TOL`` a config allows, so an excited atom leaves one photon
     in its cavity, A's factor beta applied before B's, and both mapped atoms
     end in |g>.  Each further receiver holds Bob's value and is rotated by
-    ``_ROTATION``, in site order."""
-    out = np.zeros((len(MESSAGES), 2 ** (n_parties - 2), 2, 2), dtype=np.complex128)
+    ``_ROTATION``: every bit code gets the same modulus, and on Bob's g
+    branch the sign (-1)^(receivers in g).  So a parity's 2^(n-3) codes share
+    one amplitude (Hillery, Buzek & Berthiaume, PRA 59, 1829 (1999)), kept
+    with the parity's weight: one rotated receiver's, of the parity's sign."""
+    out = np.zeros((len(MESSAGES), 2, 2, 2), dtype=np.complex128)
+    classes = (np.arange(2) + n_parties - 1) % 2  # the single receiver's bit per parity
     for row, message in enumerate(MESSAGES):
         for bob, (alice, sign) in enumerate(_ENCODE[message]):
             amp = sign / math.sqrt(2.0)
             for excited in (alice, bob):
                 if excited:
                     amp = beta * amp
-            column = np.array([amp], dtype=np.complex128)
-            for _ in range(n_parties - 2):
-                column = np.multiply.outer(column, _ROTATION[:, bob]).reshape(-1)
-            out[row, :, alice, bob] = column
+            column = np.array([amp], dtype=np.complex128) * _ROTATION[:, bob]
+            out[row, :, alice, bob] = column[classes]
     return out
 
 
@@ -228,8 +216,8 @@ def pipeline_beta(config: RoundConfig) -> float:
 
 
 def _bell(sectors: np.ndarray, beta: float) -> np.ndarray:
-    """Bell-like weights (rows, label, bit code) of sector amplitudes
-    (rows, bit code, n_A, n_B), labels in BELL_LABELS order.
+    """Bell-like weights (rows, label, parity) of sector amplitudes
+    (rows, parity, n_A, n_B), labels in BELL_LABELS order.
 
     The phi basis depends on beta(t_map) and is non-orthogonal for k > 0;
     weights are squared expansion coefficients, so they total the squared norm.
@@ -249,14 +237,22 @@ def _bell(sectors: np.ndarray, beta: float) -> np.ndarray:
 def bell_weights(config: RoundConfig, message: Message) -> dict[tuple[str, str], float]:
     """Expansion weights of a message's pipeline state in the photonic
     Bell-like basis, jointly with the rotated receivers' bit strings (see
-    :func:`_bell`)."""
-    plan = _plan(config)
-    weights = plan.bell[_MSG_INDEX[message]].tolist()
-    return {
-        (label, bits): weights[j][code]
-        for code, bits in enumerate(plan.bit_strings)
-        for j, label in enumerate(BELL_LABELS)
-    }
+    :func:`_bell`), spread over the bit codes (:func:`_spread`)."""
+    weights = _spread(_plan(config).bell[_MSG_INDEX[message]], config).tolist()
+    return {(label, bits): weights[j][code] for code, bits in enumerate(_bit_strings(config))
+            for j, label in enumerate(BELL_LABELS)}
+
+
+def _bit_strings(config: RoundConfig) -> list[str]:
+    """Every rotated receivers' bit string (g = 0, e = 1), in bit-code order."""
+    return ["".join(bits) for bits in itertools.product("ge", repeat=config.n_receivers - 1)]
+
+
+def _spread(table: np.ndarray, config: RoundConfig) -> np.ndarray:
+    """A plan table's last (parity) axis spread over the bit codes: each code
+    gets its parity's entry over the 2^(n-2) codes of that parity."""
+    codes = np.arange(1 << (config.n_receivers - 1))
+    return np.ldexp(table[..., lockstep.parity(codes)], 2 - config.n_receivers)
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +269,10 @@ def _window_q(config: RoundConfig) -> float:
 
 def _outcome_law(config: RoundConfig, sectors: np.ndarray, bell: np.ndarray,
                  n_counts: int) -> np.ndarray:
-    """Exact joint law of (observable click counts, receiver bit code) per
-    row of ``sectors`` (rows, bit code, n_A, n_B) under the trajectory model,
-    dark counts included: ``law[row, n+, n-, bit code]``, click counts below
-    ``n_counts``.
+    """Exact joint law of (observable click counts, parity of the receiver
+    bits) per row of ``sectors`` (rows, parity, n_A, n_B) under the
+    trajectory model, dark counts included: ``law[row, n+, n-, parity]``,
+    click counts below ``n_counts``.
 
     Sector bookkeeping (vacuum / psi+- / two-photon) is exact for pipeline
     states, whose photon sectors never superpose across a jump.  Each cell
@@ -291,17 +287,15 @@ def _outcome_law(config: RoundConfig, sectors: np.ndarray, bell: np.ndarray,
     w0, wp, wm, w2 = (np.abs(sectors[..., 0, 0]) ** 2, bell[:, 0], bell[:, 1],
                       np.abs(sectors[..., 1, 1]) ** 2)
 
-    # row totals are plain sums in bit-code order, not numpy's pairwise sums
-    deficit = np.array([  # per row: the weight the transfer lost
-        [max(0.0, 1.0 - (sum(a) + sum(b) + sum(c) + sum(d)))]
-        for a, b, c, d in zip(w0.tolist(), wp.tolist(), wm.tolist(), w2.tolist())
-    ])
+    # per row: the weight the transfer lost
+    deficit = np.maximum(0.0, 1.0 - (w0.sum(1) + wp.sum(1) + wm.sum(1) + w2.sum(1)))[:, None]
     nojump = w0 + (wp + wm) * s1 + w2 * s2
-    n_t = np.array([[sum(row)] for row in nojump.tolist()])
+    n_t = nojump.sum(axis=1, keepdims=True)
     live = n_t > 1e-300
     law = np.zeros((len(sectors), n_counts, n_counts, m))
     # No-jump residuals plus the transfer-loss deficit: no real clicks; bits
-    # follow the residual state (uniform when it is numerically empty).
+    # follow the residual state (uniform, half per parity, when it is
+    # numerically empty).
     share = np.where(live, nojump / np.where(live, n_t, 1.0), 1.0 / m)
     law[:, 0, 0] = np.where(live, nojump, 0.0) + deficit * share
     # single-photon sectors: one jump with prob q, registered with eta
@@ -344,14 +338,11 @@ def outcome_distribution(
 ) -> dict[tuple[tuple[int, int], str], float]:
     """Exact joint distribution of (observable click counts, receiver bits)
     for one message, dark counts included: the nonzero cells of the plan's
-    outcome law (:func:`_outcome_law`)."""
-    plan = _plan(config)
-    law = plan.outcomes[_MSG_INDEX[message]]
+    outcome law (:func:`_outcome_law`), spread over the bit codes."""
+    law = _spread(_plan(config).outcomes[_MSG_INDEX[message]], config)
     cells = np.argwhere(law > 0.0).tolist()
-    return {
-        ((a, b), plan.bit_strings[code]): p
-        for (a, b, code), p in zip(cells, law[law > 0.0].tolist())
-    }
+    strings = _bit_strings(config)
+    return {((a, b), strings[code]): p for (a, b, code), p in zip(cells, law[law > 0.0].tolist())}
 
 
 def _argmax(likelihoods: np.ndarray) -> np.ndarray:
@@ -371,30 +362,36 @@ def build_decode_table(config: RoundConfig) -> dict[tuple[str, str], Message | N
     Honest mode keys: (D+ | D- | none, receiver bits) from the psi-branch
     weights; ties and unsupported outcomes map to None (abort).  Ideal-PNR
     mode keys: (Bell label, receiver bits) over the full four-state basis.
+    A table lists every bit string, so a config of more than
+    ``DECODE_TABLE_RECEIVERS`` receivers raises ConfigError before it
+    compiles.
     """
-    plan = _plan(config)
-    strings = plan.bit_strings
+    if config.n_receivers > DECODE_TABLE_RECEIVERS:
+        raise ConfigError(f"round.n_receivers: a decode table lists all 2^(n-1) receiver bit "
+                          f"strings, for at most {DECODE_TABLE_RECEIVERS} receivers")
+    plan, strings = _plan(config), _bit_strings(config)
+    parities = lockstep.parity(np.arange(len(strings)))
     if config.ideal_pnr:
-        keys = [(label, bits) for label in BELL_LABELS for bits in strings]
-        return dict(zip(keys, [_DECODED[i] for i in plan.pnr_decoded.tolist()]))
-    table = {
-        (channel, bits): _DECODED[i]
-        for channel, cell in ((CHANNEL_PLUS, (1, 0)), (CHANNEL_MINUS, (0, 1)))
-        for bits, i in zip(strings, plan.decoded[cell].tolist())
-    }
-    table.update({("none", bits): None for bits in strings})
-    return table
+        rows = zip(BELL_LABELS, plan.pnr_decoded[:, parities].tolist())
+    else:
+        rows = ((CHANNEL_PLUS, plan.decoded[1, 0, parities].tolist()),
+                (CHANNEL_MINUS, plan.decoded[0, 1, parities].tolist()),
+                ("none", [lockstep.ABORT] * len(strings)))
+    return {(key, bits): _DECODED[i] for key, row in rows for bits, i in zip(strings, row)}
 
 
 def decode(config: RoundConfig, counts: tuple[int, int], bits: str) -> Message | None:
     """Decode one window: single-click windows go through the decode table;
     multi-click windows fall back to exact maximum likelihood; irreducible
-    ties, no-click windows and counts the model never produces abort."""
+    ties, no-click windows and counts the model never produces abort.
+    Bits that are not n - 1 letters g or e raise ValueError."""
     plan = _plan(config)
     n_plus, n_minus = counts
     if not (0 <= n_plus < len(plan.decoded) and 0 <= n_minus < len(plan.decoded)):
         return None
-    return _DECODED[plan.decoded[n_plus, n_minus, plan.bit_strings.index(bits)]]
+    if len(bits) != config.n_receivers - 1 or bits.strip("ge"):
+        raise ValueError(f"receiver bits {bits!r}: not {config.n_receivers - 1} letters g or e")
+    return _DECODED[plan.decoded[n_plus, n_minus, bits.count("e") & 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -410,19 +407,18 @@ class _Plan(NamedTuple):
     One outcome law drives every decision: the single-click decode table and
     the ideal-PNR table come from the Bell weights, the multi-click fallback
     from ``outcomes``, and ``security`` marginalises ``outcomes`` for its
-    posteriors."""
+    posteriors.  The receivers' bits enter every table through their parity
+    alone, so no table grows with the number of receivers."""
 
     config: RoundConfig
-    bit_strings: tuple[str, ...]  # bit code -> the rotated receivers' "eg..." string
-    sectors: np.ndarray  # (4, bit code, n_A, n_B) pipeline amplitudes (_pipeline_sectors)
+    sectors: np.ndarray  # (4, parity, n_A, n_B) pipeline amplitudes (_pipeline_sectors)
     tables: lockstep.JumpTables  # detection-window tables of sectors
-    bell: np.ndarray  # (4, Bell label, bit code) Bell weights of sectors
-    outcomes: np.ndarray  # (4, n+, n-, bit code) outcome law of sectors (_outcome_law)
-    decoded: np.ndarray  # (n+, n-, bit code) -> decoded-message index
-    pnr_cum: np.ndarray  # (4, label x bit code) cumulative Bell weights
-    pnr_decoded: np.ndarray  # (label x bit code) -> decoded-message index
-    # round-log line tails per row key, split around the clicks list
-    # (``_log_tail``), filled by the first logged blocks
+    bell: np.ndarray  # (4, Bell label, parity) Bell weights of sectors
+    outcomes: np.ndarray  # (4, n+, n-, parity) outcome law of sectors (_outcome_law)
+    decoded: np.ndarray  # (n+, n-, parity) -> decoded-message index
+    pnr_cum: np.ndarray  # (4, label x parity) cumulative Bell weights
+    pnr_decoded: np.ndarray  # (label, parity) -> decoded-message index
+    # round-log line tails by tail key (``_log_tail``), filled by the first logged blocks
     log_tails: dict
 
 
@@ -444,10 +440,9 @@ def _compile_plan(config: RoundConfig) -> _Plan:
     decoded[1, 0], decoded[0, 1] = _argmax(bell[:, 0]), _argmax(bell[:, 1])  # psi+, psi-
     return _Plan(
         config=config, sectors=sectors, tables=lockstep.jump_tables(sectors),
-        bit_strings=tuple(map("".join, itertools.product("ge", repeat=config.n_parties - 2))),
         bell=bell, outcomes=outcomes, decoded=_frozen(decoded),
         pnr_cum=_frozen(np.cumsum(bell.reshape(len(MESSAGES), -1), axis=1)),
-        pnr_decoded=_frozen(_argmax(bell).reshape(-1)), log_tails={},
+        pnr_decoded=_frozen(_argmax(bell)), log_tails={},
     )
 
 
@@ -466,37 +461,29 @@ _plan.cache_info, _plan.cache_clear = _compile_plan.cache_info, _compile_plan.ca
 # time order, "abort" for an aborted decode.
 _LOG_CHANNELS = tuple(json.dumps(ch) for ch in (CHANNEL_PLUS, CHANNEL_MINUS, DARK_PLUS, DARK_MINUS))
 _BASES = str.maketrans("01", "xy")  # a basis combination's bits, party 0 first, as bases
+_BITS = str.maketrans("01", "ge")  # a bit code's bits, first rotated receiver first, as atoms
 
 
-def _log_tail(plan: _Plan, r: lockstep.Rounds, row: int) -> tuple[str, str]:
-    """Row ``row``'s log line after ``{"round": <index>``, split inside its
-    clicks list: (up to and with the ``[``, from the ``]`` on); a check
-    line, which has no clicks, is (the whole tail, "")."""
+def _log_tail(plan: _Plan, r: lockstep.Rounds, row: int) -> tuple[str, str, str]:
+    """Row ``row``'s log line after ``{"round": <index>``, its one varying
+    string (an encode line's receiver bits, a check line's bases) left out,
+    split around its clicks list and that string: (up to and with the
+    clicks' ``[``, from their ``]`` to the string, after the string)."""
     if r.check[row]:
-        n_parties, combo = plan.config.n_parties, r.combo[row:row + 1]
-        conclusive, passed = lockstep.check_verdicts(combo, r.outcome[row:row + 1], n_parties)
-        d = {
-            "round": 0,
-            "mode": "check",
-            "check_bases": format(int(combo[0]), f"0{n_parties}b").translate(_BASES),
-            "check_conclusive": bool(conclusive[0]),
-            "check_passed": bool(passed[0]),
-        }
+        combo, outcome = r.combo[row:row + 1], r.outcome[row:row + 1]
+        conclusive, passed = lockstep.check_verdicts(combo, outcome, plan.config.n_parties)
+        d = {"round": 0, "mode": "check", "check_bases": "",
+             "check_conclusive": bool(conclusive[0]), "check_passed": bool(passed[0])}
     else:
         names = [m.value for m in MESSAGES] + ["abort"]  # by lockstep message index
-        d = {
-            "round": 0,
-            "mode": "encode",
-            "sent": names[r.sent[row]],
-            "clicks": [],
-            "receiver_bits": plan.bit_strings[r.bits[row]],
-            "decoded": names[r.decoded[row]],
-        }
+        d = {"round": 0, "mode": "encode", "sent": names[r.sent[row]], "clicks": [],
+             "receiver_bits": "", "decoded": names[r.decoded[row]]}
         if plan.config.ideal_pnr and r.label[row] >= 0:
             d["bell_label"] = BELL_LABELS[r.label[row]]
-    # an encode tail's first "[]" is its clicks list
-    head, brackets, rest = json.dumps(d)[len('{"round": 0'):].partition("[]")
-    return head + brackets[:1], brackets[1:] + rest
+    # the first "" is the varying string; an encode line's "[]" before it is its clicks list
+    before, quotes, rest = json.dumps(d)[len('{"round": 0'):].partition('""')
+    head, brackets, middle = before.partition("[]")
+    return head + brackets[:1], brackets[1:] + middle + quotes[:1], quotes[1:] + rest
 
 
 def _log_clicks(r: lockstep.Rounds, rows: np.ndarray) -> list[str]:
@@ -520,25 +507,30 @@ def _log_clicks(r: lockstep.Rounds, rows: np.ndarray) -> list[str]:
     return [", ".join(pieces[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
-def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int, passed: np.ndarray) -> list[str]:
+def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int, conclusive: np.ndarray,
+               passed: np.ndarray) -> list[str]:
     """The round-log line of every row of a lockstep block whose first round
-    is ``first``; ``passed`` holds the check rows' verdicts
+    is ``first``; ``conclusive`` and ``passed`` hold the check rows' verdicts
     (``lockstep.check_verdicts``).  Rows without detector events share a
-    line up to the round index: each distinct tail is built and split once
-    per plan by ``_log_tail``.  A check line reads the outcome only through
-    its verdict, so check tails are keyed by (combo, passed): 2^(n+1) at
-    most."""
-    n_codes = len(plan.bit_strings)
+    line up to the round index where they share a tail, keyed by (sent,
+    decoded, Bell label) or a check's verdicts (104 at most, each built once
+    per plan by ``_log_tail``), and its varying string's bit code or basis
+    combination."""
+    width = plan.config.n_receivers - 1
     label = r.label + 1 if plan.config.ideal_pnr else 0
-    key = ((r.sent * n_codes + r.bits) * 5 + r.decoded) * 5 + label
-    key[r.check] = -1 - 2 * r.combo[r.check] - passed
+    tail_key = (r.sent * 5 + r.decoded) * 5 + label
+    tail_key[r.check] = -1 - (2 * conclusive + passed)
+    key = (np.where(r.check, r.combo, r.bits) << 7) + tail_key + 4
     keys, rows, inverse = np.unique(key, return_index=True, return_inverse=True)
     tails = []
     for k, row in zip(keys.tolist(), rows.tolist()):
-        tail = plan.log_tails.get(k)
+        tail_key = k % 128 - 4
+        tail = plan.log_tails.get(tail_key)
         if tail is None:
-            tail = plan.log_tails[k] = _log_tail(plan, r, row)
-        tails.append(tail)
+            tail = plan.log_tails[tail_key] = _log_tail(plan, r, row)
+        check = tail_key < 0
+        value = format(k >> 7, f"0{width + 2 * check}b").translate(_BASES if check else _BITS)
+        tails.append((tail[0], tail[1] + value + tail[2]))
     clicks = [""] * len(key)
     events = np.flatnonzero(r.jump_seen.any(axis=1) | ~np.isnan(r.dark_t).all(axis=1))
     for row, pairs in zip(events.tolist(), _log_clicks(r, events)):
@@ -569,7 +561,7 @@ def _range_part(plan: _Plan, seed: int, bounds: tuple[int, int], msg_ids: np.nda
         psi = encode & np.isin(r.sent, psi_ids)
         counts[23:] += [psi.sum(), (psi & r.jump_seen.any(axis=1)).sum(), (psi & r.survived).sum()]
         if log:
-            lines += _log_lines(plan, r, first, passed)
+            lines += _log_lines(plan, r, first, conclusive, passed)
         first += len(r.check)
     return counts, lines
 

@@ -4,7 +4,11 @@ Three layers:
 
 * exact Bayesian posteriors over the four messages for partial views
   (who sees the detectors, who sees which receiver atoms): the compiled
-  outcome-law array summed over what a view does not see -- no sampling;
+  outcome-law array summed over what a view does not see -- no sampling.
+  The law holds the receivers' bits by their parity alone (the GHZ
+  secret-sharing structure of Hillery, Buzek & Berthiaume, PRA 59, 1829
+  (1999)): a view that hides any rotated receiver's bit learns nothing
+  from the bits it sees;
 * Monte-Carlo guessing games ("cheat experiments") whose empirical rates
   must converge to the posterior-optimal rates;
 * the GHZ x/y parity check of protocol step 2, with intercept-resend
@@ -17,6 +21,7 @@ fixed message order, so the random stream is reproducible).
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -40,7 +45,7 @@ class ViewSpec:
     sees_bits: tuple[int, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "sees_bits", tuple(sorted(self.sees_bits)))
+        object.__setattr__(self, "sees_bits", tuple(sorted(set(self.sees_bits))))
 
 
 @dataclass(frozen=True)
@@ -98,28 +103,24 @@ class EveResult(NamedTuple):
 # exact posteriors
 
 
-def _site_positions(config: RoundConfig) -> dict[int, int]:
-    """The rotated receivers' atom sites (all but Alice's, 0, and Bob's, 1)
-    and their positions in a bit string."""
-    return {site: pos for pos, site in enumerate(range(2, config.n_parties))}
-
-
 def _view_law(view: ViewSpec, config: RoundConfig,
-              messages: Sequence[Message]) -> np.ndarray:
-    """P(observation | message) for each of ``messages``: the plan's outcome
-    law summed over what the view does not see.  Axes: message, n+, n-, then
-    one per rotated receiver (0 = g, 1 = e); a hidden axis keeps length 1."""
-    positions = _site_positions(config)
+              messages: Sequence[Message]) -> tuple[np.ndarray, int]:
+    """P(observation | message) for each of ``messages``, per class of
+    observations that share it, and the observations in a class: the plan's
+    outcome law summed over what the view does not see.  Axes: message, n+,
+    n-, parity of the rotated receivers' (sites 2 ..) bits, each of length 1
+    where hidden.  A view that hides any of the bits learns nothing from
+    those it sees, which are uniform, so it does not see the parity."""
     for site in view.sees_bits:
-        if site not in positions:
+        if not 2 <= site < config.n_parties:
             raise ValueError(f"site {site} is not a rotated receiver atom")
     outcomes = protocol._plan(config).outcomes
     law = outcomes[[protocol._MSG_INDEX[m] for m in messages]]
-    law = law.reshape(law.shape[:3] + (2,) * len(positions))
-    hidden = tuple(3 + pos for site, pos in positions.items() if site not in view.sees_bits)
+    sees_parity = len(view.sees_bits) == config.n_receivers - 1
+    hidden = () if sees_parity else (3,)
     if not view.sees_clicks:
         hidden += (1, 2)
-    return law.sum(axis=hidden, keepdims=True)
+    return law.sum(axis=hidden, keepdims=True), 1 << (len(view.sees_bits) - sees_parity)
 
 
 def observation_likelihoods(
@@ -128,16 +129,12 @@ def observation_likelihoods(
 ) -> dict[Message, float]:
     """P(observation | message), marginalized over unobserved coordinates."""
     view = ViewSpec(sees_clicks=obs.clicks is not None, sees_bits=[site for site, _ in obs.bits])
-    law = _view_law(view, config, messages)
-    positions = _site_positions(config)
-    cell = [0] * (law.ndim - 1)
-    if obs.clicks is not None:
-        cell[:2] = obs.clicks
-    for site, bit in obs.bits:
-        cell[2 + positions[site]] = {"g": 0, "e": 1}.get(bit, -1)
-    if not all(0 <= i < n for i, n in zip(cell, law.shape[1:])):
+    law, size = _view_law(view, config, messages)
+    bits = [bit for _, bit in obs.bits]
+    cell = [*(obs.clicks or (0, 0)), bits.count("e") & 1 if law.shape[3] == 2 else 0]
+    if set(bits) - {"g", "e"} or not all(0 <= i < n for i, n in zip(cell, law.shape[1:])):
         return dict.fromkeys(messages, 0.0)
-    return dict(zip(messages, law[(slice(None), *cell)].tolist()))
+    return dict(zip(messages, (law[(slice(None), *cell)] / size).tolist()))
 
 
 def exact_posterior(
@@ -161,16 +158,18 @@ def view_distribution(
     view: ViewSpec, config: RoundConfig, messages: Sequence[Message] = MESSAGES,
 ) -> dict[Observation, dict[Message, float]]:
     """Joint P(observation, message) under a uniform prior on ``messages``,
-    over the observations some message can produce."""
-    law = _view_law(view, config, messages) * (1.0 / len(messages))
-    positions = _site_positions(config)
+    over the observations some message can produce, spread over each class
+    of observations that share a law (:func:`_view_law`)."""
+    law, size = _view_law(view, config, messages)
+    law = law * (1.0 / len(messages)) / size
     joint = {}
-    for cell in np.argwhere((law > 0.0).any(axis=0)).tolist():
-        obs = Observation(
-            clicks=tuple(cell[:2]) if view.sees_clicks else None,
-            bits=tuple((site, "ge"[cell[2 + positions[site]]]) for site in view.sees_bits),
-        )
-        joint[obs] = dict(zip(messages, law[(slice(None), *cell)].tolist()))
+    for a, b in np.ndindex(law.shape[1:3]):
+        for bits in itertools.product("ge", repeat=len(view.sees_bits)):
+            column = law[:, a, b, bits.count("e") & 1 if law.shape[3] == 2 else 0]
+            if (column > 0.0).any():
+                obs = Observation(clicks=(a, b) if view.sees_clicks else None,
+                                  bits=tuple(zip(view.sees_bits, bits)))
+                joint[obs] = dict(zip(messages, column.tolist()))
     return joint
 
 
@@ -182,7 +181,7 @@ def optimal_guess_rate(
     optionally conditioned on at least one observable click."""
     if given_click and not view.sees_clicks:
         raise ValueError("cannot condition on clicks for a view that cannot see them")
-    law = _view_law(view, config, messages)  # a fresh array
+    law = _view_law(view, config, messages)[0]  # a fresh array
     if given_click:
         law[:, 0, 0] = 0.0
     total = float(law.sum())
@@ -205,13 +204,13 @@ def optimal_guess_rate(
 def _guess_tables(cheater: ViewSpec, config: RoundConfig, plan,
                   messages: tuple[Message, ...]) -> tuple[np.ndarray, np.ndarray]:
     """The maximum-posterior guess as dense tables over the observable
-    (n+, n-, receiver bit code): how many messages tie, and their message
-    indices in ``messages`` order.  An observation the model does not hold
-    (an unmodeled fluke outcome) ties every message: a blind guess."""
-    law = _view_law(cheater, config, messages)
+    (n+, n-, parity of the receiver bits): how many messages tie, and their
+    message indices in ``messages`` order.  An observation the model does
+    not hold (an unmodeled fluke outcome) ties every message: a blind
+    guess."""
+    law = _view_law(cheater, config, messages)[0]
     ties = law >= law.max(axis=0) * (1.0 - 1e-12)
-    shape = (len(messages),) + plan.outcomes.shape[1:3] + (2,) * (ties.ndim - 3)
-    ties = np.broadcast_to(ties, shape).reshape((len(messages),) + plan.outcomes.shape[1:])
+    ties = np.broadcast_to(ties, (len(messages),) + plan.outcomes.shape[1:])
     n_tied = ties.sum(axis=0)
     ids = np.array([protocol._MSG_INDEX[m] for m in messages])
     order = np.argsort(~ties, axis=0, kind="stable")  # tied messages first
@@ -244,7 +243,8 @@ def _guessing_games(views: Sequence[ViewSpec], config: RoundConfig,
             sent = msg_ids[streams.integers(rows, len(msgs))]
             streams.random(rows)  # the check-branch draw
             lockstep.encode_rounds(plan, streams, rows, sent, r)
-            obs = (rows // (len(rows) // games), r.clicks[:, 0], r.clicks[:, 1], r.bits)
+            obs = (rows // (len(rows) // games), r.clicks[:, 0], r.clicks[:, 1],
+                   lockstep.parity(r.bits))
             n = n_tied[obs]
             choice = np.zeros(len(rows), dtype=np.int64)
             for size in np.unique(n[n > 1]).tolist():
@@ -453,34 +453,14 @@ def standard_views(config: RoundConfig) -> dict[str, ViewSpec]:
 
 
 _GAMES = ("bob_alone", "charlie_alone", "collaboration")  # on seeds seed + 0, 1, 2
-_GUESS_CELL_BYTES = 64  # bytes per outcome-law cell while the guess tables are built
-
-
-def check_size(config: RoundConfig) -> float:
-    """The bytes :func:`security_summary` holds at its peak, by estimate:
-    the plan's compile (:func:`qdcsim.protocol.check_size`) plus the three
-    games' guess tables while they are built, ``_GUESS_CELL_BYTES`` per cell
-    of the outcome law, 4 messages x 16 click counts x 2^(n-1) bit codes
-    (per view a float64 marginal, a tie mask, an int64 argsort and the tied
-    indices, then stacked).  Raise ConfigError, naming ``round.n_receivers``,
-    where it exceeds ``protocol.MEMORY_BUDGET``."""
-    n = config.n_receivers
-    size = protocol.check_size(n) + math.ldexp(_GUESS_CELL_BYTES * len(MESSAGES) * 16, n - 1)
-    if size > protocol.MEMORY_BUDGET:
-        raise protocol.ConfigError(
-            f"round.n_receivers: {n} receivers need about {size / 2**30:.3g} GiB for the "
-            f"security summary, above the budget of {protocol.MEMORY_BUDGET >> 20} MiB"
-        )
-    return size
 
 
 def security_summary(config: RoundConfig, n_rounds: int, eve: EveModel, workers: int = 1) -> dict:
     """Headline rates: Bob alone (given a click), Charlie alone, full
     collaboration (given a click), the derived composite 1 - charlie_alone,
     and eavesdropper detection for ``eve``'s attack, on seed + 3, with seed
-    ``config.seed``.  A config the attack cannot run, or one past the
-    memory budget (:func:`check_size`), raises ConfigError before anything
-    compiles.
+    ``config.seed``.  A config the attack cannot run raises ConfigError
+    before anything compiles.
 
     Like :func:`qdcsim.protocol.run_batch`, the rounds are split into
     near-equal contiguous ranges, one per process
@@ -490,7 +470,6 @@ def security_summary(config: RoundConfig, n_rounds: int, eve: EveModel, workers:
     not depend on ``workers``."""
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
-    check_size(config)
     attack = _attack(eve, config)  # it checks the config; compiled once, before any fork
     views = standard_views(config)
     games = _guessing_games([views[name] for name in _GAMES], config, MESSAGES)

@@ -11,10 +11,12 @@ of the compiled plan (:func:`dense.sectors` relates the two).
 Each function takes its draws from ``rng`` in the order the engine's rows
 take them from their own streams, and makes the same decisions from them.
 The detection window here carries the dense state vector through every
-jump (the Monte-Carlo wavefunction), where the engine reads compiled
-jump-history tables: the first jump time is bit-equal, later jump times
-agree within ``TIME_TOL`` (``assert_window_row``, ``assert_log_close``),
-and everything else is equal.  ``tamper`` hooks act on the state
+jump (the Monte-Carlo wavefunction), and sums its weights over every
+receiver bit code, where the engine reads compiled jump-history tables
+over the bits' parity: the first jump time is bit-equal at 2 receivers,
+where the parity is the bit code, jump times otherwise agree within
+``TIME_TOL`` (``assert_window_row``, ``assert_log_close``), and everything
+else is equal.  ``tamper`` hooks act on the state
 before it is measured (``run_check_round``) or detected
 (``_encode_round``), as the security experiments' eavesdroppers do.
 """
@@ -45,9 +47,6 @@ from qdcsim.protocol import (
     DARK_PLUS,
     BELL_LABELS,
     RoundConfig,
-    _MSG_INDEX,
-    _Plan,
-    _plan,
 )
 
 
@@ -185,6 +184,17 @@ def dump_trajectory(samples) -> str:
 
 def all_bit_strings(config: RoundConfig) -> tuple[str, ...]:
     return layout_info(layout_for(config.n_parties)).bit_strings
+
+
+def spread(table: np.ndarray, config: RoundConfig, axis: int = -1,
+           amplitudes: bool = False) -> np.ndarray:
+    """A plan table's parity axis ``axis`` spread over every bit code: each
+    code gets its parity's weight over the 2^(n-2) codes of that parity, or,
+    for ``amplitudes``, its amplitude over sqrt(2^(n-2))."""
+    codes = np.arange(2 ** (config.n_receivers - 1))
+    size = 2.0 ** (config.n_receivers - 2)
+    return np.take(table, lockstep.parity(codes), axis=axis) / (
+        math.sqrt(size) if amplitudes else size)
 
 
 def bell_weights(config: RoundConfig, message: Message, cutoff: int = 1) -> dict:
@@ -705,15 +715,20 @@ def decode(config: RoundConfig, counts: tuple[int, int], bits: str) -> Message |
 
 
 def _sample_ideal_pnr(
-    plan: _Plan, message: Message, rng: np.random.Generator
+    config: RoundConfig, message: Message, rng: np.random.Generator
 ) -> tuple[str | None, str | None]:
     """Oracle four-state discrimination: sample (Bell label, bits) with the
-    exact branch weights; remaining probability mass is a lost round."""
+    exact branch weights of the dense pipeline state (:func:`bell_weights`),
+    label-major, bit strings in code order; remaining probability mass is a
+    lost round."""
     u = rng.random()
-    strings = plan.bit_strings
-    for j, acc in enumerate(plan.pnr_cum[_MSG_INDEX[message]].tolist()):
-        if u < acc:
-            return BELL_LABELS[j // len(strings)], strings[j % len(strings)]
+    weights = bell_weights(config, message)
+    acc = 0.0
+    for label in BELL_LABELS:
+        for bits in all_bit_strings(config):
+            acc += weights[(label, bits)]
+            if u < acc:
+                return label, bits
     return None, None
 
 
@@ -730,12 +745,12 @@ def _encode_round(
     and ``jumps``, if given, receives the (time, sign, registered) of the
     window's jumps."""
     if config.ideal_pnr:
-        plan = _plan(config)
         if tamper is not None:
             raise ValueError("ideal_pnr: the oracle decode never reads the tampered state")
-        label, bits = _sample_ideal_pnr(plan, sent, rng)
+        label, bits = _sample_ideal_pnr(config, sent, rng)
         if label is None:
-            bits = plan.bit_strings[int(rng.integers(0, len(plan.bit_strings)))]
+            strings = all_bit_strings(config)
+            bits = strings[int(rng.integers(0, len(strings)))]
             decoded = None
         else:
             decoded = decode_key(config, label, bits)
@@ -859,17 +874,20 @@ def assert_records_close(got: DetectionRecord, want: DetectionRecord, first_jump
 
 
 def assert_window_row(r: lockstep.Rounds, row: int, record: DetectionRecord, survived: bool,
-                      jumps, where=None) -> None:
+                      jumps, where=None, first_exact: bool = True) -> None:
     """Row ``row`` of an engine window against the oracle's window: its
     ``record``, survival flag and ``jumps`` (:func:`window_jumps`).  Jump
     signs, registrations, click counts, dark-count times and the survival
-    flag are exact, the first jump time too, later ones within ``TIME_TOL``."""
+    flag are exact, jump times within ``TIME_TOL``, and with
+    ``first_exact``, for tables whose start norms sum the oracle's bit
+    codes in its order, the first jump time too."""
     n = len(jumps)  # passes where no row jumped leave zero columns
     times, signs, seen = zip(*jumps) if jumps else ((), (), ())
     assert not r.jump_sign[row, n:].any() and not r.jump_seen[row, n:].any(), where
     assert r.jump_sign[row, :n].tolist() == list(signs), where
     assert r.jump_seen[row, :n].tolist() == list(seen), where
-    assert r.jump_t[row, :min(n, 1)].tolist() == list(times[:1]), where
+    if first_exact:
+        assert r.jump_t[row, :min(n, 1)].tolist() == list(times[:1]), where
     assert np.all(np.abs(r.jump_t[row, :n] - times) <= TIME_TOL), where
     assert tuple(r.clicks[row].tolist()) == record.counts(), where
     darks = dict((ch, t) for t, ch in record.events if ch in (DARK_PLUS, DARK_MINUS))

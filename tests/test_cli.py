@@ -269,12 +269,12 @@ class TestRunCommand:
         ("params", "g", 1e300, "params: g = 1e+300, Omega = 1.0, Delta = 1.0 give"),
         ("params", "Omega", 1e300, "params: g = 1.0, Omega = 1e+300, Delta = 1.0 give"),
         ("params", "Delta", 1e-300, "params: g = 1.0, Omega = 1.0, Delta = 1e-300 give"),
-        ("round", "n_receivers", 30, "round: n_receivers = 30 needs about 1.34e+03 GiB"),
+        ("round", "n_receivers", 34, "round: n_receivers = 34 is above 33"),
     ])
     def test_oversized_document_exits_2_before_compiling(self, command, section, field, value,
                                                          named, tmp_path, capsys, monkeypatch):
-        # Omega_k = sqrt(4 delta^2 - k^2) would overflow, or the compiled
-        # arrays exceed the memory budget: rejected before any state exists
+        # Omega_k = sqrt(4 delta^2 - k^2) would overflow, or the receivers'
+        # bit codes outrun the streams' draw: rejected before any state exists
         def compile_state(*args, **kwargs):
             raise AssertionError("a rejected config compiled a state")
 
@@ -288,34 +288,36 @@ class TestRunCommand:
         assert f"config error: {named}" in err
 
     def test_check_rounds_run_as_wide_as_the_plan(self, tmp_path, capsys):
-        # check rounds hold no table, so every config the plan's budget
-        # admits runs them: 12 receivers run an atom attack and a batch with
-        # check rounds, and 18 exit 2 with check rounds or without
+        # neither check rounds nor the parity-compiled plan hold a table that
+        # grows with the receivers, so every config the streams admit runs:
+        # 33 receivers run an atom attack and a logged batch with check
+        # rounds, and 34 exit 2 with check rounds or without
         doc = json.loads(json.dumps(BASE_DOC))
-        doc["round"]["n_receivers"] = 12
+        doc["round"]["n_receivers"] = 33
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(doc))
         for argv in (["security", "--rounds", "20"],
-                     ["batch", "--p-check", "0.25", "--rounds", "50"]):
+                     ["batch", "--p-check", "0.25", "--round-log", "--rounds", "50"]):
             code, out, err = run_cli([*argv, "--config", str(path)], capsys)
             assert code == 0 and err == ""
-        doc["round"]["n_receivers"] = 18
+        doc["round"]["n_receivers"] = 34
         path.write_text(json.dumps(doc))
         for argv in (["security"], ["batch", "--p-check", "0.25"], ["batch", "--p-check", "0"]):
             code, out, err = run_cli([*argv, "--config", str(path)], capsys)
             assert code == 2 and out == ""
-            assert "config error: round: n_receivers = 18 needs about" in err
+            assert "config error: round: n_receivers = 34 is above 33" in err
 
-    def test_security_guess_tables_past_the_budget_exit_2(self, tmp_path, capsys, no_compile):
-        # 17 receivers compile a plan, but not a security summary's guess tables beside it
+    def test_decode_table_past_its_bound_exit_2(self, tmp_path, capsys, no_compile):
+        # a decode table lists every bit string, 3 x 2^(N-1) keys: it keeps
+        # its bound of 17 receivers, where security and batch run on
         doc = json.loads(json.dumps(BASE_DOC))
-        doc["round"]["n_receivers"] = 17
-        path = tmp_path / "seventeen.json"
+        doc["round"]["n_receivers"] = 18
+        path = tmp_path / "eighteen.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli(["security", "--config", str(path), "--out",
+        code, out, err = run_cli(["decode-table", "--config", str(path), "--out",
                                   str(tmp_path / "out")], capsys)
         assert code == 2 and out == "" and not (tmp_path / "out").exists()
-        assert "config error: round.n_receivers: 17 receivers need about" in err
+        assert "config error: round.n_receivers: a decode table lists all 2^(n-1)" in err
 
     @pytest.mark.parametrize("command", ["batch", "security"])
     @pytest.mark.parametrize("seed", [2**64, 2**70, -1])
@@ -652,8 +654,10 @@ class TestGoldenDigest:
         digest = hashlib.sha256((out_dir / "decode_table.json").read_bytes()).hexdigest()
         assert digest == self.DECODE_TABLE_DIGESTS[ideal_pnr]
 
-    # the float bits of every outcome probability on the same grid
-    OUTCOME_DIGEST = "8223c43dedfd7c3316d0a2ff802ab9e6e9d8b708f2878d78b0472d6b1f3f0e23"
+    # the float bits of every outcome probability on the same grid; re-pinned
+    # when plans compiled the receivers' bits by parity, whose class sums
+    # move the 3-receiver values by up to 5.3e-16 relative (was 8223c43d...)
+    OUTCOME_DIGEST = "05d225149ad84ae06636c74370b29ea911fc1c14b6bacb9f934744f4174ef6ef"
 
     @staticmethod
     def decode_grid():

@@ -15,11 +15,12 @@ draw and decision is equal.
 
 import dataclasses
 import itertools
+import json
 import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import dense as D
 import scalar_oracle as O
@@ -352,15 +353,14 @@ class TestEngineEqualsOracle:
         assert got == default[0]
         assert stats == default[2]
 
-    def test_bit_code_chunks_change_nothing(self, monkeypatch):
-        # tests/configs/many.json's 10 parties (256 bit codes): bit codes
-        # drawn in chunks of one row give the bytes of the default chunks
-        # (170 rows a window chunk, 128 an ideal-PNR one) in a logged lossy
-        # batch with check rounds, an ideal-PNR batch and the photon attack
+    def test_wide_bit_codes_do_not_depend_on_the_block(self, monkeypatch):
+        # tests/configs/many.json's 10 parties (256 bit codes, drawn in
+        # closed form from two parity classes): blocks of 7 rows give the
+        # bytes of one block in a logged lossy batch with check rounds, an
+        # ideal-PNR batch and the photon attack
         config = dataclasses.replace(
             make_config(10, detector=(0.9, 0.05), p_check=0.25, t_window=6.0), seed=13)
         pnr = dataclasses.replace(config, ideal_pnr=True)
-        plan, pnr_plan = P._plan(config), P._plan(pnr)
         photon = S.EveModel("intercept_resend_photon")
 
         def runs():
@@ -369,11 +369,10 @@ class TestEngineEqualsOracle:
             return stats, log, P.run_batch(pnr, 600), S.eavesdrop_experiment(photon, config, 600)
 
         default = runs()
-        # the default chunks are several: the photon attack's 600 rows too
-        window_chunk = lockstep.BLOCK_AMPLITUDES // plan.tables.width
-        pnr_chunk = lockstep.BLOCK_AMPLITUDES // pnr_plan.pnr_cum.shape[1]
-        assert window_chunk < default[0].n_encode and pnr_chunk < default[2].n_encode
-        monkeypatch.setattr(P.lockstep, "BLOCK_AMPLITUDES", 1)
+        assert lockstep.BLOCK_ROWS >= 600
+        # the draws reach most of the codes
+        assert len({json.loads(line).get("receiver_bits") for line in default[1]}) > 150
+        monkeypatch.setattr(P.lockstep, "BLOCK_ROWS", 7)
         assert runs() == default
 
     def test_starts_no_thread(self, monkeypatch):
@@ -410,15 +409,14 @@ class TestEngineEqualsOracle:
             assert r.jump_sign[:, -1].any()
 
     @pytest.mark.parametrize("n_parties, n_rounds", [(3, 40000), (5, 40000), (10, 34000)])
-    def test_blocks_fill_but_never_exceed_the_memory_bound(self, monkeypatch, n_parties,
-                                                           n_rounds):
+    def test_blocks_fill_and_draw_their_bit_codes_at_once(self, monkeypatch, n_parties,
+                                                          n_rounds):
         # the benchmark's batch layout, CI's wide and many layouts: blocks of
         # BLOCK_ROWS rounds over the whole range, the last short, whatever
-        # the layout; a block draws its encode rows' bit codes in chunks of
-        # BLOCK_AMPLITUDES // width rows, the last short
+        # the layout; a block draws all its encode rows' bit codes in one
+        # call, from two parity-class weights a row
         config = make_config(n_parties, detector=(0.9, 0.02), p_check=0.25, t_window=6.0)
-        width = P._plan(config).tables.width
-        blocks, run_block, sample_bits = [], lockstep.run_block, lockstep._sample_bits
+        blocks, run_block, sample_code = [], lockstep.run_block, lockstep.sample_code
 
         def recorded_block(plan, streams, msg_ids):
             blocks.append((len(streams), []))
@@ -426,19 +424,19 @@ class TestEngineEqualsOracle:
             blocks[-1] += (int((~r.check).sum()),)
             return r
 
-        def recorded_chunk(streams, rows, weights):
-            assert weights.size * lockstep.SECTORS <= lockstep.BLOCK_AMPLITUDES
+        def recorded_draw(streams, rows, weights, n_codes):
+            assert weights.shape == (len(rows), 2) and n_codes == 2 ** (n_parties - 2)
             blocks[-1][1].append(len(rows))
-            return sample_bits(streams, rows, weights)
+            return sample_code(streams, rows, weights, n_codes)
 
         monkeypatch.setattr(P.lockstep, "run_block", recorded_block)
-        monkeypatch.setattr(P.lockstep, "_sample_bits", recorded_chunk)
+        monkeypatch.setattr(P.lockstep, "sample_code", recorded_draw)
         P.run_batch(config, n_rounds)
-        full, chunk = lockstep.BLOCK_ROWS, lockstep.BLOCK_AMPLITUDES // width
+        full = lockstep.BLOCK_ROWS
         assert [size for size, _, _ in blocks] == (
             [full] * (n_rounds // full) + [n_rounds % full] * (n_rounds % full > 0))
-        for _, chunks, encode in blocks:
-            assert chunks == [chunk] * (encode // chunk) + [encode % chunk] * (encode % chunk > 0)
+        for _, draws, encode in blocks:
+            assert draws == [encode]
 
     @settings(max_examples=30)
     @given(
@@ -537,11 +535,13 @@ class TestOneRowEqualsOracle:
             want = O.run_round(config, message, rng, cutoff, jumps)
             where = (i, message)
             assert row.draws == rng.draws, where
-            passed = lockstep.check_verdicts(r.combo[r.check], r.outcome[r.check], n_parties)[1]
-            O.assert_log_close(P._log_lines(plan, r, i, passed)[0], O.outcome_to_dict(i, want),
+            verdicts = lockstep.check_verdicts(r.combo[r.check], r.outcome[r.check], n_parties)
+            O.assert_log_close(P._log_lines(plan, r, i, *verdicts)[0], O.outcome_to_dict(i, want),
                                where)
             if want.mode == "encode" and not pnr:
-                O.assert_window_row(r, 0, want.detection, want.photon_survived, jumps, where)
+                # the plan's start norms sum parity classes, the oracle's bit codes
+                O.assert_window_row(r, 0, want.detection, want.photon_survived, jumps, where,
+                                    first_exact=n_parties == 3)
             assert (bool(r.survived[0]), bool(r.jump_seen[0].any())) == (
                 want.photon_survived, want.real_click), where
             assert_same_position(row, rng, where)
@@ -563,6 +563,96 @@ class TestOneRowEqualsOracle:
             assert row.draws == rng.draws, i
             O.assert_window_row(r, 0, want.record, want.photon_survived, jumps, i)
             assert_same_position(row, rng, i)
+
+
+# ---------------------------------------------------------------------------
+# the bit-code draw in closed form
+
+
+def expanded_cum(weights, n_codes):
+    """The cumulative weights of every (label, bit code), label-major and
+    codes in code order, for parity-class weights ``weights[label, parity]``:
+    each code weighs its parity's weight over the n_codes / 2 codes of that
+    parity.  Summed in extended precision (the codes of each parity up to a
+    code, times its weight), then rounded once to float64."""
+    codes = np.arange(n_codes)
+    ones = np.cumsum(lockstep.parity(codes)).astype(np.longdouble)
+    zeros = codes + 1 - ones
+    w = np.asarray(weights, dtype=np.longdouble)
+    base = np.concatenate(([0.0], np.cumsum(w[:, 0] + w[:, 1])[:-1]))
+    w = w / (n_codes // 2)
+    return (base[:, None] + zeros * w[:, :1] + ones * w[:, 1:]).reshape(-1).astype(np.float64)
+
+
+def near_a_boundary(cum, x):
+    """Rows whose draw lies within 4 ulps of one of the cumulative weights."""
+    return (np.abs(cum - x[:, None]) <= 4 * np.spacing(np.maximum(cum, x[:, None]))).any(axis=1)
+
+
+CLASS_WEIGHT = st.sampled_from([0.0]) | st.floats(1e-12, 1.0)
+UNIFORMS = st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=40)
+
+
+class TestClosedFormDraw:
+    """A row draws its bit code among 2^(N-1) from two parity-class weights
+    in closed form (``lockstep.pick_code``, ``lockstep.pick_label_code``):
+    the code that ``lockstep.pick`` takes on the cumulative weights of all
+    2^(N-1) codes, wherever the draw is not within 4 ulps of one of them."""
+
+    @settings(max_examples=60)
+    @given(st.tuples(CLASS_WEIGHT, CLASS_WEIGHT), st.integers(1, 12), UNIFORMS)
+    def test_code_is_the_expanded_pick(self, weights, n_rotated, uniforms):
+        assume(sum(weights) > 1e-30)
+        n_codes = 2**n_rotated
+        w = np.tile(weights, (len(uniforms), 1))
+        x = np.array(uniforms) * (w[:, 0] + w[:, 1])  # the window's scaled draw
+        cum = expanded_cum([weights], n_codes)
+        far = ~near_a_boundary(cum, x)
+        got = lockstep.pick_code(w, x, n_codes)
+        assert got[far].tolist() == lockstep.pick(cum, x)[far].tolist()
+        assert ((got >= 0) & (got < n_codes)).all()
+        assert (np.array(weights)[lockstep.parity(got)] > 0.0).all()  # no code of weight 0
+
+    @settings(max_examples=60)
+    @given(st.lists(CLASS_WEIGHT, min_size=8, max_size=8), st.integers(1, 12), UNIFORMS)
+    def test_label_and_code_are_the_expanded_pick(self, weights, n_rotated, uniforms):
+        # the ideal-PNR draw: Bell weights of one message, whose total may
+        # fall short of the draw (a lost round, label 4)
+        n_codes = 2**n_rotated
+        bell = np.array(weights).reshape(4, 2) / max(1.0, sum(weights))
+        u = np.array(uniforms)
+        label, code = lockstep.pick_label_code(
+            np.tile(np.cumsum(bell.reshape(-1)), (len(u), 1)), np.tile(bell, (len(u), 1, 1)), u,
+            n_codes)
+        cum = expanded_cum(bell, n_codes)
+        j = (cum <= u[:, None]).sum(axis=1)
+        far = ~near_a_boundary(cum, u)
+        assert label[far].tolist() == (j // n_codes)[far].tolist()
+        kept = far & (label < 4)
+        assert code[kept].tolist() == (j % n_codes)[kept].tolist()
+        assert (bell[label[label < 4], lockstep.parity(code[label < 4])] > 0.0).all()
+
+    @pytest.mark.parametrize("weights, n_codes, x", [
+        ((0.9636708728449709, 0.0), 32, 0.6625237250809174),
+        ((0.5256295231622541, 0.0), 128, 0.14783330338938394),
+        ((0.0, 0.6415135895056033), 32, 0.48113519212920247),
+    ])
+    def test_a_code_of_weight_zero_is_never_drawn(self, weights, n_codes, x):
+        # draws on the boundary between a pair's codes, where rounding the
+        # boundary would take the code of weight 0 of the pair
+        code = lockstep.pick_code(np.array([weights]), np.array([x]), n_codes)
+        assert weights[int(lockstep.parity(code)[0])] > 0.0
+
+    @pytest.mark.parametrize("n_rotated", [1, 5, 32])
+    def test_empty_weights_draw_a_uniform_code(self, n_rotated):
+        # numerically empty weights leave the receivers uncorrelated: the row
+        # draws integers(0, 2^(N-1)), as the oracle's Generator does
+        row = one_row(3, 7)
+        code = lockstep.sample_code(row, ROW, np.zeros((1, 2)), 2**n_rotated)
+        rng = RecordedGenerator(O.round_rng(3, 7))
+        assert row.draws == [(2**n_rotated, int(code[0]))]
+        assert rng.integers(0, 2**n_rotated) == code[0]
+        assert_same_position(row, rng, n_rotated)
 
 
 # ---------------------------------------------------------------------------
@@ -682,18 +772,28 @@ def in_sectors(info, amps):
 
 
 def assert_tables_match(tables, starts, info, amps):
-    """The tables of the photon-sector ``starts`` against the oracle chain on
-    the dense states ``amps`` of layout ``info``, which hold nothing outside
-    the sectors and project onto ``starts``."""
-    assert np.abs(amps[:, info.sector_indices] - starts).max() <= 1e-15
+    """The tables of the photon-sector ``starts``, over the parity of the
+    rotated receivers' bits, against the oracle chain on the dense states
+    ``amps`` of layout ``info``, over every bit code.  The dense states hold
+    nothing outside the sectors and project onto ``starts`` spread over the
+    codes: a parity's amplitude is that of any of its codes (codes 0 and 1
+    are one of each) times sqrt(codes / 2), its weights the sums of its
+    codes'."""
+    n_codes = len(info.bit_strings)
+    parity, scale = lockstep.parity(np.arange(n_codes)), (n_codes / 2) ** 0.5
+    assert np.abs(amps[:, info.sector_indices] * scale - starts[:, parity]).max() <= 1e-15
     want = oracle_tables(info, amps)
-    want = (want[0][..., info.sector_indices],) + want[1:]  # V in the sector basis
+    want = (
+        want[0][..., info.sector_indices][:, :, :2] * scale,  # V in the sector basis
+        want[1], want[2],
+        np.stack([want[3][..., parity == p].sum(axis=-1) for p in (0, 1)], axis=-1),
+    )
     got = (lockstep.jump_vectors(starts), tables.norms, tables.branch, tables.bits)
     for name, g, w in zip(("V", "W", "F", "G/W"), got, want):
         assert g.shape == w.shape, name
         assert np.abs(g - w).max() <= 1e-15, name
-    # the first pass reads the start's own sector norms, bit for bit
-    assert tables.norms[:, 0].tobytes() == np.ascontiguousarray(want[1][:, 0]).tobytes()
+    if n_codes == 2:  # the first pass reads the start's own sector norms, bit for bit
+        assert tables.norms[:, 0].tobytes() == np.ascontiguousarray(want[1][:, 0]).tobytes()
 
 
 class TestJumpTables:
@@ -760,11 +860,12 @@ class TestJumpTables:
     def test_window_counts_follow_the_outcome_law(self):
         # CI's wide layout: 4 receivers (dim 128).  The oracle no longer
         # pins the window bit for bit, so its (n+, n-, bit code) histogram
-        # must follow the exact law the decode arrays come from.
+        # must follow the exact law the decode arrays come from, spread over
+        # the 8 bit codes.
         config = make_config(5, detector=(0.9, 0.05), p_check=0.25, t_window=6.0)
         plan = P._plan(config)
         n_rounds = 20000
-        shape = plan.outcomes.shape[1:]
+        shape = plan.outcomes.shape[1:3] + (8,)
         for m in range(len(MESSAGES)):
             counts = np.zeros(shape, dtype=np.int64)
             for streams in lockstep.row_blocks(31 + m, 0, n_rounds):
@@ -774,6 +875,6 @@ class TestJumpTables:
                 lockstep.window_rounds(plan, streams, rows, plan.tables, start, r)
                 cell = np.ravel_multi_index((r.clicks[:, 0], r.clicks[:, 1], r.bits), shape)
                 counts += np.bincount(cell, minlength=counts.size).reshape(shape)
-            p = plan.outcomes[m] / plan.outcomes[m].sum()
+            p = O.spread(plan.outcomes[m], config) / plan.outcomes[m].sum()
             sigma = np.sqrt(n_rounds * p * (1.0 - p))
             assert (np.abs(counts - n_rounds * p) <= 5.0 * sigma).all(), MESSAGES[m]

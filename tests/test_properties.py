@@ -46,9 +46,18 @@ def test_outcome_distribution_sums_to_one(config):
                   detector=P.DetectorModel(efficiency=0.5, dark_prob=0.5)),
 )
 def test_outcome_law_equals_the_key_by_key_reference(config):
+    # bit-equal at 2 receivers, where the plan's parity axis is the bit code;
+    # from 3 on the plan sums parity classes where the reference sums codes,
+    # which rounds differently, within 1e-15 of the unit mass (a lossless
+    # window's transfer deficit, 0 up to rounding, included)
     for m in MESSAGES:
         want = {key: p for key, p in O.outcome_distribution(config, m).items() if p > 0.0}
-        assert P.outcome_distribution(config, m) == want, m
+        got = P.outcome_distribution(config, m)
+        if config.n_receivers == 2:
+            assert got == want, m
+        else:
+            assert max(abs(got.get(key, 0.0) - want.get(key, 0.0))
+                       for key in got.keys() | want.keys()) <= 1e-15, m
 
 
 @settings(max_examples=25)
