@@ -30,11 +30,11 @@ own draw orders.
 The receivers' bit code enters the tables through its parity alone, so a
 row draws it in closed form from two parity-class weights (:func:`pick_code`).
 :func:`row_blocks` cuts a range of rounds into blocks of ``BLOCK_ROWS`` rows,
-whatever the layout.  Independent work units (the round ranges of a batch or
-of ``security``, one per process, :func:`map_ranges`; ``sweep``'s windows)
-can share forked worker processes (:func:`fork_map`, :func:`worker_count`);
-as every round reads its own stream, neither blocks nor split change a bit
-of the result.
+whatever the layout.  Every command splits its rounds one way: into
+contiguous ranges, one per process, the caller running the first and forked
+workers the others (:func:`map_ranges`, :func:`worker_count`); as every
+round reads its own stream, neither blocks nor split change a bit of the
+result.
 """
 
 from __future__ import annotations
@@ -176,18 +176,18 @@ def row_blocks(seed: int, start: int, stop: int, kind: str = "encode", games: in
 
 
 # ---------------------------------------------------------------------------
-# independent work units in forked worker processes
+# round ranges in forked worker processes
 
 
 def worker_count(workers: int, units: int, rows: int) -> int:
-    """Processes to share ``units`` independent work units that simulate
-    ``rows`` rows in all: the largest w <= ``min(workers, usable CPUs,
-    units)`` for which ``rows`` exceeds ``FORK_ROWS * w * (w - 1)``.  Going
-    from w - 1 processes to w saves the wall time of rows / (w (w - 1))
-    rows and costs that of ``FORK_ROWS``, so the w-th process is the last
-    that still pays.  It is 1, and the units run in process, where
-    ``os.fork`` is missing and while other threads run (a forked child
-    could inherit a lock one of them holds)."""
+    """Processes to share ``units`` rounds that simulate ``rows`` rows in
+    all: the largest w <= ``min(workers, usable CPUs, units)`` for which
+    ``rows`` exceeds ``FORK_ROWS * w * (w - 1)``.  Going from w - 1
+    processes to w saves the wall time of rows / (w (w - 1)) rows and costs
+    that of ``FORK_ROWS``, so the w-th process is the last that still pays.
+    It is 1, and the rounds run in process, where ``os.fork`` is missing and
+    while other threads run (a forked child could inherit a lock one of them
+    holds)."""
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
@@ -198,31 +198,18 @@ def worker_count(workers: int, units: int, rows: int) -> int:
 
 
 def map_ranges(task, n_rounds: int, rows_per_round: int, workers: int) -> list:
-    """``task(bounds)`` for each of :func:`worker_count` near-equal
-    contiguous ranges ``bounds = (lo, hi)`` of ``n_rounds`` rounds of
-    ``rows_per_round`` rows each, one range per process (:func:`fork_map`),
-    in round order."""
+    """``task(bounds)`` for each of :func:`worker_count` near-equal contiguous
+    ranges ``bounds = (lo, hi)`` of ``n_rounds`` rounds of ``rows_per_round``
+    rows each, in round order.  The caller runs the first range, and a
+    forked child each other one: it pickles its result, or the exception it
+    raised (raised here), to a pipe and ends with ``os._exit``.  Every child
+    is reaped before this returns or raises, and killed first if anything
+    failed."""
     workers = worker_count(workers, n_rounds, rows_per_round * n_rounds)
     ranges = [(n_rounds * w // workers, n_rounds * (w + 1) // workers) for w in range(workers)]
-    return fork_map(task, ranges, workers)
-
-
-def fork_map(task, units, workers: int) -> list:
-    """``[task(u) for u in units]``, with the units split into ``workers``
-    contiguous shares.  The calling process runs the first share; each
-    other share runs in a forked child, which pickles its results, or the
-    exception it raised, to a pipe and ends with ``os._exit``.  The results
-    come back in unit order; a child's exception is raised here.  Every
-    child is reaped before this returns or raises, and killed first if
-    anything failed."""
-    units = list(units)
-    workers = max(1, min(workers, len(units)))
-    size, extra = divmod(len(units), workers)
-    shares = [units[w * size + min(w, extra):(w + 1) * size + min(w + 1, extra)]
-              for w in range(workers)]
     children: dict[int, int] = {}  # pid -> read end of its pipe
     try:
-        for share in shares[1:]:
+        for bounds in ranges[1:]:
             read, write = os.pipe()
             try:
                 pid = os.fork()
@@ -231,10 +218,10 @@ def fork_map(task, units, workers: int) -> list:
                 os.close(write)
                 raise
             if pid == 0:
-                _child(task, share, write, [read, *children.values()])
+                _child(task, bounds, write, [read, *children.values()])
             os.close(write)
             children[pid] = read
-        results = [task(u) for u in shares[0]]
+        results = [task(ranges[0])]
         for pid, read in children.items():
             with open(read, "rb", closefd=False) as pipe:
                 try:
@@ -243,7 +230,7 @@ def fork_map(task, units, workers: int) -> list:
                     raise RuntimeError(f"worker process {pid} ended without a result") from None
             if not ok:
                 raise value
-            results.extend(value)
+            results.append(value)
         return results
     except BaseException:
         import signal
@@ -257,14 +244,14 @@ def fork_map(task, units, workers: int) -> list:
             os.waitpid(pid, 0)
 
 
-def _child(task, share, write: int, inherited: list[int]):
-    """A forked worker: runs ``share``, writes the pickled outcome to the
-    pipe ``write`` and ends the process, whatever happens."""
+def _child(task, bounds: tuple[int, int], write: int, inherited: list[int]):
+    """A forked worker: runs ``task(bounds)``, writes the pickled outcome to
+    the pipe ``write`` and ends the process, whatever happens."""
     try:
         for fd in inherited:  # the parent's ends of the workers' pipes
             os.close(fd)
         try:
-            outcome = (True, [task(u) for u in share])
+            outcome = (True, task(bounds))
         except BaseException as exc:  # the parent raises it
             outcome = (False, exc)
         try:  # a pipe that holds the whole outcome lets the child end before it is read

@@ -58,7 +58,7 @@ _SUPPORT_TOL = 1e-10
 _BETA2_FLOOR = 1e-30  # below it the phi basis (beta^2 |11> +- |00>) is degenerate
 _CACHE_SIZE = 64  # entries of the plan cache
 MAX_RECEIVERS = 33  # a round's bit code is integers(0, 2^(n-1)): RowStreams draws n <= 2^32
-DECODE_TABLE_RECEIVERS = 17  # a decode table lists every bit string: 3 x 2^16 keys at most
+BIT_STRING_RECEIVERS = 17  # an output that lists every bit string lists 2^16 at most
 
 
 class ConfigError(ValueError):
@@ -238,14 +238,20 @@ def bell_weights(config: RoundConfig, message: Message) -> dict[tuple[str, str],
     """Expansion weights of a message's pipeline state in the photonic
     Bell-like basis, jointly with the rotated receivers' bit strings (see
     :func:`_bell`), spread over the bit codes (:func:`_spread`)."""
+    strings = _bit_strings(config.n_receivers - 1, "a Bell-weight table")
     weights = _spread(_plan(config).bell[_MSG_INDEX[message]], config).tolist()
-    return {(label, bits): weights[j][code] for code, bits in enumerate(_bit_strings(config))
+    return {(label, bits): weights[j][code] for code, bits in enumerate(strings)
             for j, label in enumerate(BELL_LABELS)}
 
 
-def _bit_strings(config: RoundConfig) -> list[str]:
-    """Every rotated receivers' bit string (g = 0, e = 1), in bit-code order."""
-    return ["".join(bits) for bits in itertools.product("ge", repeat=config.n_receivers - 1)]
+def _bit_strings(n_bits: int, what: str) -> list[str]:
+    """Every string of ``n_bits`` rotated receivers' bits (g = 0, e = 1), in
+    bit-code order, listed by ``what``: ConfigError past the bits of
+    ``BIT_STRING_RECEIVERS`` receivers, before anything of that size exists."""
+    if n_bits >= BIT_STRING_RECEIVERS:
+        raise ConfigError(f"round.n_receivers: {what} lists all 2^{n_bits} receiver bit "
+                          f"strings, for at most {BIT_STRING_RECEIVERS} receivers")
+    return ["".join(bits) for bits in itertools.product("ge", repeat=n_bits)]
 
 
 def _spread(table: np.ndarray, config: RoundConfig) -> np.ndarray:
@@ -339,9 +345,9 @@ def outcome_distribution(
     """Exact joint distribution of (observable click counts, receiver bits)
     for one message, dark counts included: the nonzero cells of the plan's
     outcome law (:func:`_outcome_law`), spread over the bit codes."""
+    strings = _bit_strings(config.n_receivers - 1, "an outcome distribution")
     law = _spread(_plan(config).outcomes[_MSG_INDEX[message]], config)
     cells = np.argwhere(law > 0.0).tolist()
-    strings = _bit_strings(config)
     return {((a, b), strings[code]): p for (a, b, code), p in zip(cells, law[law > 0.0].tolist())}
 
 
@@ -362,14 +368,9 @@ def build_decode_table(config: RoundConfig) -> dict[tuple[str, str], Message | N
     Honest mode keys: (D+ | D- | none, receiver bits) from the psi-branch
     weights; ties and unsupported outcomes map to None (abort).  Ideal-PNR
     mode keys: (Bell label, receiver bits) over the full four-state basis.
-    A table lists every bit string, so a config of more than
-    ``DECODE_TABLE_RECEIVERS`` receivers raises ConfigError before it
-    compiles.
+    A table lists every bit string (:func:`_bit_strings`).
     """
-    if config.n_receivers > DECODE_TABLE_RECEIVERS:
-        raise ConfigError(f"round.n_receivers: a decode table lists all 2^(n-1) receiver bit "
-                          f"strings, for at most {DECODE_TABLE_RECEIVERS} receivers")
-    plan, strings = _plan(config), _bit_strings(config)
+    strings, plan = _bit_strings(config.n_receivers - 1, "a decode table"), _plan(config)
     parities = lockstep.parity(np.arange(len(strings)))
     if config.ideal_pnr:
         rows = zip(BELL_LABELS, plan.pnr_decoded[:, parities].tolist())
@@ -385,12 +386,12 @@ def decode(config: RoundConfig, counts: tuple[int, int], bits: str) -> Message |
     multi-click windows fall back to exact maximum likelihood; irreducible
     ties, no-click windows and counts the model never produces abort.
     Bits that are not n - 1 letters g or e raise ValueError."""
+    if len(bits) != config.n_receivers - 1 or bits.strip("ge"):
+        raise ValueError(f"receiver bits {bits!r}: not {config.n_receivers - 1} letters g or e")
     plan = _plan(config)
     n_plus, n_minus = counts
     if not (0 <= n_plus < len(plan.decoded) and 0 <= n_minus < len(plan.decoded)):
         return None
-    if len(bits) != config.n_receivers - 1 or bits.strip("ge"):
-        raise ValueError(f"receiver bits {bits!r}: not {config.n_receivers - 1} letters g or e")
     return _DECODED[plan.decoded[n_plus, n_minus, bits.count("e") & 1]]
 
 
@@ -597,7 +598,11 @@ def run_batch(
         counts += range_counts
         if on_log is not None:
             on_log(lines)
+    return _batch_stats(n_rounds, counts)
 
+
+def _batch_stats(n_rounds: int, counts: np.ndarray) -> BatchStats:
+    """The :class:`BatchStats` of ``n_rounds`` rounds from their summed counters."""
     confusion = counts[:20].reshape(4, 5)
     n_check, check_concl, check_pass, psi_rounds, psi_clicks, psi_survived = counts[20:].tolist()
     n_encode = n_rounds - n_check
@@ -639,8 +644,10 @@ def run_sweep(
     """Detection-window sweep: both analytic conventions next to the
     Monte-Carlo click-rate estimate for a fixed psi-branch message.  A
     config without a click rate (ideal PNR, p_check = 1) raises ConfigError.
-    With ``workers`` > 1 the windows are shared by forked processes
-    (:func:`qdcsim.lockstep.fork_map`), with the same rows."""
+    Every window's plan compiles before any fork.  A round is W rows, one
+    per window on the streams (seed, i) of round i, split into ranges like a
+    batch's (:func:`qdcsim.lockstep.map_ranges`); each range runs once per
+    window, so the summed counters do not depend on ``workers``."""
     if not t_windows:
         raise ValueError("sweep grid must be nonempty")
     if config.ideal_pnr:
@@ -649,16 +656,21 @@ def run_sweep(
     if config.p_check == 1.0:
         raise ConfigError("round.p_check: at 1 no round encodes a message, "
                           "so a sweep has no click rate")
-
-    def row(t_w) -> dict:
-        cfg = dataclasses.replace(config, t_window=float(t_w))
-        stats = run_batch(cfg, n_rounds, messages=(Message.X,))
-        p = stats.psi_click_rate if stats.psi_click_rate is not None else 0.0
-        n = stats.n_encode
+    if n_rounds < 1:
+        raise ValueError("n_rounds must be >= 1")
+    configs = [dataclasses.replace(config, t_window=float(t_w)) for t_w in t_windows]
+    plans, msg_ids = [_plan(cfg) for cfg in configs], np.array([_MSG_INDEX[Message.X]])
+    parts = lockstep.map_ranges(
+        lambda bounds: np.stack([_range_part(plan, config.seed, bounds, msg_ids, False)[0]
+                                 for plan in plans]),
+        n_rounds, len(plans), workers,
+    )
+    rows = []
+    for cfg, counts in zip(configs, sum(parts)):
+        stats = _batch_stats(n_rounds, counts)
+        p, n = stats.psi_click_rate or 0.0, stats.n_encode
         formulas = {f"formula_{c}": success_probability_formula(cfg, c)
                     for c in ("survival", "integrated")}
-        return {"t_window": float(t_w), **formulas, "mc_estimate": p,
-                "mc_stderr": math.sqrt(p * (1.0 - p) / n) if n else 0.0}
-
-    workers = lockstep.worker_count(workers, len(t_windows), len(t_windows) * n_rounds)
-    return lockstep.fork_map(row, t_windows, workers)
+        rows.append({"t_window": cfg.t_window, **formulas, "mc_estimate": p,
+                     "mc_stderr": math.sqrt(p * (1.0 - p) / n) if n else 0.0})
+    return rows

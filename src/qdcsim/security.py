@@ -21,7 +21,6 @@ fixed message order, so the random stream is reproducible).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -159,12 +158,14 @@ def view_distribution(
 ) -> dict[Observation, dict[Message, float]]:
     """Joint P(observation, message) under a uniform prior on ``messages``,
     over the observations some message can produce, spread over each class
-    of observations that share a law (:func:`_view_law`)."""
+    of observations that share a law (:func:`_view_law`).  It lists every
+    string of the bits the view sees (:func:`qdcsim.protocol._bit_strings`)."""
+    strings = protocol._bit_strings(len(view.sees_bits), "a view's distribution")
     law, size = _view_law(view, config, messages)
     law = law * (1.0 / len(messages)) / size
     joint = {}
     for a, b in np.ndindex(law.shape[1:3]):
-        for bits in itertools.product("ge", repeat=len(view.sees_bits)):
+        for bits in strings:
             column = law[:, a, b, bits.count("e") & 1 if law.shape[3] == 2 else 0]
             if (column > 0.0).any():
                 obs = Observation(clicks=(a, b) if view.sees_clicks else None,

@@ -335,9 +335,11 @@ class TestDecodeTable:
         cfg = config(n_receivers=n_receivers)
         good = "e" * (n_receivers - 1)
         assert P.decode(cfg, (1, 0), good) is Message.X
-        for bits in (good + "e", good[:-1], "x" + good[1:], good[:-1] + "E", "0" + good[1:]):
-            with pytest.raises(ValueError):
-                P.decode(cfg, (1, 0), bits)
+        # the bits are checked before the counts, which may lie outside the table
+        for counts in ((1, 0), (9, 9), (-1, 0)):
+            for bits in (good + "e", good[:-1], "x" + good[1:], good[:-1] + "E", "0" + good[1:]):
+                with pytest.raises(ValueError):
+                    P.decode(cfg, counts, bits)
 
     def test_counts_outside_the_table_abort(self):
         # negative counts included: as indices they would wrap onto cells
@@ -686,3 +688,17 @@ class TestConfigValidation:
 
         peak(2)  # warm-up: first-call allocations of numpy and the interpreter
         assert peak(33) <= peak(2) + (4 << 10)
+
+    def test_bit_string_outputs_past_their_bound_raise_before_allocating(self):
+        # bell_weights and outcome_distribution list all 2^(N-1) bit
+        # strings: from 18 receivers they name the field instead
+        cfg = config(n_receivers=P.BIT_STRING_RECEIVERS + 1)
+        for output in (P.bell_weights, P.outcome_distribution):
+            tracemalloc.start()
+            try:
+                with pytest.raises(P.ConfigError, match=r"^round\.n_receivers: .* 2\^17 "):
+                    output(cfg, Message.X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1 << 20

@@ -109,6 +109,27 @@ class TestOptimalRates:
         assert optimal_guess_rate(twice, cfg) == optimal_guess_rate(once, cfg)
         assert S.view_distribution(twice, cfg) == S.view_distribution(once, cfg)
 
+    def test_views_of_many_bits_past_the_bound_raise_before_allocating(self):
+        # a view's distribution lists every string of the bits it sees: at
+        # 18 receivers the collaboration sees 17 and names the field
+        cfg = config(n_receivers=P.BIT_STRING_RECEIVERS + 1)
+        view = S.standard_views(cfg)["collaboration"]
+        tracemalloc.start()
+        try:
+            with pytest.raises(P.ConfigError, match=r"^round\.n_receivers: .* 2\^17 "):
+                S.view_distribution(view, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_views_of_few_bits_run_at_the_receiver_cap(self):
+        cfg = config(k=0.2, n_receivers=P.MAX_RECEIVERS)
+        views = S.standard_views(cfg)
+        for name in ("bob_alone", "charlie_alone"):
+            joint = S.view_distribution(views[name], cfg)
+            assert math.isclose(sum(sum(p.values()) for p in joint.values()), 1.0)
+
     def test_condition_on_click_requires_visibility(self):
         with pytest.raises(ValueError):
             optimal_guess_rate(CHARLIE, config(), given_click=True)

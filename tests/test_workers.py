@@ -38,7 +38,7 @@ def no_fork(monkeypatch, many_cpus):
 
 @pytest.fixture()
 def free_forks(monkeypatch):
-    """Forking costs nothing: every command runs min(workers, CPUs, units) processes."""
+    """Forking costs nothing: every command runs min(workers, CPUs, rounds) processes."""
     monkeypatch.setattr(lockstep, "FORK_ROWS", 0)
 
 
@@ -97,9 +97,10 @@ class TestWorkerCount:
 
 class TestInProcess:
     def test_one_unit(self, no_fork, free_forks):
-        assert lockstep.fork_map(lambda u: u + 1, [41], 8) == [42]
-        rows = P.run_sweep(CONFIG, [2.0], 2000, workers=8)
-        assert len(rows) == 1
+        # one round is one range, which runs in process at any worker count
+        assert lockstep.map_ranges(lambda bounds: bounds, 1, 1, 8) == [(0, 1)]
+        rows = P.run_sweep(CONFIG, [0.5, 2.0], 1, workers=8)
+        assert len(rows) == 2
 
     def test_benchmark_sizes_in_process(self, no_fork):
         # 8,000 batch rounds, and 2,000 security rounds of 4 rows, cost less
@@ -113,30 +114,33 @@ class TestInProcess:
         P.run_batch(CONFIG, N_ROUNDS, workers=8, on_log=log.extend)
         assert len(log) == N_ROUNDS
 
-    def test_one_range_through_fork_map(self, monkeypatch, no_fork):
-        # at one worker a batch is one range, which fork_map runs in process;
-        # on_log gets its lines as one list
-        calls, fork_map = [], lockstep.fork_map
+    def test_one_range_in_process(self, monkeypatch, no_fork):
+        # at one worker a batch is one range, which map_ranges runs in
+        # process without a pipe; on_log gets its lines as one list
+        def pipe():
+            raise AssertionError("a pipe was opened")
 
-        def recorded(task, units, workers):
-            calls.append((list(units), workers))
-            return fork_map(task, units, workers)
+        calls, map_ranges = [], lockstep.map_ranges
 
-        monkeypatch.setattr(lockstep, "fork_map", recorded)
+        def recorded(task, n_rounds, rows_per_round, workers):
+            return map_ranges(lambda bounds: calls.append(bounds) or task(bounds),
+                              n_rounds, rows_per_round, workers)
+
+        monkeypatch.setattr(os, "pipe", pipe)
+        monkeypatch.setattr(lockstep, "map_ranges", recorded)
         lists = []
         P.run_batch(CONFIG, N_ROUNDS, on_log=lists.append)
-        assert calls == [([(0, N_ROUNDS)], 1)]
+        assert calls == [(0, N_ROUNDS)]
         assert [len(lines) for lines in lists] == [N_ROUNDS]
 
 
-class TestForkMap:
-    def test_shares_in_unit_order(self, forks):
-        got = lockstep.fork_map(lambda u: (u, os.getpid()), range(7), 3)
-        assert [u for u, _ in got] == list(range(7))
+class TestMapRanges:
+    def test_ranges_in_round_order(self, many_cpus, free_forks, forks):
+        got = lockstep.map_ranges(lambda bounds: (bounds, os.getpid()), 7, 1, 3)
+        assert [bounds for bounds, _ in got] == [(0, 2), (2, 4), (4, 7)]
         pids = [pid for _, pid in got]
-        assert pids[:3] == [os.getpid()] * 3  # the caller runs the first, largest share
-        assert pids[3] == pids[4] != pids[5] == pids[6]
-        assert len(forks) == 2
+        assert pids[0] == os.getpid()  # the caller runs the first range
+        assert len(set(pids)) == 3 and set(pids[1:]) == set(forks)
         no_child_left()
 
 
@@ -241,44 +245,65 @@ class TestByteIdentity:
         one = P.run_sweep(CONFIG, windows, n_rounds)
         for workers in (2, 9):
             assert P.run_sweep(CONFIG, windows, n_rounds, workers=workers) == one
-        assert len(forks) == 1 + 4
+        assert len(forks) == 1 + 8  # the units are rounds, not windows
+        no_child_left()
+
+    def test_one_window_sweep_forks(self, many_cpus, forks):
+        # a sweep round is one row per window: 12,000 rounds of one window
+        # pass the two-process break-even of 2 x FORK_ROWS rows
+        one = P.run_sweep(CONFIG, [2.0], 12_000)
+        assert not forks
+        assert P.run_sweep(CONFIG, [2.0], 12_000, workers=2) == one
+        assert len(forks) == 1
+        no_child_left()
+
+    def test_sweep_plans_compile_in_the_caller(self, many_cpus, free_forks, forks):
+        windows = [0.5, 1.0, 2.0, 4.0, 6.0]
+        P._plan.cache_clear()
+        P.run_sweep(CONFIG, windows, 1229, workers=3)
+        assert len(forks) == 2
+        assert P._plan.cache_info().currsize == len(windows)
+        hits = P._plan.cache_info().hits
+        for t_window in windows:
+            P._plan(dataclasses.replace(CONFIG, t_window=t_window))
+        assert P._plan.cache_info().hits == hits + len(windows)
         no_child_left()
 
 
 class TestFailure:
-    def test_child_exception_raised_here(self, many_cpus):
-        def task(u):
-            if u == 3:
-                raise KeyError("unit 3")
-            return u
+    def test_child_exception_raised_here(self, many_cpus, free_forks):
+        def task(bounds):
+            if bounds == (2, 4):
+                raise KeyError("range (2, 4)")
+            return bounds
 
-        with pytest.raises(KeyError, match="unit 3"):
-            lockstep.fork_map(task, range(4), 2)
+        with pytest.raises(KeyError, match=r"range \(2, 4\)"):
+            lockstep.map_ranges(task, 4, 1, 2)
         no_child_left()
 
-    def test_child_without_result(self, many_cpus):
-        def task(u):
-            if u == 3:
+    def test_child_without_result(self, many_cpus, free_forks):
+        def task(bounds):
+            if bounds == (2, 4):
                 os._exit(7)
-            return u
+            return bounds
 
         with pytest.raises(RuntimeError, match="without a result"):
-            lockstep.fork_map(task, range(4), 2)
+            lockstep.map_ranges(task, 4, 1, 2)
         no_child_left()
 
-    def test_children_killed_when_the_caller_fails(self, many_cpus):
-        def task(u):
-            if u == 0:
-                raise KeyError("unit 0")
+    def test_children_killed_when_the_caller_fails(self, many_cpus, free_forks):
+        def task(bounds):
+            if bounds[0] == 0:
+                raise KeyError("the first range")
             time.sleep(60)
 
         start = time.perf_counter()
-        with pytest.raises(KeyError, match="unit 0"):
-            lockstep.fork_map(task, range(3), 3)
+        with pytest.raises(KeyError, match="the first range"):
+            lockstep.map_ranges(task, 3, 1, 3)
         assert time.perf_counter() - start < 30
         no_child_left()
 
-    def test_fork_failure(self, monkeypatch, many_cpus):
+    def test_fork_failure(self, monkeypatch, many_cpus, free_forks):
         real, started = os.fork, []
 
         def fork():  # the second fork fails, as under a process limit
@@ -291,7 +316,7 @@ class TestFailure:
         monkeypatch.setattr(os, "fork", fork)
         fds = len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
         with pytest.raises(BlockingIOError):
-            lockstep.fork_map(lambda u: u, range(3), 3)
+            lockstep.map_ranges(lambda bounds: bounds, 3, 1, 3)
         assert len(started) == 1
         no_child_left()
         if fds is not None:
