@@ -45,6 +45,9 @@ DEFAULT_CONFIG: dict = {
     "security": {"rounds": 20000, "eve": "intercept-resend-atom-z"},
     "sweep": {"t_windows": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], "rounds": 5000},
 }
+# the fields of each section outside the round config's (``_build`` checks those)
+_FIELDS = {"security": DEFAULT_CONFIG["security"], "sweep": DEFAULT_CONFIG["sweep"],
+           "feasibility": ("constants",)}
 
 
 def _section(doc: dict, name: str) -> dict | None:
@@ -173,6 +176,13 @@ def load_config(path: str | None) -> dict:
         raise ConfigError(f"config is not valid JSON: line {exc.lineno}: {exc.msg}") from exc
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
+    for name in doc:
+        if name not in ("params", "round", "detector", *_FIELDS):
+            raise ConfigError(f"{name}: unknown section")
+    for name, fields in _FIELDS.items():
+        for field in _section(doc, name) or {}:
+            if field not in fields:
+                raise ConfigError(f"{name}.{field}: unknown field")
     return doc
 
 
@@ -255,15 +265,16 @@ def cmd_batch(args, doc: dict) -> tuple[str, dict[str, str]]:
     config = build_round_config(doc, args)
     n_rounds = _rounds(args, doc, "security")
     log: list[str] = []
+    logged = args.round_log and args.out  # only a file holds the log
     t0 = time.perf_counter()
     stats = protocol.run_batch(
         config, n_rounds, messages=_messages(args),
-        on_log=log.extend if args.round_log else None, workers=args.threads,
+        on_log=log.extend if logged else None, workers=args.threads,
     )
     wall = time.perf_counter() - t0
     summary = batch_summary(config, stats)
     files = {"batch_summary.json": json.dumps(summary, allow_nan=False) + "\n"}
-    if args.round_log:
+    if logged:
         files["rounds.jsonl"] = "\n".join(log) + "\n"
     stdout = json.dumps({**summary, "wall_time_s": wall}, allow_nan=False)
     return stdout + "\n", files

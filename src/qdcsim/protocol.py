@@ -419,8 +419,6 @@ class _Plan(NamedTuple):
     decoded: np.ndarray  # (n+, n-, parity) -> decoded-message index
     pnr_cum: np.ndarray  # (4, label x parity) cumulative Bell weights
     pnr_decoded: np.ndarray  # (label, parity) -> decoded-message index
-    # round-log line tails by tail key (``_log_tail``), filled by the first logged blocks
-    log_tails: dict
 
 
 def _plan(config: RoundConfig) -> _Plan:
@@ -443,7 +441,7 @@ def _compile_plan(config: RoundConfig) -> _Plan:
         config=config, sectors=sectors, tables=lockstep.jump_tables(sectors),
         bell=bell, outcomes=outcomes, decoded=_frozen(decoded),
         pnr_cum=_frozen(np.cumsum(bell.reshape(len(MESSAGES), -1), axis=1)),
-        pnr_decoded=_frozen(_argmax(bell)), log_tails={},
+        pnr_decoded=_frozen(_argmax(bell)),
     )
 
 
@@ -461,30 +459,11 @@ _plan.cache_info, _plan.cache_clear = _compile_plan.cache_info, _compile_plan.ca
 # with "clicks" the [time, channel] pairs of the round's detector events in
 # time order, "abort" for an aborted decode.
 _LOG_CHANNELS = tuple(json.dumps(ch) for ch in (CHANNEL_PLUS, CHANNEL_MINUS, DARK_PLUS, DARK_MINUS))
+_LOG_NAMES = tuple(m.value for m in MESSAGES) + ("abort",)  # by lockstep message index
+_LOG_LABELS = ("",) + tuple(f', "bell_label": "{b}"' for b in BELL_LABELS)  # by Bell label + 1
+_LOG_BOOLS = ("false", "true")
 _BASES = str.maketrans("01", "xy")  # a basis combination's bits, party 0 first, as bases
 _BITS = str.maketrans("01", "ge")  # a bit code's bits, first rotated receiver first, as atoms
-
-
-def _log_tail(plan: _Plan, r: lockstep.Rounds, row: int) -> tuple[str, str, str]:
-    """Row ``row``'s log line after ``{"round": <index>``, its one varying
-    string (an encode line's receiver bits, a check line's bases) left out,
-    split around its clicks list and that string: (up to and with the
-    clicks' ``[``, from their ``]`` to the string, after the string)."""
-    if r.check[row]:
-        combo, outcome = r.combo[row:row + 1], r.outcome[row:row + 1]
-        conclusive, passed = lockstep.check_verdicts(combo, outcome, plan.config.n_parties)
-        d = {"round": 0, "mode": "check", "check_bases": "",
-             "check_conclusive": bool(conclusive[0]), "check_passed": bool(passed[0])}
-    else:
-        names = [m.value for m in MESSAGES] + ["abort"]  # by lockstep message index
-        d = {"round": 0, "mode": "encode", "sent": names[r.sent[row]], "clicks": [],
-             "receiver_bits": "", "decoded": names[r.decoded[row]]}
-        if plan.config.ideal_pnr and r.label[row] >= 0:
-            d["bell_label"] = BELL_LABELS[r.label[row]]
-    # the first "" is the varying string; an encode line's "[]" before it is its clicks list
-    before, quotes, rest = json.dumps(d)[len('{"round": 0'):].partition('""')
-    head, brackets, middle = before.partition("[]")
-    return head + brackets[:1], brackets[1:] + middle + quotes[:1], quotes[1:] + rest
 
 
 def _log_clicks(r: lockstep.Rounds, rows: np.ndarray) -> list[str]:
@@ -512,34 +491,36 @@ def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int, conclusive: np.ndarr
                passed: np.ndarray) -> list[str]:
     """The round-log line of every row of a lockstep block whose first round
     is ``first``; ``conclusive`` and ``passed`` hold the check rows' verdicts
-    (``lockstep.check_verdicts``).  Rows without detector events share a
-    line up to the round index where they share a tail, keyed by (sent,
-    decoded, Bell label) or a check's verdicts (104 at most, each built once
-    per plan by ``_log_tail``), and its varying string's bit code or basis
-    combination."""
-    width = plan.config.n_receivers - 1
-    label = r.label + 1 if plan.config.ideal_pnr else 0
-    tail_key = (r.sent * 5 + r.decoded) * 5 + label
-    tail_key[r.check] = -1 - (2 * conclusive + passed)
-    key = (np.where(r.check, r.combo, r.bits) << 7) + tail_key + 4
-    keys, rows, inverse = np.unique(key, return_index=True, return_inverse=True)
-    tails = []
-    for k, row in zip(keys.tolist(), rows.tolist()):
-        tail_key = k % 128 - 4
-        tail = plan.log_tails.get(tail_key)
-        if tail is None:
-            tail = plan.log_tails[tail_key] = _log_tail(plan, r, row)
-        check = tail_key < 0
-        value = format(k >> 7, f"0{width + 2 * check}b").translate(_BASES if check else _BITS)
-        tails.append((tail[0], tail[1] + value + tail[2]))
-    clicks = [""] * len(key)
+    (``lockstep.check_verdicts``).  A line joins ``{"round": <index>``, the
+    part of its line state before its clicks, the clicks and the part after
+    them; the state is a check's basis combination and verdicts, or an
+    encode's sent message, bit code, decoded message and Bell label."""
+    parties, width = plan.config.n_parties, plan.config.n_receivers - 1
+    verdicts = np.zeros((2, len(r.check)), dtype=bool)
+    verdicts[:, r.check] = conclusive, passed
+    label = r.label + 1 if plan.config.ideal_pnr else np.zeros_like(r.label)
+    sizes = (2, 1 << parties, len(MESSAGES), len(_LOG_NAMES), len(_LOG_LABELS), 2, 2)
+    states, inverse = np.unique(np.ravel_multi_index(
+        (r.check, np.where(r.check, r.combo, r.bits), r.sent, r.decoded, label, *verdicts), sizes
+    ), return_inverse=True)
+    parts = [
+        (f', "mode": "check", "check_bases": "{format(value, f"0{parties}b").translate(_BASES)}"'
+         f', "check_conclusive": {_LOG_BOOLS[c]}, "check_passed": {_LOG_BOOLS[p]}}}', "")
+        if check else
+        (f', "mode": "encode", "sent": "{_LOG_NAMES[sent]}", "clicks": [',
+         f'], "receiver_bits": "{format(value, f"0{width}b").translate(_BITS)}"'
+         f', "decoded": "{_LOG_NAMES[decoded]}"{_LOG_LABELS[label]}}}')
+        for check, value, sent, decoded, label, c, p in zip(
+            *(column.tolist() for column in np.unravel_index(states, sizes)))
+    ]
+    clicks = [""] * len(r.check)
     events = np.flatnonzero(r.jump_seen.any(axis=1) | ~np.isnan(r.dark_t).all(axis=1))
     for row, pairs in zip(events.tolist(), _log_clicks(r, events)):
         clicks[row] = pairs
     return [
         f'{{"round": {i}{head}{pairs}{rest}'
         for i, (head, rest), pairs in zip(
-            range(first, first + len(key)), [tails[j] for j in inverse.tolist()], clicks
+            range(first, first + len(r.check)), [parts[j] for j in inverse.tolist()], clicks
         )
     ]
 

@@ -50,13 +50,17 @@ class ViewSpec:
 @dataclass(frozen=True)
 class Observation:
     """Concrete coordinates for a view: click counts (n_plus, n_minus) if
-    visible, and (receiver site, bit) pairs for visible atoms."""
+    visible, and (receiver site, bit) pairs for visible atoms, each site at
+    most once."""
 
     clicks: tuple[int, int] | None = None
     bits: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self):
         object.__setattr__(self, "bits", tuple(sorted(self.bits)))
+        for (site, _), (other, _) in zip(self.bits, self.bits[1:]):
+            if site == other:
+                raise ValueError(f"receiver site {site} is listed twice")
 
 
 @dataclass(frozen=True)

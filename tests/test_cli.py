@@ -193,6 +193,23 @@ class TestConfigParsing:
         assert code == 2
         assert f"config error: {named}" in err
 
+    @pytest.mark.parametrize("command, section, value, named", [
+        ("batch", "batch", {"rounds": 5}, "batch: unknown section"),
+        ("sweep", "sweep", {"t_window": [1.0]}, "sweep.t_window: unknown field"),
+        ("security", "security", {"roundz": 7}, "security.roundz: unknown field"),
+        ("feasibility", "feasibility", {"constantz": {}}, "feasibility.constantz: unknown field"),
+    ])
+    def test_unknown_key_exits_2(self, command, section, value, named, tmp_path, capsys):
+        # a misspelt key would otherwise run on the defaults without a word
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc[section] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")],
+                                 capsys)
+        assert code == 2 and out == "" and not (tmp_path / "out").exists()
+        assert f"config error: {named}" in err
+
     def test_integral_float_reads_as_int(self):
         doc = json.loads(json.dumps(BASE_DOC))
         doc["round"]["n_receivers"] = 3.0
@@ -297,7 +314,8 @@ class TestRunCommand:
         path = tmp_path / "wide.json"
         path.write_text(json.dumps(doc))
         for argv in (["security", "--rounds", "20"],
-                     ["batch", "--p-check", "0.25", "--round-log", "--rounds", "50"]):
+                     ["batch", "--p-check", "0.25", "--round-log", "--rounds", "50",
+                      "--out", str(tmp_path / "out")]):
             code, out, err = run_cli([*argv, "--config", str(path)], capsys)
             assert code == 0 and err == ""
         doc["round"]["n_receivers"] = 34
@@ -389,6 +407,20 @@ class TestBatchCommand:
             assert code == 0
         assert (d1 / "batch_summary.json").read_bytes() == (d8 / "batch_summary.json").read_bytes()
         assert (d1 / "rounds.jsonl").read_bytes() == (d8 / "rounds.jsonl").read_bytes()
+
+    def test_round_log_without_out_builds_no_line(self, config_path, capsys, monkeypatch):
+        # no file would hold the log, so no line is built; stdout is unchanged
+        argv = ["batch", "--config", config_path, "--rounds", "500", "--p-check", "0.25"]
+        plain = json.loads(run_cli(argv, capsys)[1])
+
+        def no_line(*args):
+            raise AssertionError("a round-log line was built")
+
+        monkeypatch.setattr(P, "_log_lines", no_line)
+        code, out, err = run_cli([*argv, "--round-log"], capsys)
+        assert code == 0 and err == ""
+        logged = json.loads(out)
+        assert {**logged, "wall_time_s": 0} == {**plain, "wall_time_s": 0}
 
     def test_config_echo_reparses(self, config_path, capsys):
         code, out, _ = run_cli(["batch", "--config", config_path, "--rounds", "50"], capsys)

@@ -421,29 +421,52 @@ class TestRunBatch:
         assert a.psi_click_rate == b.psi_click_rate
         assert a.success_rate == b.success_rate
 
-    def test_log_tails_bounded(self):
-        # a check line reads its outcome only through the verdicts, and its
-        # tail leaves out the bases, so a plan keeps at most 4 check tails,
-        # where 6000 10-party check rounds hold hundreds of distinct
-        # (bases, passed) pairs; an encode tail leaves out the receiver bits
+    def test_log_lines_follow_their_state(self):
+        # 6000 10-party check rounds hold hundreds of distinct (bases,
+        # passed) pairs and 600 encode rounds over a hundred receiver bit
+        # strings: every line carries its own state
         cfg = config(n_receivers=9, p_check=1.0, t_window=6.0, seed=12)
-        encode = dataclasses.replace(cfg, p_check=0.0)
-        P._plan.cache_clear()
         log = []
         stats = run_batch(cfg, 6000, on_log=log.extend)
-        run_batch(encode, 600, on_log=log.extend)
+        run_batch(dataclasses.replace(cfg, p_check=0.0), 600, on_log=log.extend)
         assert stats.n_check == len(log) - 600 == 6000
         lines = [json.loads(line) for line in log]
         checks = [d for d in lines if d["mode"] == "check"]
         assert len({(d["check_bases"], d["check_passed"]) for d in checks}) > 200
-        assert len(P._plan(cfg).log_tails) == len(
-            {(d["check_conclusive"], d["check_passed"]) for d in checks}) <= 4
         encodes = [d for d in lines if d["mode"] == "encode"]
         assert len({d["receiver_bits"] for d in encodes}) > 100
-        assert len(P._plan(encode).log_tails) == len({(d["sent"], d["decoded"]) for d in encodes})
         for d in checks:  # honest rounds: conclusive with an even number of y bases, and passed
             assert d["check_conclusive"] == (d["check_bases"].count("y") % 2 == 0)
             assert d["check_passed"]
+
+    @pytest.mark.parametrize("cfg", [
+        config(p_check=0.25, t_window=6.0, detector=DetectorModel(0.9, 0.05), seed=3),
+        config(n_receivers=9, p_check=0.25, t_window=6.0, detector=DetectorModel(0.9, 0.05)),
+        config(n_receivers=3, p_check=0.25, ideal_pnr=True, seed=5),
+    ], ids=["two-receivers", "ten-parties", "ideal-pnr"])
+    def test_log_lines_are_json_dumps(self, cfg):
+        # the templates write what json.dumps writes of the line's dict
+        log = []
+        run_batch(cfg, 3000, on_log=log.extend)
+        modes = set()
+        for line in log:
+            d = json.loads(line)
+            assert line == json.dumps(d)
+            modes.add((d["mode"], "bell_label" in d, bool(d.get("clicks"))))
+        assert ("check", False, False) in modes
+        assert ("encode", cfg.ideal_pnr, not cfg.ideal_pnr) in modes
+
+    def test_logged_batch_leaves_the_plan_unchanged(self):
+        # a plan holds its config and read-only tables, nothing a batch fills
+        cfg = config(n_receivers=3, p_check=0.25, t_window=6.0, detector=DetectorModel(0.9, 0.05))
+        plan = P._plan(cfg)
+        arrays = [f for f in plan if isinstance(f, np.ndarray)] + list(plan.tables)
+        assert len(arrays) == len(plan) - 2 + len(plan.tables)  # all but config and tables
+        before = [a.copy() for a in arrays]
+        run_batch(cfg, 3000, on_log=lambda lines: None)
+        assert P._plan(cfg) is plan and plan.config == cfg
+        assert not any(a.flags.writeable for a in arrays)
+        assert all(np.array_equal(a, b) for a, b in zip(before, arrays))
 
     def test_check_rounds_counted(self):
         stats = run_batch(config(p_check=0.5, seed=12), 4000)

@@ -68,6 +68,12 @@ class TestExactPosterior:
                                           config(k=0.2, n_receivers=3))
         assert set(likes.values()) == {0.0}
 
+    @pytest.mark.parametrize("bits", [((2, "e"), (2, "e")), ((2, "e"), (2, "g"))])
+    def test_site_listed_twice_rejected(self, bits):
+        # counted twice, one e bit would read as even parity
+        with pytest.raises(ValueError, match="receiver site 2 is listed twice"):
+            Observation(clicks=(1, 0), bits=bits)
+
     def test_inconsistent_observation(self):
         with pytest.raises(InconsistentObservation):
             exact_posterior(BOB, Observation(clicks=(7, 7)), config())
