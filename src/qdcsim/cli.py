@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib
 import json
 import math
 import sys
@@ -45,9 +46,16 @@ DEFAULT_CONFIG: dict = {
     "security": {"rounds": 20000, "eve": "intercept-resend-atom-z"},
     "sweep": {"t_windows": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0], "rounds": 5000},
 }
-# the fields of each section outside the round config's (``_build`` checks those)
-_FIELDS = {"security": DEFAULT_CONFIG["security"], "sweep": DEFAULT_CONFIG["sweep"],
-           "feasibility": ("constants",)}
+# every section's field names: listed, or a config dataclass's less those
+# built from a section of their own; qdcsim.feasibility's is imported only
+# for a document that holds its section
+_FIELDS = {
+    "params": PhysicalParams, "round": RoundConfig, "detector": protocol.DetectorModel,
+    "security": tuple(DEFAULT_CONFIG["security"]), "sweep": tuple(DEFAULT_CONFIG["sweep"]),
+    "feasibility": ("constants",),
+    "feasibility.constants":
+        lambda: importlib.import_module(".feasibility", __package__).HardwareConstants,
+}
 
 
 def _section(doc: dict, name: str) -> dict | None:
@@ -114,9 +122,6 @@ def _build(doc: dict, section: str, cls, overrides: dict | None = None):
     named after the field."""
     sec = _section(doc, section)
     types = _field_types(cls)
-    for name in sec or {}:
-        if name not in types or dataclasses.is_dataclass(types[name]):
-            raise ConfigError(f"{section}.{name}: unknown field")
     kwargs = dict(overrides or {})
     for f in dataclasses.fields(cls):
         key, tp = f"{section}.{f.name}", types[f.name]
@@ -177,10 +182,14 @@ def load_config(path: str | None) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError("config: expected a JSON object")
     for name in doc:
-        if name not in ("params", "round", "detector", *_FIELDS):
+        if name not in _FIELDS or "." in name:
             raise ConfigError(f"{name}: unknown section")
     for name, fields in _FIELDS.items():
-        for field in _section(doc, name) or {}:
+        sec = _section(doc, name)
+        if sec is not None and not isinstance(fields, tuple):
+            cls = fields if isinstance(fields, type) else fields()
+            fields = [f for f, tp in _field_types(cls).items() if not dataclasses.is_dataclass(tp)]
+        for field in sec or {}:
             if field not in fields:
                 raise ConfigError(f"{name}.{field}: unknown field")
     return doc

@@ -24,15 +24,15 @@ integration of the same generator on the full dense state
 (``tests/scalar_oracle.py``).
 
 The first zero of alpha, at W t/2 = pi - arctan(W/k), is the transfer
-time t*: the atomic excitation has fully mapped onto the cavity and
-beta(t*) = -exp(-k t*/2).
+time t* (:func:`transfer_time`, in closed form): the atomic excitation
+has fully mapped onto the cavity and beta(t*) = -exp(-k t*/2).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -88,27 +88,9 @@ def alpha_beta(params: PhysicalParams, t: float) -> tuple[float, float]:
     return alpha, beta
 
 
-@lru_cache(maxsize=64)  # every RoundConfig with t_map = null checks beta(t*)
 def transfer_time(params: PhysicalParams) -> float:
-    """Smallest t* > 0 with alpha(t*) = 0, i.e. tan(W t/2) = -W/k.
-
-    Found by bracketed bisection of alpha over (0, 2*pi/W], run to
-    floating-point resolution (well inside the 1e-12 contract); at the
-    root |beta(t*)| = exp(-k t*/2).
-    """
+    """Smallest t* > 0 with alpha(t*) = 0, i.e. tan(W t/2) = -W/k:
+    W t*/2 = pi - arctan(W/k), which ``atan2`` also gives at k = 0
+    (t* = pi/W).  At the root |beta(t*)| = exp(-k t*/2)."""
     w = params.omega_k
-    lo, hi = 0.0, 2.0 * math.pi / w
-    # alpha(0) = 1 > 0 and alpha(2pi/W) = -exp(-pi k/W) < 0: valid bracket.
-    f_lo = 1.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        f_mid = alpha_beta(params, mid)[0]
-        if f_mid == 0.0:
-            return mid
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    return 2.0 * (math.pi - math.atan2(w, params.k)) / w

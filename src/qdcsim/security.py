@@ -83,6 +83,8 @@ class EveModel:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.strategy == "intercept_resend_atom" and self.basis not in ("z", "x"):
             raise ValueError("atom intercept-resend requires basis 'z' or 'x'")
+        if self.strategy != "intercept_resend_atom" and self.basis is not None:
+            raise ValueError(f"basis = {self.basis!r}: strategy {self.strategy!r} takes no basis")
 
 
 class CheatResult(NamedTuple):
@@ -423,25 +425,20 @@ def eavesdrop_experiment(
 
 def exact_eve_detection_rate(eve: EveModel, n_parties: int = 3) -> float:
     """Exact parity-check detection rate for atom attacks: the violating
-    share of the conclusive checks, whose basis combinations are all equally
-    likely, as are Eve's two outcomes.  A state allows a set of outcomes,
-    all equally likely (``lockstep.check_law``), on which the outcome parity
-    is fixed where its rules cover every party, and otherwise even and odd
-    alike.  So every term is 0, 1/2 or 1, and the rate is exact."""
+    share of the conclusive checks (the GHZ parity check of Hillery, Buzek &
+    Berthiaume, PRA 59, 1829 (1999)).  By ``lockstep.check_law``: after a z
+    measurement every outcome is allowed, so a conclusive check fails half
+    the time; after an x measurement, a conclusive check fails half the
+    time when the target measured y and never when it measured x; and the
+    target measures y in half of the conclusive basis combinations.  So the
+    rate is 0 without an attack, 1/2 after z and 1/4 after x, at any width
+    and target."""
     if eve.strategy == "intercept_resend_photon":
         raise ValueError("photon attack detection is estimated by Monte Carlo only")
-    state = _eve_state(eve, n_parties)
-    everyone = (1 << n_parties) - 1
-    combo = np.arange(everyone + 1)
-    _, ghz_mask, expected = lockstep.check_law(combo, n_parties)
-    combo, expected = combo[ghz_mask > 0], expected[ghz_mask > 0]  # the conclusive ones
-    outcomes = (0,) if eve.strategy == "none" else (0, 1)  # Eve's
-    violated = 0.0
-    for outcome in outcomes:
-        fixed, mask, parity = lockstep.check_law(combo, n_parties, sign=outcome, **state)
-        whole = parity ^ (outcome * (fixed > 0))  # all bits' parity, where the rules fix it
-        violated += np.where(mask == everyone & ~fixed, whole != expected, 0.5).sum()
-    return float(violated / (len(outcomes) * len(combo)))
+    _eve_state(eve, n_parties)  # a target that is not a party raises
+    if eve.strategy == "none":
+        return 0.0
+    return 0.5 if eve.basis == "z" else 0.25
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """The scalar per-round path: one protocol round at a time on one numpy
 ``Generator`` (:func:`round_rng`), with its results as per-round objects
 (:class:`RoundOutcome`, :class:`DetectionRecord`, :class:`WindowResult`),
-the reference the lockstep engine is tested against; the
-fixed-step RK4 integration of the no-jump generator, the reference the
-closed-form transfer (``dynamics.alpha_beta``) is tested against; and the
-state-space helpers only the tests use.  States are dense vectors over the
+the reference the lockstep engine is tested against; the fixed-step RK4
+integration of the no-jump generator and the bisection for its transfer
+time, the references the closed forms (``dynamics.alpha_beta``,
+``dynamics.transfer_time``) are tested against; and the state-space
+helpers only the tests use.  States are dense vectors over the
 layouts of ``dense``, where the engine reads the photon-sector amplitudes
 of the compiled plan (:func:`dense.sectors` relates the two).
 
@@ -38,7 +39,7 @@ from dense import (
 )
 from qdcsim import lockstep
 from qdcsim import protocol as P
-from qdcsim.dynamics import PhysicalParams
+from qdcsim.dynamics import PhysicalParams, alpha_beta
 from qdcsim.hilbert import MESSAGES, Message
 from qdcsim.protocol import (
     CHANNEL_MINUS,
@@ -348,6 +349,25 @@ def _rk4(
         k4 = rhs(y + h * k3)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return StateVector(layout, y)
+
+
+def bisect_transfer_time(params: PhysicalParams) -> float:
+    """The first zero of alpha by bisection over (0, 2 pi/W], run to
+    floating-point resolution: the reference ``dynamics.transfer_time``'s
+    closed form is tested against."""
+    lo, hi = 0.0, 2.0 * math.pi / params.omega_k
+    # alpha(0) = 1 > 0 and alpha(2pi/W) = -exp(-pi k/W) < 0: a valid bracket
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        f_mid = alpha_beta(params, mid)[0]
+        if f_mid == 0.0:
+            return mid
+        if f_mid > 0:
+            lo = mid
+        else:
+            hi = mid
 
 
 # ---------------------------------------------------------------------------

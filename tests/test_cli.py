@@ -96,15 +96,32 @@ COMMAND_IMPORTS = [
 ]
 
 
-@pytest.mark.parametrize("argv, loaded", [pytest.param(*c, id=c[0][0]) for c in COMMAND_IMPORTS])
-def test_command_imports_only_its_modules(argv, loaded, tmp_path):
+def loaded_modules(argv, cwd) -> set:
+    """Which of security and feasibility ``qdcsim ARGV`` loads, run in a
+    fresh interpreter in ``cwd``."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv, "--out", "out"],
-                          cwd=tmp_path, env=env, check=True, capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
+                          cwd=cwd, env=env, check=True, capture_output=True, text=True)
     code, modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
-    assert {"qdcsim.security", "qdcsim.feasibility"} & set(modules) == loaded
+    return {"qdcsim.security", "qdcsim.feasibility"} & set(modules)
+
+
+@pytest.mark.parametrize("argv, loaded", [pytest.param(*c, id=c[0][0]) for c in COMMAND_IMPORTS])
+def test_command_imports_only_its_modules(argv, loaded, tmp_path):
+    assert loaded_modules([*argv, "--out", "out"], tmp_path) == loaded
+
+
+@pytest.mark.parametrize("constants, loaded", [
+    (None, set()), ({"t1": 1e-4}, {"qdcsim.feasibility"}),
+])
+def test_constants_section_alone_loads_feasibility(constants, loaded, tmp_path):
+    # load_config reads HardwareConstants' field names only for a document
+    # that sets them
+    doc = dict(BASE_DOC, **({"feasibility": {"constants": constants}} if constants else {}))
+    (tmp_path / "doc.json").write_text(json.dumps(doc))
+    assert loaded_modules(["batch", "--rounds", "20", "--config", "doc.json"], tmp_path) == loaded
 
 
 class TestConfigParsing:
@@ -193,19 +210,28 @@ class TestConfigParsing:
         assert code == 2
         assert f"config error: {named}" in err
 
-    @pytest.mark.parametrize("command, section, value, named", [
-        ("batch", "batch", {"rounds": 5}, "batch: unknown section"),
-        ("sweep", "sweep", {"t_window": [1.0]}, "sweep.t_window: unknown field"),
-        ("security", "security", {"roundz": 7}, "security.roundz: unknown field"),
-        ("feasibility", "feasibility", {"constantz": {}}, "feasibility.constantz: unknown field"),
+    @pytest.mark.parametrize("command", [
+        ["run"], ["batch"], ["sweep"], ["security"], ["feasibility"],
+        ["feasibility", "--paper-constants"], ["decode-table"],
+    ], ids=" ".join)
+    @pytest.mark.parametrize("section, value, named", [
+        ("batch", {"rounds": 5}, "batch: unknown section"),
+        ("sweep", {"t_window": [1.0]}, "sweep.t_window: unknown field"),
+        ("security", {"roundz": 7}, "security.roundz: unknown field"),
+        ("feasibility", {"constantz": {}}, "feasibility.constantz: unknown field"),
+        ("feasibility", {"constants": {"t_dd": 1.0}}, "feasibility.constants.t_dd: unknown field"),
+        ("round", {"t_window": 0.5, "p_chek": 0.1}, "round.p_chek: unknown field"),
+        ("detector", {"efficency": 0.9}, "detector.efficency: unknown field"),
+        ("params", {**BASE_DOC["params"], "kk": 0.2}, "params.kk: unknown field"),
     ])
     def test_unknown_key_exits_2(self, command, section, value, named, tmp_path, capsys):
-        # a misspelt key would otherwise run on the defaults without a word
+        # a misspelt key would otherwise run on the defaults without a word;
+        # each command reads some sections only, but checks every section's names
         doc = json.loads(json.dumps(BASE_DOC))
         doc[section] = value
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
-        code, out, err = run_cli([command, "--config", str(path), "--out", str(tmp_path / "out")],
+        code, out, err = run_cli([*command, "--config", str(path), "--out", str(tmp_path / "out")],
                                  capsys)
         assert code == 2 and out == "" and not (tmp_path / "out").exists()
         assert f"config error: {named}" in err

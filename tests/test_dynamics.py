@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import scalar_oracle as O
 
@@ -209,6 +210,19 @@ class TestTransferTime:
         a, b = alpha_beta(p, t_star)
         assert t_star > 0 and abs(a) < 1e-10
         assert abs(abs(b) - math.exp(-0.5 * p.k * t_star)) < 1e-10
+
+    @settings(max_examples=200)
+    @given(st.floats(-3.0, 3.0), st.just(0.0) | st.floats(0.0, 0.99))
+    def test_closed_form_is_the_first_zero(self, log_delta, damping):
+        # k = damping * 2 delta: from no loss to near critical damping
+        delta = 10.0 ** log_delta
+        p = params(delta, damping * 2.0 * delta)
+        t_star = transfer_time(p)
+        grid = np.linspace(0.0, t_star * (1.0 - 1e-9), 1001)[1:]
+        assert all(alpha_beta(p, t)[0] > 0.0 for t in grid)
+        assert alpha_beta(p, t_star * (1.0 + 1e-6))[0] < 0.0
+        reference = O.bisect_transfer_time(p)
+        assert abs(t_star - reference) <= 4 * math.ulp(reference)
 
     def test_random_underdamped_sets(self):
         rng = np.random.default_rng(42)

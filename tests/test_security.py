@@ -169,6 +169,27 @@ class TestCheatExperiments:
             cheat_experiment(BOB, config(seed=1), 0)
 
 
+def enumerated_detection_rate(eve: EveModel, n_parties: int) -> float:
+    """The reference ``exact_eve_detection_rate``'s closed form is tested
+    against: the violating share of the conclusive checks over all 2^n basis
+    combinations, each equally likely, as are Eve's two outcomes.  A state
+    allows a set of outcomes, all equally likely (``lockstep.check_law``),
+    on which the outcome parity is fixed where its rules cover every party,
+    and otherwise even and odd alike; so every term is 0, 1/2 or 1."""
+    state = S._eve_state(eve, n_parties)
+    everyone = (1 << n_parties) - 1
+    combo = np.arange(everyone + 1)
+    _, ghz_mask, expected = lockstep.check_law(combo, n_parties)
+    combo, expected = combo[ghz_mask > 0], expected[ghz_mask > 0]  # the conclusive ones
+    outcomes = (0,) if eve.strategy == "none" else (0, 1)  # Eve's
+    violated = 0.0
+    for outcome in outcomes:
+        fixed, mask, parity = lockstep.check_law(combo, n_parties, sign=outcome, **state)
+        whole = parity ^ (outcome * (fixed > 0))  # all bits' parity, where the rules fix it
+        violated += np.where(mask == everyone & ~fixed, whole != expected, 0.5).sum()
+    return float(violated / (len(outcomes) * len(combo)))
+
+
 class TestEavesdropping:
     def test_no_eve_never_detected(self):
         res = eavesdrop_experiment(EveModel("none"), config(seed=6), 20000)
@@ -191,13 +212,29 @@ class TestEavesdropping:
         res = eavesdrop_experiment(eve, config(seed=9), 20000)
         assert abs(res.detection_rate - 0.25) < 3 * res.stderr
 
-    @pytest.mark.parametrize("n_parties", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n_parties", range(2, 11))
     def test_exact_rate_independent_of_target(self, n_parties):
+        # the closed form is the enumerated rate
         for basis, rate in (("z", 0.5), ("x", 0.25)):
             for target in range(n_parties):
                 eve = EveModel("intercept_resend_atom", basis=basis, target=target)
                 assert exact_eve_detection_rate(eve, n_parties) == rate
+                assert enumerated_detection_rate(eve, n_parties) == rate
         assert exact_eve_detection_rate(EveModel("none"), n_parties) == 0.0
+        assert enumerated_detection_rate(EveModel("none"), n_parties) == 0.0
+
+    @pytest.mark.parametrize("basis, rate", [("z", 0.5), ("x", 0.25)])
+    def test_exact_rate_at_any_width(self, basis, rate):
+        # 34 parties, one past the receiver cap: 2^34 basis combinations
+        # would take 128 GiB as int64
+        eve = EveModel("intercept_resend_atom", basis=basis, target=33)
+        tracemalloc.start()
+        try:
+            got = exact_eve_detection_rate(eve, 34)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == rate and peak < 64 << 10
 
     def test_all_attacks_detectable(self):
         for eve in (
@@ -244,6 +281,11 @@ class TestEavesdropping:
             EveModel("replay")
         with pytest.raises(ValueError):
             EveModel("intercept_resend_atom", basis="q")
+        # a basis on a strategy that takes none would name the summary's
+        # strategy "none_z"
+        for strategy, basis in (("none", "z"), ("intercept_resend_photon", "x")):
+            with pytest.raises(ValueError, match=rf"^basis = '{basis}': strategy '{strategy}'"):
+                EveModel(strategy, basis=basis)
 
 
 class TestConfigErrors:
