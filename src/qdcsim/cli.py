@@ -6,9 +6,11 @@ feasibility / decode-table.  Each subcommand is a function of (arguments,
 config document) that returns its stdout text and its files by name;
 :func:`main` alone loads the document and writes stdout, the files and
 ``manifest.json``.  All randomness flows from the round config's seed;
-float values serialize via Python's shortest round-trip repr, so re-running
-a manifest reproduces identical bytes.  Wall-clock timing is reported on
-stdout only, never in emitted files.
+float values serialize via Python's shortest round-trip repr, so the same
+command line on the same config document reproduces identical bytes.  A
+manifest is not enough to re-run: it records the config's path and
+``--seed``, not the document's contents or the other options.  Wall-clock
+timing is reported on stdout only, never in emitted files.
 
 Exit codes: 0 success, 2 configuration error (:class:`ConfigError`, which
 the library raises too), 3 internal invariant violation.  A non-finite

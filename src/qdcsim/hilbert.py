@@ -18,14 +18,6 @@ class Message(enum.Enum):
     IY = "iY"
     Z = "Z"
 
-    @property
-    def bits(self) -> tuple[int, int]:
-        return _MESSAGE_BITS[self]
-
-    @classmethod
-    def from_bits(cls, bits: tuple[int, int]) -> "Message":
-        return _BITS_MESSAGE[bits]
-
     @classmethod
     def from_name(cls, name: str) -> "Message":
         for m in cls:
@@ -33,8 +25,5 @@ class Message(enum.Enum):
                 return m
         raise ValueError(f"unknown message {name!r}; expected one of I, X, iY, Z")
 
-
-_MESSAGE_BITS = {Message.I: (0, 0), Message.X: (0, 1), Message.IY: (1, 0), Message.Z: (1, 1)}
-_BITS_MESSAGE = {v: k for k, v in _MESSAGE_BITS.items()}
 
 MESSAGES = (Message.I, Message.X, Message.IY, Message.Z)

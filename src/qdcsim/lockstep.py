@@ -19,9 +19,18 @@ for bit; later times agree up to rounding.
 
 A row's bits do not depend on its block: element-wise ufuncs give the same
 bits per element whatever the array's shape, row reductions keep the
-one-row order (``sum(axis=1)``, ``cumsum``), and the per-row scalars taken
-from libm (``math.exp``, ``math.log``, float powers) are evaluated by the
-same Python calls, never by numpy's SIMD versions.
+one-row order (``sum(axis=1)``, ``cumsum``), and the per-row scalars that
+set a jump time are taken from libm (``math.exp``, ``math.log``, float
+powers) by the same Python calls, not from numpy's SIMD versions, which
+may differ in the last bit.  The window's two sector decay factors
+exp(-2knt), at a jump and at the window's end, do come from ``np.exp``,
+and cannot reach a decision: every state the window reaches holds the
+weight that can jump in one photon sector, so after a jump that sector
+holds all the weight, renormalised to exactly 1; everywhere else the
+factor scales both sides of a draw's comparison (the channel draw's r[c]
+and its total, or the bit-code draw's parity-class weights, whose shares
+are equal in every sector that holds weight).  Only its rounding can move
+a draw that lands within a few ulps of a boundary.
 
 :func:`run_block` runs the rounds of a block from the compiled plan
 (``protocol._Plan``); ``security`` drives the same row functions in its

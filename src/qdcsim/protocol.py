@@ -59,6 +59,7 @@ _BETA2_FLOOR = 1e-30  # below it the phi basis (beta^2 |11> +- |00>) is degenera
 _CACHE_SIZE = 64  # entries of the plan cache
 MAX_RECEIVERS = 33  # a round's bit code is integers(0, 2^(n-1)): RowStreams draws n <= 2^32
 BIT_STRING_RECEIVERS = 17  # an output that lists every bit string lists 2^16 at most
+MAX_SWEEP_WINDOWS = 1024  # a sweep compiles every window's plan, about 7.3 KB each, up front
 
 
 class ConfigError(ValueError):
@@ -624,13 +625,17 @@ def run_sweep(
 ) -> list[dict]:
     """Detection-window sweep: both analytic conventions next to the
     Monte-Carlo click-rate estimate for a fixed psi-branch message.  A
-    config without a click rate (ideal PNR, p_check = 1) raises ConfigError.
+    config without a click rate (ideal PNR, p_check = 1) or a grid longer
+    than ``MAX_SWEEP_WINDOWS`` raises ConfigError.
     Every window's plan compiles before any fork.  A round is W rows, one
     per window on the streams (seed, i) of round i, split into ranges like a
     batch's (:func:`qdcsim.lockstep.map_ranges`); each range runs once per
     window, so the summed counters do not depend on ``workers``."""
     if not t_windows:
         raise ValueError("sweep grid must be nonempty")
+    if len(t_windows) > MAX_SWEEP_WINDOWS:
+        raise ConfigError(f"sweep.t_windows: {len(t_windows)} windows, more than the "
+                          f"{MAX_SWEEP_WINDOWS} whose plans a sweep compiles up front")
     if config.ideal_pnr:
         raise ConfigError("round.ideal_pnr: ideal-PNR rounds record no clicks, "
                           "so a sweep has no click rate")

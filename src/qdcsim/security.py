@@ -159,27 +159,6 @@ def exact_posterior(
     return {m: likes[m] / total for m in messages}
 
 
-def view_distribution(
-    view: ViewSpec, config: RoundConfig, messages: Sequence[Message] = MESSAGES,
-) -> dict[Observation, dict[Message, float]]:
-    """Joint P(observation, message) under a uniform prior on ``messages``,
-    over the observations some message can produce, spread over each class
-    of observations that share a law (:func:`_view_law`).  It lists every
-    string of the bits the view sees (:func:`qdcsim.protocol._bit_strings`)."""
-    strings = protocol._bit_strings(len(view.sees_bits), "a view's distribution")
-    law, size = _view_law(view, config, messages)
-    law = law * (1.0 / len(messages)) / size
-    joint = {}
-    for a, b in np.ndindex(law.shape[1:3]):
-        for bits in strings:
-            column = law[:, a, b, bits.count("e") & 1 if law.shape[3] == 2 else 0]
-            if (column > 0.0).any():
-                obs = Observation(clicks=(a, b) if view.sees_clicks else None,
-                                  bits=tuple(zip(view.sees_bits, bits)))
-                joint[obs] = dict(zip(messages, column.tolist()))
-    return joint
-
-
 def optimal_guess_rate(
     view: ViewSpec, config: RoundConfig,
     messages: Sequence[Message] = MESSAGES, given_click: bool = False,

@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -810,6 +811,29 @@ class TestSweepCommand:
         assert code == 2
         assert field in err and out == ""
         assert not out_dir.exists()
+
+    def test_grid_past_the_cap_named_before_any_plan(self, tmp_path, capsys):
+        # a sweep compiles every window's plan before its first round, about
+        # 7.3 KB each: one window past the cap exits 2 having compiled none
+        doc = json.loads(json.dumps(BASE_DOC))
+        doc["sweep"]["t_windows"] = [0.5 + i / 4096 for i in range(P.MAX_SWEEP_WINDOWS + 1)]
+        p = tmp_path / "cfg.json"
+        p.write_text(json.dumps(doc))
+        out_dir = tmp_path / "sw"
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(["sweep", "--config", str(p), "--out", str(out_dir)], capsys)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and out == "" and not out_dir.exists()
+        assert err.startswith("config error: sweep.t_windows: 1025 windows")
+        assert peak < 1 << 20
+
+    def test_grid_at_the_cap_runs(self):
+        grid = [0.5 + i / 4096 for i in range(P.MAX_SWEEP_WINDOWS)]
+        rows = P.run_sweep(build_round_config(BASE_DOC), grid, 1)
+        assert [row["t_window"] for row in rows] == grid
 
     def test_boolean_window_named(self, tmp_path, capsys):
         # a boolean is not a time, though Python counts True as 1

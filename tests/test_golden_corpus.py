@@ -1,6 +1,7 @@
 """The golden corpus: the sha256 of every file the CLI emits, manifests
 included, and of every command's stdout, on CI's smoke commands plus
-``run``, ``decode-table`` and ``feasibility``, at a few hundred rounds.
+``run``, ``decode-table`` and ``feasibility``, at a few hundred rounds, and
+of one 20,000-round logged batch.
 ``batch`` reports its wall time on stdout, so that number is replaced by a
 fixed token before hashing.
 
@@ -39,6 +40,10 @@ COMMANDS = {
     "pnr-batch": ["batch", "--ideal-pnr", "--round-log", "--rounds", ROUNDS],
     "many-batch": ["batch", "--config", "many.json", "--round-log", "--rounds", ROUNDS],
     "many-security": ["security", "--config", "many.json", "--rounds", ROUNDS],
+    # long enough that an ulp moved in a jump time shows (a 300-round log
+    # can miss one: libm's log against numpy's SIMD log moves click times
+    # first at line 646)
+    "long-batch": ["batch", "--config", "wide.json", "--round-log", "--rounds", "20000"],
     "run": ["run"],
     "wide-run": ["run", "--config", "wide.json", "--message", "X"],
     "decode-table": ["decode-table"],
@@ -64,6 +69,12 @@ DIGESTS = {
         "50b283a93bade4a66e3b5dc8a4dde4ae183deae34978293b970e6c7325463703",
     "k0-batch/manifest.json": "d1cdab44545d411b2cd9c7751749de5951f8e1727f2979fff42d6a6ac0bae4fa",
     "k0-batch/rounds.jsonl": "98f097097975525e813341b1e4b2f9435a7b6cb97d82b57b6f03e979e10c1d17",
+    "long-batch/batch_summary.json":
+        "c693013b00b2b161831062d9996e62b168d4ac086c1c2bf518ee038348fcc766",
+    "long-batch/manifest.json":
+        "111f823694a08c2647bd330c5424d4bbf572d2c48dbbdb3664776952bf1c31da",
+    "long-batch/rounds.jsonl":
+        "ec624b7d5f518d47767396235be7497058847aacbaa5f8c24c0352a6ef2480a7",
     "many-batch/batch_summary.json":
         "209104628e85a539575a3aa44468e39a9f5f1cb634b0457aae67fb281e1cbec6",
     "many-batch/manifest.json": "e282de1cccb6e0858c6515cd13528744b4362c7f4bf8679c9bc7dfcd45873373",
@@ -123,6 +134,7 @@ STDOUT_DIGESTS = {
     "pnr-batch": "ff2fda994a1d937aca72d3f4c1536d74ed06ac9d20e1571032fd822922c2490c",
     "many-batch": "e70600db4a1c088f0c986cf383322b323e9c0fcb043004ec2ba851c8acf5ab29",
     "many-security": "a36c1dd2c081d46e081f5e3d7ecf79b3d9bc0d2274aafbdb3dea2807529f5abd",
+    "long-batch": "6db37d8c30c13052899898419f6a94730d20ca3130e0a5dd5a0eabf7f93cf802",
     "run": "daf81af6b525953a7ad66be6341d326d8df9a4459f8cea44bb1d44bffdfe8d9d",
     "wide-run": "1de4a88da62cb05ae9471350c2bb59ed5681edae8db2a728ba68fe6a6c88520c",
     "decode-table": "8f31959ba15022ec3d52faa7cb46daf1585f865e267b7932f413054f7c17d7b0",

@@ -18,7 +18,6 @@ from dense import (
     pauli_encode,
     site_view,
 )
-from qdcsim import hilbert as H
 from qdcsim.hilbert import Message
 
 
@@ -202,13 +201,6 @@ class TestPauliEncoding:
         lay = SystemLayout((atom_site(), mode_site(1)))
         with pytest.raises(NotAnAtomSite):
             pauli_encode(basis_state(lay, (0, 0)), 1, Message.X)
-
-    def test_bits_bijection(self):
-        seen = set()
-        for m in H.MESSAGES:
-            assert Message.from_bits(m.bits) is m
-            seen.add(m.bits)
-        assert seen == {(0, 0), (0, 1), (1, 0), (1, 1)}
 
 
 class TestInnerProduct:

@@ -13,9 +13,13 @@ jump times after the first may differ by ``scalar_oracle.TIME_TOL``; every
 draw and decision is equal.
 """
 
+import contextlib
 import dataclasses
+import hashlib
+import io
 import itertools
 import json
+import math
 import threading
 
 import numpy as np
@@ -25,7 +29,7 @@ from hypothesis import assume, given, settings, strategies as st
 import dense as D
 import scalar_oracle as O
 from dense import StateVector
-from qdcsim import lockstep
+from qdcsim import cli, lockstep
 from qdcsim import protocol as P
 from qdcsim import security as S
 from qdcsim.dynamics import PhysicalParams
@@ -722,6 +726,111 @@ class TestWindowArithmetic:
         assert (z / s).tobytes() == (z * (1.0 / s)).tobytes()
         rate = np.sqrt(rng.random(512) * 3.0 + 1e-300)
         assert (z / rate[:, None]).tobytes() == (z * (1.0 / rate)[:, None]).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the window's two np.exp decay factors reach no decision
+
+
+class NudgedExp:
+    """numpy, with ``exp`` ``ulps`` ulps off towards ``direction``."""
+
+    def __init__(self, direction: float, ulps: int = 3):
+        self.direction, self.ulps, self.calls = direction, ulps, 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def exp(self, x):
+        self.calls += 1
+        y = np.exp(x)
+        for _ in range(self.ulps):
+            y = np.nextafter(y, self.direction)
+        return y
+
+
+DECAY_DOC = {"params": {"g": 1.0, "Omega": 1.0, "Delta": 1.0, "k": 0.2},
+             "round": {"p_check": 0.25, "t_window": 6.0},
+             "detector": {"efficiency": 0.9, "dark_prob": 0.05}}
+DECAY_COMMANDS = {
+    "two": ["batch", "--config", "two.json", "--round-log", "--rounds", "20000"],
+    "five": ["batch", "--config", "five.json", "--round-log", "--rounds", "20000"],
+    "photon": ["security", "--config", "five.json", "--eve", "intercept-resend-photon",
+               "--rounds", "5000"],
+}
+
+
+def decay_outputs(root) -> dict:
+    """Runs ``DECAY_COMMANDS`` in directory ``root``, on ``DECAY_DOC`` at 2
+    and at 5 receivers: the sha256 of every emitted file by relative path."""
+    root.mkdir()
+    for name, n_receivers in (("two", 2), ("five", 5)):
+        doc = {**DECAY_DOC, "round": {**DECAY_DOC["round"], "n_receivers": n_receivers}}
+        (root / f"{name}.json").write_text(json.dumps(doc))
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()):
+        mp.chdir(root)
+        for out, argv in DECAY_COMMANDS.items():
+            assert cli.main([*argv, "--out", out]) == 0
+    return {path.relative_to(root).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+            for out in DECAY_COMMANDS for path in sorted((root / out).iterdir())}
+
+
+@pytest.fixture(scope="module")
+def decay_reference(tmp_path_factory):
+    return decay_outputs(tmp_path_factory.mktemp("decay") / "plain")
+
+
+class TestDecayFactors:
+    """The window scales its photon sectors by exp(-2knt) with ``np.exp``,
+    whose SIMD kernels may round differently from libm's (lockstep
+    docstring).  The factors reach no decision: one sector holds the weight
+    that can jump, and the sectors that hold weight split it over the
+    parity classes alike."""
+
+    @pytest.mark.parametrize("n_parties", [3, 4, 6])
+    @pytest.mark.parametrize("params", [(1.0, 1.0, 1.0, 0.05), (1.0, 1.0, 1.0, 0.2),
+                                        (1.0, 1.0, 1.0, 1.3), (0.7, 2.3, 0.4, 0.3)])
+    def test_one_sector_can_jump_and_sectors_share_the_parities_alike(self, n_parties,
+                                                                      params):
+        # every state the window reaches, from the plan's starts and the
+        # photon attack's, after every jump history
+        g, omega, delta, k = params
+        plan = P._plan(make_config(n_parties, params=PhysicalParams(
+            g=g, Omega=omega, Delta=delta, k=k)))
+        psi_ids = np.array([P._MSG_INDEX[m] for m in (Message.X, Message.IY)])
+        for tables in (plan.tables, lockstep.jump_tables(S._photon_starts(plan, psi_ids)[1])):
+            bits = tables.bits.reshape(-1, lockstep.SECTORS, tables.bits.shape[-1])
+            for norms, shares in zip(tables.norms.reshape(-1, lockstep.SECTORS), bits):
+                held = norms > 0.0
+                assert held[1:].sum() <= 1  # sector 0 cannot jump
+                assert (shares[held] == shares[held][:1]).all()
+
+    @pytest.mark.parametrize("direction", [np.inf, -np.inf])
+    def test_factors_a_few_ulps_off_write_the_same_bytes(self, direction, decay_reference,
+                                                         tmp_path, monkeypatch):
+        # logged lossy batches with check rounds and dark counts at 2 and 5
+        # receivers, and a photon attack, whose collapsed starts run the
+        # window too
+        nudged = NudgedExp(direction)
+        monkeypatch.setattr(lockstep, "np", nudged)
+        assert decay_outputs(tmp_path / "nudged") == decay_reference
+        assert nudged.calls > 0
+
+    def test_a_jump_time_one_ulp_off_moves_the_round_logs(self, decay_reference, tmp_path,
+                                                          monkeypatch):
+        # the same commands see an ulp where it sets a jump time:
+        # _crossings' math.log one ulp up moves click times in both logs
+        class NudgedLog:
+            def __getattr__(self, name):
+                return getattr(math, name)
+
+            def log(self, x):
+                return float(np.nextafter(math.log(x), np.inf))
+
+        monkeypatch.setattr(lockstep, "math", NudgedLog())
+        got = decay_outputs(tmp_path / "nudged")
+        assert {path for path in got if got[path] != decay_reference[path]} == {
+            "two/rounds.jsonl", "five/rounds.jsonl"}
 
 
 # ---------------------------------------------------------------------------
