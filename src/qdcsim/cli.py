@@ -3,29 +3,36 @@
 One JSON config document with sections {params, round, detector, security,
 feasibility, sweep}; subcommands run / batch / sweep / security /
 feasibility / decode-table.  Each subcommand is a function of (arguments,
-config document) that returns its stdout text and its files by name;
-:func:`main` alone loads the document and writes stdout, the files and
-``manifest.json``.  All randomness flows from the round config's seed;
-float values serialize via Python's shortest round-trip repr, so the same
-command line on the same config document reproduces identical bytes.  A
-manifest is not enough to re-run: it records the config's path and
-``--seed``, not the document's contents or the other options.  Wall-clock
-timing is reported on stdout only, never in emitted files.
+config document, ``--out``) that returns its stdout text and its files by
+name; :func:`main` alone loads the document and writes stdout, the files
+and ``manifest.json``.  Every file is written under a temporary name
+inside ``--out`` (``batch`` streams ``rounds.jsonl`` there as its rounds
+run), and :func:`emit` renames them all, ``manifest.json`` last, once every
+one is written; a command that fails leaves no file, no temporary file and
+no ``--out`` directory that it made.  All randomness flows from the round
+config's seed; float values serialize via Python's shortest round-trip
+repr, so the same command line on the same config document reproduces
+identical bytes.  A manifest is not enough to re-run: it records the
+config's path and ``--seed``, not the document's contents or the other
+options.  Wall-clock timing is reported on stdout only, never in emitted
+files.
 
 Exit codes: 0 success, 2 configuration error (:class:`ConfigError`, which
 the library raises too), 3 internal invariant violation.  A non-finite
-number in an output is one: the writers reject it before any file is
-written.
+number in an output is one: the writers reject it, so no file holds it.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import importlib
+import io
 import json
 import math
+import os
 import sys
 import time
 import typing
@@ -230,19 +237,58 @@ def sweep_csv(rows: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit(out_dir: str, manifest: dict, files: dict[str, str]) -> None:
-    """Writes ``files`` under ``out_dir``, then ``manifest.json``: ``manifest``
-    with the files' names in writing order."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+class _OutDir:
+    """The ``--out`` directory of one command.  Every file is written under a
+    temporary name inside it (:meth:`open`) and renamed by :func:`emit`;
+    :meth:`discard` removes the temporary files left, and the directories
+    that :meth:`open` made unless :func:`emit` finished."""
+
+    def __init__(self, path: str):
+        self.path = Path(path)
+        self.made: list[Path] = []  # directories made here, outermost first
+        self.staged: dict[str, tuple[Path, typing.TextIO]] = {}  # name -> temporary file
+
+    def open(self, name: str) -> typing.TextIO:
+        """A new text file that :func:`emit` renames to ``name``."""
+        if not self.path.is_dir():
+            missing = [p for p in (self.path, *self.path.parents) if not p.exists()]
+            self.path.mkdir(parents=True)
+            self.made = missing[::-1]
+        temp = self.path / f".{name}.{os.urandom(6).hex()}.tmp"
+        stream = open(temp, "x", encoding="utf-8")  # a new file, with the umask's mode
+        self.staged[name] = temp, stream
+        return stream
+
+    def discard(self) -> None:
+        for temp, stream in self.staged.values():
+            stream.close()
+            temp.unlink(missing_ok=True)
+        self.staged.clear()
+        for path in reversed(self.made):
+            with contextlib.suppress(OSError):
+                path.rmdir()
+
+
+def emit(out: _OutDir, manifest: dict, files: dict[str, str | typing.TextIO]) -> None:
+    """Writes ``files`` under ``out``: each text under a temporary name
+    (a stream is one already, from ``out.open``), then ``manifest.json``,
+    ``manifest`` with the files' names in order; then renames them all in
+    that order, the manifest last."""
     for name, content in files.items():
-        (out / name).write_text(content)
+        if isinstance(content, str):
+            out.open(name).write(content)
     manifest = {**manifest, "files": list(files)}
-    (out / "manifest.json").write_text(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
+    out.open("manifest.json").write(json.dumps(manifest, indent=2, allow_nan=False) + "\n")
+    for name in [*files, "manifest.json"]:
+        temp, stream = out.staged.pop(name)
+        stream.close()
+        temp.replace(out.path / name)
+    out.made = []
 
 
 # ---------------------------------------------------------------------------
-# subcommands: each returns (stdout text, {file name: content})
+# subcommands: each takes (arguments, config document, --out or None) and
+# returns (stdout text, {file name: text, or a stream from out.open})
 
 
 def _parse_eve(name: str) -> security.EveModel:
@@ -263,35 +309,33 @@ def _messages(args) -> tuple[Message, ...] | None:
     return None if args.message == "random" else (Message.from_name(args.message),)
 
 
-def cmd_run(args, doc: dict) -> tuple[str, dict[str, str]]:
+def cmd_run(args, doc: dict, out: _OutDir | None) -> tuple[str, dict]:
     """Round 0 of the config's seed: a one-round batch."""
     config = build_round_config(doc, args)
-    log: list[str] = []
-    protocol.run_batch(config, 1, messages=_messages(args), on_log=log.extend)
-    line = log[0] + "\n"
+    log = io.StringIO()
+    protocol.run_batch(config, 1, messages=_messages(args), log=log)
+    line = log.getvalue()
     return line, {"round.json": line}
 
 
-def cmd_batch(args, doc: dict) -> tuple[str, dict[str, str]]:
+def cmd_batch(args, doc: dict, out: _OutDir | None) -> tuple[str, dict]:
     config = build_round_config(doc, args)
     n_rounds = _rounds(args, doc, "security")
-    log: list[str] = []
-    logged = args.round_log and args.out  # only a file holds the log
+    # only a file holds the log, streamed to it as the rounds run
+    log = out.open("rounds.jsonl") if args.round_log and out is not None else None
     t0 = time.perf_counter()
-    stats = protocol.run_batch(
-        config, n_rounds, messages=_messages(args),
-        on_log=log.extend if logged else None, workers=args.threads,
-    )
+    stats = protocol.run_batch(config, n_rounds, messages=_messages(args), log=log,
+                               workers=args.threads, spool=None if log is None else out.path)
     wall = time.perf_counter() - t0
     summary = batch_summary(config, stats)
     files = {"batch_summary.json": json.dumps(summary, allow_nan=False) + "\n"}
-    if logged:
-        files["rounds.jsonl"] = "\n".join(log) + "\n"
+    if log is not None:
+        files["rounds.jsonl"] = log
     stdout = json.dumps({**summary, "wall_time_s": wall}, allow_nan=False)
     return stdout + "\n", files
 
 
-def cmd_sweep(args, doc: dict) -> tuple[str, dict[str, str]]:
+def cmd_sweep(args, doc: dict, out: _OutDir | None) -> tuple[str, dict]:
     config = build_round_config(doc, args)
     grid = _setting(doc, "sweep", "t_windows")
     n_rounds = _rounds(args, doc, "sweep")
@@ -303,7 +347,7 @@ def cmd_sweep(args, doc: dict) -> tuple[str, dict[str, str]]:
     return csv_text, {"sweep.csv": csv_text}
 
 
-def cmd_security(args, doc: dict) -> tuple[str, dict[str, str]]:
+def cmd_security(args, doc: dict, out: _OutDir | None) -> tuple[str, dict]:
     from . import security  # only this command reads it: keeps start-up short
 
     config = build_round_config(doc, args)
@@ -317,7 +361,7 @@ def cmd_security(args, doc: dict) -> tuple[str, dict[str, str]]:
     return line, {"security.json": line}
 
 
-def cmd_feasibility(args, doc: dict) -> tuple[str, dict[str, str]]:
+def cmd_feasibility(args, doc: dict, out: _OutDir | None) -> tuple[str, dict]:
     from . import feasibility as feas  # only this command reads it: keeps start-up short
 
     constants = _build(doc, "feasibility.constants", feas.HardwareConstants)
@@ -333,7 +377,7 @@ def cmd_feasibility(args, doc: dict) -> tuple[str, dict[str, str]]:
     return feas.report_text(params, constants) + "\n" + payload, {"feasibility.json": payload}
 
 
-def cmd_decode_table(args, doc: dict) -> tuple[str, dict[str, str]]:
+def cmd_decode_table(args, doc: dict, out: _OutDir | None) -> tuple[str, dict]:
     config = build_round_config(doc, args)
     entries = [
         {"key": list(key), "message": "abort" if msg is None else msg.value}
@@ -398,14 +442,15 @@ def main(argv: list[str] | None = None) -> int:
     """Runs one subcommand: writes its stdout, then, with ``--out``, its files
     and ``manifest.json``; returns the exit code."""
     args = build_parser().parse_args(argv)
+    out = _OutDir(args.out) if args.out else None
     try:
         if getattr(args, "threads", 1) < 1:
             raise ConfigError("--threads: must be >= 1")
-        stdout, files = args.func(args, load_config(args.config))
+        stdout, files = args.func(args, load_config(args.config), out)
         sys.stdout.write(stdout)
-        if args.out:
-            emit(args.out, {"subcommand": args.subcommand, "config": args.config,
-                            "out_dir": args.out, "seed_override": getattr(args, "seed", None)},
+        if out is not None:
+            emit(out, {"subcommand": args.subcommand, "config": args.config,
+                       "out_dir": args.out, "seed_override": getattr(args, "seed", None)},
                  files)
         return 0
     except ConfigError as exc:
@@ -414,6 +459,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:  # internal invariant violation
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if out is not None:
+            out.discard()
 
 
 if __name__ == "__main__":

@@ -30,9 +30,12 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence, TextIO
 
 import numpy as np
 
@@ -60,6 +63,7 @@ _CACHE_SIZE = 64  # entries of the plan cache
 MAX_RECEIVERS = 33  # a round's bit code is integers(0, 2^(n-1)): RowStreams draws n <= 2^32
 BIT_STRING_RECEIVERS = 17  # an output that lists every bit string lists 2^16 at most
 MAX_SWEEP_WINDOWS = 1024  # a sweep compiles every window's plan, about 7.3 KB each, up front
+LOG_ROWS = 2048  # round-log lines formatted and written at a time
 
 
 class ConfigError(ValueError):
@@ -489,13 +493,15 @@ def _log_clicks(r: lockstep.Rounds, rows: np.ndarray) -> list[str]:
 
 
 def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int, conclusive: np.ndarray,
-               passed: np.ndarray) -> list[str]:
-    """The round-log line of every row of a lockstep block whose first round
-    is ``first``; ``conclusive`` and ``passed`` hold the check rows' verdicts
-    (``lockstep.check_verdicts``).  A line joins ``{"round": <index>``, the
-    part of its line state before its clicks, the clicks and the part after
-    them; the state is a check's basis combination and verdicts, or an
-    encode's sent message, bit code, decoded message and Bell label."""
+               passed: np.ndarray) -> Iterator[str]:
+    """The round-log lines of the rows of a lockstep block whose first round
+    is ``first``, as text chunks of at most ``LOG_ROWS`` lines, each line
+    ending in a newline; ``conclusive`` and ``passed`` hold the check rows'
+    verdicts (``lockstep.check_verdicts``).  A line joins ``{"round":
+    <index>``, the part of its line state before its clicks, the clicks and
+    the part after them; the state is a check's basis combination and
+    verdicts, or an encode's sent message, bit code, decoded message and
+    Bell label.  The states and their templates are found once per block."""
     parties, width = plan.config.n_parties, plan.config.n_receivers - 1
     verdicts = np.zeros((2, len(r.check)), dtype=bool)
     verdicts[:, r.check] = conclusive, passed
@@ -506,36 +512,41 @@ def _log_lines(plan: _Plan, r: lockstep.Rounds, first: int, conclusive: np.ndarr
     ), return_inverse=True)
     parts = [
         (f', "mode": "check", "check_bases": "{format(value, f"0{parties}b").translate(_BASES)}"'
-         f', "check_conclusive": {_LOG_BOOLS[c]}, "check_passed": {_LOG_BOOLS[p]}}}', "")
+         f', "check_conclusive": {_LOG_BOOLS[c]}, "check_passed": {_LOG_BOOLS[p]}}}\n', "")
         if check else
         (f', "mode": "encode", "sent": "{_LOG_NAMES[sent]}", "clicks": [',
          f'], "receiver_bits": "{format(value, f"0{width}b").translate(_BITS)}"'
-         f', "decoded": "{_LOG_NAMES[decoded]}"{_LOG_LABELS[label]}}}')
+         f', "decoded": "{_LOG_NAMES[decoded]}"{_LOG_LABELS[label]}}}\n')
         for check, value, sent, decoded, label, c, p in zip(
             *(column.tolist() for column in np.unravel_index(states, sizes)))
     ]
-    clicks = [""] * len(r.check)
     events = np.flatnonzero(r.jump_seen.any(axis=1) | ~np.isnan(r.dark_t).all(axis=1))
-    for row, pairs in zip(events.tolist(), _log_clicks(r, events)):
-        clicks[row] = pairs
-    return [
-        f'{{"round": {i}{head}{pairs}{rest}'
-        for i, (head, rest), pairs in zip(
-            range(first, first + len(r.check)), [parts[j] for j in inverse.tolist()], clicks
-        )
-    ]
+    for lo in range(0, len(r.check), LOG_ROWS):
+        hi = min(lo + LOG_ROWS, len(r.check))
+        clicks = [""] * (hi - lo)
+        rows = events[np.searchsorted(events, lo):np.searchsorted(events, hi)]
+        for row, pairs in zip((rows - lo).tolist(), _log_clicks(r, rows)):
+            clicks[row] = pairs
+        yield "".join([
+            f'{{"round": {i}{head}{pairs}{rest}'
+            for i, (head, rest), pairs in zip(
+                range(first + lo, first + hi), [parts[j] for j in inverse[lo:hi].tolist()], clicks
+            )
+        ])
 
 
 def _range_part(plan: _Plan, seed: int, bounds: tuple[int, int], msg_ids: np.ndarray,
-                log: bool) -> tuple[np.ndarray, list[str]]:
-    """The rounds ``bounds[0] .. bounds[1]-1`` of a batch as one part: its
-    counters (the 4 x 5 confusion cells; check rounds, conclusive checks,
-    passed checks; psi rounds, those with a registered click, those whose
-    photon survived) and, with ``log``, its round-log lines."""
+                log: TextIO | None = None) -> np.ndarray:
+    """The counters of the rounds ``bounds[0] .. bounds[1]-1`` of a batch:
+    the 4 x 5 confusion cells; check rounds, conclusive checks, passed
+    checks; psi rounds, those with a registered click, those whose photon
+    survived.  With a ``log``, their round-log lines go to it, in chunks
+    (:func:`_log_lines`)."""
     psi_ids = [_MSG_INDEX[Message.X], _MSG_INDEX[Message.IY]]
-    counts, lines, first = np.zeros(26, dtype=np.int64), [], bounds[0]
+    counts, first = np.zeros(26, dtype=np.int64), bounds[0]
     for streams in lockstep.row_blocks(seed, *bounds):
         r = lockstep.run_block(plan, streams, msg_ids)
+        del streams  # its Philox words, the block's largest array, go before the log
         encode = ~r.check
         counts[:20] += np.bincount(5 * r.sent[encode] + r.decoded[encode], minlength=20)
         conclusive, passed = lockstep.check_verdicts(
@@ -543,18 +554,19 @@ def _range_part(plan: _Plan, seed: int, bounds: tuple[int, int], msg_ids: np.nda
         counts[20:23] += [r.check.sum(), conclusive.sum(), (conclusive & passed).sum()]
         psi = encode & np.isin(r.sent, psi_ids)
         counts[23:] += [psi.sum(), (psi & r.jump_seen.any(axis=1)).sum(), (psi & r.survived).sum()]
-        if log:
-            lines += _log_lines(plan, r, first, conclusive, passed)
+        if log is not None:
+            log.writelines(_log_lines(plan, r, first, conclusive, passed))
         first += len(r.check)
-    return counts, lines
+    return counts
 
 
 def run_batch(
     config: RoundConfig,
     n_rounds: int,
     messages: Sequence[Message] | None = None,
-    on_log: Callable[[list[str]], None] | None = None,
+    log: TextIO | None = None,
     workers: int = 1,
+    spool: str | os.PathLike | None = None,
 ) -> BatchStats:
     """Run many rounds with per-round counter-based random streams.
 
@@ -565,21 +577,36 @@ def run_batch(
     Each of :func:`qdcsim.lockstep.worker_count` processes runs one
     near-equal contiguous range of rounds (:func:`qdcsim.lockstep.map_ranges`;
     one range, in process, at ``workers`` = 1), with the same result.
-    ``on_log(lines)`` receives the round-log lines (JSON, no newline) of
-    each range, in round order.
+    With a ``log`` (a text stream), the round log goes to it, one JSON line
+    per round in round order, written ``LOG_ROWS`` lines at a time: the
+    caller's range straight to it, and each forked range to a file of its
+    own in a temporary directory made in ``spool`` (the system's temporary
+    directory by default), which the caller then appends in range order, so
+    that no process holds more than one chunk of the log.
     """
     if n_rounds < 1:
         raise ValueError("n_rounds must be >= 1")
     plan = _plan(config)  # compile before any fork
     msg_ids = np.array([_MSG_INDEX[m] for m in (MESSAGES if messages is None else messages)])
-    counts = np.zeros(26, dtype=np.int64)
-    for range_counts, lines in lockstep.map_ranges(
-        lambda bounds: _range_part(plan, config.seed, bounds, msg_ids, on_log is not None),
-        n_rounds, 1, workers,
-    ):
-        counts += range_counts
-        if on_log is not None:
-            on_log(lines)
+    if log is None:
+        return _batch_stats(n_rounds, sum(lockstep.map_ranges(
+            lambda bounds: _range_part(plan, config.seed, bounds, msg_ids),
+            n_rounds, 1, workers)))
+    caller = os.getpid()
+    with tempfile.TemporaryDirectory(prefix=".qdcsim-log-", dir=spool) as parts:
+        def part(bounds):
+            if os.getpid() == caller:
+                return _range_part(plan, config.seed, bounds, msg_ids, log), None
+            path = os.path.join(parts, str(bounds[0]))
+            with open(path, "w", encoding="utf-8") as own:
+                return _range_part(plan, config.seed, bounds, msg_ids, own), path
+
+        counts = np.zeros(26, dtype=np.int64)
+        for range_counts, path in lockstep.map_ranges(part, n_rounds, 1, workers):
+            counts += range_counts
+            if path is not None:
+                with open(path, encoding="utf-8") as own:
+                    shutil.copyfileobj(own, log)
     return _batch_stats(n_rounds, counts)
 
 
@@ -647,7 +674,7 @@ def run_sweep(
     configs = [dataclasses.replace(config, t_window=float(t_w)) for t_w in t_windows]
     plans, msg_ids = [_plan(cfg) for cfg in configs], np.array([_MSG_INDEX[Message.X]])
     parts = lockstep.map_ranges(
-        lambda bounds: np.stack([_range_part(plan, config.seed, bounds, msg_ids, False)[0]
+        lambda bounds: np.stack([_range_part(plan, config.seed, bounds, msg_ids)
                                  for plan in plans]),
         n_rounds, len(plans), workers,
     )

@@ -12,6 +12,7 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 import tracemalloc
 from pathlib import Path
 
@@ -20,7 +21,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import scalar_oracle as O
-from qdcsim import cli
+from qdcsim import cli, lockstep
 from qdcsim import protocol as P
 from qdcsim.dynamics import PhysicalParams
 from qdcsim.cli import ConfigError, build_round_config, config_to_dict, load_config
@@ -1206,6 +1207,52 @@ def test_non_finite_output_exits_3_writing_nothing(argv, target, fake, tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("threads, n_rounds", [(1, 40_000), (2, 70_000)],
+                         ids=["in-process", "forked"])
+def test_failure_mid_log_exits_3_leaving_nothing(threads, n_rounds, tmp_path, capsys,
+                                                 monkeypatch, many_cpus):
+    # the second block of each range raises after the first has streamed
+    # its log lines: no file, no temporary file and no --out directory stay
+    run_block, blocks = lockstep.run_block, []
+
+    def second_fails(*args):
+        blocks.append(1)
+        if len(blocks) == 2:
+            raise ValueError("second block")
+        return run_block(*args)
+
+    monkeypatch.setattr(lockstep, "run_block", second_fails)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "spool"))
+    (tmp_path / "spool").mkdir()
+    out = tmp_path / "made" / "out"
+    code, out_text, err = run_cli(["batch", "--round-log", "--rounds", str(n_rounds),
+                                   "--threads", str(threads), "--out", str(out)], capsys)
+    assert n_rounds > threads * lockstep.BLOCK_ROWS
+    assert code == 3 and out_text == "" and "internal error: ValueError: second block" in err
+    assert [p.name for p in tmp_path.iterdir()] == ["spool"]
+    assert not list((tmp_path / "spool").iterdir())
+
+
+def test_forked_log_parts_stay_inside_out(tmp_path, capsys, monkeypatch, many_cpus):
+    # a forked range's log file lies in a dot-directory inside --out, on the
+    # output's filesystem, and is gone with it once the log is appended
+    copied, copy = [], shutil.copyfileobj
+
+    def recorded(source, target):
+        copied.append(Path(source.name))
+        return copy(source, target)
+
+    monkeypatch.setattr(shutil, "copyfileobj", recorded)
+    out = tmp_path / "out"
+    code, _, err = run_cli(["batch", "--round-log", "--rounds", "12000", "--threads", "2",
+                            "--out", str(out)], capsys)
+    assert code == 0, err
+    (part,) = copied
+    assert part.parent.parent == out and part.parent.name.startswith(".")
+    assert sorted(p.name for p in out.iterdir()) == [
+        "batch_summary.json", "manifest.json", "rounds.jsonl"]
+
+
 SIGNED = MAGNITUDES | MAGNITUDES.map(lambda x: -x)
 PHYSICAL_FIELDS = {"gamma": "params", "t_window": "round", "t_map": "round",
                    "efficiency": "detector", "dark_prob": "detector"}
@@ -1248,7 +1295,7 @@ def test_physical_fields_drawn_together_run_or_name_a_field(fields):
         assert any(name in str(exc) for name in PHYSICAL_FIELDS), exc
         return
     plan = P._plan(config)
-    stats = P.run_batch(config, 1, on_log=list)
+    stats = P.run_batch(config, 1, log=io.StringIO())
     assert all_finite(plan[1:-1])
     assert all_finite(stats)
     assert all_finite(feasibility.report_json(config.params))

@@ -261,10 +261,10 @@ def engine_rounds(config, n_rounds, seed, messages):
     for streams in lockstep.row_blocks(seed, 0, n_rounds):
         r = lockstep.run_block(plan, streams, msg_ids)
         got += zip(r.survived.tolist(), r.jump_seen.any(axis=1).tolist())
-    log = []
+    log = io.StringIO()
     stats = P.run_batch(dataclasses.replace(config, seed=seed), n_rounds, messages=messages,
-                        on_log=log.extend)
-    return got, log, stats
+                        log=log)
+    return got, log.getvalue().splitlines(), stats
 
 
 def assert_engine_matches(config, n_rounds, seed, messages, cutoff=1):
@@ -368,9 +368,10 @@ class TestEngineEqualsOracle:
         photon = S.EveModel("intercept_resend_photon")
 
         def runs():
-            log = []
-            stats = P.run_batch(config, 600, on_log=log.extend)
-            return stats, log, P.run_batch(pnr, 600), S.eavesdrop_experiment(photon, config, 600)
+            log = io.StringIO()
+            stats = P.run_batch(config, 600, log=log)
+            return (stats, log.getvalue().splitlines(), P.run_batch(pnr, 600),
+                    S.eavesdrop_experiment(photon, config, 600))
 
         default = runs()
         assert lockstep.BLOCK_ROWS >= 600
@@ -540,8 +541,8 @@ class TestOneRowEqualsOracle:
             where = (i, message)
             assert row.draws == rng.draws, where
             verdicts = lockstep.check_verdicts(r.combo[r.check], r.outcome[r.check], n_parties)
-            O.assert_log_close(P._log_lines(plan, r, i, *verdicts)[0], O.outcome_to_dict(i, want),
-                               where)
+            (line,) = P._log_lines(plan, r, i, *verdicts)  # one row, one chunk
+            O.assert_log_close(line, O.outcome_to_dict(i, want), where)
             if want.mode == "encode" and not pnr:
                 # the plan's start norms sum parity classes, the oracle's bit codes
                 O.assert_window_row(r, 0, want.detection, want.photon_survived, jumps, where,

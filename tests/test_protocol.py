@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import re
@@ -355,10 +356,9 @@ class TestDecodeTable:
 
 def round_log(cfg, n_rounds, seed, messages=None) -> list[dict]:
     """The parsed round-log lines of a batch."""
-    log = []
-    run_batch(dataclasses.replace(cfg, seed=seed), n_rounds, messages=messages,
-              on_log=log.extend)
-    return [json.loads(line) for line in log]
+    log = io.StringIO()
+    run_batch(dataclasses.replace(cfg, seed=seed), n_rounds, messages=messages, log=log)
+    return [json.loads(line) for line in log.getvalue().splitlines()]
 
 
 class TestRunRound:
@@ -426,11 +426,11 @@ class TestRunBatch:
         # passed) pairs and 600 encode rounds over a hundred receiver bit
         # strings: every line carries its own state
         cfg = config(n_receivers=9, p_check=1.0, t_window=6.0, seed=12)
-        log = []
-        stats = run_batch(cfg, 6000, on_log=log.extend)
-        run_batch(dataclasses.replace(cfg, p_check=0.0), 600, on_log=log.extend)
-        assert stats.n_check == len(log) - 600 == 6000
-        lines = [json.loads(line) for line in log]
+        log = io.StringIO()
+        stats = run_batch(cfg, 6000, log=log)
+        run_batch(dataclasses.replace(cfg, p_check=0.0), 600, log=log)
+        lines = [json.loads(line) for line in log.getvalue().splitlines()]
+        assert stats.n_check == len(lines) - 600 == 6000
         checks = [d for d in lines if d["mode"] == "check"]
         assert len({(d["check_bases"], d["check_passed"]) for d in checks}) > 200
         encodes = [d for d in lines if d["mode"] == "encode"]
@@ -446,10 +446,10 @@ class TestRunBatch:
     ], ids=["two-receivers", "ten-parties", "ideal-pnr"])
     def test_log_lines_are_json_dumps(self, cfg):
         # the templates write what json.dumps writes of the line's dict
-        log = []
-        run_batch(cfg, 3000, on_log=log.extend)
+        log = io.StringIO()
+        run_batch(cfg, 3000, log=log)
         modes = set()
-        for line in log:
+        for line in log.getvalue().splitlines():
             d = json.loads(line)
             assert line == json.dumps(d)
             modes.add((d["mode"], "bell_label" in d, bool(d.get("clicks"))))
@@ -463,7 +463,7 @@ class TestRunBatch:
         arrays = [f for f in plan if isinstance(f, np.ndarray)] + list(plan.tables)
         assert len(arrays) == len(plan) - 2 + len(plan.tables)  # all but config and tables
         before = [a.copy() for a in arrays]
-        run_batch(cfg, 3000, on_log=lambda lines: None)
+        run_batch(cfg, 3000, log=io.StringIO())
         assert P._plan(cfg) is plan and plan.config == cfg
         assert not any(a.flags.writeable for a in arrays)
         assert all(np.array_equal(a, b) for a, b in zip(before, arrays))

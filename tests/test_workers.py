@@ -8,8 +8,12 @@ import io
 import json
 import math
 import os
+import shutil
+import subprocess
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -110,13 +114,13 @@ class TestInProcess:
 
     def test_without_fork(self, monkeypatch, many_cpus, free_forks):
         monkeypatch.delattr(os, "fork")
-        log = []
-        P.run_batch(CONFIG, N_ROUNDS, workers=8, on_log=log.extend)
-        assert len(log) == N_ROUNDS
+        log = io.StringIO()
+        P.run_batch(CONFIG, N_ROUNDS, workers=8, log=log)
+        assert log.getvalue().count("\n") == N_ROUNDS
 
     def test_one_range_in_process(self, monkeypatch, no_fork):
         # at one worker a batch is one range, which map_ranges runs in
-        # process without a pipe; on_log gets its lines as one list
+        # process without a pipe, writing its lines straight to the log
         def pipe():
             raise AssertionError("a pipe was opened")
 
@@ -128,10 +132,10 @@ class TestInProcess:
 
         monkeypatch.setattr(os, "pipe", pipe)
         monkeypatch.setattr(lockstep, "map_ranges", recorded)
-        lists = []
-        P.run_batch(CONFIG, N_ROUNDS, on_log=lists.append)
+        log = io.StringIO()
+        P.run_batch(CONFIG, N_ROUNDS, log=log)
         assert calls == [(0, N_ROUNDS)]
-        assert [len(lines) for lines in lists] == [N_ROUNDS]
+        assert log.getvalue().count("\n") == N_ROUNDS
 
 
 class TestMapRanges:
@@ -145,9 +149,9 @@ class TestMapRanges:
 
 
 def batch(workers):
-    log = []
-    stats = P.run_batch(CONFIG, N_ROUNDS, workers=workers, on_log=log.extend)
-    return stats, log
+    log = io.StringIO()
+    stats = P.run_batch(CONFIG, N_ROUNDS, workers=workers, log=log)
+    return stats, log.getvalue().splitlines()
 
 
 class TestByteIdentity:
@@ -159,13 +163,22 @@ class TestByteIdentity:
         assert len(log) == N_ROUNDS
         no_child_left()
 
-    def test_one_log_list_per_range(self, many_cpus, free_forks, forks):
-        lists = []
-        P.run_batch(CONFIG, N_ROUNDS, workers=3, on_log=lists.append)
+    def test_log_written_in_chunks(self, many_cpus, free_forks, forks, tmp_path):
+        # the caller writes its range LOG_ROWS lines at a time, and appends
+        # the file each forked range wrote in the spool, which is gone afterwards
+        writes = []
+
+        class Recorded(io.StringIO):
+            def write(self, text):
+                writes.append(text.count("\n"))
+                return super().write(text)
+
+        log = Recorded()
+        P.run_batch(CONFIG, N_ROUNDS, workers=3, log=log, spool=tmp_path)
         assert len(forks) == 2
-        assert [len(lines) for lines in lists] == [
-            N_ROUNDS * (w + 1) // 3 - N_ROUNDS * w // 3 for w in range(3)
-        ]
+        assert log.getvalue().splitlines() == batch(1)[1]
+        assert max(writes) == P.LOG_ROWS and sum(writes) == N_ROUNDS
+        assert not list(tmp_path.iterdir())
         no_child_left()
 
     @pytest.mark.parametrize("workers, extra, processes", [
@@ -174,7 +187,7 @@ class TestByteIdentity:
     def test_process_count(self, workers, extra, processes, many_cpus, forks):
         # one logged round below the two-process break-even runs in process,
         # the break-even itself in two, however many workers are allowed
-        P.run_batch(CONFIG, BREAK_EVEN + extra, workers=workers, on_log=list)
+        P.run_batch(CONFIG, BREAK_EVEN + extra, workers=workers, log=io.StringIO())
         assert len(forks) == processes - 1
         no_child_left()
 
@@ -337,3 +350,40 @@ class TestFailure:
         assert code == 3
         assert "internal error: ValueError: broken range" in capsys.readouterr().err
         no_child_left()
+
+
+# Runs cli.main in a fresh interpreter, "forked" with the free_forks and
+# many_cpus fixtures' settings, and prints its exit code and the peak RSS
+# in KiB of this process and of every worker it reaped.
+PEAK_RSS = """\
+import os, resource, sys
+from qdcsim import cli, lockstep
+if sys.argv[1] == "forked":
+    lockstep.FORK_ROWS = 0
+    os.sched_getaffinity = lambda pid: set(range(16))
+code = cli.main(sys.argv[2:])
+print(code, max(resource.getrusage(who).ru_maxrss
+                for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN)))
+"""
+PEAK_MARGIN_MIB = 20  # a logged batch's peak at 10^6 rounds over its peak at 10^5
+
+
+@pytest.mark.parametrize("mode, threads", [("in-process", 1), ("forked", 2)])
+def test_logged_batch_memory_stays_bounded(mode, threads, tmp_path):
+    # the log streams to its file a chunk at a time, so ten times the rounds
+    # (about 108 MB of log) raise the peak RSS by less than a fixed margin
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    peaks = {}
+    for n_rounds in (10**5, 10**6):
+        out = tmp_path / str(n_rounds)
+        proc = subprocess.run(
+            [sys.executable, "-c", PEAK_RSS, mode, "batch", "--round-log", "--rounds",
+             str(n_rounds), "--threads", str(threads), "--out", str(out)],
+            env=env, check=True, capture_output=True, text=True)
+        code, peaks[n_rounds] = map(int, proc.stdout.split()[-2:])
+        assert code == 0, proc.stderr
+        with open(out / "rounds.jsonl", "rb") as log:
+            assert sum(1 for _ in log) == n_rounds
+        shutil.rmtree(out)
+    assert peaks[10**6] - peaks[10**5] < PEAK_MARGIN_MIB * 1024, peaks
