@@ -233,9 +233,11 @@ def _guessing_games(views: Sequence[ViewSpec], config: RoundConfig,
                    lockstep.parity(r.bits))
             n = n_tied[obs]
             choice = np.zeros(len(rows), dtype=np.int64)
-            for size in np.unique(n[n > 1]).tolist():
+            # not np.unique: in numpy 2.4 it imports numpy.ma (README, start-up)
+            for size in range(2, len(msgs) + 1):
                 ties = rows[n == size]
-                choice[ties] = streams.integers(ties, size)
+                if len(ties):
+                    choice[ties] = streams.integers(ties, size)
             hit = tied[obs + (choice,)] == sent
             clicked = r.clicks.sum(axis=1) > 0
             counts += np.stack((hit, clicked, hit & clicked), axis=1).reshape(

@@ -78,41 +78,54 @@ class TestParserOncePerProcess:
 
 
 # Runs cli.main in a fresh interpreter (this one has imported every module)
-# and prints its exit code and the qdcsim modules it loaded as the last line;
-# security and feasibility must load in their own commands alone.
+# and prints as its last line its exit code, the qdcsim modules loaded, and
+# the numpy modules the command loaded beyond those that importing qdcsim.cli
+# loaded; security and feasibility must load in their own commands alone.
 LOADED_MODULES = """\
 import json, sys
 from qdcsim import cli
+before = set(sys.modules)
 code = cli.main(sys.argv[1:])
-print(json.dumps([code, sorted(m for m in sys.modules if m.startswith("qdcsim."))]))
+after = set(sys.modules)
+print(json.dumps([code, sorted(m for m in after if m.startswith("qdcsim.")),
+                  sorted(m for m in after - before if m.split(".")[0] == "numpy")]))
 """
 
 # each command line, with the modules of those two it must load
 COMMAND_IMPORTS = [
-    (["run"], set()),
-    (["batch", "--round-log", "--rounds", "20"], set()),
-    (["sweep", "--rounds", "20"], set()),
-    (["decode-table"], set()),
-    (["feasibility"], {"qdcsim.feasibility"}),
-    (["security", "--rounds", "20"], {"qdcsim.security"}),
+    ("run", ["run"], set()),
+    ("batch", ["batch", "--round-log", "--rounds", "20"], set()),
+    ("sweep", ["sweep", "--rounds", "20"], set()),
+    ("decode-table", ["decode-table"], set()),
+    ("feasibility", ["feasibility"], {"qdcsim.feasibility"}),
+    ("security", ["security", "--rounds", "20"], {"qdcsim.security"}),
+    ("security-photon", ["security", "--eve", "intercept-resend-photon", "--rounds", "20"],
+     {"qdcsim.security"}),
+    ("security-none", ["security", "--eve", "none", "--rounds", "20"], {"qdcsim.security"}),
 ]
 
 
-def loaded_modules(argv, cwd) -> set:
+def loaded_modules(argv, cwd) -> tuple[set, set]:
     """Which of security and feasibility ``qdcsim ARGV`` loads, run in a
-    fresh interpreter in ``cwd``."""
+    fresh interpreter in ``cwd``, and which numpy modules it loads that
+    ``import qdcsim.cli`` had not."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, "-c", LOADED_MODULES, *argv],
                           cwd=cwd, env=env, check=True, capture_output=True, text=True)
-    code, modules = json.loads(proc.stdout.splitlines()[-1])
+    code, modules, numpy_modules = json.loads(proc.stdout.splitlines()[-1])
     assert code == 0, proc.stderr
-    return {"qdcsim.security", "qdcsim.feasibility"} & set(modules)
+    return {"qdcsim.security", "qdcsim.feasibility"} & set(modules), set(numpy_modules)
 
 
-@pytest.mark.parametrize("argv, loaded", [pytest.param(*c, id=c[0][0]) for c in COMMAND_IMPORTS])
+@pytest.mark.parametrize("argv, loaded", [pytest.param(*c[1:], id=c[0]) for c in COMMAND_IMPORTS])
 def test_command_imports_only_its_modules(argv, loaded, tmp_path):
-    assert loaded_modules([*argv, "--out", "out"], tmp_path) == loaded
+    # and no numpy module past those `import qdcsim.cli` loaded: the bare
+    # np.unique of numpy 2.4 imports numpy.ma, about 10 ms and 0.7 MB
+    # (README, start-up)
+    modules, numpy_modules = loaded_modules([*argv, "--out", "out"], tmp_path)
+    assert modules == loaded
+    assert numpy_modules == set()
 
 
 @pytest.mark.parametrize("constants, loaded", [
@@ -123,7 +136,9 @@ def test_constants_section_alone_loads_feasibility(constants, loaded, tmp_path):
     # that sets them
     doc = dict(BASE_DOC, **({"feasibility": {"constants": constants}} if constants else {}))
     (tmp_path / "doc.json").write_text(json.dumps(doc))
-    assert loaded_modules(["batch", "--rounds", "20", "--config", "doc.json"], tmp_path) == loaded
+    modules, numpy_modules = loaded_modules(["batch", "--rounds", "20", "--config", "doc.json"],
+                                            tmp_path)
+    assert (modules, numpy_modules) == (loaded, set())
 
 
 class TestConfigParsing:

@@ -167,6 +167,41 @@ class TestCheatExperiments:
         with pytest.raises(ValueError):
             cheat_experiment(BOB, config(seed=1), 0)
 
+    @pytest.mark.parametrize("n_receivers", [2, 5])
+    def test_three_way_ties_draw_as_a_unique_loop(self, n_receivers):
+        # the golden corpus's games tie 2 or 4 messages, never 3, a bound
+        # that is not a power of 2; the reference draws the ties in
+        # np.unique's order of sizes.  Of 3 messages, Charlie alone ties
+        # all 3 and the collaboration 1 or 2
+        subset, n_rounds = (Message.I, Message.X, Message.Z), 3000
+        cfg = config(k=0.2, t_window=2.0, n_receivers=n_receivers,
+                     detector=P.DetectorModel(0.9, 0.05))
+        plan, msg_ids = P._plan(cfg), np.array([P._MSG_INDEX[m] for m in subset])
+        sizes = set()
+        for name, seed in itertools.product(("charlie_alone", "collaboration"), range(5)):
+            view = S.standard_views(cfg)[name]
+            n_tied, tied = S._guess_tables(view, cfg, plan, subset)
+            counts = np.zeros(3, dtype=np.int64)
+            for streams in lockstep.row_blocks(seed, 0, n_rounds):
+                rows = np.arange(len(streams))
+                r = lockstep.Rounds(len(rows))
+                sent = msg_ids[streams.integers(rows, len(subset))]
+                streams.random(rows)  # the check-branch draw
+                lockstep.encode_rounds(plan, streams, rows, sent, r)
+                obs = (r.clicks[:, 0], r.clicks[:, 1], lockstep.parity(r.bits))
+                n = n_tied[obs]
+                choice = np.zeros(len(rows), dtype=np.int64)
+                for size in np.unique(n[n > 1]).tolist():
+                    ties = rows[n == size]
+                    choice[ties] = streams.integers(ties, size)
+                    sizes.add(size)
+                hit, clicked = tied[obs + (choice,)] == sent, r.clicks.sum(axis=1) > 0
+                counts += [hit.sum(), clicked.sum(), (hit & clicked).sum()]
+            seeded = dataclasses.replace(cfg, seed=seed)
+            assert cheat_experiment(view, seeded, n_rounds, subset) == S._cheat_result(
+                n_rounds, *counts.tolist()), (name, seed)
+        assert sizes == {2, 3}
+
 
 def enumerated_detection_rate(eve: EveModel, n_parties: int) -> float:
     """The reference ``exact_eve_detection_rate``'s closed form is tested
