@@ -346,10 +346,6 @@ def pick_label_code(cum: np.ndarray, bell: np.ndarray, u: np.ndarray,
 # an outcome packs the parties' outcomes alike, 0 for eigenvalue +1
 
 
-def _popcount(x: np.ndarray, n_bits: int) -> np.ndarray:
-    return sum((x >> b) & 1 for b in range(n_bits))
-
-
 def check_law(combo: np.ndarray, n_parties: int, eve_bit: int = 0, sign: int | np.ndarray = 0,
               entangled: bool = True) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The outcomes each row's state allows in basis combination ``combo``,
@@ -365,7 +361,7 @@ def check_law(combo: np.ndarray, n_parties: int, eve_bit: int = 0, sign: int | n
     and the others share a GHZ state of sign (-1)^sign: the GHZ rule on
     their own y count, shifted by ``sign``."""
     others = ((1 << n_parties) - 1) & ~eve_bit
-    m = _popcount(combo & others, n_parties)
+    m = np.bitwise_count(combo & others)
     mask = np.where(entangled & (m % 2 == 0), others, 0)
     return np.where(combo & eve_bit, 0, eve_bit), mask, ((m >> 1) ^ sign) & (mask > 0)
 
@@ -388,7 +384,7 @@ def check_outcomes(combo: np.ndarray, u: np.ndarray, n_parties: int, eve_bit: in
     j = np.ldexp(u, n_parties - (fixed > 0) - (pivot > 0)).astype(np.int64)
     out = _insert_zero(_insert_zero(j, np.minimum(fixed, pivot)), np.maximum(fixed, pivot))
     out |= fixed * sign
-    return out | pivot * ((_popcount(out & mask, n_parties) & 1) ^ parity)
+    return out | pivot * ((np.bitwise_count(out & mask) & 1) ^ parity)
 
 
 def check_rounds(streams: RowStreams, rows: np.ndarray, n_parties: int,
@@ -408,7 +404,7 @@ def check_verdicts(combo: np.ndarray, outcome: np.ndarray,
     """(conclusive, passed) per row: conclusive where the GHZ state rules
     out some outcomes, passed where it allows the row's outcome."""
     _, mask, parity = check_law(combo, n_parties)
-    return mask > 0, (_popcount(outcome & mask, n_parties) & 1) == parity
+    return mask > 0, (np.bitwise_count(outcome & mask) & 1) == parity
 
 
 def encode_rounds(plan, streams: RowStreams, rows: np.ndarray, sent: np.ndarray,

@@ -1,18 +1,18 @@
 """Quantitative security analysis.
 
-Three layers:
-
-* exact Bayesian posteriors over the four messages for partial views
-  (who sees the detectors, who sees which receiver atoms): the compiled
-  outcome-law array summed over what a view does not see -- no sampling.
-  The law holds the receivers' bits by their parity alone (the GHZ
+* exact values: the law of what a partial view sees (who sees the
+  detectors, who sees which receiver atoms), the compiled outcome-law array
+  summed over what the view does not see, and the best guess rate it
+  allows.  The law holds the receivers' bits by their parity alone (the GHZ
   secret-sharing structure of Hillery, Buzek & Berthiaume, PRA 59, 1829
-  (1999)): a view that hides any rotated receiver's bit learns nothing
-  from the bits it sees;
-* Monte-Carlo guessing games ("cheat experiments") whose empirical rates
-  must converge to the posterior-optimal rates;
-* the GHZ x/y parity check of protocol step 2, with intercept-resend
-  eavesdropper models and both exact and Monte-Carlo detection rates.
+  (1999)): a view that hides any rotated receiver's bit learns nothing from
+  the bits it sees.  The intercept-resend atom attacks' parity-check
+  detection rates are closed forms;
+* Monte Carlo: compiled lockstep passes that count, per range of rounds,
+  the guessing games' hits (:func:`_guessing_games`) and an eavesdropper's
+  violations of the GHZ x/y parity check of protocol step 2 or of the
+  decoded message (:func:`_attack`).  :func:`security_summary` runs them
+  and turns the counters into rates.
 
 Guessing games use uniform message priors and maximum-posterior guessing;
 ties are broken uniformly at random among the tied messages (enumerated in
@@ -23,17 +23,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import lockstep, protocol
 from .hilbert import Message, MESSAGES
 from .protocol import RoundConfig
-
-
-class InconsistentObservation(ValueError):
-    """Observation has zero likelihood under every message."""
 
 
 @dataclass(frozen=True)
@@ -45,22 +41,6 @@ class ViewSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "sees_bits", tuple(sorted(set(self.sees_bits))))
-
-
-@dataclass(frozen=True)
-class Observation:
-    """Concrete coordinates for a view: click counts (n_plus, n_minus) if
-    visible, and (receiver site, bit) pairs for visible atoms, each site at
-    most once."""
-
-    clicks: tuple[int, int] | None = None
-    bits: tuple[tuple[int, str], ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", tuple(sorted(self.bits)))
-        for (site, _), (other, _) in zip(self.bits, self.bits[1:]):
-            if site == other:
-                raise ValueError(f"receiver site {site} is listed twice")
 
 
 @dataclass(frozen=True)
@@ -87,76 +67,26 @@ class EveModel:
             raise ValueError(f"basis = {self.basis!r}: strategy {self.strategy!r} takes no basis")
 
 
-class CheatResult(NamedTuple):
-    n_rounds: int
-    n_clicked: int
-    rate_all: float
-    rate_given_click: float | None
-    stderr_all: float
-    stderr_given_click: float | None
-
-
-class EveResult(NamedTuple):
-    n_rounds: int
-    conclusive_rounds: int
-    violations: int
-    detection_rate: float | None
-    stderr: float | None
-
-
 # ---------------------------------------------------------------------------
-# exact posteriors
+# exact values
 
 
-def _view_law(view: ViewSpec, config: RoundConfig,
-              messages: Sequence[Message]) -> tuple[np.ndarray, int]:
-    """P(observation | message) for each of ``messages``, per class of
-    observations that share it, and the observations in a class: the plan's
-    outcome law summed over what the view does not see.  Axes: message, n+,
-    n-, parity of the rotated receivers' (sites 2 ..) bits, each of length 1
-    where hidden.  A view that hides any of the bits learns nothing from
-    those it sees, which are uniform, so it does not see the parity."""
+def _view_law(view: ViewSpec, config: RoundConfig, messages: Sequence[Message]) -> np.ndarray:
+    """P(what the view sees | message) for each of ``messages``: the plan's
+    outcome law summed over what the view does not see, a fresh array.
+    Axes: message, n+, n-, parity of the rotated receivers' (sites 2 ..)
+    bits, each of length 1 where hidden.  A view that hides any of the bits
+    learns nothing from those it sees, which are uniform, so it does not see
+    the parity."""
     for site in view.sees_bits:
         if not 2 <= site < config.n_parties:
             raise ValueError(f"site {site} is not a rotated receiver atom")
     outcomes = protocol._plan(config).outcomes
     law = outcomes[[protocol._MSG_INDEX[m] for m in messages]]
-    sees_parity = len(view.sees_bits) == config.n_receivers - 1
-    hidden = () if sees_parity else (3,)
+    hidden = () if len(view.sees_bits) == config.n_receivers - 1 else (3,)
     if not view.sees_clicks:
         hidden += (1, 2)
-    return law.sum(axis=hidden, keepdims=True), 1 << (len(view.sees_bits) - sees_parity)
-
-
-def observation_likelihoods(
-    obs: Observation, config: RoundConfig,
-    messages: Sequence[Message] = MESSAGES,
-) -> dict[Message, float]:
-    """P(observation | message), marginalized over unobserved coordinates."""
-    view = ViewSpec(sees_clicks=obs.clicks is not None, sees_bits=[site for site, _ in obs.bits])
-    law, size = _view_law(view, config, messages)
-    bits = [bit for _, bit in obs.bits]
-    cell = [*(obs.clicks or (0, 0)), bits.count("e") & 1 if law.shape[3] == 2 else 0]
-    if set(bits) - {"g", "e"} or not all(0 <= i < n for i, n in zip(cell, law.shape[1:])):
-        return dict.fromkeys(messages, 0.0)
-    return dict(zip(messages, (law[(slice(None), *cell)] / size).tolist()))
-
-
-def exact_posterior(
-    view: ViewSpec, observed: Observation, config: RoundConfig,
-    messages: Sequence[Message] = MESSAGES,
-) -> dict[Message, float]:
-    """Uniform-prior posterior over messages given a view's observation."""
-    if view.sees_clicks != (observed.clicks is not None):
-        raise ValueError("observation does not match the view's click visibility")
-    seen = {site for site, _ in observed.bits}
-    if seen != set(view.sees_bits):
-        raise ValueError("observation does not match the view's visible atoms")
-    likes = observation_likelihoods(observed, config, messages)
-    total = sum(likes.values())
-    if total <= 1e-300:
-        raise InconsistentObservation(f"observation {observed} impossible for all messages")
-    return {m: likes[m] / total for m in messages}
+    return law.sum(axis=hidden, keepdims=True)
 
 
 def optimal_guess_rate(
@@ -167,7 +97,7 @@ def optimal_guess_rate(
     optionally conditioned on at least one observable click."""
     if given_click and not view.sees_clicks:
         raise ValueError("cannot condition on clicks for a view that cannot see them")
-    law = _view_law(view, config, messages)[0]  # a fresh array
+    law = _view_law(view, config, messages)
     if given_click:
         law[:, 0, 0] = 0.0
     total = float(law.sum())
@@ -194,7 +124,7 @@ def _guess_tables(cheater: ViewSpec, config: RoundConfig, plan,
     message indices in ``messages`` order.  An observation the model does
     not hold (an unmodeled fluke outcome) ties every message: a blind
     guess."""
-    law = _view_law(cheater, config, messages)[0]
+    law = _view_law(cheater, config, messages)
     ties = law >= law.max(axis=0) * (1.0 - 1e-12)
     ties = np.broadcast_to(ties, (len(messages),) + plan.outcomes.shape[1:])
     n_tied = ties.sum(axis=0)
@@ -245,36 +175,6 @@ def _guessing_games(views: Sequence[ViewSpec], config: RoundConfig,
         return counts
 
     return run
-
-
-def _cheat_result(n_rounds: int, hits: int, n_click: int, hits_click: int) -> CheatResult:
-    rate_all = hits / n_rounds
-    rate_click = hits_click / n_click if n_click else None
-    return CheatResult(
-        n_rounds=n_rounds,
-        n_clicked=n_click,
-        rate_all=rate_all,
-        rate_given_click=rate_click,
-        stderr_all=math.sqrt(max(rate_all * (1 - rate_all), 0.0) / n_rounds),
-        stderr_given_click=(
-            math.sqrt(max(rate_click * (1 - rate_click), 0.0) / n_click) if n_click else None
-        ),
-    )
-
-
-def cheat_experiment(
-    cheater: ViewSpec,
-    config: RoundConfig,
-    n_rounds: int,
-    messages: Sequence[Message] = MESSAGES,
-) -> CheatResult:
-    """Guessing game: honest encode rounds, the cheater guesses from its
-    partial view via maximum posterior (the one-view pass of
-    :func:`_guessing_games`), on the streams of ``config.seed``."""
-    if n_rounds < 1:
-        raise ValueError("n_rounds must be >= 1")
-    counts = _guessing_games([cheater], config, messages)(config.seed, (0, n_rounds))
-    return _cheat_result(n_rounds, *counts[0].tolist())
 
 
 def _eve_state(eve: EveModel, n_parties: int) -> dict:
@@ -379,31 +279,6 @@ def _attack(eve: EveModel, config: RoundConfig):
     return _atom_attack(eve, config)
 
 
-def _eve_result(n_rounds: int, conclusive: int, violations: int) -> EveResult:
-    rate = violations / conclusive if conclusive else None
-    stderr = (
-        math.sqrt(max(rate * (1 - rate), 0.0) / conclusive) if conclusive else None
-    )
-    return EveResult(n_rounds, conclusive, violations, rate, stderr)
-
-
-def eavesdrop_experiment(
-    eve: EveModel, config: RoundConfig, n_check_rounds: int
-) -> EveResult:
-    """Detection statistics against one eavesdropper model, on the streams
-    of ``config.seed``.
-
-    Atom attacks are probed by GHZ parity-check rounds; the photon attack by
-    encode rounds with known messages, where a wrong (non-abort) decode
-    counts as a violation.  A config the attack cannot run raises
-    ConfigError (:func:`_attack`).
-    """
-    if n_check_rounds < 1:
-        raise ValueError("n_check_rounds must be >= 1")
-    counts = _attack(eve, config)(config.seed, (0, n_check_rounds))
-    return _eve_result(n_check_rounds, *counts.tolist())
-
-
 def exact_eve_detection_rate(eve: EveModel, n_parties: int = 3) -> float:
     """Exact parity-check detection rate for atom attacks: the violating
     share of the conclusive checks (the GHZ parity check of Hillery, Buzek &
@@ -438,6 +313,15 @@ def standard_views(config: RoundConfig) -> dict[str, ViewSpec]:
 _GAMES = ("bob_alone", "charlie_alone", "collaboration")  # on seeds seed + 0, 1, 2
 
 
+def _rate(hits: int, n: int) -> tuple[float | None, float | None]:
+    """The share ``hits / n`` and its binomial standard error; (None, None)
+    where ``n`` is 0."""
+    if not n:
+        return None, None
+    rate = hits / n
+    return rate, math.sqrt(max(rate * (1 - rate), 0.0) / n)
+
+
 def security_summary(config: RoundConfig, n_rounds: int, eve: EveModel, workers: int = 1) -> dict:
     """Headline rates: Bob alone (given a click), Charlie alone, full
     collaboration (given a click), the derived composite 1 - charlie_alone,
@@ -460,21 +344,25 @@ def security_summary(config: RoundConfig, n_rounds: int, eve: EveModel, workers:
         lambda bounds: (games(config.seed, bounds), attack(config.seed + len(_GAMES), bounds)),
         n_rounds, len(_GAMES) + 1, workers,
     )
-    bob, charlie, collab = (
-        _cheat_result(n_rounds, *counts)
-        for counts in sum(counts for counts, _ in parts).tolist()
-    )
-    eve_result = _eve_result(n_rounds, *sum(counts for _, counts in parts).tolist())
+    # per game (hits, rounds with a click, hits among them); the attack's
+    # (conclusive rounds, violations)
+    (_, bob_clicked, bob_hits), (charlie_hits, _, _), (_, collab_clicked, collab_hits) = sum(
+        counts for counts, _ in parts).tolist()
+    conclusive, violations = sum(counts for _, counts in parts).tolist()
+    bob, bob_stderr = _rate(bob_hits, bob_clicked)
+    charlie, charlie_stderr = _rate(charlie_hits, n_rounds)
+    collab, collab_stderr = _rate(collab_hits, collab_clicked)
+    detection, detection_stderr = _rate(violations, conclusive)
     return {
-        "bob_alone": bob.rate_given_click,
-        "bob_alone_stderr": bob.stderr_given_click,
-        "charlie_alone": charlie.rate_all,
-        "charlie_alone_stderr": charlie.stderr_all,
-        "collaboration": collab.rate_given_click,
-        "collaboration_stderr": collab.stderr_given_click,
-        "composite_bob": 1.0 - charlie.rate_all,
+        "bob_alone": bob,
+        "bob_alone_stderr": bob_stderr,
+        "charlie_alone": charlie,
+        "charlie_alone_stderr": charlie_stderr,
+        "collaboration": collab,
+        "collaboration_stderr": collab_stderr,
+        "composite_bob": 1.0 - charlie,
         "eve_strategy": eve.strategy + (f"_{eve.basis}" if eve.basis else ""),
-        "eve_detection_rate": eve_result.detection_rate,
-        "eve_detection_stderr": eve_result.stderr,
-        "eve_conclusive_rounds": eve_result.conclusive_rounds,
+        "eve_detection_rate": detection,
+        "eve_detection_stderr": detection_stderr,
+        "eve_conclusive_rounds": conclusive,
     }

@@ -239,45 +239,53 @@ def test_c07_security_numbers(capsys):
     config = P.RoundConfig(params=PARAMS0, t_window=0.5)
     views = S.standard_views(config)
 
-    # analytic posteriors, before any sampling
-    post = S.exact_posterior(views["bob_alone"], S.Observation(clicks=(1, 0)), config)
-    assert abs(post[Message.X] - 0.5) < 1e-12 and abs(post[Message.IY] - 0.5) < 1e-12
-    assert post[Message.I] < 1e-12 and post[Message.Z] < 1e-12
-    post = S.exact_posterior(views["charlie_alone"], S.Observation(bits=((2, "e"),)), config)
-    assert all(abs(post[m] - 0.25) < 1e-12 for m in MESSAGES)
-    post = S.exact_posterior(
-        views["collaboration"], S.Observation(clicks=(1, 0), bits=((2, "e"),)), config
-    )
-    assert abs(post[Message.X] - 1.0) < 1e-12
+    # analytic posteriors, before any sampling: a view's cell of the law,
+    # normalised over the messages (the prior is uniform)
+    x, iy = MESSAGES.index(Message.X), MESSAGES.index(Message.IY)
+    law = S._view_law(views["bob_alone"], config, MESSAGES)
+    post = law[:, 1, 0, 0] / law[:, 1, 0, 0].sum()  # one D+ click
+    assert abs(post[x] - 0.5) < 1e-12 and abs(post[iy] - 0.5) < 1e-12
+    assert np.delete(post, [x, iy]).max() < 1e-12
+    law = S._view_law(views["charlie_alone"], config, MESSAGES)
+    post = law[:, 0, 0, 1] / law[:, 0, 0, 1].sum()  # Charlie's atom in e
+    assert np.abs(post - 0.25).max() < 1e-12
+    law = S._view_law(views["collaboration"], config, MESSAGES)
+    post = law[:, 1, 0, 1] / law[:, 1, 0, 1].sum()  # both
+    assert abs(post[x] - 1.0) < 1e-12
 
+    # the guessing games' counters: (hits, rounds with a click, hits among them)
     n = 100_000
-    bob = S.cheat_experiment(views["bob_alone"], dataclasses.replace(config, seed=707), n)
-    assert abs(bob.rate_given_click - 0.5) < 3 * bob.stderr_given_click
-    charlie = S.cheat_experiment(views["charlie_alone"], dataclasses.replace(config, seed=708), n)
-    assert abs(charlie.rate_all - 0.25) < 3 * charlie.stderr_all
-    composite = 1.0 - charlie.rate_all
-    assert abs(composite - 0.75) < 3 * charlie.stderr_all
+    _, clicked, hits = S._guessing_games([views["bob_alone"]], config, MESSAGES)(707, (0, n))[0]
+    bob, bob_stderr = S._rate(hits, clicked)
+    assert abs(bob - 0.5) < 3 * bob_stderr
+    hits = S._guessing_games([views["charlie_alone"]], config, MESSAGES)(708, (0, n))[0, 0]
+    charlie, charlie_stderr = S._rate(hits, n)
+    assert abs(charlie - 0.25) < 3 * charlie_stderr
+    composite = 1.0 - charlie
+    assert abs(composite - 0.75) < 3 * charlie_stderr
     report(
         capsys,
-        f"criterion 7 (bob|click {bob.rate_given_click:.4f}, charlie {charlie.rate_all:.4f}, "
+        f"criterion 7 (bob|click {bob:.4f}, charlie {charlie:.4f}, "
         f"composite {composite:.4f}): PASS",
     )
 
 
 def test_c08_eavesdropper_detection(capsys):
     config = P.RoundConfig(params=PARAMS0, t_window=0.5)
+    # the attacks' counters: (conclusive rounds, violations)
     n = 100_000
-    clean = S.eavesdrop_experiment(S.EveModel("none"), dataclasses.replace(config, seed=808), n)
-    assert clean.violations == 0 and clean.detection_rate == 0.0
+    conclusive, violations = S._attack(S.EveModel("none"), config)(808, (0, n))
+    assert conclusive > 0 and violations == 0
 
     eve = S.EveModel("intercept_resend_atom", basis="z", target=0)
     exact = S.exact_eve_detection_rate(eve)
     assert abs(exact - 0.5) < 1e-12
-    attacked = S.eavesdrop_experiment(eve, dataclasses.replace(config, seed=809), n)
-    assert abs(attacked.detection_rate - exact) < 3 * attacked.stderr
+    conclusive, violations = S._attack(eve, config)(809, (0, n))
+    detection, stderr = S._rate(violations, conclusive)
+    assert abs(detection - exact) < 3 * stderr
     report(
         capsys,
-        f"criterion 8 (no-Eve 0, z-attack {attacked.detection_rate:.4f} vs exact 0.5): PASS",
+        f"criterion 8 (no-Eve 0, z-attack {detection:.4f} vs exact 0.5): PASS",
     )
 
 

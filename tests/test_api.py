@@ -28,6 +28,18 @@ def test_one_row_generator_path_is_gone():
     assert not hasattr(lockstep.JumpTables, "state")
 
 
+def test_test_only_security_layer_is_gone():
+    # security_summary is the one Monte-Carlo entry; the one-view and
+    # one-attack runs are the compiled passes _guessing_games and _attack,
+    # and a posterior is a normalised cell of _view_law
+    from qdcsim import security
+
+    for name in ("cheat_experiment", "eavesdrop_experiment", "exact_posterior",
+                 "observation_likelihoods", "Observation", "InconsistentObservation",
+                 "CheatResult", "EveResult", "_cheat_result", "_eve_result"):
+        assert name not in qdcsim.__all__ and not hasattr(security, name), name
+
+
 def test_dense_state_space_is_a_test_oracle():
     # plans compile in the photon-sector basis; the dense tensor-product
     # layer and the pipeline built on it are the reference under tests/
@@ -61,6 +73,6 @@ def test_only_the_config_schema_and_security_inputs_are_dataclasses():
     assert found == {
         "dynamics.PhysicalParams", "protocol.DetectorModel", "protocol.RoundConfig",
         "feasibility.HardwareConstants",
-        "security.ViewSpec", "security.Observation", "security.EveModel",
+        "security.ViewSpec", "security.EveModel",
     }
     assert "wall_time_s" not in qdcsim.protocol.BatchStats._fields

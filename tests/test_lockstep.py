@@ -371,7 +371,7 @@ class TestEngineEqualsOracle:
             log = io.StringIO()
             stats = P.run_batch(config, 600, log=log)
             return (stats, log.getvalue().splitlines(), P.run_batch(pnr, 600),
-                    S.eavesdrop_experiment(photon, config, 600))
+                    S._attack(photon, config)(config.seed, (0, 600)).tolist())
 
         default = runs()
         assert lockstep.BLOCK_ROWS >= 600
@@ -658,6 +658,14 @@ class TestClosedFormDraw:
         assert row.draws == [(2**n_rotated, int(code[0]))]
         assert rng.integers(0, 2**n_rotated) == code[0]
         assert_same_position(row, rng, n_rotated)
+
+    def test_pick_clamps_a_draw_past_the_last_weight(self):
+        # cumulative weights that round to end below 1, and the largest draw
+        # below 1: every weight ends at or below the draw, so the unclamped
+        # count is len(cum), past the last index
+        cum, x = np.array([[0.5, 0.9999999999999999]]), np.array([np.nextafter(1.0, 0.0)])
+        assert (cum <= x[:, None]).sum() == 2
+        assert lockstep.pick(cum, x).tolist() == [1]
 
 
 # ---------------------------------------------------------------------------

@@ -14,17 +14,7 @@ from qdcsim import lockstep
 from qdcsim import protocol as P
 from qdcsim import security as S
 from qdcsim import streams
-from qdcsim.security import (
-    EveModel,
-    InconsistentObservation,
-    Observation,
-    ViewSpec,
-    cheat_experiment,
-    eavesdrop_experiment,
-    exact_eve_detection_rate,
-    exact_posterior,
-    optimal_guess_rate,
-)
+from qdcsim.security import EveModel, ViewSpec, exact_eve_detection_rate, optimal_guess_rate
 
 
 def config(k=0.0, **kw):
@@ -40,57 +30,34 @@ COLLAB = ViewSpec(sees_clicks=True, sees_bits=(2,))
 
 
 class TestExactPosterior:
+    """The posterior of a view's cell of the law: the uniform prior cancels,
+    so it is the cell normalised over the messages."""
+
     def test_click_only(self):
-        post = exact_posterior(BOB, Observation(clicks=(1, 0)), config())
+        law = S._view_law(BOB, config(), MESSAGES)
+        post = dict(zip(MESSAGES, law[:, 1, 0, 0] / law[:, 1, 0, 0].sum()))
         assert abs(post[Message.X] - 0.5) < 1e-12
         assert abs(post[Message.IY] - 0.5) < 1e-12
         assert post[Message.I] < 1e-12 and post[Message.Z] < 1e-12
 
     def test_bit_only_uniform(self):
-        post = exact_posterior(CHARLIE, Observation(bits=((2, "e"),)), config())
-        for m in MESSAGES:
-            assert abs(post[m] - 0.25) < 1e-12
+        law = S._view_law(CHARLIE, config(), MESSAGES)  # an e bit: odd parity
+        for p in law[:, 0, 0, 1] / law[:, 0, 0, 1].sum():
+            assert abs(p - 0.25) < 1e-12
 
     def test_click_and_bit_pins_message(self):
-        post = exact_posterior(COLLAB, Observation(clicks=(1, 0), bits=((2, "e"),)), config())
-        assert abs(post[Message.X] - 1.0) < 1e-12
+        law = S._view_law(COLLAB, config(), MESSAGES)
+        post = law[:, 1, 0, 1] / law[:, 1, 0, 1].sum()
+        assert abs(post[MESSAGES.index(Message.X)] - 1.0) < 1e-12
 
     def test_marginalization_recovers_prior(self):
-        # P(observation, m) under the uniform prior, summed over every
-        # observation the view can make, is the prior
+        # P(cell, m) under the uniform prior, summed over every cell the
+        # view can see, is the prior
         cfg = config()
         for view in (BOB, CHARLIE, COLLAB):
-            law = S._view_law(view, cfg, MESSAGES)[0]
-            clicks = list(np.ndindex(law.shape[1:3])) if view.sees_clicks else [None]
-            strings = itertools.product("ge", repeat=len(view.sees_bits))
-            joint = [
-                S.observation_likelihoods(Observation(c, tuple(zip(view.sees_bits, bits))), cfg)
-                for c, bits in itertools.product(clicks, strings)
-            ]
-            for m in MESSAGES:
-                assert abs(sum(likes[m] for likes in joint) / len(MESSAGES) - 0.25) < 1e-12
-
-    @pytest.mark.parametrize("bits", [((2, "ge"),), ((2, "x"),), ((2, "E"), (3, "g"))])
-    def test_letters_other_than_g_or_e_have_no_likelihood(self, bits):
-        likes = S.observation_likelihoods(Observation(clicks=(1, 0), bits=bits),
-                                          config(k=0.2, n_receivers=3))
-        assert set(likes.values()) == {0.0}
-
-    @pytest.mark.parametrize("bits", [((2, "e"), (2, "e")), ((2, "e"), (2, "g"))])
-    def test_site_listed_twice_rejected(self, bits):
-        # counted twice, one e bit would read as even parity
-        with pytest.raises(ValueError, match="receiver site 2 is listed twice"):
-            Observation(clicks=(1, 0), bits=bits)
-
-    def test_inconsistent_observation(self):
-        with pytest.raises(InconsistentObservation):
-            exact_posterior(BOB, Observation(clicks=(7, 7)), config())
-
-    def test_view_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            exact_posterior(BOB, Observation(clicks=None), config())
-        with pytest.raises(ValueError):
-            exact_posterior(CHARLIE, Observation(bits=((1, "e"),)), config())
+            law = S._view_law(view, cfg, MESSAGES)
+            for m in range(len(MESSAGES)):
+                assert abs(law[m].sum() / len(MESSAGES) - 0.25) < 1e-12
 
 
 class TestOptimalRates:
@@ -121,19 +88,24 @@ class TestOptimalRates:
         once, twice = ViewSpec(True, sites), ViewSpec(True, sites + sites[:1])
         assert twice == once
         assert optimal_guess_rate(twice, cfg) == optimal_guess_rate(once, cfg)
-        (law_twice, size_twice), (law_once, size_once) = (
-            S._view_law(view, cfg, MESSAGES) for view in (twice, once))
-        np.testing.assert_array_equal(law_twice, law_once)
-        assert size_twice == size_once
+        np.testing.assert_array_equal(S._view_law(twice, cfg, MESSAGES),
+                                      S._view_law(once, cfg, MESSAGES))
 
     def test_views_of_few_bits_run_at_the_receiver_cap(self):
         cfg = config(k=0.2, n_receivers=P.MAX_RECEIVERS)
         views = S.standard_views(cfg)
         for name in ("bob_alone", "charlie_alone"):
-            law = S._view_law(views[name], cfg, MESSAGES)[0]
+            law = S._view_law(views[name], cfg, MESSAGES)
             for m in range(len(MESSAGES)):
                 assert math.isclose(law[m].sum(), 1.0)
             assert 0.25 <= optimal_guess_rate(views[name], cfg) <= 1.0
+
+    @pytest.mark.parametrize("site", [0, 1, 3])
+    def test_a_view_sees_only_rotated_receiver_atoms(self, site):
+        # at 3 parties the rotated receiver is site 2 alone: sites 0 and 1
+        # hold the mapped atoms, and site 3 is not a party
+        with pytest.raises(ValueError, match=rf"^site {site} is not a rotated receiver atom"):
+            optimal_guess_rate(ViewSpec(True, (site,)), config())
 
     def test_condition_on_click_requires_visibility(self):
         with pytest.raises(ValueError):
@@ -141,31 +113,39 @@ class TestOptimalRates:
 
 
 class TestCheatExperiments:
+    """The one-view guessing game, ``_guessing_games([view], ...)``: its
+    counters (hits, rounds with a click, hits among them) as rates."""
+
     def test_bob_given_click(self):
-        res = cheat_experiment(BOB, config(seed=1), 20000)
-        assert abs(res.rate_given_click - 0.5) < 3 * res.stderr_given_click
+        cfg = config(seed=1)
+        _, clicked, hits = S._guessing_games([BOB], cfg, MESSAGES)(cfg.seed, (0, 20000))[0]
+        rate, stderr = S._rate(hits, clicked)
+        assert abs(rate - 0.5) < 3 * stderr
 
     def test_bob_psi_messages(self):
-        res = cheat_experiment(BOB, config(seed=2), 20000, messages=(Message.X, Message.IY))
-        assert abs(res.rate_given_click - 0.5) < 3 * res.stderr_given_click
+        cfg = config(seed=2)
+        _, clicked, hits = S._guessing_games([BOB], cfg, (Message.X, Message.IY))(
+            cfg.seed, (0, 20000))[0]
+        rate, stderr = S._rate(hits, clicked)
+        assert abs(rate - 0.5) < 3 * stderr
 
     def test_charlie_alone(self):
-        res = cheat_experiment(CHARLIE, config(seed=3), 20000)
-        assert abs(res.rate_all - 0.25) < 3 * res.stderr_all
+        cfg = config(seed=3)
+        hits = S._guessing_games([CHARLIE], cfg, MESSAGES)(cfg.seed, (0, 20000))[0, 0]
+        rate, stderr = S._rate(hits, 20000)
+        assert abs(rate - 0.25) < 3 * stderr
 
     def test_collaboration_psi_exact(self):
-        res = cheat_experiment(COLLAB, config(seed=4), 5000, messages=(Message.X, Message.IY))
-        assert res.rate_given_click == 1.0
+        cfg = config(seed=4)
+        _, clicked, hits = S._guessing_games([COLLAB], cfg, (Message.X, Message.IY))(
+            cfg.seed, (0, 5000))[0]
+        assert clicked > 0 and hits == clicked
 
     def test_matches_optimal_with_loss(self):
         cfg = config(k=0.2, seed=5)
-        res = cheat_experiment(COLLAB, cfg, 30000)
-        exact = optimal_guess_rate(COLLAB, cfg)
-        assert abs(res.rate_all - exact) < 3 * res.stderr_all
-
-    def test_rejects_zero_rounds(self):
-        with pytest.raises(ValueError):
-            cheat_experiment(BOB, config(seed=1), 0)
+        hits = S._guessing_games([COLLAB], cfg, MESSAGES)(cfg.seed, (0, 30000))[0, 0]
+        rate, stderr = S._rate(hits, 30000)
+        assert abs(rate - optimal_guess_rate(COLLAB, cfg)) < 3 * stderr
 
     @pytest.mark.parametrize("n_receivers", [2, 5])
     def test_three_way_ties_draw_as_a_unique_loop(self, n_receivers):
@@ -197,9 +177,8 @@ class TestCheatExperiments:
                     sizes.add(size)
                 hit, clicked = tied[obs + (choice,)] == sent, r.clicks.sum(axis=1) > 0
                 counts += [hit.sum(), clicked.sum(), (hit & clicked).sum()]
-            seeded = dataclasses.replace(cfg, seed=seed)
-            assert cheat_experiment(view, seeded, n_rounds, subset) == S._cheat_result(
-                n_rounds, *counts.tolist()), (name, seed)
+            got = S._guessing_games([view], cfg, subset)(seed, (0, n_rounds))[0]
+            assert got.tolist() == counts.tolist(), (name, seed)
         assert sizes == {2, 3}
 
 
@@ -225,26 +204,33 @@ def enumerated_detection_rate(eve: EveModel, n_parties: int) -> float:
 
 
 class TestEavesdropping:
+    """The compiled attacks, ``_attack``: their counters (conclusive rounds,
+    violations), and the detection rate they give."""
+
     def test_no_eve_never_detected(self):
-        res = eavesdrop_experiment(EveModel("none"), config(seed=6), 20000)
-        assert res.violations == 0 and res.detection_rate == 0.0
+        cfg = config(seed=6)
+        conclusive, violations = S._attack(EveModel("none"), cfg)(cfg.seed, (0, 20000))
+        assert conclusive > 0 and violations == 0
+        assert S._rate(violations, conclusive)[0] == 0.0
 
     def test_conclusive_fraction(self):
-        res = eavesdrop_experiment(EveModel("none"), config(seed=7), 20000)
-        frac = res.conclusive_rounds / res.n_rounds
-        assert abs(frac - 0.5) < 3 * math.sqrt(0.25 / 20000)
+        cfg = config(seed=7)
+        conclusive, _ = S._attack(EveModel("none"), cfg)(cfg.seed, (0, 20000))
+        assert abs(conclusive / 20000 - 0.5) < 3 * math.sqrt(0.25 / 20000)
 
     def test_z_intercept_half(self):
-        eve = EveModel("intercept_resend_atom", basis="z", target=0)
+        eve, cfg = EveModel("intercept_resend_atom", basis="z", target=0), config(seed=8)
         assert exact_eve_detection_rate(eve) == 0.5
-        res = eavesdrop_experiment(eve, config(seed=8), 20000)
-        assert abs(res.detection_rate - 0.5) < 3 * res.stderr
+        conclusive, violations = S._attack(eve, cfg)(cfg.seed, (0, 20000))
+        rate, stderr = S._rate(violations, conclusive)
+        assert abs(rate - 0.5) < 3 * stderr
 
     def test_x_intercept_quarter(self):
-        eve = EveModel("intercept_resend_atom", basis="x", target=0)
+        eve, cfg = EveModel("intercept_resend_atom", basis="x", target=0), config(seed=9)
         assert exact_eve_detection_rate(eve) == 0.25
-        res = eavesdrop_experiment(eve, config(seed=9), 20000)
-        assert abs(res.detection_rate - 0.25) < 3 * res.stderr
+        conclusive, violations = S._attack(eve, cfg)(cfg.seed, (0, 20000))
+        rate, stderr = S._rate(violations, conclusive)
+        assert abs(rate - 0.25) < 3 * stderr
 
     @pytest.mark.parametrize("n_parties", range(2, 11))
     def test_exact_rate_independent_of_target(self, n_parties):
@@ -276,14 +262,13 @@ class TestEavesdropping:
             EveModel("intercept_resend_atom", basis="x", target=1),
             EveModel("intercept_resend_photon"),
         ):
-            res = eavesdrop_experiment(eve, config(k=0.2, seed=10), 10000)
-            assert res.detection_rate is not None and res.detection_rate > 0.05
+            cfg = config(k=0.2, seed=10)
+            conclusive, violations = S._attack(eve, cfg)(cfg.seed, (0, 10000))
+            assert conclusive > 0 and S._rate(violations, conclusive)[0] > 0.05
 
     def test_photon_attack_needs_click_decoding(self):
         with pytest.raises(ValueError, match="ideal_pnr"):
-            eavesdrop_experiment(
-                EveModel("intercept_resend_photon"), config(ideal_pnr=True, seed=0), 10
-            )
+            S._attack(EveModel("intercept_resend_photon"), config(ideal_pnr=True))
 
     def test_photon_attack_is_a_tampered_encode_round(self):
         # the attack's rounds are encode rounds with the photon number of
@@ -302,8 +287,8 @@ class TestEavesdropping:
             if decoded is not None:
                 conclusive += 1
                 violations += int(decoded != sent)
-        res = eavesdrop_experiment(EveModel("intercept_resend_photon"), cfg, 300)
-        assert (res.conclusive_rounds, res.violations) == (conclusive, violations)
+        got = S._attack(EveModel("intercept_resend_photon"), cfg)(cfg.seed, (0, 300))
+        assert got.tolist() == [conclusive, violations]
         assert violations > 0
 
     def test_photon_exact_rate_unavailable(self):
@@ -334,7 +319,7 @@ class TestConfigErrors:
         with pytest.raises(P.ConfigError, match=field):
             S.security_summary(cfg, 10, eve)
         with pytest.raises(P.ConfigError, match=field):
-            eavesdrop_experiment(eve, cfg, 10)
+            S._attack(eve, cfg)
 
     @pytest.mark.parametrize("eve", [EveModel("intercept_resend_atom", basis="z"),
                                      EveModel("intercept_resend_photon")])
@@ -373,7 +358,7 @@ class TestConfigErrors:
         with pytest.raises(ValueError, match=named):
             S.security_summary(config(), 10, eve)
         with pytest.raises(ValueError, match=named):
-            eavesdrop_experiment(eve, config(), 10)
+            S._attack(eve, config())
         with pytest.raises(ValueError, match=named):
             exact_eve_detection_rate(eve, 3)
 
@@ -443,13 +428,13 @@ class TestParityCheckLaws:
         eve = EveModel("intercept_resend_atom", basis="x", target=4)
         tracemalloc.start()
         try:
-            attacked = eavesdrop_experiment(eve, cfg, 1000)
+            conclusive, _ = S._attack(eve, cfg)(cfg.seed, (0, 1000))
             stats = P.run_batch(cfg, 1000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 << 20
-        assert attacked.conclusive_rounds > 400 and stats.n_check > 200
+        assert conclusive > 400 and stats.n_check > 200
         assert stats.check_pass_rate == 1.0
 
     def test_memory_does_not_grow_with_the_receivers(self):
@@ -479,6 +464,24 @@ class TestParityCheckLaws:
 
 
 class TestSummary:
+    def test_rates(self):
+        assert S._rate(0, 0) == (None, None)
+        assert S._rate(3, 3) == (1.0, 0.0)
+        assert S._rate(1, 4) == (0.25, math.sqrt(0.25 * 0.75 / 4))
+
+    def test_rejects_zero_rounds(self):
+        with pytest.raises(ValueError, match="n_rounds must be >= 1"):
+            S.security_summary(config(seed=1), 0, EveModel("none"))
+
+    def test_games_given_a_click_are_null_without_clicks(self):
+        # a blind detector registers no click, so the games given a click
+        # count no rounds
+        out = S.security_summary(config(detector=P.DetectorModel(0.0, 0.0), seed=12), 400,
+                                 EveModel("none"))
+        for key in ("bob_alone", "bob_alone_stderr", "collaboration", "collaboration_stderr"):
+            assert out[key] is None, key
+        assert out["charlie_alone"] is not None and out["eve_detection_rate"] == 0.0
+
     def test_summary_fields(self):
         eve = EveModel("intercept_resend_atom", basis="z")
         out = S.security_summary(config(seed=11), 4000, eve)
@@ -506,7 +509,8 @@ def oracle_guess(posterior, rng):
 
 def oracle_cheat(cheater, config, n_rounds, seed, messages=MESSAGES, cutoff=1):
     """The guessing game one scalar round at a time on round_rng streams,
-    with the cavity modes of the dense states truncated at ``cutoff``."""
+    with the cavity modes of the dense states truncated at ``cutoff``: (hits,
+    rounds with a click, hits among them)."""
     positions = {site: pos for pos, site in enumerate(range(2, config.n_parties))}
 
     def project(counts, bits):
@@ -540,24 +544,14 @@ def oracle_cheat(cheater, config, n_rounds, seed, messages=MESSAGES, cutoff=1):
         if sum(counts) > 0:
             n_click += 1
             hits_click += hit
-    rate_all = hits_all / n_rounds
-    rate_click = hits_click / n_click if n_click else None
-    return S.CheatResult(
-        n_rounds=n_rounds,
-        n_clicked=n_click,
-        rate_all=rate_all,
-        rate_given_click=rate_click,
-        stderr_all=math.sqrt(max(rate_all * (1 - rate_all), 0.0) / n_rounds),
-        stderr_given_click=(
-            math.sqrt(max(rate_click * (1 - rate_click), 0.0) / n_click) if n_click else None
-        ),
-    )
+    return hits_all, n_click, hits_click
 
 
 def oracle_eve(eve, config, n_rounds, seed, cutoff=1):
     """The eavesdrop experiment one scalar round at a time: tampered check
     rounds for atom attacks, tampered encode rounds (cavity modes truncated
-    at ``cutoff``) for the photon attack."""
+    at ``cutoff``) for the photon attack.  Returns (conclusive rounds,
+    violations)."""
     conclusive = violations = 0
     if eve.strategy == "intercept_resend_photon":
         cfg = dataclasses.replace(config, p_check=0.0)
@@ -583,9 +577,7 @@ def oracle_eve(eve, config, n_rounds, seed, cutoff=1):
             if out.check_conclusive:
                 conclusive += 1
                 violations += int(not out.check_passed)
-    rate = violations / conclusive if conclusive else None
-    stderr = math.sqrt(max(rate * (1 - rate), 0.0) / conclusive) if conclusive else None
-    return S.EveResult(n_rounds, conclusive, violations, rate, stderr)
+    return conclusive, violations
 
 
 DETECTION = ("pnr", (1.0, 0.0), (1.0, 0.05), (0.9, 0.0), (0.9, 0.05))
@@ -603,7 +595,7 @@ def diff_config(n_parties, k, detection):
 
 
 class TestLockstepEqualsScalar:
-    """Every experiment equals its scalar per-round oracle exactly."""
+    """Every compiled pass counts what its scalar per-round oracle counts."""
 
     @pytest.mark.parametrize(
         "n_parties,cutoff,k,detection", DIFF_MATRIX,
@@ -613,17 +605,18 @@ class TestLockstepEqualsScalar:
     def test_matrix(self, n_parties, cutoff, k, detection):
         cfg = diff_config(n_parties, k, detection)
         seed, n_rounds = -7, 150
-        seeded = dataclasses.replace(cfg, seed=seed)
         views = S.standard_views(cfg)
         receivers = views["collaboration"].sees_bits
         # blind for N+1 = 3, one non-Charlie receiver for N+1 = 4
         views["custom"] = ViewSpec(sees_clicks=False, sees_bits=receivers[1:])
         for name, view in views.items():
-            assert cheat_experiment(view, seeded, n_rounds) == oracle_cheat(
+            got = S._guessing_games([view], cfg, MESSAGES)(seed, (0, n_rounds))[0]
+            assert tuple(got.tolist()) == oracle_cheat(
                 view, cfg, n_rounds, seed, cutoff=cutoff
             ), name
         subset = (Message.I, Message.X, Message.Z)
-        assert cheat_experiment(views["collaboration"], seeded, n_rounds, subset) == (
+        got = S._guessing_games([views["collaboration"]], cfg, subset)(seed, (0, n_rounds))[0]
+        assert tuple(got.tolist()) == (
             oracle_cheat(views["collaboration"], cfg, n_rounds, seed, subset, cutoff)
         )
         eves = [
@@ -634,7 +627,7 @@ class TestLockstepEqualsScalar:
         if not cfg.ideal_pnr:
             eves.append(EveModel("intercept_resend_photon"))
         for eve in eves:
-            assert eavesdrop_experiment(eve, seeded, n_rounds) == oracle_eve(
+            assert tuple(S._attack(eve, cfg)(seed, (0, n_rounds)).tolist()) == oracle_eve(
                 eve, cfg, n_rounds, seed, cutoff
             ), eve
 
@@ -646,12 +639,12 @@ class TestLockstepEqualsScalar:
     def test_across_blocks_and_spans(self):
         # more rounds than one block and than one span of precomputed words
         cfg = dataclasses.replace(diff_config(3, 0.2, (0.9, 0.05)), seed=3)
-        views = S.standard_views(cfg)
-        assert cheat_experiment(views["bob_alone"], cfg, 2600) == oracle_cheat(
-            views["bob_alone"], cfg, 2600, 3
-        )
+        bob = S.standard_views(cfg)["bob_alone"]
+        got = S._guessing_games([bob], cfg, MESSAGES)(cfg.seed, (0, 2600))[0]
+        assert tuple(got.tolist()) == oracle_cheat(bob, cfg, 2600, 3)
         eve = EveModel("intercept_resend_atom", basis="x", target=1)
-        assert eavesdrop_experiment(eve, cfg, 2600) == oracle_eve(eve, cfg, 2600, 3)
+        got = S._attack(eve, cfg)(cfg.seed, (0, 2600))
+        assert tuple(got.tolist()) == oracle_eve(eve, cfg, 2600, 3)
 
     @pytest.mark.parametrize("eve", [
         EveModel("intercept_resend_atom", basis="z", target=0), EveModel("intercept_resend_photon"),
@@ -663,23 +656,19 @@ class TestLockstepEqualsScalar:
         cfg = diff_config(3, 0.2, (0.9, 0.05))
         seed, n_rounds = 9, 2600
         views = S.standard_views(cfg)
-        bob, charlie, collab = (
+        (_, bob_clicked, bob_hits), (charlie_hits, _, _), (_, collab_clicked, collab_hits) = (
             oracle_cheat(views[name], cfg, n_rounds, seed + g)
             for g, name in enumerate(("bob_alone", "charlie_alone", "collaboration"))
         )
-        eve_result = oracle_eve(eve, cfg, n_rounds, seed + 3)
-        want = {
-            "bob_alone": bob.rate_given_click,
-            "bob_alone_stderr": bob.stderr_given_click,
-            "charlie_alone": charlie.rate_all,
-            "charlie_alone_stderr": charlie.stderr_all,
-            "collaboration": collab.rate_given_click,
-            "collaboration_stderr": collab.stderr_given_click,
-            "composite_bob": 1.0 - charlie.rate_all,
-            "eve_detection_rate": eve_result.detection_rate,
-            "eve_detection_stderr": eve_result.stderr,
-            "eve_conclusive_rounds": eve_result.conclusive_rounds,
-        }
+        conclusive, violations = oracle_eve(eve, cfg, n_rounds, seed + 3)
+        want = dict(zip(
+            ("bob_alone", "bob_alone_stderr", "charlie_alone", "charlie_alone_stderr",
+             "collaboration", "collaboration_stderr", "eve_detection_rate",
+             "eve_detection_stderr"),
+            S._rate(bob_hits, bob_clicked) + S._rate(charlie_hits, n_rounds)
+            + S._rate(collab_hits, collab_clicked) + S._rate(violations, conclusive)))
+        want["composite_bob"] = 1.0 - want["charlie_alone"]
+        want["eve_conclusive_rounds"] = conclusive
         monkeypatch.setattr(P.lockstep, "BLOCK_ROWS", 1 << 10)
         monkeypatch.setattr(P.lockstep, "FORK_ROWS", 0)  # three processes however short
         assert n_rounds // 3 > (1 << 10) // 3
@@ -704,12 +693,12 @@ class TestLockstepEqualsScalar:
         monkeypatch.setattr(P.lockstep, "philox_words", recorded)  # the first blocks
         monkeypatch.setattr(streams, "philox_words", recorded)  # the extensions
         monkeypatch.setattr(P.lockstep, "BLOCK_ROWS", 128)
-        got = eavesdrop_experiment(eve, cfg, 200)
+        got = tuple(S._attack(eve, cfg)(cfg.seed, (0, 200)).tolist())
         assert calls == [(0, 1), (1, 1)] * 2  # blocks of 128 and 72 rounds
         assert got == oracle_eve(eve, cfg, 200, 4)
         monkeypatch.setattr(P.lockstep, "_FIRST_WORDS", {"encode": 4, "check": 4})
         calls.clear()
-        assert eavesdrop_experiment(eve, cfg, 200) == got
+        assert tuple(S._attack(eve, cfg)(cfg.seed, (0, 200)).tolist()) == got
         assert calls == [(0, 4)] * 2
 
     def test_summary_does_not_depend_on_block_size(self, monkeypatch):
